@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* polycore       exact sparse rational polynomial arithmetic
+* polycore       exact sparse polynomial arithmetic, integer coefficients
 * hypergraph     r-graphs, Turán constructions, brute-force oracles
 * diagonal       identification ideals and the counterexample certificate
 * monomial       squarefree ideals, Alexander duality, hitting sets

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InputError, ScaleGuardError
+from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import RGraph, balanced_partition, turan_count
 from .polycore import Polynomial, product, vandermonde
 
@@ -60,8 +60,8 @@ def missing_triple_product(n: int, G: RGraph, cap: int = DEFAULT_POLY_CAP) -> Po
             factors.append(Polynomial.difference(i, k, n))
             factors.append(Polynomial.difference(j, k, n))
     p = product(factors, n)
-    expected = 3 * (comb(n, 3) - len(G.edges))
-    assert p.degree() == expected, "degree law violated for missing-triple product"
+    if p.degree() != 3 * (comb(n, 3) - len(G.edges)):
+        raise ClaimCheckError("degree law violated for missing-triple product")
     return p
 
 
@@ -82,17 +82,35 @@ def in_differentiated_ideal(p: Polynomial, params: DiagonalParams) -> bool:
     """Whether every derivative d^j p / dx_i^j, i in [n], 0 <= j <= n-3,
     lies in the identification ideal.  For n <= 3 only j = 0 is checked,
     and for n < ell the identification ideal is the whole ring, so every
-    polynomial is a member in the vacuous range."""
+    polynomial is a member in the vacuous range.
+
+    Only the ell-sets S containing i are identified in d^j p / dx_i^j for
+    j >= 1.  Identifying S is the ring map fixing x_k for every k outside S
+    and sending x_s to x_min(S) for s in S.  For i outside S it commutes with
+    d/dx_i: on a monomial both orders give a_i times the image of the
+    monomial with a_i lowered by one, since the image keeps the factor
+    x_i^(a_i) apart from the merged variable x_min(S).  So once p itself
+    vanishes on identifying S, which the j = 0 check over every S
+    establishes, so does each derivative of p in a variable outside S.
+    """
     n = params.n
     if p.nvars != n:
         raise InputError(f"polynomial has {p.nvars} variables, expected {n}")
-    max_order = max(n - 3, 0)
+    if not params.non_vacuous:
+        return True
+    if not in_identification_ideal(p, params):
+        return False
     deg = p.degree()
+    max_order = min(n - 3, deg) if deg is not None else 0
+    ell_sets = list(itertools.combinations(range(1, n + 1), params.ell))
     for i in range(1, n + 1):
-        for j in range(max_order + 1):
-            if deg is not None and j > deg:
+        containing = [S for S in ell_sets if i in S]
+        d = p
+        for _ in range(max_order):
+            d = d.derivative(i)
+            if d.is_zero:
                 break  # higher derivatives vanish, trivially members
-            if not in_identification_ideal(p.derivative(i, j), params):
+            if any(not d.identify(S).is_zero for S in containing):
                 return False
     return True
 

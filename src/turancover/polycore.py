@@ -1,20 +1,26 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Polynomials live in k[x_1, ..., x_n] with exact Fraction coefficients.
-Terms are stored sparsely as a dict mapping exponent tuples (length n) to
-nonzero coefficients; zero coefficients are never kept, so structural
-equality of the dicts is polynomial equality.
+Polynomials live in Q[x_1, ..., x_n].  Every polynomial this library builds
+(products of differences x_i - x_j, their derivatives and identifications)
+has integer coefficients, so a coefficient is stored as a plain ``int``
+whenever it is integral; a ``Fraction`` is kept only for a non-integral
+value a caller supplies and for what arithmetic derives from it.  Terms are
+stored sparsely as a dict mapping exponent tuples (length n) to nonzero
+coefficients; zero coefficients are never kept, so structural equality of
+the dicts is polynomial equality.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import perm
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import InputError
 
 Exponents = tuple[int, ...]
+Coefficient = int | Fraction
 
 
 def _grlex_key(exps: Exponents) -> tuple:
@@ -22,12 +28,18 @@ def _grlex_key(exps: Exponents) -> tuple:
     return (sum(exps), exps)
 
 
+def _exact(c: Coefficient) -> Coefficient:
+    """c as an int when it is integral, else unchanged (a Fraction)."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact coefficients: ints, and Fractions
+    only where a value is not integral."""
 
-    __slots__ = ("nvars", "terms", "_hash")
+    __slots__ = ("nvars", "terms", "_integral", "_hash")
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction | int] | None = None):
+    def __init__(self, nvars: int, terms: Mapping[Exponents, Coefficient] | None = None):
         if nvars < 1:
             raise InputError(f"nvars must be positive, got {nvars}")
         clean: dict[Exponents, Fraction] = {}
@@ -37,14 +49,29 @@ class Polynomial:
                 raise InputError(f"exponent vector {exps} has length {len(exps)}, expected {nvars}")
             if any(e < 0 for e in exps):
                 raise InputError(f"negative exponent in {exps}")
-            c = Fraction(coeff)
-            if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
+            clean[exps] = clean.get(exps, 0) + Fraction(coeff)
+        clean = {e: _exact(c) for e, c in clean.items() if c}
+        self._set(nvars, clean, all(type(c) is int for c in clean.values()))
+
+    def _set(self, nvars: int, terms: dict[Exponents, Coefficient], integral: bool) -> None:
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_integral", integral)
         object.__setattr__(self, "_hash", None)
+
+    @classmethod
+    def _from_terms(cls, nvars: int, terms: dict[Exponents, Coefficient], integral: bool) -> "Polynomial":
+        """Wrap `terms` that arithmetic built from valid polynomials: exponent
+        vectors of length nvars, nonnegative, no zero coefficient.  None of
+        __init__'s checks are repeated.  `integral` says every input had int
+        coefficients, so every result is an int; otherwise integral results
+        are turned from Fraction into int here."""
+        if not integral:
+            terms = {e: _exact(c) for e, c in terms.items()}
+            integral = all(type(c) is int for c in terms.values())
+        p = object.__new__(cls)
+        p._set(nvars, terms, integral)
+        return p
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Polynomial is immutable")
@@ -61,7 +88,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, c) -> "Polynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(c)})
+        return cls(nvars, {(0,) * nvars: c})
 
     @classmethod
     def variable(cls, i: int, nvars: int) -> "Polynomial":
@@ -97,7 +124,7 @@ class Polynomial:
             object.__setattr__(self, "_hash", h)
         return self._hash
 
-    def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponents, Coefficient]]:
         """Terms in decreasing graded-lex order (canonical presentation)."""
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
 
@@ -135,41 +162,43 @@ class Polynomial:
         self._check_arity(other)
         out = dict(self.terms)
         for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
+            s = out.get(exps, 0) + c
             if s:
                 out[exps] = s
             else:
-                out.pop(exps, None)
-        return Polynomial(self.nvars, out)
+                del out[exps]
+        return Polynomial._from_terms(self.nvars, out, self._integral and other._integral)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._from_terms(self.nvars, {e: -c for e, c in self.terms.items()}, self._integral)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
+        c = _exact(Fraction(c))
         if c == 0:
             return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {e: k * c for e, k in self.terms.items()})
+        integral = self._integral and type(c) is int
+        return Polynomial._from_terms(self.nvars, {e: k * c for e, k in self.terms.items()}, integral)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check_arity(other)
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
+        get = out.get
         # iterate the smaller factor on the outside
         a, b = (self.terms, other.terms)
         if len(a) > len(b):
             a, b = b, a
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(key, Fraction(0)) + ca * cb
+                key = tuple(map(add, ea, eb))
+                s = get(key, 0) + ca * cb
                 if s:
                     out[key] = s
                 else:
                     del out[key]
-        return Polynomial(self.nvars, out)
+        return Polynomial._from_terms(self.nvars, out, self._integral and other._integral)
 
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
@@ -195,22 +224,17 @@ class Polynomial:
         if order == 0:
             return self
         idx = i - 1
-        out: dict[Exponents, Fraction] = {}
+        # distinct terms differentiate to distinct terms, and perm(e, order),
+        # the falling factorial e * (e-1) * ... * (e-order+1), is nonzero
+        out: dict[Exponents, Coefficient] = {}
         for exps, c in self.terms.items():
             e = exps[idx]
             if e < order:
                 continue
-            # falling factorial e * (e-1) * ... * (e-order+1)
-            fall = factorial(e) // factorial(e - order)
             new = list(exps)
             new[idx] = e - order
-            key = tuple(new)
-            s = out.get(key, Fraction(0)) + c * fall
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return Polynomial(self.nvars, out)
+            out[tuple(new)] = c * perm(e, order)
+        return Polynomial._from_terms(self.nvars, out, self._integral)
 
     def identify(self, variables: Iterable[int]) -> "Polynomial":
         """Substitute every variable in `variables` by the minimum-index one.
@@ -226,21 +250,22 @@ class Polynomial:
         merged = [s - 1 for s in S[1:]]
         if not merged:
             return self
-        out: dict[Exponents, Fraction] = {}
+        out: dict[Exponents, Coefficient] = {}
+        get = out.get
         for exps, c in self.terms.items():
             new = list(exps)
             for m in merged:
                 new[rep] += new[m]
                 new[m] = 0
             key = tuple(new)
-            s = out.get(key, Fraction(0)) + c
+            s = get(key, 0) + c
             if s:
                 out[key] = s
             else:
                 del out[key]
-        return Polynomial(self.nvars, out)
+        return Polynomial._from_terms(self.nvars, out, self._integral)
 
-    def substitute(self, assignment: Mapping[int, Fraction | int]) -> Fraction:
+    def substitute(self, assignment: Mapping[int, Coefficient]) -> Fraction:
         """Evaluate at a full rational point; 1-based variable keys."""
         total = Fraction(0)
         for exps, c in self.terms.items():
@@ -285,4 +310,4 @@ def vandermonde(n: int, indices: Iterable[int] | None = None) -> Polynomial:
     return product(factors, n)
 
 
-__all__ = ["Polynomial", "product", "vandermonde", "comb"]
+__all__ = ["Polynomial", "product", "vandermonde"]

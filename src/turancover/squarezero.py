@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InputError, ScaleGuardError
+from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import balanced_partition, turan_count
 
 
@@ -169,7 +169,8 @@ class SquareZeroQuotient:
         zero_between = {}
         for C, D in itertools.combinations(classes, 2):
             flags = {self.killed(u, v) for u in C for v in D}
-            assert len(flags) == 1, "inconsistent cross products between parallel classes"
+            if len(flags) != 1:
+                raise ClaimCheckError("inconsistent cross products between parallel classes")
             zero_between[(C, D)] = flags.pop()
         return ParallelPartition(classes, zero_between)
 

@@ -17,7 +17,7 @@ from turancover.diagonal import (
 )
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import RGraph, turan_count
-from turancover.polycore import Polynomial, vandermonde
+from turancover.polycore import Polynomial, product, vandermonde
 
 
 def x(i, n):
@@ -107,6 +107,53 @@ def test_full_vandermonde_in_di_4_3():
 
 def test_difference_not_in_di_4_3():
     assert not in_differentiated_ideal(Polynomial.difference(1, 2, 4), DiagonalParams(4, 3))
+
+
+def in_di_all_sets(p, params):
+    """Reference membership test: identify every derivative d^j p / dx_i^j,
+    0 <= j <= n-3, on every ell-set."""
+    n = params.n
+    deg = p.degree()
+    for i in range(1, n + 1):
+        for j in range(max(n - 3, 0) + 1):
+            if deg is not None and j > deg:
+                break
+            if not in_identification_ideal(p.derivative(i, j), params):
+                return False
+    return True
+
+
+def random_difference_product(n, rng):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    factors = [Polynomial.difference(*rng.choice(pairs), n) for _ in range(rng.randint(1, n + 1))]
+    return product(factors, n)
+
+
+def random_missing_triple_product(n, rng):
+    # dense graphs keep the product small; most are not (ell-1)-partite
+    triples = list(itertools.combinations(range(1, n + 1), 3))
+    missing = rng.sample(triples, rng.randint(1, min(len(triples), 4)))
+    return missing_triple_product(n, RGraph(n, 3, [t for t in triples if t not in missing]))
+
+
+def test_restricted_check_matches_all_sets_oracle():
+    rng = random.Random(2024)
+    seen = {"member": 0, "fails at j = 0": 0, "fails at j >= 1 only": 0}
+    for n in range(3, 7):
+        for ell in range(3, n + 1):
+            params = DiagonalParams(n, ell)
+            for draw in (random_difference_product, random_missing_triple_product):
+                for _ in range(12 if n < 6 else 4):
+                    p = draw(n, rng)
+                    want = in_di_all_sets(p, params)
+                    assert in_differentiated_ideal(p, params) == want, (n, ell, p)
+                    if want:
+                        seen["member"] += 1
+                    elif not in_identification_ideal(p, params):
+                        seen["fails at j = 0"] += 1
+                    else:
+                        seen["fails at j >= 1 only"] += 1
+    assert all(seen.values()), seen
 
 
 # ---------------------------------------------------------------------------

@@ -162,3 +162,62 @@ def test_invariants_reject_zero_coefficients():
 
 def test_empty_product_is_one():
     assert product([], 3) == Polynomial.one(3)
+
+
+# ---------------------------------------------------------------------------
+# coefficient representation
+
+
+def int_coefficients(p):
+    return all(type(c) is int for c in p.terms.values())
+
+
+def test_integer_input_gives_int_coefficients():
+    p = vandermonde(4)
+    assert int_coefficients(p)
+    assert int_coefficients(product([p, Polynomial.difference(1, 3, 4)], 4))
+    for i in range(1, 5):
+        for order in (1, 2, 3):
+            assert int_coefficients(p.derivative(i, order))
+    assert int_coefficients(p.identify({1, 2}))
+    assert int_coefficients(p.identify({2, 4}) + p.scale(3) - p)
+
+
+def test_fraction_input_stays_exact():
+    half = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): 3})
+    assert half.terms == {(1, 0): Fraction(1, 2), (0, 1): 3}
+    assert type(half.terms[(1, 0)]) is Fraction
+    assert type(half.terms[(0, 1)]) is int
+    square = half * half
+    assert type(square.terms[(2, 0)]) is Fraction and square.terms[(2, 0)] == Fraction(1, 4)
+    # results that become integral are stored as int
+    assert int_coefficients(half + half)
+    assert int_coefficients(half.scale(2))
+    assert int_coefficients(Polynomial(2, {(2, 0): Fraction(1, 2)}).derivative(1))
+    assert int_coefficients((half + half).identify({1, 2}))
+    assert half.identify({1, 2}) == Polynomial(2, {(1, 0): Fraction(7, 2)})
+
+
+def test_integral_fraction_equals_int():
+    for n, exps in [(1, (3,)), (3, (1, 0, 2))]:
+        p = Polynomial(n, {exps: Fraction(2, 1)})
+        q = Polynomial(n, {exps: 2})
+        assert p == q and hash(p) == hash(q)
+        assert type(p.terms[exps]) is int
+
+
+def test_substitute_returns_fraction():
+    p = (x(1) - x(2)) * x(3)
+    value = p.substitute({1: 3, 2: 1, 3: 2})
+    assert type(value) is Fraction and value == 4
+    assert p.substitute({1: Fraction(1, 2), 2: 0, 3: 1}) == Fraction(1, 2)
+    assert type(Polynomial.zero(2).substitute({1: 1, 2: 1})) is Fraction
+
+
+def test_constructor_rejects_bad_terms():
+    with pytest.raises(InputError):
+        Polynomial(2, {(1,): 1})
+    with pytest.raises(InputError):
+        Polynomial(2, {(1, -1): 1})
+    with pytest.raises(InputError):
+        Polynomial(0, {})
