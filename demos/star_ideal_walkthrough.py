@@ -51,9 +51,11 @@ assert not in_star_ideal(missing_edge_monomial(params, RGraph.complete(5, 3)), p
 print("collapse verified exhaustively:", verify_collapse(params))
 
 # ---------------------------------------------------------------------------
-# Initial degree: the balanced-partition monomial m0 attains
-# C(n, r) - t_r(n, ell-1), and an exhaustive scan one degree below finds no
-# member, certifying the value rather than assuming it.
+# Initial degree: a support is a member exactly when the pairs whose whole
+# star it contains meet every ell-set, so alpha(J) is the generalized cover
+# search with target K_r and forbidden K_ell on the pairs of [n]. Its result
+# must equal C(n, r) - t_r(n, ell-1), which the balanced-partition monomial
+# m0 attains, certifying the value rather than assuming it.
 
 m0 = balanced_partition_monomial(params)
 alpha, witness = star_initial_degree(params)

@@ -63,7 +63,8 @@ for t, f, n in [("K3", "K4", 6), ("K2", "K3", 6), ("K3", "K5", 6)]:
     print(f"ex({n}, {t}, {f}) = {got}")
 
 # The optimizing support: the fewest target copies any member of the cover
-# ideal must kill, with its witness support.
+# ideal must kill, with a witness support (the first optimum the search
+# reaches).
 
 inst = make_instance(5, builtin_spec("K4"), builtin_spec("K3"))
 alpha, witness_mask = alpha_target(inst)

@@ -167,7 +167,7 @@ def cmd_codegree_star(args) -> tuple[RunReport, int]:
         if not ok:
             code = EXIT_CLAIM_FAILED
     if args.oracle:
-        report = core_family_turan_number(params)
+        report = core_family_turan_number(params, alpha=result.get("alpha"))
         result["oracle_ex"] = report["oracle_ex"]
         result["mubayi_value"] = report["value"]
     p = {"n": args.n, "ell": args.ell, "r": args.r}

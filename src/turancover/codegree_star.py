@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
+from .dictionary import ALPHA_CAP_NODES, CoverInstance, alpha_target
 from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import (
+    CopyFamily,
     CoreFamily,
     EdgeRanker,
     RGraph,
@@ -165,64 +167,76 @@ def verify_collapse(params: StarParams, cap: int = 1 << 21) -> bool:
     return True
 
 
+def _clique_copies(n: int, s: int) -> CopyFamily:
+    """The s-cliques of K_n, each as the set of its C(s, 2) pairs."""
+    return CopyFamily(
+        n,
+        2,
+        tuple(
+            frozenset(map(frozenset, itertools.combinations(clique, 2)))
+            for clique in itertools.combinations(range(1, n + 1), s)
+        ),
+    )
+
+
 def star_initial_degree(
-    params: StarParams, cap_search: int = 5_000_000
+    params: StarParams, cap_nodes: int = ALPHA_CAP_NODES
 ) -> tuple[int, SquarefreeMonomial]:
     """Exact initial degree of the star ideal, returned with a witness.
 
+    The value is computed on the C(n, 2) pair variables, by a reduction to
+    the generalized cover problem.  For a support S over the r-sets, let
+    P(S) be the set of pairs whose whole star lies in S.
+
+    * S is a member iff P(S) meets every ell-set, i.e. iff the graph
+      H = K_n - P(S) is K_ell-free.
+    * Every r-set containing a pair of P(S) lies in that pair's star, hence
+      in S.  So S contains every r-set that is not an r-clique of H, and
+      |S| >= #{r-sets containing a pair of P(S)}.
+    * Conversely, for a pair set M meeting every ell-set, the union of the
+      stars over M is a member (its P contains M) of size exactly
+      #{r-sets containing a pair of M}.
+
+    Hence alpha(star) is the minimum, over pair sets M hitting every
+    ell-clique of K_n, of the number of r-cliques meeting M: that is
+    `alpha_target` with forbidden family K_ell and target family K_r on the
+    edges of K_n, i.e. C(n, r) - ex(n, K_r, K_ell).  Zykov (1949) gives
+    ex(n, K_r, K_ell) = t_r(n, ell-1).
+
     The theorem's value C(n, r) - t_r(n, ell-1) is certified rather than
-    assumed: the balanced-partition monomial is checked to be a member of
-    that degree, and an exhaustive scan of all supports one smaller (pruned
-    by the vertex-quotient membership criterion) confirms none is a member.
+    assumed: the search result must equal it, and the balanced-partition
+    monomial, returned as the witness, is checked to be a member of that
+    degree.  The search expands at most ``cap_nodes`` nodes and raises
+    ScaleGuardError beyond that.
     """
-    universe = params.universe()
-    if params.n < params.ell:
-        witness = SquarefreeMonomial(universe, 0)
-        if not in_star_ideal(witness, params):
-            raise ClaimCheckError("empty support must be a member in the vacuous range")
-        return 0, witness
-    nvars = comb(params.n, params.r)
-    lb = nvars - turan_count(params.n, params.ell - 1, params.r)
+    n, ell, r = params.n, params.ell, params.r
+    lb = comb(n, r) - turan_count(n, ell - 1, r)
+    inst = CoverInstance(n, 2, _clique_copies(n, ell), _clique_copies(n, r))
+    alpha, _ = alpha_target(inst, cap_nodes)
+    if alpha != lb:
+        raise ClaimCheckError(f"pair-graph search gives {alpha}, not C(n,r) - t_r(n,ell-1) = {lb}")
     m0 = balanced_partition_monomial(params)
     if m0.degree != lb:
         raise ClaimCheckError("balanced-partition monomial has unexpected degree")
     if not in_star_ideal(m0, params):
         raise ClaimCheckError("balanced-partition monomial is not a member")
-    if lb > 0:
-        if comb(nvars, lb - 1) > cap_search:
-            raise ScaleGuardError(
-                f"certification scan C({nvars},{lb - 1}) exceeds cap {cap_search}"
-            )
-        stars = _star_masks(params)
-        pair_list = list(stars.items())
-        ell_pair_sets = [
-            [tuple(sorted(p)) for p in itertools.combinations(L, 2)]
-            for L in itertools.combinations(range(1, params.n + 1), params.ell)
-        ]
-        for combo in itertools.combinations(range(nvars), lb - 1):
-            support = 0
-            for b in combo:
-                support |= 1 << b
-            killed = {p for p, s in pair_list if s & support == s}
-            if all(any(p in killed for p in pairs) for pairs in ell_pair_sets):
-                # would contradict the theorem; report honestly
-                raise ClaimCheckError(
-                    f"member of degree {lb - 1} found below the certified bound"
-                )
     return lb, m0
 
 
 def core_family_turan_number(
-    params: StarParams, cross_check: bool = True
+    params: StarParams, cross_check: bool = True, alpha: int | None = None
 ) -> dict:
     """t_r(n, ell-1) as the extremal number of the core-pair family.
 
+    `alpha` is the star ideal's initial degree when the caller has already
+    certified it with `star_initial_degree`; otherwise it is certified here.
     With cross_check, asserts the full chain: C(n, r) - alpha equals the
     brute-force extremal number.
     """
     value = turan_count(params.n, params.ell - 1, params.r)
     report = {"n": params.n, "ell": params.ell, "r": params.r, "value": value}
-    alpha, witness = star_initial_degree(params)
+    if alpha is None:
+        alpha, _ = star_initial_degree(params)
     report["alpha"] = alpha
     report["alpha_consistent"] = comb(params.n, params.r) - alpha == value
     if not report["alpha_consistent"]:

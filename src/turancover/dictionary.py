@@ -103,13 +103,39 @@ def killed_count(M: int, target_masks: list[int]) -> int:
     return sum(1 for t in target_masks if t & M)
 
 
-def alpha_target(inst: CoverInstance) -> tuple[int, int]:
+ALPHA_CAP_NODES = 2_000_000
+
+
+def _index_sets(masks: list[int], nvars: int) -> list[int]:
+    """For each variable, the indices of the masks containing it, as a bitmask."""
+    out = [0] * nvars
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return out
+
+
+def alpha_target(inst: CoverInstance, cap_nodes: int = ALPHA_CAP_NODES) -> tuple[int, int]:
     """Minimum number of target copies meeting M, over supports M hitting
     every forbidden copy.  Returns (minimum, witness support mask).
 
-    Branch-and-bound over minimal hitting sets: branch on the elements of an
-    uncovered forbidden copy of minimum remaining size; the killed count is
-    monotone in M, so it prunes directly against the incumbent.
+    A target copy that contains a forbidden copy meets every hitting set.
+    These forced targets are counted up front and the search runs over the
+    others only; when every target is forced (say K_r targets against K_ell
+    with r >= ell), the search just finds one hitting set.
+
+    Branch-and-bound over minimal hitting sets: branch on the allowed
+    variables of an uncovered forbidden copy with the fewest of them,
+    banning each variable in the branches after its own.  The killed count
+    is monotone in M, so a branch is cut as soon as it kills as many targets
+    as the incumbent.  The witness is therefore the first optimum the search
+    reaches in its fixed branching order, not a canonical one.  Uncovered
+    copies and unmet targets are kept as bitsets over their indices.
+
+    Every search node counts against ``cap_nodes``; past it the search raises
+    ScaleGuardError, so each call ends in bounded time.
     """
     if inst.target is None:
         raise InputError("generalized instance needs a target family")
@@ -118,37 +144,63 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     targ = inst.target.masks(ranker)
     if not forb:
         return 0, 0
+    free = [t for t in targ if not any(c & t == c for c in forb)]
+    forced = len(targ) - len(free)
+    # smallest copies first, so the first copy avoiding every banned
+    # variable is the smallest of those
+    forb.sort(key=lambda c: (c.bit_count(), c))
+    targets_at = _index_sets(free, ranker.count)
+    copies_at = _index_sets(forb, ranker.count)
 
-    best = len(targ) + 1
+    best = len(free) + 1
     best_mask = 0
+    nodes = 0
 
-    def dfs(chosen: int, banned: int, uncovered: list[int], killed: int) -> None:
-        nonlocal best, best_mask
-        if killed > best:
-            return
+    def dfs(
+        chosen: int, banned: int, banned_copies: int, uncovered: int, alive: int, killed: int
+    ) -> None:
+        # uncovered: forbidden copies not hit yet; banned_copies: copies
+        # through a banned variable; alive: free targets not met yet
+        nonlocal best, best_mask, nodes
+        nodes += 1
+        if nodes > cap_nodes:
+            raise ScaleGuardError(f"alpha_target search exceeds {cap_nodes} nodes")
         if not uncovered:
-            if killed < best or (killed == best and chosen < best_mask):
-                best, best_mask = killed, chosen
+            best, best_mask = killed, chosen
             return
-        pivot = min(uncovered, key=lambda c: ((c & ~banned).bit_count(), c))
-        avail = pivot & ~banned
-        local_ban = banned
+        allowed = ~banned
+        whole = uncovered & ~banned_copies
+        if whole:
+            pivot = (whole & -whole).bit_length() - 1
+            size = forb[pivot].bit_count()
+        else:
+            pivot, size = -1, ranker.count + 1
+        touched = uncovered & banned_copies
+        while touched and size > 1:
+            low = touched & -touched
+            touched ^= low
+            j = low.bit_length() - 1
+            k = (forb[j] & allowed).bit_count()
+            if k < size or (k == size and j < pivot):
+                pivot, size = j, k
+        avail = forb[pivot] & allowed
+        local_ban, local_copies = banned, banned_copies
         while avail:
-            low = avail & -avail
-            avail ^= low
-            bit = low
-            extra = sum(
-                1 for t in targ if (t & bit) and not (t & chosen)
-            )
-            rest = [c for c in uncovered if not (c & bit)]
-            dfs(chosen | bit, local_ban, rest, killed + extra)
+            bit = avail & -avail
+            avail ^= bit
+            v = bit.bit_length() - 1
+            hit = targets_at[v] & alive
+            total = killed + hit.bit_count()
+            if total < best:
+                rest = uncovered & ~copies_at[v]
+                dfs(chosen | bit, local_ban, local_copies, rest, alive ^ hit, total)
             local_ban |= bit
-        return
+            local_copies |= copies_at[v]
 
-    dfs(0, 0, forb, 0)
-    if best > len(targ):
+    dfs(0, 0, 0, (1 << len(forb)) - 1, (1 << len(free)) - 1, 0)
+    if best > len(free):
         raise ClaimCheckError("no hitting set found for a nonempty forbidden family")
-    return best, best_mask
+    return forced + best, best_mask
 
 
 def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -> int:
@@ -173,6 +225,7 @@ __all__ = [
     "ex_via_cover",
     "quotient_rank",
     "killed_count",
+    "ALPHA_CAP_NODES",
     "alpha_target",
     "gen_ex_via_cover",
     "vertex_quotient_of_cover",

@@ -236,15 +236,6 @@ def is_member_core_family(H: RGraph, ell: int) -> bool:
 # copy enumeration
 
 
-def _minimal_antichain(sets: Iterable[frozenset]) -> list[frozenset]:
-    ordered = sorted(set(sets), key=len)
-    kept: list[frozenset] = []
-    for s in ordered:
-        if not any(k <= s for k in kept):
-            kept.append(s)
-    return kept
-
-
 def core_family_free(G: RGraph, ell: int) -> bool:
     """Whether G contains no member of the core-pair family (ell, G.r).
 
@@ -512,7 +503,7 @@ def brute_force_gen_ex(
 
 
 def builtin_spec(name: str) -> FamilySpec:
-    """Named specs: K2..K5, P3, C4, and K_ell_r(L,R) for the core-pair family."""
+    """Named specs: K2..K9, P3, C4, and K_ell_r(L,R) for the core-pair family."""
     name = name.strip()
     cliques = {f"K{s}": s for s in range(2, 10)}
     if name in cliques:

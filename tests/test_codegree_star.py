@@ -20,7 +20,9 @@ from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import (
     CoreFamily,
     RGraph,
+    builtin_spec,
     core_family_free,
+    enumerate_forbidden_copies,
     turan_construct,
     turan_count,
 )
@@ -229,9 +231,69 @@ def test_star_initial_degree_vacuous():
 
 
 def test_star_initial_degree_scale_guard():
-    # the certification scan at (6, 4, 3) would need C(20, 11) combinations
+    # the pair-graph search at (6, 4, 3) needs more than 10 nodes
     with pytest.raises(ScaleGuardError):
-        star_initial_degree(StarParams(6, 4, 3), cap_search=1000)
+        star_initial_degree(StarParams(6, 4, 3), cap_nodes=10)
+
+
+def scan_initial_degree(params: StarParams) -> int:
+    """Initial degree by exhaustive scan over supports, the certification
+    the pair-graph reduction replaced, kept as its oracle.
+
+    The balanced-partition monomial is a member of degree d.  Membership is
+    closed under enlarging the support, so while some support of size d - 1
+    is a member, d drops by one; the first size d - 1 with no member leaves
+    the initial degree at d."""
+    m0 = balanced_partition_monomial(params)
+    assert in_star_ideal(m0, params)
+    nvars = comb(params.n, params.r)
+    pairs = list(itertools.combinations(range(1, params.n + 1), 2))
+    stars = [codegree_star_monomial(params, a, b).support for a, b in pairs]
+    ell_pair_sets = [
+        [pairs.index(p) for p in itertools.combinations(L, 2)]
+        for L in itertools.combinations(range(1, params.n + 1), params.ell)
+    ]
+
+    def member(support: int) -> bool:
+        killed = {i for i, s in enumerate(stars) if s & support == s}
+        return all(any(i in killed for i in L) for L in ell_pair_sets)
+
+    d = m0.degree
+    while d > 0 and any(
+        member(sum(1 << b for b in combo))
+        for combo in itertools.combinations(range(nvars), d - 1)
+    ):
+        d -= 1
+    return d
+
+
+def _scan_grid():
+    for r in (2, 3, 4):
+        for ell in (3, 4, 5):
+            for n in range(ell, 7):
+                lb = comb(n, r) - turan_count(n, ell - 1, r)
+                if lb == 0 or comb(comb(n, r), lb - 1) <= 5 * 10**6:
+                    yield n, ell, r
+
+
+@pytest.mark.parametrize("n,ell,r", list(_scan_grid()))
+def test_star_initial_degree_matches_exhaustive_scan(n, ell, r):
+    p = StarParams(n, ell, r)
+    assert star_initial_degree(p)[0] == scan_initial_degree(p)
+
+
+@pytest.mark.parametrize("n,ell,r", [(8, 3, 3), (9, 3, 3), (9, 3, 4), (9, 4, 4)])
+def test_star_initial_degree_every_rset_forced(n, ell, r):
+    # r >= ell: every r-clique contains an ell-clique, so every target is
+    # met and t_r(n, ell-1) = 0
+    assert star_initial_degree(StarParams(n, ell, r))[0] == comb(n, r)
+
+
+def test_star_initial_degree_beyond_the_permutation_enumerator():
+    # K6 copies through permutations would be guarded at n = 9
+    with pytest.raises(ScaleGuardError):
+        enumerate_forbidden_copies(builtin_spec("K6"), 9)
+    assert star_initial_degree(StarParams(9, 6, 2))[0] == comb(9, 2) - turan_count(9, 5, 2) == 4
 
 
 def test_core_family_turan_number_reports():

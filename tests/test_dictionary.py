@@ -15,7 +15,7 @@ from turancover.dictionary import (
     quotient_rank,
     vertex_quotient_of_cover,
 )
-from turancover.errors import InputError
+from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
     CoreFamily,
     EdgeRanker,
@@ -239,6 +239,34 @@ def test_alpha_target_exhaustive_reference():
         if all(M & c for c in forb)
     )
     assert alpha == best
+
+
+@pytest.mark.parametrize("forbid", ["K2", "K3", "K4", "P3", "C4"])
+@pytest.mark.parametrize("target", ["K2", "K3", "K4", "P3", "C4"])
+def test_alpha_target_matches_exhaustive_minimum(target, forbid):
+    # the grid includes targets that contain forbidden copies (K3/K3, K4/K3,
+    # P3/P3), which the kernel counts up front instead of searching
+    for n in range(2, 6):
+        inst = make_instance(n, builtin_spec(forbid), builtin_spec(target))
+        rk = inst.ranker()
+        forb = inst.forbidden.masks(rk)
+        targ = inst.target.masks(rk)
+        alpha, witness = alpha_target(inst)
+        best = min(
+            killed_count(M, targ)
+            for M in range(1 << rk.count)
+            if all(M & c for c in forb)
+        )
+        assert alpha == best
+        assert all(witness & c for c in forb)
+        assert killed_count(witness, targ) == alpha
+
+
+def test_gen_ex_scale_guard():
+    # the instance gen_ex_via_cover(6, K3, K4) searches
+    inst = make_instance(6, builtin_spec("K4"), builtin_spec("K3"))
+    with pytest.raises(ScaleGuardError):
+        alpha_target(inst, cap_nodes=10)
 
 
 def test_alpha_target_requires_target_family():
