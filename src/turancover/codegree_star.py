@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .dictionary import ALPHA_CAP_NODES, CoverInstance, alpha_target
+from .dictionary import CoverInstance, alpha_target
 from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import (
     CopyFamily,
@@ -29,7 +29,7 @@ from .hypergraph import (
     enumerate_forbidden_copies,
     turan_count,
 )
-from .monomial import SquarefreeIdeal, SquarefreeMonomial, VarUniverse
+from .monomial import ALPHA_CAP_NODES, SquarefreeMonomial, VarUniverse
 from .squarezero import SquareZeroQuotient
 
 
@@ -98,16 +98,6 @@ def in_star_ideal(m: SquarefreeMonomial | int, params: StarParams) -> bool:
         if not any(p in killed for p in itertools.combinations(L, 2)):
             return False
     return True
-
-
-def star_ideal(params: StarParams) -> SquarefreeIdeal:
-    """The star ideal in implicit form, with its proven initial-degree lower
-    bound registered for search seeding."""
-    universe = params.universe()
-    lb = comb(params.n, params.r) - turan_count(params.n, params.ell - 1, params.r)
-    return SquarefreeIdeal.from_predicate(
-        universe, lambda s: in_star_ideal(s, params), lower_bound=max(lb, 0)
-    )
 
 
 def vertex_quotient(m: SquarefreeMonomial | int, params: StarParams) -> SquareZeroQuotient:
@@ -254,7 +244,6 @@ __all__ = [
     "codegree_star_monomial",
     "missing_edge_monomial",
     "in_star_ideal",
-    "star_ideal",
     "vertex_quotient",
     "balanced_partition_monomial",
     "verify_collapse",

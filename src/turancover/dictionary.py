@@ -10,11 +10,9 @@ monomials of the cover ideal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 
-from .errors import ClaimCheckError, InputError, ScaleGuardError
+from .errors import ClaimCheckError, InputError
 from .hypergraph import (
     CopyFamily,
     CoreFamily,
@@ -25,7 +23,13 @@ from .hypergraph import (
     count_copies,
     enumerate_forbidden_copies,
 )
-from .monomial import SquarefreeIdeal, VarUniverse, min_hitting_set
+from .monomial import (
+    ALPHA_CAP_NODES,
+    SquarefreeIdeal,
+    VarUniverse,
+    min_hitting_set,
+    min_targets_met,
+)
 from .squarezero import SquareZeroQuotient
 
 
@@ -103,104 +107,21 @@ def killed_count(M: int, target_masks: list[int]) -> int:
     return sum(1 for t in target_masks if t & M)
 
 
-ALPHA_CAP_NODES = 2_000_000
-
-
-def _index_sets(masks: list[int], nvars: int) -> list[int]:
-    """For each variable, the indices of the masks containing it, as a bitmask."""
-    out = [0] * nvars
-    for i, m in enumerate(masks):
-        while m:
-            low = m & -m
-            out[low.bit_length() - 1] |= 1 << i
-            m ^= low
-    return out
-
-
 def alpha_target(inst: CoverInstance, cap_nodes: int = ALPHA_CAP_NODES) -> tuple[int, int]:
     """Minimum number of target copies meeting M, over supports M hitting
     every forbidden copy.  Returns (minimum, witness support mask).
 
-    A target copy that contains a forbidden copy meets every hitting set.
-    These forced targets are counted up front and the search runs over the
-    others only; when every target is forced (say K_r targets against K_ell
-    with r >= ell), the search just finds one hitting set.
-
-    Branch-and-bound over minimal hitting sets: branch on the allowed
-    variables of an uncovered forbidden copy with the fewest of them,
-    banning each variable in the branches after its own.  The killed count
-    is monotone in M, so a branch is cut as soon as it kills as many targets
-    as the incumbent.  The witness is therefore the first optimum the search
-    reaches in its fixed branching order, not a canonical one.  Uncovered
-    copies and unmet targets are kept as bitsets over their indices.
-
-    Every search node counts against ``cap_nodes``; past it the search raises
-    ScaleGuardError, so each call ends in bounded time.
+    The search is `min_targets_met` over the edge variables: forced targets
+    (those containing a forbidden copy) are counted up front, the witness is
+    the first optimum in its fixed branching order, and past ``cap_nodes``
+    search nodes it raises ScaleGuardError.
     """
     if inst.target is None:
         raise InputError("generalized instance needs a target family")
     ranker = inst.ranker()
-    forb = inst.forbidden.masks(ranker)
-    targ = inst.target.masks(ranker)
-    if not forb:
-        return 0, 0
-    free = [t for t in targ if not any(c & t == c for c in forb)]
-    forced = len(targ) - len(free)
-    # smallest copies first, so the first copy avoiding every banned
-    # variable is the smallest of those
-    forb.sort(key=lambda c: (c.bit_count(), c))
-    targets_at = _index_sets(free, ranker.count)
-    copies_at = _index_sets(forb, ranker.count)
-
-    best = len(free) + 1
-    best_mask = 0
-    nodes = 0
-
-    def dfs(
-        chosen: int, banned: int, banned_copies: int, uncovered: int, alive: int, killed: int
-    ) -> None:
-        # uncovered: forbidden copies not hit yet; banned_copies: copies
-        # through a banned variable; alive: free targets not met yet
-        nonlocal best, best_mask, nodes
-        nodes += 1
-        if nodes > cap_nodes:
-            raise ScaleGuardError(f"alpha_target search exceeds {cap_nodes} nodes")
-        if not uncovered:
-            best, best_mask = killed, chosen
-            return
-        allowed = ~banned
-        whole = uncovered & ~banned_copies
-        if whole:
-            pivot = (whole & -whole).bit_length() - 1
-            size = forb[pivot].bit_count()
-        else:
-            pivot, size = -1, ranker.count + 1
-        touched = uncovered & banned_copies
-        while touched and size > 1:
-            low = touched & -touched
-            touched ^= low
-            j = low.bit_length() - 1
-            k = (forb[j] & allowed).bit_count()
-            if k < size or (k == size and j < pivot):
-                pivot, size = j, k
-        avail = forb[pivot] & allowed
-        local_ban, local_copies = banned, banned_copies
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            v = bit.bit_length() - 1
-            hit = targets_at[v] & alive
-            total = killed + hit.bit_count()
-            if total < best:
-                rest = uncovered & ~copies_at[v]
-                dfs(chosen | bit, local_ban, local_copies, rest, alive ^ hit, total)
-            local_ban |= bit
-            local_copies |= copies_at[v]
-
-    dfs(0, 0, 0, (1 << len(forb)) - 1, (1 << len(free)) - 1, 0)
-    if best > len(free):
-        raise ClaimCheckError("no hitting set found for a nonempty forbidden family")
-    return forced + best, best_mask
+    return min_targets_met(
+        inst.forbidden.masks(ranker), inst.target.masks(ranker), ranker.count, cap_nodes
+    )
 
 
 def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -> int:
@@ -225,7 +146,6 @@ __all__ = [
     "ex_via_cover",
     "quotient_rank",
     "killed_count",
-    "ALPHA_CAP_NODES",
     "alpha_target",
     "gen_ex_via_cover",
     "vertex_quotient_of_cover",

@@ -302,14 +302,15 @@ def enumerate_forbidden_copies(
         systems = {0}
         for options in per_pair:
             systems = {s | o for s in systems for o in options}
-        all_minimal.update(_minimal_masks(systems))
-    minimal_masks = _minimal_masks(all_minimal)
+        all_minimal.update(minimal_supports(systems))
+    minimal_masks = minimal_supports(all_minimal)
     copies = [frozenset(ranker.unmask(m)) for m in minimal_masks]
     return CopyFamily(n, r, tuple(sorted(copies, key=_copy_key)))
 
 
-def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    ordered = sorted(set(masks), key=int.bit_count)
+def minimal_supports(masks: Iterable[int]) -> list[int]:
+    """Inclusion-minimal elements, sorted by (popcount, value)."""
+    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
     for m in ordered:
         if not any(k & m == k for k in kept):
@@ -332,12 +333,6 @@ def count_copies(G: RGraph, fam: CopyFamily) -> int:
 # brute-force extremal oracles
 
 
-def _family_copies(n: int, spec: FamilySpec) -> tuple[CopyFamily, int]:
-    fam = enumerate_forbidden_copies(spec, n)
-    r = fam.r
-    return fam, r
-
-
 def brute_force_ex(
     n: int, spec: FamilySpec, cap_edges: int = 30
 ) -> tuple[int, RGraph]:
@@ -348,7 +343,8 @@ def brute_force_ex(
     """
     if isinstance(spec, CoreFamily):
         return _brute_force_ex_core_family(n, spec, cap_edges)
-    fam, r = _family_copies(n, spec)
+    fam = enumerate_forbidden_copies(spec, n)
+    r = fam.r
     ranker = EdgeRanker(n, r)
     m = ranker.count
     if m > cap_edges:
@@ -449,7 +445,8 @@ def brute_force_gen_ex(
 ) -> tuple[int, RGraph]:
     """Exact generalized Turán number ex(n, T, F): max number of target copies
     in a forbid-free graph, by branch-and-bound over subgraphs."""
-    forb, r = _family_copies(n, forbid_spec)
+    forb = enumerate_forbidden_copies(forbid_spec, n)
+    r = forb.r
     targ = enumerate_forbidden_copies(target_spec, n)
     if targ.r != r:
         raise InputError("target and forbidden families must share uniformity")
@@ -558,6 +555,7 @@ __all__ = [
     "is_member_core_family",
     "core_family_free",
     "enumerate_forbidden_copies",
+    "minimal_supports",
     "count_copies",
     "brute_force_ex",
     "brute_force_gen_ex",

@@ -1,24 +1,25 @@
 """Squarefree monomial ideals over an indexed variable universe.
 
 Monomial supports are int bitmasks over the universe's variable ranks.
-Ideals come in three forms:
+Ideals come in two forms:
 
 * explicit: an antichain of minimal generator supports;
 * cover: the intersection of variable ideals over a copy family, so a
-  monomial is a member iff its support meets every copy;
-* implicit: an arbitrary membership predicate plus an optional certified
-  lower bound on the initial degree, used to seed the search.
+  monomial is a member iff its support meets every copy.
+
+`min_targets_met` is the one hitting-set search: the minimum hitting set
+(the initial degree of a cover ideal) and the generalized dictionary's
+alpha_target are both instances of it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .errors import InputError, ScaleGuardError
-from .hypergraph import CopyFamily, EdgeRanker, rsets_colex
+from .errors import ClaimCheckError, InputError, ScaleGuardError
+from .hypergraph import CopyFamily, EdgeRanker, minimal_supports, rsets_colex
 
 
 class VarUniverse:
@@ -76,18 +77,8 @@ class SquarefreeMonomial:
         return self.support & o == self.support
 
 
-def minimal_supports(masks: Iterable[int]) -> list[int]:
-    """Inclusion-minimal elements, sorted by (popcount, value)."""
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in ordered:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
 class SquarefreeIdeal:
-    """A squarefree monomial ideal in one of three forms (see module docstring)."""
+    """A squarefree monomial ideal in one of two forms (see module docstring)."""
 
     def __init__(
         self,
@@ -95,23 +86,17 @@ class SquarefreeIdeal:
         form: str,
         generators: Sequence[int] | None = None,
         copies: Sequence[int] | None = None,
-        predicate: Callable[[int], bool] | None = None,
-        lower_bound: int | None = None,
     ):
-        if form not in ("explicit", "cover", "implicit"):
+        if form not in ("explicit", "cover"):
             raise InputError(f"unknown ideal form {form!r}")
         self.universe = universe
         self.form = form
         self.generators = minimal_supports(generators) if generators is not None else None
         self.copies = list(copies) if copies is not None else None
-        self.predicate = predicate
-        self.lower_bound = lower_bound
         if form == "explicit" and self.generators is None:
             raise InputError("explicit form needs generators")
         if form == "cover" and self.copies is None:
             raise InputError("cover form needs copies")
-        if form == "implicit" and self.predicate is None:
-            raise InputError("implicit form needs a membership predicate")
 
     @classmethod
     def from_generators(cls, universe: VarUniverse, gens: Iterable[int]) -> "SquarefreeIdeal":
@@ -127,15 +112,6 @@ class SquarefreeIdeal:
         ranker = EdgeRanker(fam.n, fam.r)
         return cls.from_copies(universe, fam.masks(ranker))
 
-    @classmethod
-    def from_predicate(
-        cls,
-        universe: VarUniverse,
-        predicate: Callable[[int], bool],
-        lower_bound: int | None = None,
-    ) -> "SquarefreeIdeal":
-        return cls(universe, "implicit", predicate=predicate, lower_bound=lower_bound)
-
     # -- membership ----------------------------------------------------
 
     def membership(self, m: SquarefreeMonomial | int) -> bool:
@@ -145,9 +121,7 @@ class SquarefreeIdeal:
                 raise InputError("monomial universe does not match ideal universe")
         if self.form == "explicit":
             return any(g & support == g for g in self.generators)
-        if self.form == "cover":
-            return all(support & c for c in self.copies)
-        return self.predicate(support)
+        return all(support & c for c in self.copies)
 
     def __contains__(self, m) -> bool:
         return self.membership(m)
@@ -183,23 +157,6 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-# ---------------------------------------------------------------------------
-# intersections
-
-
-def intersect_variable_ideals(
-    universe: VarUniverse, member_gens: Sequence[Sequence[int]]
-) -> SquarefreeIdeal:
-    """Intersection of ideals, each given by an explicit generator list, as an
-    implicit-form ideal whose predicate is membership in every member."""
-    members = [minimal_supports(g) for g in member_gens]
-
-    def predicate(support: int) -> bool:
-        return all(any(g & support == g for g in gens) for gens in members)
-
-    return SquarefreeIdeal.from_predicate(universe, predicate)
-
-
 def explicit_generators(ideal: SquarefreeIdeal, cap: int = 22) -> list[int]:
     """Minimal generators of any-form ideal by scanning all supports (desk scale)."""
     nv = ideal.universe.size
@@ -210,90 +167,140 @@ def explicit_generators(ideal: SquarefreeIdeal, cap: int = 22) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# exact minimum hitting set
+# the hitting-set search
 
 
-def min_hitting_set(
-    copies: Sequence[int], nvars: int, cap_vars: int = 64, cap_copies: int = 5000
+ALPHA_CAP_NODES = 2_000_000
+
+
+def _index_sets(masks: list[int], nvars: int) -> list[int]:
+    """For each variable, the indices of the masks containing it, as a bitmask."""
+    out = [0] * nvars
+    for i, m in enumerate(masks):
+        while m:
+            low = m & -m
+            out[low.bit_length() - 1] |= 1 << i
+            m ^= low
+    return out
+
+
+def min_targets_met(
+    copies: Iterable[int], targets: Sequence[int], nvars: int, cap_nodes: int = ALPHA_CAP_NODES
 ) -> tuple[int, int]:
+    """Minimum number of target masks meeting M, over supports M that meet
+    every copy mask.  Returns (minimum, witness support mask); an empty copy
+    family gives (0, 0) and an empty copy mask raises InputError.
+
+    A target that contains a copy meets every hitting set.  These forced
+    targets are counted up front and the search runs over the others only;
+    when every target is forced, the search just finds one hitting set.
+
+    Branch-and-bound over minimal hitting sets: branch on the allowed
+    variables of an uncovered copy with the fewest of them, banning each
+    variable in the branches after its own.  The count of targets met is
+    monotone in M, so a branch is cut as soon as it meets as many targets
+    as the incumbent.  The witness is therefore the first optimum the search
+    reaches in its fixed branching order, not a canonical one.  Uncovered
+    copies and unmet targets are kept as bitsets over their indices.
+
+    Every search node counts against ``cap_nodes``; past it the search raises
+    ScaleGuardError, so each call ends in bounded time.  Each recursion level
+    adds one variable to M, so a witness deeper than Python's recursion limit
+    also raises ScaleGuardError.
+    """
+    # smallest copies first, so the first copy avoiding every banned
+    # variable is the smallest of those
+    forb = sorted(copies, key=lambda c: (c.bit_count(), c))
+    if not forb:
+        return 0, 0
+    if forb[0] == 0:
+        raise InputError("empty copy cannot be hit")
+    free = [t for t in targets if not any(c & t == c for c in forb)]
+    forced = len(targets) - len(free)
+    targets_at = _index_sets(free, nvars)
+    copies_at = _index_sets(forb, nvars)
+
+    best = len(free) + 1
+    best_mask = 0
+    nodes = 0
+
+    def dfs(
+        chosen: int, banned: int, banned_copies: int, uncovered: int, alive: int, killed: int
+    ) -> None:
+        # uncovered: copies not hit yet; banned_copies: copies through a
+        # banned variable; alive: free targets not met yet
+        nonlocal best, best_mask, nodes
+        nodes += 1
+        if nodes > cap_nodes:
+            raise ScaleGuardError(f"hitting-set search exceeds {cap_nodes} nodes")
+        if not uncovered:
+            best, best_mask = killed, chosen
+            return
+        allowed = ~banned
+        whole = uncovered & ~banned_copies
+        if whole:
+            pivot = (whole & -whole).bit_length() - 1
+            size = forb[pivot].bit_count()
+        else:
+            pivot, size = -1, nvars + 1
+        touched = uncovered & banned_copies
+        while touched and size > 1:
+            low = touched & -touched
+            touched ^= low
+            j = low.bit_length() - 1
+            k = (forb[j] & allowed).bit_count()
+            if k < size or (k == size and j < pivot):
+                pivot, size = j, k
+        avail = forb[pivot] & allowed
+        local_ban, local_copies = banned, banned_copies
+        while avail:
+            bit = avail & -avail
+            avail ^= bit
+            v = bit.bit_length() - 1
+            hit = targets_at[v] & alive
+            total = killed + hit.bit_count()
+            if total < best:
+                rest = uncovered & ~copies_at[v]
+                dfs(chosen | bit, local_ban, local_copies, rest, alive ^ hit, total)
+            local_ban |= bit
+            local_copies |= copies_at[v]
+
+    try:
+        dfs(0, 0, 0, (1 << len(forb)) - 1, (1 << len(free)) - 1, 0)
+    except RecursionError:
+        raise ScaleGuardError("hitting-set search exceeds the recursion limit") from None
+    if best > len(free):
+        raise ClaimCheckError("no hitting set found for a nonempty copy family")
+    return forced + best, best_mask
+
+
+def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
     """Exact minimum-cardinality transversal of the copy masks.
 
-    Returns (size, witness mask); the witness is the lexicographically
-    smallest optimal bitmask.  Branch-and-bound: branch on the elements of an
-    uncovered copy of minimum remaining size, lower-bound by greedily packing
-    pairwise-disjoint uncovered copies.  Empty family -> (0, 0).
+    Returns (size, witness mask).  This is `min_targets_met` with one
+    singleton target per variable, so the number of targets met is |M|; the
+    witness is the first optimum in that search's fixed branching order.
+    Empty family -> (0, 0); an empty copy mask raises InputError.
     """
-    if nvars > cap_vars:
-        raise ScaleGuardError(f"{nvars} variables exceeds cap {cap_vars}")
-    if len(copies) > cap_copies:
-        raise ScaleGuardError(f"{len(copies)} copies exceeds cap {cap_copies}")
-    copies = list(copies)
-    if any(c == 0 for c in copies):
-        raise InputError("empty copy cannot be hit")
-    if not copies:
-        return 0, 0
-
-    best_size = nvars + 1
-    best_mask = 0
-
-    def lower_bound(uncovered: list[int]) -> int:
-        used = 0
-        packed = 0
-        for c in sorted(uncovered, key=int.bit_count):
-            if not (c & used):
-                packed += 1
-                used |= c
-        return packed
-
-    def dfs(chosen: int, size: int, uncovered: list[int]) -> None:
-        nonlocal best_size, best_mask
-        if not uncovered:
-            if size < best_size or (size == best_size and chosen < best_mask):
-                best_size, best_mask = size, chosen
-            return
-        if size + lower_bound(uncovered) > best_size:
-            return
-        pivot = min(uncovered, key=lambda c: (c.bit_count(), c))
-        for b in _bits(pivot):
-            bit = 1 << b
-            rest = [c for c in uncovered if not (c & bit)]
-            dfs(chosen | bit, size + 1, rest)
-
-    dfs(0, 0, minimal_supports(copies))
-    return best_size, best_mask
+    return min_targets_met(copies, [1 << v for v in range(nvars)], nvars)
 
 
 # ---------------------------------------------------------------------------
 # initial degree
 
 
-def initial_degree(ideal: SquarefreeIdeal, cap_vars: int = 64) -> int | float:
+def initial_degree(ideal: SquarefreeIdeal) -> int | float:
     """alpha(I): minimum support size over monomials in I.
 
     Explicit: min generator degree (no generators -> math.inf, the zero
-    ideal).  Cover: exact minimum hitting set.  Implicit: iterative
-    deepening over supports using the predicate, starting at the registered
-    lower bound.
+    ideal).  Cover: exact minimum hitting set.
     """
-    nv = ideal.universe.size
     if ideal.form == "explicit":
         if not ideal.generators:
             return math.inf
         return min(g.bit_count() for g in ideal.generators)
-    if ideal.form == "cover":
-        if not ideal.copies:
-            return 0
-        size, _ = min_hitting_set(ideal.copies, nv, cap_vars=cap_vars)
-        return size
-    start = ideal.lower_bound or 0
-    for size in range(start, nv + 1):
-        for combo in itertools.combinations(range(nv), size):
-            support = 0
-            for b in combo:
-                support |= 1 << b
-            if ideal.predicate(support):
-                return size
-    return math.inf
+    size, _ = min_hitting_set(ideal.copies, ideal.universe.size)
+    return size
 
 
 __all__ = [
@@ -302,8 +309,9 @@ __all__ = [
     "SquarefreeIdeal",
     "minimal_supports",
     "alexander_dual",
-    "intersect_variable_ideals",
     "explicit_generators",
+    "ALPHA_CAP_NODES",
+    "min_targets_met",
     "min_hitting_set",
     "initial_degree",
 ]

@@ -78,9 +78,9 @@ def test_symmetrize(capsys):
 
 
 def test_alpha(capsys):
-    code, report, _ = run(capsys, "alpha", "--n", "5", "--forbid", "K3")
+    code, report, _ = run(capsys, "ex", "--n", "5", "--forbid", "K3")
     assert code == EXIT_OK
-    assert report["result"] == {"alpha": 4, "ex": 6}
+    assert report["result"] == {"value": 6, "alpha": 4}
 
 
 def test_codegree_star(capsys):

@@ -11,7 +11,6 @@ from turancover.codegree_star import (
     core_family_turan_number,
     in_star_ideal,
     missing_edge_monomial,
-    star_ideal,
     star_initial_degree,
     verify_collapse,
     vertex_quotient,
@@ -26,7 +25,7 @@ from turancover.hypergraph import (
     turan_construct,
     turan_count,
 )
-from turancover.monomial import SquarefreeMonomial, initial_degree
+from turancover.monomial import SquarefreeMonomial
 
 
 # ---------------------------------------------------------------------------
@@ -129,14 +128,6 @@ def test_membership_via_missing_edge_law():
     turan = turan_construct(5, 2, 3)  # empty at r=3 > q=2
     assert in_star_ideal(missing_edge_monomial(p, turan), p)
     assert not in_star_ideal(missing_edge_monomial(p, RGraph.complete(5, 3)), p)
-
-
-def test_star_ideal_object_membership_and_lower_bound():
-    p = StarParams(4, 3, 3)
-    ideal = star_ideal(p)
-    m0 = balanced_partition_monomial(p)
-    assert ideal.membership(m0.support)
-    assert initial_degree(ideal) == comb(4, 3) - turan_count(4, 2, 3) == 4
 
 
 # ---------------------------------------------------------------------------

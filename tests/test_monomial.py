@@ -15,8 +15,8 @@ from turancover.monomial import (
     alexander_dual,
     explicit_generators,
     initial_degree,
-    intersect_variable_ideals,
     min_hitting_set,
+    min_targets_met,
     minimal_supports,
 )
 
@@ -107,18 +107,10 @@ def test_dual_is_involutive(gens):
 # intersections
 
 
-def test_intersect_single_ideal_is_identity():
-    u = VarUniverse(["a", "b", "c"])
-    gens = masks([0], [1, 2])
-    ideal = intersect_variable_ideals(u, [gens])
-    explicit = SquarefreeIdeal.from_generators(u, gens)
-    for m in range(1 << 3):
-        assert ideal.membership(m) == explicit.membership(m)
-
-
 def test_intersect_coprime_variables():
     u = VarUniverse(["a", "b"])
-    ideal = intersect_variable_ideals(u, [[0b01], [0b10]])
+    # (y_a) ∩ (y_b)
+    ideal = SquarefreeIdeal.from_copies(u, [0b01, 0b10])
     assert ideal.membership(0b11)
     assert not ideal.membership(0b01)
 
@@ -126,7 +118,7 @@ def test_intersect_coprime_variables():
 def test_intersect_two_variable_ideals():
     u = VarUniverse(["a", "b", "c"])
     # (y_a, y_b) ∩ (y_a, y_c)
-    ideal = intersect_variable_ideals(u, [[0b001, 0b010], [0b001, 0b100]])
+    ideal = SquarefreeIdeal.from_copies(u, [0b011, 0b101])
     assert ideal.membership(0b001)  # y_a
     assert ideal.membership(0b110)  # y_b*y_c
     assert not ideal.membership(0b010)  # y_b alone
@@ -192,6 +184,22 @@ def test_min_hitting_set_witness_lexicographically_smallest():
     assert witness == min(candidates)
 
 
+def test_hitting_set_search_guards():
+    # K3 at n = 7 as the `ex` search sees it: one singleton target per edge
+    fam = enumerate_forbidden_copies(builtin_spec("K3"), 7)
+    rk = EdgeRanker(7, 2)
+    singletons = [1 << v for v in range(rk.count)]
+    with pytest.raises(ScaleGuardError):
+        min_targets_met(fam.masks(rk), singletons, rk.count, cap_nodes=10)
+    with pytest.raises(InputError):
+        min_targets_met(masks([0, 1], []), singletons, rk.count)
+    with pytest.raises(InputError):
+        min_hitting_set(masks([0, 1], []), 2)
+    # 2000 disjoint copies need a 2000-deep search, past the recursion limit
+    with pytest.raises(ScaleGuardError):
+        min_hitting_set([1 << v for v in range(2000)], 2000)
+
+
 # ---------------------------------------------------------------------------
 # initial degree
 
@@ -226,13 +234,6 @@ def test_initial_degree_matches_hitting_set():
     copies = fam.masks(rk)
     ideal = SquarefreeIdeal.from_copy_family(fam)
     assert initial_degree(ideal) == min_hitting_set(copies, rk.count)[0]
-
-
-def test_initial_degree_implicit_search():
-    u = VarUniverse(list("abcde"))
-    target = 0b10101
-    ideal = SquarefreeIdeal.from_predicate(u, lambda m: m & target == target)
-    assert initial_degree(ideal) == 3
 
 
 def test_minimal_supports_antichain():
