@@ -46,7 +46,9 @@ assert not in_star_ideal(missing_edge_monomial(params, RGraph.complete(5, 3)), p
 
 # ---------------------------------------------------------------------------
 # Collapse: membership in the star ideal agrees with the core-family cover
-# ideal on every one of the 2^C(5,3) squarefree supports.
+# ideal, and with the missing-edge law, on every one of the 2^C(5,3)
+# squarefree supports.  All supports are checked at once: each predicate is
+# one integer of 2^10 bits whose bit S is its value at support S.
 
 print("collapse verified exhaustively:", verify_collapse(params))
 

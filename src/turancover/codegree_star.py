@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import and_, or_
 
 from .dictionary import CoverInstance, alpha_target
 from .errors import ClaimCheckError, InputError, ScaleGuardError
@@ -25,7 +26,6 @@ from .hypergraph import (
     RGraph,
     balanced_partition,
     brute_force_ex,
-    core_family_free,
     enumerate_forbidden_copies,
     turan_count,
 )
@@ -127,34 +127,86 @@ def balanced_partition_monomial(params: StarParams) -> SquarefreeMonomial:
     return SquarefreeMonomial(params.universe(), mask)
 
 
+def _variable_tables(nvars: int) -> list[int]:
+    """Truth tables of the variables over all 2^nvars supports: bit S of the
+    i-th table is bit i of S.  Each is one period (2^i zeros, then 2^i ones)
+    doubled by shifts until it spans 2^nvars bits."""
+    size = 1 << nvars
+    tables = []
+    for i in range(nvars):
+        width = 1 << i
+        t, length = ((1 << width) - 1) << width, 2 * width
+        while length < size:
+            t |= t << length
+            length *= 2
+        tables.append(t)
+    return tables
+
+
+def _collapse_tables(params: StarParams) -> tuple[int, int, int]:
+    """Star, cover and missing-edge truth tables over every support S of the
+    C(n, r) edge variables; see `verify_collapse`."""
+    n, ell = params.n, params.ell
+    ranker = params.ranker()
+    T = _variable_tables(ranker.count)
+    full = (1 << (1 << ranker.count)) - 1
+    ell_sets = [
+        list(itertools.combinations(L, 2))
+        for L in itertools.combinations(range(1, n + 1), ell)
+    ]
+
+    fam = enumerate_forbidden_copies(CoreFamily(ell, params.r), n)
+    in_cover = reduce(
+        and_,
+        (reduce(or_, (T[ranker.rank[e]] for e in c), 0) for c in fam.copies),
+        full,
+    )
+
+    killed = {
+        p: reduce(and_, (t for i, t in enumerate(T) if s >> i & 1), full)
+        for p, s in _star_masks(params).items()
+    }
+    in_j = reduce(and_, (reduce(or_, (killed[p] for p in L), 0) for L in ell_sets), full)
+
+    covered = dict.fromkeys(itertools.combinations(range(1, n + 1), 2), 0)
+    for e, t in zip(ranker.sets, T):
+        for p in itertools.combinations(e, 2):
+            covered[p] |= full ^ t
+    contains = reduce(or_, (reduce(and_, (covered[p] for p in L), full) for L in ell_sets), 0)
+    return in_j, in_cover, full ^ contains
+
+
 def verify_collapse(params: StarParams, cap: int = 1 << 21) -> bool:
-    """Exhaustively compare star-ideal membership against cover membership
-    over the enumerated minimal copies of the core-pair family, for every
-    squarefree support; also check the missing-edge law: the missing-edge
-    monomial of G is a member iff G is core-family-free."""
+    """Exhaustively check, on every squarefree support S of the N = C(n, r)
+    edge variables, that star-ideal membership equals membership in the
+    cover ideal of the core-pair family, and the missing-edge law: the
+    missing-edge monomial of G is a member iff G is core-family-free.
+
+    All 2^N supports are evaluated at once on truth tables: Python ints of
+    2^N bits whose bit S is a predicate's value at S.  The table of variable
+    i has bit S equal to bit i of S.  Three tables are built, each from its
+    own source:
+
+    * star, from `_star_masks`: a pair is killed where its whole star lies
+      in S (AND of its variables); S is a member where every ell-set holds a
+      killed pair.
+    * cover, from `enumerate_forbidden_copies`: S meets every minimal copy
+      of the core-pair family (AND over copies of the OR of their variables).
+    * missing-edge, from the edges of G = complement of S only, so that a
+      wrong star mask still shows as a mismatch: a pair is covered where
+      some edge of G contains it; G is free where no ell-set has all its
+      pairs covered.
+
+    The claims hold iff the three tables are equal.  Raises ScaleGuardError
+    when 2^N exceeds ``cap``, so each table has at most ``cap`` bits (256 KB
+    at the default cap, N = 21); about N + 2 C(n, 2) tables are alive at
+    once.
+    """
     nvars = comb(params.n, params.r)
     if 1 << nvars > cap:
         raise ScaleGuardError(f"2^{nvars} supports exceeds cap {cap}")
-    fam = enumerate_forbidden_copies(CoreFamily(params.ell, params.r), params.n)
-    ranker = params.ranker()
-    copy_masks = fam.masks(ranker)
-    stars = _star_masks(params)
-    pair_list = list(stars.items())
-    ell_sets = [
-        [tuple(sorted(p)) for p in itertools.combinations(L, 2)]
-        for L in itertools.combinations(range(1, params.n + 1), params.ell)
-    ]
-    full = (1 << nvars) - 1
-    for support in range(1 << nvars):
-        killed = {p for p, s in pair_list if s & support == s}
-        in_j = all(any(p in killed for p in pairs) for pairs in ell_sets)
-        in_cover = all(support & c for c in copy_masks)
-        if in_j != in_cover:
-            return False
-        G = RGraph(params.n, params.r, ranker.unmask(full ^ support))
-        if in_j != core_family_free(G, params.ell):
-            return False
-    return True
+    in_j, in_cover, free = _collapse_tables(params)
+    return in_j == in_cover == free
 
 
 def _clique_copies(n: int, s: int) -> CopyFamily:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+import time
 from math import comb
 
 from .codegree_star import StarParams, core_family_turan_number, verify_collapse
@@ -131,10 +132,12 @@ def run_selftest(quick: bool = False, out=sys.stderr) -> tuple[list[dict], bool]
     results = []
     all_ok = True
     for name, fn in CHECKS:
+        start = time.perf_counter()
         ok = fn(quick)
+        ms = round((time.perf_counter() - start) * 1000, 1)
         all_ok &= ok
-        results.append({"check": name, "pass": ok})
-        print(f"[{'PASS' if ok else 'FAIL'}] {name}", file=out)
+        results.append({"check": name, "pass": ok, "ms": ms})
+        print(f"[{'PASS' if ok else 'FAIL'}] {name} ({ms} ms)", file=out)
     return results, all_ok
 
 

@@ -103,6 +103,7 @@ def test_selftest_quick(capsys):
     assert code == EXIT_OK
     report = json.loads(captured.out)
     assert report["result"]["ok"] is True
+    assert all(c["ms"] >= 0 for c in report["result"]["checks"])
     lines = [l for l in captured.err.splitlines() if l.startswith("[")]
     assert lines and all(l.startswith("[PASS]") for l in lines)
 

@@ -1,11 +1,15 @@
 import itertools
+import json
 import random
 from math import comb
 
 import pytest
 
+from turancover import codegree_star
+from turancover.cli import EXIT_CLAIM_FAILED, main
 from turancover.codegree_star import (
     StarParams,
+    _collapse_tables,
     balanced_partition_monomial,
     codegree_star_monomial,
     core_family_turan_number,
@@ -181,7 +185,10 @@ def test_vertex_quotient_standard_sets_bound_degree():
 
 @pytest.mark.parametrize(
     "n,ell,r",
-    [(4, 3, 3), (5, 3, 3), (4, 4, 3), (5, 4, 3), (4, 3, 2), (5, 3, 2)],
+    [
+        (4, 3, 3), (5, 3, 3), (4, 4, 3), (5, 4, 3), (4, 3, 2), (5, 3, 2),
+        (6, 3, 2), (6, 4, 2), (6, 5, 2), (6, 3, 4), (7, 3, 2),
+    ],
 )
 def test_collapse(n, ell, r):
     assert verify_collapse(StarParams(n, ell, r))
@@ -190,6 +197,81 @@ def test_collapse(n, ell, r):
 def test_collapse_scale_guard():
     with pytest.raises(ScaleGuardError):
         verify_collapse(StarParams(7, 3, 3), cap=1 << 20)
+
+
+def scan_collapse(params: StarParams) -> bool:
+    """The per-support loop the truth tables replaced, kept as their oracle:
+    one killed-pair set and one RGraph per support."""
+    nvars = comb(params.n, params.r)
+    fam = enumerate_forbidden_copies(CoreFamily(params.ell, params.r), params.n)
+    ranker = params.ranker()
+    copy_masks = fam.masks(ranker)
+    pair_list = list(codegree_star._star_masks(params).items())
+    ell_sets = [
+        list(itertools.combinations(L, 2))
+        for L in itertools.combinations(range(1, params.n + 1), params.ell)
+    ]
+    full = (1 << nvars) - 1
+    for support in range(1 << nvars):
+        killed = {p for p, s in pair_list if s & support == s}
+        in_j = all(any(p in killed for p in pairs) for pairs in ell_sets)
+        in_cover = all(support & c for c in copy_masks)
+        if in_j != in_cover:
+            return False
+        G = RGraph(params.n, params.r, ranker.unmask(full ^ support))
+        if in_j != core_family_free(G, params.ell):
+            return False
+    return True
+
+
+def _small_grid():
+    # every non-vacuous point with at most 2^10 supports
+    for r in range(2, 6):
+        for ell in range(2, 6):
+            for n in range(max(ell, r), 6):
+                if comb(n, r) <= 10:
+                    yield n, ell, r
+
+
+@pytest.mark.parametrize("n,ell,r", list(_small_grid()))
+def test_collapse_tables_match_per_support_predicates(n, ell, r):
+    p = StarParams(n, ell, r)
+    ranker = p.ranker()
+    copy_masks = enumerate_forbidden_copies(CoreFamily(ell, r), n).masks(ranker)
+    full = (1 << ranker.count) - 1
+    in_j, in_cover, free = _collapse_tables(p)
+    for S in range(1 << ranker.count):
+        assert in_j >> S & 1 == in_star_ideal(S, p)
+        assert in_cover >> S & 1 == all(S & c for c in copy_masks)
+        G = RGraph(n, r, ranker.unmask(full ^ S))
+        assert free >> S & 1 == core_family_free(G, ell)
+    assert verify_collapse(p) == scan_collapse(p)
+
+
+def _drop_one_star_variable(monkeypatch):
+    original = codegree_star._star_masks
+
+    def broken(params):
+        stars = dict(original(params))
+        first = next(iter(stars))
+        stars[first] &= stars[first] - 1  # drop the lowest variable
+        return stars
+
+    monkeypatch.setattr(codegree_star, "_star_masks", broken)
+
+
+def test_collapse_detects_a_wrong_star_mask(monkeypatch):
+    p = StarParams(5, 3, 2)
+    _drop_one_star_variable(monkeypatch)
+    assert not verify_collapse(p)
+    assert not scan_collapse(p)
+
+
+def test_cli_collapse_failure_exits_claim_failed(monkeypatch, capsys):
+    _drop_one_star_variable(monkeypatch)
+    argv = ["codegree-star", "--n", "5", "--ell", "3", "--r", "2", "--verify-collapse"]
+    assert main(argv) == EXIT_CLAIM_FAILED
+    assert json.loads(capsys.readouterr().out)["result"]["collapse_ok"] is False
 
 
 # ---------------------------------------------------------------------------
