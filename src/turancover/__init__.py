@@ -9,6 +9,8 @@ Subpackages:
 * squarezero     square-zero quotients and Hilbert symmetrization
 * dictionary     the cover-ideal Turán dictionary (ordinary + generalized)
 * codegree_star  the missing codegree-star ideal and its initial degree
+* selftest       the table of acceptance criteria behind `turancover selftest`
+* errors         shared exception types
 * cli            JSON-reporting command-line interface
 """
 

@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_codegree_star)
 
     p = sub.add_parser("selftest", help="run the built-in acceptance checks")
-    p.add_argument("--quick", action="store_true", help="skip the slowest checks")
+    p.add_argument("--quick", action="store_true", help="run every check on its quick grid")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -265,15 +265,13 @@ def star_initial_degree(
     return lb, m0
 
 
-def core_family_turan_number(
-    params: StarParams, cross_check: bool = True, alpha: int | None = None
-) -> dict:
+def core_family_turan_number(params: StarParams, alpha: int | None = None) -> dict:
     """t_r(n, ell-1) as the extremal number of the core-pair family.
 
     `alpha` is the star ideal's initial degree when the caller has already
     certified it with `star_initial_degree`; otherwise it is certified here.
-    With cross_check, asserts the full chain: C(n, r) - alpha equals the
-    brute-force extremal number.
+    Raises `ClaimCheckError` unless the full chain holds: C(n, r) - alpha
+    equals t_r(n, ell-1), which equals the brute-force extremal number.
     """
     value = turan_count(params.n, params.ell - 1, params.r)
     report = {"n": params.n, "ell": params.ell, "r": params.r, "value": value}
@@ -283,11 +281,10 @@ def core_family_turan_number(
     report["alpha_consistent"] = comb(params.n, params.r) - alpha == value
     if not report["alpha_consistent"]:
         raise ClaimCheckError("alpha does not match the Turán count")
-    if cross_check:
-        oracle, _ = brute_force_ex(params.n, CoreFamily(params.ell, params.r))
-        report["oracle_ex"] = oracle
-        if oracle != value:
-            raise ClaimCheckError("brute-force extremal number disagrees")
+    oracle, _ = brute_force_ex(params.n, CoreFamily(params.ell, params.r))
+    report["oracle_ex"] = oracle
+    if oracle != value:
+        raise ClaimCheckError("brute-force extremal number disagrees")
     return report
 
 

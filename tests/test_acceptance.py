@@ -1,223 +1,45 @@
-"""Acceptance suite: one test (and one printed pass/fail line) per criterion.
+"""Acceptance suite: every row of `turancover.selftest.CRITERIA` on its full grid.
 
-All arithmetic is exact; every numeric claim is checked by equality, and the
-headline results are cross-checked against independent brute-force oracles.
+One test and one printed [PASS]/[FAIL] line per criterion.  A test fails with
+the check's message, or when the criterion overruns its runtime budget.
 """
 
-import functools
-import itertools
-import random
 import sys
 import time
-from math import comb
 
-import pytest
+from turancover.selftest import CRITERIA, check_grid
 
-from turancover.codegree_star import (
-    StarParams,
-    in_star_ideal,
-    star_initial_degree,
-    verify_collapse,
-)
-from turancover.diagonal import (
-    DiagonalParams,
-    check_partite_generators,
-    in_differentiated_ideal,
-    in_identification_ideal,
-    verify_counterexample,
-)
-from turancover.dictionary import ex_via_cover, gen_ex_via_cover
-from turancover.hypergraph import (
-    CoreFamily,
-    brute_force_ex,
-    brute_force_gen_ex,
-    builtin_spec,
-    turan_count,
-)
-from turancover.polycore import Polynomial
-from turancover.squarezero import (
-    SquareZeroQuotient,
-    elem_sym,
-    smoothing_step,
-    symmetrize,
-    terminal_class_sizes,
-)
+# The tests keep the ids they had before the criteria moved into one table.
+TEST_IDS = {
+    "counterexample theorem": "test_criterion_01_counterexample_theorem",
+    "partite-generator lemma": "test_criterion_02_partite_generators",
+    "cover-ideal dictionary": "test_criterion_03_dictionary",
+    "generalized Turán": "test_criterion_04_generalized_turan",
+    "Hilbert-Turán bound": "test_criterion_05_hilbert_turan_exhaustive",
+    "cloning-lemma ledger and symmetrization": "test_criterion_06_cloning_lemma",
+    "smoothing identity and its closed form": "test_criterion_07_smoothing_identity",
+    "star ideal collapses to the core-family cover ideal": "test_criterion_08_collapse",
+    "star initial degree + extremal number": "test_criterion_09_initial_degree_and_extremal",
+    "vacuous range": "test_criterion_10_vacuous_range",
+}
 
 
-def criterion(name, budget_s=None):
-    """Print exactly one [PASS]/[FAIL] line for the wrapped acceptance test."""
-
-    def deco(fn):
-        @functools.wraps(fn)
-        def wrapper(*a, **kw):
-            start = time.monotonic()
-            try:
-                fn(*a, **kw)
-            except BaseException:
-                print(f"[FAIL] {name}", file=sys.stderr, flush=True)
-                raise
+def _criterion_test(row):
+    def test():
+        start = time.monotonic()
+        try:
+            check_grid(row, row.full)
             elapsed = time.monotonic() - start
-            assert budget_s is None or elapsed < budget_s, (
-                f"{name} exceeded the {budget_s}s runtime budget ({elapsed:.1f}s)"
+            assert elapsed < row.budget_s, (
+                f"{row.name} exceeded the {row.budget_s}s runtime budget ({elapsed:.1f}s)"
             )
-            print(f"[PASS] {name} ({elapsed:.1f}s)", file=sys.stderr, flush=True)
+        except BaseException:
+            print(f"[FAIL] {row.name}", file=sys.stderr, flush=True)
+            raise
+        print(f"[PASS] {row.name} ({elapsed:.1f}s)", file=sys.stderr, flush=True)
 
-        return wrapper
-
-    return deco
-
-
-@criterion("1. counterexample theorem: witness in the ideal below the degree bound", 120)
-def test_criterion_01_counterexample_theorem():
-    for ell, n in [(3, 3), (3, 4), (3, 5), (4, 4), (4, 5), (4, 6), (5, 5), (5, 6)]:
-        rep = verify_counterexample(DiagonalParams(n, ell))
-        assert rep["verdict"] == "counterexample confirmed"
-        assert rep["in_DI"] is True
-        assert rep["D"] == 3 * (comb(n, 3) - turan_count(n, ell - 1, 3))
-        assert rep["F_degree"] < rep["D"]
+    return test
 
 
-@criterion("2. partite-generator lemma: 20/20 random partite graphs per case", 120)
-def test_criterion_02_partite_generators():
-    for n in (3, 4, 5):
-        for ell in (3, 4):
-            assert check_partite_generators(n, ell, trials=20, seed=2024)
-
-
-@criterion("3. cover-ideal dictionary equals brute force on the graph/hypergraph grid", 300)
-def test_criterion_03_dictionary():
-    cases = [
-        (builtin_spec("K3"), 4, 4, (2, 2)),
-        (builtin_spec("K3"), 5, 6, (2, 2)),
-        (builtin_spec("K3"), 6, 9, (2, 2)),
-        (builtin_spec("K3"), 7, 12, (2, 2)),
-        (builtin_spec("K4"), 5, 8, (3, 2)),
-        (builtin_spec("K4"), 6, 12, (3, 2)),
-        (CoreFamily(3, 3), 4, 0, None),
-        (CoreFamily(3, 3), 5, 0, None),
-        (CoreFamily(4, 3), 4, 2, (3, 3)),
-        (CoreFamily(4, 3), 5, 4, (3, 3)),
-    ]
-    for spec, n, expected, turan in cases:
-        value, _ = ex_via_cover(n, spec)
-        oracle, _ = brute_force_ex(n, spec)
-        assert value == oracle == expected
-        if turan is not None:
-            q, r = turan
-            assert value == turan_count(n, q, r)
-
-
-@criterion("4. generalized Turán numbers equal brute force, with the Turán-count corollary", 300)
-def test_criterion_04_generalized_turan():
-    cases = [("K3", "K4", 4), ("K3", "K4", 5), ("K3", "K4", 6), ("K2", "K3", 6), ("K3", "K5", 6)]
-    for t, f, n in cases:
-        got = gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
-        oracle, _ = brute_force_gen_ex(n, builtin_spec(t), builtin_spec(f))
-        assert got == oracle
-    assert gen_ex_via_cover(6, builtin_spec("K3"), builtin_spec("K4")) == turan_count(6, 3, 3) == 8
-
-
-@criterion("5. Hilbert–Turán bound: exhaustive over every kill graph for n in {3,4,5}", 60)
-def test_criterion_05_hilbert_turan_exhaustive():
-    for n in (3, 4, 5):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        quotients = []
-        for mask in range(1 << len(pairs)):
-            kill = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            quotients.append(SquareZeroQuotient(n, kill))
-        for q in range(1, n):
-            vanishing = [A for A in quotients if A.top_vanishing(q)]
-            for r in range(2, n + 1):
-                bound = turan_count(n, q, r)
-                assert all(A.hilbert(r) <= bound for A in vanishing)
-                assert SquareZeroQuotient.from_partition(n, q).hilbert(r) == bound
-
-
-@criterion("6. cloning lemma ledger and symmetrization on 1000 random kill graphs", 300)
-def test_criterion_06_cloning_lemma():
-    rng = random.Random(606)
-    checked = 0
-    while checked < 1000:
-        n = rng.randint(3, 8)
-        pairs = [
-            p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4
-        ]
-        A = SquareZeroQuotient(n, pairs)
-        part = A.parallel_classes()
-        candidates = [p for p, zero in part.zero_between.items() if zero]
-        if not candidates:
-            continue
-        q = max(d for d in range(n + 1) if A.hilbert(d) > 0)
-        r = rng.randint(1, n)
-        U, V = candidates[rng.randrange(len(candidates))]
-        B = A.clone(U, V)
-        ledger = len(V) * (A.lambda_dim(U[0], r - 1) - A.lambda_dim(V[0], r - 1))
-        assert B.hilbert(r) - A.hilbert(r) == ledger
-        assert B.top_vanishing(q)
-        r2 = rng.randint(2, max(2, q))
-        term, trace = symmetrize(A, q, r2)
-        assert len(trace) < n
-        assert term.hilbert(r2) >= A.hilbert(r2)
-        assert term.hilbert(r2) == elem_sym(terminal_class_sizes(term), r2)
-        checked += 1
-
-
-@criterion("7. smoothing identity on 500 random tuples, exact", 60)
-def test_criterion_07_smoothing_identity():
-    rng = random.Random(707)
-    for _ in range(500):
-        length = rng.randint(2, 6)
-        tup = tuple(rng.randint(0, 8) for _ in range(length))
-        for r in range(7):
-            new, delta = smoothing_step(tup, r)
-            assert elem_sym(new, r) - elem_sym(tup, r) == delta
-            a, b = max(tup), min(tup)
-            if a >= b + 2:
-                rest = list(tup)
-                rest.remove(a)
-                rest.remove(b)
-                assert delta == (a - b - 1) * elem_sym(rest, r - 2)
-            else:
-                assert new == tup and delta == 0
-
-
-@criterion("8. star ideal collapses to the core-family cover ideal, exhaustively", 600)
-def test_criterion_08_collapse():
-    for r, ell, n in [(2, 3, 4), (2, 3, 5), (3, 3, 4), (3, 3, 5), (3, 4, 4), (3, 4, 5)]:
-        assert verify_collapse(StarParams(n, ell, r))
-
-
-@criterion("9. star-ideal initial degree and the core-family extremal numbers", 600)
-def test_criterion_09_initial_degree_and_extremal():
-    for r in (2, 3):
-        for ell in (3, 4, 5):
-            for n in range(ell, 7):
-                params = StarParams(n, ell, r)
-                expected = comb(n, r) - turan_count(n, ell - 1, r)
-                alpha, witness = star_initial_degree(params)
-                assert alpha == expected
-                assert witness.degree == alpha
-                assert in_star_ideal(witness, params)
-                oracle, _ = brute_force_ex(n, CoreFamily(ell, r))
-                assert comb(n, r) - alpha == oracle == turan_count(n, ell - 1, r)
-
-
-@criterion("10. vacuous range: everything collapses to the trivial answers", 60)
-def test_criterion_10_vacuous_range():
-    rng = random.Random(1010)
-    for n, ell in [(2, 3), (3, 4), (4, 5)]:
-        params = DiagonalParams(n, ell)
-        for _ in range(10):
-            terms = {
-                tuple(rng.randint(0, 2) for _ in range(n)): rng.randint(-3, 3)
-                for _ in range(4)
-            }
-            p = Polynomial(n, terms)
-            assert in_identification_ideal(p, params)
-            assert in_differentiated_ideal(p, params)
-    for n, ell, r in [(2, 3, 2), (3, 4, 3), (4, 5, 3)]:
-        sp = StarParams(n, ell, r)
-        assert in_star_ideal(0, sp)
-        alpha, _ = star_initial_degree(sp)
-        assert alpha == 0
-        assert turan_count(n, ell - 1, r) == comb(n, r)
+for _row in CRITERIA:
+    globals()[TEST_IDS[_row.name]] = _criterion_test(_row)

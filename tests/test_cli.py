@@ -9,6 +9,7 @@ from turancover.cli import (
     build_parser,
     main,
 )
+from turancover.selftest import CRITERIA
 
 
 def run(capsys, *argv):
@@ -104,8 +105,11 @@ def test_selftest_quick(capsys):
     report = json.loads(captured.out)
     assert report["result"]["ok"] is True
     assert all(c["ms"] >= 0 for c in report["result"]["checks"])
+    names = [row.name for row in CRITERIA]
+    assert [c["check"] for c in report["result"]["checks"]] == names
     lines = [l for l in captured.err.splitlines() if l.startswith("[")]
-    assert lines and all(l.startswith("[PASS]") for l in lines)
+    assert len(lines) == len(names)
+    assert all(l.startswith(f"[PASS] {name} (") for l, name in zip(lines, names))
 
 
 def test_bad_input_exit_code(capsys):
