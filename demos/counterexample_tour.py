@@ -46,9 +46,15 @@ for n in (4, 5):
 # ---------------------------------------------------------------------------
 # ell >= 4: split [n] into ell-2 balanced parts and multiply the differences
 # inside each part.  Any identification of ell variables must, by pigeonhole,
-# identify two variables from the same part and therefore kill one factor;
-# the same survives differentiation because the factors are multilinear
-# enough relative to the order cap n-3.
+# identify two variables from the same part and therefore kill one factor.
+# Derivatives follow a counting rule (proved in `DifferenceProduct`): a
+# product of differences lies in DI(n, ell) iff every ell-set S holds at
+# least one of its pairs, and every S whose inside pairs all share one vertex
+# holds more than min(n-3, degree) of them; otherwise a derivative in the
+# shared vertex survives.  Here S puts ell vertices into ell-2 parts, so one
+# part holds three of them (a triangle of pairs) or two parts hold two each
+# (two disjoint pairs).  Either way the pairs inside S share no vertex, and
+# the witness is a member for every n.
 
 for ell, n in [(4, 4), (4, 5), (4, 6), (5, 5), (5, 6)]:
     params = DiagonalParams(n, ell)

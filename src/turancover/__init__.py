@@ -3,8 +3,10 @@
 Subpackages:
 
 * polycore       exact sparse polynomial arithmetic, integer coefficients
+                 (the expanded oracle of the diagonal membership test)
 * hypergraph     r-graphs, Turán constructions, brute-force oracles
-* diagonal       identification ideals and the counterexample certificate
+* diagonal       identification ideals and the counterexample certificate;
+                 membership of difference products decided by counting pairs
 * monomial       squarefree ideals, Alexander duality, hitting sets
 * squarezero     square-zero quotients and Hilbert symmetrization
 * dictionary     the cover-ideal Turán dictionary (ordinary + generalized)

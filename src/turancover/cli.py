@@ -21,7 +21,12 @@ from .codegree_star import (
     star_initial_degree,
     verify_collapse,
 )
-from .diagonal import DiagonalParams, verify_counterexample
+from .diagonal import (
+    DiagonalParams,
+    counterexample_polynomial,
+    in_differentiated_ideal,
+    verify_counterexample,
+)
 from .dictionary import ex_via_cover, gen_ex_via_cover
 from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import (
@@ -80,7 +85,14 @@ def cmd_verify_counterexample(args) -> tuple[RunReport, int]:
     params = DiagonalParams(args.n, args.ell)
     result = verify_counterexample(params)
     code = EXIT_OK if result["verdict"] == "counterexample confirmed" else EXIT_CLAIM_FAILED
-    return RunReport("verify-counterexample", {"n": args.n, "ell": args.ell}, result), code
+    oracle = {}
+    if args.oracle:
+        member = in_differentiated_ideal(counterexample_polynomial(params), params)
+        oracle = {"in_DI": member, "match": member == result["in_DI"]}
+        if not oracle["match"]:
+            code = EXIT_CLAIM_FAILED
+    p = {"n": args.n, "ell": args.ell}
+    return RunReport("verify-counterexample", p, result, {}, oracle), code
 
 
 def cmd_ex(args) -> tuple[RunReport, int]:
@@ -184,6 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-counterexample", help="verify the strict-containment certificate")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
+    p.add_argument(
+        "--oracle", action="store_true", help="re-decide membership on the expanded polynomial (n <= 7)"
+    )
     p.set_defaults(func=cmd_verify_counterexample)
 
     p = sub.add_parser("ex", help="Turán number and cover-ideal initial degree")

@@ -12,6 +12,13 @@ The candidate ideal generated by the products over missing triples of
 (ell-1)-partite 3-graphs is homogeneous and generated in degrees at least
 3*(C(n,3) - t_3(n, ell-1)), so exhibiting a member of the differentiated
 ideal of strictly smaller degree certifies strict containment.
+
+Every polynomial the verifiers test is a product of differences x_a - x_b,
+held as a `DifferenceProduct`: a multiset of pairs.  Its membership in the
+differentiated ideal is decided by counting, for every ell-set, the pairs
+inside it; no polynomial is expanded.  The expanded path (`Polynomial`
+products and `in_differentiated_ideal`) is kept as the oracle, built from
+the same pair lists and capped at n <= DEFAULT_POLY_CAP.
 """
 
 from __future__ import annotations
@@ -22,10 +29,12 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import RGraph, balanced_partition, turan_count
-from .polycore import Polynomial, product, vandermonde
+from .hypergraph import RGraph, turan_count
+from .polycore import Polynomial, product
 
 DEFAULT_POLY_CAP = 7
+# (set, pair) steps of one pair-count membership test: (20, 6) takes 1.8M
+DI_WORK_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -44,22 +53,133 @@ class DiagonalParams:
         return self.n >= self.ell
 
 
+def _check_work(n: int, ell: int, npairs: int) -> None:
+    """Refuse a pair-count test that would take more than DI_WORK_CAP steps: it
+    visits C(n, ell) ell-sets, reads each through its smaller side of
+    k = min(ell, n - ell) vertices, then scans the npairs pairs.  Needs
+    n >= ell."""
+    k = min(ell, n - ell)
+    # C(n, k) >= 2^k for k <= n/2, so a large k is refused before comb runs
+    if k >= DI_WORK_CAP.bit_length() or comb(n, k) * (k + npairs) > DI_WORK_CAP:
+        raise ScaleGuardError(
+            f"pair-count test at (n, ell) = ({n}, {ell}) exceeds {DI_WORK_CAP} steps"
+        )
+
+
+@dataclass(frozen=True)
+class DifferenceProduct:
+    """The product of x_a - x_b over a multiset of pairs (a, b) of [n], a != b.
+
+    Its degree is the number of pairs, it is homogeneous, and it is never
+    zero.  `polynomial()` expands it; `in_differentiated_ideal` decides
+    membership without expanding.
+    """
+
+    n: int
+    pairs: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        pairs = tuple((a, b) for a, b in self.pairs)
+        for a, b in pairs:
+            if a == b or not (1 <= a <= self.n and 1 <= b <= self.n):
+                raise InputError(f"bad difference pair ({a}, {b}) on [{self.n}]")
+        object.__setattr__(self, "pairs", pairs)
+
+    @property
+    def degree(self) -> int:
+        return len(self.pairs)
+
+    def polynomial(self) -> Polynomial:
+        """The expanded product (the oracle path; its size grows fast in n)."""
+        return product((Polynomial.difference(a, b, self.n) for a, b in self.pairs), self.n)
+
+    def in_differentiated_ideal(self, params: DiagonalParams) -> bool:
+        """Membership in DI(n, ell), decided by counting pairs.
+
+        For an ell-set S let T(S) be the number of pairs, with multiplicity,
+        that have both ends in S.  The product p is a member iff every S has
+        T(S) >= 1, and every S whose T(S) inside pairs all share one vertex
+        has T(S) > min(n - 3, number of pairs), the highest derivative order
+        that can be nonzero.  The vacuous range n < ell holds everything.
+
+        Proof.  Identifying S (x_s -> y for s in S) maps into a domain, so
+        it kills p iff it kills a factor, iff some pair lies inside S: that
+        is the j = 0 condition T(S) >= 1.  For i outside S, d/dx_i commutes
+        with identifying S (see `in_differentiated_ideal`), so the j >= 1
+        derivatives in x_i vanish once p does.  For i in S and j >= 1,
+        d^j p/dx_i^j identified on S is j! times [t^j] of p with
+        x_i -> x_i + t and then S identified.  A factor inside S avoiding i
+        goes to 0; a factor (i, s), s in S, to +-t; a factor (i, b), b not
+        in S, to +-(y - x_b + t); every other factor to a nonzero form free
+        of t.  So the substituted product is zero when some pair inside S
+        avoids i, and otherwise it is +-t^m * prod_{b}(y - x_b + t) * c
+        with c != 0, where m = T(S) counts the factors (i, s) and the K
+        factors (i, b) give the middle product.  Its [t^j] is, up to c and
+        sign, the elementary symmetric polynomial e_{K-j+m} of the forms
+        y - x_b, repeats allowed: nonzero for m <= j <= m + K (at y = 1,
+        x_b = 0 it is a binomial coefficient) and zero otherwise.  So some
+        order 1 <= j <= J survives identification iff the inside pairs all
+        contain i and T(S) <= J, where J = min(n - 3, deg p) is the highest
+        order checked (J <= 0 checks none).
+
+        Each ell-set is enumerated through its smaller side (S itself or its
+        complement), and the test refuses with ScaleGuardError above
+        DI_WORK_CAP steps, before any enumeration.
+        """
+        n, ell = params.n, params.ell
+        if self.n != n:
+            raise InputError(f"product on [{self.n}], expected [{n}]")
+        if not params.non_vacuous:
+            return True
+        _check_work(n, ell, len(self.pairs))
+        weight: dict[tuple[int, int], int] = {}
+        for a, b in self.pairs:
+            key = (a, b) if a < b else (b, a)
+            weight[key] = weight.get(key, 0) + 1
+        pairs = [(a, b, w, (1 << a) | (1 << b)) for (a, b), w in weight.items()]
+        order = min(n - 3, len(self.pairs))
+        k = min(ell, n - ell)
+        # a vertex is in S iff its membership in the enumerated side is `side_is_S`
+        side_is_S = k == ell
+        # combinations copies its pool of n vertices, even for k = 0
+        sides = itertools.combinations(range(1, n + 1), k) if k else [()]
+        for side in sides:
+            side = set(side)
+            inside, common = 0, -1
+            for a, b, w, mask in pairs:
+                if (a in side) == side_is_S and (b in side) == side_is_S:
+                    inside += w
+                    common &= mask
+            # no inside pair fails j = 0; pairs sharing a vertex fail some j >= 1
+            if not inside or (inside <= order and common):
+                return False
+        return True
+
+
+def missing_triple_differences(n: int, G: RGraph) -> DifferenceProduct:
+    """The pairs (i,j), (i,k), (j,k) of every non-edge {i,j,k} of G."""
+    if G.r != 3 or G.n != n:
+        raise InputError(f"need a 3-graph on [{n}], got r={G.r}, n={G.n}")
+    pairs = []
+    for i, j, k in itertools.combinations(range(1, n + 1), 3):
+        if frozenset((i, j, k)) not in G.edges:
+            pairs += ((i, j), (i, k), (j, k))
+    return DifferenceProduct(n, pairs)
+
+
+def _check_poly_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise ScaleGuardError(f"n={n} exceeds polynomial scale cap {cap}")
+
+
 def missing_triple_product(n: int, G: RGraph, cap: int = DEFAULT_POLY_CAP) -> Polynomial:
-    """Product over non-edges {i,j,k} of G of (x_i-x_j)(x_i-x_k)(x_j-x_k).
+    """Product over non-edges {i,j,k} of G of (x_i-x_j)(x_i-x_k)(x_j-x_k),
+    expanded: the oracle form of `missing_triple_differences`.
 
     Degree is 3*(C(n,3) - |G|).  The empty product (complete G) is 1.
     """
-    if G.r != 3 or G.n != n:
-        raise InputError(f"need a 3-graph on [{n}], got r={G.r}, n={G.n}")
-    if n > cap:
-        raise ScaleGuardError(f"n={n} exceeds polynomial scale cap {cap}")
-    factors = []
-    for i, j, k in itertools.combinations(range(1, n + 1), 3):
-        if frozenset((i, j, k)) not in G.edges:
-            factors.append(Polynomial.difference(i, j, n))
-            factors.append(Polynomial.difference(i, k, n))
-            factors.append(Polynomial.difference(j, k, n))
-    p = product(factors, n)
+    _check_poly_cap(n, cap)
+    p = missing_triple_differences(n, G).polynomial()
     if p.degree() != 3 * (comb(n, 3) - len(G.edges)):
         raise ClaimCheckError("degree law violated for missing-triple product")
     return p
@@ -82,7 +202,8 @@ def in_differentiated_ideal(p: Polynomial, params: DiagonalParams) -> bool:
     """Whether every derivative d^j p / dx_i^j, i in [n], 0 <= j <= n-3,
     lies in the identification ideal.  For n <= 3 only j = 0 is checked,
     and for n < ell the identification ideal is the whole ring, so every
-    polynomial is a member in the vacuous range.
+    polynomial is a member in the vacuous range.  This is the expanded
+    oracle of `DifferenceProduct.in_differentiated_ideal`.
 
     Only the ell-sets S containing i are identified in d^j p / dx_i^j for
     j >= 1.  Identifying S is the ring map fixing x_k for every k outside S
@@ -115,27 +236,36 @@ def in_differentiated_ideal(p: Polynomial, params: DiagonalParams) -> bool:
     return True
 
 
-def counterexample_polynomial(params: DiagonalParams) -> Polynomial:
-    """The low-degree witness polynomial.
+def counterexample_differences(params: DiagonalParams) -> DifferenceProduct:
+    """The low-degree witness as a product of differences.
 
-    ell >= 4: product of within-part differences over the balanced
-    (ell-2)-partition of [n]; ell = 3, n >= 4: the full product of all
-    differences; (ell, n) = (3, 3): x_1 - x_2.
+    ell >= 4: all within-part pairs of the balanced (ell-2)-partition of [n]
+    (`hypergraph.balanced_partition`); ell = 3, n >= 4: all pairs of [n];
+    (ell, n) = (3, 3): the single pair (1, 2).
     """
     n, ell = params.n, params.ell
     if not params.non_vacuous:
         raise InputError(f"witness defined only for n >= ell, got {params}")
     if ell == 3:
-        if n == 3:
-            return Polynomial.difference(1, 2, n)
-        return vandermonde(n)
-    parts = balanced_partition(n, ell - 2)
-    factors = [
-        Polynomial.difference(a, b, n)
-        for part in parts
-        for a, b in itertools.combinations(part, 2)
-    ]
-    return product(factors, n)
+        return DifferenceProduct(n, [(1, 2)] if n == 3 else itertools.combinations(range(1, n + 1), 2))
+    # the parts of balanced_partition(n, ell - 2) with two or more vertices,
+    # larger parts first; singleton parts are skipped without being built
+    base, extra = divmod(n, ell - 2)
+    sizes = [base + 1] * extra + ([base] * (ell - 2 - extra) if base > 1 else [])
+    pairs, start = [], 1
+    for size in sizes:
+        pairs += itertools.combinations(range(start, start + size), 2)
+        start += size
+    return DifferenceProduct(n, pairs)
+
+
+def counterexample_polynomial(params: DiagonalParams) -> Polynomial:
+    """The witness of `counterexample_differences`, expanded (the oracle
+    path): for ell = 3 and n >= 4 the full Vandermonde product."""
+    if not params.non_vacuous:
+        raise InputError(f"witness defined only for n >= ell, got {params}")
+    _check_poly_cap(params.n, DEFAULT_POLY_CAP)
+    return counterexample_differences(params).polynomial()
 
 
 def generator_degree_bound(params: DiagonalParams) -> int:
@@ -147,32 +277,31 @@ def generator_degree_bound(params: DiagonalParams) -> int:
     return 3 * (comb(n, 3) - turan_count(n, ell - 1, 3))
 
 
-def verify_counterexample(params: DiagonalParams, cap: int = DEFAULT_POLY_CAP) -> dict:
+def verify_counterexample(params: DiagonalParams) -> dict:
     """Check both halves of the strict-containment certificate at (n, ell).
 
-    Report fields: witness degree, generator degree bound, membership of the
-    witness in the differentiated ideal, the degree gap, and the verdict.
+    Report fields: witness degree (its number of pairs), generator degree
+    bound, membership of the witness in the differentiated ideal (by the
+    pair count), the degree gap, and the verdict.  Refused with
+    ScaleGuardError above DI_WORK_CAP steps of the membership test.
     """
     n, ell = params.n, params.ell
     if not params.non_vacuous:
         raise InputError(f"non-vacuous range requires n >= ell, got {params}")
-    if n > cap:
-        raise ScaleGuardError(f"n={n} exceeds polynomial scale cap {cap}")
-    F = counterexample_polynomial(params)
-    deg, homogeneous = F.degree_info()
+    _check_work(n, ell, 0)  # bounds n before the witness is built
+    F = counterexample_differences(params)
     bound = generator_degree_bound(params)
-    member = in_differentiated_ideal(F, params)
-    gap_ok = deg is not None and deg < bound
-    confirmed = member and gap_ok and homogeneous and not F.is_zero
+    member = F.in_differentiated_ideal(params)
+    gap_ok = F.degree < bound
     return {
         "n": n,
         "ell": ell,
-        "F_degree": deg,
-        "F_homogeneous": homogeneous,
+        "F_degree": F.degree,
+        "F_homogeneous": True,
         "D": bound,
         "in_DI": member,
         "degree_gap_ok": gap_ok,
-        "verdict": "counterexample confirmed" if confirmed else "NOT confirmed",
+        "verdict": "counterexample confirmed" if member and gap_ok else "NOT confirmed",
     }
 
 
@@ -196,20 +325,22 @@ def check_partite_generators(
     ell: int,
     trials: int,
     seed: int = 0,
-    cap: int = DEFAULT_POLY_CAP,
 ) -> bool:
     """Sample random (ell-1)-partite 3-graphs G on [n] and confirm that the
-    missing-triple product of each lies in the differentiated ideal."""
-    if n > cap:
-        raise ScaleGuardError(f"n={n} exceeds polynomial scale cap {cap}")
+    missing-triple product of each lies in the differentiated ideal, by the
+    pair count.  Every product is a member in the vacuous range n < ell.
+    Refused with ScaleGuardError when the largest missing-triple product,
+    that of the empty graph, would exceed DI_WORK_CAP steps."""
     params = DiagonalParams(n, ell)
+    if not params.non_vacuous:
+        return True
+    _check_work(n, ell, 3 * comb(n, 3))
     rng = random.Random(seed)
     checked: dict[RGraph, bool] = {}
     for _ in range(trials):
         G = random_partite_3graph(n, ell - 1, rng)
         if G not in checked:
-            p = missing_triple_product(n, G, cap=cap)
-            checked[G] = in_differentiated_ideal(p, params)
+            checked[G] = missing_triple_differences(n, G).in_differentiated_ideal(params)
         if not checked[G]:
             return False
     return True
@@ -217,9 +348,12 @@ def check_partite_generators(
 
 __all__ = [
     "DiagonalParams",
+    "DifferenceProduct",
+    "missing_triple_differences",
     "missing_triple_product",
     "in_identification_ideal",
     "in_differentiated_ideal",
+    "counterexample_differences",
     "counterexample_polynomial",
     "generator_degree_bound",
     "verify_counterexample",

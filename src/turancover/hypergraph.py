@@ -196,17 +196,22 @@ def turan_construct(n: int, q: int, r: int) -> RGraph:
 
 
 def turan_count(n: int, q: int, r: int) -> int:
-    """t_r(n, q): sum over r-subsets S of classes of the product of their sizes."""
+    """t_r(n, q): sum over r-subsets S of classes of the product of their sizes.
+
+    The balanced partition has `extra` classes of size base + 1 and q - extra
+    of size base, so an r-subset taking i of the larger classes contributes
+    (base + 1)^i * base^(r - i), and there are C(extra, i) * C(q - extra, r - i)
+    of them: O(r) work, with no partition built.
+    """
     if r > q:
         return 0
-    sizes = [len(P) for P in balanced_partition(n, q)]
-    total = 0
-    for S in itertools.combinations(range(q), r):
-        prod = 1
-        for i in S:
-            prod *= sizes[i]
-        total += prod
-    return total
+    if n < 0 or q < 1 or r < 0:
+        raise InputError(f"bad Turán parameters n={n}, q={q}, r={r}")
+    base, extra = divmod(n, q)
+    return sum(
+        comb(extra, i) * comb(q - extra, r - i) * (base + 1) ** i * base ** (r - i)
+        for i in range(r + 1)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ here is exact combinatorial counting on the kill graph.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -134,7 +135,15 @@ class SquareZeroQuotient:
         allowed = 0
         for v in range(1, self.n + 1):
             allowed |= 1 << v
-        return self._count_independent(allowed, d)
+        return self._count(allowed, d)
+
+    def _count(self, allowed: int, d: int) -> int:
+        """`_count_independent`, refused with ScaleGuardError where its
+        recursion, one level per vertex, passes the recursion limit."""
+        try:
+            return self._count_independent(allowed, d)
+        except RecursionError:
+            raise ScaleGuardError("Hilbert count exceeds the recursion limit") from None
 
     def _count_independent(self, allowed: int, d: int) -> int:
         if d == 0:
@@ -185,7 +194,7 @@ class SquareZeroQuotient:
         for v in range(1, self.n + 1):
             allowed |= 1 << v
         allowed &= ~((1 << c) | self._adj[c])
-        return self._count_independent(allowed, d)
+        return self._count(allowed, d)
 
     # -- cloning -------------------------------------------------------
 
@@ -273,6 +282,18 @@ def terminal_class_sizes(B: SquareZeroQuotient) -> list[int]:
     return sorted((len(c) for c in part.classes), reverse=True)
 
 
+@functools.lru_cache(maxsize=1)
+def _all_hilbert_values(n: int) -> tuple[tuple[int, ...], ...]:
+    """(h_0, ..., h_n) of every one of the 2^C(n,2) kill graphs on [n],
+    built once per n for the (q, r) sweeps of `brute_force_hilbert_turan`."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    table = []
+    for mask in range(1 << len(pairs)):
+        A = SquareZeroQuotient(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        table.append(tuple(A.hilbert(d) for d in range(n + 1)))
+    return tuple(table)
+
+
 def brute_force_hilbert_turan(n: int, q: int, r: int, cap: int = 5) -> tuple[bool, int]:
     """Independent oracle for the Hilbert-Turán bound: exhaust all kill graphs
     on [n], keep those whose degree-(q+1) piece vanishes, and check that the
@@ -283,16 +304,16 @@ def brute_force_hilbert_turan(n: int, q: int, r: int, cap: int = 5) -> tuple[boo
     """
     if n > cap:
         raise ScaleGuardError(f"exhaustion over 2^C({n},2) kill graphs refused (cap n <= {cap})")
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    if q < 0 or r < 0:
+        raise InputError("q and r must be nonnegative")
     bound = turan_count(n, q, r)
     best = -1
     ok = True
-    for mask in range(1 << len(pairs)):
-        kill = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        A = SquareZeroQuotient(n, kill)
-        if not A.top_vanishing(q):
+    for values in _all_hilbert_values(n):
+        # values[d] is h_d for d <= n; h_d = 0 above n
+        if q + 1 <= n and values[q + 1]:
             continue
-        h = A.hilbert(r)
+        h = values[r] if r <= n else 0
         best = max(best, h)
         if h > bound:
             ok = False

@@ -1,9 +1,12 @@
 import json
+import time
 
 import pytest
 
+from turancover import cli
 from turancover.cli import (
     EXIT_BAD_INPUT,
+    EXIT_CLAIM_FAILED,
     EXIT_OK,
     EXIT_SCALE_GUARD,
     build_parser,
@@ -28,6 +31,38 @@ def test_verify_counterexample_json(capsys):
     assert report["result"]["F_degree"] == 6
     assert report["result"]["D"] == 12
     assert "version" in report and "elapsed_ms" in report
+
+
+def test_verify_counterexample_oracle_match(capsys):
+    code, report, _ = run(capsys, "verify-counterexample", "--ell", "4", "--n", "6", "--oracle")
+    assert code == EXIT_OK
+    assert report["oracle"] == {"in_DI": True, "match": True}
+
+
+def test_verify_counterexample_oracle_mismatch_exits_2(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "in_differentiated_ideal", lambda p, params: False)
+    code, report, _ = run(capsys, "verify-counterexample", "--ell", "3", "--n", "4", "--oracle")
+    assert code == EXIT_CLAIM_FAILED
+    assert report["result"]["in_DI"] is True
+    assert report["oracle"] == {"in_DI": False, "match": False}
+
+
+def test_verify_counterexample_oracle_refused_above_polynomial_cap(capsys):
+    code, payload, err = run(capsys, "verify-counterexample", "--ell", "3", "--n", "8", "--oracle")
+    assert code == EXIT_SCALE_GUARD
+    assert payload is None
+    assert json.loads(err)["error"] == "scale guard"
+    # without the oracle, n = 8 is decided by the pair count
+    code, report, _ = run(capsys, "verify-counterexample", "--ell", "3", "--n", "8")
+    assert code == EXIT_OK and report["result"]["F_degree"] == 28
+
+
+def test_verify_counterexample_huge_input_refused_fast(capsys):
+    start = time.monotonic()
+    code, _, err = run(capsys, "verify-counterexample", "--ell", "500000", "--n", "1000000")
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_SCALE_GUARD
+    assert json.loads(err)["error"] == "scale guard"
 
 
 def test_ex_with_oracle(capsys):
@@ -123,6 +158,13 @@ def test_bad_kill_pair_exit_code(capsys):
     code, _, err = run(capsys, "hilbert", "--n", "4", "--d", "1", "--kill", "1")
     assert code == EXIT_BAD_INPUT
     assert json.loads(err)["error"] == "bad input"
+
+
+def test_hilbert_past_the_recursion_limit_is_refused(capsys):
+    code, payload, err = run(capsys, "hilbert", "--n", "2000", "--d", "1")
+    assert code == EXIT_SCALE_GUARD
+    assert payload is None
+    assert json.loads(err)["error"] == "scale guard"
 
 
 def test_scale_guard_exit_code(capsys):

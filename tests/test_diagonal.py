@@ -6,17 +6,20 @@ import pytest
 
 from turancover.diagonal import (
     DiagonalParams,
+    DifferenceProduct,
     check_partite_generators,
+    counterexample_differences,
     counterexample_polynomial,
     generator_degree_bound,
     in_differentiated_ideal,
     in_identification_ideal,
+    missing_triple_differences,
     missing_triple_product,
     random_partite_3graph,
     verify_counterexample,
 )
 from turancover.errors import InputError, ScaleGuardError
-from turancover.hypergraph import RGraph, turan_count
+from turancover.hypergraph import RGraph, balanced_partition, turan_count
 from turancover.polycore import Polynomial, product, vandermonde
 
 
@@ -157,6 +160,129 @@ def test_restricted_check_matches_all_sets_oracle():
 
 
 # ---------------------------------------------------------------------------
+# the pair-count test against the expanded oracle
+
+
+def classify(p, params):
+    """The expanded oracle's verdict: member, fails at j = 0, or fails at
+    some j >= 1 only."""
+    if in_differentiated_ideal(p, params):
+        return "member"
+    if not in_identification_ideal(p, params):
+        return "fails at j = 0"
+    return "fails at j >= 1 only"
+
+
+def random_pair_multiset(n, rng):
+    pairs = [tuple(rng.sample(range(1, n + 1), 2)) for _ in range(rng.randint(1, n + 1))]
+    if rng.random() < 0.4:
+        pairs += rng.choices(pairs, k=rng.randint(1, 2))  # repeated pairs
+    return DifferenceProduct(n, pairs)
+
+
+def test_pair_count_matches_expanded_oracle():
+    rng = random.Random(7)
+    seen = {"member": 0, "fails at j = 0": 0, "fails at j >= 1 only": 0}
+    for n in range(3, 7):
+        for ell in range(3, n + 1):
+            params = DiagonalParams(n, ell)
+            for _ in range(16 if n < 6 else 6):
+                F = random_pair_multiset(n, rng)
+                verdict = classify(F.polynomial(), params)
+                assert F.in_differentiated_ideal(params) == (verdict == "member"), (n, ell, F.pairs)
+                seen[verdict] += 1
+    assert all(seen.values()), seen
+
+
+def missing_triple_graphs():
+    """Partite and non-partite 3-graphs on [n], n <= 5: random partite ones
+    from the library's sampler, and dense ones missing a few triples."""
+    rng = random.Random(31)
+    graphs = []
+    for n in (3, 4, 5):
+        # at n = 5 fewer parts leave more missing triples: the empty graph's
+        # product has 7080 terms
+        for parts in range(2 if n < 5 else 4, n):
+            graphs += [random_partite_3graph(n, parts, rng) for _ in range(3 if n < 5 else 1)]
+        triples = list(itertools.combinations(range(1, n + 1), 3))
+        for _ in range(6):
+            missing = rng.sample(triples, rng.randint(1, min(len(triples), 3)))
+            graphs.append(RGraph(n, 3, [t for t in triples if t not in missing]))
+    return graphs
+
+
+def test_pair_count_matches_oracle_on_missing_triple_products():
+    seen = {True: 0, False: 0}
+    for G in set(missing_triple_graphs()):
+        n = G.n
+        F = missing_triple_differences(n, G)
+        p = missing_triple_product(n, G)
+        assert F.degree == p.degree()
+        for ell in range(3, n + 1):
+            params = DiagonalParams(n, ell)
+            want = in_differentiated_ideal(p, params)
+            assert F.in_differentiated_ideal(params) == want, (n, ell, G)
+            seen[want] += 1
+    assert all(seen.values()), seen
+
+
+def test_pair_count_vacuous_range_and_small_orders():
+    F = DifferenceProduct(3, [(1, 2)])
+    assert F.in_differentiated_ideal(DiagonalParams(3, 4))  # n < ell
+    assert F.in_differentiated_ideal(DiagonalParams(3, 3))  # n = 3: only j = 0
+    # (4, 4): one pair inside [4] fails d/dx_1; two disjoint pairs pass
+    assert not DifferenceProduct(4, [(1, 2)]).in_differentiated_ideal(DiagonalParams(4, 4))
+    assert DifferenceProduct(4, [(1, 2), (3, 4)]).in_differentiated_ideal(DiagonalParams(4, 4))
+    # two pairs through vertex 1 exceed the order cap n - 3 = 1
+    assert DifferenceProduct(4, [(1, 2), (3, 1)]).in_differentiated_ideal(DiagonalParams(4, 4))
+
+
+def test_difference_product_rejects_bad_pairs():
+    for pairs in ([(1, 1)], [(0, 2)], [(1, 4)]):
+        with pytest.raises(InputError):
+            DifferenceProduct(3, pairs)
+    with pytest.raises(InputError):
+        DifferenceProduct(3, [(1, 2)]).in_differentiated_ideal(DiagonalParams(4, 3))
+
+
+def test_empty_product_is_not_a_member():
+    assert not DifferenceProduct(4, []).in_differentiated_ideal(DiagonalParams(4, 3))
+    assert not in_differentiated_ideal(Polynomial.one(4), DiagonalParams(4, 3))
+
+
+@pytest.mark.parametrize("ell", [3, 4, 6])
+def test_witness_at_n_20(ell):
+    rep = verify_counterexample(DiagonalParams(20, ell))
+    assert rep["verdict"] == "counterexample confirmed"
+    assert rep["F_degree"] == counterexample_differences(DiagonalParams(20, ell)).degree
+    assert rep["F_degree"] < rep["D"] == generator_degree_bound(DiagonalParams(20, ell))
+
+
+def test_work_guard():
+    # C(37, 3) * (3 + C(37, 2)) = 5,197,830 steps, over the 5,000,000 cap
+    with pytest.raises(ScaleGuardError):
+        verify_counterexample(DiagonalParams(37, 3))
+    # C(21, 3) * (3 + 3 * C(21, 3)) steps for the empty graph's product
+    with pytest.raises(ScaleGuardError):
+        check_partite_generators(21, 3, 1, 0)
+    with pytest.raises(ScaleGuardError):
+        DifferenceProduct(8, [(1, 2)] * 10**5).in_differentiated_ideal(DiagonalParams(8, 4))
+    # refused before any binomial of the huge arguments is formed
+    with pytest.raises(ScaleGuardError):
+        verify_counterexample(DiagonalParams(10**6, 5 * 10**5))
+    with pytest.raises(ScaleGuardError):
+        check_partite_generators(10**6, 3, 1)
+    # n = ell: a single ell-set, read through its empty complement
+    assert verify_counterexample(DiagonalParams(10**9, 10**9))["in_DI"]
+
+
+def test_polynomial_cap_on_the_oracle_path():
+    with pytest.raises(ScaleGuardError):
+        counterexample_polynomial(DiagonalParams(8, 3))
+    assert verify_counterexample(DiagonalParams(8, 3))["verdict"] == "counterexample confirmed"
+
+
+# ---------------------------------------------------------------------------
 # witness polynomial and degree bound
 
 
@@ -176,6 +302,18 @@ def test_witness_pigeonhole_structure():
         part_of = {v: i for i, P in enumerate(parts) for v in P}
         for S in itertools.combinations(range(1, n + 1), ell):
             assert len({part_of[v] for v in S}) < len(S)
+
+
+def test_witness_pairs_are_within_part_pairs():
+    for ell in range(4, 9):
+        for n in range(ell, 14):
+            parts = balanced_partition(n, ell - 2)
+            want = [pair for part in parts for pair in itertools.combinations(part, 2)]
+            assert list(counterexample_differences(DiagonalParams(n, ell)).pairs) == want
+    for n in range(4, 7):
+        F = counterexample_differences(DiagonalParams(n, 3))
+        assert F.pairs == tuple(itertools.combinations(range(1, n + 1), 2))
+        assert F.polynomial() == vandermonde(n)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import itertools
 import random
-from math import comb
+from math import comb, prod
 
 import pytest
 
@@ -58,6 +58,25 @@ def test_turan_count_matches_construction():
         for q in range(1, 7):
             for r in range(1, 5):
                 assert len(turan_construct(n, q, r)) == turan_count(n, q, r)
+
+
+def test_turan_count_matches_class_subset_sum():
+    # the closed form against the sum over r-subsets of the partition's classes
+    for n in range(0, 16):
+        for q in range(1, 10):
+            sizes = [len(P) for P in balanced_partition(n, q)]
+            for r in range(0, 6):
+                want = sum(
+                    prod(sizes[i] for i in S) for S in itertools.combinations(range(q), r)
+                )
+                assert turan_count(n, q, r) == want, (n, q, r)
+
+
+def test_turan_count_is_cheap_for_many_classes():
+    # one class of size 2, the rest singletons: every triple but the n - 2
+    # triples through that class's pair
+    n = 10**6
+    assert turan_count(n, n - 1, 3) == comb(n, 3) - (n - 2)
 
 
 def test_turan_same_part_codegree_zero():

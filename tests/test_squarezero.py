@@ -305,6 +305,30 @@ def test_brute_force_hilbert_turan(n, q, r):
     assert best == turan_count(n, q, r)
 
 
+def test_brute_force_hilbert_turan_matches_per_quotient_loop():
+    # the reference builds every quotient on every call, as the oracle once did
+    n = 4
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    quotients = [
+        SquareZeroQuotient(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        for mask in range(1 << len(pairs))
+    ]
+    for q in range(1, n + 2):
+        for r in range(0, n + 2):
+            values = [A.hilbert(r) for A in quotients if A.top_vanishing(q)]
+            bound = turan_count(n, q, r)
+            ok, best = brute_force_hilbert_turan(n, q, r)
+            assert best == max(values), (q, r)
+            assert ok == (best == bound and all(v <= bound for v in values)), (q, r)
+
+
+def test_hilbert_past_the_recursion_limit_is_refused():
+    with pytest.raises(ScaleGuardError):
+        SquareZeroQuotient(2000).hilbert(1)
+    with pytest.raises(ScaleGuardError):
+        SquareZeroQuotient(2000).lambda_dim(1, 1)
+
+
 def test_brute_force_hilbert_turan_trivial_large_q():
     ok, best = brute_force_hilbert_turan(4, 5, 2)
     assert ok and best == comb(4, 2)
