@@ -3,13 +3,21 @@
 Edges are r-element frozensets of 1-based vertices.  The search kernels
 translate edge sets to bitmasks over the C(n, r) potential edges using a
 fixed colexicographic rank function, so subset tests are single AND ops.
+
+Copies of an explicit pattern F on k vertices are vertex sets times
+labellings: the k!/|Aut(F)| distinct relabellings of F's edges are computed
+once and placed on each k-subset of [n].  The core-pair family oracle keeps
+the shadow graph of covered pairs as one adjacency bitmask per vertex and
+decides each new violation with a bitset clique search.  The oracles import
+nothing from the cover-ideal search or the polynomial core: they are the
+independent check of both.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 from .errors import InputError, ScaleGuardError
@@ -263,7 +271,11 @@ def enumerate_forbidden_copies(
     """All copies of `spec` inside the complete r-graph on [n].
 
     For an explicit RGraph F, copies are the edge-set images of embeddings of
-    F into [n].  For the symbolic core-pair family, only inclusion-minimal
+    F into [n], sorted by edge list; F needs n >= F.n.  They are listed as
+    k-subsets of [n] times the distinct labellings of F's k edge-covered
+    vertices, and ScaleGuardError refuses k! * |E(F)| labelling steps or
+    C(n, k) * (number of labellings) copies above `cap`, each before that
+    work starts.  For the symbolic core-pair family, only inclusion-minimal
     copies are emitted: minimal edge systems covering all pairs of some
     ell-core.  Hitting all minimal copies is equivalent to hitting all copies.
     """
@@ -274,13 +286,28 @@ def enumerate_forbidden_copies(
         verts = sorted(set().union(*F.edges)) if F.edges else []
         if not verts:
             raise InputError("forbidden graph has no edges")
-        copies = set()
-        count_guard = comb(n, len(verts)) * len(verts) ** len(verts)
-        if count_guard > cap:
-            raise ScaleGuardError(f"projected embedding count {count_guard} exceeds cap {cap}")
-        for image in itertools.permutations(range(1, n + 1), len(verts)):
-            phi = dict(zip(verts, image))
-            copies.add(frozenset(frozenset(phi[v] for v in e) for e in F.edges))
+        k = len(verts)
+        labelling_work = factorial(k) * len(F.edges)
+        if labelling_work > cap:
+            raise ScaleGuardError(f"labelling work {labelling_work} exceeds cap {cap}")
+        # the distinct images of F's edges under the k! relabellings of its own
+        # vertices by positions 0..k-1: k!/|Aut(F)| shapes
+        index = {v: i for i, v in enumerate(verts)}
+        edges = [[index[v] for v in e] for e in F.edges]
+        shapes = {
+            frozenset(frozenset(p[i] for i in e) for e in edges)
+            for p in itertools.permutations(range(k))
+        }
+        copy_count = comb(n, k) * len(shapes)
+        if copy_count > cap:
+            raise ScaleGuardError(f"copy count {copy_count} exceeds cap {cap}")
+        # every vertex of F lies in an edge, so a copy's vertex set is the k-set
+        # it was placed on, and distinct (k-set, shape) pairs give distinct copies
+        copies = [
+            frozenset(frozenset(c[i] for i in e) for e in shape)
+            for c in itertools.combinations(range(1, n + 1), k)
+            for shape in shapes
+        ]
         return CopyFamily(n, F.r, tuple(sorted(copies, key=_copy_key)))
 
     ell, r = spec.ell, spec.r
@@ -389,11 +416,14 @@ def brute_force_ex(
 def _brute_force_ex_core_family(
     n: int, spec: CoreFamily, cap_edges: int
 ) -> tuple[int, RGraph]:
-    """Core-pair family oracle using the positive-codegree freeness predicate.
+    """Core-pair family oracle on the shadow graph of covered pairs.
 
-    A graph contains a member iff some ell-set has all pairs in positive
-    codegree, so adding an edge can only create a violation through the pairs
-    it newly covers.
+    A graph contains a member iff its shadow graph (the pairs of positive
+    codegree) has an ell-clique.  Adding an edge can only create one through
+    a pair (a, b) it newly covers, and such a pair lies in an ell-clique iff
+    the common shadow neighbourhood of a and b holds an (ell - 2)-clique.
+    The shadow graph is one adjacency bitmask per vertex, kept in step with
+    the codegree counts as the DFS adds and removes edges.
     """
     ell, r = spec.ell, spec.r
     ranker = EdgeRanker(n, r)
@@ -403,22 +433,9 @@ def _brute_force_ex_core_family(
     if n < ell:
         return m, RGraph.complete(n, r)
 
-    edge_pairs = [
-        list(itertools.combinations(t, 2)) for t in ranker.sets
-    ]
-    others = list(range(1, n + 1))
-    codeg: dict[tuple[int, int], int] = {}
-
-    def violates(new_pairs: list[tuple[int, int]]) -> bool:
-        for a, b in new_pairs:
-            rest = [v for v in others if v not in (a, b)]
-            for extra in itertools.combinations(rest, ell - 2):
-                S = sorted((a, b) + extra)
-                if all(
-                    codeg.get(p, 0) > 0 for p in itertools.combinations(S, 2)
-                ):
-                    return True
-        return False
+    edge_pairs = [list(itertools.combinations(t, 2)) for t in ranker.sets]
+    codeg = [[0] * (n + 1) for _ in range(n + 1)]  # codeg[a][b] for a < b
+    adj = [0] * (n + 1)  # bit u of adj[v] is set iff {u, v} is covered
 
     best_size = -1
     best_mask = 0
@@ -431,18 +448,37 @@ def _brute_force_ex_core_family(
             if size > best_size or (size == best_size and chosen < best_mask):
                 best_size, best_mask = size, chosen
             return
-        new_pairs = [p for p in edge_pairs[idx] if codeg.get(p, 0) == 0]
-        for p in edge_pairs[idx]:
-            codeg[p] = codeg.get(p, 0) + 1
-        if not violates(new_pairs):
+        new_pairs = []
+        for a, b in edge_pairs[idx]:
+            if not codeg[a][b]:
+                new_pairs.append((a, b))
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            codeg[a][b] += 1
+        if not any(_has_clique(adj, adj[a] & adj[b], ell - 2) for a, b in new_pairs):
             dfs(idx + 1, chosen | (1 << idx), size + 1)
-        for p in edge_pairs[idx]:
-            codeg[p] -= 1
+        for a, b in edge_pairs[idx]:
+            codeg[a][b] -= 1
+        for a, b in new_pairs:
+            adj[a] ^= 1 << b
+            adj[b] ^= 1 << a
         dfs(idx + 1, chosen, size)
 
     dfs(0, 0, 0)
     witness = RGraph(n, r, ranker.unmask(best_mask))
     return best_size, witness
+
+
+def _has_clique(adj: list[int], cand: int, k: int) -> bool:
+    """Whether the vertex bitmask `cand` holds a k-clique of the graph `adj`."""
+    if k <= 1:
+        return k == 0 or cand != 0
+    while cand.bit_count() >= k:
+        low = cand & -cand
+        cand ^= low
+        if _has_clique(adj, cand & adj[low.bit_length() - 1], k - 1):
+            return True
+    return False
 
 
 def brute_force_gen_ex(
@@ -465,10 +501,15 @@ def brute_force_gen_ex(
     forb_by_last: list[list[int]] = [[] for _ in range(m)]
     for cm in forb_masks:
         forb_by_last[cm.bit_length() - 1].append(cm)
-    # target copies grouped by last edge: count completed copies incrementally
+    # target copies grouped by last edge: count completed copies incrementally;
+    # and by every edge: excluding an edge loses only the copies through it
     targ_by_last: list[list[int]] = [[] for _ in range(m)]
+    targ_by_edge: list[list[int]] = [[] for _ in range(m)]
     for cm in targ_masks:
         targ_by_last[cm.bit_length() - 1].append(cm)
+        for idx in range(m):
+            if cm >> idx & 1:
+                targ_by_edge[idx].append(cm)
 
     best_count = -1
     best_mask = 0
@@ -488,11 +529,7 @@ def brute_force_gen_ex(
         if all((cm & cand) != cm for cm in forb_by_last[idx]):
             gained = sum(1 for cm in targ_by_last[idx] if (cm & cand) == cm)
             dfs(idx + 1, cand, excluded, done + gained, alive)
-        lost = sum(
-            1
-            for cm in targ_masks
-            if (cm & bit) and not (cm & excluded)
-        )
+        lost = sum(1 for cm in targ_by_edge[idx] if not (cm & excluded))
         dfs(idx + 1, chosen, excluded | bit, done, alive - lost)
 
     dfs(0, 0, 0, 0, len(targ_masks))

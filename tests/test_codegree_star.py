@@ -363,9 +363,11 @@ def test_star_initial_degree_every_rset_forced(n, ell, r):
 
 
 def test_star_initial_degree_beyond_the_permutation_enumerator():
-    # K6 copies through permutations would be guarded at n = 9
+    # K6 copies through permutations were guarded at n = 9; by vertex sets
+    # they are 84, and the copy-count guard refuses K3 at n = 300 instead
+    assert len(enumerate_forbidden_copies(builtin_spec("K6"), 9)) == comb(9, 6)
     with pytest.raises(ScaleGuardError):
-        enumerate_forbidden_copies(builtin_spec("K6"), 9)
+        enumerate_forbidden_copies(builtin_spec("K3"), 300)
     assert star_initial_degree(StarParams(9, 6, 2))[0] == comb(9, 2) - turan_count(9, 5, 2) == 4
 
 

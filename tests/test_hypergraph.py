@@ -1,14 +1,16 @@
 import itertools
 import random
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
+    CopyFamily,
     CoreFamily,
     EdgeRanker,
     RGraph,
+    _copy_key,
     balanced_partition,
     brute_force_ex,
     brute_force_gen_ex,
@@ -167,6 +169,62 @@ def test_enumeration_scale_guard():
         enumerate_forbidden_copies(CoreFamily(5, 3), 8, cap=1000)
 
 
+def reference_copies(F, n):
+    """The permutation enumerator: the images of all n!/(n-k)! injections of
+    F's vertices into [n], deduplicated."""
+    if F.n > n:
+        return CopyFamily(n, F.r, ())
+    verts = sorted(set().union(*F.edges))
+    copies = set()
+    for image in itertools.permutations(range(1, n + 1), len(verts)):
+        phi = dict(zip(verts, image))
+        copies.add(frozenset(frozenset(phi[v] for v in e) for e in F.edges))
+    return CopyFamily(n, F.r, tuple(sorted(copies, key=_copy_key)))
+
+
+# a 3-graph on 6 vertices whose only automorphism is the identity
+ASYMMETRIC_3GRAPH = "6 3\n1 2 3\n1 2 4\n1 3 5\n2 5 6\n"
+# a path on 3 of the 6 vertices its header declares
+PADDED_PATH = "6 2\n1 2\n2 3\n"
+
+
+@pytest.mark.parametrize(
+    "F",
+    [K(s) for s in range(2, 7)]
+    + [builtin_spec("P3"), builtin_spec("C4")]
+    + [parse_hypergraph(ASYMMETRIC_3GRAPH), parse_hypergraph(PADDED_PATH)],
+    ids=["K2", "K3", "K4", "K5", "K6", "P3", "C4", "asymmetric_3graph", "padded_path"],
+)
+def test_copies_match_permutation_enumerator(F):
+    k = len(set().union(*F.edges))
+    for n in range(k, 9):
+        assert enumerate_forbidden_copies(F, n) == reference_copies(F, n), n
+
+
+def test_copies_of_asymmetric_pattern_are_all_labellings():
+    F = parse_hypergraph(ASYMMETRIC_3GRAPH)
+    assert len(enumerate_forbidden_copies(F, 7)) == comb(7, 6) * factorial(6)
+
+
+def test_copies_need_the_declared_vertex_count():
+    F = parse_hypergraph(PADDED_PATH)
+    for n in range(3, 6):
+        assert len(enumerate_forbidden_copies(F, n)) == 0
+    assert len(enumerate_forbidden_copies(F, 6)) == 3 * comb(6, 3)
+
+
+def test_copy_enumeration_work_guards():
+    # C(300, 3) vertex sets of one labelling each exceed the default cap
+    with pytest.raises(ScaleGuardError, match="copy count 4455100"):
+        enumerate_forbidden_copies(K(3), 300)
+    # 9! labellings of 36 edges are refused before any labelling is built
+    with pytest.raises(ScaleGuardError, match="labelling work 13063680"):
+        enumerate_forbidden_copies(builtin_spec("K9"), 9)
+    path = parse_hypergraph("11 2\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 11)))
+    with pytest.raises(ScaleGuardError, match="labelling work"):
+        enumerate_forbidden_copies(path, 11)
+
+
 # ---------------------------------------------------------------------------
 # brute-force oracles
 
@@ -221,6 +279,104 @@ def test_brute_force_witness_deterministic():
     a = brute_force_ex(5, K(3))
     b = brute_force_ex(5, K(3))
     assert a == b
+
+
+def reference_core_family_ex(n, ell, r):
+    """The codegree-dict oracle: at every node, rescan each ell-set through a
+    newly covered pair for one with all pairs in positive codegree."""
+    ranker = EdgeRanker(n, r)
+    m = ranker.count
+    if n < ell:
+        return m, RGraph.complete(n, r)
+    edge_pairs = [list(itertools.combinations(t, 2)) for t in ranker.sets]
+    others = list(range(1, n + 1))
+    codeg = {}
+
+    def violates(new_pairs):
+        for a, b in new_pairs:
+            rest = [v for v in others if v not in (a, b)]
+            for extra in itertools.combinations(rest, ell - 2):
+                S = sorted((a, b) + extra)
+                if all(codeg.get(p, 0) > 0 for p in itertools.combinations(S, 2)):
+                    return True
+        return False
+
+    best_size, best_mask = -1, 0
+
+    def dfs(idx, chosen, size):
+        nonlocal best_size, best_mask
+        if size + (m - idx) < best_size:
+            return
+        if idx == m:
+            if size > best_size or (size == best_size and chosen < best_mask):
+                best_size, best_mask = size, chosen
+            return
+        new_pairs = [p for p in edge_pairs[idx] if codeg.get(p, 0) == 0]
+        for p in edge_pairs[idx]:
+            codeg[p] = codeg.get(p, 0) + 1
+        if not violates(new_pairs):
+            dfs(idx + 1, chosen | (1 << idx), size + 1)
+        for p in edge_pairs[idx]:
+            codeg[p] -= 1
+        dfs(idx + 1, chosen, size)
+
+    dfs(0, 0, 0)
+    return best_size, RGraph(n, r, ranker.unmask(best_mask))
+
+
+def _core_family_grid():
+    for r in (2, 3, 4):
+        for n in range(1, 8):
+            if comb(n, r) <= 20:
+                for ell in range(2, n + 2):
+                    yield n, ell, r
+
+
+@pytest.mark.parametrize("n,ell,r", list(_core_family_grid()))
+def test_core_family_oracle_matches_codegree_scan(n, ell, r):
+    assert brute_force_ex(n, CoreFamily(ell, r)) == reference_core_family_ex(n, ell, r)
+
+
+def reference_gen_ex(n, target_spec, forbid_spec):
+    """`brute_force_gen_ex` with the loss of an excluded edge found by
+    scanning every target mask."""
+    forb = enumerate_forbidden_copies(forbid_spec, n)
+    targ = enumerate_forbidden_copies(target_spec, n)
+    ranker = EdgeRanker(n, forb.r)
+    m = ranker.count
+    targ_masks = targ.masks(ranker)
+    forb_by_last = [[] for _ in range(m)]
+    for cm in forb.masks(ranker):
+        forb_by_last[cm.bit_length() - 1].append(cm)
+    targ_by_last = [[] for _ in range(m)]
+    for cm in targ_masks:
+        targ_by_last[cm.bit_length() - 1].append(cm)
+    best_count, best_mask = -1, 0
+
+    def dfs(idx, chosen, excluded, done, alive):
+        nonlocal best_count, best_mask
+        if alive < best_count:
+            return
+        if idx == m:
+            if done > best_count or (done == best_count and chosen < best_mask):
+                best_count, best_mask = done, chosen
+            return
+        bit = 1 << idx
+        cand = chosen | bit
+        if all((cm & cand) != cm for cm in forb_by_last[idx]):
+            gained = sum(1 for cm in targ_by_last[idx] if (cm & cand) == cm)
+            dfs(idx + 1, cand, excluded, done + gained, alive)
+        lost = sum(1 for cm in targ_masks if (cm & bit) and not (cm & excluded))
+        dfs(idx + 1, chosen, excluded | bit, done, alive - lost)
+
+    dfs(0, 0, 0, 0, len(targ_masks))
+    return best_count, RGraph(n, forb.r, ranker.unmask(best_mask))
+
+
+@pytest.mark.parametrize("n,t,f", [(4, "K3", "K4"), (5, "K3", "K3"), (6, "K3", "K4")])
+def test_gen_ex_oracle_matches_target_scan(n, t, f):
+    args = n, builtin_spec(t), builtin_spec(f)
+    assert brute_force_gen_ex(*args) == reference_gen_ex(*args)
 
 
 def test_scale_guard_on_edge_count():
