@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from math import comb
 from pathlib import Path
 
@@ -57,7 +57,9 @@ class RunReport:
     version: str = __version__
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
+        # a shallow field dict: json.dumps walks the nested values itself,
+        # so the deep copy `dataclasses.asdict` makes is not needed
+        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
 
 
 def _resolve_spec(token: str) -> FamilySpec:
@@ -140,12 +142,16 @@ def cmd_symmetrize(args) -> tuple[RunReport, int]:
     A = SquareZeroQuotient(args.n, _parse_pairs(args.kill))
     terminal, trace = symmetrize(A, args.q, args.r)
     sizes = terminal_class_sizes(terminal)
+    if trace:
+        initial, final = trace[0]["hilbert_before"], trace[-1]["hilbert_after"]
+    else:
+        initial = final = A.hilbert(args.r)
     result = {
         "steps": trace,
         "terminal_kill": sorted(tuple(sorted(p)) for p in terminal.kill),
         "terminal_class_sizes": sizes,
-        "hilbert_initial": A.hilbert(args.r),
-        "hilbert_terminal": terminal.hilbert(args.r),
+        "hilbert_initial": initial,
+        "hilbert_terminal": final,
     }
     params = {"n": args.n, "q": args.q, "r": args.r, "kill": args.kill}
     code = EXIT_OK if result["hilbert_terminal"] >= result["hilbert_initial"] else EXIT_CLAIM_FAILED

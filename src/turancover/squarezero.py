@@ -4,18 +4,27 @@ A quotient is determined by its kill graph: the set of unordered variable
 pairs whose product vanishes (all squares vanish implicitly).  The degree-d
 Hilbert value counts d-subsets of [n] containing no kill pair, so everything
 here is exact combinatorial counting on the kill graph.
+
+The kill graph is kept as one adjacency bitmask per variable, and every
+step works on those masks: the Hilbert count is an iterative branching over
+vertex masks with closed forms for d <= 2 and binomial blocks of free
+vertices, under a step budget (HILBERT_CAP_STEPS); parallel classes are
+grouped by closed-neighbourhood mask; a clone step rewrites only the masks
+it changes.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import random
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ClaimCheckError, InputError, ScaleGuardError
+from .errors import InputError, ScaleGuardError
 from .hypergraph import balanced_partition, turan_count
+
+# stack entries one Hilbert count may pop before it is refused
+HILBERT_CAP_STEPS = 5_000_000
 
 
 def elem_sym(values, r: int) -> int:
@@ -75,26 +84,35 @@ class ParallelPartition:
 
 
 class SquareZeroQuotient:
-    """n variables with a kill graph of vanishing quadratic products."""
+    """n variables with a kill graph of vanishing quadratic products.
 
-    __slots__ = ("n", "kill", "_adj")
+    The kill graph is stored only as adjacency masks: bit b of `_adj[a]` is
+    set iff x_a x_b = 0 (a != b).  Equality and hashing compare (n, _adj).
+    """
+
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, kill=()):
         if n < 1:
             raise InputError("need n >= 1")
-        pairs = set()
+        adj = [0] * (n + 1)
         for p in kill:
             fp = frozenset(p)
             if len(fp) != 2 or not all(1 <= v <= n for v in fp):
                 raise InputError(f"bad kill pair {sorted(fp)}")
-            pairs.add(fp)
-        adj = [0] * (n + 1)
-        for a, b in (sorted(p) for p in pairs):
+            a, b = fp
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "kill", frozenset(pairs))
-        object.__setattr__(self, "_adj", adj)
+        object.__setattr__(self, "_adj", tuple(adj))
+
+    @classmethod
+    def _from_adj(cls, n: int, adj) -> "SquareZeroQuotient":
+        """A quotient on [n] with the given (symmetric, loop-free) masks."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_adj", tuple(adj))
+        return self
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("SquareZeroQuotient is immutable")
@@ -102,14 +120,29 @@ class SquareZeroQuotient:
     def __eq__(self, other):
         if not isinstance(other, SquareZeroQuotient):
             return NotImplemented
-        return (self.n, self.kill) == (other.n, other.kill)
+        return (self.n, self._adj) == (other.n, other._adj)
 
     def __hash__(self):
-        return hash((self.n, self.kill))
+        return hash((self.n, self._adj))
 
     def __repr__(self):
-        pairs = sorted(tuple(sorted(p)) for p in self.kill)
-        return f"SquareZeroQuotient(n={self.n}, kill={pairs})"
+        return f"SquareZeroQuotient(n={self.n}, kill={self._pairs()})"
+
+    @property
+    def kill(self) -> frozenset:
+        """The kill graph as a frozenset of 2-element frozensets."""
+        return frozenset(frozenset(p) for p in self._pairs())
+
+    def _pairs(self) -> list[tuple[int, int]]:
+        """Kill pairs (a, b), a < b, in lexicographic order."""
+        pairs = []
+        for a in range(1, self.n + 1):
+            later = self._adj[a] >> (a + 1)
+            while later:
+                low = later & -later
+                later ^= low
+                pairs.append((a, a + low.bit_length()))
+        return pairs
 
     @classmethod
     def from_partition(cls, n: int, q: int) -> "SquareZeroQuotient":
@@ -130,33 +163,74 @@ class SquareZeroQuotient:
         """Number of standard degree-d monomials: d-subsets with no kill pair."""
         if d < 0:
             raise InputError("degree must be nonnegative")
-        if d == 0:
-            return 1
-        allowed = 0
-        for v in range(1, self.n + 1):
-            allowed |= 1 << v
-        return self._count(allowed, d)
+        return self._count((1 << (self.n + 1)) - 2, d)
 
     def _count(self, allowed: int, d: int) -> int:
-        """`_count_independent`, refused with ScaleGuardError where its
-        recursion, one level per vertex, passes the recursion limit."""
-        try:
-            return self._count_independent(allowed, d)
-        except RecursionError:
-            raise ScaleGuardError("Hilbert count exceeds the recursion limit") from None
+        """Number of d-subsets of the vertex mask `allowed` with no kill pair.
 
-    def _count_independent(self, allowed: int, d: int) -> int:
-        if d == 0:
-            return 1
-        if allowed.bit_count() < d:
-            return 0
-        low = allowed & -allowed
-        v = low.bit_length() - 1
-        without = allowed ^ low
-        # subsets avoiding v, plus subsets through v (v's kill partners barred)
-        return self._count_independent(without, d) + self._count_independent(
-            without & ~self._adj[v], d - 1
-        )
+        Depth-first over an explicit stack of (allowed, d, multiplicity),
+        branching on the lowest vertex v: subsets avoiding v, plus subsets
+        through v with v's kill partners barred.  Three shortcuts end a
+        branch or widen it:
+
+        * d <= 1: the count is 1 or popcount(allowed);
+        * d == 2: C(m, 2) minus the kill pairs inside `allowed`;
+        * v has no kill partner in `allowed`: every such free vertex, f of
+          them, is pulled out as one block, and (rest, d - k, C(f, k)) is
+          pushed for each k, since the block's k-subsets combine freely with
+          any standard subset of the rest.
+
+        Each popped entry is one step; past HILBERT_CAP_STEPS the count is
+        refused with ScaleGuardError.
+        """
+        adj = self._adj
+        total = 0
+        steps = 0
+        stack = [(allowed, d, 1)]
+        while stack:
+            allowed, d, mult = stack.pop()
+            steps += 1
+            if steps > HILBERT_CAP_STEPS:
+                raise ScaleGuardError(
+                    f"Hilbert count exceeds {HILBERT_CAP_STEPS} steps"
+                )
+            if d == 0:
+                total += mult
+                continue
+            m = allowed.bit_count()
+            if m < d:
+                continue
+            if d == 1:
+                total += mult * m
+                continue
+            if d == 2:
+                pairs = comb(m, 2)
+                later = allowed
+                while later:
+                    low = later & -later
+                    later ^= low
+                    pairs -= (adj[low.bit_length() - 1] & later).bit_count()
+                total += mult * pairs
+                continue
+            low = allowed & -allowed
+            v = low.bit_length() - 1
+            if adj[v] & allowed:
+                without = allowed ^ low
+                stack.append((without, d, mult))
+                stack.append((without & ~adj[v], d - 1, mult))
+                continue
+            free = 0
+            scan = allowed
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                if not adj[low.bit_length() - 1] & allowed:
+                    free |= low
+            rest = allowed ^ free
+            f = free.bit_count()
+            for k in range(max(0, d - rest.bit_count()), min(f, d) + 1):
+                stack.append((rest, d - k, mult * comb(f, k)))
+        return total
 
     def top_vanishing(self, q: int) -> bool:
         """Whether the degree-(q+1) piece vanishes."""
@@ -166,21 +240,37 @@ class SquareZeroQuotient:
 
     # -- parallel structure --------------------------------------------
 
+    def _class_mask(self, v: int) -> int:
+        """Mask of the variables with the same closed kill-neighbourhood as v."""
+        closed = self._adj[v] | (1 << v)
+        mask = 0
+        scan = closed
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            if self._adj[low.bit_length() - 1] | low == closed:
+                mask |= low
+        return mask
+
     def parallel_classes(self) -> ParallelPartition:
         """Group variables by equal closed kill-neighborhoods; two variables
         are parallel iff they are killed together and their external kill
-        sets agree, which is exactly closed-neighborhood equality."""
+        sets agree, which is exactly closed-neighborhood equality.
+
+        Each cross flag is read from one pair of representatives.  It is
+        uniform over C x D: for u, u' in C and v in D (so v is neither),
+        N[u] = N[u'] gives v in N[u] iff v in N[u'], i.e. x_u x_v = 0 iff
+        x_u' x_v = 0; the same argument with N[v] = N[v'] moves v within D.
+        """
         groups: dict[int, list[int]] = {}
         for v in range(1, self.n + 1):
             closed = self._adj[v] | (1 << v)
             groups.setdefault(closed, []).append(v)
-        classes = tuple(sorted((tuple(sorted(g)) for g in groups.values())))
-        zero_between = {}
-        for C, D in itertools.combinations(classes, 2):
-            flags = {self.killed(u, v) for u in C for v in D}
-            if len(flags) != 1:
-                raise ClaimCheckError("inconsistent cross products between parallel classes")
-            zero_between[(C, D)] = flags.pop()
+        classes = tuple(sorted(tuple(g) for g in groups.values()))
+        zero_between = {
+            (C, D): self.killed(C[0], D[0])
+            for C, D in itertools.combinations(classes, 2)
+        }
         return ParallelPartition(classes, zero_between)
 
     def lambda_dim(self, c: int, d: int) -> int:
@@ -190,10 +280,7 @@ class SquareZeroQuotient:
             raise InputError(f"variable {c} out of range")
         if d < 0:
             raise InputError("degree must be nonnegative")
-        allowed = 0
-        for v in range(1, self.n + 1):
-            allowed |= 1 << v
-        allowed &= ~((1 << c) | self._adj[c])
+        allowed = ((1 << (self.n + 1)) - 2) & ~((1 << c) | self._adj[c])
         return self._count(allowed, d)
 
     # -- cloning -------------------------------------------------------
@@ -204,28 +291,39 @@ class SquareZeroQuotient:
         Both must be distinct parallel classes with all cross products zero.
         Afterwards all pairs inside source+target are killed, target inherits
         source's external kill relations, and everything else is unchanged.
+        Only the masks of source, target and their external neighbours are
+        rewritten.
         """
         S = tuple(sorted(source))
         T = tuple(sorted(target))
-        part = self.parallel_classes()
-        if S not in part.classes or T not in part.classes or S == T:
+        if not S or not T or not all(1 <= v <= self.n for v in S + T):
             raise InputError("clone needs two distinct parallel classes")
-        key = (S, T) if (S, T) in part.zero_between else (T, S)
-        if not part.zero_between[key]:
+        # a repeated vertex carries in the sum, so its popcount falls short
+        s_mask = sum(1 << v for v in S)
+        t_mask = sum(1 << v for v in T)
+        if (
+            s_mask.bit_count() != len(S)
+            or t_mask.bit_count() != len(T)
+            or s_mask != self._class_mask(S[0])
+            or t_mask != self._class_mask(T[0])
+            or s_mask == t_mask
+        ):
+            raise InputError("clone needs two distinct parallel classes")
+        if not self.killed(S[0], T[0]):
             raise InputError("clone needs zero products between the classes")
-        inside = set(S) | set(T)
-        s0 = S[0]
-        # keep every pair not involving the target class, kill all pairs
-        # inside the merged class, and copy the source's external relations
-        # onto the target
-        pairs = {p for p in self.kill if not (p & set(T))}
-        for a, b in itertools.combinations(sorted(inside), 2):
-            pairs.add(frozenset((a, b)))
-        for z in range(1, self.n + 1):
-            if z not in inside and self.killed(s0, z):
-                for v in T:
-                    pairs.add(frozenset((v, z)))
-        return SquareZeroQuotient(self.n, pairs)
+        adj = list(self._adj)
+        inside = s_mask | t_mask
+        external = self._adj[S[0]] & ~inside
+        # target's old external neighbours lose it; source's gain it
+        scan = (self._adj[T[0]] & ~inside) | external
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            z = low.bit_length() - 1
+            adj[z] = adj[z] & ~t_mask | (t_mask if external & low else 0)
+        for v in S + T:
+            adj[v] = (inside ^ (1 << v)) | external
+        return SquareZeroQuotient._from_adj(self.n, adj)
 
 
 def symmetrize(
@@ -234,24 +332,25 @@ def symmetrize(
     """Repeatedly clone between zero-product parallel class pairs until the
     kill graph is a disjoint union of class cliques.
 
-    Requires top_vanishing(A, q).  Each step clones the class with the
-    smaller lambda(r-1) into the other, so the degree-r Hilbert value never
+    Requires top_vanishing(A, q).  Each step takes the zero-product class
+    pair with the smallest (first vertex, first vertex) and clones the class
+    with the larger lambda(r-1) onto the other (ties: the class with the
+    smaller first vertex is the source), so the degree-r Hilbert value never
     decreases; the class count strictly drops, so at most n-1 steps occur.
-    Returns the terminal quotient and the step trace.
+    A step's `hilbert_after` is the next step's `hilbert_before`, counted
+    once.  Returns the terminal quotient and the step trace.
     """
     if not A.top_vanishing(q):
         raise InputError("symmetrize requires a vanishing degree-(q+1) piece")
     trace: list[dict] = []
     current = A
+    h = None
     while True:
         part = current.parallel_classes()
-        candidates = sorted(
-            (pair for pair, zero in part.zero_between.items() if zero),
-            key=lambda pair: (pair[0][0], pair[1][0]),
-        )
-        if not candidates:
+        zero_pairs = [pair for pair, zero in part.zero_between.items() if zero]
+        if not zero_pairs:
             break
-        U, V = candidates[0]
+        U, V = min(zero_pairs, key=lambda pair: (pair[0][0], pair[1][0]))
         lu = current.lambda_dim(U[0], r - 1)
         lv = current.lambda_dim(V[0], r - 1)
         if lu > lv:
@@ -260,9 +359,9 @@ def symmetrize(
             source, target = V, U
         else:
             source, target = (U, V) if U[0] < V[0] else (V, U)
-        before = current.hilbert(r)
+        before = current.hilbert(r) if h is None else h
         current = current.clone(source, target)
-        after = current.hilbert(r)
+        h = current.hilbert(r)
         trace.append(
             {
                 "source": list(source),
@@ -270,7 +369,7 @@ def symmetrize(
                 "lambda_source": max(lu, lv),
                 "lambda_target": min(lu, lv),
                 "hilbert_before": before,
-                "hilbert_after": after,
+                "hilbert_after": h,
             }
         )
     return current, trace

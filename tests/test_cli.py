@@ -1,9 +1,17 @@
+import contextlib
+import io
+import itertools
 import json
 import time
+from dataclasses import asdict
+from datetime import timedelta
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from turancover import cli
+from turancover import cli, squarezero
 from turancover.cli import (
     EXIT_BAD_INPUT,
     EXIT_CLAIM_FAILED,
@@ -160,8 +168,19 @@ def test_bad_kill_pair_exit_code(capsys):
     assert json.loads(err)["error"] == "bad input"
 
 
-def test_hilbert_past_the_recursion_limit_is_refused(capsys):
-    code, payload, err = run(capsys, "hilbert", "--n", "2000", "--d", "1")
+def test_hilbert_past_the_old_recursion_limit(capsys):
+    for n, d in [(2000, 1), (60, 30)]:
+        start = time.monotonic()
+        code, report, _ = run(capsys, "hilbert", "--n", str(n), "--d", str(d))
+        assert time.monotonic() - start < 1.0
+        assert code == EXIT_OK
+        assert report["result"]["value"] == comb(n, d)
+
+
+def test_hilbert_step_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", 10)
+    cycle = [f"{v},{v % 12 + 1}" for v in range(1, 13)]
+    code, payload, err = run(capsys, "hilbert", "--n", "12", "--d", "4", "--kill", *cycle)
     assert code == EXIT_SCALE_GUARD
     assert payload is None
     assert json.loads(err)["error"] == "scale guard"
@@ -185,3 +204,72 @@ def test_vacuous_counterexample_range_is_bad_input(capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+REPORT_ARGVS = [
+    ["verify-counterexample", "--ell", "3", "--n", "5", "--oracle"],
+    ["ex", "--n", "5", "--forbid", "K3", "--oracle"],
+    ["gen-ex", "--n", "5", "--target", "K3", "--forbid", "K4"],
+    ["hilbert", "--n", "5", "--d", "2", "--kill", "1,2", "2,3"],
+    ["symmetrize", "--n", "4", "--q", "2", "--r", "2", "--kill", "1,2", "3,4", "1,3"],
+    ["codegree-star", "--n", "5", "--ell", "4", "--r", "3", "--verify-collapse", "--alpha"],
+    ["selftest", "--quick"],
+]
+
+
+def test_report_json_is_the_deep_copy_json():
+    # one report of each subcommand
+    for argv in REPORT_ARGVS:
+        args = build_parser().parse_args(argv)
+        with contextlib.redirect_stderr(io.StringIO()):
+            report, _ = args.func(args)
+        assert report.to_json() == json.dumps(asdict(report), indent=2), argv[0]
+
+
+# ---------------------------------------------------------------------------
+# random CLI calls, in process: every one ends with a documented exit code
+
+
+def kill_tokens(n):
+    vertex = st.integers(min_value=0, max_value=n + 2)
+    good = st.tuples(vertex, vertex).map(lambda p: f"{p[0]},{p[1]}")
+    bad = st.sampled_from(["1", "1,2,3", "x,1", ",", "", "2-", "1,1"])
+    return st.lists(st.one_of(good, good, good, bad), max_size=12)
+
+
+def call_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def brute_force_hilbert(n, pairs, d):
+    killed = {frozenset(p) for p in pairs}
+    return sum(
+        1
+        for S in itertools.combinations(range(1, n + 1), d)
+        if not any(frozenset(p) in killed for p in itertools.combinations(S, 2))
+    )
+
+
+@settings(max_examples=150, deadline=timedelta(seconds=2))
+@given(st.data())
+def test_random_hilbert_and_symmetrize_calls_end_with_a_documented_code(data):
+    n = data.draw(st.integers(min_value=-1, max_value=9), label="n")
+    kill = data.draw(kill_tokens(max(n, 1)), label="kill")
+    if data.draw(st.booleans(), label="hilbert"):
+        d = data.draw(st.integers(min_value=-1, max_value=11), label="d")
+        argv = ["hilbert", "--n", str(n), "--d", str(d)]
+    else:
+        q = data.draw(st.integers(min_value=-1, max_value=10), label="q")
+        r = data.draw(st.integers(min_value=-1, max_value=10), label="r")
+        argv = ["symmetrize", "--n", str(n), "--q", str(q), "--r", str(r)]
+    if kill:
+        argv += ["--kill", *kill]
+    code, out = call_main(argv)
+    assert code in (EXIT_OK, EXIT_CLAIM_FAILED, EXIT_SCALE_GUARD, EXIT_BAD_INPUT)
+    if code == EXIT_OK and argv[0] == "hilbert":
+        pairs = [tok.replace("-", ",").split(",") for tok in kill]
+        pairs = [(int(a), int(b)) for a, b in pairs]
+        assert json.loads(out)["result"]["value"] == brute_force_hilbert(n, pairs, d)

@@ -1,10 +1,12 @@
 import itertools
 import math
 import random
+import time
 from math import comb
 
 import pytest
 
+from turancover import squarezero
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import turan_count
 from turancover.squarezero import (
@@ -322,11 +324,23 @@ def test_brute_force_hilbert_turan_matches_per_quotient_loop():
             assert ok == (best == bound and all(v <= bound for v in values)), (q, r)
 
 
-def test_hilbert_past_the_recursion_limit_is_refused():
+def test_hilbert_past_the_old_recursion_limit():
+    # the recursive count went one level per vertex and was refused here
+    start = time.monotonic()
+    assert SquareZeroQuotient(2000).hilbert(1) == 2000
+    assert SquareZeroQuotient(2000).lambda_dim(1, 1) == 1999
+    assert SquareZeroQuotient(60).hilbert(30) == comb(60, 30)
+    assert time.monotonic() - start < 1.0
+
+
+def test_hilbert_step_budget_is_refused(monkeypatch):
+    A = random_quotient(random.Random(5), 30)
+    assert A.hilbert(4) > 0
+    monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", 10)
     with pytest.raises(ScaleGuardError):
-        SquareZeroQuotient(2000).hilbert(1)
+        A.hilbert(4)
     with pytest.raises(ScaleGuardError):
-        SquareZeroQuotient(2000).lambda_dim(1, 1)
+        A.lambda_dim(1, 4)
 
 
 def test_brute_force_hilbert_turan_trivial_large_q():
@@ -337,3 +351,188 @@ def test_brute_force_hilbert_turan_trivial_large_q():
 def test_brute_force_scale_guard():
     with pytest.raises(ScaleGuardError):
         brute_force_hilbert_turan(8, 2, 2)
+
+
+# ---------------------------------------------------------------------------
+# references: the recursive count and the pair-set quotient operations that
+# the adjacency-mask code replaced, kept as oracles on a seeded grid
+
+GRID_DENSITIES = (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+
+
+def reference_adj(n, pairs):
+    adj = [0] * (n + 1)
+    for a, b in (tuple(p) for p in pairs):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def reference_counter(adj):
+    """The old recursive count (one level per vertex, a leaf per standard
+    monomial), memoized per kill graph so that the sparse strata stay cheap."""
+    memo = {}
+
+    def count(allowed, d):
+        if d == 0:
+            return 1
+        if allowed.bit_count() < d:
+            return 0
+        if (allowed, d) not in memo:
+            low = allowed & -allowed
+            v = low.bit_length() - 1
+            without = allowed ^ low
+            memo[allowed, d] = count(without, d) + count(without & ~adj[v], d - 1)
+        return memo[allowed, d]
+
+    return count
+
+
+def reference_hilbert_lambda(n, pairs):
+    """(hilbert, lambda_dim) of the kill graph `pairs` on [n]."""
+    adj = reference_adj(n, pairs)
+    count = reference_counter(adj)
+    full = (1 << (n + 1)) - 2
+    return (
+        lambda d: count(full, d),
+        lambda c, d: count(full & ~((1 << c) | adj[c]), d),
+    )
+
+
+def reference_parallel_classes(n, pairs):
+    """Classes by closed neighbourhood and every cross flag read over all of
+    C x D; a non-uniform flag set fails the test."""
+    adj = reference_adj(n, pairs)
+    groups = {}
+    for v in range(1, n + 1):
+        groups.setdefault(adj[v] | 1 << v, []).append(v)
+    classes = tuple(sorted(tuple(g) for g in groups.values()))
+    zero_between = {}
+    for C, D in itertools.combinations(classes, 2):
+        flags = {frozenset((u, v)) in pairs for u in C for v in D}
+        assert len(flags) == 1, (C, D)
+        zero_between[C, D] = flags.pop()
+    return classes, zero_between
+
+
+def reference_clone(n, pairs, S, T):
+    """The old clone: rebuild the pair set of the kill graph."""
+    inside = set(S) | set(T)
+    new = {p for p in pairs if not (p & set(T))}
+    new.update(frozenset(p) for p in itertools.combinations(sorted(inside), 2))
+    for z in range(1, n + 1):
+        if z not in inside and frozenset((S[0], z)) in pairs:
+            new.update(frozenset((v, z)) for v in T)
+    return frozenset(new)
+
+
+def reference_symmetrize(n, pairs, r):
+    """The old symmetrization loop over pair sets: (terminal pairs, trace)."""
+    trace = []
+    while True:
+        _, zero_between = reference_parallel_classes(n, pairs)
+        candidates = sorted(
+            (pair for pair, zero in zero_between.items() if zero),
+            key=lambda pair: (pair[0][0], pair[1][0]),
+        )
+        if not candidates:
+            return pairs, trace
+        U, V = candidates[0]
+        hilbert, lam = reference_hilbert_lambda(n, pairs)
+        lu, lv = lam(U[0], r - 1), lam(V[0], r - 1)
+        if lu > lv:
+            source, target = U, V
+        elif lv > lu:
+            source, target = V, U
+        else:
+            source, target = (U, V) if U[0] < V[0] else (V, U)
+        before = hilbert(r)
+        pairs = reference_clone(n, pairs, source, target)
+        trace.append(
+            {
+                "source": list(source),
+                "target": list(target),
+                "lambda_source": max(lu, lv),
+                "lambda_target": min(lu, lv),
+                "hilbert_before": before,
+                "hilbert_after": reference_hilbert_lambda(n, pairs)[0](r),
+            }
+        )
+
+
+def grid_quotients():
+    """Seeded kill graphs: n = 1..24 at every grid density."""
+    rng = random.Random(2024)
+    for density in GRID_DENSITIES:
+        for n in range(1, 25):
+            pairs = frozenset(
+                frozenset(p)
+                for p in itertools.combinations(range(1, n + 1), 2)
+                if rng.random() < density
+            )
+            yield n, pairs
+
+
+def test_hilbert_and_lambda_match_the_recursive_count_on_the_grid():
+    for n, pairs in grid_quotients():
+        A = SquareZeroQuotient(n, pairs)
+        assert A.kill == pairs
+        hilbert, lam = reference_hilbert_lambda(n, pairs)
+        for d in range(9):
+            assert A.hilbert(d) == hilbert(d), (n, sorted(map(sorted, pairs)), d)
+            for c in range(1, n + 1):
+                assert A.lambda_dim(c, d) == lam(c, d), (n, c, d)
+
+
+def test_parallel_class_cross_products_are_uniform():
+    # the flag read from one representative pair holds for every u in C, v in D
+    for n, pairs in grid_quotients():
+        A = SquareZeroQuotient(n, pairs)
+        part = A.parallel_classes()
+        for (C, D), zero in part.zero_between.items():
+            assert all(A.killed(u, v) == zero for u in C for v in D), (n, C, D)
+        assert (part.classes, part.zero_between) == reference_parallel_classes(n, pairs)
+
+
+def test_clone_matches_the_pair_set_clone_on_the_grid():
+    rng = random.Random(11)
+    cloned = 0
+    for n, pairs in grid_quotients():
+        A = SquareZeroQuotient(n, pairs)
+        zero_pairs = [pair for pair, zero in A.parallel_classes().zero_between.items() if zero]
+        for C, D in rng.sample(zero_pairs, min(4, len(zero_pairs))):
+            for S, T in ((C, D), (D, C)):
+                B = A.clone(S, T)
+                assert B.kill == reference_clone(n, pairs, S, T), (n, S, T)
+                assert B == SquareZeroQuotient(n, B.kill)
+                cloned += 1
+    assert cloned > 100
+
+
+def test_symmetrize_trace_matches_the_pair_set_loop_on_the_grid():
+    rng = random.Random(7)
+    steps = 0
+    for n, pairs in grid_quotients():
+        A = SquareZeroQuotient(n, pairs)
+        q = max(d for d in range(n + 1) if A.hilbert(d) > 0)
+        r = rng.randint(1, min(q, 8))
+        terminal, trace = symmetrize(A, q, r)
+        want_pairs, want_trace = reference_symmetrize(n, pairs, r)
+        assert trace == want_trace, (n, r)
+        assert terminal.kill == want_pairs
+        steps += len(trace)
+    assert steps > 100
+
+
+def test_clone_refuses_what_is_not_a_pair_of_parallel_classes():
+    A = SquareZeroQuotient(4, [(1, 2), (3, 4), (1, 3)])
+    for S, T in [((1,), (1,)), ((1, 1), (3,)), ((1,), (3, 4)), ((1,), (5,)), ((), (3,))]:
+        with pytest.raises(InputError):
+            A.clone(S, T)
+    # classes (1, 2), (3), (4): a part of a class is no source or target
+    B = SquareZeroQuotient(4, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
+    assert B.parallel_classes().classes == ((1, 2), (3,), (4,))
+    for S, T in [((1,), (3,)), ((3,), (2,))]:
+        with pytest.raises(InputError):
+            B.clone(S, T)
+    assert B.clone((1, 2), (3,)).kill == reference_clone(4, B.kill, (1, 2), (3,))
