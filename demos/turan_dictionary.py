@@ -69,4 +69,4 @@ for t, f, n in [("K3", "K4", 6), ("K2", "K3", 6), ("K3", "K5", 6)]:
 inst = make_instance(5, builtin_spec("K4"), builtin_spec("K3"))
 alpha, witness_mask = alpha_target(inst)
 print(f"alpha_T at n=5: kills {alpha} of {len(inst.target)} triangles;"
-      f" support = {sorted(map(sorted, inst.universe().unmask(witness_mask)))}")
+      f" support = {sorted(map(sorted, inst.ranker().unmask(witness_mask)))}")

@@ -7,7 +7,8 @@ Subpackages:
 * hypergraph     r-graphs, Turán constructions, brute-force oracles
 * diagonal       identification ideals and the counterexample certificate;
                  membership of difference products decided by counting pairs
-* monomial       squarefree ideals, Alexander duality, hitting sets
+* monomial       squarefree monomials and cover ideals over the edge
+                 variables, Alexander duality, hitting sets
 * squarezero     square-zero quotients and Hilbert symmetrization
 * dictionary     the cover-ideal Turán dictionary (ordinary + generalized)
 * codegree_star  the missing codegree-star ideal and its initial degree

@@ -20,6 +20,7 @@ from operator import and_, or_
 from .dictionary import CoverInstance, alpha_target
 from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import (
+    COPY_CAP,
     CopyFamily,
     CoreFamily,
     EdgeRanker,
@@ -29,7 +30,7 @@ from .hypergraph import (
     enumerate_forbidden_copies,
     turan_count,
 )
-from .monomial import ALPHA_CAP_NODES, SquarefreeMonomial, VarUniverse
+from .monomial import ALPHA_CAP_NODES, SquarefreeMonomial
 from .squarezero import SquareZeroQuotient
 
 
@@ -44,9 +45,6 @@ class StarParams:
     def __post_init__(self):
         if self.ell < 2 or self.r < 2 or self.n < 1:
             raise InputError(f"need n >= 1 and ell, r >= 2, got {self}")
-
-    def universe(self) -> VarUniverse:
-        return VarUniverse.edge_universe(self.n, self.r)
 
     def ranker(self) -> EdgeRanker:
         return EdgeRanker(self.n, self.r)
@@ -72,7 +70,7 @@ def codegree_star_monomial(params: StarParams, a: int, b: int) -> SquarefreeMono
         raise InputError(f"bad pair ({a}, {b})")
     a, b = min(a, b), max(a, b)
     mask = _star_masks(params)[(a, b)]
-    return SquarefreeMonomial(params.universe(), mask)
+    return SquarefreeMonomial(params.n, params.r, mask)
 
 
 def missing_edge_monomial(params: StarParams, G: RGraph) -> SquarefreeMonomial:
@@ -83,7 +81,7 @@ def missing_edge_monomial(params: StarParams, G: RGraph) -> SquarefreeMonomial:
     ranker = params.ranker()
     full = (1 << ranker.count) - 1
     mask = full ^ ranker.mask(G.edges)
-    return SquarefreeMonomial(params.universe(), mask)
+    return SquarefreeMonomial(params.n, params.r, mask)
 
 
 def in_star_ideal(m: SquarefreeMonomial | int, params: StarParams) -> bool:
@@ -124,7 +122,7 @@ def balanced_partition_monomial(params: StarParams) -> SquarefreeMonomial:
     for i, t in enumerate(ranker.sets):
         if len({part_of[v] for v in t}) < params.r:
             mask |= 1 << i
-    return SquarefreeMonomial(params.universe(), mask)
+    return SquarefreeMonomial(params.n, params.r, mask)
 
 
 def _variable_tables(nvars: int) -> list[int]:
@@ -249,9 +247,13 @@ def star_initial_degree(
     assumed: the search result must equal it, and the balanced-partition
     monomial, returned as the witness, is checked to be a member of that
     degree.  The search expands at most ``cap_nodes`` nodes and raises
-    ScaleGuardError beyond that.
+    ScaleGuardError beyond that; more than COPY_CAP cliques in the two
+    families raise it before they are built.
     """
     n, ell, r = params.n, params.ell, params.r
+    cliques = comb(n, ell) + comb(n, r)
+    if cliques > COPY_CAP:
+        raise ScaleGuardError(f"{cliques} ell- and r-cliques exceed cap {COPY_CAP}")
     lb = comb(n, r) - turan_count(n, ell - 1, r)
     inst = CoverInstance(n, 2, _clique_copies(n, ell), _clique_copies(n, r))
     alpha, _ = alpha_target(inst, cap_nodes)

@@ -11,6 +11,7 @@ monomials of the cover ideal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import ClaimCheckError, InputError
 from .hypergraph import (
@@ -26,7 +27,7 @@ from .hypergraph import (
 from .monomial import (
     ALPHA_CAP_NODES,
     SquarefreeIdeal,
-    VarUniverse,
+    guard_search_setup,
     min_hitting_set,
     min_targets_met,
 )
@@ -48,9 +49,6 @@ class CoverInstance:
             raise InputError("forbidden family has incompatible (n, r)")
         if self.target is not None and (self.target.n, self.target.r) != (self.n, self.r):
             raise InputError("target family has incompatible (n, r)")
-
-    def universe(self) -> VarUniverse:
-        return VarUniverse.edge_universe(self.n, self.r)
 
     def ranker(self) -> EdgeRanker:
         return EdgeRanker(self.n, self.r)
@@ -80,8 +78,11 @@ def _is_free(G: RGraph, spec: FamilySpec, fam: CopyFamily) -> bool:
 
 def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     """ex(n, spec) = C(n, r) - alpha(cover ideal), witnessed by the complement
-    of a minimum hitting set of the forbidden copies."""
+    of a minimum hitting set of the forbidden copies.  More than
+    ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before any
+    mask is built."""
     fam = enumerate_forbidden_copies(spec, n)
+    guard_search_setup(comb(fam.n, fam.r), len(fam))
     ranker = EdgeRanker(fam.n, fam.r)
     total = ranker.count
     size, witness_mask = min_hitting_set(fam.masks(ranker), total)
@@ -114,10 +115,12 @@ def alpha_target(inst: CoverInstance, cap_nodes: int = ALPHA_CAP_NODES) -> tuple
     The search is `min_targets_met` over the edge variables: forced targets
     (those containing a forbidden copy) are counted up front, the witness is
     the first optimum in its fixed branching order, and past ``cap_nodes``
-    search nodes it raises ScaleGuardError.
+    search nodes it raises ScaleGuardError.  So does a setup of more than
+    ALPHA_CAP_NODES target-copy pairs, before any mask is built.
     """
     if inst.target is None:
         raise InputError("generalized instance needs a target family")
+    guard_search_setup(len(inst.target), len(inst.forbidden))
     ranker = inst.ranker()
     return min_targets_met(
         inst.forbidden.masks(ranker), inst.target.masks(ranker), ranker.count, cap_nodes
@@ -134,8 +137,7 @@ def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -
 def vertex_quotient_of_cover(M: int, n: int) -> SquareZeroQuotient:
     """Read a support over the edge variables of K_n as a kill graph on [n]:
     a target clique survives M iff its vertex set is standard here."""
-    universe = VarUniverse.edge_universe(n, 2)
-    kill = [tuple(sorted(e)) for e in universe.unmask(M)]
+    kill = [tuple(sorted(e)) for e in EdgeRanker(n, 2).unmask(M)]
     return SquareZeroQuotient(n, kill)
 
 

@@ -42,6 +42,7 @@ class EdgeRanker:
         self.r = r
         self.sets = rsets_colex(n, r)
         self.rank = {frozenset(t): i for i, t in enumerate(self.sets)}
+        self.edges = list(self.rank)
         self.count = len(self.sets)
 
     def mask(self, edges: Iterable[Edge]) -> int:
@@ -50,15 +51,11 @@ class EdgeRanker:
             m |= 1 << self.rank[frozenset(e)]
         return m
 
-    def unmask(self, mask: int) -> set[Edge]:
-        out = set()
-        i = 0
-        while mask:
-            if mask & 1:
-                out.add(frozenset(self.sets[i]))
-            mask >>= 1
-            i += 1
-        return out
+    def unmask(self, mask: int) -> list[Edge]:
+        """The edges of the set bits, in rank order; one pass over the
+        mask's binary digits, so linear in its length."""
+        digits = bin(mask)[:1:-1]
+        return [self.edges[i] for i, d in enumerate(digits) if d == "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +262,10 @@ def core_family_free(G: RGraph, ell: int) -> bool:
     return True
 
 
-def enumerate_forbidden_copies(
-    spec: FamilySpec, n: int, cap: int = 2_000_000
-) -> CopyFamily:
+COPY_CAP = 2_000_000
+
+
+def enumerate_forbidden_copies(spec: FamilySpec, n: int, cap: int = COPY_CAP) -> CopyFamily:
     """All copies of `spec` inside the complete r-graph on [n].
 
     For an explicit RGraph F, copies are the edge-set images of embeddings of
@@ -596,6 +594,7 @@ __all__ = [
     "turan_count",
     "is_member_core_family",
     "core_family_free",
+    "COPY_CAP",
     "enumerate_forbidden_copies",
     "minimal_supports",
     "count_copies",

@@ -1,11 +1,10 @@
-"""Squarefree monomial ideals over an indexed variable universe.
+"""Squarefree monomials and cover ideals in the edge-variable ring.
 
-Monomial supports are int bitmasks over the universe's variable ranks.
-Ideals come in two forms:
-
-* explicit: an antichain of minimal generator supports;
-* cover: the intersection of variable ideals over a copy family, so a
-  monomial is a member iff its support meets every copy.
+Monomial supports are int bitmasks over the edge variables, ranked by
+`hypergraph.EdgeRanker`.  An ideal is held in cover form: the intersection
+of variable ideals over a copy family, so a monomial is a member iff its
+support meets every copy.  `alexander_dual` turns copy masks into the
+minimal generators of that ideal.
 
 `min_targets_met` is the one hitting-set search: the minimum hitting set
 (the initial degree of a cover ideal) and the generalized dictionary's
@@ -14,55 +13,20 @@ alpha_target are both instances of it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import CopyFamily, EdgeRanker, minimal_supports, rsets_colex
-
-
-class VarUniverse:
-    """A finite indexed variable set with a fixed rank bijection."""
-
-    def __init__(self, labels: Sequence):
-        self.labels = list(labels)
-        self.rank = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self.rank) != len(self.labels):
-            raise InputError("duplicate labels in variable universe")
-        self.size = len(self.labels)
-
-    def __eq__(self, other):
-        if not isinstance(other, VarUniverse):
-            return NotImplemented
-        return self.labels == other.labels
-
-    def __hash__(self):
-        return hash(tuple(self.labels))
-
-    @classmethod
-    def edge_universe(cls, n: int, r: int) -> "VarUniverse":
-        """One variable per r-subset of [n], colex-ranked (matches EdgeRanker)."""
-        return cls([frozenset(t) for t in rsets_colex(n, r)])
-
-    def mask(self, items: Iterable) -> int:
-        m = 0
-        for it in items:
-            m |= 1 << self.rank[it]
-        return m
-
-    def unmask(self, mask: int) -> list:
-        return [self.labels[i] for i in range(self.size) if mask >> i & 1]
-
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
+from .hypergraph import CopyFamily, EdgeRanker, minimal_supports
 
 
 @dataclass(frozen=True)
 class SquarefreeMonomial:
-    """A squarefree monomial, i.e. a subset of the universe."""
+    """A squarefree monomial in the edge variables of the r-subsets of [n]:
+    a support mask over their `EdgeRanker` ranks."""
 
-    universe: VarUniverse
+    n: int
+    r: int
     support: int
 
     @property
@@ -70,7 +34,8 @@ class SquarefreeMonomial:
         return self.support.bit_count()
 
     def variables(self) -> list:
-        return self.universe.unmask(self.support)
+        """The edges of the support, in colex rank order."""
+        return EdgeRanker(self.n, self.r).unmask(self.support)
 
     def divides(self, other: "SquarefreeMonomial | int") -> bool:
         o = other.support if isinstance(other, SquarefreeMonomial) else other
@@ -78,49 +43,21 @@ class SquarefreeMonomial:
 
 
 class SquarefreeIdeal:
-    """A squarefree monomial ideal in one of two forms (see module docstring)."""
+    """The cover ideal of copy masks over `nvars` variables: a monomial is a
+    member iff its support meets every copy.  No copies gives the whole
+    ring; an empty copy gives the zero ideal."""
 
-    def __init__(
-        self,
-        universe: VarUniverse,
-        form: str,
-        generators: Sequence[int] | None = None,
-        copies: Sequence[int] | None = None,
-    ):
-        if form not in ("explicit", "cover"):
-            raise InputError(f"unknown ideal form {form!r}")
-        self.universe = universe
-        self.form = form
-        self.generators = minimal_supports(generators) if generators is not None else None
-        self.copies = list(copies) if copies is not None else None
-        if form == "explicit" and self.generators is None:
-            raise InputError("explicit form needs generators")
-        if form == "cover" and self.copies is None:
-            raise InputError("cover form needs copies")
-
-    @classmethod
-    def from_generators(cls, universe: VarUniverse, gens: Iterable[int]) -> "SquarefreeIdeal":
-        return cls(universe, "explicit", generators=list(gens))
-
-    @classmethod
-    def from_copies(cls, universe: VarUniverse, copies: Iterable[int]) -> "SquarefreeIdeal":
-        return cls(universe, "cover", copies=list(copies))
+    def __init__(self, copies: Iterable[int], nvars: int):
+        self.copies = list(copies)
+        self.nvars = nvars
 
     @classmethod
     def from_copy_family(cls, fam: CopyFamily) -> "SquarefreeIdeal":
-        universe = VarUniverse.edge_universe(fam.n, fam.r)
         ranker = EdgeRanker(fam.n, fam.r)
-        return cls.from_copies(universe, fam.masks(ranker))
-
-    # -- membership ----------------------------------------------------
+        return cls(fam.masks(ranker), ranker.count)
 
     def membership(self, m: SquarefreeMonomial | int) -> bool:
         support = m.support if isinstance(m, SquarefreeMonomial) else m
-        if isinstance(m, SquarefreeMonomial) and m.universe is not self.universe:
-            if m.universe.labels != self.universe.labels:
-                raise InputError("monomial universe does not match ideal universe")
-        if self.form == "explicit":
-            return any(g & support == g for g in self.generators)
         return all(support & c for c in self.copies)
 
     def __contains__(self, m) -> bool:
@@ -157,20 +94,22 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def explicit_generators(ideal: SquarefreeIdeal, cap: int = 22) -> list[int]:
-    """Minimal generators of any-form ideal by scanning all supports (desk scale)."""
-    nv = ideal.universe.size
-    if nv > cap:
-        raise ScaleGuardError(f"universe size {nv} exceeds expansion cap {cap}")
-    members = [m for m in range(1 << nv) if ideal.membership(m)]
-    return minimal_supports(members)
-
-
 # ---------------------------------------------------------------------------
 # the hitting-set search
 
 
 ALPHA_CAP_NODES = 2_000_000
+
+
+def guard_search_setup(ntargets: int, ncopies: int) -> None:
+    """Refuse a search whose setup alone exceeds ALPHA_CAP_NODES steps: the
+    forced-target filter, or one singleton target per variable.  Callers
+    run it before they build the copy masks, whose bits it also bounds."""
+    work = ntargets * ncopies
+    if work > ALPHA_CAP_NODES:
+        raise ScaleGuardError(
+            f"{ntargets} targets x {ncopies} copies = {work} setup steps exceed {ALPHA_CAP_NODES}"
+        )
 
 
 def _index_sets(masks: list[int], nvars: int) -> list[int]:
@@ -204,15 +143,17 @@ def min_targets_met(
     copies and unmet targets are kept as bitsets over their indices.
 
     Every search node counts against ``cap_nodes``; past it the search raises
-    ScaleGuardError, so each call ends in bounded time.  Each recursion level
-    adds one variable to M, so a witness deeper than Python's recursion limit
-    also raises ScaleGuardError.
+    ScaleGuardError.  A setup of more than ALPHA_CAP_NODES target-copy pairs
+    raises it before the filter runs.  So each call ends in bounded time.
+    Each recursion level adds one variable to M, so a witness deeper than
+    Python's recursion limit also raises ScaleGuardError.
     """
     # smallest copies first, so the first copy avoiding every banned
     # variable is the smallest of those
     forb = sorted(copies, key=lambda c: (c.bit_count(), c))
     if not forb:
         return 0, 0
+    guard_search_setup(len(targets), len(forb))
     if forb[0] == 0:
         raise InputError("empty copy cannot be hit")
     free = [t for t in targets if not any(c & t == c for c in forb)]
@@ -280,8 +221,13 @@ def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
     Returns (size, witness mask).  This is `min_targets_met` with one
     singleton target per variable, so the number of targets met is |M|; the
     witness is the first optimum in that search's fixed branching order.
-    Empty family -> (0, 0); an empty copy mask raises InputError.
+    Empty family -> (0, 0); an empty copy mask raises InputError.  More
+    than ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before
+    the singletons are built.
     """
+    if not copies:
+        return 0, 0
+    guard_search_setup(nvars, len(copies))
     return min_targets_met(copies, [1 << v for v in range(nvars)], nvars)
 
 
@@ -289,28 +235,21 @@ def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
 # initial degree
 
 
-def initial_degree(ideal: SquarefreeIdeal) -> int | float:
-    """alpha(I): minimum support size over monomials in I.
-
-    Explicit: min generator degree (no generators -> math.inf, the zero
-    ideal).  Cover: exact minimum hitting set.
-    """
-    if ideal.form == "explicit":
-        if not ideal.generators:
-            return math.inf
-        return min(g.bit_count() for g in ideal.generators)
-    size, _ = min_hitting_set(ideal.copies, ideal.universe.size)
+def initial_degree(ideal: SquarefreeIdeal) -> int:
+    """alpha(I): minimum support size over monomials in I, the exact minimum
+    hitting set of the copies.  The zero ideal (an empty copy) raises
+    InputError."""
+    size, _ = min_hitting_set(ideal.copies, ideal.nvars)
     return size
 
 
 __all__ = [
-    "VarUniverse",
     "SquarefreeMonomial",
     "SquarefreeIdeal",
     "minimal_supports",
     "alexander_dual",
-    "explicit_generators",
     "ALPHA_CAP_NODES",
+    "guard_search_setup",
     "min_targets_met",
     "min_hitting_set",
     "initial_degree",

@@ -76,12 +76,6 @@ class ParallelPartition:
     classes: tuple[tuple[int, ...], ...]
     zero_between: dict
 
-    def class_of(self, v: int) -> tuple[int, ...]:
-        for c in self.classes:
-            if v in c:
-                return c
-        raise InputError(f"vertex {v} not in any class")
-
 
 class SquareZeroQuotient:
     """n variables with a kill graph of vanishing quadratic products.

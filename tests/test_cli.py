@@ -196,6 +196,33 @@ def test_scale_guard_exit_code(capsys):
     assert json.loads(err)["error"] == "scale guard"
 
 
+def test_codegree_star_witness_support_in_rank_order(capsys):
+    code, report, _ = run(capsys, "codegree-star", "--n", "5", "--ell", "4", "--r", "3", "--alpha")
+    assert code == EXIT_OK
+    # the non-transversal 3-sets of the partition {1,2} {3,4} {5}, colex order
+    assert report["result"]["witness_support"] == [
+        [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [3, 4, 5],
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 19,900 edge variables times 19,900 single-edge copies
+        ("ex", "--n", "200", "--forbid", "K2"),
+        # 1,770 edge targets times 34,220 triangle copies
+        ("codegree-star", "--n", "60", "--ell", "3", "--r", "2", "--alpha"),
+    ],
+)
+def test_hitting_set_setup_refused_fast(capsys, argv):
+    start = time.monotonic()
+    code, payload, err = run(capsys, *argv)
+    assert time.monotonic() - start < 2.0
+    assert code == EXIT_SCALE_GUARD
+    assert payload is None
+    assert json.loads(err)["error"] == "scale guard"
+
+
 def test_vacuous_counterexample_range_is_bad_input(capsys):
     code, _, err = run(capsys, "verify-counterexample", "--ell", "4", "--n", "3")
     assert code == EXIT_BAD_INPUT

@@ -309,6 +309,20 @@ def test_star_initial_degree_scale_guard():
         star_initial_degree(StarParams(6, 4, 3), cap_nodes=10)
 
 
+def _no_cliques(n, s):
+    raise AssertionError("cliques were built")
+
+
+def test_star_initial_degree_clique_cap(monkeypatch):
+    # (6, 4, 3) lists C(6, 4) + C(6, 3) = 15 + 20 = 35 cliques
+    monkeypatch.setattr(codegree_star, "COPY_CAP", 35)
+    assert star_initial_degree(StarParams(6, 4, 3))[0] == comb(6, 3) - turan_count(6, 3, 3)
+    monkeypatch.setattr(codegree_star, "COPY_CAP", 34)
+    monkeypatch.setattr(codegree_star, "_clique_copies", _no_cliques)
+    with pytest.raises(ScaleGuardError):
+        star_initial_degree(StarParams(6, 4, 3))
+
+
 def scan_initial_degree(params: StarParams) -> int:
     """Initial degree by exhaustive scan over supports, the certification
     the pair-graph reduction replaced, kept as its oracle.

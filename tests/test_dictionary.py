@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from turancover import monomial
 from turancover.dictionary import (
     CoverInstance,
     alpha_target,
@@ -17,6 +18,7 @@ from turancover.dictionary import (
 )
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
+    CopyFamily,
     CoreFamily,
     EdgeRanker,
     RGraph,
@@ -267,6 +269,22 @@ def test_gen_ex_scale_guard():
     inst = make_instance(6, builtin_spec("K4"), builtin_spec("K3"))
     with pytest.raises(ScaleGuardError):
         alpha_target(inst, cap_nodes=10)
+
+
+def _no_masks(self, ranker):
+    raise AssertionError("copy masks were built")
+
+
+def test_search_setup_refused_before_masks(monkeypatch):
+    # 19,900 edge variables x 19,900 single-edge copies; their masks alone
+    # would take about 25 MB, and the search setup 396M steps
+    monkeypatch.setattr(CopyFamily, "masks", _no_masks)
+    with pytest.raises(ScaleGuardError):
+        ex_via_cover(200, builtin_spec("K2"))
+    # 20 triangle targets x 15 K4 copies at n = 6: 300 setup steps
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 299)
+    with pytest.raises(ScaleGuardError):
+        alpha_target(make_instance(6, builtin_spec("K4"), builtin_spec("K3")))
 
 
 def test_alpha_target_requires_target_family():

@@ -392,7 +392,11 @@ def test_edge_ranker_roundtrip():
     rk = EdgeRanker(5, 3)
     assert rk.count == comb(5, 3)
     mask = rk.mask([frozenset((1, 2, 3)), frozenset((3, 4, 5))])
-    assert rk.unmask(mask) == {frozenset((1, 2, 3)), frozenset((3, 4, 5))}
+    assert rk.unmask(mask) == [frozenset((1, 2, 3)), frozenset((3, 4, 5))]
+    assert rk.unmask(0) == []
+    full = EdgeRanker(7, 3)
+    colex = sorted(itertools.combinations(range(1, 8), 3), key=lambda t: t[::-1])
+    assert full.unmask((1 << full.count) - 1) == [frozenset(t) for t in colex]
 
 
 def test_builtin_specs():

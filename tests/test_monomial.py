@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from turancover import monomial
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import EdgeRanker, builtin_spec, enumerate_forbidden_copies
 from turancover.monomial import (
     SquarefreeIdeal,
-    SquarefreeMonomial,
-    VarUniverse,
     alexander_dual,
-    explicit_generators,
     initial_degree,
     min_hitting_set,
     min_targets_met,
@@ -29,15 +27,6 @@ def masks(*bit_lists):
 # membership
 
 
-def test_explicit_membership():
-    u = VarUniverse(["a", "b", "c"])
-    ideal = SquarefreeIdeal.from_generators(u, masks([0, 1]))
-    assert ideal.membership(masks([0, 1])[0])
-    assert ideal.membership(masks([0, 1, 2])[0])
-    assert not ideal.membership(masks([0])[0])
-    assert not ideal.membership(0)  # the monomial 1 is outside a proper ideal
-
-
 def test_cover_membership_triangle():
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 3)
     ideal = SquarefreeIdeal.from_copy_family(fam)
@@ -47,24 +36,14 @@ def test_cover_membership_triangle():
 
 
 def test_cover_equals_explicit_dual_form():
-    # membership in cover form == membership in the dualized explicit form
+    # membership in cover form == divisibility by a dual generator
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 4)
     rk = EdgeRanker(4, 2)
     copies = fam.masks(rk)
-    u = VarUniverse.edge_universe(4, 2)
-    cover = SquarefreeIdeal.from_copies(u, copies)
-    dual_gens = alexander_dual(copies, u.size)
-    explicit = SquarefreeIdeal.from_generators(u, dual_gens)
-    for m in range(1 << u.size):
-        assert cover.membership(m) == explicit.membership(m)
-
-
-def test_universe_mismatch_rejected():
-    u1 = VarUniverse(["a", "b"])
-    u2 = VarUniverse(["a", "c"])
-    ideal = SquarefreeIdeal.from_generators(u1, [1])
-    with pytest.raises(InputError):
-        ideal.membership(SquarefreeMonomial(u2, 1))
+    cover = SquarefreeIdeal(copies, rk.count)
+    dual_gens = alexander_dual(copies, rk.count)
+    for m in range(1 << rk.count):
+        assert cover.membership(m) == any(g & m == g for g in dual_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +87,19 @@ def test_dual_is_involutive(gens):
 
 
 def test_intersect_coprime_variables():
-    u = VarUniverse(["a", "b"])
     # (y_a) ∩ (y_b)
-    ideal = SquarefreeIdeal.from_copies(u, [0b01, 0b10])
+    ideal = SquarefreeIdeal([0b01, 0b10], 2)
     assert ideal.membership(0b11)
     assert not ideal.membership(0b01)
 
 
 def test_intersect_two_variable_ideals():
-    u = VarUniverse(["a", "b", "c"])
     # (y_a, y_b) ∩ (y_a, y_c)
-    ideal = SquarefreeIdeal.from_copies(u, [0b011, 0b101])
+    ideal = SquarefreeIdeal([0b011, 0b101], 3)
     assert ideal.membership(0b001)  # y_a
     assert ideal.membership(0b110)  # y_b*y_c
     assert not ideal.membership(0b010)  # y_b alone
-    gens = explicit_generators(ideal)
-    assert sorted(gens) == [0b001, 0b110]
+    assert sorted(alexander_dual(ideal.copies, ideal.nvars)) == [0b001, 0b110]
 
 
 # ---------------------------------------------------------------------------
@@ -200,26 +176,54 @@ def test_hitting_set_search_guards():
         min_hitting_set([1 << v for v in range(2000)], 2000)
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("the search was called")
+
+
+def test_hitting_set_setup_guard(monkeypatch):
+    copies = masks([0, 1], [1, 2], [2, 3])
+    targets = masks([0], [3], [1, 2])
+    # 4 variables (or 3 targets) x 3 copies: 12 (or 9) setup steps
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 12)
+    assert min_hitting_set(copies, 4)[0] == 2
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 11)
+    assert min_targets_met(copies, targets, 4)[0] == 1
+    with pytest.raises(ScaleGuardError):
+        min_hitting_set(copies, 4)
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 8)
+    with pytest.raises(ScaleGuardError):
+        min_targets_met(copies, targets, 4)
+    # refusals and empty families never reach the singleton targets
+    monkeypatch.setattr(monomial, "min_targets_met", _no_search)
+    with pytest.raises(ScaleGuardError):
+        min_hitting_set(copies, 4)
+    assert min_hitting_set([], 5) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # initial degree
 
 
 def test_initial_degree_explicit():
-    u = VarUniverse(["a", "b", "c"])
-    assert initial_degree(SquarefreeIdeal.from_generators(u, masks([0, 1], [2]))) == 1
+    # alpha of the cover ideal is the least degree of its dual generators
+    copies = masks([0, 1], [0, 2], [3])
+    ideal = SquarefreeIdeal(copies, 4)
+    gens = alexander_dual(copies, 4)
+    assert initial_degree(ideal) == min(g.bit_count() for g in gens) == 2
 
 
 def test_initial_degree_whole_ring():
-    u = VarUniverse(["a"])
-    assert initial_degree(SquarefreeIdeal.from_generators(u, [0])) == 0
+    # no copies to meet: the monomial 1 is a member
+    assert initial_degree(SquarefreeIdeal([], 1)) == 0
 
 
-def test_initial_degree_zero_ideal_infinite():
-    import math
-
-    u = VarUniverse(["a"])
-    ideal = SquarefreeIdeal(u, "explicit", generators=[])
-    assert initial_degree(ideal) == math.inf
+def test_initial_degree_zero_ideal_rejected():
+    # an empty copy is met by no support, so no monomial is a member and
+    # there is no degree to return
+    ideal = SquarefreeIdeal([0], 1)
+    assert not ideal.membership(1)
+    with pytest.raises(InputError):
+        initial_degree(ideal)
 
 
 def test_initial_degree_cover_triangles_in_k4():

@@ -42,3 +42,35 @@ def test_oracles_import_nothing_from_the_certified_path():
     path = SOURCE / "hypergraph.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert set(_imported_modules(tree)) & CERTIFIED_PATH == set()
+
+
+def _builds_colex_rank(node) -> bool:
+    """A name `rsets_colex`, or a sort key reversing its argument (t[::-1]),
+    the way colex order of r-sets is built."""
+    if isinstance(node, ast.Name):
+        return node.id == "rsets_colex"
+    if isinstance(node, ast.Attribute):
+        return node.attr == "rsets_colex"
+    if isinstance(node, ast.alias):
+        return node.name == "rsets_colex"
+    if isinstance(node, ast.keyword) and node.arg == "key":
+        return any(
+            isinstance(sub, ast.Slice)
+            and isinstance(sub.step, ast.UnaryOp)
+            and isinstance(sub.step.op, ast.USub)
+            for sub in ast.walk(node.value)
+        )
+    return False
+
+
+def test_only_hypergraph_ranks_edges():
+    """`hypergraph.EdgeRanker` is the one map between r-sets and bit
+    positions; no other module may build its own colex order."""
+    found = [
+        f"{path.relative_to(SOURCE)}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        if path.name != "hypergraph.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if _builds_colex_rank(node)
+    ]
+    assert found == []
