@@ -167,18 +167,18 @@ def missing_triple_differences(n: int, G: RGraph) -> DifferenceProduct:
     return DifferenceProduct(n, pairs)
 
 
-def _check_poly_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise ScaleGuardError(f"n={n} exceeds polynomial scale cap {cap}")
+def _check_poly_cap(n: int) -> None:
+    if n > DEFAULT_POLY_CAP:
+        raise ScaleGuardError(f"n={n} exceeds polynomial scale cap {DEFAULT_POLY_CAP}")
 
 
-def missing_triple_product(n: int, G: RGraph, cap: int = DEFAULT_POLY_CAP) -> Polynomial:
+def missing_triple_product(n: int, G: RGraph) -> Polynomial:
     """Product over non-edges {i,j,k} of G of (x_i-x_j)(x_i-x_k)(x_j-x_k),
     expanded: the oracle form of `missing_triple_differences`.
 
     Degree is 3*(C(n,3) - |G|).  The empty product (complete G) is 1.
     """
-    _check_poly_cap(n, cap)
+    _check_poly_cap(n)
     p = missing_triple_differences(n, G).polynomial()
     if p.degree() != 3 * (comb(n, 3) - len(G.edges)):
         raise ClaimCheckError("degree law violated for missing-triple product")
@@ -264,7 +264,7 @@ def counterexample_polynomial(params: DiagonalParams) -> Polynomial:
     path): for ell = 3 and n >= 4 the full Vandermonde product."""
     if not params.non_vacuous:
         raise InputError(f"witness defined only for n >= ell, got {params}")
-    _check_poly_cap(params.n, DEFAULT_POLY_CAP)
+    _check_poly_cap(params.n)
     return counterexample_differences(params).polynomial()
 
 

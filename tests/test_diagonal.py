@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from turancover.diagonal import (
+    DEFAULT_POLY_CAP,
     DiagonalParams,
     DifferenceProduct,
     check_partite_generators,
@@ -21,10 +22,6 @@ from turancover.diagonal import (
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import RGraph, balanced_partition, turan_count
 from turancover.polycore import Polynomial, product, vandermonde
-
-
-def x(i, n):
-    return Polynomial.variable(i, n)
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +79,7 @@ def test_difference_fails_at_larger_n():
 def test_vacuous_range_everything_in_ideal():
     params = DiagonalParams(2, 3)
     assert in_identification_ideal(Polynomial.one(2), params)
-    assert in_identification_ideal(x(1, 2) * x(2, 2), params)
+    assert in_identification_ideal(Polynomial(2, {(1, 1): 1}), params)
 
 
 def test_ideal_property_monotone_under_multiplication():
@@ -280,6 +277,16 @@ def test_polynomial_cap_on_the_oracle_path():
     with pytest.raises(ScaleGuardError):
         counterexample_polynomial(DiagonalParams(8, 3))
     assert verify_counterexample(DiagonalParams(8, 3))["verdict"] == "counterexample confirmed"
+
+
+def test_expanded_oracle_agrees_on_every_witness_under_the_cap():
+    for n in range(3, DEFAULT_POLY_CAP + 1):
+        for ell in range(3, n + 1):
+            params = DiagonalParams(n, ell)
+            F = counterexample_polynomial(params)
+            report = verify_counterexample(params)
+            assert in_differentiated_ideal(F, params) == report["in_DI"], (n, ell)
+            assert F.degree() == report["F_degree"], (n, ell)
 
 
 # ---------------------------------------------------------------------------

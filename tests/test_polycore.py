@@ -8,15 +8,15 @@ from turancover.errors import InputError
 from turancover.polycore import Polynomial, product, vandermonde
 
 
-def x(i, n=3):
-    return Polynomial.variable(i, n)
+def d(i, j, n=3):
+    return Polynomial.difference(i, j, n)
 
 
 def to_sympy(p):
     syms = sympy.symbols(f"x1:{p.nvars + 1}")
     expr = sympy.Integer(0)
     for exps, c in p.terms.items():
-        term = sympy.Rational(c.numerator, c.denominator)
+        term = sympy.Integer(c)
         for s, e in zip(syms, exps):
             term *= s**e
         expr += term
@@ -27,22 +27,21 @@ def random_poly(rng, nvars=3, nterms=4, maxdeg=3):
     terms = {}
     for _ in range(nterms):
         exps = tuple(rng.randint(0, maxdeg) for _ in range(nvars))
-        terms[exps] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        terms[exps] = rng.randint(-5, 5)
     return Polynomial(nvars, terms)
 
 
 def test_difference_of_squares():
-    p = (x(1) - x(2)) * (x(1) + x(2))
-    assert p == x(1) * x(1) - x(2) * x(2)
+    x1_plus_x2 = Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): 1})
+    assert d(1, 2) * x1_plus_x2 == Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): -1})
 
 
 def test_mul_by_zero_absorbs():
-    p = x(1) - x(2)
-    assert (p * Polynomial.zero(3)).is_zero
+    assert (d(1, 2) * Polynomial.zero(3)).is_zero
 
 
 def test_triple_difference_product_shape():
-    p = (x(1) - x(2)) * (x(2) - x(3)) * (x(1) - x(3))
+    p = d(1, 2) * d(2, 3) * d(1, 3)
     assert len(p) == 6
     assert p.degree_info() == (3, True)
     # cross-check full expansion against sympy
@@ -66,12 +65,11 @@ def test_mul_arity_mismatch():
 
 
 def test_power_rule():
-    p = (x(1) - x(2)) * (x(1) - x(2))
-    assert p.derivative(1) == (x(1) - x(2)).scale(2)
+    assert (d(1, 2) * d(1, 2)).derivative(1) == Polynomial(3, {(1, 0, 0): 2, (0, 1, 0): -2})
 
 
 def test_derivative_degree_drop():
-    assert (x(1) - x(2)).derivative(1, 2).is_zero
+    assert d(1, 2).derivative(1, 2).is_zero
 
 
 def test_derivative_order_zero_is_identity():
@@ -92,13 +90,13 @@ def test_derivative_matches_sympy():
 
 
 def test_identify_kills_difference():
-    assert (x(1) - x(2)).identify({1, 2}).is_zero
+    assert d(1, 2).identify({1, 2}).is_zero
 
 
 def test_identify_substitutes_to_minimum():
-    p = (x(1) - x(2)) * (x(2) - x(3))
+    p = d(1, 2) * d(2, 3)
     q = p.identify({1, 3})
-    assert q == (x(1) - x(2)) * (x(2) - x(1))
+    assert q == d(1, 2) * d(2, 1)
 
 
 def test_identify_can_leave_polynomial_unchanged():
@@ -113,7 +111,6 @@ def test_identify_is_ring_homomorphism():
         p, q = random_poly(rng), random_poly(rng)
         S = {1, 3}
         assert (p * q).identify(S) == p.identify(S) * q.identify(S)
-        assert (p + q).identify(S) == p.identify(S) + q.identify(S)
 
 
 def test_leibniz_rule():
@@ -121,9 +118,10 @@ def test_leibniz_rule():
     for _ in range(20):
         p, q = random_poly(rng), random_poly(rng)
         i = rng.randint(1, 3)
-        lhs = (p * q).derivative(i)
-        rhs = p.derivative(i) * q + p * q.derivative(i)
-        assert lhs == rhs
+        got, syms = to_sympy((p * q).derivative(i))
+        ep, _ = to_sympy(p)
+        eq, _ = to_sympy(q)
+        assert sympy.expand(sympy.diff(ep * eq, syms[i - 1]) - got) == 0
 
 
 def test_derivative_commutes_with_identification_outside():
@@ -144,8 +142,8 @@ def test_degree_additivity():
 
 
 def test_degree_info_cases():
-    assert (x(1) * x(1) - x(2) * x(2)).degree_info() == (2, True)
-    assert (x(1) * x(1) - x(2)).degree_info() == (2, False)
+    assert Polynomial(3, {(2, 0, 0): 1, (0, 2, 0): -1}).degree_info() == (2, True)
+    assert Polynomial(3, {(2, 0, 0): 1, (0, 1, 0): -1}).degree_info() == (2, False)
     assert Polynomial.zero(3).degree_info() == (None, True)
 
 
@@ -180,38 +178,6 @@ def test_integer_input_gives_int_coefficients():
         for order in (1, 2, 3):
             assert int_coefficients(p.derivative(i, order))
     assert int_coefficients(p.identify({1, 2}))
-    assert int_coefficients(p.identify({2, 4}) + p.scale(3) - p)
-
-
-def test_fraction_input_stays_exact():
-    half = Polynomial(2, {(1, 0): Fraction(1, 2), (0, 1): 3})
-    assert half.terms == {(1, 0): Fraction(1, 2), (0, 1): 3}
-    assert type(half.terms[(1, 0)]) is Fraction
-    assert type(half.terms[(0, 1)]) is int
-    square = half * half
-    assert type(square.terms[(2, 0)]) is Fraction and square.terms[(2, 0)] == Fraction(1, 4)
-    # results that become integral are stored as int
-    assert int_coefficients(half + half)
-    assert int_coefficients(half.scale(2))
-    assert int_coefficients(Polynomial(2, {(2, 0): Fraction(1, 2)}).derivative(1))
-    assert int_coefficients((half + half).identify({1, 2}))
-    assert half.identify({1, 2}) == Polynomial(2, {(1, 0): Fraction(7, 2)})
-
-
-def test_integral_fraction_equals_int():
-    for n, exps in [(1, (3,)), (3, (1, 0, 2))]:
-        p = Polynomial(n, {exps: Fraction(2, 1)})
-        q = Polynomial(n, {exps: 2})
-        assert p == q and hash(p) == hash(q)
-        assert type(p.terms[exps]) is int
-
-
-def test_substitute_returns_fraction():
-    p = (x(1) - x(2)) * x(3)
-    value = p.substitute({1: 3, 2: 1, 3: 2})
-    assert type(value) is Fraction and value == 4
-    assert p.substitute({1: Fraction(1, 2), 2: 0, 3: 1}) == Fraction(1, 2)
-    assert type(Polynomial.zero(2).substitute({1: 1, 2: 1})) is Fraction
 
 
 def test_constructor_rejects_bad_terms():
@@ -221,3 +187,6 @@ def test_constructor_rejects_bad_terms():
         Polynomial(2, {(1, -1): 1})
     with pytest.raises(InputError):
         Polynomial(0, {})
+    for coeff in (Fraction(1, 2), Fraction(2, 1), 0.5):
+        with pytest.raises(InputError):
+            Polynomial(2, {(1, 0): coeff})

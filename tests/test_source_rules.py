@@ -36,6 +36,17 @@ def _imported_modules(tree):
                 yield from (alias.name for alias in node.names)
 
 
+def test_arithmetic_is_integer_only():
+    """Exact means integer: no library module imports a rational or decimal type."""
+    found = [
+        f"{path.relative_to(SOURCE)}: {name}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for name in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if name in {"fractions", "decimal"}
+    ]
+    assert found == []
+
+
 def test_oracles_import_nothing_from_the_certified_path():
     """The brute-force oracles in `hypergraph` check the cover-ideal search
     and the polynomial core, so they must not call into them."""
