@@ -192,66 +192,113 @@ def cmd_selftest(args) -> tuple[RunReport, int]:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, help, arguments as (flag, add_argument keywords)), in the
+# order the full parser lists them
+REQUIRED_INT = {"type": int, "required": True}
+FLAG = {"action": "store_true"}
+SUBCOMMANDS = {
+    "verify-counterexample": (
+        cmd_verify_counterexample,
+        "verify the strict-containment certificate",
+        [
+            ("--ell", REQUIRED_INT),
+            ("--n", REQUIRED_INT),
+            ("--oracle", {**FLAG, "help": "re-decide membership on the expanded polynomial (n <= 7)"}),
+        ],
+    ),
+    "ex": (
+        cmd_ex,
+        "Turán number and cover-ideal initial degree",
+        [
+            ("--n", REQUIRED_INT),
+            ("--forbid", {"required": True, "help": "builtin name (K3, K_ell_r(4,3), ...) or hypergraph file"}),
+            ("--oracle", {**FLAG, "help": "cross-check against brute force"}),
+        ],
+    ),
+    "gen-ex": (
+        cmd_gen_ex,
+        "generalized Turán number via the cover ideal",
+        [
+            ("--n", REQUIRED_INT),
+            ("--target", {"required": True}),
+            ("--forbid", {"required": True}),
+            ("--oracle", FLAG),
+        ],
+    ),
+    "hilbert": (
+        cmd_hilbert,
+        "Hilbert value of a square-zero quotient",
+        [
+            ("--n", REQUIRED_INT),
+            ("--d", REQUIRED_INT),
+            ("--kill", {"nargs": "*", "default": [], "help": "pairs like 1,2 3,4"}),
+        ],
+    ),
+    "symmetrize": (
+        cmd_symmetrize,
+        "run the cloning symmetrization with a trace",
+        [
+            ("--n", REQUIRED_INT),
+            ("--q", REQUIRED_INT),
+            ("--r", REQUIRED_INT),
+            ("--kill", {"nargs": "*", "default": []}),
+        ],
+    ),
+    "codegree-star": (
+        cmd_codegree_star,
+        "star-ideal computations",
+        [
+            ("--n", REQUIRED_INT),
+            ("--ell", REQUIRED_INT),
+            ("--r", REQUIRED_INT),
+            ("--verify-collapse", FLAG),
+            ("--alpha", FLAG),
+            ("--oracle", FLAG),
+        ],
+    ),
+    "selftest": (
+        cmd_selftest,
+        "run the built-in acceptance checks",
+        [("--quick", {**FLAG, "help": "run every check on its quick grid"})],
+    ),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser: every subcommand, or only the one named `only`.
+
+    A one-subcommand parser parses that subcommand's arguments exactly as
+    the full parser does; only its top-level usage text differs, so `main`
+    leaves every top-level message to the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="turancover",
         description="Exact desk-scale verifiers for Turán-type theorems via monomial cover ideals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-counterexample", help="verify the strict-containment certificate")
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--oracle", action="store_true", help="re-decide membership on the expanded polynomial (n <= 7)"
-    )
-    p.set_defaults(func=cmd_verify_counterexample)
-
-    p = sub.add_parser("ex", help="Turán number and cover-ideal initial degree")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--forbid", required=True, help="builtin name (K3, K_ell_r(4,3), ...) or hypergraph file")
-    p.add_argument("--oracle", action="store_true", help="cross-check against brute force")
-    p.set_defaults(func=cmd_ex)
-
-    p = sub.add_parser("gen-ex", help="generalized Turán number via the cover ideal")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--forbid", required=True)
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=cmd_gen_ex)
-
-    p = sub.add_parser("hilbert", help="Hilbert value of a square-zero quotient")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--kill", nargs="*", default=[], help="pairs like 1,2 3,4")
-    p.set_defaults(func=cmd_hilbert)
-
-    p = sub.add_parser("symmetrize", help="run the cloning symmetrization with a trace")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--kill", nargs="*", default=[])
-    p.set_defaults(func=cmd_symmetrize)
-
-    p = sub.add_parser("codegree-star", help="star-ideal computations")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--ell", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--verify-collapse", action="store_true")
-    p.add_argument("--alpha", action="store_true")
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=cmd_codegree_star)
-
-    p = sub.add_parser("selftest", help="run the built-in acceptance checks")
-    p.add_argument("--quick", action="store_true", help="run every check on its quick grid")
-    p.set_defaults(func=cmd_selftest)
-
+    for name, (func, help_text, arguments) in SUBCOMMANDS.items():
+        if only is None or name == only:
+            p = sub.add_parser(name, help=help_text)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
+            p.set_defaults(func=func)
     return parser
 
 
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse with the parser of the named subcommand alone.  Help, an empty
+    or unknown subcommand and leftover arguments go to the full parser, so
+    every usage and error text is the full parser's."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in SUBCOMMANDS:
+        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     start = time.monotonic()
     try:
         report, code = args.func(args)

@@ -23,6 +23,7 @@ from .hypergraph import (
     core_family_free,
     count_copies,
     enumerate_forbidden_copies,
+    explicit_copy_count,
 )
 from .monomial import (
     ALPHA_CAP_NODES,
@@ -57,6 +58,15 @@ class CoverInstance:
 def make_instance(
     n: int, forbid_spec: FamilySpec, target_spec: FamilySpec | None = None
 ) -> CoverInstance:
+    """The copy families of an instance.  When both patterns are explicit,
+    their copy counts are exact before enumeration, so `alpha_target`'s
+    setup guard refuses an oversized pair before any copy is listed."""
+    if (
+        isinstance(forbid_spec, RGraph)
+        and isinstance(target_spec, RGraph)
+        and target_spec.r == forbid_spec.r
+    ):
+        guard_search_setup(explicit_copy_count(target_spec, n), explicit_copy_count(forbid_spec, n))
     forbidden = enumerate_forbidden_copies(forbid_spec, n)
     target = enumerate_forbidden_copies(target_spec, n) if target_spec is not None else None
     if target is not None and target.r != forbidden.r:
@@ -80,7 +90,11 @@ def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     """ex(n, spec) = C(n, r) - alpha(cover ideal), witnessed by the complement
     of a minimum hitting set of the forbidden copies.  More than
     ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before any
-    mask is built."""
+    mask is built, and for an explicit pattern, whose copy count is exact
+    beforehand, before any copy is listed.  (A core-pair family's projected
+    count overcounts, so it is guarded after enumeration only.)"""
+    if isinstance(spec, RGraph):
+        guard_search_setup(comb(n, spec.r), explicit_copy_count(spec, n))
     fam = enumerate_forbidden_copies(spec, n)
     guard_search_setup(comb(fam.n, fam.r), len(fam))
     ranker = EdgeRanker(fam.n, fam.r)

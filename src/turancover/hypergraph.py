@@ -265,6 +265,36 @@ def core_family_free(G: RGraph, ell: int) -> bool:
 COPY_CAP = 2_000_000
 
 
+def _shapes(F: RGraph, cap: int) -> tuple[int, set]:
+    """(k, shapes) of an explicit pattern: its k edge-covered vertices and
+    the distinct images of its edges under the k! relabellings of those
+    vertices by positions 0..k-1, which are k!/|Aut(F)| shapes.
+    ScaleGuardError refuses k! * |E(F)| labelling steps above `cap`."""
+    verts = sorted(set().union(*F.edges)) if F.edges else []
+    if not verts:
+        raise InputError("forbidden graph has no edges")
+    k = len(verts)
+    labelling_work = factorial(k) * len(F.edges)
+    if labelling_work > cap:
+        raise ScaleGuardError(f"labelling work {labelling_work} exceeds cap {cap}")
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [[index[v] for v in e] for e in F.edges]
+    shapes = {
+        frozenset(frozenset(p[i] for i in e) for e in edges)
+        for p in itertools.permutations(range(k))
+    }
+    return k, shapes
+
+
+def explicit_copy_count(F: RGraph, n: int, cap: int = COPY_CAP) -> int:
+    """len(enumerate_forbidden_copies(F, n)) for an explicit pattern F,
+    C(n, k) * (number of shapes), found without listing a single copy."""
+    if F.n > n:
+        return 0
+    k, shapes = _shapes(F, cap)
+    return comb(n, k) * len(shapes)
+
+
 def enumerate_forbidden_copies(spec: FamilySpec, n: int, cap: int = COPY_CAP) -> CopyFamily:
     """All copies of `spec` inside the complete r-graph on [n].
 
@@ -281,21 +311,7 @@ def enumerate_forbidden_copies(spec: FamilySpec, n: int, cap: int = COPY_CAP) ->
         F = spec
         if F.n > n:
             return CopyFamily(n, F.r, ())
-        verts = sorted(set().union(*F.edges)) if F.edges else []
-        if not verts:
-            raise InputError("forbidden graph has no edges")
-        k = len(verts)
-        labelling_work = factorial(k) * len(F.edges)
-        if labelling_work > cap:
-            raise ScaleGuardError(f"labelling work {labelling_work} exceeds cap {cap}")
-        # the distinct images of F's edges under the k! relabellings of its own
-        # vertices by positions 0..k-1: k!/|Aut(F)| shapes
-        index = {v: i for i, v in enumerate(verts)}
-        edges = [[index[v] for v in e] for e in F.edges]
-        shapes = {
-            frozenset(frozenset(p[i] for i in e) for e in edges)
-            for p in itertools.permutations(range(k))
-        }
+        k, shapes = _shapes(F, cap)
         copy_count = comb(n, k) * len(shapes)
         if copy_count > cap:
             raise ScaleGuardError(f"copy count {copy_count} exceeds cap {cap}")
@@ -595,6 +611,7 @@ __all__ = [
     "is_member_core_family",
     "core_family_free",
     "COPY_CAP",
+    "explicit_copy_count",
     "enumerate_forbidden_copies",
     "minimal_supports",
     "count_copies",

@@ -7,10 +7,11 @@ here is exact combinatorial counting on the kill graph.
 
 The kill graph is kept as one adjacency bitmask per variable, and every
 step works on those masks: the Hilbert count is an iterative branching over
-vertex masks with closed forms for d <= 2 and binomial blocks of free
+vertex masks with closed forms for d <= 3 and binomial blocks of free
 vertices, under a step budget (HILBERT_CAP_STEPS); parallel classes are
-grouped by closed-neighbourhood mask; a clone step rewrites only the masks
-it changes.
+grouped by closed-neighbourhood mask, and symmetrization picks its clone
+pair from the class representatives alone; a clone step rewrites only the
+masks it changes.
 """
 
 from __future__ import annotations
@@ -77,6 +78,15 @@ class ParallelPartition:
     zero_between: dict
 
 
+def _bad_pair(p) -> InputError:
+    """The refusal of a kill pair that is not two distinct variables of [n].
+    It names the pair's distinct entries, or all of them when a repeat hides
+    a third entry, as in (1, 2, 2)."""
+    entries = tuple(p)
+    distinct = sorted(set(entries))
+    return InputError(f"bad kill pair {sorted(entries) if len(distinct) == 2 else distinct}")
+
+
 class SquareZeroQuotient:
     """n variables with a kill graph of vanishing quadratic products.
 
@@ -91,10 +101,12 @@ class SquareZeroQuotient:
             raise InputError("need n >= 1")
         adj = [0] * (n + 1)
         for p in kill:
-            fp = frozenset(p)
-            if len(fp) != 2 or not all(1 <= v <= n for v in fp):
-                raise InputError(f"bad kill pair {sorted(fp)}")
-            a, b = fp
+            try:
+                a, b = p
+            except ValueError:
+                raise _bad_pair(p) from None
+            if a == b or not (0 < a <= n and 0 < b <= n):
+                raise _bad_pair(p)
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         object.__setattr__(self, "n", n)
@@ -169,6 +181,8 @@ class SquareZeroQuotient:
 
         * d <= 1: the count is 1 or popcount(allowed);
         * d == 2: C(m, 2) minus the kill pairs inside `allowed`;
+        * d == 3: a closed form in edges, degrees and triangles of the
+          sparser of the kill graph and its complement inside `allowed`;
         * v has no kill partner in `allowed`: every such free vertex, f of
           them, is pulled out as one block, and (rest, d - k, C(f, k)) is
           pushed for each k, since the block's k-subsets combine freely with
@@ -205,6 +219,9 @@ class SquareZeroQuotient:
                     later ^= low
                     pairs -= (adj[low.bit_length() - 1] & later).bit_count()
                 total += mult * pairs
+                continue
+            if d == 3:
+                total += mult * _independent_triples(adj, allowed, m)
                 continue
             low = allowed & -allowed
             v = low.bit_length() - 1
@@ -246,6 +263,15 @@ class SquareZeroQuotient:
                 mask |= low
         return mask
 
+    def _class_masks(self) -> dict[int, int]:
+        """Closed kill-neighbourhood mask -> mask of the variables that have
+        it, i.e. the parallel classes, in order of their first variables."""
+        classes: dict[int, int] = {}
+        for v in range(1, self.n + 1):
+            closed = self._adj[v] | (1 << v)
+            classes[closed] = classes.get(closed, 0) | (1 << v)
+        return classes
+
     def parallel_classes(self) -> ParallelPartition:
         """Group variables by equal closed kill-neighborhoods; two variables
         are parallel iff they are killed together and their external kill
@@ -256,16 +282,35 @@ class SquareZeroQuotient:
         N[u] = N[u'] gives v in N[u] iff v in N[u'], i.e. x_u x_v = 0 iff
         x_u' x_v = 0; the same argument with N[v] = N[v'] moves v within D.
         """
-        groups: dict[int, list[int]] = {}
-        for v in range(1, self.n + 1):
-            closed = self._adj[v] | (1 << v)
-            groups.setdefault(closed, []).append(v)
-        classes = tuple(sorted(tuple(g) for g in groups.values()))
+        classes = tuple(_members(mask) for mask in self._class_masks().values())
         zero_between = {
             (C, D): self.killed(C[0], D[0])
             for C, D in itertools.combinations(classes, 2)
         }
         return ParallelPartition(classes, zero_between)
+
+    def first_zero_product_pair(self):
+        """The pair (C, D) of distinct parallel classes with all cross
+        products zero and the smallest (C[0], D[0]), or None when there is
+        none.  It is the least zero flag of `parallel_classes`, found from
+        the class representatives alone: the first representative u with a
+        kill partner among the later representatives, and the first such
+        partner."""
+        adj = self._adj
+        classes = self._class_masks()
+        reps = 0
+        for mask in classes.values():
+            reps |= mask & -mask
+        while reps:
+            low = reps & -reps
+            reps ^= low
+            u = low.bit_length() - 1
+            # reps now holds the representatives after u
+            hit = adj[u] & reps
+            if hit:
+                v = (hit & -hit).bit_length() - 1
+                return _members(classes[adj[u] | low]), _members(classes[adj[v] | (1 << v)])
+        return None
 
     def lambda_dim(self, c: int, d: int) -> int:
         """dim of x_c * (degree-d piece): standard d-subsets avoiding c and
@@ -320,6 +365,57 @@ class SquareZeroQuotient:
         return SquareZeroQuotient._from_adj(self.n, adj)
 
 
+def _members(mask: int) -> tuple[int, ...]:
+    """The variables of a vertex mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return tuple(out)
+
+
+def _independent_triples(adj, allowed: int, m: int) -> int:
+    """Number of 3-subsets of the m-vertex mask `allowed` with no kill pair.
+
+    With e kill pairs inside `allowed` and degrees deg(v) there, inclusion-
+    exclusion over the kill pairs of a triple gives
+    C(m, 3) - e (m - 2) + sum_v C(deg v, 2) - (kill triangles).  When the
+    kill graph is the denser side (2e > C(m, 2)) the triples are counted
+    directly instead, as the triangles of its complement.
+    """
+    twice_e = 0
+    paths = 0
+    scan = allowed
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        deg = (adj[low.bit_length() - 1] & allowed).bit_count()
+        twice_e += deg
+        paths += deg * (deg - 1) // 2
+    if twice_e > comb(m, 2):
+        return _triangles(adj, allowed, -1)
+    return comb(m, 3) - twice_e // 2 * (m - 2) + paths - _triangles(adj, allowed, 0)
+
+
+def _triangles(adj, allowed: int, flip: int) -> int:
+    """Triangles inside `allowed` of the kill graph (flip = 0) or of its
+    complement (flip = -1, so that adj[v] ^ flip = ~adj[v]).  Each triangle
+    u < w < x is found once, at u, as a neighbour x > w shared by u and w."""
+    count = 0
+    scan = allowed
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        # scan now holds the vertices after u, so no self bit is read
+        later = (adj[low.bit_length() - 1] ^ flip) & scan
+        while later:
+            low_w = later & -later
+            later ^= low_w
+            count += ((adj[low_w.bit_length() - 1] ^ flip) & later).bit_count()
+    return count
+
+
 def symmetrize(
     A: SquareZeroQuotient, q: int, r: int
 ) -> tuple[SquareZeroQuotient, list[dict]]:
@@ -327,7 +423,8 @@ def symmetrize(
     kill graph is a disjoint union of class cliques.
 
     Requires top_vanishing(A, q).  Each step takes the zero-product class
-    pair with the smallest (first vertex, first vertex) and clones the class
+    pair with the smallest (first vertex, first vertex), read by
+    `first_zero_product_pair`, and clones the class
     with the larger lambda(r-1) onto the other (ties: the class with the
     smaller first vertex is the source), so the degree-r Hilbert value never
     decreases; the class count strictly drops, so at most n-1 steps occur.
@@ -340,11 +437,10 @@ def symmetrize(
     current = A
     h = None
     while True:
-        part = current.parallel_classes()
-        zero_pairs = [pair for pair, zero in part.zero_between.items() if zero]
-        if not zero_pairs:
+        pair = current.first_zero_product_pair()
+        if pair is None:
             break
-        U, V = min(zero_pairs, key=lambda pair: (pair[0][0], pair[1][0]))
+        U, V = pair
         lu = current.lambda_dim(U[0], r - 1)
         lv = current.lambda_dim(V[0], r - 1)
         if lu > lv:

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import itertools
 import json
+import re
 import time
 from dataclasses import asdict
 from datetime import timedelta
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turancover import cli, squarezero
+from turancover import cli, dictionary, squarezero
 from turancover.cli import (
     EXIT_BAD_INPUT,
     EXIT_CLAIM_FAILED,
@@ -223,6 +225,29 @@ def test_hitting_set_setup_refused_fast(capsys, argv):
     assert json.loads(err)["error"] == "scale guard"
 
 
+def refuse_enumeration(*args, **kwargs):
+    raise AssertionError("copies enumerated before the setup guard ran")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 979,300 edge variables times as many single-edge copies
+        ("ex", "--n", "1400", "--forbid", "K2"),
+        # 34,220 triangle targets times 487,635 K4 copies
+        ("gen-ex", "--n", "60", "--target", "K3", "--forbid", "K4"),
+    ],
+)
+def test_explicit_pattern_setup_refused_before_enumeration(capsys, monkeypatch, argv):
+    monkeypatch.setattr(dictionary, "enumerate_forbidden_copies", refuse_enumeration)
+    start = time.monotonic()
+    code, payload, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_SCALE_GUARD
+    assert payload is None
+    assert json.loads(err)["error"] == "scale guard"
+
+
 def test_vacuous_counterexample_range_is_bad_input(capsys):
     code, _, err = run(capsys, "verify-counterexample", "--ell", "4", "--n", "3")
     assert code == EXIT_BAD_INPUT
@@ -231,6 +256,69 @@ def test_vacuous_counterexample_range_is_bad_input(capsys):
 def test_parser_requires_subcommand():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+# one valid call per subcommand, with no trailing --kill list, so that a
+# token appended to it is a leftover argument
+VALID_ARGVS = {
+    "verify-counterexample": ["verify-counterexample", "--ell", "3", "--n", "4"],
+    "ex": ["ex", "--n", "4", "--forbid", "K3"],
+    "gen-ex": ["gen-ex", "--n", "4", "--target", "K3", "--forbid", "K4"],
+    "hilbert": ["hilbert", "--n", "4", "--d", "2"],
+    "symmetrize": ["symmetrize", "--kill", "1,2", "3,4", "1,3", "--n", "4", "--q", "2", "--r", "2"],
+    "codegree-star": ["codegree-star", "--n", "5", "--ell", "4", "--r", "3", "--alpha"],
+    "selftest": ["selftest", "--quick"],
+}
+
+
+def cli_argvs():
+    """Usage errors, help and valid calls of every subcommand, and the
+    top-level cases the full parser answers."""
+    yield from ([], ["-h"], ["--help"], ["frobnicate"], ["--n", "4"], ["hilbert", "--n", "4", "--d", "2", "extra"])
+    for name, valid in VALID_ARGVS.items():
+        yield [name, "-h"]
+        yield [*valid, "--bogus"]
+        yield [*valid, "extra"]
+        if name != "selftest":  # a bare selftest runs the full suite
+            yield [name]
+            yield [name, "--n", "x", *valid[1:]]
+            yield valid
+    yield ["hilbert", "--n", "4", "--d", "2", "--ki", "1,2"]  # an abbreviated flag
+
+
+def cli_outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', out.getvalue()), err.getvalue()
+
+
+def test_cli_text_and_exit_codes_match_the_full_parser(monkeypatch):
+    seen = [cli_outcome(argv) for argv in cli_argvs()]
+    monkeypatch.setattr(cli, "parse_args", lambda argv: build_parser().parse_args(argv))
+    for argv, got in zip(cli_argvs(), seen):
+        assert got == cli_outcome(argv), argv
+    # 0 for help and valid calls, 2 for argparse's usage errors
+    assert {code for code, _, _ in seen} == {EXIT_OK, EXIT_CLAIM_FAILED}
+
+
+def test_valid_call_builds_one_subparser(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert cli_outcome(VALID_ARGVS["hilbert"])[0] == EXIT_OK
+    assert built == ["hilbert"]
+    built.clear()
+    assert cli_outcome(["hilbert", "--n", "4", "--d", "2", "extra"])[0] == 2
+    assert built == ["hilbert", *cli.SUBCOMMANDS]
 
 
 REPORT_ARGVS = [

@@ -536,3 +536,104 @@ def test_clone_refuses_what_is_not_a_pair_of_parallel_classes():
         with pytest.raises(InputError):
             B.clone(S, T)
     assert B.clone((1, 2), (3,)).kill == reference_clone(4, B.kill, (1, 2), (3,))
+
+
+@pytest.mark.parametrize(
+    "pair,message",
+    [
+        ((1, 1), "bad kill pair [1]"),
+        ((0, 1), "bad kill pair [0, 1]"),
+        ((-1, 2), "bad kill pair [-1, 2]"),
+        ((5, 1), "bad kill pair [1, 5]"),
+        ((1,), "bad kill pair [1]"),
+        ((), "bad kill pair []"),
+        ((1, 2, 3), "bad kill pair [1, 2, 3]"),
+        (frozenset({3}), "bad kill pair [3]"),
+        # two distinct entries, but three in all: not a pair
+        ((1, 2, 2), "bad kill pair [1, 2, 2]"),
+    ],
+)
+def test_constructor_rejects_bad_kill_pairs(pair, message):
+    with pytest.raises(InputError) as excinfo:
+        SquareZeroQuotient(4, [(1, 2), pair])
+    assert str(excinfo.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the closed form at d = 3 and the direct clone-pair pick
+
+
+def brute_force_count(A, d, allowed=None):
+    vertices = range(1, A.n + 1) if allowed is None else allowed
+    return sum(
+        1
+        for S in itertools.combinations(vertices, d)
+        if not any(A.killed(a, b) for a, b in itertools.combinations(S, 2))
+    )
+
+
+def test_triple_closed_form_matches_brute_force_on_both_sides(monkeypatch):
+    sides = []
+    triangles = squarezero._triangles
+
+    def recorded(adj, allowed, flip):
+        sides.append(flip)
+        return triangles(adj, allowed, flip)
+
+    monkeypatch.setattr(squarezero, "_triangles", recorded)
+    rng = random.Random(303)
+    for density in (0.0, 0.1, 0.3, 0.5, 0.6, 0.8, 0.95, 1.0):
+        for n in range(3, 13):
+            pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density]
+            A = SquareZeroQuotient(n, pairs)
+            # d = 3 is one closed-form step; d = 4..6 branch down onto it
+            for d in range(3, 7):
+                assert A.hilbert(d) == brute_force_count(A, d), (n, density, d)
+            c = rng.randint(1, n)
+            partners = [v for v in range(1, n + 1) if v != c and not A.killed(c, v)]
+            assert A.lambda_dim(c, 3) == brute_force_count(A, 3, partners), (n, density, c)
+    assert set(sides) == {0, -1}
+
+
+def tied_grid_quotients():
+    """Seeded kill graphs on n <= 12: plain random ones, and q colour classes
+    killed inside plus random cross pairs, as symmetrize's inputs look; the
+    second kind gives many tied lambda values."""
+    rng = random.Random(1212)
+    for n in range(2, 13):
+        for density in (0.2, 0.5, 0.8):
+            yield n, frozenset(
+                frozenset(p)
+                for p in itertools.combinations(range(1, n + 1), 2)
+                if rng.random() < density
+            )
+            colour = {v: rng.randrange(rng.randint(1, 4)) for v in range(1, n + 1)}
+            yield n, frozenset(
+                frozenset((a, b))
+                for a, b in itertools.combinations(range(1, n + 1), 2)
+                if colour[a] == colour[b] or rng.random() < density / 2
+            )
+
+
+def test_first_zero_product_pair_is_the_least_zero_flag():
+    for n, pairs in itertools.chain(grid_quotients(), tied_grid_quotients()):
+        A = SquareZeroQuotient(n, pairs)
+        zero = [pair for pair, flag in A.parallel_classes().zero_between.items() if flag]
+        want = min(zero, key=lambda pair: (pair[0][0], pair[1][0])) if zero else None
+        assert A.first_zero_product_pair() == want, (n, sorted(map(sorted, pairs)))
+
+
+def test_symmetrize_direct_pick_matches_the_pair_set_loop_with_ties():
+    rng = random.Random(12)
+    steps = ties = 0
+    for n, pairs in tied_grid_quotients():
+        A = SquareZeroQuotient(n, pairs)
+        q = max(d for d in range(n + 1) if A.hilbert(d) > 0)
+        r = rng.randint(1, q)
+        terminal, trace = symmetrize(A, q, r)
+        want_pairs, want_trace = reference_symmetrize(n, pairs, r)
+        assert trace == want_trace, (n, r)
+        assert terminal.kill == want_pairs
+        steps += len(trace)
+        ties += sum(s["lambda_source"] == s["lambda_target"] for s in trace)
+    assert steps > 50 and ties > 10
