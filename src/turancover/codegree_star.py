@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb
 from operator import and_, or_
 
@@ -28,9 +28,10 @@ from .hypergraph import (
     balanced_partition,
     brute_force_ex,
     enumerate_forbidden_copies,
+    pair_stars,
     turan_count,
 )
-from .monomial import ALPHA_CAP_NODES, SquarefreeMonomial
+from .monomial import SquarefreeMonomial
 from .squarezero import SquareZeroQuotient
 
 
@@ -50,17 +51,8 @@ class StarParams:
         return EdgeRanker(self.n, self.r)
 
 
-@lru_cache(maxsize=64)
 def _star_masks(params: StarParams) -> dict[tuple[int, int], int]:
-    ranker = params.ranker()
-    stars: dict[tuple[int, int], int] = {}
-    for a, b in itertools.combinations(range(1, params.n + 1), 2):
-        m = 0
-        for i, t in enumerate(ranker.sets):
-            if a in t and b in t:
-                m |= 1 << i
-        stars[(a, b)] = m
-    return stars
+    return pair_stars(params.ranker())
 
 
 def codegree_star_monomial(params: StarParams, a: int, b: int) -> SquarefreeMonomial:
@@ -174,7 +166,10 @@ def _collapse_tables(params: StarParams) -> tuple[int, int, int]:
     return in_j, in_cover, full ^ contains
 
 
-def verify_collapse(params: StarParams, cap: int = 1 << 21) -> bool:
+COLLAPSE_CAP = 1 << 21
+
+
+def verify_collapse(params: StarParams) -> bool:
     """Exhaustively check, on every squarefree support S of the N = C(n, r)
     edge variables, that star-ideal membership equals membership in the
     cover ideal of the core-pair family, and the missing-edge law: the
@@ -190,19 +185,22 @@ def verify_collapse(params: StarParams, cap: int = 1 << 21) -> bool:
       killed pair.
     * cover, from `enumerate_forbidden_copies`: S meets every minimal copy
       of the core-pair family (AND over copies of the OR of their variables).
-    * missing-edge, from the edges of G = complement of S only, so that a
-      wrong star mask still shows as a mismatch: a pair is covered where
-      some edge of G contains it; G is free where no ell-set has all its
-      pairs covered.
+    * missing-edge, from the edges of G = complement of S only: a pair is
+      covered where some edge of G contains it; G is free where no ell-set
+      has all its pairs covered.
+
+    The star and cover tables both read `hypergraph.pair_stars` and agree
+    for any star masks (S contains a star of a core iff it meets every
+    minimal transversal of those stars), so a wrong star mask shows only
+    against the missing-edge table, built from `EdgeRanker.sets` alone.
 
     The claims hold iff the three tables are equal.  Raises ScaleGuardError
-    when 2^N exceeds ``cap``, so each table has at most ``cap`` bits (256 KB
-    at the default cap, N = 21); about N + 2 C(n, 2) tables are alive at
-    once.
+    when 2^N exceeds COLLAPSE_CAP, so each table has at most COLLAPSE_CAP
+    bits (256 KB, N = 21); about N + 2 C(n, 2) tables are alive at once.
     """
     nvars = comb(params.n, params.r)
-    if 1 << nvars > cap:
-        raise ScaleGuardError(f"2^{nvars} supports exceeds cap {cap}")
+    if 1 << nvars > COLLAPSE_CAP:
+        raise ScaleGuardError(f"2^{nvars} supports exceeds cap {COLLAPSE_CAP}")
     in_j, in_cover, free = _collapse_tables(params)
     return in_j == in_cover == free
 
@@ -219,9 +217,7 @@ def _clique_copies(n: int, s: int) -> CopyFamily:
     )
 
 
-def star_initial_degree(
-    params: StarParams, cap_nodes: int = ALPHA_CAP_NODES
-) -> tuple[int, SquarefreeMonomial]:
+def star_initial_degree(params: StarParams) -> tuple[int, SquarefreeMonomial]:
     """Exact initial degree of the star ideal, returned with a witness.
 
     The value is computed on the C(n, 2) pair variables, by a reduction to
@@ -246,8 +242,8 @@ def star_initial_degree(
     The theorem's value C(n, r) - t_r(n, ell-1) is certified rather than
     assumed: the search result must equal it, and the balanced-partition
     monomial, returned as the witness, is checked to be a member of that
-    degree.  The search expands at most ``cap_nodes`` nodes and raises
-    ScaleGuardError beyond that; more than COPY_CAP cliques in the two
+    degree.  The search expands at most `monomial.ALPHA_CAP_NODES` nodes and
+    raises ScaleGuardError beyond that; more than COPY_CAP cliques in the two
     families raise it before they are built.
     """
     n, ell, r = params.n, params.ell, params.r
@@ -256,7 +252,7 @@ def star_initial_degree(
         raise ScaleGuardError(f"{cliques} ell- and r-cliques exceed cap {COPY_CAP}")
     lb = comb(n, r) - turan_count(n, ell - 1, r)
     inst = CoverInstance(n, 2, _clique_copies(n, ell), _clique_copies(n, r))
-    alpha, _ = alpha_target(inst, cap_nodes)
+    alpha, _ = alpha_target(inst)
     if alpha != lb:
         raise ClaimCheckError(f"pair-graph search gives {alpha}, not C(n,r) - t_r(n,ell-1) = {lb}")
     m0 = balanced_partition_monomial(params)

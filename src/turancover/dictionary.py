@@ -25,13 +25,7 @@ from .hypergraph import (
     enumerate_forbidden_copies,
     explicit_copy_count,
 )
-from .monomial import (
-    ALPHA_CAP_NODES,
-    SquarefreeIdeal,
-    guard_search_setup,
-    min_hitting_set,
-    min_targets_met,
-)
+from .monomial import SquarefreeIdeal, guard_search_setup, min_hitting_set, min_targets_met
 from .squarezero import SquareZeroQuotient
 
 
@@ -122,13 +116,13 @@ def killed_count(M: int, target_masks: list[int]) -> int:
     return sum(1 for t in target_masks if t & M)
 
 
-def alpha_target(inst: CoverInstance, cap_nodes: int = ALPHA_CAP_NODES) -> tuple[int, int]:
+def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     """Minimum number of target copies meeting M, over supports M hitting
     every forbidden copy.  Returns (minimum, witness support mask).
 
     The search is `min_targets_met` over the edge variables: forced targets
     (those containing a forbidden copy) are counted up front, the witness is
-    the first optimum in its fixed branching order, and past ``cap_nodes``
+    the first optimum in its fixed branching order, and past ALPHA_CAP_NODES
     search nodes it raises ScaleGuardError.  So does a setup of more than
     ALPHA_CAP_NODES target-copy pairs, before any mask is built.
     """
@@ -136,9 +130,7 @@ def alpha_target(inst: CoverInstance, cap_nodes: int = ALPHA_CAP_NODES) -> tuple
         raise InputError("generalized instance needs a target family")
     guard_search_setup(len(inst.target), len(inst.forbidden))
     ranker = inst.ranker()
-    return min_targets_met(
-        inst.forbidden.masks(ranker), inst.target.masks(ranker), ranker.count, cap_nodes
-    )
+    return min_targets_met(inst.forbidden.masks(ranker), inst.target.masks(ranker), ranker.count)
 
 
 def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -> int:

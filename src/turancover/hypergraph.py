@@ -6,11 +6,12 @@ fixed colexicographic rank function, so subset tests are single AND ops.
 
 Copies of an explicit pattern F on k vertices are vertex sets times
 labellings: the k!/|Aut(F)| distinct relabellings of F's edges are computed
-once and placed on each k-subset of [n].  The core-pair family oracle keeps
-the shadow graph of covered pairs as one adjacency bitmask per vertex and
-decides each new violation with a bitset clique search.  The oracles import
-nothing from the cover-ideal search or the polynomial core: they are the
-independent check of both.
+once and placed on each k-subset of [n].  Core-pair copies on one ell-core
+are the Alexander dual of its pairs' stars (`pair_stars`).  The core-pair
+family oracle keeps the shadow graph of covered pairs as one adjacency
+bitmask per vertex and decides each new violation with a bitset clique
+search.  The oracles import nothing from the cover-ideal search or the
+polynomial core: they are the independent check of both.
 """
 
 from __future__ import annotations
@@ -263,20 +264,22 @@ def core_family_free(G: RGraph, ell: int) -> bool:
 
 
 COPY_CAP = 2_000_000
+TRANSVERSAL_CAP = 1_000_000
+ORACLE_CAP_EDGES = 30
 
 
-def _shapes(F: RGraph, cap: int) -> tuple[int, set]:
+def _shapes(F: RGraph) -> tuple[int, set]:
     """(k, shapes) of an explicit pattern: its k edge-covered vertices and
     the distinct images of its edges under the k! relabellings of those
     vertices by positions 0..k-1, which are k!/|Aut(F)| shapes.
-    ScaleGuardError refuses k! * |E(F)| labelling steps above `cap`."""
+    ScaleGuardError refuses k! * |E(F)| labelling steps above COPY_CAP."""
     verts = sorted(set().union(*F.edges)) if F.edges else []
     if not verts:
         raise InputError("forbidden graph has no edges")
     k = len(verts)
     labelling_work = factorial(k) * len(F.edges)
-    if labelling_work > cap:
-        raise ScaleGuardError(f"labelling work {labelling_work} exceeds cap {cap}")
+    if labelling_work > COPY_CAP:
+        raise ScaleGuardError(f"labelling work {labelling_work} exceeds cap {COPY_CAP}")
     index = {v: i for i, v in enumerate(verts)}
     edges = [[index[v] for v in e] for e in F.edges]
     shapes = {
@@ -286,35 +289,40 @@ def _shapes(F: RGraph, cap: int) -> tuple[int, set]:
     return k, shapes
 
 
-def explicit_copy_count(F: RGraph, n: int, cap: int = COPY_CAP) -> int:
+def explicit_copy_count(F: RGraph, n: int) -> int:
     """len(enumerate_forbidden_copies(F, n)) for an explicit pattern F,
     C(n, k) * (number of shapes), found without listing a single copy."""
     if F.n > n:
         return 0
-    k, shapes = _shapes(F, cap)
+    k, shapes = _shapes(F)
     return comb(n, k) * len(shapes)
 
 
-def enumerate_forbidden_copies(spec: FamilySpec, n: int, cap: int = COPY_CAP) -> CopyFamily:
+def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
     """All copies of `spec` inside the complete r-graph on [n].
 
     For an explicit RGraph F, copies are the edge-set images of embeddings of
     F into [n], sorted by edge list; F needs n >= F.n.  They are listed as
     k-subsets of [n] times the distinct labellings of F's k edge-covered
     vertices, and ScaleGuardError refuses k! * |E(F)| labelling steps or
-    C(n, k) * (number of labellings) copies above `cap`, each before that
+    C(n, k) * (number of labellings) copies above COPY_CAP, each before that
     work starts.  For the symbolic core-pair family, only inclusion-minimal
-    copies are emitted: minimal edge systems covering all pairs of some
-    ell-core.  Hitting all minimal copies is equivalent to hitting all copies.
+    copies are emitted (hitting them all is hitting all copies): per
+    ell-core, the Alexander dual of its pairs' stars, then
+    `minimal_supports` across cores.  ScaleGuardError first refuses
+    C(n, ell) * C(n-2, r-2)^C(ell, 2) one-edge-per-pair systems above
+    COPY_CAP.  That bounds the dualizer: a minimal transversal of the first
+    i stars is the union of a system of those i pairs, so its candidate
+    list at step i is never longer than the number of those systems.
     """
     if isinstance(spec, RGraph):
         F = spec
         if F.n > n:
             return CopyFamily(n, F.r, ())
-        k, shapes = _shapes(F, cap)
+        k, shapes = _shapes(F)
         copy_count = comb(n, k) * len(shapes)
-        if copy_count > cap:
-            raise ScaleGuardError(f"copy count {copy_count} exceeds cap {cap}")
+        if copy_count > COPY_CAP:
+            raise ScaleGuardError(f"copy count {copy_count} exceeds cap {COPY_CAP}")
         # every vertex of F lies in an edge, so a copy's vertex set is the k-set
         # it was placed on, and distinct (k-set, shape) pairs give distinct copies
         copies = [
@@ -327,31 +335,28 @@ def enumerate_forbidden_copies(spec: FamilySpec, n: int, cap: int = COPY_CAP) ->
     ell, r = spec.ell, spec.r
     if n < max(ell, r):
         return CopyFamily(n, r, ())
-    pair_count = comb(ell, 2)
-    choices_per_pair = comb(n - 2, r - 2)
-    projected = comb(n, ell) * choices_per_pair**pair_count
-    if projected > cap:
-        raise ScaleGuardError(f"projected copy count {projected} exceeds cap {cap}")
+    projected = comb(n, ell) * comb(n - 2, r - 2) ** comb(ell, 2)
+    if projected > COPY_CAP:
+        raise ScaleGuardError(f"projected copy count {projected} exceeds cap {COPY_CAP}")
     ranker = EdgeRanker(n, r)
-    all_minimal: set[int] = set()
-    for core in itertools.combinations(range(1, n + 1), ell):
-        pairs = list(itertools.combinations(core, 2))
-        per_pair = [
-            [
-                ranker.mask([pair + rest])
-                for rest in itertools.combinations(
-                    [v for v in range(1, n + 1) if v not in pair], r - 2
-                )
-            ]
-            for pair in pairs
-        ]
-        systems = {0}
-        for options in per_pair:
-            systems = {s | o for s in systems for o in options}
-        all_minimal.update(minimal_supports(systems))
-    minimal_masks = minimal_supports(all_minimal)
-    copies = [frozenset(ranker.unmask(m)) for m in minimal_masks]
+    stars = pair_stars(ranker)
+    core_copies = itertools.chain.from_iterable(
+        alexander_dual([stars[p] for p in itertools.combinations(core, 2)])
+        for core in itertools.combinations(range(1, n + 1), ell)
+    )
+    copies = [frozenset(ranker.unmask(m)) for m in minimal_supports(core_copies)]
     return CopyFamily(n, r, tuple(sorted(copies, key=_copy_key)))
+
+
+def pair_stars(ranker: EdgeRanker) -> dict[tuple[int, int], int]:
+    """Each pair (a, b), a < b, of [n] mapped to the mask of the r-sets
+    containing it, in one pass over the ranked r-sets.  Every pair is
+    listed, with mask 0 when r > n."""
+    stars = dict.fromkeys(itertools.combinations(range(1, ranker.n + 1), 2), 0)
+    for i, t in enumerate(ranker.sets):
+        for p in itertools.combinations(t, 2):
+            stars[p] |= 1 << i
+    return stars
 
 
 def minimal_supports(masks: Iterable[int]) -> list[int]:
@@ -362,6 +367,33 @@ def minimal_supports(masks: Iterable[int]) -> list[int]:
         if not any(k & m == k for k in kept):
             kept.append(m)
     return kept
+
+
+def alexander_dual(gens: Sequence[int]) -> list[int]:
+    """Minimal transversals of the generator supports (classical incremental
+    dualization: refine the antichain of minimal partial transversals one
+    hyperedge at a time).  Involutive on antichains.  ScaleGuardError
+    refuses an antichain of more than TRANSVERSAL_CAP transversals."""
+    gens = minimal_supports(gens)
+    if any(g == 0 for g in gens):
+        # nothing hits the empty support: the dual of the whole ring is zero
+        return []
+    transversals = [0]
+    for g in gens:
+        hit = [t for t in transversals if t & g]
+        missed = [t for t in transversals if not (t & g)]
+        extended = [t | (1 << b) for t in missed for b in _bits(g)]
+        transversals = minimal_supports(hit + extended)
+        if len(transversals) > TRANSVERSAL_CAP:
+            raise ScaleGuardError(f"transversal antichain exceeded cap {TRANSVERSAL_CAP}")
+    return transversals
+
+
+def _bits(mask: int) -> Iterable[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _copy_key(copy: frozenset) -> tuple:
@@ -379,22 +411,21 @@ def count_copies(G: RGraph, fam: CopyFamily) -> int:
 # brute-force extremal oracles
 
 
-def brute_force_ex(
-    n: int, spec: FamilySpec, cap_edges: int = 30
-) -> tuple[int, RGraph]:
+def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     """Exact ex(n, spec) by branch-and-bound over subgraphs of the complete r-graph.
 
     Deterministic: among optimal witnesses, the one with lexicographically
-    smallest edge bitmask (colex edge ranks) is returned.
+    smallest edge bitmask (colex edge ranks) is returned.  ScaleGuardError
+    refuses more than ORACLE_CAP_EDGES potential edges.
     """
     if isinstance(spec, CoreFamily):
-        return _brute_force_ex_core_family(n, spec, cap_edges)
+        return _brute_force_ex_core_family(n, spec)
     fam = enumerate_forbidden_copies(spec, n)
     r = fam.r
     ranker = EdgeRanker(n, r)
     m = ranker.count
-    if m > cap_edges:
-        raise ScaleGuardError(f"{m} potential edges exceeds cap {cap_edges}")
+    if m > ORACLE_CAP_EDGES:
+        raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     copy_masks = fam.masks(ranker)
     if not copy_masks:
         return m, RGraph.complete(n, r)
@@ -427,9 +458,7 @@ def brute_force_ex(
     return best_size, witness
 
 
-def _brute_force_ex_core_family(
-    n: int, spec: CoreFamily, cap_edges: int
-) -> tuple[int, RGraph]:
+def _brute_force_ex_core_family(n: int, spec: CoreFamily) -> tuple[int, RGraph]:
     """Core-pair family oracle on the shadow graph of covered pairs.
 
     A graph contains a member iff its shadow graph (the pairs of positive
@@ -442,8 +471,8 @@ def _brute_force_ex_core_family(
     ell, r = spec.ell, spec.r
     ranker = EdgeRanker(n, r)
     m = ranker.count
-    if m > cap_edges:
-        raise ScaleGuardError(f"{m} potential edges exceeds cap {cap_edges}")
+    if m > ORACLE_CAP_EDGES:
+        raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     if n < ell:
         return m, RGraph.complete(n, r)
 
@@ -496,10 +525,11 @@ def _has_clique(adj: list[int], cand: int, k: int) -> bool:
 
 
 def brute_force_gen_ex(
-    n: int, target_spec: FamilySpec, forbid_spec: FamilySpec, cap_edges: int = 30
+    n: int, target_spec: FamilySpec, forbid_spec: FamilySpec
 ) -> tuple[int, RGraph]:
     """Exact generalized Turán number ex(n, T, F): max number of target copies
-    in a forbid-free graph, by branch-and-bound over subgraphs."""
+    in a forbid-free graph, by branch-and-bound over subgraphs; refused above
+    ORACLE_CAP_EDGES potential edges."""
     forb = enumerate_forbidden_copies(forbid_spec, n)
     r = forb.r
     targ = enumerate_forbidden_copies(target_spec, n)
@@ -507,8 +537,8 @@ def brute_force_gen_ex(
         raise InputError("target and forbidden families must share uniformity")
     ranker = EdgeRanker(n, r)
     m = ranker.count
-    if m > cap_edges:
-        raise ScaleGuardError(f"{m} potential edges exceeds cap {cap_edges}")
+    if m > ORACLE_CAP_EDGES:
+        raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     forb_masks = forb.masks(ranker)
     targ_masks = targ.masks(ranker)
 
@@ -613,7 +643,9 @@ __all__ = [
     "COPY_CAP",
     "explicit_copy_count",
     "enumerate_forbidden_copies",
+    "pair_stars",
     "minimal_supports",
+    "alexander_dual",
     "count_copies",
     "brute_force_ex",
     "brute_force_gen_ex",

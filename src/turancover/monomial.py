@@ -3,8 +3,9 @@
 Monomial supports are int bitmasks over the edge variables, ranked by
 `hypergraph.EdgeRanker`.  An ideal is held in cover form: the intersection
 of variable ideals over a copy family, so a monomial is a member iff its
-support meets every copy.  `alexander_dual` turns copy masks into the
-minimal generators of that ideal.
+support meets every copy.  `alexander_dual`, which turns copy masks into
+the minimal generators of that ideal, lives in `hypergraph` beside
+`minimal_supports` and is re-exported here.
 
 `min_targets_met` is the one hitting-set search: the minimum hitting set
 (the initial degree of a cover ideal) and the generalized dictionary's
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import CopyFamily, EdgeRanker, minimal_supports
+from .hypergraph import CopyFamily, EdgeRanker, alexander_dual, minimal_supports
 
 
 @dataclass(frozen=True)
@@ -65,36 +66,6 @@ class SquarefreeIdeal:
 
 
 # ---------------------------------------------------------------------------
-# Alexander duality (minimal transversal enumeration)
-
-
-def alexander_dual(gens: Sequence[int], nvars: int, cap: int = 1_000_000) -> list[int]:
-    """Minimal transversals of the generator supports (classical incremental
-    dualization: refine the antichain of minimal partial transversals one
-    hyperedge at a time).  Involutive on antichains."""
-    gens = minimal_supports(gens)
-    if any(g == 0 for g in gens):
-        # nothing hits the empty support: the dual of the whole ring is zero
-        return []
-    transversals = [0]
-    for g in gens:
-        hit = [t for t in transversals if t & g]
-        missed = [t for t in transversals if not (t & g)]
-        extended = [t | (1 << b) for t in missed for b in _bits(g)]
-        transversals = minimal_supports(hit + extended)
-        if len(transversals) > cap:
-            raise ScaleGuardError(f"transversal antichain exceeded cap {cap}")
-    return transversals
-
-
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-# ---------------------------------------------------------------------------
 # the hitting-set search
 
 
@@ -123,9 +94,7 @@ def _index_sets(masks: list[int], nvars: int) -> list[int]:
     return out
 
 
-def min_targets_met(
-    copies: Iterable[int], targets: Sequence[int], nvars: int, cap_nodes: int = ALPHA_CAP_NODES
-) -> tuple[int, int]:
+def min_targets_met(copies: Iterable[int], targets: Sequence[int], nvars: int) -> tuple[int, int]:
     """Minimum number of target masks meeting M, over supports M that meet
     every copy mask.  Returns (minimum, witness support mask); an empty copy
     family gives (0, 0) and an empty copy mask raises InputError.
@@ -142,9 +111,9 @@ def min_targets_met(
     reaches in its fixed branching order, not a canonical one.  Uncovered
     copies and unmet targets are kept as bitsets over their indices.
 
-    Every search node counts against ``cap_nodes``; past it the search raises
-    ScaleGuardError.  A setup of more than ALPHA_CAP_NODES target-copy pairs
-    raises it before the filter runs.  So each call ends in bounded time.
+    Every search node counts against ALPHA_CAP_NODES; past it the search
+    raises ScaleGuardError.  A setup of more than ALPHA_CAP_NODES target-copy
+    pairs raises it before the filter runs.  So each call ends in bounded time.
     Each recursion level adds one variable to M, so a witness deeper than
     Python's recursion limit also raises ScaleGuardError.
     """
@@ -172,8 +141,8 @@ def min_targets_met(
         # banned variable; alive: free targets not met yet
         nonlocal best, best_mask, nodes
         nodes += 1
-        if nodes > cap_nodes:
-            raise ScaleGuardError(f"hitting-set search exceeds {cap_nodes} nodes")
+        if nodes > ALPHA_CAP_NODES:
+            raise ScaleGuardError(f"hitting-set search exceeds {ALPHA_CAP_NODES} nodes")
         if not uncovered:
             best, best_mask = killed, chosen
             return

@@ -483,16 +483,22 @@ def _all_hilbert_values(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
-def brute_force_hilbert_turan(n: int, q: int, r: int, cap: int = 5) -> tuple[bool, int]:
+HILBERT_ORACLE_CAP_N = 5
+
+
+def brute_force_hilbert_turan(n: int, q: int, r: int) -> tuple[bool, int]:
     """Independent oracle for the Hilbert-Turán bound: exhaust all kill graphs
     on [n], keep those whose degree-(q+1) piece vanishes, and check that the
     degree-r Hilbert value never exceeds t_r(n, q) and that the balanced
     partition structure attains the maximum.
 
-    Returns (bound holds and is attained, max Hilbert value observed).
+    Returns (bound holds and is attained, max Hilbert value observed);
+    n above HILBERT_ORACLE_CAP_N raises ScaleGuardError.
     """
-    if n > cap:
-        raise ScaleGuardError(f"exhaustion over 2^C({n},2) kill graphs refused (cap n <= {cap})")
+    if n > HILBERT_ORACLE_CAP_N:
+        raise ScaleGuardError(
+            f"exhaustion over 2^C({n},2) kill graphs refused (cap n <= {HILBERT_ORACLE_CAP_N})"
+        )
     if q < 0 or r < 0:
         raise InputError("q and r must be nonnegative")
     bound = turan_count(n, q, r)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from turancover import codegree_star
+from turancover import codegree_star, hypergraph, monomial
 from turancover.cli import EXIT_CLAIM_FAILED, main
 from turancover.codegree_star import (
     StarParams,
@@ -196,7 +196,7 @@ def test_collapse(n, ell, r):
 
 def test_collapse_scale_guard():
     with pytest.raises(ScaleGuardError):
-        verify_collapse(StarParams(7, 3, 3), cap=1 << 20)
+        verify_collapse(StarParams(7, 3, 3))
 
 
 def scan_collapse(params: StarParams) -> bool:
@@ -267,6 +267,23 @@ def test_collapse_detects_a_wrong_star_mask(monkeypatch):
     assert not scan_collapse(p)
 
 
+def test_collapse_detects_wrong_pair_stars_through_the_missing_edge_table(monkeypatch):
+    original = hypergraph.pair_stars
+
+    def broken(ranker):
+        stars = original(ranker)
+        stars[(1, 2)] &= stars[(1, 2)] - 1  # drop the lowest variable
+        return stars
+
+    # the star and the cover table both read the wrong stars, and agree
+    monkeypatch.setattr(hypergraph, "pair_stars", broken)
+    monkeypatch.setattr(codegree_star, "pair_stars", broken)
+    p = StarParams(5, 3, 2)
+    in_j, in_cover, free = _collapse_tables(p)
+    assert in_j == in_cover != free
+    assert not verify_collapse(p)
+
+
 def test_cli_collapse_failure_exits_claim_failed(monkeypatch, capsys):
     _drop_one_star_variable(monkeypatch)
     argv = ["codegree-star", "--n", "5", "--ell", "3", "--r", "2", "--verify-collapse"]
@@ -303,10 +320,12 @@ def test_star_initial_degree_vacuous():
     assert degree == 0 and witness.degree == 0
 
 
-def test_star_initial_degree_scale_guard():
-    # the pair-graph search at (6, 4, 3) needs more than 10 nodes
-    with pytest.raises(ScaleGuardError):
-        star_initial_degree(StarParams(6, 4, 3), cap_nodes=10)
+def test_star_initial_degree_scale_guard(monkeypatch):
+    # the pair-graph search at (7, 4, 3): 35 triangle targets x 35 K4 copies
+    # = 1,225 setup steps pass; the search needs 1,802 nodes
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1225)
+    with pytest.raises(ScaleGuardError, match="nodes"):
+        star_initial_degree(StarParams(7, 4, 3))
 
 
 def _no_cliques(n, s):

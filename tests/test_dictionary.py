@@ -264,11 +264,13 @@ def test_alpha_target_matches_exhaustive_minimum(target, forbid):
         assert killed_count(witness, targ) == alpha
 
 
-def test_gen_ex_scale_guard():
-    # the instance gen_ex_via_cover(6, K3, K4) searches
-    inst = make_instance(6, builtin_spec("K4"), builtin_spec("K3"))
-    with pytest.raises(ScaleGuardError):
-        alpha_target(inst, cap_nodes=10)
+def test_gen_ex_scale_guard(monkeypatch):
+    # the instance gen_ex_via_cover(7, K3, K4) searches: 35 triangle targets
+    # x 35 K4 copies = 1,225 setup steps pass; the search needs 1,802 nodes
+    inst = make_instance(7, builtin_spec("K4"), builtin_spec("K3"))
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1225)
+    with pytest.raises(ScaleGuardError, match="nodes"):
+        alpha_target(inst)
 
 
 def _no_masks(self, ranker):

@@ -6,6 +6,7 @@ import pytest
 
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
+    COPY_CAP,
     CopyFamily,
     CoreFamily,
     EdgeRanker,
@@ -19,6 +20,7 @@ from turancover.hypergraph import (
     count_copies,
     enumerate_forbidden_copies,
     is_member_core_family,
+    minimal_supports,
     parse_hypergraph,
     turan_construct,
     turan_count,
@@ -165,8 +167,44 @@ def test_count_copies():
 
 
 def test_enumeration_scale_guard():
-    with pytest.raises(ScaleGuardError):
-        enumerate_forbidden_copies(CoreFamily(5, 3), 8, cap=1000)
+    with pytest.raises(ScaleGuardError, match="projected copy count 3386105856"):
+        enumerate_forbidden_copies(CoreFamily(5, 3), 8)
+
+
+def reference_core_copies(ell, r, n):
+    """The per-core system product the dualizer replaced: every system of
+    one edge per core pair, as a union of edge masks, then the minimal
+    ones per core and across cores."""
+    ranker = EdgeRanker(n, r)
+    all_minimal = set()
+    for core in itertools.combinations(range(1, n + 1), ell):
+        systems = {0}
+        for pair in itertools.combinations(core, 2):
+            others = [v for v in range(1, n + 1) if v not in pair]
+            options = [
+                ranker.mask([pair + rest]) for rest in itertools.combinations(others, r - 2)
+            ]
+            systems = {s | o for s in systems for o in options}
+        all_minimal.update(minimal_supports(systems))
+    copies = [frozenset(ranker.unmask(m)) for m in minimal_supports(all_minimal)]
+    return CopyFamily(n, r, tuple(sorted(copies, key=_copy_key)))
+
+
+def _core_grid():
+    # every point with ell in 2..5, r in 2..4, max(ell, r) <= n <= 7 that the
+    # guard admits, except (ell, r, n) = (4, 3, 7), where the system product
+    # alone takes about 3 s
+    for ell in range(2, 6):
+        for r in range(2, 5):
+            for n in range(max(ell, r), 8):
+                projected = comb(n, ell) * comb(n - 2, r - 2) ** comb(ell, 2)
+                if projected <= COPY_CAP and (ell, r, n) != (4, 3, 7):
+                    yield ell, r, n
+
+
+@pytest.mark.parametrize("ell,r,n", list(_core_grid()))
+def test_core_copies_match_system_product(ell, r, n):
+    assert enumerate_forbidden_copies(CoreFamily(ell, r), n) == reference_core_copies(ell, r, n)
 
 
 def reference_copies(F, n):
@@ -381,7 +419,7 @@ def test_gen_ex_oracle_matches_target_scan(n, t, f):
 
 def test_scale_guard_on_edge_count():
     with pytest.raises(ScaleGuardError):
-        brute_force_ex(9, K(3), cap_edges=30)
+        brute_force_ex(9, K(3))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ def test_cover_equals_explicit_dual_form():
     rk = EdgeRanker(4, 2)
     copies = fam.masks(rk)
     cover = SquarefreeIdeal(copies, rk.count)
-    dual_gens = alexander_dual(copies, rk.count)
+    dual_gens = alexander_dual(copies)
     for m in range(1 << rk.count):
         assert cover.membership(m) == any(g & m == g for g in dual_gens)
 
@@ -51,18 +51,18 @@ def test_cover_equals_explicit_dual_form():
 
 
 def test_dual_of_single_generator():
-    assert sorted(alexander_dual([0b11], 2)) == [0b01, 0b10]
+    assert sorted(alexander_dual([0b11])) == [0b01, 0b10]
 
 
 def test_dual_of_two_singletons():
-    assert alexander_dual([0b01, 0b10], 2) == [0b11]
+    assert alexander_dual([0b01, 0b10]) == [0b11]
 
 
 def test_dual_of_triangle_copies_in_k4():
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 4)
     rk = EdgeRanker(4, 2)
     copies = fam.masks(rk)
-    dual = alexander_dual(copies, rk.count)
+    dual = alexander_dual(copies)
     # brute-force minimal transversals over all 2^6 supports
     members = [
         m for m in range(1 << rk.count) if all(m & c for c in copies)
@@ -78,7 +78,7 @@ def test_dual_of_triangle_copies_in_k4():
 )
 def test_dual_is_involutive(gens):
     antichain = minimal_supports(gens)
-    double = alexander_dual(alexander_dual(antichain, 12), 12)
+    double = alexander_dual(alexander_dual(antichain))
     assert sorted(double) == sorted(antichain)
 
 
@@ -99,7 +99,7 @@ def test_intersect_two_variable_ideals():
     assert ideal.membership(0b001)  # y_a
     assert ideal.membership(0b110)  # y_b*y_c
     assert not ideal.membership(0b010)  # y_b alone
-    assert sorted(alexander_dual(ideal.copies, ideal.nvars)) == [0b001, 0b110]
+    assert sorted(alexander_dual(ideal.copies)) == [0b001, 0b110]
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +160,11 @@ def test_min_hitting_set_witness_lexicographically_smallest():
     assert witness == min(candidates)
 
 
-def test_hitting_set_search_guards():
-    # K3 at n = 7 as the `ex` search sees it: one singleton target per edge
-    fam = enumerate_forbidden_copies(builtin_spec("K3"), 7)
-    rk = EdgeRanker(7, 2)
+def test_hitting_set_search_guards(monkeypatch):
+    # K3 at n = 8 as the `ex` search sees it: one singleton target per edge
+    fam = enumerate_forbidden_copies(builtin_spec("K3"), 8)
+    rk = EdgeRanker(8, 2)
     singletons = [1 << v for v in range(rk.count)]
-    with pytest.raises(ScaleGuardError):
-        min_targets_met(fam.masks(rk), singletons, rk.count, cap_nodes=10)
     with pytest.raises(InputError):
         min_targets_met(masks([0, 1], []), singletons, rk.count)
     with pytest.raises(InputError):
@@ -174,6 +172,11 @@ def test_hitting_set_search_guards():
     # 2000 disjoint copies need a 2000-deep search, past the recursion limit
     with pytest.raises(ScaleGuardError):
         min_hitting_set([1 << v for v in range(2000)], 2000)
+    # 28 targets x 56 copies = 1,568 setup steps pass; the search needs
+    # 5,114 nodes
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1568)
+    with pytest.raises(ScaleGuardError, match="nodes"):
+        min_targets_met(fam.masks(rk), singletons, rk.count)
 
 
 def _no_search(*args, **kwargs):
@@ -208,7 +211,7 @@ def test_initial_degree_explicit():
     # alpha of the cover ideal is the least degree of its dual generators
     copies = masks([0, 1], [0, 2], [3])
     ideal = SquarefreeIdeal(copies, 4)
-    gens = alexander_dual(copies, 4)
+    gens = alexander_dual(copies)
     assert initial_degree(ideal) == min(g.bit_count() for g in gens) == 2
 
 

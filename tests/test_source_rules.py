@@ -85,3 +85,16 @@ def test_only_hypergraph_ranks_edges():
         if _builds_colex_rank(node)
     ]
     assert found == []
+
+
+def test_antichain_and_star_helpers_live_only_in_hypergraph():
+    """`minimal_supports`, `alexander_dual` and `pair_stars` are each
+    defined once, in `hypergraph`; other modules import them."""
+    shared = {"minimal_supports", "alexander_dual", "pair_stars"}
+    found = sorted(
+        (node.name, path.name)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in shared
+    )
+    assert found == sorted((name, "hypergraph.py") for name in shared)
