@@ -148,7 +148,7 @@ def _collapse_tables(params: StarParams) -> tuple[int, int, int]:
     fam = enumerate_forbidden_copies(CoreFamily(ell, params.r), n)
     in_cover = reduce(
         and_,
-        (reduce(or_, (T[ranker.rank[e]] for e in c), 0) for c in fam.copies),
+        (reduce(or_, (t for i, t in enumerate(T) if c >> i & 1), 0) for c in fam.copies),
         full,
     )
 
@@ -206,15 +206,13 @@ def verify_collapse(params: StarParams) -> bool:
 
 
 def _clique_copies(n: int, s: int) -> CopyFamily:
-    """The s-cliques of K_n, each as the set of its C(s, 2) pairs."""
-    return CopyFamily(
-        n,
-        2,
-        tuple(
-            frozenset(map(frozenset, itertools.combinations(clique, 2)))
-            for clique in itertools.combinations(range(1, n + 1), s)
-        ),
+    """The s-cliques of K_n, each as the mask of its C(s, 2) pairs."""
+    ranker = EdgeRanker(n, 2)
+    copies = (
+        ranker.mask(itertools.combinations(clique, 2))
+        for clique in itertools.combinations(range(1, n + 1), s)
     )
+    return CopyFamily(n, 2, tuple(sorted(copies)))
 
 
 def star_initial_degree(params: StarParams) -> tuple[int, SquarefreeMonomial]:

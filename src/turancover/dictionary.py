@@ -83,20 +83,18 @@ def _is_free(G: RGraph, spec: FamilySpec, fam: CopyFamily) -> bool:
 def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     """ex(n, spec) = C(n, r) - alpha(cover ideal), witnessed by the complement
     of a minimum hitting set of the forbidden copies.  More than
-    ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before any
-    mask is built, and for an explicit pattern, whose copy count is exact
+    ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before the
+    search starts, and for an explicit pattern, whose copy count is exact
     beforehand, before any copy is listed.  (A core-pair family's projected
-    count overcounts, so it is guarded after enumeration only.)"""
+    count overcounts, so `min_hitting_set` guards it after enumeration.)"""
     if isinstance(spec, RGraph):
         guard_search_setup(comb(n, spec.r), explicit_copy_count(spec, n))
     fam = enumerate_forbidden_copies(spec, n)
-    guard_search_setup(comb(fam.n, fam.r), len(fam))
-    ranker = EdgeRanker(fam.n, fam.r)
-    total = ranker.count
-    size, witness_mask = min_hitting_set(fam.masks(ranker), total)
+    total = comb(n, fam.r)
+    size, witness_mask = min_hitting_set(fam.copies, total)
     value = total - size
     complement_mask = ((1 << total) - 1) ^ witness_mask
-    witness = RGraph(n, fam.r, ranker.unmask(complement_mask))
+    witness = RGraph(n, fam.r, EdgeRanker(n, fam.r).unmask(complement_mask))
     if not _is_free(witness, spec, fam):
         raise ClaimCheckError("hitting-set complement is not forbidden-free")
     return value, witness
@@ -124,13 +122,11 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     (those containing a forbidden copy) are counted up front, the witness is
     the first optimum in its fixed branching order, and past ALPHA_CAP_NODES
     search nodes it raises ScaleGuardError.  So does a setup of more than
-    ALPHA_CAP_NODES target-copy pairs, before any mask is built.
+    ALPHA_CAP_NODES target-copy pairs, before the search starts.
     """
     if inst.target is None:
         raise InputError("generalized instance needs a target family")
-    guard_search_setup(len(inst.target), len(inst.forbidden))
-    ranker = inst.ranker()
-    return min_targets_met(inst.forbidden.masks(ranker), inst.target.masks(ranker), ranker.count)
+    return min_targets_met(inst.forbidden.copies, inst.target.copies, comb(inst.n, inst.r))
 
 
 def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -> int:

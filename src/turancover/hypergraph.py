@@ -1,8 +1,10 @@
 """r-uniform hypergraphs on [n], Turán constructions, and exact search oracles.
 
-Edges are r-element frozensets of 1-based vertices.  The search kernels
-translate edge sets to bitmasks over the C(n, r) potential edges using a
-fixed colexicographic rank function, so subset tests are single AND ops.
+Edges are r-element frozensets of 1-based vertices.  Edge sets are bitmasks
+over the C(n, r) potential edges under a fixed colexicographic rank
+function (`EdgeRanker`), so subset tests are single AND ops.  A forbidden
+copy is such a mask from the moment it is listed: the squarefree monomial
+of its edges in the edge-variable ring.
 
 Copies of an explicit pattern F on k vertices are vertex sets times
 labellings: the k!/|Aut(F)| distinct relabellings of F's edges are computed
@@ -17,7 +19,7 @@ polynomial core: they are the independent check of both.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Sequence
 
@@ -129,27 +131,22 @@ class RGraph:
 class CopyFamily:
     """Explicit list of forbidden (or target) copies inside the complete r-graph on [n].
 
-    Each copy is a nonempty frozenset of edges; the list is deduplicated.
+    Each copy is a nonzero edge mask over the ranks of `EdgeRanker(n, r)`;
+    the list is deduplicated.
     """
 
     n: int
     r: int
-    copies: tuple[frozenset, ...]
+    copies: tuple[int, ...]
 
     def __post_init__(self):
-        seen = set()
-        for c in self.copies:
-            if not c:
-                raise InputError("empty copy in CopyFamily")
-            if c in seen:
-                raise InputError("duplicate copy in CopyFamily")
-            seen.add(c)
+        if 0 in self.copies:
+            raise InputError("empty copy in CopyFamily")
+        if len(set(self.copies)) != len(self.copies):
+            raise InputError("duplicate copy in CopyFamily")
 
     def __len__(self) -> int:
         return len(self.copies)
-
-    def masks(self, ranker: EdgeRanker) -> list[int]:
-        return [ranker.mask(c) for c in self.copies]
 
 
 @dataclass(frozen=True)
@@ -299,10 +296,11 @@ def explicit_copy_count(F: RGraph, n: int) -> int:
 
 
 def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
-    """All copies of `spec` inside the complete r-graph on [n].
+    """All copies of `spec` inside the complete r-graph on [n], as edge masks
+    over `EdgeRanker(n, r)` in increasing order.
 
-    For an explicit RGraph F, copies are the edge-set images of embeddings of
-    F into [n], sorted by edge list; F needs n >= F.n.  They are listed as
+    For an explicit RGraph F, copies are the edge sets of the embeddings of
+    F into [n]; F needs n >= F.n.  They are listed as
     k-subsets of [n] times the distinct labellings of F's k edge-covered
     vertices, and ScaleGuardError refuses k! * |E(F)| labelling steps or
     C(n, k) * (number of labellings) copies above COPY_CAP, each before that
@@ -325,12 +323,13 @@ def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
             raise ScaleGuardError(f"copy count {copy_count} exceeds cap {COPY_CAP}")
         # every vertex of F lies in an edge, so a copy's vertex set is the k-set
         # it was placed on, and distinct (k-set, shape) pairs give distinct copies
+        rank = EdgeRanker(n, F.r).rank
         copies = [
-            frozenset(frozenset(c[i] for i in e) for e in shape)
+            sum(1 << rank[frozenset(c[i] for i in e)] for e in shape)
             for c in itertools.combinations(range(1, n + 1), k)
             for shape in shapes
         ]
-        return CopyFamily(n, F.r, tuple(sorted(copies, key=_copy_key)))
+        return CopyFamily(n, F.r, tuple(sorted(copies)))
 
     ell, r = spec.ell, spec.r
     if n < max(ell, r):
@@ -344,8 +343,7 @@ def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
         alexander_dual([stars[p] for p in itertools.combinations(core, 2)])
         for core in itertools.combinations(range(1, n + 1), ell)
     )
-    copies = [frozenset(ranker.unmask(m)) for m in minimal_supports(core_copies)]
-    return CopyFamily(n, r, tuple(sorted(copies, key=_copy_key)))
+    return CopyFamily(n, r, tuple(sorted(minimal_supports(core_copies))))
 
 
 def pair_stars(ranker: EdgeRanker) -> dict[tuple[int, int], int]:
@@ -396,15 +394,12 @@ def _bits(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _copy_key(copy: frozenset) -> tuple:
-    return tuple(sorted(tuple(sorted(e)) for e in copy))
-
-
 def count_copies(G: RGraph, fam: CopyFamily) -> int:
     """Number of copies entirely contained in G."""
     if (G.n, G.r) != (fam.n, fam.r):
         raise InputError("graph and copy family have incompatible (n, r)")
-    return sum(1 for c in fam.copies if c <= G.edges)
+    g = EdgeRanker(G.n, G.r).mask(G.edges)
+    return sum(1 for c in fam.copies if c & g == c)
 
 
 # ---------------------------------------------------------------------------
@@ -426,14 +421,13 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     m = ranker.count
     if m > ORACLE_CAP_EDGES:
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
-    copy_masks = fam.masks(ranker)
-    if not copy_masks:
+    if not fam.copies:
         return m, RGraph.complete(n, r)
 
     # copies indexed by their highest-ranked edge: a copy can only become
     # fully chosen when its last edge is added
     by_last: list[list[int]] = [[] for _ in range(m)]
-    for cm in copy_masks:
+    for cm in fam.copies:
         by_last[cm.bit_length() - 1].append(cm)
 
     best_size = -1
@@ -539,17 +533,15 @@ def brute_force_gen_ex(
     m = ranker.count
     if m > ORACLE_CAP_EDGES:
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
-    forb_masks = forb.masks(ranker)
-    targ_masks = targ.masks(ranker)
 
     forb_by_last: list[list[int]] = [[] for _ in range(m)]
-    for cm in forb_masks:
+    for cm in forb.copies:
         forb_by_last[cm.bit_length() - 1].append(cm)
     # target copies grouped by last edge: count completed copies incrementally;
     # and by every edge: excluding an edge loses only the copies through it
     targ_by_last: list[list[int]] = [[] for _ in range(m)]
     targ_by_edge: list[list[int]] = [[] for _ in range(m)]
-    for cm in targ_masks:
+    for cm in targ.copies:
         targ_by_last[cm.bit_length() - 1].append(cm)
         for idx in range(m):
             if cm >> idx & 1:
@@ -576,7 +568,7 @@ def brute_force_gen_ex(
         lost = sum(1 for cm in targ_by_edge[idx] if not (cm & excluded))
         dfs(idx + 1, chosen, excluded | bit, done, alive - lost)
 
-    dfs(0, 0, 0, 0, len(targ_masks))
+    dfs(0, 0, 0, 0, len(targ))
     witness = RGraph(n, r, ranker.unmask(best_mask))
     return best_count, witness
 

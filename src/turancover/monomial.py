@@ -15,6 +15,7 @@ alpha_target are both instances of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
@@ -38,10 +39,6 @@ class SquarefreeMonomial:
         """The edges of the support, in colex rank order."""
         return EdgeRanker(self.n, self.r).unmask(self.support)
 
-    def divides(self, other: "SquarefreeMonomial | int") -> bool:
-        o = other.support if isinstance(other, SquarefreeMonomial) else other
-        return self.support & o == self.support
-
 
 class SquarefreeIdeal:
     """The cover ideal of copy masks over `nvars` variables: a monomial is a
@@ -54,8 +51,7 @@ class SquarefreeIdeal:
 
     @classmethod
     def from_copy_family(cls, fam: CopyFamily) -> "SquarefreeIdeal":
-        ranker = EdgeRanker(fam.n, fam.r)
-        return cls(fam.masks(ranker), ranker.count)
+        return cls(fam.copies, comb(fam.n, fam.r))
 
     def membership(self, m: SquarefreeMonomial | int) -> bool:
         support = m.support if isinstance(m, SquarefreeMonomial) else m
@@ -75,7 +71,7 @@ ALPHA_CAP_NODES = 2_000_000
 def guard_search_setup(ntargets: int, ncopies: int) -> None:
     """Refuse a search whose setup alone exceeds ALPHA_CAP_NODES steps: the
     forced-target filter, or one singleton target per variable.  Callers
-    run it before they build the copy masks, whose bits it also bounds."""
+    with exact copy counts run it before any copy is listed."""
     work = ntargets * ncopies
     if work > ALPHA_CAP_NODES:
         raise ScaleGuardError(

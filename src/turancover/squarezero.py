@@ -16,7 +16,6 @@ masks it changes.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -471,18 +470,6 @@ def terminal_class_sizes(B: SquareZeroQuotient) -> list[int]:
     return sorted((len(c) for c in part.classes), reverse=True)
 
 
-@functools.lru_cache(maxsize=1)
-def _all_hilbert_values(n: int) -> tuple[tuple[int, ...], ...]:
-    """(h_0, ..., h_n) of every one of the 2^C(n,2) kill graphs on [n],
-    built once per n for the (q, r) sweeps of `brute_force_hilbert_turan`."""
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    table = []
-    for mask in range(1 << len(pairs)):
-        A = SquareZeroQuotient(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-        table.append(tuple(A.hilbert(d) for d in range(n + 1)))
-    return tuple(table)
-
-
 HILBERT_ORACLE_CAP_N = 5
 
 
@@ -504,11 +491,12 @@ def brute_force_hilbert_turan(n: int, q: int, r: int) -> tuple[bool, int]:
     bound = turan_count(n, q, r)
     best = -1
     ok = True
-    for values in _all_hilbert_values(n):
-        # values[d] is h_d for d <= n; h_d = 0 above n
-        if q + 1 <= n and values[q + 1]:
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    for mask in range(1 << len(pairs)):
+        A = SquareZeroQuotient(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+        if A.hilbert(q + 1):
             continue
-        h = values[r] if r <= n else 0
+        h = A.hilbert(r)
         best = max(best, h)
         if h > bound:
             ok = False

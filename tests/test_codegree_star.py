@@ -205,7 +205,7 @@ def scan_collapse(params: StarParams) -> bool:
     nvars = comb(params.n, params.r)
     fam = enumerate_forbidden_copies(CoreFamily(params.ell, params.r), params.n)
     ranker = params.ranker()
-    copy_masks = fam.masks(ranker)
+    copy_masks = fam.copies
     pair_list = list(codegree_star._star_masks(params).items())
     ell_sets = [
         list(itertools.combinations(L, 2))
@@ -237,7 +237,7 @@ def _small_grid():
 def test_collapse_tables_match_per_support_predicates(n, ell, r):
     p = StarParams(n, ell, r)
     ranker = p.ranker()
-    copy_masks = enumerate_forbidden_copies(CoreFamily(ell, r), n).masks(ranker)
+    copy_masks = enumerate_forbidden_copies(CoreFamily(ell, r), n).copies
     full = (1 << ranker.count) - 1
     in_j, in_cover, free = _collapse_tables(p)
     for S in range(1 << ranker.count):

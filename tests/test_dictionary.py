@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from turancover import monomial
+from turancover import dictionary, monomial
 from turancover.dictionary import (
     CoverInstance,
     alpha_target,
@@ -18,7 +18,6 @@ from turancover.dictionary import (
 )
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
-    CopyFamily,
     CoreFamily,
     EdgeRanker,
     RGraph,
@@ -96,7 +95,7 @@ def test_hitting_sets_complement_extremal_graphs():
     # every minimum hitting set's complement is extremal, exhaustively at n=5
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 5)
     rk = EdgeRanker(5, 2)
-    copies = fam.masks(rk)
+    copies = fam.copies
     size, _ = min_hitting_set(copies, rk.count)
     full = (1 << rk.count) - 1
     for m in range(1 << rk.count):
@@ -114,7 +113,7 @@ def test_quotient_rank_worked_example():
     # killing y_{12} and y_{34} kills every triangle of K4
     inst = make_instance(4, builtin_spec("K4"), builtin_spec("K3"))
     rk = inst.ranker()
-    targ = inst.target.masks(rk)
+    targ = inst.target.copies
     M = rk.mask([frozenset((1, 2))]) | rk.mask([frozenset((3, 4))])
     assert quotient_rank(M, targ) == 0
     assert killed_count(M, targ) == 4
@@ -124,7 +123,7 @@ def test_quotient_rank_complement_identity():
     rng = random.Random(7)
     inst = make_instance(5, builtin_spec("K4"), builtin_spec("K3"))
     rk = inst.ranker()
-    targ = inst.target.masks(rk)
+    targ = inst.target.copies
     for _ in range(20):
         M = rng.randrange(1 << rk.count)
         assert quotient_rank(M, targ) + killed_count(M, targ) == len(targ)
@@ -133,7 +132,7 @@ def test_quotient_rank_complement_identity():
 def test_quotient_rank_counts_surviving_cliques():
     inst = make_instance(4, builtin_spec("K4"), builtin_spec("K3"))
     rk = inst.ranker()
-    targ = inst.target.masks(rk)
+    targ = inst.target.copies
     M = rk.mask([frozenset((1, 2))])
     # triangles avoiding the pair {1,2}: 134, 234
     assert quotient_rank(M, targ) == 2
@@ -146,7 +145,7 @@ def test_vertex_quotient_of_cover():
     assert A == SquareZeroQuotient(4, [(1, 2), (3, 4)])
     # surviving triangles == standard 3-subsets
     inst = make_instance(4, builtin_spec("K4"), builtin_spec("K3"))
-    targ = inst.target.masks(rk)
+    targ = inst.target.copies
     assert quotient_rank(M, targ) == A.hilbert(3) == 0
 
 
@@ -155,7 +154,7 @@ def test_quotient_rank_equals_hilbert_on_random_supports():
     n, s = 5, 3
     inst = make_instance(n, builtin_spec("K4"), builtin_spec("K3"))
     rk = inst.ranker()
-    targ = inst.target.masks(rk)
+    targ = inst.target.copies
     for _ in range(25):
         M = rng.randrange(1 << rk.count)
         A = vertex_quotient_of_cover(M, n)
@@ -168,8 +167,8 @@ def test_corollary_bound_over_cover_members():
     n = 5
     inst = make_instance(n, builtin_spec("K4"), builtin_spec("K3"))
     rk = inst.ranker()
-    forb = inst.forbidden.masks(rk)
-    targ = inst.target.masks(rk)
+    forb = inst.forbidden.copies
+    targ = inst.target.copies
     bound = turan_count(n, 3, 3)
     rng = random.Random(23)
     seen_tight = False
@@ -222,8 +221,8 @@ def test_alpha_target_witness_properties():
     inst = make_instance(5, builtin_spec("K4"), builtin_spec("K3"))
     rk = inst.ranker()
     alpha, witness = alpha_target(inst)
-    forb = inst.forbidden.masks(rk)
-    targ = inst.target.masks(rk)
+    forb = inst.forbidden.copies
+    targ = inst.target.copies
     assert all(witness & c for c in forb)
     assert killed_count(witness, targ) == alpha
     assert len(targ) - alpha == 4
@@ -232,8 +231,8 @@ def test_alpha_target_witness_properties():
 def test_alpha_target_exhaustive_reference():
     inst = make_instance(4, builtin_spec("K4"), builtin_spec("K3"))
     rk = inst.ranker()
-    forb = inst.forbidden.masks(rk)
-    targ = inst.target.masks(rk)
+    forb = inst.forbidden.copies
+    targ = inst.target.copies
     alpha, _ = alpha_target(inst)
     best = min(
         killed_count(M, targ)
@@ -251,8 +250,8 @@ def test_alpha_target_matches_exhaustive_minimum(target, forbid):
     for n in range(2, 6):
         inst = make_instance(n, builtin_spec(forbid), builtin_spec(target))
         rk = inst.ranker()
-        forb = inst.forbidden.masks(rk)
-        targ = inst.target.masks(rk)
+        forb = inst.forbidden.copies
+        targ = inst.target.copies
         alpha, witness = alpha_target(inst)
         best = min(
             killed_count(M, targ)
@@ -273,14 +272,14 @@ def test_gen_ex_scale_guard(monkeypatch):
         alpha_target(inst)
 
 
-def _no_masks(self, ranker):
-    raise AssertionError("copy masks were built")
+def _no_enumeration(spec, n):
+    raise AssertionError("copies were listed")
 
 
-def test_search_setup_refused_before_masks(monkeypatch):
+def test_search_setup_refused_before_enumeration(monkeypatch):
     # 19,900 edge variables x 19,900 single-edge copies; their masks alone
     # would take about 25 MB, and the search setup 396M steps
-    monkeypatch.setattr(CopyFamily, "masks", _no_masks)
+    monkeypatch.setattr(dictionary, "enumerate_forbidden_copies", _no_enumeration)
     with pytest.raises(ScaleGuardError):
         ex_via_cover(200, builtin_spec("K2"))
     # 20 triangle targets x 15 K4 copies at n = 6: 300 setup steps

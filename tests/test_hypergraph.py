@@ -11,7 +11,6 @@ from turancover.hypergraph import (
     CoreFamily,
     EdgeRanker,
     RGraph,
-    _copy_key,
     balanced_partition,
     brute_force_ex,
     brute_force_gen_ex,
@@ -134,7 +133,7 @@ def test_core_family_freeness_predicate_matches_member_scan():
 def test_triangle_copies_in_k4():
     fam = enumerate_forbidden_copies(K(3), 4)
     assert len(fam) == 4
-    assert all(len(c) == 3 for c in fam.copies)
+    assert all(c.bit_count() == 3 for c in fam.copies)
 
 
 def test_single_edge_copies():
@@ -145,16 +144,15 @@ def test_single_edge_copies():
 def test_core_family_minimal_copies_single_edges():
     fam = enumerate_forbidden_copies(CoreFamily(3, 3), 4)
     assert len(fam) == 4
-    assert all(len(c) == 1 for c in fam.copies)
+    assert all(c.bit_count() == 1 for c in fam.copies)
 
 
 def test_copy_list_closed_under_relabeling():
     fam = enumerate_forbidden_copies(K(3), 5)
+    rk = EdgeRanker(5, 2)
     copies = set(fam.copies)
     perm = {1: 3, 2: 5, 3: 1, 4: 2, 5: 4}
-    relabeled = {
-        frozenset(frozenset(perm[v] for v in e) for e in c) for c in copies
-    }
+    relabeled = {rk.mask({perm[v] for v in e} for e in rk.unmask(c)) for c in copies}
     assert relabeled == copies
 
 
@@ -164,6 +162,13 @@ def test_count_copies():
     assert count_copies(turan_construct(4, 2, 2), t) == 0
     t6 = enumerate_forbidden_copies(K(3), 6)
     assert count_copies(turan_construct(6, 3, 2), t6) == 8
+
+
+def test_copy_family_validation():
+    with pytest.raises(InputError, match="empty copy"):
+        CopyFamily(3, 2, (0b1, 0))
+    with pytest.raises(InputError, match="duplicate copy"):
+        CopyFamily(3, 2, (0b1, 0b1))
 
 
 def test_enumeration_scale_guard():
@@ -186,8 +191,7 @@ def reference_core_copies(ell, r, n):
             ]
             systems = {s | o for s in systems for o in options}
         all_minimal.update(minimal_supports(systems))
-    copies = [frozenset(ranker.unmask(m)) for m in minimal_supports(all_minimal)]
-    return CopyFamily(n, r, tuple(sorted(copies, key=_copy_key)))
+    return CopyFamily(n, r, tuple(sorted(minimal_supports(all_minimal))))
 
 
 def _core_grid():
@@ -212,12 +216,13 @@ def reference_copies(F, n):
     F's vertices into [n], deduplicated."""
     if F.n > n:
         return CopyFamily(n, F.r, ())
+    ranker = EdgeRanker(n, F.r)
     verts = sorted(set().union(*F.edges))
     copies = set()
     for image in itertools.permutations(range(1, n + 1), len(verts)):
         phi = dict(zip(verts, image))
-        copies.add(frozenset(frozenset(phi[v] for v in e) for e in F.edges))
-    return CopyFamily(n, F.r, tuple(sorted(copies, key=_copy_key)))
+        copies.add(ranker.mask({phi[v] for v in e} for e in F.edges))
+    return CopyFamily(n, F.r, tuple(sorted(copies)))
 
 
 # a 3-graph on 6 vertices whose only automorphism is the identity
@@ -382,9 +387,9 @@ def reference_gen_ex(n, target_spec, forbid_spec):
     targ = enumerate_forbidden_copies(target_spec, n)
     ranker = EdgeRanker(n, forb.r)
     m = ranker.count
-    targ_masks = targ.masks(ranker)
+    targ_masks = targ.copies
     forb_by_last = [[] for _ in range(m)]
-    for cm in forb.masks(ranker):
+    for cm in forb.copies:
         forb_by_last[cm.bit_length() - 1].append(cm)
     targ_by_last = [[] for _ in range(m)]
     for cm in targ_masks:

@@ -39,7 +39,7 @@ def test_cover_equals_explicit_dual_form():
     # membership in cover form == divisibility by a dual generator
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 4)
     rk = EdgeRanker(4, 2)
-    copies = fam.masks(rk)
+    copies = fam.copies
     cover = SquarefreeIdeal(copies, rk.count)
     dual_gens = alexander_dual(copies)
     for m in range(1 << rk.count):
@@ -61,7 +61,7 @@ def test_dual_of_two_singletons():
 def test_dual_of_triangle_copies_in_k4():
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 4)
     rk = EdgeRanker(4, 2)
-    copies = fam.masks(rk)
+    copies = fam.copies
     dual = alexander_dual(copies)
     # brute-force minimal transversals over all 2^6 supports
     members = [
@@ -169,14 +169,18 @@ def test_hitting_set_search_guards(monkeypatch):
         min_targets_met(masks([0, 1], []), singletons, rk.count)
     with pytest.raises(InputError):
         min_hitting_set(masks([0, 1], []), 2)
-    # 2000 disjoint copies need a 2000-deep search, past the recursion limit
-    with pytest.raises(ScaleGuardError):
+    # 2000 variables x 2000 disjoint copies: 4M setup steps, refused up front
+    with pytest.raises(ScaleGuardError, match="setup steps"):
         min_hitting_set([1 << v for v in range(2000)], 2000)
+    # with no targets there is no setup, and the search must go 2000 deep,
+    # past the recursion limit
+    with pytest.raises(ScaleGuardError, match="recursion limit"):
+        min_targets_met([1 << v for v in range(2000)], [], 2000)
     # 28 targets x 56 copies = 1,568 setup steps pass; the search needs
     # 5,114 nodes
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1568)
     with pytest.raises(ScaleGuardError, match="nodes"):
-        min_targets_met(fam.masks(rk), singletons, rk.count)
+        min_targets_met(fam.copies, singletons, rk.count)
 
 
 def _no_search(*args, **kwargs):
@@ -238,7 +242,7 @@ def test_initial_degree_cover_triangles_in_k4():
 def test_initial_degree_matches_hitting_set():
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 5)
     rk = EdgeRanker(5, 2)
-    copies = fam.masks(rk)
+    copies = fam.copies
     ideal = SquarefreeIdeal.from_copy_family(fam)
     assert initial_degree(ideal) == min_hitting_set(copies, rk.count)[0]
 
