@@ -30,7 +30,6 @@ from .diagonal import (
 from .dictionary import ex_via_cover, gen_ex_via_cover
 from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import (
-    CoreFamily,
     FamilySpec,
     brute_force_ex,
     brute_force_gen_ex,

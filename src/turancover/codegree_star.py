@@ -237,12 +237,22 @@ def star_initial_degree(params: StarParams) -> tuple[int, SquarefreeMonomial]:
     edges of K_n, i.e. C(n, r) - ex(n, K_r, K_ell).  Zykov (1949) gives
     ex(n, K_r, K_ell) = t_r(n, ell-1).
 
+    The search is certified link by link (`alpha_target` with k = r): the
+    cliques are listed once, on [n], the instance on [m] is their prefix
+    below 1 << C(m, 2), and the averaging bound (Katona, Nemetz and
+    Simonovits 1964) ex(m, K_r, K_ell) <= floor(ex(m-1, K_r, K_ell) * m /
+    (m - r)) gives each link a floor at which its search may stop.  Each
+    floor comes from the previous link's search, never from t_r(n, ell-1):
+    a floor taken from the value checked below would let the search stop on
+    any set of that size, and so pass a wrong theorem value.
+
     The theorem's value C(n, r) - t_r(n, ell-1) is certified rather than
     assumed: the search result must equal it, and the balanced-partition
     monomial, returned as the witness, is checked to be a member of that
-    degree.  The search expands at most `monomial.ALPHA_CAP_NODES` nodes and
-    raises ScaleGuardError beyond that; more than COPY_CAP cliques in the two
-    families raise it before they are built.
+    degree.  Each link's search expands at most `monomial.ALPHA_CAP_NODES`
+    nodes and raises ScaleGuardError beyond that; so does a setup of more
+    than that many target-copy pairs on [n], before the first link.  More
+    than COPY_CAP cliques in the two families raise it before they are built.
     """
     n, ell, r = params.n, params.ell, params.r
     cliques = comb(n, ell) + comb(n, r)
@@ -250,7 +260,7 @@ def star_initial_degree(params: StarParams) -> tuple[int, SquarefreeMonomial]:
         raise ScaleGuardError(f"{cliques} ell- and r-cliques exceed cap {COPY_CAP}")
     lb = comb(n, r) - turan_count(n, ell - 1, r)
     inst = CoverInstance(n, 2, _clique_copies(n, ell), _clique_copies(n, r))
-    alpha, _ = alpha_target(inst)
+    alpha, _ = alpha_target(inst, r)
     if alpha != lb:
         raise ClaimCheckError(f"pair-graph search gives {alpha}, not C(n,r) - t_r(n,ell-1) = {lb}")
     m0 = balanced_partition_monomial(params)

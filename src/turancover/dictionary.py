@@ -48,6 +48,12 @@ class CoverInstance:
     def ranker(self) -> EdgeRanker:
         return EdgeRanker(self.n, self.r)
 
+    def restrict(self, m: int) -> "CoverInstance":
+        """The instance on [m], m <= n: both families cut to their copies
+        inside [m] (`CopyFamily.restrict`)."""
+        target = self.target.restrict(m) if self.target is not None else None
+        return CoverInstance(m, self.r, self.forbidden.restrict(m), target)
+
 
 def make_instance(
     n: int, forbid_spec: FamilySpec, target_spec: FamilySpec | None = None
@@ -80,18 +86,74 @@ def _is_free(G: RGraph, spec: FamilySpec, fam: CopyFamily) -> bool:
     return count_copies(G, fam) == 0
 
 
+def _require_vertices(n: int) -> None:
+    if n < 1:
+        raise InputError(f"need n >= 1, got n={n}")
+
+
+def _chain_alpha(inst: CoverInstance, k: int | None) -> tuple[int, int]:
+    """(minimum, witness) of the instance's search, certified link by link.
+
+    The targets are the instance's target copies, or with no target family
+    the C(n, r) single edges (`min_hitting_set`); every target spans k
+    vertices.  The averaging bound of Katona, Nemetz and Simonovits (1964):
+    the property of having no forbidden copy passes to induced subgraphs,
+    and each target copy on [m] lies inside m - k of the m vertex-deleted
+    subsets of [m], so summing the target count over those subsets gives
+    ex(m) * (m - k) <= m * ex(m - 1), with ex(m) the most targets that a
+    support hitting every forbidden copy on [m] leaves unmet.  So
+    |targets on [m]| - floor(ex(m-1) * m / (m - k)) is a proven lower bound
+    on the minimum at m, and `min_targets_met` stops once it reaches it.
+
+    Links run for m = k..n on `CoverInstance.restrict(m)`, prefixes of the
+    copy lists enumerated once at n; each floor comes from the previous
+    link's value only, never from a theorem a caller checks.  The first link
+    and k = None (a target family whose copies have no common vertex count)
+    get floor 0.  The setup guard of the n-instance runs before the first
+    link; each link's search has its own ALPHA_CAP_NODES budget, and the
+    final link expands a prefix of the nodes the floor-free search on [n]
+    expands, returning its (minimum, witness).
+    """
+    n, r = inst.n, inst.r
+
+    def target_count(link: CoverInstance) -> int:
+        return comb(link.n, r) if link.target is None else len(link.target)
+
+    guard_search_setup(target_count(inst), len(inst.forbidden))
+    previous = None
+    for m in range(min(k, n), n + 1) if k is not None else (n,):
+        link = inst.restrict(m)
+        floor = 0 if previous is None else target_count(link) - previous * m // (m - k)
+        if link.target is None:
+            alpha, witness = min_hitting_set(link.forbidden.copies, comb(m, r), floor)
+        else:
+            alpha, witness = min_targets_met(
+                link.forbidden.copies, link.target.copies, comb(m, r), floor
+            )
+        previous = target_count(link) - alpha
+    return alpha, witness
+
+
 def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     """ex(n, spec) = C(n, r) - alpha(cover ideal), witnessed by the complement
-    of a minimum hitting set of the forbidden copies.  More than
-    ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before the
-    search starts, and for an explicit pattern, whose copy count is exact
-    beforehand, before any copy is listed.  (A core-pair family's projected
-    count overcounts, so `min_hitting_set` guards it after enumeration.)"""
+    of a minimum hitting set of the forbidden copies.  n < 1 raises
+    InputError.
+
+    The search is certified link by link (`_chain_alpha` with k = r): the
+    copies are listed once, at n; the copies on [m] are the prefix of that
+    list below 1 << C(m, r), and each ex(m) bounds the next by
+    ex(m) <= floor(ex(m-1) * m / (m - r)).  Value and witness are those of
+    the single search on [n].  More than ALPHA_CAP_NODES variable-copy pairs
+    raise ScaleGuardError before the first link, and for an explicit
+    pattern, whose copy count is exact beforehand, before any copy is
+    listed.  (A core-pair family's projected count overcounts, so it is
+    guarded after enumeration.)"""
+    _require_vertices(n)
     if isinstance(spec, RGraph):
         guard_search_setup(comb(n, spec.r), explicit_copy_count(spec, n))
     fam = enumerate_forbidden_copies(spec, n)
     total = comb(n, fam.r)
-    size, witness_mask = min_hitting_set(fam.copies, total)
+    size, witness_mask = _chain_alpha(CoverInstance(n, fam.r, fam), fam.r)
     value = total - size
     complement_mask = ((1 << total) - 1) ^ witness_mask
     witness = RGraph(n, fam.r, EdgeRanker(n, fam.r).unmask(complement_mask))
@@ -114,7 +176,7 @@ def killed_count(M: int, target_masks: list[int]) -> int:
     return sum(1 for t in target_masks if t & M)
 
 
-def alpha_target(inst: CoverInstance) -> tuple[int, int]:
+def alpha_target(inst: CoverInstance, k: int | None = None) -> tuple[int, int]:
     """Minimum number of target copies meeting M, over supports M hitting
     every forbidden copy.  Returns (minimum, witness support mask).
 
@@ -123,16 +185,32 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     the first optimum in its fixed branching order, and past ALPHA_CAP_NODES
     search nodes it raises ScaleGuardError.  So does a setup of more than
     ALPHA_CAP_NODES target-copy pairs, before the search starts.
+
+    When every target copy spans exactly k vertices (the edge-covered
+    vertices of an explicit target pattern), the search is certified link by
+    link on the prefixes [k], ..., [n] (`_chain_alpha`); the minimum and
+    witness are those of the single search, reached sooner.  k = None runs
+    the single search.
     """
     if inst.target is None:
         raise InputError("generalized instance needs a target family")
-    return min_targets_met(inst.forbidden.copies, inst.target.copies, comb(inst.n, inst.r))
+    return _chain_alpha(inst, k)
 
 
 def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -> int:
-    """ex(n, T, F) = |target copies| - alpha_T(cover ideal)."""
+    """ex(n, T, F) = |target copies| - alpha_T(cover ideal).  n < 1 raises
+    InputError.
+
+    For an explicit target T whose edges cover k vertices, the search is
+    certified link by link (`_chain_alpha`): both copy lists are enumerated
+    once, at n, the instance on [m] is their prefix below 1 << C(m, r), and
+    ex(m, T, F) <= floor(ex(m-1, T, F) * m / (m - k)) gives each link its
+    floor.  A core-pair target family is searched at n alone, with no floor.
+    """
+    _require_vertices(n)
     inst = make_instance(n, forbid_spec, target_spec)
-    alpha, _ = alpha_target(inst)
+    k = len(set().union(*target_spec.edges)) if isinstance(target_spec, RGraph) else None
+    alpha, _ = alpha_target(inst, k)
     return len(inst.target) - alpha
 
 

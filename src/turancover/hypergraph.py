@@ -19,6 +19,7 @@ polynomial core: they are the independent check of both.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Sequence
@@ -147,6 +148,16 @@ class CopyFamily:
 
     def __len__(self) -> int:
         return len(self.copies)
+
+    def restrict(self, m: int) -> "CopyFamily":
+        """The copies inside [m], m <= n: colex ranks put the r-sets of [m]
+        first, so these are the masks below 1 << C(m, r), a prefix of the
+        sorted list.  This is `enumerate_forbidden_copies(spec, m)`, minimal
+        core-pair copies included (a minimal copy on [n] inside [m] is
+        minimal on [m], and conversely), except for an explicit pattern
+        declared on more than m vertices, which that call does not place."""
+        end = bisect_left(self.copies, 1 << comb(m, self.r))
+        return CopyFamily(m, self.r, self.copies[:end])
 
 
 @dataclass(frozen=True)

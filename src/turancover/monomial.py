@@ -90,7 +90,13 @@ def _index_sets(masks: list[int], nvars: int) -> list[int]:
     return out
 
 
-def min_targets_met(copies: Iterable[int], targets: Sequence[int], nvars: int) -> tuple[int, int]:
+class _FloorReached(Exception):
+    """The incumbent has reached the floor: no better set exists."""
+
+
+def min_targets_met(
+    copies: Iterable[int], targets: Sequence[int], nvars: int, floor: int = 0
+) -> tuple[int, int]:
     """Minimum number of target masks meeting M, over supports M that meet
     every copy mask.  Returns (minimum, witness support mask); an empty copy
     family gives (0, 0) and an empty copy mask raises InputError.
@@ -106,6 +112,15 @@ def min_targets_met(copies: Iterable[int], targets: Sequence[int], nvars: int) -
     as the incumbent.  The witness is therefore the first optimum the search
     reaches in its fixed branching order, not a canonical one.  Uncovered
     copies and unmet targets are kept as bitsets over their indices.
+
+    `floor` is a proven lower bound on the minimum.  The search stops as
+    soon as the incumbent reaches it (forced + best <= floor), since no later
+    set can be strictly better.  The incumbent is only ever replaced by a
+    strictly better set, so the (minimum, witness) at the stop are the ones
+    the floor-free search returns, after a prefix of its nodes.  A floor at
+    or below the minimum therefore never changes the answer; a floor above
+    it may stop the search on a set that is not optimal.  The dictionary
+    takes its floors from the averaging bound (`dictionary._chain_alpha`).
 
     Every search node counts against ALPHA_CAP_NODES; past it the search
     raises ScaleGuardError.  A setup of more than ALPHA_CAP_NODES target-copy
@@ -141,6 +156,8 @@ def min_targets_met(copies: Iterable[int], targets: Sequence[int], nvars: int) -
             raise ScaleGuardError(f"hitting-set search exceeds {ALPHA_CAP_NODES} nodes")
         if not uncovered:
             best, best_mask = killed, chosen
+            if forced + best <= floor:
+                raise _FloorReached
             return
         allowed = ~banned
         whole = uncovered & ~banned_copies
@@ -173,6 +190,8 @@ def min_targets_met(copies: Iterable[int], targets: Sequence[int], nvars: int) -
 
     try:
         dfs(0, 0, 0, (1 << len(forb)) - 1, (1 << len(free)) - 1, 0)
+    except _FloorReached:
+        pass
     except RecursionError:
         raise ScaleGuardError("hitting-set search exceeds the recursion limit") from None
     if best > len(free):
@@ -180,12 +199,13 @@ def min_targets_met(copies: Iterable[int], targets: Sequence[int], nvars: int) -
     return forced + best, best_mask
 
 
-def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
+def min_hitting_set(copies: Sequence[int], nvars: int, floor: int = 0) -> tuple[int, int]:
     """Exact minimum-cardinality transversal of the copy masks.
 
     Returns (size, witness mask).  This is `min_targets_met` with one
     singleton target per variable, so the number of targets met is |M|; the
-    witness is the first optimum in that search's fixed branching order.
+    witness is the first optimum in that search's fixed branching order, and
+    `floor`, a proven lower bound on the size, only stops the search early.
     Empty family -> (0, 0); an empty copy mask raises InputError.  More
     than ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before
     the singletons are built.
@@ -193,7 +213,7 @@ def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
     if not copies:
         return 0, 0
     guard_search_setup(nvars, len(copies))
-    return min_targets_met(copies, [1 << v for v in range(nvars)], nvars)
+    return min_targets_met(copies, [1 << v for v in range(nvars)], nvars, floor)
 
 
 # ---------------------------------------------------------------------------

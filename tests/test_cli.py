@@ -164,6 +164,17 @@ def test_bad_input_exit_code(capsys):
     assert json.loads(err)["error"] == "bad input"
 
 
+@pytest.mark.parametrize("n", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv", [("ex", "--forbid", "K3"), ("gen-ex", "--target", "K3", "--forbid", "K4")]
+)
+def test_ex_and_gen_ex_refuse_fewer_than_one_vertex(capsys, argv, n):
+    code, payload, err = run(capsys, *argv, "--n", n)
+    assert code == EXIT_BAD_INPUT
+    assert payload is None
+    assert json.loads(err) == {"error": "bad input", "message": f"need n >= 1, got n={n}"}
+
+
 def test_bad_kill_pair_exit_code(capsys):
     code, _, err = run(capsys, "hilbert", "--n", "4", "--d", "1", "--kill", "1")
     assert code == EXIT_BAD_INPUT

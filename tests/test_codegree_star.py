@@ -9,6 +9,7 @@ from turancover import codegree_star, hypergraph, monomial
 from turancover.cli import EXIT_CLAIM_FAILED, main
 from turancover.codegree_star import (
     StarParams,
+    _clique_copies,
     _collapse_tables,
     balanced_partition_monomial,
     codegree_star_monomial,
@@ -29,7 +30,7 @@ from turancover.hypergraph import (
     turan_construct,
     turan_count,
 )
-from turancover.monomial import SquarefreeMonomial
+from turancover.monomial import min_targets_met
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +327,21 @@ def test_star_initial_degree_scale_guard(monkeypatch):
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1225)
     with pytest.raises(ScaleGuardError, match="nodes"):
         star_initial_degree(StarParams(7, 4, 3))
+
+
+@pytest.mark.parametrize("n,ell,r", [(5, 4, 3), (7, 4, 2), (8, 3, 2)])
+def test_floors_never_come_from_the_checked_value(monkeypatch, n, ell, r):
+    # a wrong Turán count puts the checked value one above the true alpha;
+    # a search floored at that value stops on a set of exactly that size, so
+    # only floors taken from the chain's own links expose the error
+    true_count = turan_count(n, ell - 1, r)
+    alpha = comb(n, r) - true_count
+    forbidden, targets = _clique_copies(n, ell), _clique_copies(n, r)
+    stopped, _ = min_targets_met(forbidden.copies, targets.copies, comb(n, 2), alpha + 1)
+    assert stopped == alpha + 1
+    monkeypatch.setattr(codegree_star, "turan_count", lambda *args: true_count - 1)
+    with pytest.raises(ClaimCheckError, match=f"gives {alpha},"):
+        star_initial_degree(StarParams(n, ell, r))
 
 
 def _no_cliques(n, s):

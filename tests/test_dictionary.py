@@ -1,4 +1,3 @@
-import itertools
 import random
 from math import comb
 
@@ -68,13 +67,25 @@ def test_ex_hypergraph_core_family():
     assert value == turan_count(5, 3, 3) == 4
 
 
+# the oracle's grid: every n up to 7 (r = 3 stops at 6, past which C(n, 3)
+# exceeds its 30 edges).  P3 declared on 5 vertices has no copies below
+# n = 5, while the averaging chain's links on [3] and [4] hold copies of its
+# edges.
+EX_SPECS = {
+    name: builtin_spec(name)
+    for name in ["K2", "K3", "K4", "K5", "C4", "P3", "K_ell_r(3,2)", "K_ell_r(4,3)", "K_ell_r(3,3)"]
+}
+EX_SPECS["padded P3"] = RGraph(5, 2, [(1, 2), (2, 3)])
+
+
 @pytest.mark.parametrize(
     "n,spec",
-    [(4, "K3"), (5, "K3"), (6, "K3"), (7, "K3"), (5, "K4"), (6, "K4"), (5, "P3")],
+    [(n, name) for name, family in EX_SPECS.items() for n in range(1, 8 if family.r == 2 else 7)],
 )
 def test_ex_matches_brute_force(n, spec):
-    family = builtin_spec(spec)
-    assert ex_via_cover(n, family)[0] == brute_force_ex(n, family)[0]
+    family = EX_SPECS[spec]
+    value, witness = ex_via_cover(n, family)
+    assert value == len(witness) == brute_force_ex(n, family)[0]
 
 
 def test_ex_witness_is_forbidden_free():
@@ -103,6 +114,44 @@ def test_hitting_sets_complement_extremal_graphs():
             G = RGraph(5, 2, rk.unmask(full ^ m))
             assert count_copies(G, fam) == 0
             assert len(G) == comb(5, 2) - size == 6
+
+
+# ---------------------------------------------------------------------------
+# the averaging chain: links on [k], ..., [n] with Katona-Nemetz-Simonovits floors
+
+
+def test_chain_returns_the_single_search_witness():
+    # the final link stops on the first optimum of the floor-free search
+    for name, n in [("K3", 8), ("K4", 8), ("C4", 7), ("P3", 7), ("K_ell_r(4,3)", 6)]:
+        spec = builtin_spec(name)
+        fam = enumerate_forbidden_copies(spec, n)
+        total = comb(n, fam.r)
+        size, mask = min_hitting_set(fam.copies, total)
+        complement = EdgeRanker(n, fam.r).unmask(((1 << total) - 1) ^ mask)
+        assert ex_via_cover(n, spec) == (total - size, RGraph(n, fam.r, complement))
+    for target, forbid, n in [("K3", "K4", 8), ("P3", "K3", 8), ("C4", "K3", 7)]:
+        inst = make_instance(n, builtin_spec(forbid), builtin_spec(target))
+        k = len(set().union(*builtin_spec(target).edges))
+        assert alpha_target(inst, k) == alpha_target(inst)
+
+
+def _no_link(*args, **kwargs):
+    raise AssertionError("a link was searched")
+
+
+def test_chain_guards_the_whole_instance_before_the_first_link(monkeypatch):
+    inst = make_instance(7, builtin_spec("K4"), builtin_spec("K3"))
+    # K_ell_r(3,2) at n = 7: 21 edge variables x 35 triangle copies = 735
+    # setup steps, refused before the small links, which would pass
+    monkeypatch.setattr(dictionary, "min_hitting_set", _no_link)
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 734)
+    with pytest.raises(ScaleGuardError, match="735 setup steps"):
+        ex_via_cover(7, CoreFamily(3, 2))
+    # 35 triangle targets x 35 K4 copies at n = 7
+    monkeypatch.setattr(dictionary, "min_targets_met", _no_link)
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1224)
+    with pytest.raises(ScaleGuardError, match="1225 setup steps"):
+        alpha_target(inst, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +252,18 @@ def test_gen_ex_values(n, target, forbid, expected):
     assert gen_ex_via_cover(n, builtin_spec(target), builtin_spec(forbid)) == expected
 
 
+GEN_EX_PAIRS = [
+    ("K3", "K4"), ("K3", "K5"), ("K4", "K5"), ("P3", "K3"), ("C4", "K3"), ("K3", "C4"),
+    ("K2", "K3"), ("P3", "K4"),
+]
+
+
 def test_gen_ex_matches_brute_force():
-    for n, t, f in [(4, "K3", "K4"), (5, "K3", "K4"), (6, "K2", "K3"), (5, "K4", "K5")]:
-        got = gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
-        oracle, _ = brute_force_gen_ex(n, builtin_spec(t), builtin_spec(f))
-        assert got == oracle
+    for t, f in GEN_EX_PAIRS:
+        for n in range(1, 8):
+            got = gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
+            oracle, _ = brute_force_gen_ex(n, builtin_spec(t), builtin_spec(f))
+            assert got == oracle, (t, f, n)
 
 
 def test_gen_ex_with_edge_target_reduces_to_ex():

@@ -1,5 +1,4 @@
 import itertools
-import random
 from math import comb, factorial, prod
 
 import pytest
@@ -254,6 +253,38 @@ def test_copies_need_the_declared_vertex_count():
     for n in range(3, 6):
         assert len(enumerate_forbidden_copies(F, n)) == 0
     assert len(enumerate_forbidden_copies(F, 6)) == 3 * comb(6, 3)
+
+
+# (spec, largest n): K_ell_r(4,3) stops at 7, where the projected-system
+# guard still admits it (it refuses n = 8)
+PREFIX_GRID = [
+    *((name, 8) for name in ("K2", "K3", "K4", "K5", "P3", "C4", "K_ell_r(3,2)")),
+    ("K_ell_r(4,3)", 7),
+]
+
+
+@pytest.mark.parametrize("name,top", PREFIX_GRID)
+def test_restricted_copies_equal_enumeration_on_fewer_vertices(name, top):
+    # colex ranks put the r-sets of [m] first, so the copies on [m] are the
+    # prefix of the sorted list on [n] below 1 << C(m, r)
+    spec = builtin_spec(name)
+    smallest = spec.n if isinstance(spec, RGraph) else max(spec.ell, spec.r)
+    fams = {n: enumerate_forbidden_copies(spec, n) for n in range(smallest, top + 1)}
+    for n, fam in fams.items():
+        for m in range(smallest, n + 1):
+            below = 1 << comb(m, fam.r)
+            prefix = tuple(c for c in fam.copies if c < below)
+            assert fam.restrict(m) == CopyFamily(m, fam.r, prefix) == fams[m], (n, m)
+
+
+def test_restricted_copies_of_a_padded_pattern():
+    # below its declared vertex count a padded pattern has no copies, but
+    # the prefix keeps the copies of its edges
+    F = parse_hypergraph(PADDED_PATH)
+    fam = enumerate_forbidden_copies(F, 7)
+    assert fam.restrict(6) == enumerate_forbidden_copies(F, 6)
+    assert len(enumerate_forbidden_copies(F, 4)) == 0
+    assert fam.restrict(4) == enumerate_forbidden_copies(builtin_spec("P3"), 4)
 
 
 def test_copy_enumeration_work_guards():

@@ -1,4 +1,3 @@
-import itertools
 import random
 from math import comb
 
@@ -158,6 +157,50 @@ def test_min_hitting_set_witness_lexicographically_smallest():
         if m.bit_count() == size and all(m & c for c in copies)
     ]
     assert witness == min(candidates)
+
+
+def _random_instances(seed: int, count: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        nv = rng.randint(3, 8)
+        copies = [
+            sum(1 << b for b in rng.sample(range(nv), rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 6))
+        ]
+        targets = [
+            sum(1 << b for b in rng.sample(range(nv), rng.randint(1, 3)))
+            for _ in range(rng.randint(0, 6))
+        ]
+        yield copies, targets, nv
+
+
+def test_floor_at_or_below_the_minimum_keeps_value_and_witness():
+    for copies, targets, nv in _random_instances(29, 40):
+        reference = min_targets_met(copies, targets, nv)
+        for floor in range(-2, reference[0] + 1):
+            assert min_targets_met(copies, targets, nv, floor) == reference
+        reference = min_hitting_set(copies, nv)
+        for floor in range(-2, reference[0] + 1):
+            assert min_hitting_set(copies, nv, floor) == reference
+    # K3 at n = 7: alpha = 21 - 12 = 9
+    fam = enumerate_forbidden_copies(builtin_spec("K3"), 7)
+    reference = min_hitting_set(fam.copies, 21)
+    assert reference[0] == 9
+    for floor in range(10):
+        assert min_hitting_set(fam.copies, 21, floor) == reference
+
+
+def test_floor_at_the_minimum_stops_the_search(monkeypatch):
+    # K3 at n = 8: 28 variables x 56 copies = 1,568 setup steps; the
+    # floor-free search needs 5,114 nodes, and with the floor at
+    # alpha = 28 - 16 = 12 it stops within 1,568 on the same witness
+    fam = enumerate_forbidden_copies(builtin_spec("K3"), 8)
+    reference = min_hitting_set(fam.copies, 28)
+    assert reference[0] == 12
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1568)
+    assert min_hitting_set(fam.copies, 28, 12) == reference
+    with pytest.raises(ScaleGuardError, match="nodes"):
+        min_hitting_set(fam.copies, 28, 11)
 
 
 def test_hitting_set_search_guards(monkeypatch):

@@ -98,3 +98,40 @@ def test_antichain_and_star_helpers_live_only_in_hypergraph():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in shared
     )
     assert found == sorted((name, "hypergraph.py") for name in shared)
+
+
+TESTS = Path(__file__).parent
+
+
+def _unused_imports(tree) -> list[str]:
+    """Names an import binds that the module never reads.  A dotted
+    `import a.b` binds `a`; `__future__` imports bind nothing; a string
+    listed in `__all__` counts as a read."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= {
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            }
+    return [f"{name} (line {line})" for name, line in bound.items() if name not in read]
+
+
+def test_no_unused_imports():
+    """No library or test module imports a name it never uses."""
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(SOURCE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
+        for name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
