@@ -17,11 +17,9 @@ from functools import reduce
 from math import comb
 from operator import and_, or_
 
-from .dictionary import CoverInstance, alpha_target
+from .dictionary import core_pair_alpha
 from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import (
-    COPY_CAP,
-    CopyFamily,
     CoreFamily,
     EdgeRanker,
     RGraph,
@@ -205,62 +203,19 @@ def verify_collapse(params: StarParams) -> bool:
     return in_j == in_cover == free
 
 
-def _clique_copies(n: int, s: int) -> CopyFamily:
-    """The s-cliques of K_n, each as the mask of its C(s, 2) pairs."""
-    ranker = EdgeRanker(n, 2)
-    copies = (
-        ranker.mask(itertools.combinations(clique, 2))
-        for clique in itertools.combinations(range(1, n + 1), s)
-    )
-    return CopyFamily(n, 2, tuple(sorted(copies)))
-
-
 def star_initial_degree(params: StarParams) -> tuple[int, SquarefreeMonomial]:
     """Exact initial degree of the star ideal, returned with a witness.
 
-    The value is computed on the C(n, 2) pair variables, by a reduction to
-    the generalized cover problem.  For a support S over the r-sets, let
-    P(S) be the set of pairs whose whole star lies in S.
-
-    * S is a member iff P(S) meets every ell-set, i.e. iff the graph
-      H = K_n - P(S) is K_ell-free.
-    * Every r-set containing a pair of P(S) lies in that pair's star, hence
-      in S.  So S contains every r-set that is not an r-clique of H, and
-      |S| >= #{r-sets containing a pair of P(S)}.
-    * Conversely, for a pair set M meeting every ell-set, the union of the
-      stars over M is a member (its P contains M) of size exactly
-      #{r-sets containing a pair of M}.
-
-    Hence alpha(star) is the minimum, over pair sets M hitting every
-    ell-clique of K_n, of the number of r-cliques meeting M: that is
-    `alpha_target` with forbidden family K_ell and target family K_r on the
-    edges of K_n, i.e. C(n, r) - ex(n, K_r, K_ell).  Zykov (1949) gives
-    ex(n, K_r, K_ell) = t_r(n, ell-1).
-
-    The search is certified link by link (`alpha_target` with k = r): the
-    cliques are listed once, on [n], the instance on [m] is their prefix
-    below 1 << C(m, 2), and the averaging bound (Katona, Nemetz and
-    Simonovits 1964) ex(m, K_r, K_ell) <= floor(ex(m-1, K_r, K_ell) * m /
-    (m - r)) gives each link a floor at which its search may stop.  Each
-    floor comes from the previous link's search, never from t_r(n, ell-1):
-    a floor taken from the value checked below would let the search stop on
-    any set of that size, and so pass a wrong theorem value.
-
-    The theorem's value C(n, r) - t_r(n, ell-1) is certified rather than
-    assumed: the search result must equal it, and the balanced-partition
-    monomial, returned as the witness, is checked to be a member of that
-    degree.  Each link's search expands at most `monomial.ALPHA_CAP_NODES`
-    nodes and raises ScaleGuardError beyond that; so does a setup of more
-    than that many target-copy pairs on [n], before the first link.  More
-    than COPY_CAP cliques in the two families raise it before they are built.
+    The value is `dictionary.core_pair_alpha`, whose docstring proves it is
+    C(n, r) - ex(n, K_r, K_ell); Zykov (1949) gives ex(n, K_r, K_ell) =
+    t_r(n, ell-1).  That value is certified, not assumed: the search must
+    equal it, and the returned balanced-partition monomial must be a member
+    of that degree.  The search's floors come from its own links, never from
+    t_r(n, ell-1), which would let it stop on any set of that size.
     """
     n, ell, r = params.n, params.ell, params.r
-    cliques = comb(n, ell) + comb(n, r)
-    if cliques > COPY_CAP:
-        raise ScaleGuardError(f"{cliques} ell- and r-cliques exceed cap {COPY_CAP}")
     lb = comb(n, r) - turan_count(n, ell - 1, r)
-    inst = CoverInstance(n, 2, _clique_copies(n, ell), _clique_copies(n, r))
-    alpha, _ = alpha_target(inst, r)
+    alpha, _ = core_pair_alpha(n, ell, r)
     if alpha != lb:
         raise ClaimCheckError(f"pair-graph search gives {alpha}, not C(n,r) - t_r(n,ell-1) = {lb}")
     m0 = balanced_partition_monomial(params)

@@ -10,11 +10,13 @@ monomials of the cover ideal.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ClaimCheckError, InputError
+from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import (
+    COPY_CAP,
     CopyFamily,
     CoreFamily,
     EdgeRanker,
@@ -80,12 +82,6 @@ def cover_ideal(inst: CoverInstance) -> SquarefreeIdeal:
     return SquarefreeIdeal.from_copy_family(inst.forbidden)
 
 
-def _is_free(G: RGraph, spec: FamilySpec, fam: CopyFamily) -> bool:
-    if isinstance(spec, CoreFamily):
-        return core_family_free(G, spec.ell)
-    return count_copies(G, fam) == 0
-
-
 def _require_vertices(n: int) -> None:
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
@@ -135,30 +131,35 @@ def _chain_alpha(inst: CoverInstance, k: int | None) -> tuple[int, int]:
 
 
 def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
-    """ex(n, spec) = C(n, r) - alpha(cover ideal), witnessed by the complement
-    of a minimum hitting set of the forbidden copies.  n < 1 raises
-    InputError.
+    """ex(n, spec) = C(n, r) - alpha, with an extremal witness.  n < 1 raises
+    InputError; a witness with a forbidden copy or without `value` edges
+    raises ClaimCheckError.
 
-    The search is certified link by link (`_chain_alpha` with k = r): the
-    copies are listed once, at n; the copies on [m] are the prefix of that
-    list below 1 << C(m, r), and each ex(m) bounds the next by
-    ex(m) <= floor(ex(m-1) * m / (m - r)).  Value and witness are those of
-    the single search on [n].  More than ALPHA_CAP_NODES variable-copy pairs
-    raise ScaleGuardError before the first link, and for an explicit
-    pattern, whose copy count is exact beforehand, before any copy is
-    listed.  (A core-pair family's projected count overcounts, so it is
-    guarded after enumeration.)"""
+    For an explicit pattern, alpha is that of the cover ideal of its copies,
+    listed once at n and searched link by link (`_chain_alpha` with k = r),
+    and the witness is the complement of a minimum hitting set.  More than
+    ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before any copy
+    is listed.  For the core-pair family, alpha is `core_pair_alpha`'s, on
+    the pair variables, and the witness is the r-cliques of K_n - M."""
     _require_vertices(n)
-    if isinstance(spec, RGraph):
-        guard_search_setup(comb(n, spec.r), explicit_copy_count(spec, n))
-    fam = enumerate_forbidden_copies(spec, n)
-    total = comb(n, fam.r)
-    size, witness_mask = _chain_alpha(CoverInstance(n, fam.r, fam), fam.r)
-    value = total - size
-    complement_mask = ((1 << total) - 1) ^ witness_mask
-    witness = RGraph(n, fam.r, EdgeRanker(n, fam.r).unmask(complement_mask))
-    if not _is_free(witness, spec, fam):
-        raise ClaimCheckError("hitting-set complement is not forbidden-free")
+    r, total = spec.r, comb(n, spec.r)
+    if isinstance(spec, CoreFamily):
+        alpha, killed = core_pair_alpha(n, spec.ell, r)
+        pairs = EdgeRanker(n, 2)
+        witness = RGraph(n, r, (
+            e for e in itertools.combinations(range(1, n + 1), r)
+            if not pairs.mask(itertools.combinations(e, 2)) & killed
+        ))
+        free = core_family_free(witness, spec.ell)
+    else:
+        guard_search_setup(total, explicit_copy_count(spec, n))
+        fam = enumerate_forbidden_copies(spec, n)
+        alpha, hitting = _chain_alpha(CoverInstance(n, r, fam), r)
+        witness = RGraph(n, r, EdgeRanker(n, r).unmask(((1 << total) - 1) ^ hitting))
+        free = count_copies(witness, fam) == 0
+    value = total - alpha
+    if not free or len(witness) != value:
+        raise ClaimCheckError(f"witness of {len(witness)} edges is not a forbidden-free graph of {value}")
     return value, witness
 
 
@@ -197,6 +198,42 @@ def alpha_target(inst: CoverInstance, k: int | None = None) -> tuple[int, int]:
     return _chain_alpha(inst, k)
 
 
+def _clique_copies(n: int, s: int) -> CopyFamily:
+    """The s-cliques of K_n, each as the mask of its C(s, 2) pairs."""
+    ranker = EdgeRanker(n, 2)
+    copies = (
+        ranker.mask(itertools.combinations(clique, 2))
+        for clique in itertools.combinations(range(1, n + 1), s)
+    )
+    return CopyFamily(n, 2, tuple(sorted(copies)))
+
+
+def core_pair_alpha(n: int, ell: int, r: int) -> tuple[int, int]:
+    """The core-pair family (ell, r) on [n], reduced to its shadow graph.
+
+    Returns (alpha, M): the fewest r-sets with a pair in M, over pair sets M
+    (masks over `EdgeRanker(n, 2)`) meeting every ell-clique of K_n, and one
+    such M.  So alpha = C(n, r) - ex(n, K_r, K_ell), and it is also:
+
+    * C(n, r) - ex(n, K_ell^(r)).  An r-graph H contains a member iff its
+      shadow graph (the pairs of positive codegree) has an ell-clique.  H
+      lies in K_r(shadow(H)), and K_r(G) has its shadow inside G, so the
+      largest free H are the K_r(G) with G = K_n - M free of K_ell.
+    * The codegree-star ideal's initial degree.  Let P(S) be the pairs whose
+      star lies in a support S.  S is a member iff P(S) meets every ell-set,
+      and S holds every r-set with a pair in P(S); conversely, the union of
+      the stars over such an M is a member of exactly that size.
+
+    The search is `alpha_target` with forbidden family K_ell and target
+    family K_r on the pairs, certified link by link (k = r).  More than
+    COPY_CAP cliques raise ScaleGuardError before any is built.
+    """
+    cliques = comb(n, ell) + comb(n, r)
+    if cliques > COPY_CAP:
+        raise ScaleGuardError(f"{cliques} ell- and r-cliques exceed cap {COPY_CAP}")
+    return alpha_target(CoverInstance(n, 2, _clique_copies(n, ell), _clique_copies(n, r)), r)
+
+
 def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -> int:
     """ex(n, T, F) = |target copies| - alpha_T(cover ideal).  n < 1 raises
     InputError.
@@ -229,6 +266,7 @@ __all__ = [
     "quotient_rank",
     "killed_count",
     "alpha_target",
+    "core_pair_alpha",
     "gen_ex_via_cover",
     "vertex_quotient_of_cover",
 ]

@@ -422,16 +422,17 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
 
     Deterministic: among optimal witnesses, the one with lexicographically
     smallest edge bitmask (colex edge ranks) is returned.  ScaleGuardError
-    refuses more than ORACLE_CAP_EDGES potential edges.
+    refuses more than ORACLE_CAP_EDGES potential edges before any copy is
+    listed.
     """
+    m = comb(n, spec.r)
+    if m > ORACLE_CAP_EDGES:
+        raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     if isinstance(spec, CoreFamily):
         return _brute_force_ex_core_family(n, spec)
     fam = enumerate_forbidden_copies(spec, n)
     r = fam.r
     ranker = EdgeRanker(n, r)
-    m = ranker.count
-    if m > ORACLE_CAP_EDGES:
-        raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     if not fam.copies:
         return m, RGraph.complete(n, r)
 
@@ -476,8 +477,6 @@ def _brute_force_ex_core_family(n: int, spec: CoreFamily) -> tuple[int, RGraph]:
     ell, r = spec.ell, spec.r
     ranker = EdgeRanker(n, r)
     m = ranker.count
-    if m > ORACLE_CAP_EDGES:
-        raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     if n < ell:
         return m, RGraph.complete(n, r)
 
@@ -534,16 +533,16 @@ def brute_force_gen_ex(
 ) -> tuple[int, RGraph]:
     """Exact generalized Turán number ex(n, T, F): max number of target copies
     in a forbid-free graph, by branch-and-bound over subgraphs; refused above
-    ORACLE_CAP_EDGES potential edges."""
-    forb = enumerate_forbidden_copies(forbid_spec, n)
-    r = forb.r
-    targ = enumerate_forbidden_copies(target_spec, n)
-    if targ.r != r:
+    ORACLE_CAP_EDGES potential edges before any copy is listed."""
+    r = forbid_spec.r
+    if target_spec.r != r:
         raise InputError("target and forbidden families must share uniformity")
-    ranker = EdgeRanker(n, r)
-    m = ranker.count
+    m = comb(n, r)
     if m > ORACLE_CAP_EDGES:
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
+    forb = enumerate_forbidden_copies(forbid_spec, n)
+    targ = enumerate_forbidden_copies(target_spec, n)
+    ranker = EdgeRanker(n, r)
 
     forb_by_last: list[list[int]] = [[] for _ in range(m)]
     for cm in forb.copies:

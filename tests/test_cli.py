@@ -22,6 +22,7 @@ from turancover.cli import (
     build_parser,
     main,
 )
+from turancover.hypergraph import RGraph, core_family_free
 from turancover.selftest import CRITERIA
 
 
@@ -81,6 +82,14 @@ def test_ex_with_oracle(capsys):
     assert report["result"]["value"] == 6
     assert report["oracle"]["match"] is True
     assert len(report["witnesses"]["witness_edges"]) == 6
+
+
+def test_ex_core_family_past_the_edge_enumerator(capsys):
+    code, report, _ = run(capsys, "ex", "--n", "9", "--forbid", "K_ell_r(4,3)")
+    assert code == EXIT_OK
+    assert report["result"] == {"value": 27, "alpha": comb(9, 3) - 27}
+    witness = RGraph(9, 3, report["witnesses"]["witness_edges"])
+    assert len(witness) == 27 and core_family_free(witness, 4)
 
 
 def test_ex_from_hypergraph_file(capsys, tmp_path):

@@ -5,11 +5,10 @@ from math import comb
 
 import pytest
 
-from turancover import codegree_star, hypergraph, monomial
+from turancover import codegree_star, dictionary, hypergraph, monomial
 from turancover.cli import EXIT_CLAIM_FAILED, main
 from turancover.codegree_star import (
     StarParams,
-    _clique_copies,
     _collapse_tables,
     balanced_partition_monomial,
     codegree_star_monomial,
@@ -20,6 +19,7 @@ from turancover.codegree_star import (
     verify_collapse,
     vertex_quotient,
 )
+from turancover.dictionary import _clique_copies, ex_via_cover
 from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import (
     CoreFamily,
@@ -350,12 +350,15 @@ def _no_cliques(n, s):
 
 def test_star_initial_degree_clique_cap(monkeypatch):
     # (6, 4, 3) lists C(6, 4) + C(6, 3) = 15 + 20 = 35 cliques
-    monkeypatch.setattr(codegree_star, "COPY_CAP", 35)
+    monkeypatch.setattr(dictionary, "COPY_CAP", 35)
     assert star_initial_degree(StarParams(6, 4, 3))[0] == comb(6, 3) - turan_count(6, 3, 3)
-    monkeypatch.setattr(codegree_star, "COPY_CAP", 34)
-    monkeypatch.setattr(codegree_star, "_clique_copies", _no_cliques)
+    monkeypatch.setattr(dictionary, "COPY_CAP", 34)
+    monkeypatch.setattr(dictionary, "_clique_copies", _no_cliques)
     with pytest.raises(ScaleGuardError):
         star_initial_degree(StarParams(6, 4, 3))
+    # ex on the core-pair family runs the same pair reduction and guard
+    with pytest.raises(ScaleGuardError, match="35 ell- and r-cliques"):
+        ex_via_cover(6, CoreFamily(4, 3))
 
 
 def scan_initial_degree(params: StarParams) -> int:

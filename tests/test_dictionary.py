@@ -15,14 +15,16 @@ from turancover.dictionary import (
     quotient_rank,
     vertex_quotient_of_cover,
 )
-from turancover.errors import InputError, ScaleGuardError
+from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import (
+    COPY_CAP,
     CoreFamily,
     EdgeRanker,
     RGraph,
     brute_force_ex,
     brute_force_gen_ex,
     builtin_spec,
+    core_family_free,
     count_copies,
     enumerate_forbidden_copies,
     turan_count,
@@ -86,6 +88,58 @@ def test_ex_matches_brute_force(n, spec):
     family = EX_SPECS[spec]
     value, witness = ex_via_cover(n, family)
     assert value == len(witness) == brute_force_ex(n, family)[0]
+
+
+def _systems(n, ell, r):
+    """The edge enumerator's projected one-edge-per-pair systems."""
+    return comb(n, ell) * comb(n - 2, r - 2) ** comb(ell, 2)
+
+
+def _core_grid():
+    """(ell, r, n) with ell 2..5, r 2..4, n <= 6 (n <= 7 at r = 2), where
+    the edge-level enumerator lists the minimal core-pair copies."""
+    for ell in range(2, 6):
+        for r in range(2, 5):
+            for n in range(1, 8 if r == 2 else 7):
+                if n < max(ell, r) or _systems(n, ell, r) <= COPY_CAP:
+                    yield ell, r, n
+
+
+@pytest.mark.parametrize("ell,r,n", list(_core_grid()))
+def test_core_pair_reduction_matches_the_edge_cover_ideal(ell, r, n):
+    # the initial degree of the cover ideal of the minimal copies, over the
+    # C(n, r) edge variables, against the pair reduction's value
+    family = CoreFamily(ell, r)
+    fam = enumerate_forbidden_copies(family, n)
+    size, mask = min_hitting_set(fam.copies, comb(n, r))
+    value, witness = ex_via_cover(n, family)
+    assert size == comb(n, r) - value
+    if r == 2:
+        # the pair variables are the edge variables, and both searches are
+        # the same search
+        complement = EdgeRanker(n, 2).unmask(((1 << comb(n, 2)) - 1) ^ mask)
+        assert witness == RGraph(n, 2, complement)
+
+
+def test_ex_core_family_beyond_the_edge_enumerator():
+    # the edge-level enumerator refuses (8, 5, 3): its projected systems
+    # exceed COPY_CAP.  The CLI tests check (9, 4, 3).
+    assert _systems(8, 5, 3) > COPY_CAP
+    value, witness = ex_via_cover(8, CoreFamily(5, 3))
+    assert value == len(witness) == turan_count(8, 4, 3) == 32
+    assert core_family_free(witness, 5)
+
+
+def test_ex_core_family_checks_its_witness(monkeypatch):
+    alpha, killed = dictionary.core_pair_alpha(6, 4, 3)
+    # no killed pair: the witness is K_6^(3), which holds every core
+    monkeypatch.setattr(dictionary, "core_pair_alpha", lambda n, ell, r: (alpha, 0))
+    with pytest.raises(ClaimCheckError, match="not a forbidden-free graph"):
+        ex_via_cover(6, CoreFamily(4, 3))
+    # a value one below the witness's edge count
+    monkeypatch.setattr(dictionary, "core_pair_alpha", lambda n, ell, r: (alpha + 1, killed))
+    with pytest.raises(ClaimCheckError, match="not a forbidden-free graph"):
+        ex_via_cover(6, CoreFamily(4, 3))
 
 
 def test_ex_witness_is_forbidden_free():

@@ -3,6 +3,7 @@ from math import comb, factorial, prod
 
 import pytest
 
+from turancover import hypergraph
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
     COPY_CAP,
@@ -456,6 +457,22 @@ def test_gen_ex_oracle_matches_target_scan(n, t, f):
 def test_scale_guard_on_edge_count():
     with pytest.raises(ScaleGuardError):
         brute_force_ex(9, K(3))
+
+
+def _no_copies(spec, n):
+    raise AssertionError("copies were listed")
+
+
+def test_oracles_refuse_before_listing_copies(monkeypatch):
+    # C(150, 2) and C(60, 2) potential edges: refused on the count alone,
+    # where listing the triangles first took seconds
+    monkeypatch.setattr(hypergraph, "enumerate_forbidden_copies", _no_copies)
+    with pytest.raises(ScaleGuardError, match="11175 potential edges"):
+        brute_force_ex(150, K(3))
+    with pytest.raises(ScaleGuardError, match="1770 potential edges"):
+        brute_force_gen_ex(60, K(3), K(4))
+    with pytest.raises(ScaleGuardError):
+        brute_force_ex(9, CoreFamily(4, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -87,17 +87,29 @@ def test_only_hypergraph_ranks_edges():
     assert found == []
 
 
+def _definitions(names) -> list[tuple[str, str]]:
+    """(name, file) of every library function definition of one of `names`."""
+    return sorted(
+        (node.name, path.name)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in names
+    )
+
+
 def test_antichain_and_star_helpers_live_only_in_hypergraph():
     """`minimal_supports`, `alexander_dual` and `pair_stars` are each
     defined once, in `hypergraph`; other modules import them."""
     shared = {"minimal_supports", "alexander_dual", "pair_stars"}
-    found = sorted(
-        (node.name, path.name)
-        for path in sorted(SOURCE.rglob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in shared
-    )
-    assert found == sorted((name, "hypergraph.py") for name in shared)
+    assert _definitions(shared) == sorted((name, "hypergraph.py") for name in shared)
+
+
+def test_pair_reduction_lives_only_in_dictionary():
+    """`_clique_copies` and `core_pair_alpha`, the one pair reduction of the
+    core-pair family, are each defined once, in `dictionary`; `ex` and the
+    star ideal both call it."""
+    shared = {"_clique_copies", "core_pair_alpha"}
+    assert _definitions(shared) == sorted((name, "dictionary.py") for name in shared)
 
 
 TESTS = Path(__file__).parent
