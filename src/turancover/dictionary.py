@@ -226,11 +226,13 @@ def core_pair_alpha(n: int, ell: int, r: int) -> tuple[int, int]:
 
     The search is `alpha_target` with forbidden family K_ell and target
     family K_r on the pairs, certified link by link (k = r).  More than
-    COPY_CAP cliques raise ScaleGuardError before any is built.
+    COPY_CAP cliques, or more than ALPHA_CAP_NODES target-copy pairs, raise
+    ScaleGuardError before any clique is built.
     """
     cliques = comb(n, ell) + comb(n, r)
     if cliques > COPY_CAP:
         raise ScaleGuardError(f"{cliques} ell- and r-cliques exceed cap {COPY_CAP}")
+    guard_search_setup(comb(n, r), comb(n, ell))
     return alpha_target(CoverInstance(n, 2, _clique_copies(n, ell), _clique_copies(n, r)), r)
 
 

@@ -130,6 +130,18 @@ def test_ex_core_family_beyond_the_edge_enumerator():
     assert core_family_free(witness, 5)
 
 
+def _no_cliques(n, s):
+    raise AssertionError("cliques were built")
+
+
+def test_ex_core_family_guards_setup_before_listing_cliques(monkeypatch):
+    # (20, 4, 3): 5,985 cliques fit COPY_CAP, but 1,140 triangle targets x
+    # 4,845 K4 copies = 5,523,300 setup steps exceed ALPHA_CAP_NODES
+    monkeypatch.setattr(dictionary, "_clique_copies", _no_cliques)
+    with pytest.raises(ScaleGuardError, match="5523300 setup steps"):
+        ex_via_cover(20, CoreFamily(4, 3))
+
+
 def test_ex_core_family_checks_its_witness(monkeypatch):
     alpha, killed = dictionary.core_pair_alpha(6, 4, 3)
     # no killed pair: the witness is K_6^(3), which holds every core
@@ -195,14 +207,14 @@ def _no_link(*args, **kwargs):
 
 def test_chain_guards_the_whole_instance_before_the_first_link(monkeypatch):
     inst = make_instance(7, builtin_spec("K4"), builtin_spec("K3"))
-    # K_ell_r(3,2) at n = 7: 21 edge variables x 35 triangle copies = 735
+    # K_ell_r(3,2) at n = 7: 21 pair targets x 35 triangle copies = 735
     # setup steps, refused before the small links, which would pass
     monkeypatch.setattr(dictionary, "min_hitting_set", _no_link)
+    monkeypatch.setattr(dictionary, "min_targets_met", _no_link)
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 734)
     with pytest.raises(ScaleGuardError, match="735 setup steps"):
         ex_via_cover(7, CoreFamily(3, 2))
     # 35 triangle targets x 35 K4 copies at n = 7
-    monkeypatch.setattr(dictionary, "min_targets_met", _no_link)
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1224)
     with pytest.raises(ScaleGuardError, match="1225 setup steps"):
         alpha_target(inst, 3)
