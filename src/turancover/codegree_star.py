@@ -6,7 +6,9 @@ pair.  The star ideal intersects, over all ell-subsets L, the ideals
 generated by the star monomials of pairs inside L.  It coincides with the
 cover ideal of the core-pair family, its initial degree is
 C(n, r) - t_r(n, ell-1), and the product of the non-transversal r-sets of a
-balanced (ell-1)-partition attains it.
+balanced (ell-1)-partition attains it.  A support is a member exactly
+when the degree-ell Hilbert value of its vertex quotient, a square-zero
+quotient on [n], is 0.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .hypergraph import (
     CoreFamily,
     EdgeRanker,
     RGraph,
-    balanced_partition,
     brute_force_ex,
     enumerate_forbidden_copies,
     pair_stars,
+    turan_construct,
     turan_count,
 )
 from .monomial import SquarefreeMonomial
@@ -74,45 +76,31 @@ def missing_edge_monomial(params: StarParams, G: RGraph) -> SquarefreeMonomial:
     return SquarefreeMonomial(params.n, params.r, mask)
 
 
-def in_star_ideal(m: SquarefreeMonomial | int, params: StarParams) -> bool:
-    """Membership: for every ell-subset L of [n] some pair inside L has its
-    whole star in the support.  Trivially true when n < ell."""
-    support = m.support if isinstance(m, SquarefreeMonomial) else m
-    if params.n < params.ell:
-        return True
-    stars = _star_masks(params)
-    killed = {p for p, s in stars.items() if s & support == s}
-    for L in itertools.combinations(range(1, params.n + 1), params.ell):
-        if not any(p in killed for p in itertools.combinations(L, 2)):
-            return False
-    return True
-
-
 def vertex_quotient(m: SquarefreeMonomial | int, params: StarParams) -> SquareZeroQuotient:
     """Kill x_a x_b exactly when the pair's star monomial divides m.
 
-    Every r-set E with y_E outside the support of m is standard here, and
-    membership in the star ideal forces the degree-ell piece to vanish."""
+    Every r-set E with y_E outside the support of m is standard here, and m
+    is in the star ideal exactly when the degree-ell piece vanishes
+    (`in_star_ideal`)."""
     support = m.support if isinstance(m, SquarefreeMonomial) else m
     stars = _star_masks(params)
     kill = [p for p, s in stars.items() if s & support == s]
     return SquareZeroQuotient(params.n, kill)
 
 
+def in_star_ideal(m: SquarefreeMonomial | int, params: StarParams) -> bool:
+    """Membership: for every ell-subset L of [n] some pair inside L has its
+    whole star in the support.  Trivially true when n < ell.  Those pairs
+    are the kill graph of `vertex_quotient`, so the bridge to square-zero
+    quotients: m is a member iff its degree-ell Hilbert value there is 0."""
+    return vertex_quotient(m, params).hilbert(params.ell) == 0
+
+
 def balanced_partition_monomial(params: StarParams) -> SquarefreeMonomial:
     """Product of all non-transversal r-sets of the balanced (ell-1)-partition
-    of [n]; degree C(n, r) - t_r(n, ell-1) and a member of the star ideal."""
-    parts = balanced_partition(params.n, params.ell - 1)
-    part_of = {}
-    for i, P in enumerate(parts):
-        for v in P:
-            part_of[v] = i
-    ranker = params.ranker()
-    mask = 0
-    for i, t in enumerate(ranker.sets):
-        if len({part_of[v] for v in t}) < params.r:
-            mask |= 1 << i
-    return SquarefreeMonomial(params.n, params.r, mask)
+    of [n], the missing-edge monomial of T_r(n, ell-1); degree
+    C(n, r) - t_r(n, ell-1) and a member of the star ideal."""
+    return missing_edge_monomial(params, turan_construct(params.n, params.ell - 1, params.r))
 
 
 def _variable_tables(nvars: int) -> list[int]:

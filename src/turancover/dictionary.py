@@ -60,19 +60,17 @@ class CoverInstance:
 def make_instance(
     n: int, forbid_spec: FamilySpec, target_spec: FamilySpec | None = None
 ) -> CoverInstance:
-    """The copy families of an instance.  When both patterns are explicit,
-    their copy counts are exact before enumeration, so `alpha_target`'s
-    setup guard refuses an oversized pair before any copy is listed."""
-    if (
-        isinstance(forbid_spec, RGraph)
-        and isinstance(target_spec, RGraph)
-        and target_spec.r == forbid_spec.r
-    ):
+    """The copy families of an instance.  Families of different uniformity
+    raise InputError before either is listed.  When both patterns are
+    explicit, their copy counts are exact before enumeration, so
+    `alpha_target`'s setup guard refuses an oversized pair before any copy
+    is listed."""
+    if target_spec is not None and target_spec.r != forbid_spec.r:
+        raise InputError("target and forbidden families must share uniformity")
+    if isinstance(forbid_spec, RGraph) and isinstance(target_spec, RGraph):
         guard_search_setup(explicit_copy_count(target_spec, n), explicit_copy_count(forbid_spec, n))
     forbidden = enumerate_forbidden_copies(forbid_spec, n)
     target = enumerate_forbidden_copies(target_spec, n) if target_spec is not None else None
-    if target is not None and target.r != forbidden.r:
-        raise InputError("target and forbidden families must share uniformity")
     return CoverInstance(n, forbidden.r, forbidden, target)
 
 
@@ -173,10 +171,6 @@ def quotient_rank(M: int, target_masks: list[int]) -> int:
     return sum(1 for t in target_masks if not (t & M))
 
 
-def killed_count(M: int, target_masks: list[int]) -> int:
-    return sum(1 for t in target_masks if t & M)
-
-
 def alpha_target(inst: CoverInstance, k: int | None = None) -> tuple[int, int]:
     """Minimum number of target copies meeting M, over supports M hitting
     every forbidden copy.  Returns (minimum, witness support mask).
@@ -266,7 +260,6 @@ __all__ = [
     "cover_ideal",
     "ex_via_cover",
     "quotient_rank",
-    "killed_count",
     "alpha_target",
     "core_pair_alpha",
     "gen_ex_via_cover",

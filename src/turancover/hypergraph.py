@@ -12,7 +12,8 @@ once and placed on each k-subset of [n].  Core-pair copies on one ell-core
 are the Alexander dual of its pairs' stars (`pair_stars`).  The core-pair
 family oracle keeps the shadow graph of covered pairs as one adjacency
 bitmask per vertex and decides each new violation with a bitset clique
-search.  The oracles import nothing from the cover-ideal search or the
+search; `core_family_free` runs the same search on a whole graph's shadow.
+The oracles import nothing from the cover-ideal search or the
 polynomial core: they are the independent check of both.
 """
 
@@ -93,10 +94,6 @@ class RGraph:
     def complete(cls, n: int, r: int) -> "RGraph":
         return cls(n, r, itertools.combinations(range(1, n + 1), r))
 
-    @classmethod
-    def empty(cls, n: int, r: int) -> "RGraph":
-        return cls(n, r)
-
     def __len__(self) -> int:
         return len(self.edges)
 
@@ -111,10 +108,6 @@ class RGraph:
     def __repr__(self) -> str:
         es = sorted(tuple(sorted(e)) for e in self.edges)
         return f"RGraph(n={self.n}, r={self.r}, edges={es})"
-
-    def complement(self) -> "RGraph":
-        all_sets = set(map(frozenset, itertools.combinations(range(1, self.n + 1), self.r)))
-        return RGraph(self.n, self.r, all_sets - self.edges)
 
     def codegree(self, a: int, b: int) -> int:
         """Number of edges containing both a and b."""
@@ -229,46 +222,23 @@ def turan_count(n: int, q: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# core-pair family membership
-
-
-def is_member_core_family(H: RGraph, ell: int) -> bool:
-    """Whether H belongs to the core-pair family with parameters (ell, H.r):
-    at most C(ell, 2) edges and some ell-set with every pair covered by an edge."""
-    if H.r < 2 or ell < 2:
-        raise InputError("need r >= 2 and ell >= 2")
-    if len(H.edges) > comb(ell, 2) or not H.edges:
-        return False
-    vertices = sorted(set().union(*H.edges))
-    if len(vertices) < ell:
-        return False
-    for S in itertools.combinations(vertices, ell):
-        if all(
-            any(a in e and b in e for e in H.edges)
-            for a, b in itertools.combinations(S, 2)
-        ):
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------------
 # copy enumeration
 
 
 def core_family_free(G: RGraph, ell: int) -> bool:
     """Whether G contains no member of the core-pair family (ell, G.r).
 
-    G contains a member iff some ell-set has every pair in positive codegree:
-    picking one witnessing edge per pair yields a member with <= C(ell, 2) edges.
+    G contains a member iff its shadow graph (the pairs of positive
+    codegree) has an ell-clique: picking one witnessing edge per pair yields
+    a member with <= C(ell, 2) edges.  The shadow graph is one adjacency
+    bitmask per vertex, searched by the oracle's `_has_clique`.
     """
-    covered = set()
+    adj = [0] * (G.n + 1)
     for e in G.edges:
-        covered.update(itertools.combinations(sorted(e), 2))
-    vertices = range(1, G.n + 1)
-    for S in itertools.combinations(vertices, ell):
-        if all(p in covered for p in itertools.combinations(S, 2)):
-            return False
-    return True
+        for a, b in itertools.combinations(e, 2):
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    return not _has_clique(adj, (1 << (G.n + 1)) - 2, ell)
 
 
 COPY_CAP = 2_000_000
@@ -640,7 +610,6 @@ __all__ = [
     "balanced_partition",
     "turan_construct",
     "turan_count",
-    "is_member_core_family",
     "core_family_free",
     "COPY_CAP",
     "explicit_copy_count",

@@ -184,6 +184,18 @@ def test_ex_and_gen_ex_refuse_fewer_than_one_vertex(capsys, argv, n):
     assert json.loads(err) == {"error": "bad input", "message": f"need n >= 1, got n={n}"}
 
 
+@pytest.mark.parametrize("n", ["5", "9"])
+def test_gen_ex_mixed_uniformity_is_bad_input_before_listing(capsys, n):
+    # at n = 9 listing K_ell_r(4,3) would be refused by the copy cap (exit 3)
+    code, payload, err = run(capsys, "gen-ex", "--target", "K3", "--forbid", "K_ell_r(4,3)", "--n", n)
+    assert code == EXIT_BAD_INPUT
+    assert payload is None
+    assert json.loads(err) == {
+        "error": "bad input",
+        "message": "target and forbidden families must share uniformity",
+    }
+
+
 def test_bad_kill_pair_exit_code(capsys):
     code, _, err = run(capsys, "hilbert", "--n", "4", "--d", "1", "--kill", "1")
     assert code == EXIT_BAD_INPUT

@@ -10,7 +10,6 @@ from turancover.dictionary import (
     cover_ideal,
     ex_via_cover,
     gen_ex_via_cover,
-    killed_count,
     make_instance,
     quotient_rank,
     vertex_quotient_of_cover,
@@ -231,7 +230,7 @@ def test_quotient_rank_worked_example():
     targ = inst.target.copies
     M = rk.mask([frozenset((1, 2))]) | rk.mask([frozenset((3, 4))])
     assert quotient_rank(M, targ) == 0
-    assert killed_count(M, targ) == 4
+    assert len(targ) - quotient_rank(M, targ) == 4
 
 
 def test_quotient_rank_complement_identity():
@@ -241,7 +240,7 @@ def test_quotient_rank_complement_identity():
     targ = inst.target.copies
     for _ in range(20):
         M = rng.randrange(1 << rk.count)
-        assert quotient_rank(M, targ) + killed_count(M, targ) == len(targ)
+        assert quotient_rank(M, targ) + sum(1 for t in targ if t & M) == len(targ)
 
 
 def test_quotient_rank_counts_surviving_cliques():
@@ -346,7 +345,7 @@ def test_alpha_target_witness_properties():
     forb = inst.forbidden.copies
     targ = inst.target.copies
     assert all(witness & c for c in forb)
-    assert killed_count(witness, targ) == alpha
+    assert len(targ) - quotient_rank(witness, targ) == alpha
     assert len(targ) - alpha == 4
 
 
@@ -357,7 +356,7 @@ def test_alpha_target_exhaustive_reference():
     targ = inst.target.copies
     alpha, _ = alpha_target(inst)
     best = min(
-        killed_count(M, targ)
+        len(targ) - quotient_rank(M, targ)
         for M in range(1 << rk.count)
         if all(M & c for c in forb)
     )
@@ -376,13 +375,13 @@ def test_alpha_target_matches_exhaustive_minimum(target, forbid):
         targ = inst.target.copies
         alpha, witness = alpha_target(inst)
         best = min(
-            killed_count(M, targ)
+            len(targ) - quotient_rank(M, targ)
             for M in range(1 << rk.count)
             if all(M & c for c in forb)
         )
         assert alpha == best
         assert all(witness & c for c in forb)
-        assert killed_count(witness, targ) == alpha
+        assert len(targ) - quotient_rank(witness, targ) == alpha
 
 
 def test_gen_ex_scale_guard(monkeypatch):

@@ -18,7 +18,6 @@ from turancover.hypergraph import (
     core_family_free,
     count_copies,
     enumerate_forbidden_copies,
-    is_member_core_family,
     minimal_supports,
     parse_hypergraph,
     turan_construct,
@@ -104,12 +103,26 @@ def test_codegree_direct_counts():
     assert G.codegree(3, 4) == 0
 
 
+def _is_member_core_family(H: RGraph, ell: int) -> bool:
+    """Definitional reference: H has at most C(ell, 2) edges and some ell-set
+    of its vertices with every pair covered by an edge."""
+    if H.r < 2 or ell < 2:
+        raise InputError("need r >= 2 and ell >= 2")
+    if len(H.edges) > comb(ell, 2) or not H.edges:
+        return False
+    vertices = sorted(set().union(*H.edges))
+    return any(
+        all(any(a in e and b in e for e in H.edges) for a, b in itertools.combinations(S, 2))
+        for S in itertools.combinations(vertices, ell)
+    )
+
+
 def test_is_member_core_family():
     H = RGraph(3, 3, [(1, 2, 3)])
-    assert is_member_core_family(H, 3)
+    assert _is_member_core_family(H, 3)
     H4 = RGraph(4, 3, [(1, 2, 3)])
-    assert not is_member_core_family(H4, 4)
-    assert not is_member_core_family(RGraph(4, 3, []), 3)
+    assert not _is_member_core_family(H4, 4)
+    assert not _is_member_core_family(RGraph(4, 3, []), 3)
 
 
 def test_core_family_freeness_predicate_matches_member_scan():
@@ -119,7 +132,7 @@ def test_core_family_freeness_predicate_matches_member_scan():
         chosen = [edges[i] for i in range(len(edges)) if mask >> i & 1]
         G = RGraph(4, 3, chosen)
         has_member = any(
-            is_member_core_family(RGraph(4, 3, sub), 3)
+            _is_member_core_family(RGraph(4, 3, sub), 3)
             for k in range(1, len(chosen) + 1)
             for sub in itertools.combinations(chosen, k)
         )
