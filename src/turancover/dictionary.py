@@ -60,15 +60,19 @@ class CoverInstance:
 def make_instance(
     n: int, forbid_spec: FamilySpec, target_spec: FamilySpec | None = None
 ) -> CoverInstance:
-    """The copy families of an instance.  Families of different uniformity
-    raise InputError before either is listed.  When both patterns are
-    explicit, their copy counts are exact before enumeration, so
-    `alpha_target`'s setup guard refuses an oversized pair before any copy
-    is listed."""
+    """The copy families of an instance; no target family means the C(n, r)
+    single edges (`alpha_target`).  Families of different uniformity raise
+    InputError before either is listed.  For an explicit forbidden pattern
+    with an explicit target or none, the number of targets and of copies
+    is exact before enumeration, so `alpha_target`'s setup guard refuses an
+    oversized instance before any copy is listed."""
     if target_spec is not None and target_spec.r != forbid_spec.r:
         raise InputError("target and forbidden families must share uniformity")
-    if isinstance(forbid_spec, RGraph) and isinstance(target_spec, RGraph):
-        guard_search_setup(explicit_copy_count(target_spec, n), explicit_copy_count(forbid_spec, n))
+    if isinstance(forbid_spec, RGraph) and not isinstance(target_spec, CoreFamily):
+        ntargets = (
+            comb(n, forbid_spec.r) if target_spec is None else explicit_copy_count(target_spec, n)
+        )
+        guard_search_setup(ntargets, explicit_copy_count(forbid_spec, n))
     forbidden = enumerate_forbidden_copies(forbid_spec, n)
     target = enumerate_forbidden_copies(target_spec, n) if target_spec is not None else None
     return CoverInstance(n, forbidden.r, forbidden, target)
@@ -85,28 +89,79 @@ def _require_vertices(n: int) -> None:
         raise InputError(f"need n >= 1, got n={n}")
 
 
-def _chain_alpha(inst: CoverInstance, k: int | None) -> tuple[int, int]:
-    """(minimum, witness) of the instance's search, certified link by link.
+def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
+    """ex(n, spec) = C(n, r) - alpha, with an extremal witness.  n < 1 raises
+    InputError; a witness with a forbidden copy or without `value` edges
+    raises ClaimCheckError.
 
-    The targets are the instance's target copies, or with no target family
-    the C(n, r) single edges (`min_hitting_set`); every target spans k
-    vertices.  The averaging bound of Katona, Nemetz and Simonovits (1964):
+    For an explicit pattern, alpha is the initial degree of the cover ideal
+    of its copies, `alpha_target` on `make_instance(n, spec)` with the
+    single edges as targets (k = r), and the witness is the complement of a
+    minimum hitting set.  For the core-pair family, alpha is
+    `core_pair_alpha`'s, on the pair variables, and the witness is the
+    r-cliques of K_n - M."""
+    _require_vertices(n)
+    r, total = spec.r, comb(n, spec.r)
+    if isinstance(spec, CoreFamily):
+        alpha, killed = core_pair_alpha(n, spec.ell, r)
+        pairs = EdgeRanker(n, 2)
+        witness = RGraph(n, r, (
+            e for e in itertools.combinations(range(1, n + 1), r)
+            if not pairs.mask(itertools.combinations(e, 2)) & killed
+        ))
+        free = core_family_free(witness, spec.ell)
+    else:
+        inst = make_instance(n, spec)
+        alpha, hitting = alpha_target(inst, r)
+        witness = RGraph(n, r, EdgeRanker(n, r).unmask(((1 << total) - 1) ^ hitting))
+        free = count_copies(witness, inst.forbidden) == 0
+    value = total - alpha
+    if not free or len(witness) != value:
+        raise ClaimCheckError(f"witness of {len(witness)} edges is not a forbidden-free graph of {value}")
+    return value, witness
+
+
+# ---------------------------------------------------------------------------
+# generalized Turán
+
+
+def quotient_rank(M: int, target_masks: list[int]) -> int:
+    """Number of target copies disjoint from the support M (copies whose
+    monomial survives the quotient killing the variables of M)."""
+    return sum(1 for t in target_masks if not (t & M))
+
+
+def alpha_target(inst: CoverInstance, k: int | None = None) -> tuple[int, int]:
+    """Minimum number of targets meeting M, over supports M hitting every
+    forbidden copy.  Returns (minimum, witness support mask).
+
+    The targets are the instance's target copies (`min_targets_met`), or
+    with no target family the C(n, r) single edges (`min_hitting_set`), whose
+    minimum is the cover ideal's initial degree.  Forced targets (those
+    containing a forbidden copy) are counted up front, and the witness is the
+    first optimum in the search's fixed branching order.
+
+    When every target spans exactly k vertices, the search is certified link
+    by link.  The averaging bound of Katona, Nemetz and Simonovits (1964):
     the property of having no forbidden copy passes to induced subgraphs,
-    and each target copy on [m] lies inside m - k of the m vertex-deleted
-    subsets of [m], so summing the target count over those subsets gives
+    and each target on [m] lies inside m - k of the m vertex-deleted subsets
+    of [m], so summing the target count over those subsets gives
     ex(m) * (m - k) <= m * ex(m - 1), with ex(m) the most targets that a
     support hitting every forbidden copy on [m] leaves unmet.  So
     |targets on [m]| - floor(ex(m-1) * m / (m - k)) is a proven lower bound
-    on the minimum at m, and `min_targets_met` stops once it reaches it.
+    on the minimum at m, and the search stops once it reaches it.
 
     Links run for m = k..n on `CoverInstance.restrict(m)`, prefixes of the
     copy lists enumerated once at n; each floor comes from the previous
     link's value only, never from a theorem a caller checks.  The first link
-    and k = None (a target family whose copies have no common vertex count)
-    get floor 0.  The setup guard of the n-instance runs before the first
-    link; each link's search has its own ALPHA_CAP_NODES budget, and the
-    final link expands a prefix of the nodes the floor-free search on [n]
-    expands, returning its (minimum, witness).
+    gets floor 0, and k = None (targets with no common vertex count) runs
+    the single search on [n].  The final link expands a prefix of the nodes
+    the floor-free search on [n] expands, so the minimum and witness are
+    that search's, reached sooner.
+
+    More than ALPHA_CAP_NODES target-copy pairs on [n] raise ScaleGuardError
+    before the first link; each link's search raises it past its own
+    ALPHA_CAP_NODES nodes.
     """
     n, r = inst.n, inst.r
 
@@ -128,80 +183,6 @@ def _chain_alpha(inst: CoverInstance, k: int | None) -> tuple[int, int]:
     return alpha, witness
 
 
-def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
-    """ex(n, spec) = C(n, r) - alpha, with an extremal witness.  n < 1 raises
-    InputError; a witness with a forbidden copy or without `value` edges
-    raises ClaimCheckError.
-
-    For an explicit pattern, alpha is that of the cover ideal of its copies,
-    listed once at n and searched link by link (`_chain_alpha` with k = r),
-    and the witness is the complement of a minimum hitting set.  More than
-    ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before any copy
-    is listed.  For the core-pair family, alpha is `core_pair_alpha`'s, on
-    the pair variables, and the witness is the r-cliques of K_n - M."""
-    _require_vertices(n)
-    r, total = spec.r, comb(n, spec.r)
-    if isinstance(spec, CoreFamily):
-        alpha, killed = core_pair_alpha(n, spec.ell, r)
-        pairs = EdgeRanker(n, 2)
-        witness = RGraph(n, r, (
-            e for e in itertools.combinations(range(1, n + 1), r)
-            if not pairs.mask(itertools.combinations(e, 2)) & killed
-        ))
-        free = core_family_free(witness, spec.ell)
-    else:
-        guard_search_setup(total, explicit_copy_count(spec, n))
-        fam = enumerate_forbidden_copies(spec, n)
-        alpha, hitting = _chain_alpha(CoverInstance(n, r, fam), r)
-        witness = RGraph(n, r, EdgeRanker(n, r).unmask(((1 << total) - 1) ^ hitting))
-        free = count_copies(witness, fam) == 0
-    value = total - alpha
-    if not free or len(witness) != value:
-        raise ClaimCheckError(f"witness of {len(witness)} edges is not a forbidden-free graph of {value}")
-    return value, witness
-
-
-# ---------------------------------------------------------------------------
-# generalized Turán
-
-
-def quotient_rank(M: int, target_masks: list[int]) -> int:
-    """Number of target copies disjoint from the support M (copies whose
-    monomial survives the quotient killing the variables of M)."""
-    return sum(1 for t in target_masks if not (t & M))
-
-
-def alpha_target(inst: CoverInstance, k: int | None = None) -> tuple[int, int]:
-    """Minimum number of target copies meeting M, over supports M hitting
-    every forbidden copy.  Returns (minimum, witness support mask).
-
-    The search is `min_targets_met` over the edge variables: forced targets
-    (those containing a forbidden copy) are counted up front, the witness is
-    the first optimum in its fixed branching order, and past ALPHA_CAP_NODES
-    search nodes it raises ScaleGuardError.  So does a setup of more than
-    ALPHA_CAP_NODES target-copy pairs, before the search starts.
-
-    When every target copy spans exactly k vertices (the edge-covered
-    vertices of an explicit target pattern), the search is certified link by
-    link on the prefixes [k], ..., [n] (`_chain_alpha`); the minimum and
-    witness are those of the single search, reached sooner.  k = None runs
-    the single search.
-    """
-    if inst.target is None:
-        raise InputError("generalized instance needs a target family")
-    return _chain_alpha(inst, k)
-
-
-def _clique_copies(n: int, s: int) -> CopyFamily:
-    """The s-cliques of K_n, each as the mask of its C(s, 2) pairs."""
-    ranker = EdgeRanker(n, 2)
-    copies = (
-        ranker.mask(itertools.combinations(clique, 2))
-        for clique in itertools.combinations(range(1, n + 1), s)
-    )
-    return CopyFamily(n, 2, tuple(sorted(copies)))
-
-
 def core_pair_alpha(n: int, ell: int, r: int) -> tuple[int, int]:
     """The core-pair family (ell, r) on [n], reduced to its shadow graph.
 
@@ -218,27 +199,29 @@ def core_pair_alpha(n: int, ell: int, r: int) -> tuple[int, int]:
       and S holds every r-set with a pair in P(S); conversely, the union of
       the stars over such an M is a member of exactly that size.
 
-    The search is `alpha_target` with forbidden family K_ell and target
-    family K_r on the pairs, certified link by link (k = r).  More than
-    COPY_CAP cliques, or more than ALPHA_CAP_NODES target-copy pairs, raise
-    ScaleGuardError before any clique is built.
+    The search is `alpha_target` on `make_instance` with forbidden pattern
+    K_ell and target pattern K_r on the pairs, certified link by link
+    (k = r).  A pattern K_s holds C(s, 2) edges, so the enumerator's copy cap
+    (C(n, s) > COPY_CAP) and the setup guard (C(n, r) x C(n, ell) >
+    ALPHA_CAP_NODES) raise ScaleGuardError on the clique counts before
+    either pattern is built.  A clique on s > n vertices has no copy in K_n,
+    and neither has the edgeless pattern on s vertices passed in its place.
     """
-    cliques = comb(n, ell) + comb(n, r)
-    if cliques > COPY_CAP:
-        raise ScaleGuardError(f"{cliques} ell- and r-cliques exceed cap {COPY_CAP}")
+    for s in (ell, r):
+        if comb(n, s) > COPY_CAP:
+            raise ScaleGuardError(f"copy count {comb(n, s)} exceeds cap {COPY_CAP}")
     guard_search_setup(comb(n, r), comb(n, ell))
-    return alpha_target(CoverInstance(n, 2, _clique_copies(n, ell), _clique_copies(n, r)), r)
+    forbid, target = (RGraph.complete(s, 2) if s <= n else RGraph(s, 2) for s in (ell, r))
+    return alpha_target(make_instance(n, forbid, target), r)
 
 
 def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -> int:
     """ex(n, T, F) = |target copies| - alpha_T(cover ideal).  n < 1 raises
     InputError.
 
-    For an explicit target T whose edges cover k vertices, the search is
-    certified link by link (`_chain_alpha`): both copy lists are enumerated
-    once, at n, the instance on [m] is their prefix below 1 << C(m, r), and
-    ex(m, T, F) <= floor(ex(m-1, T, F) * m / (m - k)) gives each link its
-    floor.  A core-pair target family is searched at n alone, with no floor.
+    For an explicit target T whose edges cover k vertices, `alpha_target`
+    certifies the search link by link on [k], ..., [n]; a core-pair target
+    family is searched at n alone, with no floor.
     """
     _require_vertices(n)
     inst = make_instance(n, forbid_spec, target_spec)

@@ -7,8 +7,9 @@ copy is such a mask from the moment it is listed: the squarefree monomial
 of its edges in the edge-variable ring.
 
 Copies of an explicit pattern F on k vertices are vertex sets times
-labellings: the k!/|Aut(F)| distinct relabellings of F's edges are computed
-once and placed on each k-subset of [n].  Core-pair copies on one ell-core
+labellings: the k!/|Aut(F)| distinct relabellings of F's edges (one for a
+complete pattern, which is not relabelled) are computed once and placed on
+each k-subset of [n].  Core-pair copies on one ell-core
 are the Alexander dual of its pairs' stars (`pair_stars`).  The core-pair
 family oracle keeps the shadow graph of covered pairs as one adjacency
 bitmask per vertex and decides each new violation with a bitset clique
@@ -249,17 +250,21 @@ ORACLE_CAP_EDGES = 30
 def _shapes(F: RGraph) -> tuple[int, set]:
     """(k, shapes) of an explicit pattern: its k edge-covered vertices and
     the distinct images of its edges under the k! relabellings of those
-    vertices by positions 0..k-1, which are k!/|Aut(F)| shapes.
-    ScaleGuardError refuses k! * |E(F)| labelling steps above COPY_CAP."""
+    vertices by positions 0..k-1, which are k!/|Aut(F)| shapes.  A complete
+    pattern (all C(k, r) edges) is its only shape and is not relabelled;
+    for any other, ScaleGuardError refuses k! * |E(F)| labelling steps above
+    COPY_CAP."""
     verts = sorted(set().union(*F.edges)) if F.edges else []
     if not verts:
         raise InputError("forbidden graph has no edges")
     k = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    edges = [[index[v] for v in e] for e in F.edges]
+    if len(edges) == comb(k, F.r):
+        return k, {frozenset(map(frozenset, edges))}
     labelling_work = factorial(k) * len(F.edges)
     if labelling_work > COPY_CAP:
         raise ScaleGuardError(f"labelling work {labelling_work} exceeds cap {COPY_CAP}")
-    index = {v: i for i, v in enumerate(verts)}
-    edges = [[index[v] for v in e] for e in F.edges]
     shapes = {
         frozenset(frozenset(p[i] for i in e) for e in edges)
         for p in itertools.permutations(range(k))
@@ -283,9 +288,10 @@ def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
     For an explicit RGraph F, copies are the edge sets of the embeddings of
     F into [n]; F needs n >= F.n.  They are listed as
     k-subsets of [n] times the distinct labellings of F's k edge-covered
-    vertices, and ScaleGuardError refuses k! * |E(F)| labelling steps or
-    C(n, k) * (number of labellings) copies above COPY_CAP, each before that
-    work starts.  For the symbolic core-pair family, only inclusion-minimal
+    vertices (one for a complete pattern), and ScaleGuardError refuses
+    k! * |E(F)| labelling steps of any other pattern, or C(n, k) * (number
+    of labellings) copies, above COPY_CAP, each before that work starts.
+    For the symbolic core-pair family, only inclusion-minimal
     copies are emitted (hitting them all is hitting all copies): per
     ell-core, the Alexander dual of its pairs' stars, then
     `minimal_supports` across cores.  ScaleGuardError first refuses

@@ -8,8 +8,9 @@ the minimal generators of that ideal, lives in `hypergraph` beside
 `minimal_supports` and is re-exported here.
 
 `min_targets_met` is the one hitting-set search: the minimum hitting set
-(the initial degree of a cover ideal) and the generalized dictionary's
-alpha_target are both instances of it.
+(the initial degree of a cover ideal) is the instance with one singleton
+target per variable, and the dictionary reaches both through
+`dictionary.alpha_target`.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def min_targets_met(
     the floor-free search returns, after a prefix of its nodes.  A floor at
     or below the minimum therefore never changes the answer; a floor above
     it may stop the search on a set that is not optimal.  The dictionary
-    takes its floors from the averaging bound (`dictionary._chain_alpha`).
+    takes its floors from the averaging bound (`dictionary.alpha_target`).
 
     Every search node counts against ALPHA_CAP_NODES; past it the search
     raises ScaleGuardError.  A setup of more than ALPHA_CAP_NODES target-copy

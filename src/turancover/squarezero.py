@@ -250,18 +250,6 @@ class SquareZeroQuotient:
 
     # -- parallel structure --------------------------------------------
 
-    def _class_mask(self, v: int) -> int:
-        """Mask of the variables with the same closed kill-neighbourhood as v."""
-        closed = self._adj[v] | (1 << v)
-        mask = 0
-        scan = closed
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            if self._adj[low.bit_length() - 1] | low == closed:
-                mask |= low
-        return mask
-
     def _class_masks(self) -> dict[int, int]:
         """Closed kill-neighbourhood mask -> mask of the variables that have
         it, i.e. the parallel classes, in order of their first variables."""
@@ -339,11 +327,12 @@ class SquareZeroQuotient:
         # a repeated vertex carries in the sum, so its popcount falls short
         s_mask = sum(1 << v for v in S)
         t_mask = sum(1 << v for v in T)
+        classes = self._class_masks().values()
         if (
             s_mask.bit_count() != len(S)
             or t_mask.bit_count() != len(T)
-            or s_mask != self._class_mask(S[0])
-            or t_mask != self._class_mask(T[0])
+            or s_mask not in classes
+            or t_mask not in classes
             or s_mask == t_mask
         ):
             raise InputError("clone needs two distinct parallel classes")

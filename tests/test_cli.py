@@ -22,7 +22,7 @@ from turancover.cli import (
     build_parser,
     main,
 )
-from turancover.hypergraph import RGraph, core_family_free
+from turancover.hypergraph import RGraph, core_family_free, turan_count
 from turancover.selftest import CRITERIA
 
 
@@ -90,6 +90,14 @@ def test_ex_core_family_past_the_edge_enumerator(capsys):
     assert report["result"] == {"value": 27, "alpha": comb(9, 3) - 27}
     witness = RGraph(9, 3, report["witnesses"]["witness_edges"])
     assert len(witness) == 27 and core_family_free(witness, 4)
+
+
+def test_ex_complete_pattern_is_not_relabelled(capsys):
+    # 9! relabellings of K9 would exceed the labelling cap; a complete
+    # pattern has one shape, so the answer is t_2(10, 8)
+    code, report, _ = run(capsys, "ex", "--n", "10", "--forbid", "K9")
+    assert code == EXIT_OK
+    assert report["result"] == {"value": 43, "alpha": 2} and turan_count(10, 8, 2) == 43
 
 
 def test_ex_from_hypergraph_file(capsys, tmp_path):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from turancover import codegree_star, dictionary, hypergraph, monomial
+from turancover import codegree_star, hypergraph, monomial
 from turancover.cli import EXIT_CLAIM_FAILED, main
 from turancover.codegree_star import (
     StarParams,
@@ -19,10 +19,18 @@ from turancover.codegree_star import (
     verify_collapse,
     vertex_quotient,
 )
-from turancover.dictionary import _clique_copies, ex_via_cover
+from turancover.dictionary import (
+    CoverInstance,
+    alpha_target,
+    core_pair_alpha,
+    ex_via_cover,
+    make_instance,
+)
 from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import (
+    CopyFamily,
     CoreFamily,
+    EdgeRanker,
     RGraph,
     builtin_spec,
     core_family_free,
@@ -329,6 +337,28 @@ def test_star_initial_degree_scale_guard(monkeypatch):
         star_initial_degree(StarParams(7, 4, 3))
 
 
+def _clique_copies(n, s):
+    """The s-cliques of K_n, each as the mask of its C(s, 2) pairs: a
+    reference list built without the pattern enumerator."""
+    ranker = EdgeRanker(n, 2)
+    copies = (
+        ranker.mask(itertools.combinations(clique, 2))
+        for clique in itertools.combinations(range(1, n + 1), s)
+    )
+    return CopyFamily(n, 2, tuple(sorted(copies)))
+
+
+@pytest.mark.parametrize("r", range(2, 5))
+@pytest.mark.parametrize("ell", range(2, 7))
+def test_pair_reduction_lists_the_reference_cliques(ell, r):
+    for n in range(1, 9):
+        forbidden, targets = _clique_copies(n, ell), _clique_copies(n, r)
+        inst = make_instance(n, RGraph.complete(ell, 2), RGraph.complete(r, 2))
+        assert (inst.forbidden, inst.target) == (forbidden, targets)
+        reference = alpha_target(CoverInstance(n, 2, forbidden, targets), r)
+        assert core_pair_alpha(n, ell, r) == reference
+
+
 @pytest.mark.parametrize("n,ell,r", [(5, 4, 3), (7, 4, 2), (8, 3, 2)])
 def test_floors_never_come_from_the_checked_value(monkeypatch, n, ell, r):
     # a wrong Turán count puts the checked value one above the true alpha;
@@ -344,20 +374,16 @@ def test_floors_never_come_from_the_checked_value(monkeypatch, n, ell, r):
         star_initial_degree(StarParams(n, ell, r))
 
 
-def _no_cliques(n, s):
-    raise AssertionError("cliques were built")
-
-
 def test_star_initial_degree_clique_cap(monkeypatch):
-    # (6, 4, 3) lists C(6, 4) + C(6, 3) = 15 + 20 = 35 cliques
-    monkeypatch.setattr(dictionary, "COPY_CAP", 35)
+    # (6, 4, 3) lists C(6, 4) = 15 K4 copies and C(6, 3) = 20 triangles; the
+    # enumerator caps each family's copy count before listing it
+    monkeypatch.setattr(hypergraph, "COPY_CAP", 20)
     assert star_initial_degree(StarParams(6, 4, 3))[0] == comb(6, 3) - turan_count(6, 3, 3)
-    monkeypatch.setattr(dictionary, "COPY_CAP", 34)
-    monkeypatch.setattr(dictionary, "_clique_copies", _no_cliques)
-    with pytest.raises(ScaleGuardError):
+    monkeypatch.setattr(hypergraph, "COPY_CAP", 19)
+    with pytest.raises(ScaleGuardError, match="copy count 20 exceeds cap 19"):
         star_initial_degree(StarParams(6, 4, 3))
     # ex on the core-pair family runs the same pair reduction and guard
-    with pytest.raises(ScaleGuardError, match="35 ell- and r-cliques"):
+    with pytest.raises(ScaleGuardError, match="copy count 20 exceeds cap 19"):
         ex_via_cover(6, CoreFamily(4, 3))
 
 

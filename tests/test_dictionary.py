@@ -129,14 +129,10 @@ def test_ex_core_family_beyond_the_edge_enumerator():
     assert core_family_free(witness, 5)
 
 
-def _no_cliques(n, s):
-    raise AssertionError("cliques were built")
-
-
 def test_ex_core_family_guards_setup_before_listing_cliques(monkeypatch):
     # (20, 4, 3): 5,985 cliques fit COPY_CAP, but 1,140 triangle targets x
     # 4,845 K4 copies = 5,523,300 setup steps exceed ALPHA_CAP_NODES
-    monkeypatch.setattr(dictionary, "_clique_copies", _no_cliques)
+    monkeypatch.setattr(dictionary, "enumerate_forbidden_copies", _no_enumeration)
     with pytest.raises(ScaleGuardError, match="5523300 setup steps"):
         ex_via_cover(20, CoreFamily(4, 3))
 
@@ -409,10 +405,13 @@ def test_search_setup_refused_before_enumeration(monkeypatch):
         alpha_target(make_instance(6, builtin_spec("K4"), builtin_spec("K3")))
 
 
-def test_alpha_target_requires_target_family():
-    inst = make_instance(4, builtin_spec("K3"))
-    with pytest.raises(InputError):
-        alpha_target(inst)
+@pytest.mark.parametrize("forbid", ["K3", "K4", "C4", "P3"])
+def test_alpha_target_without_targets_is_the_minimum_hitting_set(forbid):
+    # no target family: the targets are the single edges
+    for n in range(1, 8):
+        inst = make_instance(n, builtin_spec(forbid))
+        reference = min_hitting_set(inst.forbidden.copies, comb(n, 2))
+        assert alpha_target(inst, 2) == alpha_target(inst) == reference
 
 
 def test_instance_validation():

@@ -11,6 +11,7 @@ from turancover.hypergraph import (
     CoreFamily,
     EdgeRanker,
     RGraph,
+    _shapes,
     balanced_partition,
     brute_force_ex,
     brute_force_gen_ex,
@@ -262,6 +263,19 @@ def test_copies_of_asymmetric_pattern_are_all_labellings():
     assert len(enumerate_forbidden_copies(F, 7)) == comb(7, 6) * factorial(6)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_complete_patterns_have_one_unpermuted_shape(r):
+    # the complete pattern on k vertices, placed on vertices 3..k+2
+    for k in range(r, 8):
+        F = RGraph(k + 2, r, itertools.combinations(range(3, k + 3), r))
+        edges = [[v - 3 for v in e] for e in F.edges]
+        permuted = {
+            frozenset(frozenset(p[i] for i in e) for e in edges)
+            for p in itertools.permutations(range(k))
+        }
+        assert _shapes(F) == (k, permuted)
+
+
 def test_copies_need_the_declared_vertex_count():
     F = parse_hypergraph(PADDED_PATH)
     for n in range(3, 6):
@@ -305,9 +319,9 @@ def test_copy_enumeration_work_guards():
     # C(300, 3) vertex sets of one labelling each exceed the default cap
     with pytest.raises(ScaleGuardError, match="copy count 4455100"):
         enumerate_forbidden_copies(K(3), 300)
-    # 9! labellings of 36 edges are refused before any labelling is built
-    with pytest.raises(ScaleGuardError, match="labelling work 13063680"):
-        enumerate_forbidden_copies(builtin_spec("K9"), 9)
+    # a complete pattern is not relabelled: K9 at n = 9 lists one copy
+    assert len(enumerate_forbidden_copies(builtin_spec("K9"), 9)) == 1
+    # 11! labellings of the path's 10 edges are refused before any is built
     path = parse_hypergraph("11 2\n" + "".join(f"{v} {v + 1}\n" for v in range(1, 11)))
     with pytest.raises(ScaleGuardError, match="labelling work"):
         enumerate_forbidden_copies(path, 11)

@@ -106,11 +106,33 @@ def test_antichain_and_star_helpers_live_only_in_hypergraph():
 
 
 def test_pair_reduction_lives_only_in_dictionary():
-    """`_clique_copies` and `core_pair_alpha`, the one pair reduction of the
-    core-pair family, are each defined once, in `dictionary`; `ex` and the
-    star ideal both call it."""
-    shared = {"_clique_copies", "core_pair_alpha"}
-    assert _definitions(shared) == sorted((name, "dictionary.py") for name in shared)
+    """`core_pair_alpha`, the one pair reduction of the core-pair family, is
+    defined once, in `dictionary`; `ex` and the star ideal both call it."""
+    assert _definitions({"core_pair_alpha"}) == [("core_pair_alpha", "dictionary.py")]
+
+
+def _callee(call) -> str | None:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_only_alpha_target_enters_the_search():
+    """`dictionary.alpha_target` is the one search entry of the library:
+    besides it, only `monomial`'s own wrappers call `min_targets_met` or
+    `min_hitting_set`."""
+    search = {"min_targets_met", "min_hitting_set"}
+    callers = {
+        (path.name, getattr(top, "name", "<module>"))
+        for path in sorted(SOURCE.rglob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _callee(node) in search
+    }
+    assert callers == {
+        ("dictionary.py", "alpha_target"),
+        ("monomial.py", "min_hitting_set"),
+        ("monomial.py", "initial_degree"),
+    }
 
 
 TESTS = Path(__file__).parent
