@@ -173,9 +173,7 @@ def cmd_codegree_star(args) -> tuple[RunReport, int]:
         if not ok:
             code = EXIT_CLAIM_FAILED
     if args.oracle:
-        report = core_family_turan_number(params, alpha=result.get("alpha"))
-        result["oracle_ex"] = report["oracle_ex"]
-        result["mubayi_value"] = report["value"]
+        result["oracle_ex"] = result["mubayi_value"] = core_family_turan_number(params)
     p = {"n": args.n, "ell": args.ell, "r": args.r}
     return RunReport("codegree-star", p, result), code
 

@@ -214,27 +214,15 @@ def star_initial_degree(params: StarParams) -> tuple[int, SquarefreeMonomial]:
     return lb, m0
 
 
-def core_family_turan_number(params: StarParams, alpha: int | None = None) -> dict:
-    """t_r(n, ell-1) as the extremal number of the core-pair family.
-
-    `alpha` is the star ideal's initial degree when the caller has already
-    certified it with `star_initial_degree`; otherwise it is certified here.
-    Raises `ClaimCheckError` unless the full chain holds: C(n, r) - alpha
-    equals t_r(n, ell-1), which equals the brute-force extremal number.
-    """
+def core_family_turan_number(params: StarParams) -> int:
+    """t_r(n, ell-1) as the extremal number of the core-pair family, checked
+    against the brute-force oracle: raises `ClaimCheckError` unless
+    `brute_force_ex` gives the same value."""
     value = turan_count(params.n, params.ell - 1, params.r)
-    report = {"n": params.n, "ell": params.ell, "r": params.r, "value": value}
-    if alpha is None:
-        alpha, _ = star_initial_degree(params)
-    report["alpha"] = alpha
-    report["alpha_consistent"] = comb(params.n, params.r) - alpha == value
-    if not report["alpha_consistent"]:
-        raise ClaimCheckError("alpha does not match the Turán count")
     oracle, _ = brute_force_ex(params.n, CoreFamily(params.ell, params.r))
-    report["oracle_ex"] = oracle
     if oracle != value:
         raise ClaimCheckError("brute-force extremal number disagrees")
-    return report
+    return value
 
 
 __all__ = [

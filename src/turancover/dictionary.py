@@ -14,9 +14,8 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import ClaimCheckError, InputError, ScaleGuardError
+from .errors import ClaimCheckError, InputError
 from .hypergraph import (
-    COPY_CAP,
     CopyFamily,
     CoreFamily,
     EdgeRanker,
@@ -26,6 +25,7 @@ from .hypergraph import (
     count_copies,
     enumerate_forbidden_copies,
     explicit_copy_count,
+    guard_copy_listing,
 )
 from .monomial import SquarefreeIdeal, guard_search_setup, min_hitting_set, min_targets_met
 from .squarezero import SquareZeroQuotient
@@ -96,8 +96,8 @@ def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
 
     For an explicit pattern, alpha is the initial degree of the cover ideal
     of its copies, `alpha_target` on `make_instance(n, spec)` with the
-    single edges as targets (k = r), and the witness is the complement of a
-    minimum hitting set.  For the core-pair family, alpha is
+    single edges as targets, and the witness is the complement of a minimum
+    hitting set.  For the core-pair family, alpha is
     `core_pair_alpha`'s, on the pair variables, and the witness is the
     r-cliques of K_n - M."""
     _require_vertices(n)
@@ -112,7 +112,7 @@ def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
         free = core_family_free(witness, spec.ell)
     else:
         inst = make_instance(n, spec)
-        alpha, hitting = alpha_target(inst, r)
+        alpha, hitting = alpha_target(inst)
         witness = RGraph(n, r, EdgeRanker(n, r).unmask(((1 << total) - 1) ^ hitting))
         free = count_copies(witness, inst.forbidden) == 0
     value = total - alpha
@@ -131,7 +131,7 @@ def quotient_rank(M: int, target_masks: list[int]) -> int:
     return sum(1 for t in target_masks if not (t & M))
 
 
-def alpha_target(inst: CoverInstance, k: int | None = None) -> tuple[int, int]:
+def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     """Minimum number of targets meeting M, over supports M hitting every
     forbidden copy.  Returns (minimum, witness support mask).
 
@@ -141,11 +141,12 @@ def alpha_target(inst: CoverInstance, k: int | None = None) -> tuple[int, int]:
     containing a forbidden copy) are counted up front, and the witness is the
     first optimum in the search's fixed branching order.
 
-    When every target spans exactly k vertices, the search is certified link
-    by link.  The averaging bound of Katona, Nemetz and Simonovits (1964):
-    the property of having no forbidden copy passes to induced subgraphs,
-    and each target on [m] lies inside m - k of the m vertex-deleted subsets
-    of [m], so summing the target count over those subsets gives
+    When every target spans k vertices (k = r for single edges, else the
+    target family's `span`), the search is certified link by link.  The
+    averaging bound of Katona, Nemetz and Simonovits (1964): the property of
+    having no forbidden copy passes to induced subgraphs, and each target on
+    [m] lies inside m - k of the m vertex-deleted subsets of [m], so summing
+    the target count over those subsets gives
     ex(m) * (m - k) <= m * ex(m - 1), with ex(m) the most targets that a
     support hitting every forbidden copy on [m] leaves unmet.  So
     |targets on [m]| - floor(ex(m-1) * m / (m - k)) is a proven lower bound
@@ -154,16 +155,17 @@ def alpha_target(inst: CoverInstance, k: int | None = None) -> tuple[int, int]:
     Links run for m = k..n on `CoverInstance.restrict(m)`, prefixes of the
     copy lists enumerated once at n; each floor comes from the previous
     link's value only, never from a theorem a caller checks.  The first link
-    gets floor 0, and k = None (targets with no common vertex count) runs
-    the single search on [n].  The final link expands a prefix of the nodes
-    the floor-free search on [n] expands, so the minimum and witness are
-    that search's, reached sooner.
+    gets floor 0, and a target family without a span (core-pair copies, a
+    family built by hand) runs the single search on [n].  The final link
+    expands a prefix of the nodes the floor-free search on [n] expands, so
+    the minimum and witness are that search's, reached sooner.
 
     More than ALPHA_CAP_NODES target-copy pairs on [n] raise ScaleGuardError
     before the first link; each link's search raises it past its own
     ALPHA_CAP_NODES nodes.
     """
     n, r = inst.n, inst.r
+    k = r if inst.target is None else inst.target.span
 
     def target_count(link: CoverInstance) -> int:
         return comb(link.n, r) if link.target is None else len(link.target)
@@ -200,19 +202,17 @@ def core_pair_alpha(n: int, ell: int, r: int) -> tuple[int, int]:
       the stars over such an M is a member of exactly that size.
 
     The search is `alpha_target` on `make_instance` with forbidden pattern
-    K_ell and target pattern K_r on the pairs, certified link by link
-    (k = r).  A pattern K_s holds C(s, 2) edges, so the enumerator's copy cap
-    (C(n, s) > COPY_CAP) and the setup guard (C(n, r) x C(n, ell) >
-    ALPHA_CAP_NODES) raise ScaleGuardError on the clique counts before
-    either pattern is built.  A clique on s > n vertices has no copy in K_n,
-    and neither has the edgeless pattern on s vertices passed in its place.
+    K_ell and target pattern K_r on the pairs, certified link by link.  A
+    pattern K_s holds C(s, 2) edges, so the enumerator's listing guard
+    (C(n, s) x C(s, 2) > COPY_CAP) raises ScaleGuardError before either
+    pattern is built, and `make_instance` runs the setup guard before either
+    is listed.  A clique on s > n vertices has no copy in K_n, and neither
+    has the edgeless pattern on s vertices passed in its place.
     """
     for s in (ell, r):
-        if comb(n, s) > COPY_CAP:
-            raise ScaleGuardError(f"copy count {comb(n, s)} exceeds cap {COPY_CAP}")
-    guard_search_setup(comb(n, r), comb(n, ell))
+        guard_copy_listing(comb(n, s), comb(s, 2))
     forbid, target = (RGraph.complete(s, 2) if s <= n else RGraph(s, 2) for s in (ell, r))
-    return alpha_target(make_instance(n, forbid, target), r)
+    return alpha_target(make_instance(n, forbid, target))
 
 
 def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -> int:
@@ -225,8 +225,7 @@ def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -
     """
     _require_vertices(n)
     inst = make_instance(n, forbid_spec, target_spec)
-    k = len(set().union(*target_spec.edges)) if isinstance(target_spec, RGraph) else None
-    alpha, _ = alpha_target(inst, k)
+    alpha, _ = alpha_target(inst)
     return len(inst.target) - alpha
 
 

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, factorial
+from operator import lt
 from typing import Iterable, Sequence
 
 from .errors import InputError, ScaleGuardError
@@ -126,19 +127,23 @@ class RGraph:
 class CopyFamily:
     """Explicit list of forbidden (or target) copies inside the complete r-graph on [n].
 
-    Each copy is a nonzero edge mask over the ranks of `EdgeRanker(n, r)`;
-    the list is deduplicated.
+    Each copy is a nonzero edge mask over the ranks of `EdgeRanker(n, r)`,
+    in strictly increasing order.  `span`, for the copies of an explicit
+    pattern, is the k vertices each spans; it takes no part in equality.
     """
 
     n: int
     r: int
     copies: tuple[int, ...]
+    span: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if 0 in self.copies:
+        copies = self.copies
+        if 0 in copies:
             raise InputError("empty copy in CopyFamily")
-        if len(set(self.copies)) != len(self.copies):
-            raise InputError("duplicate copy in CopyFamily")
+        if not all(map(lt, copies, copies[1:])):
+            kind = "duplicate copy" if len(set(copies)) < len(copies) else "copies out of order"
+            raise InputError(f"{kind} in CopyFamily")
 
     def __len__(self) -> int:
         return len(self.copies)
@@ -151,7 +156,7 @@ class CopyFamily:
         minimal on [m], and conversely), except for an explicit pattern
         declared on more than m vertices, which that call does not place."""
         end = bisect_left(self.copies, 1 << comb(m, self.r))
-        return CopyFamily(m, self.r, self.copies[:end])
+        return CopyFamily(m, self.r, self.copies[:end], self.span)
 
 
 @dataclass(frozen=True)
@@ -281,6 +286,13 @@ def explicit_copy_count(F: RGraph, n: int) -> int:
     return comb(n, k) * len(shapes)
 
 
+def guard_copy_listing(copies: int, edges: int) -> None:
+    """Refuse to list `copies` copies of `edges` edges each: ScaleGuardError
+    when the edges placed exceed COPY_CAP."""
+    if copies * edges > COPY_CAP:
+        raise ScaleGuardError(f"copy count {copies} x {edges} edges exceeds cap {COPY_CAP}")
+
+
 def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
     """All copies of `spec` inside the complete r-graph on [n], as edge masks
     over `EdgeRanker(n, r)` in increasing order.
@@ -290,7 +302,8 @@ def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
     k-subsets of [n] times the distinct labellings of F's k edge-covered
     vertices (one for a complete pattern), and ScaleGuardError refuses
     k! * |E(F)| labelling steps of any other pattern, or C(n, k) * (number
-    of labellings) copies, above COPY_CAP, each before that work starts.
+    of labellings) copies times |E(F)| edges placed, above COPY_CAP, each
+    before that work starts.  The family records k as its span.
     For the symbolic core-pair family, only inclusion-minimal
     copies are emitted (hitting them all is hitting all copies): per
     ell-core, the Alexander dual of its pairs' stars, then
@@ -305,9 +318,7 @@ def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
         if F.n > n:
             return CopyFamily(n, F.r, ())
         k, shapes = _shapes(F)
-        copy_count = comb(n, k) * len(shapes)
-        if copy_count > COPY_CAP:
-            raise ScaleGuardError(f"copy count {copy_count} exceeds cap {COPY_CAP}")
+        guard_copy_listing(comb(n, k) * len(shapes), len(F.edges))
         # every vertex of F lies in an edge, so a copy's vertex set is the k-set
         # it was placed on, and distinct (k-set, shape) pairs give distinct copies
         rank = EdgeRanker(n, F.r).rank
@@ -316,7 +327,7 @@ def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
             for c in itertools.combinations(range(1, n + 1), k)
             for shape in shapes
         ]
-        return CopyFamily(n, F.r, tuple(sorted(copies)))
+        return CopyFamily(n, F.r, tuple(sorted(copies)), k)
 
     ell, r = spec.ell, spec.r
     if n < max(ell, r):
@@ -619,6 +630,7 @@ __all__ = [
     "core_family_free",
     "COPY_CAP",
     "explicit_copy_count",
+    "guard_copy_listing",
     "enumerate_forbidden_copies",
     "pair_stars",
     "minimal_supports",

@@ -157,7 +157,7 @@ def _check_star_degree(point) -> None:
     _require(alpha == expected, f"alpha {alpha}, expected {expected}")
     _require(witness.degree == alpha, f"witness degree {witness.degree} != alpha {alpha}")
     _require(in_star_ideal(witness, params), "the witness is not in the star ideal")
-    core_family_turan_number(params, alpha=alpha)
+    core_family_turan_number(params)
 
 
 def _check_vacuous(point) -> None:

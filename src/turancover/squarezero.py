@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import InputError, ScaleGuardError
-from .hypergraph import balanced_partition, turan_count
+from .hypergraph import _bits, balanced_partition, turan_count
 
 # stack entries one Hilbert count may pop before it is refused
 HILBERT_CAP_STEPS = 5_000_000
@@ -269,7 +269,7 @@ class SquareZeroQuotient:
         N[u] = N[u'] gives v in N[u] iff v in N[u'], i.e. x_u x_v = 0 iff
         x_u' x_v = 0; the same argument with N[v] = N[v'] moves v within D.
         """
-        classes = tuple(_members(mask) for mask in self._class_masks().values())
+        classes = tuple(tuple(_bits(mask)) for mask in self._class_masks().values())
         zero_between = {
             (C, D): self.killed(C[0], D[0])
             for C, D in itertools.combinations(classes, 2)
@@ -296,7 +296,7 @@ class SquareZeroQuotient:
             hit = adj[u] & reps
             if hit:
                 v = (hit & -hit).bit_length() - 1
-                return _members(classes[adj[u] | low]), _members(classes[adj[v] | (1 << v)])
+                return tuple(_bits(classes[adj[u] | low])), tuple(_bits(classes[adj[v] | (1 << v)]))
         return None
 
     def lambda_dim(self, c: int, d: int) -> int:
@@ -351,16 +351,6 @@ class SquareZeroQuotient:
         for v in S + T:
             adj[v] = (inside ^ (1 << v)) | external
         return SquareZeroQuotient._from_adj(self.n, adj)
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """The variables of a vertex mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return tuple(out)
 
 
 def _independent_triples(adj, allowed: int, m: int) -> int:
@@ -454,9 +444,9 @@ def symmetrize(
 
 
 def terminal_class_sizes(B: SquareZeroQuotient) -> list[int]:
-    """Class sizes of a terminal quotient (kill graph = within-class pairs)."""
-    part = B.parallel_classes()
-    return sorted((len(c) for c in part.classes), reverse=True)
+    """Class sizes of a terminal quotient (kill graph = within-class pairs):
+    the popcounts of its parallel-class masks."""
+    return sorted((mask.bit_count() for mask in B._class_masks().values()), reverse=True)
 
 
 HILBERT_ORACLE_CAP_N = 5

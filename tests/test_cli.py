@@ -265,6 +265,36 @@ def test_hitting_set_setup_refused_fast(capsys, argv):
     assert json.loads(err)["error"] == "scale guard"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 250 K249 copies of 30,876 pairs each, with only one target
+        ("codegree-star", "--n", "250", "--ell", "249", "--r", "250", "--alpha"),
+        # 700 K699 copies of 243,951 pairs each, with only one target
+        ("ex", "--forbid", "K_ell_r(699,700)", "--n", "700"),
+    ],
+)
+def test_copy_listing_refused_by_the_edges_placed(capsys, argv):
+    start = time.monotonic()
+    code, payload, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_SCALE_GUARD
+    assert payload is None
+    assert "edges exceeds cap" in json.loads(err)["message"]
+
+
+def test_long_single_edge_chain_answers_in_bounded_time(capsys):
+    # one K200 copy and 19,900 single-pair targets, certified in 199 chain
+    # links; it took about 6.5 s when each link hashed its whole prefix
+    start = time.monotonic()
+    code, report, _ = run(
+        capsys, "codegree-star", "--n", "200", "--ell", "200", "--r", "2", "--alpha"
+    )
+    assert time.monotonic() - start < 3.0
+    assert code == EXIT_OK
+    assert report["result"]["alpha"] == 1
+
+
 def refuse_enumeration(*args, **kwargs):
     raise AssertionError("copies enumerated before the setup guard ran")
 

@@ -355,7 +355,8 @@ def test_pair_reduction_lists_the_reference_cliques(ell, r):
         forbidden, targets = _clique_copies(n, ell), _clique_copies(n, r)
         inst = make_instance(n, RGraph.complete(ell, 2), RGraph.complete(r, 2))
         assert (inst.forbidden, inst.target) == (forbidden, targets)
-        reference = alpha_target(CoverInstance(n, 2, forbidden, targets), r)
+        # the hand-built families record no span, so this is the single search
+        reference = alpha_target(CoverInstance(n, 2, forbidden, targets))
         assert core_pair_alpha(n, ell, r) == reference
 
 
@@ -375,15 +376,16 @@ def test_floors_never_come_from_the_checked_value(monkeypatch, n, ell, r):
 
 
 def test_star_initial_degree_clique_cap(monkeypatch):
-    # (6, 4, 3) lists C(6, 4) = 15 K4 copies and C(6, 3) = 20 triangles; the
-    # enumerator caps each family's copy count before listing it
-    monkeypatch.setattr(hypergraph, "COPY_CAP", 20)
+    # (6, 4, 3) places C(6, 4) = 15 K4 copies of 6 pairs (90 edges) and
+    # C(6, 3) = 20 triangles of 3 (60 edges); the listing guard caps the
+    # edges placed for each family before either is built
+    monkeypatch.setattr(hypergraph, "COPY_CAP", 90)
     assert star_initial_degree(StarParams(6, 4, 3))[0] == comb(6, 3) - turan_count(6, 3, 3)
-    monkeypatch.setattr(hypergraph, "COPY_CAP", 19)
-    with pytest.raises(ScaleGuardError, match="copy count 20 exceeds cap 19"):
+    monkeypatch.setattr(hypergraph, "COPY_CAP", 89)
+    with pytest.raises(ScaleGuardError, match="copy count 15 x 6 edges exceeds cap 89"):
         star_initial_degree(StarParams(6, 4, 3))
     # ex on the core-pair family runs the same pair reduction and guard
-    with pytest.raises(ScaleGuardError, match="copy count 20 exceeds cap 19"):
+    with pytest.raises(ScaleGuardError, match="copy count 15 x 6 edges exceeds cap 89"):
         ex_via_cover(6, CoreFamily(4, 3))
 
 
@@ -450,17 +452,17 @@ def test_star_initial_degree_beyond_the_permutation_enumerator():
 
 
 def test_core_family_turan_number_reports():
-    rep = core_family_turan_number(StarParams(5, 4, 3))
-    assert rep["value"] == turan_count(5, 3, 3) == 4
-    assert rep["alpha"] == comb(5, 3) - 4
-    assert rep["alpha_consistent"]
-    assert rep["oracle_ex"] == 4
+    assert core_family_turan_number(StarParams(5, 4, 3)) == turan_count(5, 3, 3) == 4
 
 
 def test_core_family_turan_number_degenerate_case():
-    rep = core_family_turan_number(StarParams(4, 3, 3))
-    assert rep["value"] == 0
-    assert rep["oracle_ex"] == 0
+    assert core_family_turan_number(StarParams(4, 3, 3)) == 0
+
+
+def test_core_family_turan_number_checks_the_oracle(monkeypatch):
+    monkeypatch.setattr(codegree_star, "brute_force_ex", lambda n, spec: (5, None))
+    with pytest.raises(ClaimCheckError, match="brute-force extremal number disagrees"):
+        core_family_turan_number(StarParams(5, 4, 3))
 
 
 def test_params_validation():

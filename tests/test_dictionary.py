@@ -28,7 +28,7 @@ from turancover.hypergraph import (
     enumerate_forbidden_copies,
     turan_count,
 )
-from turancover.monomial import initial_degree, min_hitting_set
+from turancover.monomial import initial_degree, min_hitting_set, min_targets_met
 from turancover.squarezero import SquareZeroQuotient
 
 
@@ -192,8 +192,8 @@ def test_chain_returns_the_single_search_witness():
         assert ex_via_cover(n, spec) == (total - size, RGraph(n, fam.r, complement))
     for target, forbid, n in [("K3", "K4", 8), ("P3", "K3", 8), ("C4", "K3", 7)]:
         inst = make_instance(n, builtin_spec(forbid), builtin_spec(target))
-        k = len(set().union(*builtin_spec(target).edges))
-        assert alpha_target(inst, k) == alpha_target(inst)
+        reference = min_targets_met(inst.forbidden.copies, inst.target.copies, comb(n, 2))
+        assert alpha_target(inst) == reference
 
 
 def _no_link(*args, **kwargs):
@@ -212,7 +212,7 @@ def test_chain_guards_the_whole_instance_before_the_first_link(monkeypatch):
     # 35 triangle targets x 35 K4 copies at n = 7
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1224)
     with pytest.raises(ScaleGuardError, match="1225 setup steps"):
-        alpha_target(inst, 3)
+        alpha_target(inst)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +327,32 @@ def test_gen_ex_matches_brute_force():
             assert got == oracle, (t, f, n)
 
 
+# (target, forbidden, largest n) with a core-pair family on either side
+EDGE_3 = RGraph(3, 3, [(1, 2, 3)])
+CHERRY_3 = RGraph(4, 3, [(1, 2, 3), (1, 2, 4)])
+CORE_GEN_EX_GRID = [
+    (EDGE_3, CoreFamily(4, 3), 6),
+    (CHERRY_3, CoreFamily(4, 3), 6),
+    (EDGE_3, CoreFamily(3, 3), 6),
+    (builtin_spec("K2"), CoreFamily(3, 2), 7),
+    (builtin_spec("P3"), CoreFamily(4, 2), 7),
+    (CoreFamily(3, 2), builtin_spec("K4"), 7),
+    (CoreFamily(3, 2), builtin_spec("C4"), 7),
+    (CoreFamily(3, 3), CoreFamily(4, 3), 5),
+]
+
+
+@pytest.mark.parametrize(
+    "target,forbid,top",
+    CORE_GEN_EX_GRID,
+    ids=["edge/K43", "cherry/K43", "edge/K33", "K2/K32", "P3/K42", "K32/K4", "K32/C4", "K33/K43"],
+)
+def test_gen_ex_on_core_pair_families_matches_brute_force(target, forbid, top):
+    for n in range(1, top + 1):
+        oracle, _ = brute_force_gen_ex(n, target, forbid)
+        assert gen_ex_via_cover(n, target, forbid) == oracle, n
+
+
 def test_gen_ex_with_edge_target_reduces_to_ex():
     for n in (4, 5, 6):
         assert gen_ex_via_cover(n, builtin_spec("K2"), builtin_spec("K3")) == (
@@ -411,7 +437,7 @@ def test_alpha_target_without_targets_is_the_minimum_hitting_set(forbid):
     for n in range(1, 8):
         inst = make_instance(n, builtin_spec(forbid))
         reference = min_hitting_set(inst.forbidden.copies, comb(n, 2))
-        assert alpha_target(inst, 2) == alpha_target(inst) == reference
+        assert alpha_target(inst) == reference
 
 
 def test_instance_validation():

@@ -183,6 +183,28 @@ def test_copy_family_validation():
         CopyFamily(3, 2, (0b1, 0))
     with pytest.raises(InputError, match="duplicate copy"):
         CopyFamily(3, 2, (0b1, 0b1))
+    # `restrict` bisects the list, so it must be increasing
+    with pytest.raises(InputError, match="copies out of order"):
+        CopyFamily(3, 2, (0b11, 0b1))
+
+
+@pytest.mark.parametrize("name", [f"K{s}" for s in range(2, 10)] + ["P3", "C4"])
+def test_explicit_copies_record_their_span(name):
+    F = builtin_spec(name)
+    fam = enumerate_forbidden_copies(F, 9)
+    assert fam.span == F.n
+    assert fam.restrict(F.n).span == F.n
+
+
+def test_span_of_padded_and_core_pair_copies():
+    # P3 declared on 5 vertices still spans its 3 edge-covered vertices
+    fam = enumerate_forbidden_copies(RGraph(5, 2, [(1, 2), (2, 3)]), 6)
+    assert fam.span == 3 and fam.restrict(4).span == 3
+    # minimal core-pair copies span no common vertex count
+    assert enumerate_forbidden_copies(CoreFamily(3, 3), 5).span is None
+    # equality compares the copies only
+    triangles = enumerate_forbidden_copies(K(3), 5)
+    assert triangles == CopyFamily(5, 2, triangles.copies)
 
 
 def test_enumeration_scale_guard():
