@@ -24,13 +24,15 @@ from turancover.codegree_star import (
 from turancover.hypergraph import RGraph, turan_construct, turan_count
 
 params = StarParams(5, 4, 3)
+ranker = params.ranker()
 
 # ---------------------------------------------------------------------------
-# Star monomials: each has C(n-2, r-2) variables in its support.
+# Star monomials: each has C(n-2, r-2) variables in its support.  A
+# squarefree monomial is its support, an int mask over the ranker's r-sets.
 
 star = codegree_star_monomial(params, 1, 2)
-print("star of {1,2} at (n,ell,r)=(5,4,3):", sorted(map(sorted, star.variables())))
-assert star.degree == comb(3, 1)
+print("star of {1,2} at (n,ell,r)=(5,4,3):", sorted(map(sorted, ranker.unmask(star))))
+assert star.bit_count() == comb(3, 1)
 
 # The star of {a,b} divides the missing-edge monomial of a hypergraph G
 # exactly when the pair has codegree zero in G -- this is the divisibility
@@ -39,7 +41,7 @@ assert star.degree == comb(3, 1)
 G = turan_construct(5, 3, 3)
 m = missing_edge_monomial(params, G)
 print("Turán construction T_3(5,3) has", len(G), "edges;"
-      " missing-edge monomial degree", m.degree)
+      " missing-edge monomial degree", m.bit_count())
 print("  member of the star ideal:", in_star_ideal(m, params))
 assert in_star_ideal(m, params)
 assert not in_star_ideal(missing_edge_monomial(params, RGraph.complete(5, 3)), params)
@@ -62,7 +64,8 @@ print("collapse verified exhaustively:", verify_collapse(params))
 m0 = balanced_partition_monomial(params)
 alpha, witness = star_initial_degree(params)
 print(f"alpha(J) = {alpha} = C(5,3) - t_3(5,3) = {comb(5, 3) - turan_count(5, 3, 3)}")
-assert witness.support == m0.support
+print("  witness support:", sorted(map(sorted, ranker.unmask(witness))))
+assert witness == m0 and witness.bit_count() == alpha
 
 # ---------------------------------------------------------------------------
 # And the Turán-number corollary, cross-checked against brute force.

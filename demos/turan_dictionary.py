@@ -12,7 +12,6 @@ from math import comb
 
 from turancover.dictionary import (
     alpha_target,
-    cover_ideal,
     ex_via_cover,
     gen_ex_via_cover,
     make_instance,
@@ -24,7 +23,6 @@ from turancover.hypergraph import (
     builtin_spec,
     turan_count,
 )
-from turancover.monomial import initial_degree
 
 # ---------------------------------------------------------------------------
 # Ordinary Turán numbers.  The cover-ideal route and the branch-and-bound
@@ -45,12 +43,18 @@ for n in (4, 5):
     print(f"ex({n}, K_4^(3) core family) = {value} = t_3({n},3) = {turan_count(n, 3, 3)}")
 
 # ---------------------------------------------------------------------------
-# The dictionary identity itself: initial degree = C(n, r) - ex(n, F).
+# The dictionary identity itself: initial degree = C(n, r) - ex(n, F).  A
+# support (an int mask over the edge variables) is in the cover ideal iff it
+# meets every copy, so the initial degree is a minimum hitting set.
 
 n = 6
-ideal = cover_ideal(make_instance(n, builtin_spec("K3")))
+inst = make_instance(n, builtin_spec("K3"))
+alpha, support = alpha_target(inst)
+assert all(support & c for c in inst.forbidden.copies)
 value, _ = ex_via_cover(n, builtin_spec("K3"))
-print(f"alpha(cover ideal) = {initial_degree(ideal)} = C({n},2) - ex = {comb(n, 2) - value}")
+print(f"alpha(cover ideal) = {alpha} = C({n},2) - ex = {comb(n, 2) - value}")
+print(f"  a minimum member meets all {len(inst.forbidden)} triangles:"
+      f" {sorted(map(sorted, inst.ranker().unmask(support)))}")
 
 # ---------------------------------------------------------------------------
 # Generalized Turán numbers: the maximum number of triangles in a K4-free

@@ -7,8 +7,9 @@ Subpackages:
 * hypergraph     r-graphs, Turán constructions, brute-force oracles
 * diagonal       identification ideals and the counterexample certificate;
                  membership of difference products decided by counting pairs
-* monomial       squarefree monomials and cover ideals over the edge
-                 variables, Alexander duality, hitting sets
+* monomial       the hitting-set search over int support masks of the
+                 edge variables (a cover ideal is its copy masks),
+                 Alexander duality
 * squarezero     square-zero quotients and Hilbert symmetrization
 * dictionary     the cover-ideal Turán dictionary (ordinary + generalized)
 * codegree_star  the missing codegree-star ideal and its initial degree

@@ -166,7 +166,7 @@ def cmd_codegree_star(args) -> tuple[RunReport, int]:
     if args.alpha or not args.verify_collapse:
         alpha, witness = star_initial_degree(params)
         result["alpha"] = alpha
-        result["witness_support"] = [tuple(sorted(e)) for e in witness.variables()]
+        result["witness_support"] = [tuple(sorted(e)) for e in params.ranker().unmask(witness)]
     if args.verify_collapse:
         ok = verify_collapse(params)
         result["collapse_ok"] = ok

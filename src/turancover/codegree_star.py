@@ -8,7 +8,8 @@ cover ideal of the core-pair family, its initial degree is
 C(n, r) - t_r(n, ell-1), and the product of the non-transversal r-sets of a
 balanced (ell-1)-partition attains it.  A support is a member exactly
 when the degree-ell Hilbert value of its vertex quotient, a square-zero
-quotient on [n], is 0.
+quotient on [n], is 0.  A squarefree monomial is its support: an int mask
+over `StarParams.ranker()`, whose `unmask` lists its r-sets.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .hypergraph import (
     turan_construct,
     turan_count,
 )
-from .monomial import SquarefreeMonomial
 from .squarezero import SquareZeroQuotient
 
 
@@ -55,51 +55,47 @@ def _star_masks(params: StarParams) -> dict[tuple[int, int], int]:
     return pair_stars(params.ranker())
 
 
-def codegree_star_monomial(params: StarParams, a: int, b: int) -> SquarefreeMonomial:
-    """Product of all edge variables whose edge contains {a, b};
-    support size is C(n-2, r-2)."""
+def codegree_star_monomial(params: StarParams, a: int, b: int) -> int:
+    """Support of the product of all edge variables whose edge contains
+    {a, b}; its size is C(n-2, r-2)."""
     if a == b or not (1 <= a <= params.n and 1 <= b <= params.n):
         raise InputError(f"bad pair ({a}, {b})")
-    a, b = min(a, b), max(a, b)
-    mask = _star_masks(params)[(a, b)]
-    return SquarefreeMonomial(params.n, params.r, mask)
+    return _star_masks(params)[(min(a, b), max(a, b))]
 
 
-def missing_edge_monomial(params: StarParams, G: RGraph) -> SquarefreeMonomial:
-    """Product of the edge variables over the non-edges of G; a star monomial
-    of a pair divides it exactly when the pair has codegree zero in G."""
+def missing_edge_monomial(params: StarParams, G: RGraph) -> int:
+    """Support of the product of the edge variables over the non-edges of G;
+    a star monomial of a pair divides it exactly when the pair has codegree
+    zero in G."""
     if (G.n, G.r) != (params.n, params.r):
         raise InputError("graph incompatible with star parameters")
     ranker = params.ranker()
-    full = (1 << ranker.count) - 1
-    mask = full ^ ranker.mask(G.edges)
-    return SquarefreeMonomial(params.n, params.r, mask)
+    return ((1 << ranker.count) - 1) ^ ranker.mask(G.edges)
 
 
-def vertex_quotient(m: SquarefreeMonomial | int, params: StarParams) -> SquareZeroQuotient:
-    """Kill x_a x_b exactly when the pair's star monomial divides m.
+def vertex_quotient(m: int, params: StarParams) -> SquareZeroQuotient:
+    """Kill x_a x_b exactly when the pair's star monomial divides the
+    monomial of support m.
 
-    Every r-set E with y_E outside the support of m is standard here, and m
-    is in the star ideal exactly when the degree-ell piece vanishes
-    (`in_star_ideal`)."""
-    support = m.support if isinstance(m, SquarefreeMonomial) else m
-    stars = _star_masks(params)
-    kill = [p for p, s in stars.items() if s & support == s]
+    Every r-set E with y_E outside m is standard here, and m is in the star
+    ideal exactly when the degree-ell piece vanishes (`in_star_ideal`)."""
+    kill = [p for p, s in _star_masks(params).items() if s & m == s]
     return SquareZeroQuotient(params.n, kill)
 
 
-def in_star_ideal(m: SquarefreeMonomial | int, params: StarParams) -> bool:
+def in_star_ideal(m: int, params: StarParams) -> bool:
     """Membership: for every ell-subset L of [n] some pair inside L has its
     whole star in the support.  Trivially true when n < ell.  Those pairs
     are the kill graph of `vertex_quotient`, so the bridge to square-zero
-    quotients: m is a member iff its degree-ell Hilbert value there is 0."""
+    quotients: the support m is a member iff its degree-ell Hilbert value
+    there is 0."""
     return vertex_quotient(m, params).hilbert(params.ell) == 0
 
 
-def balanced_partition_monomial(params: StarParams) -> SquarefreeMonomial:
-    """Product of all non-transversal r-sets of the balanced (ell-1)-partition
-    of [n], the missing-edge monomial of T_r(n, ell-1); degree
-    C(n, r) - t_r(n, ell-1) and a member of the star ideal."""
+def balanced_partition_monomial(params: StarParams) -> int:
+    """Support of the product of all non-transversal r-sets of the balanced
+    (ell-1)-partition of [n], the missing-edge monomial of T_r(n, ell-1);
+    degree C(n, r) - t_r(n, ell-1) and a member of the star ideal."""
     return missing_edge_monomial(params, turan_construct(params.n, params.ell - 1, params.r))
 
 
@@ -191,8 +187,9 @@ def verify_collapse(params: StarParams) -> bool:
     return in_j == in_cover == free
 
 
-def star_initial_degree(params: StarParams) -> tuple[int, SquarefreeMonomial]:
-    """Exact initial degree of the star ideal, returned with a witness.
+def star_initial_degree(params: StarParams) -> tuple[int, int]:
+    """Exact initial degree of the star ideal, returned with a witness
+    support over `params.ranker()`.
 
     The value is `dictionary.core_pair_alpha`, whose docstring proves it is
     C(n, r) - ex(n, K_r, K_ell); Zykov (1949) gives ex(n, K_r, K_ell) =
@@ -207,7 +204,7 @@ def star_initial_degree(params: StarParams) -> tuple[int, SquarefreeMonomial]:
     if alpha != lb:
         raise ClaimCheckError(f"pair-graph search gives {alpha}, not C(n,r) - t_r(n,ell-1) = {lb}")
     m0 = balanced_partition_monomial(params)
-    if m0.degree != lb:
+    if m0.bit_count() != lb:
         raise ClaimCheckError("balanced-partition monomial has unexpected degree")
     if not in_star_ideal(m0, params):
         raise ClaimCheckError("balanced-partition monomial is not a member")

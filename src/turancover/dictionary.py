@@ -1,5 +1,9 @@
 """The cover-ideal dictionary for ordinary and generalized Turán numbers.
 
+The cover ideal of an instance is held as its forbidden copy masks: a
+support (an int mask over `EdgeRanker` ranks) is a member iff it meets
+every forbidden copy, and an empty family gives the whole ring.
+
 Ordinary: the initial degree of the cover ideal of the forbidden copies is
 C(n, r) minus the extremal number, with minimum hitting sets complementing
 extremal witnesses.  Generalized (graphs only): the objective becomes the
@@ -27,7 +31,7 @@ from .hypergraph import (
     explicit_copy_count,
     guard_copy_listing,
 )
-from .monomial import SquarefreeIdeal, guard_search_setup, min_hitting_set, min_targets_met
+from .monomial import guard_search_setup, min_hitting_set, min_targets_met
 from .squarezero import SquareZeroQuotient
 
 
@@ -72,16 +76,10 @@ def make_instance(
         ntargets = (
             comb(n, forbid_spec.r) if target_spec is None else explicit_copy_count(target_spec, n)
         )
-        guard_search_setup(ntargets, explicit_copy_count(forbid_spec, n))
+        guard_search_setup(ntargets, explicit_copy_count(forbid_spec, n), comb(n, forbid_spec.r))
     forbidden = enumerate_forbidden_copies(forbid_spec, n)
     target = enumerate_forbidden_copies(target_spec, n) if target_spec is not None else None
     return CoverInstance(n, forbidden.r, forbidden, target)
-
-
-def cover_ideal(inst: CoverInstance) -> SquarefreeIdeal:
-    """Cover-form ideal: a monomial is a member iff its support meets every
-    forbidden copy.  An empty forbidden family gives the whole ring."""
-    return SquarefreeIdeal.from_copy_family(inst.forbidden)
 
 
 def _require_vertices(n: int) -> None:
@@ -160,9 +158,9 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     expands a prefix of the nodes the floor-free search on [n] expands, so
     the minimum and witness are that search's, reached sooner.
 
-    More than ALPHA_CAP_NODES target-copy pairs on [n] raise ScaleGuardError
-    before the first link; each link's search raises it past its own
-    ALPHA_CAP_NODES nodes.
+    A setup on [n] past `monomial.guard_search_setup`'s budget raises
+    ScaleGuardError before the first link; each link's search raises it past
+    its own ALPHA_CAP_NODES nodes.
     """
     n, r = inst.n, inst.r
     k = r if inst.target is None else inst.target.span
@@ -170,7 +168,7 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     def target_count(link: CoverInstance) -> int:
         return comb(link.n, r) if link.target is None else len(link.target)
 
-    guard_search_setup(target_count(inst), len(inst.forbidden))
+    guard_search_setup(target_count(inst), len(inst.forbidden), comb(n, r))
     previous = None
     for m in range(min(k, n), n + 1) if k is not None else (n,):
         link = inst.restrict(m)
@@ -204,13 +202,15 @@ def core_pair_alpha(n: int, ell: int, r: int) -> tuple[int, int]:
     The search is `alpha_target` on `make_instance` with forbidden pattern
     K_ell and target pattern K_r on the pairs, certified link by link.  A
     pattern K_s holds C(s, 2) edges, so the enumerator's listing guard
-    (C(n, s) x C(s, 2) > COPY_CAP) raises ScaleGuardError before either
-    pattern is built, and `make_instance` runs the setup guard before either
-    is listed.  A clique on s > n vertices has no copy in K_n, and neither
-    has the edgeless pattern on s vertices passed in its place.
+    (C(n, s) x C(s, 2) > COPY_CAP) and the search's setup guard (C(n, r)
+    targets and C(n, ell) copies over C(n, 2) variables) raise
+    ScaleGuardError before either pattern is built.  A clique on s > n
+    vertices has no copy in K_n, and neither has the edgeless pattern on s
+    vertices passed in its place.
     """
     for s in (ell, r):
         guard_copy_listing(comb(n, s), comb(s, 2))
+    guard_search_setup(comb(n, r), comb(n, ell), comb(n, 2))
     forbid, target = (RGraph.complete(s, 2) if s <= n else RGraph(s, 2) for s in (ell, r))
     return alpha_target(make_instance(n, forbid, target))
 
@@ -239,7 +239,6 @@ def vertex_quotient_of_cover(M: int, n: int) -> SquareZeroQuotient:
 __all__ = [
     "CoverInstance",
     "make_instance",
-    "cover_ideal",
     "ex_via_cover",
     "quotient_rank",
     "alpha_target",

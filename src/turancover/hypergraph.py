@@ -228,7 +228,7 @@ def turan_count(n: int, q: int, r: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# copy enumeration
+# core-family freeness
 
 
 def core_family_free(G: RGraph, ell: int) -> bool:
@@ -245,6 +245,10 @@ def core_family_free(G: RGraph, ell: int) -> bool:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
     return not _has_clique(adj, (1 << (G.n + 1)) - 2, ell)
+
+
+# ---------------------------------------------------------------------------
+# copy enumeration
 
 
 COPY_CAP = 2_000_000

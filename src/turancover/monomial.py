@@ -1,11 +1,13 @@
 """Squarefree monomials and cover ideals in the edge-variable ring.
 
-Monomial supports are int bitmasks over the edge variables, ranked by
-`hypergraph.EdgeRanker`.  An ideal is held in cover form: the intersection
-of variable ideals over a copy family, so a monomial is a member iff its
-support meets every copy.  `alexander_dual`, which turns copy masks into
-the minimal generators of that ideal, lives in `hypergraph` beside
-`minimal_supports` and is re-exported here.
+A squarefree monomial is its support: an int bitmask over the edge
+variables, ranked by `hypergraph.EdgeRanker`, and its degree is the mask's
+`bit_count()`.  A cover ideal is given by its copy masks: the intersection
+of variable ideals over a copy family, so a support is a member iff it
+meets every copy (`all(m & c for c in copies)`).  No copies give the whole
+ring; an empty copy gives the zero ideal.  `alexander_dual`, which turns
+copy masks into the minimal generators of that ideal, lives in `hypergraph`
+beside `minimal_supports` and is re-exported here.
 
 `min_targets_met` is the one hitting-set search: the minimum hitting set
 (the initial degree of a cover ideal) is the instance with one singleton
@@ -15,51 +17,10 @@ target per variable, and the dictionary reaches both through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb
 from typing import Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import CopyFamily, EdgeRanker, alexander_dual, minimal_supports
-
-
-@dataclass(frozen=True)
-class SquarefreeMonomial:
-    """A squarefree monomial in the edge variables of the r-subsets of [n]:
-    a support mask over their `EdgeRanker` ranks."""
-
-    n: int
-    r: int
-    support: int
-
-    @property
-    def degree(self) -> int:
-        return self.support.bit_count()
-
-    def variables(self) -> list:
-        """The edges of the support, in colex rank order."""
-        return EdgeRanker(self.n, self.r).unmask(self.support)
-
-
-class SquarefreeIdeal:
-    """The cover ideal of copy masks over `nvars` variables: a monomial is a
-    member iff its support meets every copy.  No copies gives the whole
-    ring; an empty copy gives the zero ideal."""
-
-    def __init__(self, copies: Iterable[int], nvars: int):
-        self.copies = list(copies)
-        self.nvars = nvars
-
-    @classmethod
-    def from_copy_family(cls, fam: CopyFamily) -> "SquarefreeIdeal":
-        return cls(fam.copies, comb(fam.n, fam.r))
-
-    def membership(self, m: SquarefreeMonomial | int) -> bool:
-        support = m.support if isinstance(m, SquarefreeMonomial) else m
-        return all(support & c for c in self.copies)
-
-    def __contains__(self, m) -> bool:
-        return self.membership(m)
+from .hypergraph import alexander_dual, minimal_supports
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +30,25 @@ class SquarefreeIdeal:
 ALPHA_CAP_NODES = 2_000_000
 
 
-def guard_search_setup(ntargets: int, ncopies: int) -> None:
-    """Refuse a search whose setup alone exceeds ALPHA_CAP_NODES steps: the
-    forced-target filter, or one singleton target per variable.  Callers
-    with exact copy counts run it before any copy is listed."""
+def guard_search_setup(ntargets: int, ncopies: int, nvars: int) -> None:
+    """Refuse a search whose setup alone exceeds the ALPHA_CAP_NODES budget.
+    Callers with exact copy counts run it before any copy is listed.
+
+    The forced-target filter takes one step per target-copy pair.  The
+    target and copy masks have up to nvars bits each, and the index tables
+    (`_index_sets`) hold one bitset per variable over the target and copy
+    indices, so together they take up to 2 * nvars * (ntargets + ncopies)
+    bits; past ALPHA_CAP_NODES KiB that is refused too."""
     work = ntargets * ncopies
     if work > ALPHA_CAP_NODES:
         raise ScaleGuardError(
             f"{ntargets} targets x {ncopies} copies = {work} setup steps exceed {ALPHA_CAP_NODES}"
+        )
+    kib = 2 * nvars * (ntargets + ncopies) // 8192
+    if kib > ALPHA_CAP_NODES:
+        raise ScaleGuardError(
+            f"masks and index tables of {ntargets} targets and {ncopies} copies over"
+            f" {nvars} variables take {kib} KiB, exceeding {ALPHA_CAP_NODES} KiB"
         )
 
 
@@ -124,8 +96,8 @@ def min_targets_met(
     takes its floors from the averaging bound (`dictionary.alpha_target`).
 
     Every search node counts against ALPHA_CAP_NODES; past it the search
-    raises ScaleGuardError.  A setup of more than ALPHA_CAP_NODES target-copy
-    pairs raises it before the filter runs.  So each call ends in bounded time.
+    raises ScaleGuardError.  A setup past `guard_search_setup`'s budget raises
+    it before the filter runs.  So each call ends in bounded time.
     Each recursion level adds one variable to M, so a witness deeper than
     Python's recursion limit also raises ScaleGuardError.
     """
@@ -134,7 +106,7 @@ def min_targets_met(
     forb = sorted(copies, key=lambda c: (c.bit_count(), c))
     if not forb:
         return 0, 0
-    guard_search_setup(len(targets), len(forb))
+    guard_search_setup(len(targets), len(forb), nvars)
     if forb[0] == 0:
         raise InputError("empty copy cannot be hit")
     free = [t for t in targets if not any(c & t == c for c in forb)]
@@ -207,36 +179,21 @@ def min_hitting_set(copies: Sequence[int], nvars: int, floor: int = 0) -> tuple[
     singleton target per variable, so the number of targets met is |M|; the
     witness is the first optimum in that search's fixed branching order, and
     `floor`, a proven lower bound on the size, only stops the search early.
-    Empty family -> (0, 0); an empty copy mask raises InputError.  More
-    than ALPHA_CAP_NODES variable-copy pairs raise ScaleGuardError before
-    the singletons are built.
+    Empty family -> (0, 0); an empty copy mask raises InputError.  A setup
+    past `guard_search_setup`'s budget raises ScaleGuardError before the
+    singletons are built.
     """
     if not copies:
         return 0, 0
-    guard_search_setup(nvars, len(copies))
+    guard_search_setup(nvars, len(copies), nvars)
     return min_targets_met(copies, [1 << v for v in range(nvars)], nvars, floor)
 
 
-# ---------------------------------------------------------------------------
-# initial degree
-
-
-def initial_degree(ideal: SquarefreeIdeal) -> int:
-    """alpha(I): minimum support size over monomials in I, the exact minimum
-    hitting set of the copies.  The zero ideal (an empty copy) raises
-    InputError."""
-    size, _ = min_hitting_set(ideal.copies, ideal.nvars)
-    return size
-
-
 __all__ = [
-    "SquarefreeMonomial",
-    "SquarefreeIdeal",
     "minimal_supports",
     "alexander_dual",
     "ALPHA_CAP_NODES",
     "guard_search_setup",
     "min_targets_met",
     "min_hitting_set",
-    "initial_degree",
 ]

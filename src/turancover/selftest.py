@@ -155,7 +155,8 @@ def _check_star_degree(point) -> None:
     expected = comb(n, r) - turan_count(n, ell - 1, r)
     alpha, witness = star_initial_degree(params)
     _require(alpha == expected, f"alpha {alpha}, expected {expected}")
-    _require(witness.degree == alpha, f"witness degree {witness.degree} != alpha {alpha}")
+    degree = witness.bit_count()
+    _require(degree == alpha, f"witness degree {degree} != alpha {alpha}")
     _require(in_star_ideal(witness, params), "the witness is not in the star ideal")
     core_family_turan_number(params)
 

@@ -4,10 +4,12 @@ import io
 import itertools
 import json
 import re
+import shlex
 import time
 from dataclasses import asdict
 from datetime import timedelta
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -295,6 +297,24 @@ def test_long_single_edge_chain_answers_in_bounded_time(capsys):
     assert report["result"]["alpha"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("codegree-star", "--n", "900", "--ell", "900", "--r", "2", "--alpha"),
+        ("ex", "--forbid", "K_ell_r(900,2)", "--n", "900"),
+    ],
+)
+def test_single_edge_chain_memory_refused_at_once(capsys, argv):
+    # one K900 copy and 404,550 single-pair targets: the masks and index
+    # tables over 404,550 pair variables would take about 40M KiB
+    start = time.monotonic()
+    code, payload, err = run(capsys, *argv)
+    assert time.monotonic() - start < 5.0
+    assert code == EXIT_SCALE_GUARD
+    assert payload is None
+    assert "KiB" in json.loads(err)["message"]
+
+
 def refuse_enumeration(*args, **kwargs):
     raise AssertionError("copies enumerated before the setup guard ran")
 
@@ -316,6 +336,21 @@ def test_explicit_pattern_setup_refused_before_enumeration(capsys, monkeypatch, 
     assert code == EXIT_SCALE_GUARD
     assert payload is None
     assert json.loads(err)["error"] == "scale guard"
+
+
+def readme_command_lines() -> list[str]:
+    """The lines of the `sh` block under README's "Command line" heading."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip()]
+
+
+def test_readme_command_lines_exit_ok(capsys):
+    lines = readme_command_lines()
+    assert lines and all(line.startswith("turancover ") for line in lines)
+    failed = [line for line in lines if main(shlex.split(line, comments=True)[1:]) != EXIT_OK]
+    capsys.readouterr()
+    assert failed == []
 
 
 def test_vacuous_counterexample_range_is_bad_input(capsys):

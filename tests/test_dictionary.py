@@ -7,7 +7,6 @@ from turancover import dictionary, monomial
 from turancover.dictionary import (
     CoverInstance,
     alpha_target,
-    cover_ideal,
     ex_via_cover,
     gen_ex_via_cover,
     make_instance,
@@ -28,7 +27,7 @@ from turancover.hypergraph import (
     enumerate_forbidden_copies,
     turan_count,
 )
-from turancover.monomial import initial_degree, min_hitting_set, min_targets_met
+from turancover.monomial import min_hitting_set, min_targets_met
 from turancover.squarezero import SquareZeroQuotient
 
 
@@ -157,10 +156,8 @@ def test_ex_witness_is_forbidden_free():
 
 def test_initial_degree_is_complement_of_ex():
     for n in (4, 5, 6):
-        inst = make_instance(n, builtin_spec("K3"))
-        ideal = cover_ideal(inst)
         value, _ = ex_via_cover(n, builtin_spec("K3"))
-        assert initial_degree(ideal) == comb(n, 2) - value
+        assert alpha_target(make_instance(n, builtin_spec("K3")))[0] == comb(n, 2) - value
 
 
 def test_hitting_sets_complement_extremal_graphs():

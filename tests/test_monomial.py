@@ -9,9 +9,7 @@ from turancover import monomial
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import EdgeRanker, builtin_spec, enumerate_forbidden_copies
 from turancover.monomial import (
-    SquarefreeIdeal,
     alexander_dual,
-    initial_degree,
     min_hitting_set,
     min_targets_met,
     minimal_supports,
@@ -27,11 +25,11 @@ def masks(*bit_lists):
 
 
 def test_cover_membership_triangle():
-    fam = enumerate_forbidden_copies(builtin_spec("K3"), 3)
-    ideal = SquarefreeIdeal.from_copy_family(fam)
+    copies = enumerate_forbidden_copies(builtin_spec("K3"), 3).copies
     rk = EdgeRanker(3, 2)
-    assert ideal.membership(rk.mask([frozenset((1, 2))]))
-    assert not ideal.membership(0)
+    m = rk.mask([frozenset((1, 2))])
+    assert all(m & c for c in copies)
+    assert not all(0 & c for c in copies)
 
 
 def test_cover_equals_explicit_dual_form():
@@ -39,10 +37,9 @@ def test_cover_equals_explicit_dual_form():
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 4)
     rk = EdgeRanker(4, 2)
     copies = fam.copies
-    cover = SquarefreeIdeal(copies, rk.count)
     dual_gens = alexander_dual(copies)
     for m in range(1 << rk.count):
-        assert cover.membership(m) == any(g & m == g for g in dual_gens)
+        assert all(m & c for c in copies) == any(g & m == g for g in dual_gens)
 
 
 # ---------------------------------------------------------------------------
@@ -87,18 +84,18 @@ def test_dual_is_involutive(gens):
 
 def test_intersect_coprime_variables():
     # (y_a) ∩ (y_b)
-    ideal = SquarefreeIdeal([0b01, 0b10], 2)
-    assert ideal.membership(0b11)
-    assert not ideal.membership(0b01)
+    copies = [0b01, 0b10]
+    assert all(0b11 & c for c in copies)
+    assert not all(0b01 & c for c in copies)
 
 
 def test_intersect_two_variable_ideals():
     # (y_a, y_b) ∩ (y_a, y_c)
-    ideal = SquarefreeIdeal([0b011, 0b101], 3)
-    assert ideal.membership(0b001)  # y_a
-    assert ideal.membership(0b110)  # y_b*y_c
-    assert not ideal.membership(0b010)  # y_b alone
-    assert sorted(alexander_dual(ideal.copies)) == [0b001, 0b110]
+    copies = [0b011, 0b101]
+    assert all(0b001 & c for c in copies)  # y_a
+    assert all(0b110 & c for c in copies)  # y_b*y_c
+    assert not all(0b010 & c for c in copies)  # y_b alone
+    assert sorted(alexander_dual(copies)) == [0b001, 0b110]
 
 
 # ---------------------------------------------------------------------------
@@ -251,43 +248,31 @@ def test_hitting_set_setup_guard(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# initial degree
+# initial degree: the minimum hitting set of the copies
 
 
 def test_initial_degree_explicit():
     # alpha of the cover ideal is the least degree of its dual generators
     copies = masks([0, 1], [0, 2], [3])
-    ideal = SquarefreeIdeal(copies, 4)
     gens = alexander_dual(copies)
-    assert initial_degree(ideal) == min(g.bit_count() for g in gens) == 2
+    assert min_hitting_set(copies, 4)[0] == min(g.bit_count() for g in gens) == 2
 
 
 def test_initial_degree_whole_ring():
     # no copies to meet: the monomial 1 is a member
-    assert initial_degree(SquarefreeIdeal([], 1)) == 0
+    assert min_hitting_set([], 1) == (0, 0)
 
 
 def test_initial_degree_zero_ideal_rejected():
     # an empty copy is met by no support, so no monomial is a member and
     # there is no degree to return
-    ideal = SquarefreeIdeal([0], 1)
-    assert not ideal.membership(1)
     with pytest.raises(InputError):
-        initial_degree(ideal)
+        min_hitting_set([0], 1)
 
 
 def test_initial_degree_cover_triangles_in_k4():
-    fam = enumerate_forbidden_copies(builtin_spec("K3"), 4)
-    ideal = SquarefreeIdeal.from_copy_family(fam)
-    assert initial_degree(ideal) == comb(4, 2) - 4
-
-
-def test_initial_degree_matches_hitting_set():
-    fam = enumerate_forbidden_copies(builtin_spec("K3"), 5)
-    rk = EdgeRanker(5, 2)
-    copies = fam.copies
-    ideal = SquarefreeIdeal.from_copy_family(fam)
-    assert initial_degree(ideal) == min_hitting_set(copies, rk.count)[0]
+    copies = enumerate_forbidden_copies(builtin_spec("K3"), 4).copies
+    assert min_hitting_set(copies, comb(4, 2))[0] == comb(4, 2) - 4 == 2
 
 
 def test_minimal_supports_antichain():

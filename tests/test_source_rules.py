@@ -131,7 +131,6 @@ def test_only_alpha_target_enters_the_search():
     assert callers == {
         ("dictionary.py", "alpha_target"),
         ("monomial.py", "min_hitting_set"),
-        ("monomial.py", "initial_degree"),
     }
 
 
