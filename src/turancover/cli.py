@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from itertools import chain, starmap
+from json.encoder import encode_basestring_ascii
 from math import comb
 from pathlib import Path
 
@@ -56,9 +59,51 @@ class RunReport:
     version: str = __version__
 
     def to_json(self) -> str:
-        # a shallow field dict: json.dumps walks the nested values itself,
+        # a shallow field dict: the writer walks the nested values itself,
         # so the deep copy `dataclasses.asdict` makes is not needed
-        return json.dumps({f.name: getattr(self, f.name) for f in fields(self)}, indent=2)
+        return _indented_json({f.name: getattr(self, f.name) for f in fields(self)}, "\n")
+
+
+def _indented_json(obj, newline: str) -> str:
+    """`json.dumps(obj, indent=2)` for obj written after `newline`, a line
+    break and obj's indentation.  A flat list of str, of int or of int
+    pairs is one join (json's own pure-Python encoder writes an indented
+    dump item by item); a scalar other than str or int, and a dict with a
+    key that is not a str, is json.dumps's.  Dumped text holds a line
+    break only between items, so re-indenting it is a plain replace."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
+        if not obj:
+            return "{}"
+        items = (
+            f"{encode_basestring_ascii(key)}: {_indented_json(value, inner)}"
+            for key, value in obj.items()
+        )
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        if kinds == {str}:
+            items = map(encode_basestring_ascii, obj)
+        elif kinds == {int}:
+            items = map(int.__repr__, obj)
+        elif (
+            kinds <= {list, tuple}
+            and set(map(len, obj)) == {2}
+            and set(map(type, chain.from_iterable(obj))) == {int}
+        ):
+            pair = inner + "  "
+            items = starmap(f"[{pair}{{}},{pair}{{}}{inner}]".format, obj)
+        else:
+            items = (_indented_json(item, inner) for item in obj)
+    elif isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    elif isinstance(obj, int) and not isinstance(obj, bool):
+        return int.__repr__(obj)
+    else:
+        return json.dumps(obj, indent=2).replace("\n", newline)
+    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return opening + inner + ("," + inner).join(items) + newline + closing
 
 
 def _resolve_spec(token: str) -> FamilySpec:
@@ -68,7 +113,19 @@ def _resolve_spec(token: str) -> FamilySpec:
     return builtin_spec(token)
 
 
+# one or more a,b pairs of ASCII integers joined by ";", which no token
+# that parses as a pair can hold
+_PAIR_TEXT = re.compile(r"[0-9]+,[0-9]+(?:;[0-9]+,[0-9]+)*")
+
+
 def _parse_pairs(tokens: list[str]) -> list[tuple[int, int]]:
+    """Kill pairs from tokens like 1,2 or 1-2.  Plain ASCII pairs are
+    converted in bulk; anything else takes the per-token loop, which
+    raises on the first token that is not a pair."""
+    text = ";".join(tokens).replace("-", ",")
+    if text.count(";") == len(tokens) - 1 and _PAIR_TEXT.fullmatch(text):
+        values = map(int, text.replace(";", ",").split(","))
+        return list(zip(values, values))
     pairs = []
     for tok in tokens:
         parts = tok.replace("-", ",").split(",")
@@ -147,7 +204,7 @@ def cmd_symmetrize(args) -> tuple[RunReport, int]:
         initial = final = A.hilbert(args.r)
     result = {
         "steps": trace,
-        "terminal_kill": sorted(tuple(sorted(p)) for p in terminal.kill),
+        "terminal_kill": terminal._pairs(),
         "terminal_class_sizes": sizes,
         "hilbert_initial": initial,
         "hilbert_terminal": final,
@@ -282,14 +339,40 @@ def build_parser(only: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+def _split_kill(argv: list[str]) -> tuple[list[str], list[str] | None]:
+    """(argv without its --kill list, that list) for a hilbert or symmetrize
+    call with one --kill whose list ends where argparse ends it: at the end
+    or at a flag of the subcommand.  Otherwise (argv, None): a repeated
+    --kill, an abbreviation, help, "--", a value starting with "-" or any
+    other unusual token is left to argparse.  The list is found with one
+    C-level scan, not a Python loop over its tokens."""
+    flags = {flag for flag, _ in SUBCOMMANDS[argv[0]][2]}
+    if "--kill" not in flags or argv.count("--kill") != 1:
+        return argv, None
+    start = argv.index("--kill") + 1
+    joined = "\0".join(argv[start - 1 :])  # "--kill\0tok\0tok..."
+    if joined.count("\0") != len(argv) - start:  # a token holds the separator
+        return argv, None
+    found = joined.find("\0-")
+    end = start + joined.count("\0", 0, found) if found >= 0 else len(argv)
+    rest = argv[: start - 1] + argv[end:]
+    if any(tok[:1] == "-" and tok not in flags for tok in rest):
+        return argv, None
+    return rest, argv[start:end]
+
+
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse with the parser of the named subcommand alone.  Help, an empty
+    """Parse with the parser of the named subcommand alone, a hilbert or
+    symmetrize --kill list split off first (`_split_kill`).  Help, an empty
     or unknown subcommand and leftover arguments go to the full parser, so
     every usage and error text is the full parser's."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in SUBCOMMANDS:
-        args, extras = build_parser(argv[0]).parse_known_args(argv)
+        rest, kill = _split_kill(argv)
+        args, extras = build_parser(argv[0]).parse_known_args(rest)
         if not extras:
+            if kill is not None:
+                args.kill = kill
             return args
     return build_parser().parse_args(argv)
 

@@ -29,6 +29,7 @@ from .hypergraph import (
     count_copies,
     enumerate_forbidden_copies,
     explicit_copy_count,
+    explicit_shapes,
     guard_copy_listing,
 )
 from .monomial import guard_search_setup, min_hitting_set, min_targets_met
@@ -72,13 +73,18 @@ def make_instance(
     oversized instance before any copy is listed."""
     if target_spec is not None and target_spec.r != forbid_spec.r:
         raise InputError("target and forbidden families must share uniformity")
+    forbid_shapes = target_shapes = None  # each pattern's shapes, found once
     if isinstance(forbid_spec, RGraph) and not isinstance(target_spec, CoreFamily):
-        ntargets = (
-            comb(n, forbid_spec.r) if target_spec is None else explicit_copy_count(target_spec, n)
-        )
-        guard_search_setup(ntargets, explicit_copy_count(forbid_spec, n), comb(n, forbid_spec.r))
-    forbidden = enumerate_forbidden_copies(forbid_spec, n)
-    target = enumerate_forbidden_copies(target_spec, n) if target_spec is not None else None
+        nvars = ntargets = comb(n, forbid_spec.r)
+        if target_spec is not None:
+            target_shapes = explicit_shapes(target_spec, n)
+            ntargets = explicit_copy_count(target_shapes, n)
+        forbid_shapes = explicit_shapes(forbid_spec, n)
+        guard_search_setup(ntargets, explicit_copy_count(forbid_shapes, n), nvars)
+    forbidden = enumerate_forbidden_copies(forbid_spec, n, forbid_shapes)
+    target = (
+        enumerate_forbidden_copies(target_spec, n, target_shapes) if target_spec is not None else None
+    )
     return CoverInstance(n, forbidden.r, forbidden, target)
 
 

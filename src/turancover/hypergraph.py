@@ -156,7 +156,11 @@ class CopyFamily:
         minimal on [m], and conversely), except for an explicit pattern
         declared on more than m vertices, which that call does not place."""
         end = bisect_left(self.copies, 1 << comb(m, self.r))
-        return CopyFamily(m, self.r, self.copies[:end], self.span)
+        # a prefix of checked copies is still nonzero and increasing, so the
+        # family is built without running __post_init__ again
+        fam = object.__new__(CopyFamily)
+        fam.__dict__.update(n=m, r=self.r, copies=self.copies[:end], span=self.span)
+        return fam
 
 
 @dataclass(frozen=True)
@@ -281,13 +285,16 @@ def _shapes(F: RGraph) -> tuple[int, set]:
     return k, shapes
 
 
-def explicit_copy_count(F: RGraph, n: int) -> int:
-    """len(enumerate_forbidden_copies(F, n)) for an explicit pattern F,
+def explicit_shapes(F: RGraph, n: int) -> tuple[int, set]:
+    """`_shapes(F)` for F placed in [n]; (0, set()), no shape, when F.n > n."""
+    return _shapes(F) if F.n <= n else (0, set())
+
+
+def explicit_copy_count(shapes: tuple[int, set], n: int) -> int:
+    """len(enumerate_forbidden_copies(F, n)) from `explicit_shapes(F, n)`,
     C(n, k) * (number of shapes), found without listing a single copy."""
-    if F.n > n:
-        return 0
-    k, shapes = _shapes(F)
-    return comb(n, k) * len(shapes)
+    k, found = shapes
+    return comb(n, k) * len(found)
 
 
 def guard_copy_listing(copies: int, edges: int) -> None:
@@ -297,12 +304,15 @@ def guard_copy_listing(copies: int, edges: int) -> None:
         raise ScaleGuardError(f"copy count {copies} x {edges} edges exceeds cap {COPY_CAP}")
 
 
-def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
+def enumerate_forbidden_copies(
+    spec: FamilySpec, n: int, shapes: tuple[int, set] | None = None
+) -> CopyFamily:
     """All copies of `spec` inside the complete r-graph on [n], as edge masks
     over `EdgeRanker(n, r)` in increasing order.
 
     For an explicit RGraph F, copies are the edge sets of the embeddings of
-    F into [n]; F needs n >= F.n.  They are listed as
+    F into [n]; F needs n >= F.n.  `shapes` is `explicit_shapes(F, n)` when
+    the caller has found it already.  They are listed as
     k-subsets of [n] times the distinct labellings of F's k edge-covered
     vertices (one for a complete pattern), and ScaleGuardError refuses
     k! * |E(F)| labelling steps of any other pattern, or C(n, k) * (number
@@ -319,9 +329,9 @@ def enumerate_forbidden_copies(spec: FamilySpec, n: int) -> CopyFamily:
     """
     if isinstance(spec, RGraph):
         F = spec
-        if F.n > n:
+        k, shapes = shapes or explicit_shapes(F, n)
+        if not shapes:
             return CopyFamily(n, F.r, ())
-        k, shapes = _shapes(F)
         guard_copy_listing(comb(n, k) * len(shapes), len(F.edges))
         # every vertex of F lies in an edge, so a copy's vertex set is the k-set
         # it was placed on, and distinct (k-set, shape) pairs give distinct copies
@@ -634,6 +644,7 @@ __all__ = [
     "core_family_free",
     "COPY_CAP",
     "explicit_copy_count",
+    "explicit_shapes",
     "guard_copy_listing",
     "enumerate_forbidden_copies",
     "pair_stars",

@@ -24,6 +24,7 @@ from turancover.cli import (
     build_parser,
     main,
 )
+from turancover.errors import InputError
 from turancover.hypergraph import RGraph, core_family_free, turan_count
 from turancover.selftest import CRITERIA
 
@@ -389,6 +390,22 @@ def cli_argvs():
             yield [name, "--n", "x", *valid[1:]]
             yield valid
     yield ["hilbert", "--n", "4", "--d", "2", "--ki", "1,2"]  # an abbreviated flag
+    # a --kill list split off before argparse runs, and the argvs it leaves
+    # to argparse whole
+    hilbert = VALID_ARGVS["hilbert"]
+    yield from (
+        [*hilbert, "--kill", "1,2", "--kill", "3,4"],
+        ["hilbert", "--kill", "1,2", "3,4", "--n", "4", "--d", "2"],
+        [*hilbert, "--kill", "-1,2"],
+        [*hilbert, "--kill", "-h"],
+        [*hilbert, "--kill=1,2"],
+        [*hilbert, "--kill"],
+        ["hilbert", "--kill", "--n", "4", "--d", "2"],
+        ["hilbert", "--n", "4", "--d", "2", "--ki", "1,2", "--kill", "3,4"],
+        # argparse reads -5 as a kill token, so --n has no value
+        ["hilbert", "--d", "2", "--n", "--kill", "1,2", "-5"],
+        [*hilbert, "--", "--kill", "1,2"],
+    )
 
 
 def cli_outcome(argv):
@@ -444,6 +461,89 @@ def test_report_json_is_the_deep_copy_json():
         with contextlib.redirect_stderr(io.StringIO()):
             report, _ = args.func(args)
         assert report.to_json() == json.dumps(asdict(report), indent=2), argv[0]
+
+
+def test_long_report_json_is_the_deep_copy_json():
+    # 3,000 echoed kill tokens, and a 761-pair terminal_kill
+    tokens = [f"{a},{b}" for a, b in itertools.combinations(range(1, 80), 2)][:3000]
+    colour = {v: v % 4 for v in range(1, 81)}
+    within = [f"{a},{b}" for a, b in itertools.combinations(range(1, 81), 2) if colour[a] == colour[b]]
+    for argv in [
+        ["hilbert", "--n", "80", "--d", "2", "--kill", *tokens],
+        ["symmetrize", "--n", "80", "--q", "4", "--r", "2", "--kill", *within, "1,2", "1,3"],
+    ]:
+        args = build_parser().parse_args(argv)
+        report, _ = args.func(args)
+        assert report.to_json() == json.dumps(asdict(report), indent=2), argv[0]
+
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+int_pairs = st.one_of(
+    st.tuples(st.integers(), st.integers()),
+    st.lists(st.integers(), min_size=2, max_size=2),
+)
+json_trees = st.recursive(
+    json_scalars,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(st.text(), children),
+        st.dictionaries(st.one_of(st.none(), st.booleans(), st.integers(), st.text()), children),
+        st.lists(st.text()),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.lists(int_pairs),
+        st.lists(st.one_of(int_pairs, st.tuples(st.integers(), st.booleans()))),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_trees)
+def test_report_writer_is_json_dumps_indent_2(tree):
+    assert cli._indented_json(tree, "\n") == json.dumps(tree, indent=2)
+
+
+def per_token_pairs(tokens):
+    """The kill pairs read one token at a time, or the text of the first
+    token's error."""
+    pairs = []
+    for tok in tokens:
+        parts = tok.replace("-", ",").split(",")
+        if len(parts) != 2:
+            return f"kill pair {tok!r} is not of the form a,b"
+        try:
+            pairs.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            return str(exc)
+    return pairs
+
+
+def bulk_pairs(tokens):
+    try:
+        return cli._parse_pairs(tokens)
+    except (InputError, ValueError) as exc:
+        return str(exc)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.text(alphabet="0123456789,-;\n \0+_x\u0663", max_size=6), max_size=8))
+def test_kill_pairs_convert_as_one_token_at_a_time(tokens):
+    assert bulk_pairs(tokens) == per_token_pairs(tokens)
+
+
+# tokens the bulk conversion rejects: the error is the first bad token's
+REJECTED_KILLS = [["1"], ["1,2,3"], ["x,1"], ["1-"], ["1,2\n3,4"], ["1", "2,3,4"], ["1,2;3,4"], ["1\0-2"]]
+
+
+def test_rejected_kill_tokens_match_the_full_parser(monkeypatch):
+    argvs = [[*VALID_ARGVS["hilbert"], "--kill", "3,4", *kill] for kill in REJECTED_KILLS]
+    assert [bulk_pairs(argv[6:]) for argv in argvs] == [per_token_pairs(argv[6:]) for argv in argvs]
+    seen = [cli_outcome(argv) for argv in argvs]
+    monkeypatch.setattr(cli, "parse_args", lambda argv: build_parser().parse_args(argv))
+    for argv, got in zip(argvs, seen):
+        assert got == cli_outcome(argv), argv
+    assert {code for code, _, _ in seen} == {EXIT_BAD_INPUT}
 
 
 # ---------------------------------------------------------------------------

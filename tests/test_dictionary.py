@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from turancover import dictionary, monomial
+from turancover import dictionary, hypergraph, monomial
 from turancover.dictionary import (
     CoverInstance,
     alpha_target,
@@ -426,6 +426,17 @@ def test_search_setup_refused_before_enumeration(monkeypatch):
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 299)
     with pytest.raises(ScaleGuardError):
         alpha_target(make_instance(6, builtin_spec("K4"), builtin_spec("K3")))
+
+
+@pytest.mark.parametrize("forbid,target", [("P3", None), ("C4", "P3"), ("K4", "K3"), ("C4", "C4")])
+def test_make_instance_finds_each_pattern_shapes_once(monkeypatch, forbid, target):
+    # once for the setup guard's count and the listing together
+    found = []
+    shapes = hypergraph._shapes
+    monkeypatch.setattr(hypergraph, "_shapes", lambda F: found.append(F) or shapes(F))
+    specs = [builtin_spec(name) for name in (target, forbid) if name is not None]
+    make_instance(6, specs[-1], specs[0] if target else None)
+    assert found == specs
 
 
 @pytest.mark.parametrize("forbid", ["K3", "K4", "C4", "P3"])

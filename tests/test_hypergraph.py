@@ -188,6 +188,16 @@ def test_copy_family_validation():
         CopyFamily(3, 2, (0b11, 0b1))
 
 
+def test_restrict_does_not_check_its_prefix_again(monkeypatch):
+    fam = enumerate_forbidden_copies(K(3), 7)
+
+    def refuse(self):
+        raise AssertionError("a checked prefix was checked again")
+
+    monkeypatch.setattr(CopyFamily, "__post_init__", refuse)
+    assert [len(fam.restrict(m)) for m in range(2, 8)] == [comb(m, 3) for m in range(2, 8)]
+
+
 @pytest.mark.parametrize("name", [f"K{s}" for s in range(2, 10)] + ["P3", "C4"])
 def test_explicit_copies_record_their_span(name):
     F = builtin_spec(name)
