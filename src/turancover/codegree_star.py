@@ -27,7 +27,6 @@ from .hypergraph import (
     EdgeRanker,
     RGraph,
     brute_force_ex,
-    enumerate_forbidden_copies,
     pair_stars,
     turan_construct,
     turan_count,
@@ -115,8 +114,8 @@ def _variable_tables(nvars: int) -> list[int]:
     return tables
 
 
-def _collapse_tables(params: StarParams) -> tuple[int, int, int]:
-    """Star, cover and missing-edge truth tables over every support S of the
+def _collapse_tables(params: StarParams) -> tuple[int, int]:
+    """Star and missing-edge truth tables over every support S of the
     C(n, r) edge variables; see `verify_collapse`."""
     n, ell = params.n, params.ell
     ranker = params.ranker()
@@ -126,13 +125,6 @@ def _collapse_tables(params: StarParams) -> tuple[int, int, int]:
         list(itertools.combinations(L, 2))
         for L in itertools.combinations(range(1, n + 1), ell)
     ]
-
-    fam = enumerate_forbidden_copies(CoreFamily(ell, params.r), n)
-    in_cover = reduce(
-        and_,
-        (reduce(or_, (t for i, t in enumerate(T) if c >> i & 1), 0) for c in fam.copies),
-        full,
-    )
 
     killed = {
         p: reduce(and_, (t for i, t in enumerate(T) if s >> i & 1), full)
@@ -145,7 +137,7 @@ def _collapse_tables(params: StarParams) -> tuple[int, int, int]:
         for p in itertools.combinations(e, 2):
             covered[p] |= full ^ t
     contains = reduce(or_, (reduce(and_, (covered[p] for p in L), full) for L in ell_sets), 0)
-    return in_j, in_cover, full ^ contains
+    return in_j, full ^ contains
 
 
 COLLAPSE_CAP = 1 << 21
@@ -154,37 +146,35 @@ COLLAPSE_CAP = 1 << 21
 def verify_collapse(params: StarParams) -> bool:
     """Exhaustively check, on every squarefree support S of the N = C(n, r)
     edge variables, that star-ideal membership equals membership in the
-    cover ideal of the core-pair family, and the missing-edge law: the
+    cover ideal of the core-pair family, through the missing-edge law: the
     missing-edge monomial of G is a member iff G is core-family-free.
 
-    All 2^N supports are evaluated at once on truth tables: Python ints of
-    2^N bits whose bit S is a predicate's value at S.  The table of variable
-    i has bit S equal to bit i of S.  Three tables are built, each from its
-    own source:
+    S meets every copy of the core-pair family iff its complement G holds
+    none, that is iff G is core-family-free, so the cover ideal's table is
+    the missing-edge table.  All 2^N supports are evaluated at once on
+    truth tables: Python ints of 2^N bits whose bit S is a predicate's value
+    at S.  The table of variable i has bit S equal to bit i of S.  Two
+    tables are built, each from its own source:
 
     * star, from `_star_masks`: a pair is killed where its whole star lies
       in S (AND of its variables); S is a member where every ell-set holds a
       killed pair.
-    * cover, from `enumerate_forbidden_copies`: S meets every minimal copy
-      of the core-pair family (AND over copies of the OR of their variables).
     * missing-edge, from the edges of G = complement of S only: a pair is
       covered where some edge of G contains it; G is free where no ell-set
       has all its pairs covered.
 
-    The star and cover tables both read `hypergraph.pair_stars` and agree
-    for any star masks (S contains a star of a core iff it meets every
-    minimal transversal of those stars), so a wrong star mask shows only
-    against the missing-edge table, built from `EdgeRanker.sets` alone.
+    A wrong star mask (`hypergraph.pair_stars`) shows against the
+    missing-edge table, built from `EdgeRanker.sets` alone.
 
-    The claims hold iff the three tables are equal.  Raises ScaleGuardError
+    The claims hold iff the two tables are equal.  Raises ScaleGuardError
     when 2^N exceeds COLLAPSE_CAP, so each table has at most COLLAPSE_CAP
     bits (256 KB, N = 21); about N + 2 C(n, 2) tables are alive at once.
     """
     nvars = comb(params.n, params.r)
     if 1 << nvars > COLLAPSE_CAP:
         raise ScaleGuardError(f"2^{nvars} supports exceeds cap {COLLAPSE_CAP}")
-    in_j, in_cover, free = _collapse_tables(params)
-    return in_j == in_cover == free
+    in_j, free = _collapse_tables(params)
+    return in_j == free
 
 
 def star_initial_degree(params: StarParams) -> tuple[int, int]:

@@ -25,12 +25,15 @@ from .hypergraph import (
     EdgeRanker,
     FamilySpec,
     RGraph,
+    check_target_spec,
     core_family_free,
     count_copies,
     enumerate_forbidden_copies,
     explicit_copy_count,
     explicit_shapes,
     guard_copy_listing,
+    pair_shadows,
+    place_copies,
 )
 from .monomial import guard_search_setup, min_hitting_set, min_targets_met
 from .squarezero import SquareZeroQuotient
@@ -38,8 +41,9 @@ from .squarezero import SquareZeroQuotient
 
 @dataclass(frozen=True)
 class CoverInstance:
-    """An edge-variable cover-ideal instance: forbidden copies plus an
-    optional target-copy family for the generalized problem."""
+    """A cover-ideal instance over the C(n, r) variables of `EdgeRanker(n, r)`
+    (edges, or pairs for the core-pair family, with r = 2): forbidden
+    copies plus an optional target-copy family for the generalized problem."""
 
     n: int
     r: int
@@ -65,27 +69,55 @@ class CoverInstance:
 def make_instance(
     n: int, forbid_spec: FamilySpec, target_spec: FamilySpec | None = None
 ) -> CoverInstance:
-    """The copy families of an instance; no target family means the C(n, r)
-    single edges (`alpha_target`).  Families of different uniformity raise
-    InputError before either is listed.  For an explicit forbidden pattern
-    with an explicit target or none, the number of targets and of copies
-    is exact before enumeration, so `alpha_target`'s setup guard refuses an
-    oversized instance before any copy is listed."""
-    if target_spec is not None and target_spec.r != forbid_spec.r:
-        raise InputError("target and forbidden families must share uniformity")
-    forbid_shapes = target_shapes = None  # each pattern's shapes, found once
-    if isinstance(forbid_spec, RGraph) and not isinstance(target_spec, CoreFamily):
-        nvars = ntargets = comb(n, forbid_spec.r)
-        if target_spec is not None:
-            target_shapes = explicit_shapes(target_spec, n)
-            ntargets = explicit_copy_count(target_shapes, n)
-        forbid_shapes = explicit_shapes(forbid_spec, n)
-        guard_search_setup(ntargets, explicit_copy_count(forbid_shapes, n), nvars)
+    """The copy families of an instance.  A target failing `check_target_spec`
+    raises InputError before anything is listed.
+
+    For an explicit forbidden pattern the variables are the C(n, r) edges,
+    and no target family means the single edges (`alpha_target`).  Both
+    copy counts are exact before enumeration, so the search's setup guard
+    refuses an oversized instance before any copy is listed.
+
+    For the core-pair family K_ell^(r) the variables are the C(n, 2) pairs.
+    An r-graph H contains a member iff its shadow graph (the pairs of
+    positive codegree) has an ell-clique, and H lies in K_r(shadow(H)).  So
+    the largest free r-graphs are the K_r(K_n - M) over pair sets M meeting
+    every ell-clique, and the copies of T there are those whose shadow
+    avoids M: the forbidden copies are the ell-cliques of K_n, and the
+    targets the pair shadows of the copies of T (`pair_shadows`), a
+    multiset, or with no T the r-cliques, the shadows of the single r-edges.
+    Before any clique is built, ScaleGuardError refuses C(n, s) cliques K_s
+    placing more than COPY_CAP pairs (s = ell, and s = r with no T), then a
+    search setup past `guard_search_setup`'s budget."""
+    if target_spec is not None:
+        check_target_spec(target_spec, forbid_spec)
+    if isinstance(forbid_spec, CoreFamily):
+        ell, r = forbid_spec.ell, forbid_spec.r
+        shadows = None if target_spec is None else pair_shadows(explicit_shapes(target_spec, n))
+        for s in (ell, r) if shadows is None else (ell,):
+            guard_copy_listing(comb(n, s), comb(s, 2))
+        ntargets = comb(n, r) if shadows is None else explicit_copy_count(shadows, n)
+        guard_search_setup(ntargets, comb(n, ell), comb(n, 2))
+        forbidden = place_copies(_clique_shapes(ell, n), n, 2)
+        targets = place_copies(_clique_shapes(r, n) if shadows is None else shadows, n, 2)
+        return CoverInstance(n, 2, forbidden, targets)
+    nvars = ntargets = comb(n, forbid_spec.r)
+    target_shapes = None  # each pattern's shapes, found once
+    if target_spec is not None:
+        target_shapes = explicit_shapes(target_spec, n)
+        ntargets = explicit_copy_count(target_shapes, n)
+    forbid_shapes = explicit_shapes(forbid_spec, n)
+    guard_search_setup(ntargets, explicit_copy_count(forbid_shapes, n), nvars)
     forbidden = enumerate_forbidden_copies(forbid_spec, n, forbid_shapes)
     target = (
         enumerate_forbidden_copies(target_spec, n, target_shapes) if target_spec is not None else None
     )
     return CoverInstance(n, forbidden.r, forbidden, target)
+
+
+def _clique_shapes(s: int, n: int) -> tuple[int, set]:
+    """The shape of K_s on the pairs, placed in [n]: none when s > n, where
+    no K_s is built."""
+    return explicit_shapes(RGraph.complete(s, 2), n) if s <= n else (0, set())
 
 
 def _require_vertices(n: int) -> None:
@@ -159,8 +191,9 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     Links run for m = k..n on `CoverInstance.restrict(m)`, prefixes of the
     copy lists enumerated once at n; each floor comes from the previous
     link's value only, never from a theorem a caller checks.  The first link
-    gets floor 0, and a target family without a span (core-pair copies, a
-    family built by hand) runs the single search on [n].  The final link
+    gets floor 0, and a target family without a span (a family built by
+    hand) runs the single search on [n].  The bound holds for repeated
+    targets too, counted with multiplicity.  The final link
     expands a prefix of the nodes the floor-free search on [n] expands, so
     the minimum and witness are that search's, reached sooner.
 
@@ -196,38 +229,28 @@ def core_pair_alpha(n: int, ell: int, r: int) -> tuple[int, int]:
     (masks over `EdgeRanker(n, 2)`) meeting every ell-clique of K_n, and one
     such M.  So alpha = C(n, r) - ex(n, K_r, K_ell), and it is also:
 
-    * C(n, r) - ex(n, K_ell^(r)).  An r-graph H contains a member iff its
-      shadow graph (the pairs of positive codegree) has an ell-clique.  H
-      lies in K_r(shadow(H)), and K_r(G) has its shadow inside G, so the
-      largest free H are the K_r(G) with G = K_n - M free of K_ell.
+    * C(n, r) - ex(n, K_ell^(r)), by `make_instance`'s shadow argument with
+      one r-edge as the target.
     * The codegree-star ideal's initial degree.  Let P(S) be the pairs whose
       star lies in a support S.  S is a member iff P(S) meets every ell-set,
       and S holds every r-set with a pair in P(S); conversely, the union of
       the stars over such an M is a member of exactly that size.
 
-    The search is `alpha_target` on `make_instance` with forbidden pattern
-    K_ell and target pattern K_r on the pairs, certified link by link.  A
-    pattern K_s holds C(s, 2) edges, so the enumerator's listing guard
-    (C(n, s) x C(s, 2) > COPY_CAP) and the search's setup guard (C(n, r)
-    targets and C(n, ell) copies over C(n, 2) variables) raise
-    ScaleGuardError before either pattern is built.  A clique on s > n
-    vertices has no copy in K_n, and neither has the edgeless pattern on s
-    vertices passed in its place.
+    The search is `alpha_target` on the pair instance `make_instance(n,
+    CoreFamily(ell, r))`, certified link by link; its guards raise
+    ScaleGuardError before either clique is built.
     """
-    for s in (ell, r):
-        guard_copy_listing(comb(n, s), comb(s, 2))
-    guard_search_setup(comb(n, r), comb(n, ell), comb(n, 2))
-    forbid, target = (RGraph.complete(s, 2) if s <= n else RGraph(s, 2) for s in (ell, r))
-    return alpha_target(make_instance(n, forbid, target))
+    return alpha_target(make_instance(n, CoreFamily(ell, r)))
 
 
 def gen_ex_via_cover(n: int, target_spec: FamilySpec, forbid_spec: FamilySpec) -> int:
-    """ex(n, T, F) = |target copies| - alpha_T(cover ideal).  n < 1 raises
-    InputError.
+    """ex(n, T, F) = |target copies| - alpha_T(cover ideal).  n < 1, and a
+    target that fails `check_target_spec` (a core-pair family, or another
+    uniformity), raise InputError.
 
-    For an explicit target T whose edges cover k vertices, `alpha_target`
-    certifies the search link by link on [k], ..., [n]; a core-pair target
-    family is searched at n alone, with no floor.
+    For a target T whose edges cover k vertices, `alpha_target` certifies
+    the search link by link on [k], ..., [n], on the pair instance of
+    `make_instance` for the core-pair forbidden family.
     """
     _require_vertices(n)
     inst = make_instance(n, forbid_spec, target_spec)

@@ -9,11 +9,12 @@ of its edges in the edge-variable ring.
 Copies of an explicit pattern F on k vertices are vertex sets times
 labellings: the k!/|Aut(F)| distinct relabellings of F's edges (one for a
 complete pattern, which is not relabelled) are computed once and placed on
-each k-subset of [n].  Core-pair copies on one ell-core
-are the Alexander dual of its pairs' stars (`pair_stars`).  The core-pair
-family oracle keeps the shadow graph of covered pairs as one adjacency
-bitmask per vertex and decides each new violation with a bitset clique
-search; `core_family_free` runs the same search on a whole graph's shadow.
+each k-subset of [n] (`place_copies`), as are their pair shadows
+(`pair_shadows`).  The core-pair family is never listed: an r-graph holds
+a member iff its shadow graph (the pairs of positive codegree) has an
+ell-clique.  Its oracles keep that shadow graph as one adjacency bitmask
+per vertex (`_shadow_step`), and `core_family_free` runs the same bitset
+clique search on a whole graph's shadow.
 The oracles import nothing from the cover-ideal search or the
 polynomial core: they are the independent check of both.
 """
@@ -24,8 +25,8 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb, factorial
-from operator import lt
-from typing import Iterable, Sequence
+from operator import le
+from typing import Collection, Iterable
 
 from .errors import InputError, ScaleGuardError
 
@@ -128,8 +129,9 @@ class CopyFamily:
     """Explicit list of forbidden (or target) copies inside the complete r-graph on [n].
 
     Each copy is a nonzero edge mask over the ranks of `EdgeRanker(n, r)`,
-    in strictly increasing order.  `span`, for the copies of an explicit
-    pattern, is the k vertices each spans; it takes no part in equality.
+    in nondecreasing order; a repeated copy (a pair shadow shared by two
+    target copies) counts each time.  `span`, for placed copies, is the k
+    vertices each spans; it takes no part in equality.
     """
 
     n: int
@@ -141,9 +143,8 @@ class CopyFamily:
         copies = self.copies
         if 0 in copies:
             raise InputError("empty copy in CopyFamily")
-        if not all(map(lt, copies, copies[1:])):
-            kind = "duplicate copy" if len(set(copies)) < len(copies) else "copies out of order"
-            raise InputError(f"{kind} in CopyFamily")
+        if not all(map(le, copies, copies[1:])):
+            raise InputError("copies out of order in CopyFamily")
 
     def __len__(self) -> int:
         return len(self.copies)
@@ -151,12 +152,12 @@ class CopyFamily:
     def restrict(self, m: int) -> "CopyFamily":
         """The copies inside [m], m <= n: colex ranks put the r-sets of [m]
         first, so these are the masks below 1 << C(m, r), a prefix of the
-        sorted list.  This is `enumerate_forbidden_copies(spec, m)`, minimal
-        core-pair copies included (a minimal copy on [n] inside [m] is
-        minimal on [m], and conversely), except for an explicit pattern
-        declared on more than m vertices, which that call does not place."""
+        sorted list, repeats included.  For placed copies this is the family
+        placed on [m] (a copy, or a shadow, lies inside [m] iff its k-set
+        does), except for an explicit pattern declared on more than m
+        vertices, which `explicit_shapes` does not place there."""
         end = bisect_left(self.copies, 1 << comb(m, self.r))
-        # a prefix of checked copies is still nonzero and increasing, so the
+        # a prefix of checked copies is still nonzero and in order, so the
         # family is built without running __post_init__ again
         fam = object.__new__(CopyFamily)
         fam.__dict__.update(n=m, r=self.r, copies=self.copies[:end], span=self.span)
@@ -256,7 +257,6 @@ def core_family_free(G: RGraph, ell: int) -> bool:
 
 
 COPY_CAP = 2_000_000
-TRANSVERSAL_CAP = 1_000_000
 ORACLE_CAP_EDGES = 30
 
 
@@ -290,9 +290,22 @@ def explicit_shapes(F: RGraph, n: int) -> tuple[int, set]:
     return _shapes(F) if F.n <= n else (0, set())
 
 
-def explicit_copy_count(shapes: tuple[int, set], n: int) -> int:
-    """len(enumerate_forbidden_copies(F, n)) from `explicit_shapes(F, n)`,
-    C(n, k) * (number of shapes), found without listing a single copy."""
+def pair_shadows(shapes: tuple[int, set]) -> tuple[int, list]:
+    """The pair shadow of each shape of `explicit_shapes(T, n)`: the pairs of
+    positions inside its edges, a 2-graph shape on the same k positions
+    (every vertex of T lies in an edge).  Distinct shapes can share a
+    shadow, and the list keeps one entry per shape, so `place_copies` lists
+    the shadow of every copy of T, repeats included."""
+    k, found = shapes
+    return k, [
+        frozenset(frozenset(p) for e in shape for p in itertools.combinations(e, 2))
+        for shape in found
+    ]
+
+
+def explicit_copy_count(shapes: tuple[int, Collection], n: int) -> int:
+    """The number of copies `place_copies(shapes, n, r)` lists, C(n, k) *
+    (number of shapes), found without listing a single copy."""
     k, found = shapes
     return comb(n, k) * len(found)
 
@@ -304,58 +317,42 @@ def guard_copy_listing(copies: int, edges: int) -> None:
         raise ScaleGuardError(f"copy count {copies} x {edges} edges exceeds cap {COPY_CAP}")
 
 
-def enumerate_forbidden_copies(
-    spec: FamilySpec, n: int, shapes: tuple[int, set] | None = None
-) -> CopyFamily:
-    """All copies of `spec` inside the complete r-graph on [n], as edge masks
-    over `EdgeRanker(n, r)` in increasing order.
-
-    For an explicit RGraph F, copies are the edge sets of the embeddings of
-    F into [n]; F needs n >= F.n.  `shapes` is `explicit_shapes(F, n)` when
-    the caller has found it already.  They are listed as
-    k-subsets of [n] times the distinct labellings of F's k edge-covered
-    vertices (one for a complete pattern), and ScaleGuardError refuses
-    k! * |E(F)| labelling steps of any other pattern, or C(n, k) * (number
-    of labellings) copies times |E(F)| edges placed, above COPY_CAP, each
-    before that work starts.  The family records k as its span.
-    For the symbolic core-pair family, only inclusion-minimal
-    copies are emitted (hitting them all is hitting all copies): per
-    ell-core, the Alexander dual of its pairs' stars, then
-    `minimal_supports` across cores.  ScaleGuardError first refuses
-    C(n, ell) * C(n-2, r-2)^C(ell, 2) one-edge-per-pair systems above
-    COPY_CAP.  That bounds the dualizer: a minimal transversal of the first
-    i stars is the union of a system of those i pairs, so its candidate
-    list at step i is never longer than the number of those systems.
-    """
-    if isinstance(spec, RGraph):
-        F = spec
-        k, shapes = shapes or explicit_shapes(F, n)
-        if not shapes:
-            return CopyFamily(n, F.r, ())
-        guard_copy_listing(comb(n, k) * len(shapes), len(F.edges))
-        # every vertex of F lies in an edge, so a copy's vertex set is the k-set
-        # it was placed on, and distinct (k-set, shape) pairs give distinct copies
-        rank = EdgeRanker(n, F.r).rank
-        copies = [
-            sum(1 << rank[frozenset(c[i] for i in e)] for e in shape)
-            for c in itertools.combinations(range(1, n + 1), k)
-            for shape in shapes
-        ]
-        return CopyFamily(n, F.r, tuple(sorted(copies)), k)
-
-    ell, r = spec.ell, spec.r
-    if n < max(ell, r):
+def place_copies(shapes: tuple[int, Collection], n: int, r: int) -> CopyFamily:
+    """Every shape of `shapes` = (k, shapes on positions 0..k-1) placed on
+    every k-subset of [n], as masks over `EdgeRanker(n, r)` in nondecreasing
+    order; the family records k as its span, and no shape gives the empty
+    family.  ScaleGuardError refuses C(n, k) * (number of shapes) copies
+    times the edges of one shape above COPY_CAP, before any is placed."""
+    k, found = shapes
+    if not found:
         return CopyFamily(n, r, ())
-    projected = comb(n, ell) * comb(n - 2, r - 2) ** comb(ell, 2)
-    if projected > COPY_CAP:
-        raise ScaleGuardError(f"projected copy count {projected} exceeds cap {COPY_CAP}")
-    ranker = EdgeRanker(n, r)
-    stars = pair_stars(ranker)
-    core_copies = itertools.chain.from_iterable(
-        alexander_dual([stars[p] for p in itertools.combinations(core, 2)])
-        for core in itertools.combinations(range(1, n + 1), ell)
-    )
-    return CopyFamily(n, r, tuple(sorted(minimal_supports(core_copies))))
+    guard_copy_listing(explicit_copy_count(shapes, n), len(next(iter(found))))
+    # every position lies in an edge, so a copy's vertex set is the k-set it
+    # was placed on: distinct shapes give distinct copies, and a shape listed
+    # twice gives each of its copies twice
+    rank = EdgeRanker(n, r).rank
+    copies = [
+        sum(1 << rank[frozenset(c[i] for i in e)] for e in shape)
+        for c in itertools.combinations(range(1, n + 1), k)
+        for shape in found
+    ]
+    return CopyFamily(n, r, tuple(sorted(copies)), k)
+
+
+def enumerate_forbidden_copies(
+    F: RGraph, n: int, shapes: tuple[int, set] | None = None
+) -> CopyFamily:
+    """All copies of the explicit pattern F inside the complete r-graph on
+    [n], the edge sets of its embeddings (n >= F.n), as distinct edge masks
+    over `EdgeRanker(n, r)` in increasing order.  `shapes` is
+    `explicit_shapes(F, n)` when the caller has found it already.
+    `place_copies` puts the distinct labellings of F's k edge-covered
+    vertices (one for a complete pattern) on each k-subset of [n].
+    ScaleGuardError refuses k! * |E(F)| labelling steps of any other
+    pattern, or C(n, k) * (number of labellings) copies times |E(F)| edges
+    placed, above COPY_CAP, each before that work starts.
+    """
+    return place_copies(shapes or explicit_shapes(F, n), n, F.r)
 
 
 def pair_stars(ranker: EdgeRanker) -> dict[tuple[int, int], int]:
@@ -377,26 +374,6 @@ def minimal_supports(masks: Iterable[int]) -> list[int]:
         if not any(k & m == k for k in kept):
             kept.append(m)
     return kept
-
-
-def alexander_dual(gens: Sequence[int]) -> list[int]:
-    """Minimal transversals of the generator supports (classical incremental
-    dualization: refine the antichain of minimal partial transversals one
-    hyperedge at a time).  Involutive on antichains.  ScaleGuardError
-    refuses an antichain of more than TRANSVERSAL_CAP transversals."""
-    gens = minimal_supports(gens)
-    if any(g == 0 for g in gens):
-        # nothing hits the empty support: the dual of the whole ring is zero
-        return []
-    transversals = [0]
-    for g in gens:
-        hit = [t for t in transversals if t & g]
-        missed = [t for t in transversals if not (t & g)]
-        extended = [t | (1 << b) for t in missed for b in _bits(g)]
-        transversals = minimal_supports(hit + extended)
-        if len(transversals) > TRANSVERSAL_CAP:
-            raise ScaleGuardError(f"transversal antichain exceeded cap {TRANSVERSAL_CAP}")
-    return transversals
 
 
 def _bits(mask: int) -> Iterable[int]:
@@ -424,24 +401,13 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     Deterministic: among optimal witnesses, the one with lexicographically
     smallest edge bitmask (colex edge ranks) is returned.  ScaleGuardError
     refuses more than ORACLE_CAP_EDGES potential edges before any copy is
-    listed.
+    listed.  The freeness test is `_freeness_test`'s.
     """
     m = comb(n, spec.r)
     if m > ORACLE_CAP_EDGES:
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
-    if isinstance(spec, CoreFamily):
-        return _brute_force_ex_core_family(n, spec)
-    fam = enumerate_forbidden_copies(spec, n)
-    r = fam.r
-    ranker = EdgeRanker(n, r)
-    if not fam.copies:
-        return m, RGraph.complete(n, r)
-
-    # copies indexed by their highest-ranked edge: a copy can only become
-    # fully chosen when its last edge is added
-    by_last: list[list[int]] = [[] for _ in range(m)]
-    for cm in fam.copies:
-        by_last[cm.bit_length() - 1].append(cm)
+    ranker = EdgeRanker(n, spec.r)
+    by_last, add, remove = _freeness_test(spec, n, ranker)
 
     best_size = -1
     best_mask = 0
@@ -456,46 +422,48 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
             return
         # include edge idx if it completes no forbidden copy
         cand = chosen | (1 << idx)
-        if all((cm & cand) != cm for cm in by_last[idx]):
+        if (add(idx) if add else all((cm & cand) != cm for cm in by_last[idx])):
             dfs(idx + 1, cand, size + 1)
+        if remove:
+            remove(idx)
         dfs(idx + 1, chosen, size)
 
     dfs(0, 0, 0)
-    witness = RGraph(n, r, ranker.unmask(best_mask))
+    witness = RGraph(n, spec.r, ranker.unmask(best_mask))
     return best_size, witness
 
 
-def _brute_force_ex_core_family(n: int, spec: CoreFamily) -> tuple[int, RGraph]:
-    """Core-pair family oracle on the shadow graph of covered pairs.
+def _freeness_test(spec: FamilySpec, n: int, ranker: EdgeRanker):
+    """(by_last, add, remove): how the oracles test that a chosen edge set
+    stays free of `spec`.  For an explicit pattern, its copies indexed by
+    their highest-ranked edge, since a copy can only become fully chosen
+    when its last edge is added, and no steps; for the core-pair family, no
+    copies and the steps of `_shadow_step`."""
+    by_last: list[list[int]] = [[] for _ in range(ranker.count)]
+    if isinstance(spec, CoreFamily):
+        return (by_last, *_shadow_step(ranker, spec.ell))
+    for cm in enumerate_forbidden_copies(spec, n).copies:
+        by_last[cm.bit_length() - 1].append(cm)
+    return by_last, None, None
 
-    A graph contains a member iff its shadow graph (the pairs of positive
-    codegree) has an ell-clique.  Adding an edge can only create one through
-    a pair (a, b) it newly covers, and such a pair lies in an ell-clique iff
-    the common shadow neighbourhood of a and b holds an (ell - 2)-clique.
-    The shadow graph is one adjacency bitmask per vertex, kept in step with
-    the codegree counts as the DFS adds and removes edges.
+
+def _shadow_step(ranker: EdgeRanker, ell: int):
+    """(add, remove), the core-pair freeness step of both oracles.
+
+    A graph contains a member of the core-pair family (ell, r) iff its
+    shadow graph (the pairs of positive codegree) has an ell-clique.  An
+    added edge creates one iff some pair (a, b) it newly covers has an
+    (ell - 2)-clique in the common shadow neighbourhood of a and b.
+    `add(idx)` adds the r-set of rank idx and says whether the shadow is
+    still K_ell-free; `remove(idx)` takes an added r-set out again.  The
+    shadow is one adjacency bitmask per vertex beside the codegree counts.
     """
-    ell, r = spec.ell, spec.r
-    ranker = EdgeRanker(n, r)
-    m = ranker.count
-    if n < ell:
-        return m, RGraph.complete(n, r)
-
+    n = ranker.n
     edge_pairs = [list(itertools.combinations(t, 2)) for t in ranker.sets]
     codeg = [[0] * (n + 1) for _ in range(n + 1)]  # codeg[a][b] for a < b
     adj = [0] * (n + 1)  # bit u of adj[v] is set iff {u, v} is covered
 
-    best_size = -1
-    best_mask = 0
-
-    def dfs(idx: int, chosen: int, size: int) -> None:
-        nonlocal best_size, best_mask
-        if size + (m - idx) < best_size:
-            return
-        if idx == m:
-            if size > best_size or (size == best_size and chosen < best_mask):
-                best_size, best_mask = size, chosen
-            return
+    def add(idx: int) -> bool:
         new_pairs = []
         for a, b in edge_pairs[idx]:
             if not codeg[a][b]:
@@ -503,18 +471,19 @@ def _brute_force_ex_core_family(n: int, spec: CoreFamily) -> tuple[int, RGraph]:
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
             codeg[a][b] += 1
-        if not any(_has_clique(adj, adj[a] & adj[b], ell - 2) for a, b in new_pairs):
-            dfs(idx + 1, chosen | (1 << idx), size + 1)
+        for a, b in new_pairs:
+            if _has_clique(adj, adj[a] & adj[b], ell - 2):
+                return False
+        return True
+
+    def remove(idx: int) -> None:
         for a, b in edge_pairs[idx]:
             codeg[a][b] -= 1
-        for a, b in new_pairs:
-            adj[a] ^= 1 << b
-            adj[b] ^= 1 << a
-        dfs(idx + 1, chosen, size)
+            if not codeg[a][b]:
+                adj[a] ^= 1 << b
+                adj[b] ^= 1 << a
 
-    dfs(0, 0, 0)
-    witness = RGraph(n, r, ranker.unmask(best_mask))
-    return best_size, witness
+    return add, remove
 
 
 def _has_clique(adj: list[int], cand: int, k: int) -> bool:
@@ -529,25 +498,33 @@ def _has_clique(adj: list[int], cand: int, k: int) -> bool:
     return False
 
 
+def check_target_spec(target_spec: FamilySpec, forbid_spec: FamilySpec) -> None:
+    """InputError unless the target of ex(n, T, F) is an explicit pattern of
+    F's uniformity.  A core-pair target family would count only the
+    minimal copies it lists, which is no standard objective."""
+    if target_spec.r != forbid_spec.r:
+        raise InputError("target and forbidden families must share uniformity")
+    if isinstance(target_spec, CoreFamily):
+        raise InputError(
+            "target must be an explicit pattern: a core-pair family would count only its minimal copies"
+        )
+
+
 def brute_force_gen_ex(
     n: int, target_spec: FamilySpec, forbid_spec: FamilySpec
 ) -> tuple[int, RGraph]:
     """Exact generalized Turán number ex(n, T, F): max number of target copies
     in a forbid-free graph, by branch-and-bound over subgraphs; refused above
-    ORACLE_CAP_EDGES potential edges before any copy is listed."""
+    ORACLE_CAP_EDGES potential edges before any copy is listed.  The target
+    must pass `check_target_spec`; the freeness test is `_freeness_test`'s."""
+    check_target_spec(target_spec, forbid_spec)
     r = forbid_spec.r
-    if target_spec.r != r:
-        raise InputError("target and forbidden families must share uniformity")
     m = comb(n, r)
     if m > ORACLE_CAP_EDGES:
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
-    forb = enumerate_forbidden_copies(forbid_spec, n)
-    targ = enumerate_forbidden_copies(target_spec, n)
     ranker = EdgeRanker(n, r)
-
-    forb_by_last: list[list[int]] = [[] for _ in range(m)]
-    for cm in forb.copies:
-        forb_by_last[cm.bit_length() - 1].append(cm)
+    forb_by_last, add, remove = _freeness_test(forbid_spec, n, ranker)
+    targ = enumerate_forbidden_copies(target_spec, n)
     # target copies grouped by last edge: count completed copies incrementally;
     # and by every edge: excluding an edge loses only the copies through it
     targ_by_last: list[list[int]] = [[] for _ in range(m)]
@@ -573,9 +550,11 @@ def brute_force_gen_ex(
             return
         bit = 1 << idx
         cand = chosen | bit
-        if all((cm & cand) != cm for cm in forb_by_last[idx]):
+        if (add(idx) if add else all((cm & cand) != cm for cm in forb_by_last[idx])):
             gained = sum(1 for cm in targ_by_last[idx] if (cm & cand) == cm)
             dfs(idx + 1, cand, excluded, done + gained, alive)
+        if remove:
+            remove(idx)
         lost = sum(1 for cm in targ_by_edge[idx] if not (cm & excluded))
         dfs(idx + 1, chosen, excluded | bit, done, alive - lost)
 
@@ -646,12 +625,14 @@ __all__ = [
     "explicit_copy_count",
     "explicit_shapes",
     "guard_copy_listing",
+    "pair_shadows",
+    "place_copies",
     "enumerate_forbidden_copies",
     "pair_stars",
     "minimal_supports",
-    "alexander_dual",
     "count_copies",
     "brute_force_ex",
+    "check_target_spec",
     "brute_force_gen_ex",
     "builtin_spec",
     "parse_hypergraph",

@@ -5,9 +5,9 @@ variables, ranked by `hypergraph.EdgeRanker`, and its degree is the mask's
 `bit_count()`.  A cover ideal is given by its copy masks: the intersection
 of variable ideals over a copy family, so a support is a member iff it
 meets every copy (`all(m & c for c in copies)`).  No copies give the whole
-ring; an empty copy gives the zero ideal.  `alexander_dual`, which turns
-copy masks into the minimal generators of that ideal, lives in `hypergraph`
-beside `minimal_supports` and is re-exported here.
+ring; an empty copy gives the zero ideal.  `minimal_supports`, the
+inclusion-minimal masks of a list, lives in `hypergraph` and is re-exported
+here.
 
 `min_targets_met` is the one hitting-set search: the minimum hitting set
 (the initial degree of a cover ideal) is the instance with one singleton
@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import alexander_dual, minimal_supports
+from .hypergraph import minimal_supports
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,6 @@ def min_hitting_set(copies: Sequence[int], nvars: int, floor: int = 0) -> tuple[
 
 __all__ = [
     "minimal_supports",
-    "alexander_dual",
     "ALPHA_CAP_NODES",
     "guard_search_setup",
     "min_targets_met",

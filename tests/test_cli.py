@@ -197,7 +197,7 @@ def test_ex_and_gen_ex_refuse_fewer_than_one_vertex(capsys, argv, n):
 
 @pytest.mark.parametrize("n", ["5", "9"])
 def test_gen_ex_mixed_uniformity_is_bad_input_before_listing(capsys, n):
-    # at n = 9 listing K_ell_r(4,3) would be refused by the copy cap (exit 3)
+    # refused on the two specs alone, before either family is listed
     code, payload, err = run(capsys, "gen-ex", "--target", "K3", "--forbid", "K_ell_r(4,3)", "--n", n)
     assert code == EXIT_BAD_INPUT
     assert payload is None
@@ -205,6 +205,27 @@ def test_gen_ex_mixed_uniformity_is_bad_input_before_listing(capsys, n):
         "error": "bad input",
         "message": "target and forbidden families must share uniformity",
     }
+
+
+def test_gen_ex_core_pair_target_is_bad_input(capsys):
+    argv = ("gen-ex", "--target", "K_ell_r(3,3)", "--forbid", "K_ell_r(4,3)", "--n", "5", "--oracle")
+    code, payload, err = run(capsys, *argv)
+    assert code == EXIT_BAD_INPUT
+    assert payload is None
+    assert json.loads(err) == {
+        "error": "bad input",
+        "message": "target must be an explicit pattern: a core-pair family would count only its minimal copies",
+    }
+
+
+def test_gen_ex_core_pair_family_on_shadow_targets(capsys, tmp_path):
+    # with one 3-edge as target this is ex(8, K_ell_r(4,3)) = t_3(8, 3); the
+    # edge-level listing of minimal copies refused it
+    path = tmp_path / "edge.txt"
+    path.write_text("3 3\n1 2 3\n")
+    code, report, _ = run(capsys, "gen-ex", "--target", str(path), "--forbid", "K_ell_r(4,3)", "--n", "8")
+    assert code == EXIT_OK
+    assert report["result"]["value"] == turan_count(8, 3, 3) == 18
 
 
 def test_bad_kill_pair_exit_code(capsys):

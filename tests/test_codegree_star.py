@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from test_hypergraph import reference_core_copies
 from turancover import codegree_star, hypergraph, monomial
 from turancover.cli import EXIT_CLAIM_FAILED, main
 from turancover.codegree_star import (
@@ -212,9 +213,8 @@ def scan_collapse(params: StarParams) -> bool:
     """The per-support loop the truth tables replaced, kept as their oracle:
     one killed-pair set and one RGraph per support."""
     nvars = comb(params.n, params.r)
-    fam = enumerate_forbidden_copies(CoreFamily(params.ell, params.r), params.n)
     ranker = params.ranker()
-    copy_masks = fam.copies
+    copy_masks = reference_core_copies(params.ell, params.r, params.n).copies
     pair_list = list(codegree_star._star_masks(params).items())
     ell_sets = [
         list(itertools.combinations(L, 2))
@@ -246,12 +246,13 @@ def _small_grid():
 def test_collapse_tables_match_per_support_predicates(n, ell, r):
     p = StarParams(n, ell, r)
     ranker = p.ranker()
-    copy_masks = enumerate_forbidden_copies(CoreFamily(ell, r), n).copies
+    copy_masks = reference_core_copies(ell, r, n).copies
     full = (1 << ranker.count) - 1
-    in_j, in_cover, free = _collapse_tables(p)
+    in_j, free = _collapse_tables(p)
     for S in range(1 << ranker.count):
         assert in_j >> S & 1 == in_star_ideal(S, p)
-        assert in_cover >> S & 1 == all(S & c for c in copy_masks)
+        # the star ideal is the cover ideal of the minimal core-pair copies
+        assert in_j >> S & 1 == all(S & c for c in copy_masks)
         G = RGraph(n, r, ranker.unmask(full ^ S))
         assert free >> S & 1 == core_family_free(G, ell)
     assert verify_collapse(p) == scan_collapse(p)
@@ -284,12 +285,12 @@ def test_collapse_detects_wrong_pair_stars_through_the_missing_edge_table(monkey
         stars[(1, 2)] &= stars[(1, 2)] - 1  # drop the lowest variable
         return stars
 
-    # the star and the cover table both read the wrong stars, and agree
+    # the star table reads the wrong stars; the missing-edge table does not
     monkeypatch.setattr(hypergraph, "pair_stars", broken)
     monkeypatch.setattr(codegree_star, "pair_stars", broken)
     p = StarParams(5, 3, 2)
-    in_j, in_cover, free = _collapse_tables(p)
-    assert in_j == in_cover != free
+    in_j, free = _collapse_tables(p)
+    assert in_j != free
     assert not verify_collapse(p)
 
 

@@ -3,6 +3,7 @@ from math import comb
 
 import pytest
 
+from test_hypergraph import K4_MINUS_EDGE_3, reference_core_copies
 from turancover import dictionary, hypergraph, monomial
 from turancover.dictionary import (
     CoverInstance,
@@ -89,13 +90,13 @@ def test_ex_matches_brute_force(n, spec):
 
 
 def _systems(n, ell, r):
-    """The edge enumerator's projected one-edge-per-pair systems."""
+    """The one-edge-per-pair systems `reference_core_copies` builds."""
     return comb(n, ell) * comb(n - 2, r - 2) ** comb(ell, 2)
 
 
 def _core_grid():
     """(ell, r, n) with ell 2..5, r 2..4, n <= 6 (n <= 7 at r = 2), where
-    the edge-level enumerator lists the minimal core-pair copies."""
+    the system product lists the minimal core-pair copies cheaply."""
     for ell in range(2, 6):
         for r in range(2, 5):
             for n in range(1, 8 if r == 2 else 7):
@@ -108,7 +109,7 @@ def test_core_pair_reduction_matches_the_edge_cover_ideal(ell, r, n):
     # the initial degree of the cover ideal of the minimal copies, over the
     # C(n, r) edge variables, against the pair reduction's value
     family = CoreFamily(ell, r)
-    fam = enumerate_forbidden_copies(family, n)
+    fam = reference_core_copies(ell, r, n)
     size, mask = min_hitting_set(fam.copies, comb(n, r))
     value, witness = ex_via_cover(n, family)
     assert size == comb(n, r) - value
@@ -120,8 +121,9 @@ def test_core_pair_reduction_matches_the_edge_cover_ideal(ell, r, n):
 
 
 def test_ex_core_family_beyond_the_edge_enumerator():
-    # the edge-level enumerator refuses (8, 5, 3): its projected systems
-    # exceed COPY_CAP.  The CLI tests check (9, 4, 3).
+    # (8, 5, 3) has more than COPY_CAP one-edge-per-pair systems, past what
+    # the edge-level listing of minimal copies reached.  The CLI tests check
+    # (9, 4, 3).
     assert _systems(8, 5, 3) > COPY_CAP
     value, witness = ex_via_cover(8, CoreFamily(5, 3))
     assert value == len(witness) == turan_count(8, 4, 3) == 32
@@ -131,7 +133,7 @@ def test_ex_core_family_beyond_the_edge_enumerator():
 def test_ex_core_family_guards_setup_before_listing_cliques(monkeypatch):
     # (20, 4, 3): 5,985 cliques fit COPY_CAP, but 1,140 triangle targets x
     # 4,845 K4 copies = 5,523,300 setup steps exceed ALPHA_CAP_NODES
-    monkeypatch.setattr(dictionary, "enumerate_forbidden_copies", _no_enumeration)
+    monkeypatch.setattr(dictionary, "place_copies", _no_enumeration)
     with pytest.raises(ScaleGuardError, match="5523300 setup steps"):
         ex_via_cover(20, CoreFamily(4, 3))
 
@@ -180,15 +182,20 @@ def test_hitting_sets_complement_extremal_graphs():
 
 def test_chain_returns_the_single_search_witness():
     # the final link stops on the first optimum of the floor-free search
-    for name, n in [("K3", 8), ("K4", 8), ("C4", 7), ("P3", 7), ("K_ell_r(4,3)", 6)]:
+    for name, n in [("K3", 8), ("K4", 8), ("C4", 7), ("P3", 7)]:
         spec = builtin_spec(name)
         fam = enumerate_forbidden_copies(spec, n)
         total = comb(n, fam.r)
         size, mask = min_hitting_set(fam.copies, total)
         complement = EdgeRanker(n, fam.r).unmask(((1 << total) - 1) ^ mask)
         assert ex_via_cover(n, spec) == (total - size, RGraph(n, fam.r, complement))
-    for target, forbid, n in [("K3", "K4", 8), ("P3", "K3", 8), ("C4", "K3", 7)]:
-        inst = make_instance(n, builtin_spec(forbid), builtin_spec(target))
+    # the last two are pair instances of the core-pair family
+    for target, forbid, n in [
+        ("K3", "K4", 8), ("P3", "K3", 8), ("C4", "K3", 7),
+        (None, "K_ell_r(4,3)", 8), (K4_MINUS_EDGE_3, "K_ell_r(4,3)", 7),
+    ]:
+        target, forbid = (builtin_spec(x) if isinstance(x, str) else x for x in (target, forbid))
+        inst = make_instance(n, forbid, target)
         reference = min_targets_met(inst.forbidden.copies, inst.target.copies, comb(n, 2))
         assert alpha_target(inst) == reference
 
@@ -324,7 +331,10 @@ def test_gen_ex_matches_brute_force():
             assert got == oracle, (t, f, n)
 
 
-# (target, forbidden, largest n) with a core-pair family on either side
+# (target, forbidden, largest n) with a core-pair forbidden family.  The
+# four copies of K4^(3) minus an edge on one 4-set share the shadow K4, so
+# its pair instance repeats each target four times; at n = 6 with K_ell_r(5,3)
+# the edge-level listing of minimal copies was refused.
 EDGE_3 = RGraph(3, 3, [(1, 2, 3)])
 CHERRY_3 = RGraph(4, 3, [(1, 2, 3), (1, 2, 4)])
 CORE_GEN_EX_GRID = [
@@ -333,21 +343,48 @@ CORE_GEN_EX_GRID = [
     (EDGE_3, CoreFamily(3, 3), 6),
     (builtin_spec("K2"), CoreFamily(3, 2), 7),
     (builtin_spec("P3"), CoreFamily(4, 2), 7),
-    (CoreFamily(3, 2), builtin_spec("K4"), 7),
-    (CoreFamily(3, 2), builtin_spec("C4"), 7),
-    (CoreFamily(3, 3), CoreFamily(4, 3), 5),
+    (K4_MINUS_EDGE_3, CoreFamily(4, 3), 6),
+    (K4_MINUS_EDGE_3, CoreFamily(5, 3), 6),
 ]
 
 
 @pytest.mark.parametrize(
     "target,forbid,top",
     CORE_GEN_EX_GRID,
-    ids=["edge/K43", "cherry/K43", "edge/K33", "K2/K32", "P3/K42", "K32/K4", "K32/C4", "K33/K43"],
+    ids=["edge/K43", "cherry/K43", "edge/K33", "K2/K32", "P3/K42", "K4minus/K43", "K4minus/K53"],
 )
 def test_gen_ex_on_core_pair_families_matches_brute_force(target, forbid, top):
     for n in range(1, top + 1):
         oracle, _ = brute_force_gen_ex(n, target, forbid)
         assert gen_ex_via_cover(n, target, forbid) == oracle, n
+
+
+def test_shadow_targets_repeat_and_restrict_by_prefix():
+    # each 4-set carries four copies of K4^(3) minus an edge, all with shadow
+    # K4: the targets are the K4 pair masks, each four times, and the family
+    # on [m] is the prefix the chain cuts
+    insts = {n: make_instance(n, CoreFamily(5, 3), K4_MINUS_EDGE_3) for n in range(4, 8)}
+    for n, inst in insts.items():
+        k4 = enumerate_forbidden_copies(builtin_spec("K4"), n).copies
+        assert inst.target.copies == tuple(c for c in k4 for _ in range(4))
+        for m in range(4, n + 1):
+            assert inst.restrict(m) == insts[m]
+
+
+@pytest.mark.parametrize(
+    "target,forbid,top",
+    [
+        (CoreFamily(3, 2), builtin_spec("K4"), 7),
+        (CoreFamily(3, 2), builtin_spec("C4"), 7),
+        (CoreFamily(3, 3), CoreFamily(4, 3), 5),
+    ],
+    ids=["K32/K4", "K32/C4", "K33/K43"],
+)
+def test_gen_ex_refuses_core_pair_targets(target, forbid, top):
+    # a core-pair target family would count only its minimal copies
+    for call in (gen_ex_via_cover, brute_force_gen_ex):
+        with pytest.raises(InputError, match="explicit pattern"):
+            call(top, target, forbid)
 
 
 def test_gen_ex_with_edge_target_reduces_to_ex():
@@ -412,7 +449,7 @@ def test_gen_ex_scale_guard(monkeypatch):
         alpha_target(inst)
 
 
-def _no_enumeration(spec, n):
+def _no_enumeration(*args):
     raise AssertionError("copies were listed")
 
 

@@ -4,6 +4,7 @@ from math import comb, factorial, prod
 import pytest
 
 from turancover import hypergraph
+from turancover.dictionary import make_instance
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
     COPY_CAP,
@@ -19,8 +20,11 @@ from turancover.hypergraph import (
     core_family_free,
     count_copies,
     enumerate_forbidden_copies,
+    explicit_shapes,
     minimal_supports,
+    pair_shadows,
     parse_hypergraph,
+    place_copies,
     turan_construct,
     turan_count,
 )
@@ -28,6 +32,10 @@ from turancover.hypergraph import (
 
 def K(s):
     return RGraph.complete(s, 2)
+
+
+# the complete 3-graph on 4 vertices minus the edge {2, 3, 4}
+K4_MINUS_EDGE_3 = RGraph(4, 3, [(1, 2, 3), (1, 2, 4), (1, 3, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -155,12 +163,6 @@ def test_single_edge_copies():
     assert len(fam) == 3
 
 
-def test_core_family_minimal_copies_single_edges():
-    fam = enumerate_forbidden_copies(CoreFamily(3, 3), 4)
-    assert len(fam) == 4
-    assert all(c.bit_count() == 1 for c in fam.copies)
-
-
 def test_copy_list_closed_under_relabeling():
     fam = enumerate_forbidden_copies(K(3), 5)
     rk = EdgeRanker(5, 2)
@@ -181,8 +183,8 @@ def test_count_copies():
 def test_copy_family_validation():
     with pytest.raises(InputError, match="empty copy"):
         CopyFamily(3, 2, (0b1, 0))
-    with pytest.raises(InputError, match="duplicate copy"):
-        CopyFamily(3, 2, (0b1, 0b1))
+    # a repeated copy (a shadow shared by two target copies) counts twice
+    assert len(CopyFamily(3, 2, (0b1, 0b1, 0b10))) == 3
     # `restrict` bisects the list, so it must be increasing
     with pytest.raises(InputError, match="copies out of order"):
         CopyFamily(3, 2, (0b11, 0b1))
@@ -210,22 +212,20 @@ def test_span_of_padded_and_core_pair_copies():
     # P3 declared on 5 vertices still spans its 3 edge-covered vertices
     fam = enumerate_forbidden_copies(RGraph(5, 2, [(1, 2), (2, 3)]), 6)
     assert fam.span == 3 and fam.restrict(4).span == 3
-    # minimal core-pair copies span no common vertex count
-    assert enumerate_forbidden_copies(CoreFamily(3, 3), 5).span is None
+    # the pair shadows of K4^(3) minus an edge, the targets of a core-pair
+    # instance, span the pattern's 4 vertices
+    shadows = place_copies(pair_shadows(explicit_shapes(K4_MINUS_EDGE_3, 6)), 6, 2)
+    assert shadows.span == 4 and shadows.restrict(5).span == 4
     # equality compares the copies only
     triangles = enumerate_forbidden_copies(K(3), 5)
     assert triangles == CopyFamily(5, 2, triangles.copies)
 
 
-def test_enumeration_scale_guard():
-    with pytest.raises(ScaleGuardError, match="projected copy count 3386105856"):
-        enumerate_forbidden_copies(CoreFamily(5, 3), 8)
-
-
 def reference_core_copies(ell, r, n):
-    """The per-core system product the dualizer replaced: every system of
-    one edge per core pair, as a union of edge masks, then the minimal
-    ones per core and across cores."""
+    """The minimal copies of the core-pair family (ell, r) on [n], the
+    generators of its edge-level cover ideal: every system of one edge per
+    pair of an ell-core, as a union of edge masks, then the minimal ones
+    per core and across cores."""
     ranker = EdgeRanker(n, r)
     all_minimal = set()
     for core in itertools.combinations(range(1, n + 1), ell):
@@ -241,20 +241,28 @@ def reference_core_copies(ell, r, n):
 
 
 def _core_grid():
-    # every point with ell in 2..5, r in 2..4, max(ell, r) <= n <= 7 that the
-    # guard admits, except (ell, r, n) = (4, 3, 7), where the system product
-    # alone takes about 3 s
+    # every point with ell in 2..5, r in 2..4, max(ell, r) <= n <= 7 with at
+    # most COPY_CAP systems, except (ell, r, n) = (4, 3, 7), where the
+    # system product alone takes about 3 s
     for ell in range(2, 6):
         for r in range(2, 5):
             for n in range(max(ell, r), 8):
-                projected = comb(n, ell) * comb(n - 2, r - 2) ** comb(ell, 2)
-                if projected <= COPY_CAP and (ell, r, n) != (4, 3, 7):
+                systems = comb(n, ell) * comb(n - 2, r - 2) ** comb(ell, 2)
+                if systems <= COPY_CAP and (ell, r, n) != (4, 3, 7):
                     yield ell, r, n
 
 
 @pytest.mark.parametrize("ell,r,n", list(_core_grid()))
 def test_core_copies_match_system_product(ell, r, n):
-    assert enumerate_forbidden_copies(CoreFamily(ell, r), n) == reference_core_copies(ell, r, n)
+    # the system product lists minimal members only: each copy's shadow has
+    # an ell-clique, and dropping any of its edges leaves none
+    ranker = EdgeRanker(n, r)
+    for c in reference_core_copies(ell, r, n).copies:
+        edges = ranker.unmask(c)
+        assert len(edges) <= comb(ell, 2)
+        assert not core_family_free(RGraph(n, r, edges), ell)
+        for e in edges:
+            assert core_family_free(RGraph(n, r, set(edges) - {e}), ell)
 
 
 def reference_copies(F, n):
@@ -315,8 +323,8 @@ def test_copies_need_the_declared_vertex_count():
     assert len(enumerate_forbidden_copies(F, 6)) == 3 * comb(6, 3)
 
 
-# (spec, largest n): K_ell_r(4,3) stops at 7, where the projected-system
-# guard still admits it (it refuses n = 8)
+# (spec, largest n); a core-pair family restricts the cliques of its pair
+# instance, which `alpha_target`'s chain cuts the same way
 PREFIX_GRID = [
     *((name, 8) for name in ("K2", "K3", "K4", "K5", "P3", "C4", "K_ell_r(3,2)")),
     ("K_ell_r(4,3)", 7),
@@ -328,13 +336,18 @@ def test_restricted_copies_equal_enumeration_on_fewer_vertices(name, top):
     # colex ranks put the r-sets of [m] first, so the copies on [m] are the
     # prefix of the sorted list on [n] below 1 << C(m, r)
     spec = builtin_spec(name)
-    smallest = spec.n if isinstance(spec, RGraph) else max(spec.ell, spec.r)
-    fams = {n: enumerate_forbidden_copies(spec, n) for n in range(smallest, top + 1)}
-    for n, fam in fams.items():
+    if isinstance(spec, RGraph):
+        smallest, families = spec.n, lambda n: [enumerate_forbidden_copies(spec, n)]
+    else:
+        smallest = max(spec.ell, spec.r)
+        families = lambda n: [make_instance(n, spec).forbidden, make_instance(n, spec).target]
+    fams = {n: families(n) for n in range(smallest, top + 1)}
+    for n in fams:
         for m in range(smallest, n + 1):
-            below = 1 << comb(m, fam.r)
-            prefix = tuple(c for c in fam.copies if c < below)
-            assert fam.restrict(m) == CopyFamily(m, fam.r, prefix) == fams[m], (n, m)
+            for fam, on_m in zip(fams[n], fams[m]):
+                below = 1 << comb(m, fam.r)
+                prefix = tuple(c for c in fam.copies if c < below)
+                assert fam.restrict(m) == CopyFamily(m, fam.r, prefix) == on_m, (n, m)
 
 
 def test_restricted_copies_of_a_padded_pattern():

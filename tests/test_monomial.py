@@ -2,14 +2,11 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from turancover import monomial
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import EdgeRanker, builtin_spec, enumerate_forbidden_copies
 from turancover.monomial import (
-    alexander_dual,
     min_hitting_set,
     min_targets_met,
     minimal_supports,
@@ -32,52 +29,6 @@ def test_cover_membership_triangle():
     assert not all(0 & c for c in copies)
 
 
-def test_cover_equals_explicit_dual_form():
-    # membership in cover form == divisibility by a dual generator
-    fam = enumerate_forbidden_copies(builtin_spec("K3"), 4)
-    rk = EdgeRanker(4, 2)
-    copies = fam.copies
-    dual_gens = alexander_dual(copies)
-    for m in range(1 << rk.count):
-        assert all(m & c for c in copies) == any(g & m == g for g in dual_gens)
-
-
-# ---------------------------------------------------------------------------
-# Alexander duality
-
-
-def test_dual_of_single_generator():
-    assert sorted(alexander_dual([0b11])) == [0b01, 0b10]
-
-
-def test_dual_of_two_singletons():
-    assert alexander_dual([0b01, 0b10]) == [0b11]
-
-
-def test_dual_of_triangle_copies_in_k4():
-    fam = enumerate_forbidden_copies(builtin_spec("K3"), 4)
-    rk = EdgeRanker(4, 2)
-    copies = fam.copies
-    dual = alexander_dual(copies)
-    # brute-force minimal transversals over all 2^6 supports
-    members = [
-        m for m in range(1 << rk.count) if all(m & c for c in copies)
-    ]
-    assert sorted(dual) == sorted(minimal_supports(members))
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.integers(min_value=1, max_value=(1 << 12) - 1), min_size=1, max_size=8
-    )
-)
-def test_dual_is_involutive(gens):
-    antichain = minimal_supports(gens)
-    double = alexander_dual(alexander_dual(antichain))
-    assert sorted(double) == sorted(antichain)
-
-
 # ---------------------------------------------------------------------------
 # intersections
 
@@ -95,7 +46,6 @@ def test_intersect_two_variable_ideals():
     assert all(0b001 & c for c in copies)  # y_a
     assert all(0b110 & c for c in copies)  # y_b*y_c
     assert not all(0b010 & c for c in copies)  # y_b alone
-    assert sorted(alexander_dual(copies)) == [0b001, 0b110]
 
 
 # ---------------------------------------------------------------------------
@@ -252,10 +202,10 @@ def test_hitting_set_setup_guard(monkeypatch):
 
 
 def test_initial_degree_explicit():
-    # alpha of the cover ideal is the least degree of its dual generators
+    # alpha of the cover ideal is the least degree of its members
     copies = masks([0, 1], [0, 2], [3])
-    gens = alexander_dual(copies)
-    assert min_hitting_set(copies, 4)[0] == min(g.bit_count() for g in gens) == 2
+    members = [m for m in range(1 << 4) if all(m & c for c in copies)]
+    assert min_hitting_set(copies, 4)[0] == min(m.bit_count() for m in members) == 2
 
 
 def test_initial_degree_whole_ring():

@@ -98,10 +98,10 @@ def _definitions(names) -> list[tuple[str, str]]:
 
 
 def test_antichain_and_star_helpers_live_only_in_hypergraph():
-    """`minimal_supports`, `alexander_dual`, `pair_stars` and the bitset
-    clique search `_has_clique` are each defined once, in `hypergraph`;
-    other modules import them."""
-    shared = {"minimal_supports", "alexander_dual", "pair_stars", "_has_clique"}
+    """`minimal_supports`, `pair_stars` and the bitset clique search
+    `_has_clique` are each defined once, in `hypergraph`; other modules
+    import them."""
+    shared = {"minimal_supports", "pair_stars", "_has_clique"}
     assert _definitions(shared) == sorted((name, "hypergraph.py") for name in shared)
 
 
