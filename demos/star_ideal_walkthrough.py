@@ -24,7 +24,7 @@ from turancover.codegree_star import (
 from turancover.hypergraph import RGraph, turan_construct, turan_count
 
 params = StarParams(5, 4, 3)
-ranker = params.ranker()
+ranker = params.ranker
 
 # ---------------------------------------------------------------------------
 # Star monomials: each has C(n-2, r-2) variables in its support.  A

@@ -58,13 +58,16 @@ print(f"  a minimum member meets all {len(inst.forbidden)} triangles:"
 
 # ---------------------------------------------------------------------------
 # Generalized Turán numbers: the maximum number of triangles in a K4-free
-# graph on 6 vertices is the Turán-graph count t_3(6,3) = 8.
+# graph on 6 vertices is the Turán-graph count t_3(6,3) = 8.  Each value
+# comes with a certified witness: the edges the optimal support leaves, a
+# forbidden-free graph holding exactly that many target copies.  ex(n, F)
+# is the case of a one-edge target, as K2 is below.
 
 for t, f, n in [("K3", "K4", 6), ("K2", "K3", 6), ("K3", "K5", 6)]:
-    got = gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
+    got, witness = gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
     oracle, _ = brute_force_gen_ex(n, builtin_spec(t), builtin_spec(f))
     assert got == oracle
-    print(f"ex({n}, {t}, {f}) = {got}")
+    print(f"ex({n}, {t}, {f}) = {got}  (witness: {len(witness)} edges)")
 
 # The optimizing support: the fewest target copies any member of the cover
 # ideal must kill, with a witness support (the first optimum the search

@@ -174,8 +174,9 @@ def cmd_ex(args) -> tuple[RunReport, int]:
 def cmd_gen_ex(args) -> tuple[RunReport, int]:
     target = _resolve_spec(args.target)
     forbid = _resolve_spec(args.forbid)
-    value = gen_ex_via_cover(args.n, target, forbid)
+    value, witness = gen_ex_via_cover(args.n, target, forbid)
     result = {"value": value}
+    witnesses = {"witness_edges": witness.edge_list()}
     oracle = {}
     code = EXIT_OK
     if args.oracle:
@@ -184,7 +185,7 @@ def cmd_gen_ex(args) -> tuple[RunReport, int]:
         if not oracle["match"]:
             code = EXIT_CLAIM_FAILED
     params = {"n": args.n, "target": args.target, "forbid": args.forbid}
-    return RunReport("gen-ex", params, result, {}, oracle), code
+    return RunReport("gen-ex", params, result, witnesses, oracle), code
 
 
 def cmd_hilbert(args) -> tuple[RunReport, int]:
@@ -223,7 +224,7 @@ def cmd_codegree_star(args) -> tuple[RunReport, int]:
     if args.alpha or not args.verify_collapse:
         alpha, witness = star_initial_degree(params)
         result["alpha"] = alpha
-        result["witness_support"] = [tuple(sorted(e)) for e in params.ranker().unmask(witness)]
+        result["witness_support"] = [tuple(sorted(e)) for e in params.ranker.unmask(witness)]
     if args.verify_collapse:
         ok = verify_collapse(params)
         result["collapse_ok"] = ok

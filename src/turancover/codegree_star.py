@@ -9,14 +9,14 @@ C(n, r) - t_r(n, ell-1), and the product of the non-transversal r-sets of a
 balanced (ell-1)-partition attains it.  A support is a member exactly
 when the degree-ell Hilbert value of its vertex quotient, a square-zero
 quotient on [n], is 0.  A squarefree monomial is its support: an int mask
-over `StarParams.ranker()`, whose `unmask` lists its r-sets.
+over `StarParams.ranker`, whose `unmask` lists its r-sets.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb
 from operator import and_, or_
 
@@ -46,12 +46,14 @@ class StarParams:
         if self.ell < 2 or self.r < 2 or self.n < 1:
             raise InputError(f"need n >= 1 and ell, r >= 2, got {self}")
 
+    @cached_property
     def ranker(self) -> EdgeRanker:
+        """The edge variables, built once per parameter set."""
         return EdgeRanker(self.n, self.r)
 
 
 def _star_masks(params: StarParams) -> dict[tuple[int, int], int]:
-    return pair_stars(params.ranker())
+    return pair_stars(params.ranker)
 
 
 def codegree_star_monomial(params: StarParams, a: int, b: int) -> int:
@@ -68,7 +70,7 @@ def missing_edge_monomial(params: StarParams, G: RGraph) -> int:
     zero in G."""
     if (G.n, G.r) != (params.n, params.r):
         raise InputError("graph incompatible with star parameters")
-    ranker = params.ranker()
+    ranker = params.ranker
     return ((1 << ranker.count) - 1) ^ ranker.mask(G.edges)
 
 
@@ -118,7 +120,7 @@ def _collapse_tables(params: StarParams) -> tuple[int, int]:
     """Star and missing-edge truth tables over every support S of the
     C(n, r) edge variables; see `verify_collapse`."""
     n, ell = params.n, params.ell
-    ranker = params.ranker()
+    ranker = params.ranker
     T = _variable_tables(ranker.count)
     full = (1 << (1 << ranker.count)) - 1
     ell_sets = [
@@ -179,7 +181,7 @@ def verify_collapse(params: StarParams) -> bool:
 
 def star_initial_degree(params: StarParams) -> tuple[int, int]:
     """Exact initial degree of the star ideal, returned with a witness
-    support over `params.ranker()`.
+    support over `params.ranker`.
 
     The value is `dictionary.core_pair_alpha`, whose docstring proves it is
     C(n, r) - ex(n, K_r, K_ell); Zykov (1949) gives ex(n, K_r, K_ell) =

@@ -9,10 +9,10 @@ ring; an empty copy gives the zero ideal.  `minimal_supports`, the
 inclusion-minimal masks of a list, lives in `hypergraph` and is re-exported
 here.
 
-`min_targets_met` is the one hitting-set search: the minimum hitting set
-(the initial degree of a cover ideal) is the instance with one singleton
-target per variable, and the dictionary reaches both through
-`dictionary.alpha_target`.
+`min_targets_met` is the one hitting-set search.  The minimum hitting set
+(the initial degree of a cover ideal) is its instance with one singleton
+target per variable, `min_hitting_set`; the library's one entry is
+`dictionary.alpha_target`, whose `ex` targets are those singletons.
 """
 
 from __future__ import annotations

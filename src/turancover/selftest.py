@@ -95,7 +95,7 @@ def _check_dictionary(point) -> None:
 def _check_generalized(point) -> None:
     t, f, n, expected = point
     tspec, fspec = builtin_spec(t), builtin_spec(f)
-    value = gen_ex_via_cover(n, tspec, fspec)
+    value, _ = gen_ex_via_cover(n, tspec, fspec)
     oracle, _ = brute_force_gen_ex(n, tspec, fspec)
     _require(value == oracle == expected, f"cover {value}, oracle {oracle}, expected {expected}")
     # Turán-count corollary: the most K_s in a K_t-free graph is the K_s count of T(n, t-1).

@@ -25,7 +25,14 @@ from turancover.cli import (
     main,
 )
 from turancover.errors import InputError
-from turancover.hypergraph import RGraph, core_family_free, turan_count
+from turancover.hypergraph import (
+    RGraph,
+    builtin_spec,
+    core_family_free,
+    count_copies,
+    enumerate_forbidden_copies,
+    turan_count,
+)
 from turancover.selftest import CRITERIA
 
 
@@ -119,6 +126,12 @@ def test_gen_ex(capsys):
     assert code == EXIT_OK
     assert report["result"]["value"] == 8
     assert report["oracle"]["match"] is True
+    # the certified witness: T(6, 3), whose 12 edges hold the 8 triangles
+    edges = report["witnesses"]["witness_edges"]
+    G = RGraph(6, 2, edges)
+    assert len(edges) == 12
+    assert count_copies(G, enumerate_forbidden_copies(builtin_spec("K3"), 6)) == 8
+    assert count_copies(G, enumerate_forbidden_copies(builtin_spec("K4"), 6)) == 0
 
 
 def test_hilbert(capsys):
@@ -226,6 +239,8 @@ def test_gen_ex_core_pair_family_on_shadow_targets(capsys, tmp_path):
     code, report, _ = run(capsys, "gen-ex", "--target", str(path), "--forbid", "K_ell_r(4,3)", "--n", "8")
     assert code == EXIT_OK
     assert report["result"]["value"] == turan_count(8, 3, 3) == 18
+    witness = RGraph(8, 3, report["witnesses"]["witness_edges"])
+    assert len(witness) == 18 and core_family_free(witness, 4)
 
 
 def test_bad_kill_pair_exit_code(capsys):

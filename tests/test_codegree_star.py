@@ -49,7 +49,7 @@ from turancover.monomial import min_targets_met
 def test_star_monomial_example_n4_r3():
     p = StarParams(4, 3, 3)
     m = codegree_star_monomial(p, 1, 2)
-    assert set(p.ranker().unmask(m)) == {frozenset((1, 2, 3)), frozenset((1, 2, 4))}
+    assert set(p.ranker.unmask(m)) == {frozenset((1, 2, 3)), frozenset((1, 2, 4))}
 
 
 def test_star_monomial_symmetric_in_pair():
@@ -213,7 +213,7 @@ def scan_collapse(params: StarParams) -> bool:
     """The per-support loop the truth tables replaced, kept as their oracle:
     one killed-pair set and one RGraph per support."""
     nvars = comb(params.n, params.r)
-    ranker = params.ranker()
+    ranker = params.ranker
     copy_masks = reference_core_copies(params.ell, params.r, params.n).copies
     pair_list = list(codegree_star._star_masks(params).items())
     ell_sets = [
@@ -245,7 +245,7 @@ def _small_grid():
 @pytest.mark.parametrize("n,ell,r", list(_small_grid()))
 def test_collapse_tables_match_per_support_predicates(n, ell, r):
     p = StarParams(n, ell, r)
-    ranker = p.ranker()
+    ranker = p.ranker
     copy_masks = reference_core_copies(ell, r, n).copies
     full = (1 << ranker.count) - 1
     in_j, free = _collapse_tables(p)

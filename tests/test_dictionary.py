@@ -11,6 +11,7 @@ from turancover.dictionary import (
     ex_via_cover,
     gen_ex_via_cover,
     make_instance,
+    one_edge,
     quotient_rank,
     vertex_quotient_of_cover,
 )
@@ -138,16 +139,50 @@ def test_ex_core_family_guards_setup_before_listing_cliques(monkeypatch):
         ex_via_cover(20, CoreFamily(4, 3))
 
 
+CHERRY_3 = RGraph(4, 3, [(1, 2, 3), (1, 2, 4)])
+
+
+def _check_rejects_wrong_answers(monkeypatch, target, forbid, n=6):
+    # the search reports the optimal count with a wrong support: one that
+    # misses a forbidden copy (its quotient rank is still the value, so
+    # only the freeness check can catch it), or a hitting set that meets
+    # more targets than the optimum
+    inst = make_instance(n, forbid, target)
+    alpha, M = alpha_target(inst)
+    nvars = comb(n, inst.r)
+
+    def met(S):
+        return sum(1 for t in inst.target.copies if t & S)
+
+    missing = next(
+        S for S in range(1 << nvars)
+        if met(S) == alpha and not all(S & c for c in inst.forbidden.copies)
+    )
+    wasteful = next(M | 1 << v for v in range(nvars) if met(M | 1 << v) > alpha)
+    for support in (missing, wasteful):
+        monkeypatch.setattr(dictionary, "alpha_target", lambda inst: (alpha, support))
+        with pytest.raises(ClaimCheckError, match="not a forbidden-free graph"):
+            if target is None:
+                ex_via_cover(n, forbid)
+            else:
+                gen_ex_via_cover(n, target, forbid)
+
+
 def test_ex_core_family_checks_its_witness(monkeypatch):
-    alpha, killed = dictionary.core_pair_alpha(6, 4, 3)
-    # no killed pair: the witness is K_6^(3), which holds every core
-    monkeypatch.setattr(dictionary, "core_pair_alpha", lambda n, ell, r: (alpha, 0))
-    with pytest.raises(ClaimCheckError, match="not a forbidden-free graph"):
-        ex_via_cover(6, CoreFamily(4, 3))
-    # a value one below the witness's edge count
-    monkeypatch.setattr(dictionary, "core_pair_alpha", lambda n, ell, r: (alpha + 1, killed))
-    with pytest.raises(ClaimCheckError, match="not a forbidden-free graph"):
-        ex_via_cover(6, CoreFamily(4, 3))
+    _check_rejects_wrong_answers(monkeypatch, None, CoreFamily(4, 3))
+
+
+@pytest.mark.parametrize(
+    "target,forbid",
+    [
+        (None, builtin_spec("K3")),
+        (builtin_spec("K3"), builtin_spec("K4")),
+        (CHERRY_3, CoreFamily(4, 3)),
+    ],
+    ids=["ex/K3", "gen-ex/K3-K4", "gen-ex/cherry-K43"],
+)
+def test_certificate_rejects_a_wrong_search_answer(monkeypatch, target, forbid):
+    _check_rejects_wrong_answers(monkeypatch, target, forbid)
 
 
 def test_ex_witness_is_forbidden_free():
@@ -208,7 +243,6 @@ def test_chain_guards_the_whole_instance_before_the_first_link(monkeypatch):
     inst = make_instance(7, builtin_spec("K4"), builtin_spec("K3"))
     # K_ell_r(3,2) at n = 7: 21 pair targets x 35 triangle copies = 735
     # setup steps, refused before the small links, which would pass
-    monkeypatch.setattr(dictionary, "min_hitting_set", _no_link)
     monkeypatch.setattr(dictionary, "min_targets_met", _no_link)
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 734)
     with pytest.raises(ScaleGuardError, match="735 setup steps"):
@@ -314,7 +348,7 @@ def test_corollary_bound_over_cover_members():
     ],
 )
 def test_gen_ex_values(n, target, forbid, expected):
-    assert gen_ex_via_cover(n, builtin_spec(target), builtin_spec(forbid)) == expected
+    assert gen_ex_via_cover(n, builtin_spec(target), builtin_spec(forbid))[0] == expected
 
 
 GEN_EX_PAIRS = [
@@ -326,9 +360,19 @@ GEN_EX_PAIRS = [
 def test_gen_ex_matches_brute_force():
     for t, f in GEN_EX_PAIRS:
         for n in range(1, 8):
-            got = gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
+            got, _ = gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
             oracle, _ = brute_force_gen_ex(n, builtin_spec(t), builtin_spec(f))
             assert got == oracle, (t, f, n)
+
+
+def test_gen_ex_witness_holds_value_target_copies():
+    # the certified witness, checked against a fresh listing of both patterns
+    for t, f in GEN_EX_PAIRS:
+        target, forbid = builtin_spec(t), builtin_spec(f)
+        for n in range(4, 7):
+            value, witness = gen_ex_via_cover(n, target, forbid)
+            assert count_copies(witness, enumerate_forbidden_copies(target, n)) == value
+            assert count_copies(witness, enumerate_forbidden_copies(forbid, n)) == 0
 
 
 # (target, forbidden, largest n) with a core-pair forbidden family.  The
@@ -336,7 +380,6 @@ def test_gen_ex_matches_brute_force():
 # its pair instance repeats each target four times; at n = 6 with K_ell_r(5,3)
 # the edge-level listing of minimal copies was refused.
 EDGE_3 = RGraph(3, 3, [(1, 2, 3)])
-CHERRY_3 = RGraph(4, 3, [(1, 2, 3), (1, 2, 4)])
 CORE_GEN_EX_GRID = [
     (EDGE_3, CoreFamily(4, 3), 6),
     (CHERRY_3, CoreFamily(4, 3), 6),
@@ -356,7 +399,7 @@ CORE_GEN_EX_GRID = [
 def test_gen_ex_on_core_pair_families_matches_brute_force(target, forbid, top):
     for n in range(1, top + 1):
         oracle, _ = brute_force_gen_ex(n, target, forbid)
-        assert gen_ex_via_cover(n, target, forbid) == oracle, n
+        assert gen_ex_via_cover(n, target, forbid)[0] == oracle, n
 
 
 def test_shadow_targets_repeat_and_restrict_by_prefix():
@@ -390,7 +433,7 @@ def test_gen_ex_refuses_core_pair_targets(target, forbid, top):
 def test_gen_ex_with_edge_target_reduces_to_ex():
     for n in (4, 5, 6):
         assert gen_ex_via_cover(n, builtin_spec("K2"), builtin_spec("K3")) == (
-            ex_via_cover(n, builtin_spec("K3"))[0]
+            ex_via_cover(n, builtin_spec("K3"))
         )
 
 
@@ -471,14 +514,15 @@ def test_make_instance_finds_each_pattern_shapes_once(monkeypatch, forbid, targe
     found = []
     shapes = hypergraph._shapes
     monkeypatch.setattr(hypergraph, "_shapes", lambda F: found.append(F) or shapes(F))
-    specs = [builtin_spec(name) for name in (target, forbid) if name is not None]
-    make_instance(6, specs[-1], specs[0] if target else None)
+    # the default target is the one-edge pattern, found like any other
+    specs = [one_edge(2) if target is None else builtin_spec(target), builtin_spec(forbid)]
+    make_instance(6, specs[1], None if target is None else specs[0])
     assert found == specs
 
 
 @pytest.mark.parametrize("forbid", ["K3", "K4", "C4", "P3"])
 def test_alpha_target_without_targets_is_the_minimum_hitting_set(forbid):
-    # no target family: the targets are the single edges
+    # the default one-edge target: the targets are the single edges
     for n in range(1, 8):
         inst = make_instance(n, builtin_spec(forbid))
         reference = min_hitting_set(inst.forbidden.copies, comb(n, 2))
@@ -488,7 +532,10 @@ def test_alpha_target_without_targets_is_the_minimum_hitting_set(forbid):
 def test_instance_validation():
     fam3 = enumerate_forbidden_copies(builtin_spec("K3"), 4)
     fam5 = enumerate_forbidden_copies(builtin_spec("K3"), 5)
-    with pytest.raises(InputError):
-        CoverInstance(5, 2, fam3)
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="forbidden family"):
+        CoverInstance(5, 2, fam3, fam5)
+    with pytest.raises(InputError, match="target family"):
         CoverInstance(4, 2, fam3, fam5)
+    # every instance carries a target family
+    with pytest.raises(TypeError):
+        CoverInstance(4, 2, fam3)

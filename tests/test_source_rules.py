@@ -117,20 +117,22 @@ def _callee(call) -> str | None:
 
 
 def test_only_alpha_target_enters_the_search():
-    """`dictionary.alpha_target` is the one search entry of the library:
-    besides it, only `monomial`'s own wrappers call `min_targets_met` or
-    `min_hitting_set`."""
+    """`dictionary.alpha_target` is the one search entry of the library, and
+    it calls only `min_targets_met`: `ex` is the generalized search with a
+    one-edge target.  No library function calls `min_hitting_set`, a
+    monomial-level entry kept for callers outside the library; it is the
+    only other caller of `min_targets_met`."""
     search = {"min_targets_met", "min_hitting_set"}
-    callers = {
-        (path.name, getattr(top, "name", "<module>"))
+    calls = {
+        (path.name, getattr(top, "name", "<module>"), _callee(node))
         for path in sorted(SOURCE.rglob("*.py"))
         for top in ast.parse(path.read_text(), filename=str(path)).body
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and _callee(node) in search
     }
-    assert callers == {
-        ("dictionary.py", "alpha_target"),
-        ("monomial.py", "min_hitting_set"),
+    assert calls == {
+        ("dictionary.py", "alpha_target", "min_targets_met"),
+        ("monomial.py", "min_hitting_set", "min_targets_met"),
     }
 
 
