@@ -319,24 +319,25 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(only: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser: every subcommand, or only the one named `only`.
+def _add_subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give `parser` the arguments of subcommand `name` and the defaults
+    `func` (its handler) and `command` (its name); returns `parser`."""
+    func, _, arguments = SUBCOMMANDS[name]
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=func, command=name)
+    return parser
 
-    A one-subcommand parser parses that subcommand's arguments exactly as
-    the full parser does; only its top-level usage text differs, so `main`
-    leaves every top-level message to the full parser.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full CLI parser, with a subparser for every subcommand."""
     parser = argparse.ArgumentParser(
         prog="turancover",
         description="Exact desk-scale verifiers for Turán-type theorems via monomial cover ideals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, help_text, arguments) in SUBCOMMANDS.items():
-        if only is None or name == only:
-            p = sub.add_parser(name, help=help_text)
-            for flag, keywords in arguments:
-                p.add_argument(flag, **keywords)
-            p.set_defaults(func=func)
+    for name, (_, help_text, _) in SUBCOMMANDS.items():
+        _add_subcommand(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -363,14 +364,19 @@ def _split_kill(argv: list[str]) -> tuple[list[str], list[str] | None]:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse with the parser of the named subcommand alone, a hilbert or
-    symmetrize --kill list split off first (`_split_kill`).  Help, an empty
-    or unknown subcommand and leftover arguments go to the full parser, so
-    every usage and error text is the full parser's."""
+    """Parse a known subcommand with one parser of its own,
+    `ArgumentParser(prog="turancover NAME")`, a hilbert or symmetrize
+    --kill list split off first (`_split_kill`).  That parser is the full
+    parser's subparser for NAME without the top level above it, so its
+    help and its usage errors read the same.  An empty or unknown
+    subcommand and leftover arguments go to the full parser (`build_parser`),
+    so every top-level usage and error text is the full parser's."""
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in SUBCOMMANDS:
+        name = argv[0]
         rest, kill = _split_kill(argv)
-        args, extras = build_parser(argv[0]).parse_known_args(rest)
+        parser = _add_subcommand(argparse.ArgumentParser(prog=f"turancover {name}"), name)
+        args, extras = parser.parse_known_args(rest[1:])
         if not extras:
             if kill is not None:
                 args.kill = kill

@@ -9,9 +9,15 @@ The kill graph is kept as one adjacency bitmask per variable, and every
 step works on those masks: the Hilbert count is an iterative branching over
 vertex masks with closed forms for d <= 3 and binomial blocks of free
 vertices, under a step budget (HILBERT_CAP_STEPS); parallel classes are
-grouped by closed-neighbourhood mask, and symmetrization picks its clone
-pair from the class representatives alone; a clone step rewrites only the
-masks it changes.
+grouped by closed-neighbourhood mask, once per quotient, and
+symmetrization picks its clone pair from the class representatives alone; a
+clone step rewrites only the masks it changes.
+
+Symmetrization counts the degree-r Hilbert value once before its first
+clone and carries it through the steps by the cloning ledger: cloning class
+T onto class S changes it by |T| (lambda_S - lambda_T).  One count of the
+terminal quotient certifies the carried value, so a call makes at most three
+Hilbert counts however many steps it takes.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import InputError, ScaleGuardError
+from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import _bits, balanced_partition, turan_count
 
 # stack entries one Hilbert count may pop before it is refused
@@ -91,9 +97,11 @@ class SquareZeroQuotient:
 
     The kill graph is stored only as adjacency masks: bit b of `_adj[a]` is
     set iff x_a x_b = 0 (a != b).  Equality and hashing compare (n, _adj).
+    `_classes` holds the parallel-class masks once `_class_masks` has built
+    them (None before), so each quotient groups its variables at most once.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_classes")
 
     def __init__(self, n: int, kill=()):
         if n < 1:
@@ -110,6 +118,7 @@ class SquareZeroQuotient:
             adj[b] |= 1 << a
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(adj))
+        object.__setattr__(self, "_classes", None)
 
     @classmethod
     def _from_adj(cls, n: int, adj) -> "SquareZeroQuotient":
@@ -117,6 +126,7 @@ class SquareZeroQuotient:
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(adj))
+        object.__setattr__(self, "_classes", None)
         return self
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -252,12 +262,12 @@ class SquareZeroQuotient:
 
     def _class_masks(self) -> dict[int, int]:
         """Closed kill-neighbourhood mask -> mask of the variables that have
-        it, i.e. the parallel classes, in order of their first variables."""
-        classes: dict[int, int] = {}
-        for v in range(1, self.n + 1):
-            closed = self._adj[v] | (1 << v)
-            classes[closed] = classes.get(closed, 0) | (1 << v)
-        return classes
+        it, i.e. the parallel classes, in order of their first variables.
+        Built on the first call and kept, since the masks never change;
+        callers only read it."""
+        if self._classes is None:
+            object.__setattr__(self, "_classes", _group_classes(self._adj))
+        return self._classes
 
     def parallel_classes(self) -> ParallelPartition:
         """Group variables by equal closed kill-neighborhoods; two variables
@@ -353,6 +363,16 @@ class SquareZeroQuotient:
         return SquareZeroQuotient._from_adj(self.n, adj)
 
 
+def _group_classes(adj) -> dict[int, int]:
+    """Closed-neighbourhood mask -> mask of the vertices 1..n that have it,
+    for the adjacency masks `adj` (index 0 unused)."""
+    classes: dict[int, int] = {}
+    for v in range(1, len(adj)):
+        closed = adj[v] | (1 << v)
+        classes[closed] = classes.get(closed, 0) | (1 << v)
+    return classes
+
+
 def _independent_triples(adj, allowed: int, m: int) -> int:
     """Number of 3-subsets of the m-vertex mask `allowed` with no kill pair.
 
@@ -406,8 +426,15 @@ def symmetrize(
     with the larger lambda(r-1) onto the other (ties: the class with the
     smaller first vertex is the source), so the degree-r Hilbert value never
     decreases; the class count strictly drops, so at most n-1 steps occur.
-    A step's `hilbert_after` is the next step's `hilbert_before`, counted
-    once.  Returns the terminal quotient and the step trace.
+
+    Step values come from the cloning ledger: h_r is counted once, before
+    the first clone, and each step's `hilbert_after` is its `hilbert_before`
+    plus |target| (lambda_source - lambda_target), from the two lambda
+    values the step already has.  The terminal quotient's h_r is then
+    counted once and must equal the carried value, or ClaimCheckError is
+    raised.  So a call makes at most three Hilbert counts: top_vanishing,
+    the initial value and the terminal certificate.  Returns the terminal
+    quotient and the step trace.
     """
     if not A.top_vanishing(q):
         raise InputError("symmetrize requires a vanishing degree-(q+1) piece")
@@ -429,7 +456,7 @@ def symmetrize(
             source, target = (U, V) if U[0] < V[0] else (V, U)
         before = current.hilbert(r) if h is None else h
         current = current.clone(source, target)
-        h = current.hilbert(r)
+        h = before + len(target) * abs(lu - lv)
         trace.append(
             {
                 "source": list(source),
@@ -440,6 +467,10 @@ def symmetrize(
                 "hilbert_after": h,
             }
         )
+    if trace:
+        counted = current.hilbert(r)
+        if counted != h:
+            raise ClaimCheckError(f"terminal h_{r} = {counted}, cloning ledger gives {h}")
     return current, trace
 
 

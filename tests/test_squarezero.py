@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import time
@@ -7,7 +8,8 @@ from math import comb
 import pytest
 
 from turancover import squarezero
-from turancover.errors import InputError, ScaleGuardError
+from turancover.cli import EXIT_CLAIM_FAILED, main
+from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import turan_count
 from turancover.squarezero import (
     SquareZeroQuotient,
@@ -637,3 +639,58 @@ def test_symmetrize_direct_pick_matches_the_pair_set_loop_with_ties():
         steps += len(trace)
         ties += sum(s["lambda_source"] == s["lambda_target"] for s in trace)
     assert steps > 50 and ties > 10
+
+
+# ---------------------------------------------------------------------------
+# the cloning ledger and its terminal certificate
+
+# three clone steps: (3) onto (1), (1, 3) onto (4), (1, 3, 4) onto (7)
+LEDGER_CASE = (7, [(1, 3), (1, 4), (1, 5), (1, 7), (2, 4), (2, 7), (3, 4), (3, 7), (4, 5), (4, 6), (5, 6)], 3, 2)
+
+
+def test_symmetrize_counts_hilbert_at_most_three_times_and_groups_each_quotient_once(monkeypatch):
+    hilbert, group = SquareZeroQuotient.hilbert, squarezero._group_classes
+    counts, grouped = [], []
+
+    def counted(self, d):
+        counts.append(d)
+        return hilbert(self, d)
+
+    def recorded(adj):
+        grouped.append(adj)
+        return group(adj)
+
+    monkeypatch.setattr(SquareZeroQuotient, "hilbert", counted)
+    monkeypatch.setattr(squarezero, "_group_classes", recorded)
+    long_runs = 0
+    for n, pairs in grid_quotients():
+        A = SquareZeroQuotient(n, pairs)
+        q = next(d for d in range(n + 1) if not hilbert(A, d + 1))
+        counts.clear()
+        grouped.clear()
+        terminal, trace = symmetrize(A, q, 2)
+        terminal_class_sizes(terminal)
+        assert len(counts) <= 3, (n, len(trace))
+        # one partition per quotient: the input and each step's clone
+        assert len(grouped) == len(trace) + 1 == len(set(grouped)), n
+        long_runs += len(trace) >= 3
+    assert long_runs > 20
+
+
+def test_a_wrong_ledger_step_fails_the_terminal_certificate(monkeypatch, capsys):
+    n, pairs, q, r = LEDGER_CASE
+    A = SquareZeroQuotient(n, pairs)
+    assert len(symmetrize(A, q, r)[1]) == 3
+    lambda_dim = SquareZeroQuotient.lambda_dim
+    # class (3) reports a lambda one too high
+    monkeypatch.setattr(
+        SquareZeroQuotient, "lambda_dim", lambda self, c, d: lambda_dim(self, c, d) + (c == 3)
+    )
+    with pytest.raises(ClaimCheckError):
+        symmetrize(A, q, r)
+    kill = [f"{a},{b}" for a, b in pairs]
+    argv = ["symmetrize", "--n", str(n), "--q", str(q), "--r", str(r), "--kill", *kill]
+    assert main(argv) == EXIT_CLAIM_FAILED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "claim check failed"
