@@ -54,16 +54,52 @@ class EdgeRanker:
         self.count = len(self.sets)
 
     def mask(self, edges: Iterable[Edge]) -> int:
-        m = 0
-        for e in edges:
-            m |= 1 << self.rank[frozenset(e)]
-        return m
+        return _mask_of([self.rank[frozenset(e)] for e in edges])
 
     def unmask(self, mask: int) -> list[Edge]:
         """The edges of the set bits, in rank order; one pass over the
         mask's binary digits, so linear in its length."""
         digits = bin(mask)[:1:-1]
         return [self.edges[i] for i, d in enumerate(digits) if d == "1"]
+
+
+# OR-ing in or peeling off one bit at a time copies the mask once per bit,
+# quadratic in a long mask; up to this many bits it measured faster than one
+# pass over a byte buffer or a digit string
+PEEL_BITS = 32
+
+
+def _mask_of(positions: list[int]) -> int:
+    """The mask with the bits at `positions` set: OR-ed in one at a time up
+    to PEEL_BITS positions, past that set in a byte buffer read as one int."""
+    if len(positions) <= PEEL_BITS:
+        m = 0
+        for p in positions:
+            m |= 1 << p
+        return m
+    buf = bytearray((max(positions) >> 3) + 1)
+    for p in positions:
+        buf[p >> 3] |= 1 << (p & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of `mask`, in increasing order: peeled
+    up to PEEL_BITS of them, past that read in one pass over its binary
+    digits."""
+    out = []
+    if mask.bit_count() <= PEEL_BITS:
+        while mask:
+            low = mask & -mask
+            out.append(low.bit_length() - 1)
+            mask ^= low
+        return out
+    digits = bin(mask)[:1:-1]
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +368,7 @@ def place_copies(shapes: tuple[int, Collection], n: int, r: int) -> CopyFamily:
     # twice gives each of its copies twice
     rank = EdgeRanker(n, r).rank
     copies = [
-        sum(1 << rank[frozenset(c[i] for i in e)] for e in shape)
+        _mask_of([rank[frozenset(c[i] for i in e)] for e in shape])
         for c in itertools.combinations(range(1, n + 1), k)
         for shape in found
     ]
@@ -376,13 +412,6 @@ def minimal_supports(masks: Iterable[int]) -> list[int]:
     return kept
 
 
-def _bits(mask: int) -> Iterable[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def count_copies(G: RGraph, fam: CopyFamily) -> int:
     """Number of copies entirely contained in G."""
     if (G.n, G.r) != (fam.n, fam.r):
@@ -398,27 +427,34 @@ def count_copies(G: RGraph, fam: CopyFamily) -> int:
 def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     """Exact ex(n, spec) by branch-and-bound over subgraphs of the complete r-graph.
 
-    Deterministic: among optimal witnesses, the one with lexicographically
-    smallest edge bitmask (colex edge ranks) is returned.  ScaleGuardError
-    refuses more than ORACLE_CAP_EDGES potential edges before any copy is
-    listed.  The freeness test is `_freeness_test`'s.
+    Deterministic: among optimal witnesses, the one with the smallest edge
+    bitmask (colex edge ranks) is returned.  ScaleGuardError refuses more
+    than ORACLE_CAP_EDGES potential edges before any copy is listed.  The
+    freeness test is `_freeness_test`'s.
+
+    A node deciding edge idx is cut when even taking every remaining edge
+    cannot beat the incumbent: below the size bound, or at it (a tie) when
+    that one tying leaf, `chosen` with all edges from idx on, has a mask no
+    smaller than the incumbent's.  Every leaf the cut skips would lose the
+    tie-break, so the witness is the one the uncut search returns.
     """
     m = comb(n, spec.r)
     if m > ORACLE_CAP_EDGES:
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     ranker = EdgeRanker(n, spec.r)
     by_last, add, remove = _freeness_test(spec, n, ranker)
+    full = (1 << m) - 1
 
     best_size = -1
     best_mask = 0
 
     def dfs(idx: int, chosen: int, size: int) -> None:
         nonlocal best_size, best_mask
-        if size + (m - idx) < best_size:
+        reach = size + (m - idx)
+        if reach < best_size or (reach == best_size and chosen | (full >> idx << idx) >= best_mask):
             return
-        if idx == m:
-            if size > best_size or (size == best_size and chosen < best_mask):
-                best_size, best_mask = size, chosen
+        if idx == m:  # passed the cut: larger, or as large with a smaller mask
+            best_size, best_mask = size, chosen
             return
         # include edge idx if it completes no forbidden copy
         cand = chosen | (1 << idx)
@@ -516,7 +552,15 @@ def brute_force_gen_ex(
     """Exact generalized Turán number ex(n, T, F): max number of target copies
     in a forbid-free graph, by branch-and-bound over subgraphs; refused above
     ORACLE_CAP_EDGES potential edges before any copy is listed.  The target
-    must pass `check_target_spec`; the freeness test is `_freeness_test`'s."""
+    must pass `check_target_spec`; the freeness test is `_freeness_test`'s.
+    Among optimal witnesses, the one with the smallest edge bitmask is
+    returned.
+
+    A node is cut when the copies still alive (those avoiding every
+    excluded edge) cannot beat the incumbent, or can only tie it: a tying
+    leaf completes every alive copy, so its mask holds `chosen` and their
+    union, and when that union is no smaller than the incumbent's mask the
+    leaf loses the tie-break.  The witness is the uncut search's."""
     check_target_spec(target_spec, forbid_spec)
     r = forbid_spec.r
     m = comb(n, r)
@@ -534,6 +578,9 @@ def brute_force_gen_ex(
         for idx in range(m):
             if cm >> idx & 1:
                 targ_by_edge[idx].append(cm)
+    # a copy ending before idx that avoids `excluded` lies inside `chosen`,
+    # so the tie check ORs in only the copies of mask >= 1 << idx
+    open_from = [targ.copies[bisect_left(targ.copies, 1 << idx):] for idx in range(m + 1)]
 
     best_count = -1
     best_mask = 0
@@ -544,9 +591,15 @@ def brute_force_gen_ex(
         nonlocal best_count, best_mask
         if alive < best_count:
             return
-        if idx == m:
-            if done > best_count or (done == best_count and chosen < best_mask):
-                best_count, best_mask = done, chosen
+        if alive == best_count:
+            tie = chosen
+            for cm in open_from[idx]:
+                if not cm & excluded:
+                    tie |= cm
+            if tie >= best_mask:
+                return
+        if idx == m:  # passed the cut: every alive copy is done
+            best_count, best_mask = done, chosen
             return
         bit = 1 << idx
         cand = chosen | bit

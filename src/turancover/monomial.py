@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import minimal_supports
+from .hypergraph import PEEL_BITS, _bits, minimal_supports
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +56,9 @@ def _index_sets(masks: list[int], nvars: int) -> list[int]:
     """For each variable, the indices of the masks containing it, as a bitmask."""
     out = [0] * nvars
     for i, m in enumerate(masks):
-        while m:
-            low = m & -m
-            out[low.bit_length() - 1] |= 1 << i
-            m ^= low
+        bit = 1 << i
+        for v in _bits(m):
+            out[v] |= bit
     return out
 
 
@@ -149,6 +148,19 @@ def min_targets_met(
                 pivot, size = j, k
         avail = forb[pivot] & allowed
         local_ban, local_copies = banned, banned_copies
+        if size > PEEL_BITS:
+            # peeling copies avail once per variable, quadratic in a long
+            # pivot, so its variables are listed in one pass (`_bits`) and
+            # each branch bans the ones before its own
+            for v in _bits(avail):
+                hit = targets_at[v] & alive
+                total = killed + hit.bit_count()
+                if total < best:
+                    bit = 1 << v
+                    rest = uncovered & ~copies_at[v]
+                    dfs(chosen | bit, banned | avail & (bit - 1), local_copies, rest, alive ^ hit, total)
+                local_copies |= copies_at[v]
+            return
         while avail:
             bit = avail & -avail
             avail ^= bit

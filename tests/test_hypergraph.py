@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb, factorial, prod
 
 import pytest
@@ -428,6 +429,127 @@ def test_brute_force_witness_deterministic():
     assert a == b
 
 
+# the oracles' contract, with no search: every edge mask of K_n^(r) with
+# C(n, r) <= 15 is tried, and the value is the best over free masks, the
+# witness the smallest mask reaching it
+EXHAUSTIVE_EX = ["K3", "K4", "C4", "P3", "K_ell_r(3,2)", "K_ell_r(4,3)", "K_ell_r(3,3)"]
+EXHAUSTIVE_GEN_EX = [("K3", "K4"), ("P3", "K3"), ("C4", "K3"), ("K3", "C4"), ("K3", "K_ell_r(3,2)")]
+
+
+def _exhaustive_grid():
+    for r in (2, 3):
+        for n in range(1, 7):
+            if comb(n, r) <= 15:
+                yield n, r
+
+
+@pytest.mark.parametrize("n,r", list(_exhaustive_grid()))
+def test_oracles_return_the_smallest_optimal_mask(n, r):
+    specs = {name: builtin_spec(name) for name in EXHAUSTIVE_EX + [x for p in EXHAUSTIVE_GEN_EX for x in p]}
+    specs = {name: spec for name, spec in specs.items() if spec.r == r}
+    fams = {
+        name: enumerate_forbidden_copies(spec, n)
+        for name, spec in specs.items()
+        if isinstance(spec, RGraph)
+    }
+    points = [(None, f) for f in EXHAUSTIVE_EX if f in specs]
+    points += [(t, f) for t, f in EXHAUSTIVE_GEN_EX if f in specs]
+    best = dict.fromkeys(points, (-1, None))
+    ranker = EdgeRanker(n, r)
+    for g in range(1 << ranker.count):  # increasing, so the first optimum is the smallest
+        G = RGraph(n, r, ranker.unmask(g))
+        counts = {name: count_copies(G, fam) for name, fam in fams.items()}
+        for t, f in points:
+            spec = specs[f]
+            free = core_family_free(G, spec.ell) if isinstance(spec, CoreFamily) else not counts[f]
+            value = len(G) if t is None else counts[t]
+            if free and value > best[t, f][0]:
+                best[t, f] = value, G
+    for (t, f), expected in best.items():
+        if t is None:
+            assert brute_force_ex(n, specs[f]) == expected, f
+        else:
+            assert brute_force_gen_ex(n, specs[t], specs[f]) == expected, (t, f)
+
+
+def reference_ex(n, spec):
+    """`brute_force_ex` without the tie cut: a node is cut only when even
+    every remaining edge cannot reach the incumbent's size."""
+    m = comb(n, spec.r)
+    ranker = EdgeRanker(n, spec.r)
+    by_last, add, remove = hypergraph._freeness_test(spec, n, ranker)
+    best_size, best_mask = -1, 0
+
+    def dfs(idx, chosen, size):
+        nonlocal best_size, best_mask
+        if size + (m - idx) < best_size:
+            return
+        if idx == m:
+            if size > best_size or (size == best_size and chosen < best_mask):
+                best_size, best_mask = size, chosen
+            return
+        cand = chosen | (1 << idx)
+        if add(idx) if add else all((cm & cand) != cm for cm in by_last[idx]):
+            dfs(idx + 1, cand, size + 1)
+        if remove:
+            remove(idx)
+        dfs(idx + 1, chosen, size)
+
+    dfs(0, 0, 0)
+    return best_size, RGraph(n, spec.r, ranker.unmask(best_mask))
+
+
+def _uncut_grid():
+    for name, top in [("K3", 8), ("K4", 8), ("K5", 8), ("P3", 8), ("C4", 7)]:
+        for n in range(1, top + 1):
+            yield n, name
+
+
+@pytest.mark.parametrize("n,name", list(_uncut_grid()))
+def test_ex_oracle_matches_the_uncut_search(n, name):
+    assert brute_force_ex(n, builtin_spec(name)) == reference_ex(n, builtin_spec(name))
+
+
+def _count_shadow_adds(monkeypatch):
+    """Wrap the `add` step of every `_shadow_step` with a call counter."""
+    calls = []
+    real = hypergraph._shadow_step
+
+    def counted(ranker, ell):
+        add, remove = real(ranker, ell)
+
+        def add_counted(idx):
+            calls.append(idx)
+            return add(idx)
+
+        return add_counted, remove
+
+    monkeypatch.setattr(hypergraph, "_shadow_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,ell", [(7, 4), (8, 6)])
+def test_tie_cut_skips_edges_the_uncut_search_adds(monkeypatch, n, ell):
+    calls = _count_shadow_adds(monkeypatch)
+    spec = CoreFamily(ell, 2)
+    answer = brute_force_ex(n, spec)
+    cut_adds = len(calls)
+    calls.clear()
+    assert reference_ex(n, spec) == answer
+    assert 0 < cut_adds < len(calls)
+
+
+def test_gen_ex_tie_cut_skips_edges_the_uncut_search_tries(monkeypatch):
+    # the oracle's shadow step runs once per edge it tries to include; the
+    # reference lists its own copies, so its tries are counted directly
+    calls = _count_shadow_adds(monkeypatch)
+    args = 6, K(3), CoreFamily(4, 2)
+    answer = brute_force_gen_ex(*args)
+    tried = []
+    assert reference_gen_ex(*args, tried=tried) == answer
+    assert 0 < len(calls) < len(tried)
+
+
 def reference_core_family_ex(n, ell, r):
     """The codegree-dict oracle: at every node, rescan each ell-set through a
     newly covered pair for one with all pairs in positive codegree."""
@@ -484,12 +606,18 @@ def test_core_family_oracle_matches_codegree_scan(n, ell, r):
     assert brute_force_ex(n, CoreFamily(ell, r)) == reference_core_family_ex(n, ell, r)
 
 
-def reference_gen_ex(n, target_spec, forbid_spec):
-    """`brute_force_gen_ex` with the loss of an excluded edge found by
-    scanning every target mask."""
-    forb = enumerate_forbidden_copies(forbid_spec, n)
+def reference_gen_ex(n, target_spec, forbid_spec, tried=None):
+    """`brute_force_gen_ex` without the tie cut, with freeness tested on its
+    own list of forbidden copies (for the core-pair family its minimal
+    copies, `reference_core_copies`), and with the loss of an excluded edge
+    found by scanning every target mask.  Each edge index whose inclusion is
+    tested is appended to `tried` when given."""
+    if isinstance(forbid_spec, CoreFamily):
+        forb = reference_core_copies(forbid_spec.ell, forbid_spec.r, n)
+    else:
+        forb = enumerate_forbidden_copies(forbid_spec, n)
     targ = enumerate_forbidden_copies(target_spec, n)
-    ranker = EdgeRanker(n, forb.r)
+    ranker = EdgeRanker(n, forbid_spec.r)
     m = ranker.count
     targ_masks = targ.copies
     forb_by_last = [[] for _ in range(m)]
@@ -510,6 +638,8 @@ def reference_gen_ex(n, target_spec, forbid_spec):
             return
         bit = 1 << idx
         cand = chosen | bit
+        if tried is not None:
+            tried.append(idx)
         if all((cm & cand) != cm for cm in forb_by_last[idx]):
             gained = sum(1 for cm in targ_by_last[idx] if (cm & cand) == cm)
             dfs(idx + 1, cand, excluded, done + gained, alive)
@@ -517,10 +647,18 @@ def reference_gen_ex(n, target_spec, forbid_spec):
         dfs(idx + 1, chosen, excluded | bit, done, alive - lost)
 
     dfs(0, 0, 0, 0, len(targ_masks))
-    return best_count, RGraph(n, forb.r, ranker.unmask(best_mask))
+    return best_count, RGraph(n, forbid_spec.r, ranker.unmask(best_mask))
 
 
-@pytest.mark.parametrize("n,t,f", [(4, "K3", "K4"), (5, "K3", "K3"), (6, "K3", "K4")])
+# the six gen-ex pairs of the benchmark menu and a core-pair forbidden family
+GEN_EX_PAIRS = [
+    ("K3", "K4"), ("K3", "K5"), ("K4", "K5"), ("P3", "K3"), ("C4", "K3"), ("K3", "C4"),
+    ("K3", "K_ell_r(3,2)"),
+]
+GEN_EX_GRID = sorted({(n, t, f) for t, f in GEN_EX_PAIRS for n in range(1, 7)} | {(5, "K3", "K3")})
+
+
+@pytest.mark.parametrize("n,t,f", GEN_EX_GRID)
 def test_gen_ex_oracle_matches_target_scan(n, t, f):
     args = n, builtin_spec(t), builtin_spec(f)
     assert brute_force_gen_ex(*args) == reference_gen_ex(*args)
@@ -549,6 +687,17 @@ def test_oracles_refuse_before_listing_copies(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # ranker, specs, parsing
+
+
+@pytest.mark.parametrize("length,count", [(0, 0), (10, 3), (64, 32), (64, 33), (500, 40), (5000, 4000)])
+def test_bit_positions_and_masks_round_trip(length, count):
+    # both sides of PEEL_BITS for `_bits` and `_mask_of`
+    rng = random.Random(length)
+    positions = sorted(rng.sample(range(length), count))
+    mask = sum(1 << p for p in positions)
+    assert hypergraph._bits(mask) == positions
+    rng.shuffle(positions)
+    assert hypergraph._mask_of(positions) == mask
 
 
 def test_edge_ranker_roundtrip():

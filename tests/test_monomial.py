@@ -1,4 +1,5 @@
 import random
+import sys
 from math import comb
 
 import pytest
@@ -135,6 +136,53 @@ def test_floor_at_or_below_the_minimum_keeps_value_and_witness():
     assert reference[0] == 9
     for floor in range(10):
         assert min_hitting_set(fam.copies, 21, floor) == reference
+
+
+def _with_search_nodes(copies, targets, nvars):
+    """min_targets_met's answer and the number of search nodes it expands."""
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "dfs":
+            nodes += 1
+
+    sys.setprofile(count)
+    try:
+        answer = min_targets_met(copies, targets, nvars)
+    finally:
+        sys.setprofile(None)
+    return answer, nodes
+
+
+def test_long_pivot_is_walked_in_the_peel_order(monkeypatch):
+    # six copies of 33 to 40 variables in overlapping windows, every
+    # variable a target: the pivots past PEEL_BITS are listed by `_bits`;
+    # peeling every pivot instead must expand the same nodes and give the
+    # same answers
+    rng = random.Random(11)
+    nvars = 160
+    cases = []
+    for _ in range(8):
+        copies = [
+            sum(1 << v for v in rng.sample(range(20 * i, 20 * i + 45), rng.randint(33, 40)))
+            for i in range(6)
+        ]
+        targets = [1 << v for v in range(nvars)]
+        targets += [sum(1 << v for v in rng.sample(range(nvars), 2)) for _ in range(40)]
+        cases.append((copies, targets))
+    listed = [_with_search_nodes(c, t, nvars) for c, t in cases]
+    monkeypatch.setattr(monomial, "PEEL_BITS", nvars)
+    assert [_with_search_nodes(c, t, nvars) for c, t in cases] == listed
+
+
+def test_long_pivot_bans_the_variables_before_each_branch():
+    # A = vars 0..39, B = vars 20..59: the first single hitting variable in
+    # branching order is 20, after two-variable sets through 0..19
+    assert min_hitting_set(masks(range(40), range(20, 60)), 60) == (1, 1 << 20)
+    # three disjoint blocks of 40: the lowest variable of each
+    blocks = masks(range(0, 40), range(40, 80), range(80, 120))
+    assert min_hitting_set(blocks, 120) == (3, 1 | 1 << 40 | 1 << 80)
 
 
 def test_floor_at_the_minimum_stops_the_search(monkeypatch):
