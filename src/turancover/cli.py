@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -399,7 +400,14 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "claim check failed", "message": str(exc)}), file=sys.stderr)
         return EXIT_CLAIM_FAILED
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
-    print(report.to_json())
+    try:
+        print(report.to_json(), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): keep the verdict, and send
+        # the rest to devnull so that the exit-time flush does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

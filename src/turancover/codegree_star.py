@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 from math import comb
 from operator import and_, or_
 
-from .dictionary import core_pair_alpha
+from .dictionary import core_pair_alpha, vertex_quotient
 from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import (
     CoreFamily,
@@ -31,7 +31,6 @@ from .hypergraph import (
     turan_construct,
     turan_count,
 )
-from .squarezero import SquareZeroQuotient
 
 
 @dataclass(frozen=True)
@@ -52,16 +51,12 @@ class StarParams:
         return EdgeRanker(self.n, self.r)
 
 
-def _star_masks(params: StarParams) -> dict[tuple[int, int], int]:
-    return pair_stars(params.ranker)
-
-
 def codegree_star_monomial(params: StarParams, a: int, b: int) -> int:
     """Support of the product of all edge variables whose edge contains
     {a, b}; its size is C(n-2, r-2)."""
     if a == b or not (1 <= a <= params.n and 1 <= b <= params.n):
         raise InputError(f"bad pair ({a}, {b})")
-    return _star_masks(params)[(min(a, b), max(a, b))]
+    return pair_stars(params.ranker)[(min(a, b), max(a, b))]
 
 
 def missing_edge_monomial(params: StarParams, G: RGraph) -> int:
@@ -74,23 +69,13 @@ def missing_edge_monomial(params: StarParams, G: RGraph) -> int:
     return ((1 << ranker.count) - 1) ^ ranker.mask(G.edges)
 
 
-def vertex_quotient(m: int, params: StarParams) -> SquareZeroQuotient:
-    """Kill x_a x_b exactly when the pair's star monomial divides the
-    monomial of support m.
-
-    Every r-set E with y_E outside m is standard here, and m is in the star
-    ideal exactly when the degree-ell piece vanishes (`in_star_ideal`)."""
-    kill = [p for p, s in _star_masks(params).items() if s & m == s]
-    return SquareZeroQuotient(params.n, kill)
-
-
 def in_star_ideal(m: int, params: StarParams) -> bool:
     """Membership: for every ell-subset L of [n] some pair inside L has its
     whole star in the support.  Trivially true when n < ell.  Those pairs
-    are the kill graph of `vertex_quotient`, so the bridge to square-zero
-    quotients: the support m is a member iff its degree-ell Hilbert value
+    are the kill graph of `dictionary.vertex_quotient`, so the bridge to
+    square-zero quotients: m is a member iff its degree-ell Hilbert value
     there is 0."""
-    return vertex_quotient(m, params).hilbert(params.ell) == 0
+    return vertex_quotient(m, params.ranker).hilbert(params.ell) == 0
 
 
 def balanced_partition_monomial(params: StarParams) -> int:
@@ -130,7 +115,7 @@ def _collapse_tables(params: StarParams) -> tuple[int, int]:
 
     killed = {
         p: reduce(and_, (t for i, t in enumerate(T) if s >> i & 1), full)
-        for p, s in _star_masks(params).items()
+        for p, s in pair_stars(ranker).items()
     }
     in_j = reduce(and_, (reduce(or_, (killed[p] for p in L), 0) for L in ell_sets), full)
 
@@ -158,7 +143,7 @@ def verify_collapse(params: StarParams) -> bool:
     at S.  The table of variable i has bit S equal to bit i of S.  Two
     tables are built, each from its own source:
 
-    * star, from `_star_masks`: a pair is killed where its whole star lies
+    * star, from `pair_stars`: a pair is killed where its whole star lies
       in S (AND of its variables); S is a member where every ell-set holds a
       killed pair.
     * missing-edge, from the edges of G = complement of S only: a pair is
@@ -219,7 +204,6 @@ __all__ = [
     "codegree_star_monomial",
     "missing_edge_monomial",
     "in_star_ideal",
-    "vertex_quotient",
     "balanced_partition_monomial",
     "verify_collapse",
     "star_initial_degree",

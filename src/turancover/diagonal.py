@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import RGraph, turan_count
+from .hypergraph import RGraph, partition_pairs, turan_count
 from .polycore import Polynomial, product
 
 DEFAULT_POLY_CAP = 7
@@ -240,7 +240,7 @@ def counterexample_differences(params: DiagonalParams) -> DifferenceProduct:
     """The low-degree witness as a product of differences.
 
     ell >= 4: all within-part pairs of the balanced (ell-2)-partition of [n]
-    (`hypergraph.balanced_partition`); ell = 3, n >= 4: all pairs of [n];
+    (`hypergraph.partition_pairs`); ell = 3, n >= 4: all pairs of [n];
     (ell, n) = (3, 3): the single pair (1, 2).
     """
     n, ell = params.n, params.ell
@@ -248,15 +248,7 @@ def counterexample_differences(params: DiagonalParams) -> DifferenceProduct:
         raise InputError(f"witness defined only for n >= ell, got {params}")
     if ell == 3:
         return DifferenceProduct(n, [(1, 2)] if n == 3 else itertools.combinations(range(1, n + 1), 2))
-    # the parts of balanced_partition(n, ell - 2) with two or more vertices,
-    # larger parts first; singleton parts are skipped without being built
-    base, extra = divmod(n, ell - 2)
-    sizes = [base + 1] * extra + ([base] * (ell - 2 - extra) if base > 1 else [])
-    pairs, start = [], 1
-    for size in sizes:
-        pairs += itertools.combinations(range(start, start + size), 2)
-        start += size
-    return DifferenceProduct(n, pairs)
+    return DifferenceProduct(n, partition_pairs(n, ell - 2))
 
 
 def counterexample_polynomial(params: DiagonalParams) -> Polynomial:

@@ -17,6 +17,7 @@ extremal witnesses.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
@@ -28,6 +29,7 @@ from .hypergraph import (
     FamilySpec,
     RGraph,
     check_target_spec,
+    complete_shape,
     core_family_free,
     count_copies,
     enumerate_forbidden_copies,
@@ -35,9 +37,10 @@ from .hypergraph import (
     explicit_shapes,
     guard_copy_listing,
     pair_shadows,
+    pair_stars,
     place_copies,
 )
-from .monomial import guard_search_setup, min_targets_met
+from .monomial import guard_search_setup, setup_search
 from .squarezero import SquareZeroQuotient
 
 
@@ -60,11 +63,6 @@ class CoverInstance:
 
     def ranker(self) -> EdgeRanker:
         return EdgeRanker(self.n, self.r)
-
-    def restrict(self, m: int) -> "CoverInstance":
-        """The instance on [m], m <= n: both families cut to their copies
-        inside [m] (`CopyFamily.restrict`)."""
-        return CoverInstance(m, self.r, self.forbidden.restrict(m), self.target.restrict(m))
 
 
 def one_edge(r: int) -> RGraph:
@@ -108,18 +106,13 @@ def make_instance(
         guard_copy_listing(comb(n, ell), comb(ell, 2))
         guard_search_setup(ntargets, comb(n, ell), comb(n, 2))
         targets = place_copies(pair_shadows(target_shapes), n, 2)
-        return CoverInstance(n, 2, place_copies(_clique_shapes(ell, n), n, 2), targets)
+        cliques = complete_shape(ell, 2) if ell <= n else (0, set())
+        return CoverInstance(n, 2, place_copies(cliques, n, 2), targets)
     r = forbid_spec.r
     forbid_shapes = explicit_shapes(forbid_spec, n)
     guard_search_setup(ntargets, explicit_copy_count(forbid_shapes, n), comb(n, r))
     forbidden = enumerate_forbidden_copies(forbid_spec, n, forbid_shapes)
     return CoverInstance(n, r, forbidden, place_copies(target_shapes, n, r))
-
-
-def _clique_shapes(s: int, n: int) -> tuple[int, set]:
-    """The shape of K_s on the pairs, placed in [n]: none when s > n, where
-    no K_s is built."""
-    return explicit_shapes(RGraph.complete(s, 2), n) if s <= n else (0, set())
 
 
 def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
@@ -145,11 +138,9 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     """Minimum number of target copies meeting M, over supports M hitting
     every forbidden copy.  Returns (minimum, witness support mask).
 
-    The search is `min_targets_met` on the instance's copies and targets;
-    with the single edges as targets (`one_edge`) the minimum is |M|, the
-    cover ideal's initial degree.  Forced targets (those containing a
-    forbidden copy) are counted up front, and the witness is the first
-    optimum in the search's fixed branching order.
+    The search is `monomial.setup_search`'s, set up once per call on the
+    copy lists enumerated at n; with the single edges as targets
+    (`one_edge`) the minimum is |M|, the cover ideal's initial degree.
 
     When every target spans k vertices (the target family's `span`; k = r
     for single edges), the search is certified link by link.  The
@@ -162,27 +153,30 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     |targets on [m]| - floor(ex(m-1) * m / (m - k)) is a proven lower bound
     on the minimum at m, and the search stops once it reaches it.
 
-    Links run for m = k..n on `CoverInstance.restrict(m)`, prefixes of the
-    copy lists enumerated once at n; each floor comes from the previous
-    link's value only, never from a theorem a caller checks.  The first link
-    gets floor 0, and a target family without a span (a family built by
-    hand, or none placed at all) runs the single search on [n].  The bound
-    holds for repeated targets too, counted with multiplicity.  The final
-    link expands a prefix of the nodes the floor-free search on [n] expands,
-    so the minimum and witness are that search's, reached sooner.
+    Link m searches the masks below the cut `1 << C(m, r)`: colex ranks
+    put the r-sets of [m] first, so these are the families on [m].  Each
+    floor comes from the previous link's value only, never from a theorem a
+    caller checks.  The first link gets floor 0, and a target family
+    without a span (built by hand, or none placed) runs one search on [n].
+    The bound holds for repeated targets too, counted with multiplicity.
+    The final link expands a prefix of the floor-free search's nodes, so
+    the minimum and witness are that search's, reached sooner.
 
     A setup on [n] past `monomial.guard_search_setup`'s budget raises
     ScaleGuardError before the first link; each link's search raises it past
     its own ALPHA_CAP_NODES nodes.
     """
     n, r, k = inst.n, inst.r, inst.target.span
-    guard_search_setup(len(inst.target), len(inst.forbidden), comb(n, r))
+    targets = inst.target.copies
+    guard_search_setup(len(targets), len(inst.forbidden), comb(n, r))
+    search = setup_search(inst.forbidden.copies, targets, comb(n, r))
     previous = None
     for m in range(min(k, n), n + 1) if k is not None else (n,):
-        link = inst.restrict(m)
-        floor = 0 if previous is None else len(link.target) - previous * m // (m - k)
-        alpha, witness = min_targets_met(link.forbidden.copies, link.target.copies, comb(m, r), floor)
-        previous = len(link.target) - alpha
+        cut = comb(m, r)
+        ntargets = bisect_left(targets, 1 << cut)
+        floor = 0 if previous is None else ntargets - previous * m // (m - k)
+        alpha, witness = search(cut, floor)
+        previous = ntargets - alpha
     return alpha, witness
 
 
@@ -241,11 +235,13 @@ def gen_ex_via_cover(
     return value, witness
 
 
-def vertex_quotient_of_cover(M: int, n: int) -> SquareZeroQuotient:
-    """Read a support over the edge variables of K_n as a kill graph on [n]:
-    a target clique survives M iff its vertex set is standard here."""
-    kill = [tuple(sorted(e)) for e in EdgeRanker(n, 2).unmask(M)]
-    return SquareZeroQuotient(n, kill)
+def vertex_quotient(support: int, ranker: EdgeRanker) -> SquareZeroQuotient:
+    """The square-zero quotient on [n] killing x_a x_b iff the support, a
+    mask over `ranker`, holds the star of {a, b} (`pair_stars`).  Every
+    r-set outside the support is standard.  For r = 2 the kill graph is the
+    support, so an s-clique survives it iff its vertex set is standard."""
+    kill = [p for p, star in pair_stars(ranker).items() if star & support == star]
+    return SquareZeroQuotient(ranker.n, kill)
 
 
 __all__ = [
@@ -257,5 +253,5 @@ __all__ = [
     "alpha_target",
     "core_pair_alpha",
     "gen_ex_via_cover",
-    "vertex_quotient_of_cover",
+    "vertex_quotient",
 ]

@@ -7,9 +7,10 @@ copy is such a mask from the moment it is listed: the squarefree monomial
 of its edges in the edge-variable ring.
 
 Copies of an explicit pattern F on k vertices are vertex sets times
-labellings: the k!/|Aut(F)| distinct relabellings of F's edges (one for a
-complete pattern, which is not relabelled) are computed once and placed on
-each k-subset of [n] (`place_copies`), as are their pair shadows
+labellings: the k!/|Aut(F)| distinct relabellings of F's edges (for a
+complete pattern the one `complete_shape`, built without relabelling) are
+computed once and placed on each k-subset of [n] (`place_copies`), as are
+their pair shadows
 (`pair_shadows`).  The core-pair family is never listed: an r-graph holds
 a member iff its shadow graph (the pairs of positive codegree) has an
 ell-clique.  Its oracles keep that shadow graph as one adjacency bitmask
@@ -185,20 +186,6 @@ class CopyFamily:
     def __len__(self) -> int:
         return len(self.copies)
 
-    def restrict(self, m: int) -> "CopyFamily":
-        """The copies inside [m], m <= n: colex ranks put the r-sets of [m]
-        first, so these are the masks below 1 << C(m, r), a prefix of the
-        sorted list, repeats included.  For placed copies this is the family
-        placed on [m] (a copy, or a shadow, lies inside [m] iff its k-set
-        does), except for an explicit pattern declared on more than m
-        vertices, which `explicit_shapes` does not place there."""
-        end = bisect_left(self.copies, 1 << comb(m, self.r))
-        # a prefix of checked copies is still nonzero and in order, so the
-        # family is built without running __post_init__ again
-        fam = object.__new__(CopyFamily)
-        fam.__dict__.update(n=m, r=self.r, copies=self.copies[:end], span=self.span)
-        return fam
-
 
 @dataclass(frozen=True)
 class CoreFamily:
@@ -234,13 +221,23 @@ def balanced_partition(n: int, q: int) -> list[list[int]]:
     return parts
 
 
+def partition_pairs(n: int, q: int) -> list[tuple[int, int]]:
+    """The pairs inside the parts of `balanced_partition(n, q)`, part by
+    part; one-vertex parts are skipped unbuilt, so the cost is the pairs'."""
+    if n < 0 or q < 1:
+        raise InputError(f"bad partition parameters n={n}, q={q}")
+    base, extra = divmod(n, q)
+    sizes = [base + 1] * (extra if base else 0) + [base] * (q - extra if base > 1 else 0)
+    pairs, start = [], 1
+    for size in sizes:
+        pairs += itertools.combinations(range(start, start + size), 2)
+        start += size
+    return pairs
+
+
 def turan_construct(n: int, q: int, r: int) -> RGraph:
     """The complete balanced q-partite r-graph T_r(n, q)."""
-    parts = balanced_partition(n, q)
-    part_of = {}
-    for i, P in enumerate(parts):
-        for v in P:
-            part_of[v] = i
+    part_of = {v: i for i, P in enumerate(balanced_partition(n, q)) for v in P}
     edges = [
         e
         for e in itertools.combinations(range(1, n + 1), r)
@@ -296,21 +293,27 @@ COPY_CAP = 2_000_000
 ORACLE_CAP_EDGES = 30
 
 
+def complete_shape(k: int, r: int) -> tuple[int, set]:
+    """(k, shapes) of the complete r-graph on k vertices: its one shape, all
+    r-sets of the positions 0..k-1."""
+    return k, {frozenset(map(frozenset, itertools.combinations(range(k), r)))}
+
+
 def _shapes(F: RGraph) -> tuple[int, set]:
     """(k, shapes) of an explicit pattern: its k edge-covered vertices and
     the distinct images of its edges under the k! relabellings of those
     vertices by positions 0..k-1, which are k!/|Aut(F)| shapes.  A complete
-    pattern (all C(k, r) edges) is its only shape and is not relabelled;
-    for any other, ScaleGuardError refuses k! * |E(F)| labelling steps above
-    COPY_CAP."""
+    pattern (all C(k, r) edges) has the one shape of `complete_shape`, found
+    before any edge is relabelled; for any other, ScaleGuardError refuses
+    k! * |E(F)| labelling steps above COPY_CAP."""
     verts = sorted(set().union(*F.edges)) if F.edges else []
     if not verts:
         raise InputError("forbidden graph has no edges")
     k = len(verts)
+    if len(F.edges) == comb(k, F.r):
+        return complete_shape(k, F.r)
     index = {v: i for i, v in enumerate(verts)}
     edges = [[index[v] for v in e] for e in F.edges]
-    if len(edges) == comb(k, F.r):
-        return k, {frozenset(map(frozenset, edges))}
     labelling_work = factorial(k) * len(F.edges)
     if labelling_work > COPY_CAP:
         raise ScaleGuardError(f"labelling work {labelling_work} exceeds cap {COPY_CAP}")
@@ -671,10 +674,12 @@ __all__ = [
     "EdgeRanker",
     "rsets_colex",
     "balanced_partition",
+    "partition_pairs",
     "turan_construct",
     "turan_count",
     "core_family_free",
     "COPY_CAP",
+    "complete_shape",
     "explicit_copy_count",
     "explicit_shapes",
     "guard_copy_listing",

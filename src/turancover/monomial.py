@@ -9,18 +9,20 @@ ring; an empty copy gives the zero ideal.  `minimal_supports`, the
 inclusion-minimal masks of a list, lives in `hypergraph` and is re-exported
 here.
 
-`min_targets_met` is the one hitting-set search.  The minimum hitting set
-(the initial degree of a cover ideal) is its instance with one singleton
+`setup_search` sets the one hitting-set search up and returns it as a
+function of a cut and a floor; `min_targets_met` is its search over every
+variable.  The minimum hitting set is its instance with one singleton
 target per variable, `min_hitting_set`; the library's one entry is
 `dictionary.alpha_target`, whose `ex` targets are those singletons.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from bisect import bisect_left
+from typing import Callable, Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import PEEL_BITS, _bits, minimal_supports
+from .hypergraph import PEEL_BITS, _bits, _mask_of, minimal_supports
 
 
 # ---------------------------------------------------------------------------
@@ -66,122 +68,137 @@ class _FloorReached(Exception):
     """The incumbent has reached the floor: no better set exists."""
 
 
-def min_targets_met(
-    copies: Iterable[int], targets: Sequence[int], nvars: int, floor: int = 0
-) -> tuple[int, int]:
-    """Minimum number of target masks meeting M, over supports M that meet
-    every copy mask.  Returns (minimum, witness support mask); an empty copy
-    family gives (0, 0) and an empty copy mask raises InputError.
+def setup_search(copies: Iterable[int], targets: Sequence[int], nvars: int) -> Callable:
+    """Set the hitting-set search up once for the copy and target masks over
+    nvars variables, and return `search(cut, floor)`: the minimum number of
+    targets below `1 << cut` meeting M, over supports M meeting every copy
+    below it, with a witness M.  Under colex ranks those are the families
+    on [m] for cut = C(m, r), so one setup at n serves every m <= n.
 
-    A target that contains a copy meets every hitting set.  These forced
-    targets are counted up front and the search runs over the others only;
-    when every target is forced, the search just finds one hitting set.
+    A target containing a copy meets every hitting set: these forced
+    targets are counted up front and not searched.  Its copy has a smaller
+    mask, so it lies below the same cut, and the copies below a cut keep
+    their sorted order: the sort, the filter and both `_index_sets` tables
+    are built once, and each search expands the nodes of one set up on the
+    masks below its cut alone.
 
     Branch-and-bound over minimal hitting sets: branch on the allowed
     variables of an uncovered copy with the fewest of them, banning each
     variable in the branches after its own.  The count of targets met is
     monotone in M, so a branch is cut as soon as it meets as many targets
-    as the incumbent.  The witness is therefore the first optimum the search
-    reaches in its fixed branching order, not a canonical one.  Uncovered
-    copies and unmet targets are kept as bitsets over their indices.
+    as the incumbent.  The witness is therefore the first optimum in this
+    fixed branching order.  Uncovered copies and unmet targets are bitsets
+    over their indices.
 
-    `floor` is a proven lower bound on the minimum.  The search stops as
-    soon as the incumbent reaches it (forced + best <= floor), since no later
-    set can be strictly better.  The incumbent is only ever replaced by a
-    strictly better set, so the (minimum, witness) at the stop are the ones
-    the floor-free search returns, after a prefix of its nodes.  A floor at
-    or below the minimum therefore never changes the answer; a floor above
-    it may stop the search on a set that is not optimal.  The dictionary
-    takes its floors from the averaging bound (`dictionary.alpha_target`).
+    `floor` is a proven lower bound on the minimum: the search stops once
+    the incumbent reaches it (forced + best <= floor).  Only a strictly
+    better set replaces the incumbent, so a floor at or below the minimum
+    keeps the floor-free answer, reached after a prefix of its nodes; a
+    floor above it may stop on a set that is not optimal.
 
-    Every search node counts against ALPHA_CAP_NODES; past it the search
-    raises ScaleGuardError.  A setup past `guard_search_setup`'s budget raises
-    it before the filter runs.  So each call ends in bounded time.
-    Each recursion level adds one variable to M, so a witness deeper than
-    Python's recursion limit also raises ScaleGuardError.
+    ScaleGuardError refuses a setup past `guard_search_setup`'s budget
+    before the filter runs, a search past ALPHA_CAP_NODES nodes (a budget
+    per search), and a witness deeper than Python's recursion limit.
     """
     # smallest copies first, so the first copy avoiding every banned
     # variable is the smallest of those
     forb = sorted(copies, key=lambda c: (c.bit_count(), c))
     if not forb:
-        return 0, 0
+        return lambda cut, floor: (0, 0)
     guard_search_setup(len(targets), len(forb), nvars)
     if forb[0] == 0:
         raise InputError("empty copy cannot be hit")
-    free = [t for t in targets if not any(c & t == c for c in forb)]
-    forced = len(targets) - len(free)
+    # only counts of targets met matter, so sorted targets cut to a prefix
+    ordered = sorted(targets)
+    free = [t for t in ordered if not any(c & t == c for c in forb)]
     targets_at = _index_sets(free, nvars)
     copies_at = _index_sets(forb, nvars)
 
-    best = len(free) + 1
-    best_mask = 0
-    nodes = 0
-
-    def dfs(
-        chosen: int, banned: int, banned_copies: int, uncovered: int, alive: int, killed: int
-    ) -> None:
-        # uncovered: copies not hit yet; banned_copies: copies through a
-        # banned variable; alive: free targets not met yet
-        nonlocal best, best_mask, nodes
-        nodes += 1
-        if nodes > ALPHA_CAP_NODES:
-            raise ScaleGuardError(f"hitting-set search exceeds {ALPHA_CAP_NODES} nodes")
+    def search(cut: int, floor: int) -> tuple[int, int]:
+        below = 1 << cut
+        uncovered = _mask_of([i for i, c in enumerate(forb) if c < below])
         if not uncovered:
-            best, best_mask = killed, chosen
-            if forced + best <= floor:
-                raise _FloorReached
-            return
-        allowed = ~banned
-        whole = uncovered & ~banned_copies
-        if whole:
-            pivot = (whole & -whole).bit_length() - 1
-            size = forb[pivot].bit_count()
-        else:
-            pivot, size = -1, nvars + 1
-        touched = uncovered & banned_copies
-        while touched and size > 1:
-            low = touched & -touched
-            touched ^= low
-            j = low.bit_length() - 1
-            k = (forb[j] & allowed).bit_count()
-            if k < size or (k == size and j < pivot):
-                pivot, size = j, k
-        avail = forb[pivot] & allowed
-        local_ban, local_copies = banned, banned_copies
-        if size > PEEL_BITS:
-            # peeling copies avail once per variable, quadratic in a long
-            # pivot, so its variables are listed in one pass (`_bits`) and
-            # each branch bans the ones before its own
-            for v in _bits(avail):
+            return 0, 0
+        nfree = bisect_left(free, below)
+        forced = bisect_left(ordered, below) - nfree
+        best, best_mask, nodes = nfree + 1, 0, 0
+
+        def dfs(
+            chosen: int, banned: int, banned_copies: int, uncovered: int, alive: int, killed: int
+        ) -> None:
+            # uncovered: copies not hit yet; banned_copies: copies through a
+            # banned variable; alive: free targets not met yet
+            nonlocal best, best_mask, nodes
+            nodes += 1
+            if nodes > ALPHA_CAP_NODES:
+                raise ScaleGuardError(f"hitting-set search exceeds {ALPHA_CAP_NODES} nodes")
+            if not uncovered:
+                best, best_mask = killed, chosen
+                if forced + best <= floor:
+                    raise _FloorReached
+                return
+            allowed = ~banned
+            whole = uncovered & ~banned_copies
+            if whole:
+                pivot = (whole & -whole).bit_length() - 1
+                size = forb[pivot].bit_count()
+            else:
+                pivot, size = -1, nvars + 1
+            touched = uncovered & banned_copies
+            while touched and size > 1:
+                low = touched & -touched
+                touched ^= low
+                j = low.bit_length() - 1
+                k = (forb[j] & allowed).bit_count()
+                if k < size or (k == size and j < pivot):
+                    pivot, size = j, k
+            avail = forb[pivot] & allowed
+            local_ban, local_copies = banned, banned_copies
+            if size > PEEL_BITS:
+                # peeling copies avail once per variable, quadratic in a long
+                # pivot, so its variables are listed in one pass (`_bits`) and
+                # each branch bans the ones before its own
+                for v in _bits(avail):
+                    hit = targets_at[v] & alive
+                    total = killed + hit.bit_count()
+                    if total < best:
+                        bit = 1 << v
+                        rest = uncovered & ~copies_at[v]
+                        dfs(chosen | bit, banned | avail & (bit - 1), local_copies, rest, alive ^ hit, total)
+                    local_copies |= copies_at[v]
+                return
+            while avail:
+                bit = avail & -avail
+                avail ^= bit
+                v = bit.bit_length() - 1
                 hit = targets_at[v] & alive
                 total = killed + hit.bit_count()
                 if total < best:
-                    bit = 1 << v
                     rest = uncovered & ~copies_at[v]
-                    dfs(chosen | bit, banned | avail & (bit - 1), local_copies, rest, alive ^ hit, total)
+                    dfs(chosen | bit, local_ban, local_copies, rest, alive ^ hit, total)
+                local_ban |= bit
                 local_copies |= copies_at[v]
-            return
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            v = bit.bit_length() - 1
-            hit = targets_at[v] & alive
-            total = killed + hit.bit_count()
-            if total < best:
-                rest = uncovered & ~copies_at[v]
-                dfs(chosen | bit, local_ban, local_copies, rest, alive ^ hit, total)
-            local_ban |= bit
-            local_copies |= copies_at[v]
 
-    try:
-        dfs(0, 0, 0, (1 << len(forb)) - 1, (1 << len(free)) - 1, 0)
-    except _FloorReached:
-        pass
-    except RecursionError:
-        raise ScaleGuardError("hitting-set search exceeds the recursion limit") from None
-    if best > len(free):
-        raise ClaimCheckError("no hitting set found for a nonempty copy family")
-    return forced + best, best_mask
+        try:
+            dfs(0, 0, 0, uncovered, (1 << nfree) - 1, 0)
+        except _FloorReached:
+            pass
+        except RecursionError:
+            raise ScaleGuardError("hitting-set search exceeds the recursion limit") from None
+        if best > nfree:
+            raise ClaimCheckError("no hitting set found for a nonempty copy family")
+        return forced + best, best_mask
+
+    return search
+
+
+def min_targets_met(
+    copies: Iterable[int], targets: Sequence[int], nvars: int, floor: int = 0
+) -> tuple[int, int]:
+    """`setup_search`'s one search over all nvars variables: (minimum number
+    of target masks meeting M over supports M meeting every copy mask,
+    witness M).  No copies give (0, 0); an empty copy raises InputError."""
+    return setup_search(copies, targets, nvars)(nvars, floor)
 
 
 def min_hitting_set(copies: Sequence[int], nvars: int, floor: int = 0) -> tuple[int, int]:
@@ -205,6 +222,7 @@ __all__ = [
     "minimal_supports",
     "ALPHA_CAP_NODES",
     "guard_search_setup",
+    "setup_search",
     "min_targets_met",
     "min_hitting_set",
 ]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import _bits, balanced_partition, turan_count
+from .hypergraph import _bits, partition_pairs, turan_count
 
 # stack entries one Hilbert count may pop before it is refused
 HILBERT_CAP_STEPS = 5_000_000
@@ -161,13 +161,9 @@ class SquareZeroQuotient:
 
     @classmethod
     def from_partition(cls, n: int, q: int) -> "SquareZeroQuotient":
-        """The complete balanced q-partite quotient: kill within-part pairs."""
-        pairs = [
-            (a, b)
-            for part in balanced_partition(n, q)
-            for a, b in itertools.combinations(part, 2)
-        ]
-        return cls(n, pairs)
+        """The complete balanced q-partite quotient: kill within-part pairs
+        (`hypergraph.partition_pairs`)."""
+        return cls(n, partition_pairs(n, q))
 
     def killed(self, a: int, b: int) -> bool:
         return bool(self._adj[a] >> b & 1)

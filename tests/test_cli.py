@@ -3,8 +3,11 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from dataclasses import asdict
 from datetime import timedelta
@@ -629,3 +632,26 @@ def test_random_hilbert_and_symmetrize_calls_end_with_a_documented_code(data):
         pairs = [tok.replace("-", ",").split(",") for tok in kill]
         pairs = [(int(a), int(b)) for a, b in pairs]
         assert json.loads(out)["result"]["value"] == brute_force_hilbert(n, pairs, d)
+
+
+def _cli_env() -> dict:
+    """The environment of a `python -m turancover.cli` subprocess that
+    imports this checkout's package."""
+    root = str(Path(cli.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))}
+
+
+def test_closed_stdout_keeps_the_reports_exit_code():
+    # about 200 KB of report, past any pipe buffer, so the writer is still
+    # blocked when the reader takes one byte and closes the pipe
+    kill = [f"{a},{a + k}" for a in range(1, 2990) for k in (1, 2, 3, 4)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "turancover.cli", "hilbert", "--n", "3000", "--d", "2", "--kill", *kill],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == ""

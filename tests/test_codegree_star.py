@@ -18,7 +18,6 @@ from turancover.codegree_star import (
     missing_edge_monomial,
     star_initial_degree,
     verify_collapse,
-    vertex_quotient,
 )
 from turancover.dictionary import (
     CoverInstance,
@@ -26,6 +25,7 @@ from turancover.dictionary import (
     core_pair_alpha,
     ex_via_cover,
     make_instance,
+    vertex_quotient,
 )
 from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import (
@@ -151,7 +151,7 @@ def test_membership_via_missing_edge_law():
 def test_vertex_quotient_kill_pairs():
     p = StarParams(4, 3, 3)
     star12 = codegree_star_monomial(p, 1, 2)
-    A = vertex_quotient(star12, p)
+    A = vertex_quotient(star12, p.ranker)
     assert A.kill == frozenset({frozenset((1, 2))})
 
 
@@ -166,7 +166,7 @@ def test_vertex_quotient_member_forces_top_vanishing():
             support = rng.randrange(1 << nv) | rng.randrange(1 << nv)
             if not in_star_ideal(support, p):
                 continue
-            A = vertex_quotient(support, p)
+            A = vertex_quotient(support, p.ranker)
             assert A.top_vanishing(ell - 1)
             hits += 1
 
@@ -183,7 +183,7 @@ def test_vertex_quotient_standard_sets_bound_degree():
         support = rng.randrange(1 << nv) | rng.randrange(1 << nv)
         if not in_star_ideal(support, p):
             continue
-        A = vertex_quotient(support, p)
+        A = vertex_quotient(support, p.ranker)
         free = nv - support.bit_count()
         assert free <= A.hilbert(3) <= bound
         hits += 1
@@ -215,7 +215,7 @@ def scan_collapse(params: StarParams) -> bool:
     nvars = comb(params.n, params.r)
     ranker = params.ranker
     copy_masks = reference_core_copies(params.ell, params.r, params.n).copies
-    pair_list = list(codegree_star._star_masks(params).items())
+    pair_list = list(codegree_star.pair_stars(ranker).items())
     ell_sets = [
         list(itertools.combinations(L, 2))
         for L in itertools.combinations(range(1, params.n + 1), params.ell)
@@ -259,15 +259,15 @@ def test_collapse_tables_match_per_support_predicates(n, ell, r):
 
 
 def _drop_one_star_variable(monkeypatch):
-    original = codegree_star._star_masks
+    original = codegree_star.pair_stars
 
-    def broken(params):
-        stars = dict(original(params))
+    def broken(ranker):
+        stars = original(ranker)
         first = next(iter(stars))
         stars[first] &= stars[first] - 1  # drop the lowest variable
         return stars
 
-    monkeypatch.setattr(codegree_star, "_star_masks", broken)
+    monkeypatch.setattr(codegree_star, "pair_stars", broken)
 
 
 def test_collapse_detects_a_wrong_star_mask(monkeypatch):

@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from test_hypergraph import K4_MINUS_EDGE_3, reference_core_copies
+from test_hypergraph import K4_MINUS_EDGE_3, below_cut, reference_core_copies
+from test_monomial import _with_search_nodes
 from turancover import dictionary, hypergraph, monomial
 from turancover.dictionary import (
     CoverInstance,
@@ -13,11 +14,12 @@ from turancover.dictionary import (
     make_instance,
     one_edge,
     quotient_rank,
-    vertex_quotient_of_cover,
+    vertex_quotient,
 )
 from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import (
     COPY_CAP,
+    CopyFamily,
     CoreFamily,
     EdgeRanker,
     RGraph,
@@ -235,15 +237,15 @@ def test_chain_returns_the_single_search_witness():
         assert alpha_target(inst) == reference
 
 
-def _no_link(*args, **kwargs):
-    raise AssertionError("a link was searched")
+def _no_setup(*args, **kwargs):
+    raise AssertionError("the search was set up")
 
 
 def test_chain_guards_the_whole_instance_before_the_first_link(monkeypatch):
     inst = make_instance(7, builtin_spec("K4"), builtin_spec("K3"))
     # K_ell_r(3,2) at n = 7: 21 pair targets x 35 triangle copies = 735
     # setup steps, refused before the small links, which would pass
-    monkeypatch.setattr(dictionary, "min_targets_met", _no_link)
+    monkeypatch.setattr(dictionary, "setup_search", _no_setup)
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 734)
     with pytest.raises(ScaleGuardError, match="735 setup steps"):
         ex_via_cover(7, CoreFamily(3, 2))
@@ -251,6 +253,78 @@ def test_chain_guards_the_whole_instance_before_the_first_link(monkeypatch):
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1224)
     with pytest.raises(ScaleGuardError, match="1225 setup steps"):
         alpha_target(inst)
+
+
+# ex on four patterns, the six gen-ex menu pairs, two pairs whose every
+# target contains a forbidden copy (forced) and a core-pair family
+SHARED_SETUP_GRID = [
+    *((None, name, 8) for name in ("K3", "K4", "C4", "P3")),
+    *((target, forbid, 7) for target, forbid in [
+        ("K3", "K4"), ("K3", "K5"), ("K4", "K5"), ("P3", "K3"), ("C4", "K3"), ("K3", "C4"),
+        ("K4", "K3"), ("C4", "P3"),
+    ]),
+    (None, "K_ell_r(4,3)", 7),
+]
+
+
+def _record_links(monkeypatch) -> list:
+    """Wrap `dictionary.setup_search` so that each link's search appends
+    (cut, floor, answer, search nodes) to the returned list."""
+    links, setup = [], dictionary.setup_search
+
+    def recording(copies, targets, nvars):
+        search = setup(copies, targets, nvars)
+
+        def link(cut, floor):
+            answer, nodes = _with_search_nodes(search, cut, floor)
+            links.append((cut, floor, answer, nodes))
+            return answer
+
+        return link
+
+    monkeypatch.setattr(dictionary, "setup_search", recording)
+    return links
+
+
+@pytest.mark.parametrize(
+    "target,forbid,top", SHARED_SETUP_GRID,
+    ids=lambda x: x if isinstance(x, str) else None,
+)
+def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, target, forbid, top):
+    # one setup at n serves every link: each link picks the pivots, expands
+    # the nodes and returns the answer of a search set up on its own lists
+    links = _record_links(monkeypatch)
+    for n in range(1, top + 1):
+        inst = make_instance(n, builtin_spec(forbid), target and builtin_spec(target))
+        links.clear()
+        alpha_target(inst)
+        assert links, n
+        for cut, floor, answer, nodes in links:
+            below = 1 << cut
+            copies = [c for c in inst.forbidden.copies if c < below]
+            targets = [t for t in inst.target.copies if t < below]
+            fresh = _with_search_nodes(min_targets_met, copies, targets, cut, floor)
+            assert fresh == (answer, nodes), (n, cut)
+
+
+def test_one_alpha_target_call_builds_the_index_tables_once(monkeypatch):
+    built = []
+    index_sets = monomial._index_sets
+    monkeypatch.setattr(
+        monomial, "_index_sets", lambda masks, nvars: built.append(nvars) or index_sets(masks, nvars)
+    )
+    # links m = 2..n for ex, m = 3..n for triangle targets, one for a
+    # hand-built target family, which records no span
+    triangles = enumerate_forbidden_copies(builtin_spec("K3"), 6)
+    for inst in [
+        *(make_instance(n, builtin_spec("K3")) for n in (3, 5, 9)),
+        make_instance(7, builtin_spec("K4"), builtin_spec("K3")),
+        make_instance(7, CoreFamily(4, 3)),
+        CoverInstance(6, 2, triangles, CopyFamily(6, 2, triangles.copies)),
+    ]:
+        built.clear()
+        alpha_target(inst)
+        assert built == [comb(inst.n, inst.r)] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +363,7 @@ def test_quotient_rank_counts_surviving_cliques():
 def test_vertex_quotient_of_cover():
     rk = EdgeRanker(4, 2)
     M = rk.mask([frozenset((1, 2)), frozenset((3, 4))])
-    A = vertex_quotient_of_cover(M, 4)
+    A = vertex_quotient(M, rk)
     assert A == SquareZeroQuotient(4, [(1, 2), (3, 4)])
     # surviving triangles == standard 3-subsets
     inst = make_instance(4, builtin_spec("K4"), builtin_spec("K3"))
@@ -305,7 +379,7 @@ def test_quotient_rank_equals_hilbert_on_random_supports():
     targ = inst.target.copies
     for _ in range(25):
         M = rng.randrange(1 << rk.count)
-        A = vertex_quotient_of_cover(M, n)
+        A = vertex_quotient(M, rk)
         assert quotient_rank(M, targ) == A.hilbert(s)
 
 
@@ -324,7 +398,7 @@ def test_corollary_bound_over_cover_members():
         M = rng.randrange(1 << rk.count)
         if not all(M & c for c in forb):
             continue
-        A = vertex_quotient_of_cover(M, n)
+        A = vertex_quotient(M, rk)
         assert A.top_vanishing(3)
         r = quotient_rank(M, targ)
         assert r <= bound
@@ -411,7 +485,8 @@ def test_shadow_targets_repeat_and_restrict_by_prefix():
         k4 = enumerate_forbidden_copies(builtin_spec("K4"), n).copies
         assert inst.target.copies == tuple(c for c in k4 for _ in range(4))
         for m in range(4, n + 1):
-            assert inst.restrict(m) == insts[m]
+            assert below_cut(inst.forbidden, m) == insts[m].forbidden
+            assert below_cut(inst.target, m) == insts[m].target
 
 
 @pytest.mark.parametrize(

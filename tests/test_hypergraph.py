@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 import pytest
 
 from turancover import hypergraph
-from turancover.dictionary import make_instance
+from turancover.dictionary import alpha_target, make_instance
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
     COPY_CAP,
@@ -25,6 +25,7 @@ from turancover.hypergraph import (
     minimal_supports,
     pair_shadows,
     parse_hypergraph,
+    partition_pairs,
     place_copies,
     turan_construct,
     turan_count,
@@ -101,6 +102,19 @@ def test_turan_same_part_codegree_zero():
 def test_balanced_partition_larger_parts_first():
     assert balanced_partition(5, 2) == [[1, 2, 3], [4, 5]]
     assert balanced_partition(7, 3) == [[1, 2, 3], [4, 5], [6, 7]]
+
+
+def test_partition_pairs_are_the_within_part_pairs():
+    for n in range(0, 13):
+        for q in range(1, 16):
+            want = [p for part in balanced_partition(n, q) for p in itertools.combinations(part, 2)]
+            assert partition_pairs(n, q) == want, (n, q)
+    # one-vertex parts are never built, however many there are
+    assert partition_pairs(10**9, 10**9 - 2) == [(1, 2), (3, 4)]
+    assert partition_pairs(3, 10**12) == []
+    for n, q in [(5, 0), (5, -1), (-1, 2)]:
+        with pytest.raises(InputError, match="bad partition parameters"):
+            partition_pairs(n, q)
 
 
 # ---------------------------------------------------------------------------
@@ -186,19 +200,30 @@ def test_copy_family_validation():
         CopyFamily(3, 2, (0b1, 0))
     # a repeated copy (a shadow shared by two target copies) counts twice
     assert len(CopyFamily(3, 2, (0b1, 0b1, 0b10))) == 3
-    # `restrict` bisects the list, so it must be increasing
+    # the search cuts the list at a bisection, so it must be increasing
     with pytest.raises(InputError, match="copies out of order"):
         CopyFamily(3, 2, (0b11, 0b1))
 
 
+def below_cut(fam: CopyFamily, m: int) -> CopyFamily:
+    """The copies of `fam` below the cut 1 << C(m, r), the part of the
+    family on [n] that the averaging chain searches on [m]."""
+    return CopyFamily(m, fam.r, tuple(c for c in fam.copies if c < 1 << comb(m, fam.r)))
+
+
 def test_restrict_does_not_check_its_prefix_again(monkeypatch):
+    # the chain cuts the checked family at n and builds no family per link
     fam = enumerate_forbidden_copies(K(3), 7)
+    assert [len(below_cut(fam, m)) for m in range(2, 8)] == [comb(m, 3) for m in range(2, 8)]
+    inst = make_instance(7, K(3))
+    expected = alpha_target(inst)
+    assert expected[0] == comb(7, 2) - 12
 
     def refuse(self):
         raise AssertionError("a checked prefix was checked again")
 
     monkeypatch.setattr(CopyFamily, "__post_init__", refuse)
-    assert [len(fam.restrict(m)) for m in range(2, 8)] == [comb(m, 3) for m in range(2, 8)]
+    assert alpha_target(inst) == expected
 
 
 @pytest.mark.parametrize("name", [f"K{s}" for s in range(2, 10)] + ["P3", "C4"])
@@ -206,17 +231,16 @@ def test_explicit_copies_record_their_span(name):
     F = builtin_spec(name)
     fam = enumerate_forbidden_copies(F, 9)
     assert fam.span == F.n
-    assert fam.restrict(F.n).span == F.n
 
 
 def test_span_of_padded_and_core_pair_copies():
     # P3 declared on 5 vertices still spans its 3 edge-covered vertices
     fam = enumerate_forbidden_copies(RGraph(5, 2, [(1, 2), (2, 3)]), 6)
-    assert fam.span == 3 and fam.restrict(4).span == 3
+    assert fam.span == 3
     # the pair shadows of K4^(3) minus an edge, the targets of a core-pair
     # instance, span the pattern's 4 vertices
     shadows = place_copies(pair_shadows(explicit_shapes(K4_MINUS_EDGE_3, 6)), 6, 2)
-    assert shadows.span == 4 and shadows.restrict(5).span == 4
+    assert shadows.span == 4
     # equality compares the copies only
     triangles = enumerate_forbidden_copies(K(3), 5)
     assert triangles == CopyFamily(5, 2, triangles.copies)
@@ -346,9 +370,7 @@ def test_restricted_copies_equal_enumeration_on_fewer_vertices(name, top):
     for n in fams:
         for m in range(smallest, n + 1):
             for fam, on_m in zip(fams[n], fams[m]):
-                below = 1 << comb(m, fam.r)
-                prefix = tuple(c for c in fam.copies if c < below)
-                assert fam.restrict(m) == CopyFamily(m, fam.r, prefix) == on_m, (n, m)
+                assert below_cut(fam, m) == on_m, (n, m)
 
 
 def test_restricted_copies_of_a_padded_pattern():
@@ -356,9 +378,9 @@ def test_restricted_copies_of_a_padded_pattern():
     # the prefix keeps the copies of its edges
     F = parse_hypergraph(PADDED_PATH)
     fam = enumerate_forbidden_copies(F, 7)
-    assert fam.restrict(6) == enumerate_forbidden_copies(F, 6)
+    assert below_cut(fam, 6) == enumerate_forbidden_copies(F, 6)
     assert len(enumerate_forbidden_copies(F, 4)) == 0
-    assert fam.restrict(4) == enumerate_forbidden_copies(builtin_spec("P3"), 4)
+    assert below_cut(fam, 4) == enumerate_forbidden_copies(builtin_spec("P3"), 4)
 
 
 def test_copy_enumeration_work_guards():

@@ -138,8 +138,8 @@ def test_floor_at_or_below_the_minimum_keeps_value_and_witness():
         assert min_hitting_set(fam.copies, 21, floor) == reference
 
 
-def _with_search_nodes(copies, targets, nvars):
-    """min_targets_met's answer and the number of search nodes it expands."""
+def _with_search_nodes(search, *args):
+    """`search(*args)`'s answer and the number of search nodes it expands."""
     nodes = 0
 
     def count(frame, event, arg):
@@ -149,7 +149,7 @@ def _with_search_nodes(copies, targets, nvars):
 
     sys.setprofile(count)
     try:
-        answer = min_targets_met(copies, targets, nvars)
+        answer = search(*args)
     finally:
         sys.setprofile(None)
     return answer, nodes
@@ -171,9 +171,9 @@ def test_long_pivot_is_walked_in_the_peel_order(monkeypatch):
         targets = [1 << v for v in range(nvars)]
         targets += [sum(1 << v for v in rng.sample(range(nvars), 2)) for _ in range(40)]
         cases.append((copies, targets))
-    listed = [_with_search_nodes(c, t, nvars) for c, t in cases]
+    listed = [_with_search_nodes(min_targets_met, c, t, nvars) for c, t in cases]
     monkeypatch.setattr(monomial, "PEEL_BITS", nvars)
-    assert [_with_search_nodes(c, t, nvars) for c, t in cases] == listed
+    assert [_with_search_nodes(min_targets_met, c, t, nvars) for c, t in cases] == listed
 
 
 def test_long_pivot_bans_the_variables_before_each_branch():

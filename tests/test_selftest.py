@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +69,18 @@ def test_only_claim_failures_are_caught(monkeypatch, capsys, exc_type, code):
         run_selftest(quick=True, out=io.StringIO())
     assert main(["selftest", "--quick"]) == code
     assert capsys.readouterr().out == ""
+
+
+def test_quick_table_passes_under_optimize_flag():
+    # `python -O` strips `assert`: every claim check must still run and pass
+    root = str(Path(selftest.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [root, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "turancover.cli", "selftest", "--quick"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = done.stderr.splitlines()
+    assert len(rows) == len(CRITERIA)
+    assert all(row.startswith("[PASS]") for row in rows), rows
+    assert json.loads(done.stdout)["result"]["ok"] is True

@@ -98,17 +98,27 @@ def _definitions(names) -> list[tuple[str, str]]:
 
 
 def test_antichain_and_star_helpers_live_only_in_hypergraph():
-    """`minimal_supports`, `pair_stars` and the bitset clique search
-    `_has_clique` are each defined once, in `hypergraph`; other modules
+    """`minimal_supports`, `pair_stars`, the bitset clique search
+    `_has_clique`, the within-part pairs of the balanced partition
+    `partition_pairs` and the one shape of a complete pattern
+    `complete_shape` are each defined once, in `hypergraph`; other modules
     import them."""
-    shared = {"minimal_supports", "pair_stars", "_has_clique"}
+    shared = {"minimal_supports", "pair_stars", "_has_clique", "partition_pairs", "complete_shape"}
     assert _definitions(shared) == sorted((name, "hypergraph.py") for name in shared)
 
 
 def test_pair_reduction_lives_only_in_dictionary():
     """`core_pair_alpha`, the one pair reduction of the core-pair family, is
-    defined once, in `dictionary`; `ex` and the star ideal both call it."""
+    defined once, in `dictionary`; `ex_via_cover` reaches the same pair
+    instance through `gen_ex_via_cover`, and the star ideal calls it."""
     assert _definitions({"core_pair_alpha"}) == [("core_pair_alpha", "dictionary.py")]
+
+
+def test_vertex_quotient_lives_only_in_dictionary():
+    """`vertex_quotient`, the square-zero quotient on [n] of a support, is
+    defined once, in `dictionary`, for every uniformity; the star ideal's
+    membership test imports it."""
+    assert _definitions({"vertex_quotient"}) == [("vertex_quotient", "dictionary.py")]
 
 
 def _callee(call) -> str | None:
@@ -118,11 +128,12 @@ def _callee(call) -> str | None:
 
 def test_only_alpha_target_enters_the_search():
     """`dictionary.alpha_target` is the one search entry of the library, and
-    it calls only `min_targets_met`: `ex` is the generalized search with a
-    one-edge target.  No library function calls `min_hitting_set`, a
-    monomial-level entry kept for callers outside the library; it is the
-    only other caller of `min_targets_met`."""
-    search = {"min_targets_met", "min_hitting_set"}
+    it sets the search up once with `setup_search`: `ex` is the generalized
+    search with a one-edge target.  `min_targets_met`, the single search,
+    is the only other caller of `setup_search`.  No library function calls
+    `min_hitting_set`, a monomial-level entry kept for callers outside the
+    library; it is the only caller of `min_targets_met`."""
+    search = {"setup_search", "min_targets_met", "min_hitting_set"}
     calls = {
         (path.name, getattr(top, "name", "<module>"), _callee(node))
         for path in sorted(SOURCE.rglob("*.py"))
@@ -131,7 +142,8 @@ def test_only_alpha_target_enters_the_search():
         if isinstance(node, ast.Call) and _callee(node) in search
     }
     assert calls == {
-        ("dictionary.py", "alpha_target", "min_targets_met"),
+        ("dictionary.py", "alpha_target", "setup_search"),
+        ("monomial.py", "min_targets_met", "setup_search"),
         ("monomial.py", "min_hitting_set", "min_targets_met"),
     }
 

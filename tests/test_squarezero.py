@@ -37,6 +37,11 @@ def test_hilbert_balanced_partition_is_turan_count():
     assert A.hilbert(2) == turan_count(4, 2, 2) == 4
 
 
+def test_partition_quotient_refuses_no_parts():
+    with pytest.raises(InputError, match="bad partition parameters"):
+        SquareZeroQuotient.from_partition(5, 0)
+
+
 def test_hilbert_free_algebra_binomials():
     A = SquareZeroQuotient(5)
     for d in range(7):
