@@ -28,7 +28,8 @@ ranker = params.ranker
 
 # ---------------------------------------------------------------------------
 # Star monomials: each has C(n-2, r-2) variables in its support.  A
-# squarefree monomial is its support, an int mask over the ranker's r-sets.
+# squarefree monomial is its support, a colex mask of r-sets that the ranker
+# unmasks.
 
 star = codegree_star_monomial(params, 1, 2)
 print("star of {1,2} at (n,ell,r)=(5,4,3):", sorted(map(sorted, ranker.unmask(star))))

@@ -15,7 +15,7 @@ Subpackages:
                  the core-pair family on the pair variables of its shadow
 * codegree_star  the missing codegree-star ideal and its initial degree
 * selftest       the table of acceptance criteria behind `turancover selftest`
-* errors         shared exception types
+* errors         shared exception types, and `to_devnull` for a closed pipe
 * cli            JSON-reporting command-line interface
 """
 

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -32,7 +31,7 @@ from .diagonal import (
     verify_counterexample,
 )
 from .dictionary import ex_via_cover, gen_ex_via_cover
-from .errors import ClaimCheckError, InputError, ScaleGuardError
+from .errors import ClaimCheckError, InputError, ScaleGuardError, to_devnull
 from .hypergraph import (
     FamilySpec,
     brute_force_ex,
@@ -154,39 +153,33 @@ def cmd_verify_counterexample(args) -> tuple[RunReport, int]:
     return RunReport("verify-counterexample", p, result, {}, oracle), code
 
 
+def _oracle_entry(value: int, oracle_value: int) -> tuple[dict, int]:
+    """The oracle entry of an `ex` or `gen-ex` report, and its exit code."""
+    match = oracle_value == value
+    return {"oracle_value": oracle_value, "match": match}, EXIT_OK if match else EXIT_CLAIM_FAILED
+
+
 def cmd_ex(args) -> tuple[RunReport, int]:
     spec = _resolve_spec(args.forbid)
     value, witness = ex_via_cover(args.n, spec)
     result = {"value": value, "alpha": comb(args.n, witness.r) - value}
     witnesses = {"witness_edges": witness.edge_list()}
-    oracle = {}
-    code = EXIT_OK
+    oracle, code = {}, EXIT_OK
     if args.oracle:
-        oracle_value, _ = brute_force_ex(args.n, spec)
-        oracle = {"oracle_value": oracle_value, "match": oracle_value == value}
-        if not oracle["match"]:
-            code = EXIT_CLAIM_FAILED
-    return (
-        RunReport("ex", {"n": args.n, "forbid": args.forbid}, result, witnesses, oracle),
-        code,
-    )
+        oracle, code = _oracle_entry(value, brute_force_ex(args.n, spec)[0])
+    return RunReport("ex", {"n": args.n, "forbid": args.forbid}, result, witnesses, oracle), code
 
 
 def cmd_gen_ex(args) -> tuple[RunReport, int]:
     target = _resolve_spec(args.target)
     forbid = _resolve_spec(args.forbid)
     value, witness = gen_ex_via_cover(args.n, target, forbid)
-    result = {"value": value}
     witnesses = {"witness_edges": witness.edge_list()}
-    oracle = {}
-    code = EXIT_OK
+    oracle, code = {}, EXIT_OK
     if args.oracle:
-        oracle_value, _ = brute_force_gen_ex(args.n, target, forbid)
-        oracle = {"oracle_value": oracle_value, "match": oracle_value == value}
-        if not oracle["match"]:
-            code = EXIT_CLAIM_FAILED
+        oracle, code = _oracle_entry(value, brute_force_gen_ex(args.n, target, forbid)[0])
     params = {"n": args.n, "target": args.target, "forbid": args.forbid}
-    return RunReport("gen-ex", params, result, witnesses, oracle), code
+    return RunReport("gen-ex", params, {"value": value}, witnesses, oracle), code
 
 
 def cmd_hilbert(args) -> tuple[RunReport, int]:
@@ -218,19 +211,15 @@ def cmd_symmetrize(args) -> tuple[RunReport, int]:
 
 def cmd_codegree_star(args) -> tuple[RunReport, int]:
     params = StarParams(args.n, args.ell, args.r)
-    result: dict = {
-        "expected": comb(args.n, args.r) - turan_count(args.n, args.ell - 1, args.r)
-    }
+    result: dict = {"expected": comb(args.n, args.r) - turan_count(args.n, args.ell - 1, args.r)}
     code = EXIT_OK
     if args.alpha or not args.verify_collapse:
         alpha, witness = star_initial_degree(params)
         result["alpha"] = alpha
         result["witness_support"] = [tuple(sorted(e)) for e in params.ranker.unmask(witness)]
     if args.verify_collapse:
-        ok = verify_collapse(params)
-        result["collapse_ok"] = ok
-        if not ok:
-            code = EXIT_CLAIM_FAILED
+        result["collapse_ok"] = verify_collapse(params)
+        code = EXIT_OK if result["collapse_ok"] else EXIT_CLAIM_FAILED
     if args.oracle:
         result["oracle_ex"] = result["mubayi_value"] = core_family_turan_number(params)
     p = {"n": args.n, "ell": args.ell, "r": args.r}
@@ -402,12 +391,8 @@ def main(argv: list[str] | None = None) -> int:
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
     try:
         print(report.to_json(), flush=True)
-    except BrokenPipeError:
-        # the reader closed stdout early (`| head`): keep the verdict, and send
-        # the rest to devnull so that the exit-time flush does not raise again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # keep the verdict
+        to_devnull(sys.stdout)
     return code
 
 

@@ -8,8 +8,8 @@ cover ideal of the core-pair family, its initial degree is
 C(n, r) - t_r(n, ell-1), and the product of the non-transversal r-sets of a
 balanced (ell-1)-partition attains it.  A support is a member exactly
 when the degree-ell Hilbert value of its vertex quotient, a square-zero
-quotient on [n], is 0.  A squarefree monomial is its support: an int mask
-over `StarParams.ranker`, whose `unmask` lists its r-sets.
+quotient on [n], is 0.  A squarefree monomial is its support: a colex
+mask of r-sets (`hypergraph.edge_mask`), which `StarParams.ranker` unmasks.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .hypergraph import (
     EdgeRanker,
     RGraph,
     brute_force_ex,
+    edge_mask,
     pair_stars,
     turan_construct,
     turan_count,
@@ -65,8 +66,7 @@ def missing_edge_monomial(params: StarParams, G: RGraph) -> int:
     zero in G."""
     if (G.n, G.r) != (params.n, params.r):
         raise InputError("graph incompatible with star parameters")
-    ranker = params.ranker
-    return ((1 << ranker.count) - 1) ^ ranker.mask(G.edges)
+    return ((1 << comb(params.n, params.r)) - 1) ^ edge_mask(G.edges)
 
 
 def in_star_ideal(m: int, params: StarParams) -> bool:
@@ -104,8 +104,7 @@ def _variable_tables(nvars: int) -> list[int]:
 def _collapse_tables(params: StarParams) -> tuple[int, int]:
     """Star and missing-edge truth tables over every support S of the
     C(n, r) edge variables; see `verify_collapse`."""
-    n, ell = params.n, params.ell
-    ranker = params.ranker
+    n, ell, ranker = params.n, params.ell, params.ranker
     T = _variable_tables(ranker.count)
     full = (1 << (1 << ranker.count)) - 1
     ell_sets = [
@@ -165,8 +164,8 @@ def verify_collapse(params: StarParams) -> bool:
 
 
 def star_initial_degree(params: StarParams) -> tuple[int, int]:
-    """Exact initial degree of the star ideal, returned with a witness
-    support over `params.ranker`.
+    """Exact initial degree of the star ideal, returned with a colex
+    witness support, which `params.ranker` unmasks.
 
     The value is `dictionary.core_pair_alpha`, whose docstring proves it is
     C(n, r) - ex(n, K_r, K_ell); Zykov (1949) gives ex(n, K_r, K_ell) =

@@ -1,7 +1,7 @@
 """The cover-ideal dictionary for ordinary and generalized Turán numbers.
 
 The cover ideal of an instance is held as its forbidden copy masks: a
-support (an int mask over `EdgeRanker` ranks) is a member iff it meets
+support (a colex mask, `hypergraph.edge_mask`) is a member iff it meets
 every forbidden copy, and an empty family gives the whole ring.
 
 Generalized, on r-graphs of any uniformity: ex(n, T, F) is the number of
@@ -32,6 +32,7 @@ from .hypergraph import (
     complete_shape,
     core_family_free,
     count_copies,
+    edge_mask,
     enumerate_forbidden_copies,
     explicit_copy_count,
     explicit_shapes,
@@ -46,9 +47,9 @@ from .squarezero import SquareZeroQuotient
 
 @dataclass(frozen=True)
 class CoverInstance:
-    """A cover-ideal instance over the C(n, r) variables of `EdgeRanker(n, r)`
-    (edges, or pairs for the core-pair family, with r = 2): forbidden
-    copies and target copies."""
+    """A cover-ideal instance over C(n, r) variables, the edges (or pairs
+    for the core-pair family, with r = 2) at their colex ranks: forbidden
+    copies and target copies, as colex masks."""
 
     n: int
     r: int
@@ -184,7 +185,7 @@ def core_pair_alpha(n: int, ell: int, r: int) -> tuple[int, int]:
     """The core-pair family (ell, r) on [n], reduced to its shadow graph.
 
     Returns (alpha, M): the fewest r-sets with a pair in M, over pair sets M
-    (masks over `EdgeRanker(n, 2)`) meeting every ell-clique of K_n, and one
+    (colex masks of pairs) meeting every ell-clique of K_n, and one
     such M.  So alpha = C(n, r) - ex(n, K_r, K_ell), and it is also:
 
     * C(n, r) - ex(n, K_ell^(r)), by `make_instance`'s shadow argument with
@@ -219,15 +220,15 @@ def gen_ex_via_cover(
     inst = make_instance(n, forbid_spec, target_spec)
     alpha, M = alpha_target(inst)
     value = len(inst.target) - alpha
-    r, ranker = forbid_spec.r, inst.ranker()
+    r = forbid_spec.r
     if isinstance(forbid_spec, CoreFamily):
         witness = RGraph(n, r, (
             e for e in itertools.combinations(range(1, n + 1), r)
-            if not ranker.mask(itertools.combinations(e, 2)) & M
+            if not edge_mask(itertools.combinations(e, 2)) & M
         ))
         free = core_family_free(witness, forbid_spec.ell)
     else:
-        witness = RGraph(n, r, ranker.unmask(((1 << ranker.count) - 1) ^ M))
+        witness = RGraph(n, r, inst.ranker().unmask(((1 << comb(n, r)) - 1) ^ M))
         free = count_copies(witness, inst.forbidden) == 0
     rank = quotient_rank(M, inst.target.copies)
     if not free or rank != value:

@@ -1,4 +1,6 @@
-"""Shared exception types."""
+"""Shared exception types, and what a write to a closed pipe leaves."""
+
+import os
 
 
 class InputError(ValueError):
@@ -11,3 +13,10 @@ class ScaleGuardError(RuntimeError):
 
 class ClaimCheckError(AssertionError):
     """An internal cross-check of a verified theorem failed (should never fire)."""
+
+
+def to_devnull(stream) -> None:
+    """Point `stream` at devnull once its reader closed it, so no later write raises."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)

@@ -1,22 +1,21 @@
 """r-uniform hypergraphs on [n], Turán constructions, and exact search oracles.
 
-Edges are r-element frozensets of 1-based vertices.  Edge sets are bitmasks
-over the C(n, r) potential edges under a fixed colexicographic rank
-function (`EdgeRanker`), so subset tests are single AND ops.  A forbidden
-copy is such a mask from the moment it is listed: the squarefree monomial
-of its edges in the edge-variable ring.
+Edges are r-element frozensets of 1-based vertices.  Edge sets are colex
+masks: bit i is the r-set of colex rank i (`colex_rank`, the same for every
+n), so subset tests are single AND ops.  A forbidden copy is such a mask
+from the moment it is listed: the squarefree monomial of its edges in the
+edge-variable ring.  `EdgeRanker` lists the r-sets of [n] in that order.
 
 Copies of an explicit pattern F on k vertices are vertex sets times
 labellings: the k!/|Aut(F)| distinct relabellings of F's edges (for a
 complete pattern the one `complete_shape`, built without relabelling) are
 computed once and placed on each k-subset of [n] (`place_copies`), as are
-their pair shadows
-(`pair_shadows`).  The core-pair family is never listed: an r-graph holds
-a member iff its shadow graph (the pairs of positive codegree) has an
-ell-clique.  Its oracles keep that shadow graph as one adjacency bitmask
-per vertex (`_shadow_step`), and `core_family_free` runs the same bitset
-clique search on a whole graph's shadow.
-The oracles import nothing from the cover-ideal search or the
+their pair shadows (`pair_shadows`).  The core-pair family is never
+listed: an r-graph holds a member iff its shadow graph (the pairs of
+positive codegree) has an ell-clique.  Its oracles keep that shadow graph
+as one adjacency bitmask per vertex (`_shadow_step`), and
+`core_family_free` runs the same bitset clique search on a whole graph's
+shadow.  The oracles import nothing from the cover-ideal search or the
 polynomial core: they are the independent check of both.
 """
 
@@ -39,29 +38,33 @@ Edge = frozenset
 
 
 def rsets_colex(n: int, r: int) -> list[tuple[int, ...]]:
-    """All r-subsets of [n] as sorted tuples, in colexicographic order."""
-    return sorted(itertools.combinations(range(1, n + 1), r), key=lambda t: t[::-1])
+    """All r-subsets of [n] as sorted tuples, in colex order: the combinations
+    of n, n-1, ..., 1 (reverse colex order) read backwards."""
+    return [t[::-1] for t in reversed(list(itertools.combinations(range(n, 0, -1), r)))]
+
+
+def colex_rank(edge: Iterable[int]) -> int:
+    """The colex position of {v_1 < ... < v_r}, the sum of C(v_j - 1, j)
+    (combinatorial number system); independent of n, so [m]'s r-sets come first."""
+    return sum(comb(v - 1, j) for j, v in enumerate(sorted(edge), 1))
+
+
+def edge_mask(edges: Iterable[Iterable[int]]) -> int:
+    """The mask of an edge set: the bits at its edges' colex ranks."""
+    return _mask_of([colex_rank(e) for e in edges])
 
 
 class EdgeRanker:
-    """Fixed bijection between r-subsets of [n] and bit positions [0, C(n,r))."""
+    """The r-subsets of [n] listed at their bit positions [0, C(n,r))."""
 
     def __init__(self, n: int, r: int):
-        self.n = n
-        self.r = r
+        self.n, self.r = n, r
         self.sets = rsets_colex(n, r)
-        self.rank = {frozenset(t): i for i, t in enumerate(self.sets)}
-        self.edges = list(self.rank)
         self.count = len(self.sets)
 
-    def mask(self, edges: Iterable[Edge]) -> int:
-        return _mask_of([self.rank[frozenset(e)] for e in edges])
-
     def unmask(self, mask: int) -> list[Edge]:
-        """The edges of the set bits, in rank order; one pass over the
-        mask's binary digits, so linear in its length."""
-        digits = bin(mask)[:1:-1]
-        return [self.edges[i] for i, d in enumerate(digits) if d == "1"]
+        """The edges of the set bits, in rank order."""
+        return [frozenset(self.sets[i]) for i in _bits(mask)]
 
 
 # OR-ing in or peeling off one bit at a time copies the mask once per bit,
@@ -165,10 +168,10 @@ class RGraph:
 class CopyFamily:
     """Explicit list of forbidden (or target) copies inside the complete r-graph on [n].
 
-    Each copy is a nonzero edge mask over the ranks of `EdgeRanker(n, r)`,
-    in nondecreasing order; a repeated copy (a pair shadow shared by two
-    target copies) counts each time.  `span`, for placed copies, is the k
-    vertices each spans; it takes no part in equality.
+    Each copy is a nonzero colex edge mask (`edge_mask`), in nondecreasing
+    order; a repeated copy (a pair shadow shared by two target copies)
+    counts each time.  `span`, for placed copies, is the k vertices each
+    spans; it takes no part in equality.
     """
 
     n: int
@@ -358,22 +361,23 @@ def guard_copy_listing(copies: int, edges: int) -> None:
 
 def place_copies(shapes: tuple[int, Collection], n: int, r: int) -> CopyFamily:
     """Every shape of `shapes` = (k, shapes on positions 0..k-1) placed on
-    every k-subset of [n], as masks over `EdgeRanker(n, r)` in nondecreasing
-    order; the family records k as its span, and no shape gives the empty
-    family.  ScaleGuardError refuses C(n, k) * (number of shapes) copies
-    times the edges of one shape above COPY_CAP, before any is placed."""
+    every k-subset of [n], as colex masks in nondecreasing order; the family
+    records k as its span, and no shape gives the empty family.
+    ScaleGuardError refuses C(n, k) * (number of shapes) copies times the
+    edges of one shape above COPY_CAP, before any is placed."""
     k, found = shapes
     if not found:
         return CopyFamily(n, r, ())
     guard_copy_listing(explicit_copy_count(shapes, n), len(next(iter(found))))
     # every position lies in an edge, so a copy's vertex set is the k-set it
     # was placed on: distinct shapes give distinct copies, and a shape listed
-    # twice gives each of its copies twice
-    rank = EdgeRanker(n, r).rank
+    # twice gives each of its copies twice.  Edges are sorted once, so on the
+    # 0-based k-set c (c[i] = v - 1) `colex_rank`'s sum needs no sort per copy
+    sorted_shapes = [[sorted(e) for e in shape] for shape in found]
     copies = [
-        _mask_of([rank[frozenset(c[i] for i in e)] for e in shape])
-        for c in itertools.combinations(range(1, n + 1), k)
-        for shape in found
+        _mask_of([sum(map(comb, map(c.__getitem__, e), itertools.count(1))) for e in shape])
+        for c in itertools.combinations(range(n), k)
+        for shape in sorted_shapes
     ]
     return CopyFamily(n, r, tuple(sorted(copies)), k)
 
@@ -382,11 +386,11 @@ def enumerate_forbidden_copies(
     F: RGraph, n: int, shapes: tuple[int, set] | None = None
 ) -> CopyFamily:
     """All copies of the explicit pattern F inside the complete r-graph on
-    [n], the edge sets of its embeddings (n >= F.n), as distinct edge masks
-    over `EdgeRanker(n, r)` in increasing order.  `shapes` is
-    `explicit_shapes(F, n)` when the caller has found it already.
-    `place_copies` puts the distinct labellings of F's k edge-covered
-    vertices (one for a complete pattern) on each k-subset of [n].
+    [n], the edge sets of its embeddings (n >= F.n), as distinct colex edge
+    masks in increasing order.  `shapes` is `explicit_shapes(F, n)` when
+    the caller has found it already.  `place_copies` puts the distinct
+    labellings of F's k edge-covered vertices (one for a complete pattern)
+    on each k-subset of [n].
     ScaleGuardError refuses k! * |E(F)| labelling steps of any other
     pattern, or C(n, k) * (number of labellings) copies times |E(F)| edges
     placed, above COPY_CAP, each before that work starts.
@@ -419,7 +423,7 @@ def count_copies(G: RGraph, fam: CopyFamily) -> int:
     """Number of copies entirely contained in G."""
     if (G.n, G.r) != (fam.n, fam.r):
         raise InputError("graph and copy family have incompatible (n, r)")
-    g = EdgeRanker(G.n, G.r).mask(G.edges)
+    g = edge_mask(G.edges)
     return sum(1 for c in fam.copies if c & g == c)
 
 
@@ -468,8 +472,7 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
         dfs(idx + 1, chosen, size)
 
     dfs(0, 0, 0)
-    witness = RGraph(n, spec.r, ranker.unmask(best_mask))
-    return best_size, witness
+    return best_size, RGraph(n, spec.r, ranker.unmask(best_mask))
 
 
 def _freeness_test(spec: FamilySpec, n: int, ranker: EdgeRanker):
@@ -578,9 +581,8 @@ def brute_force_gen_ex(
     targ_by_edge: list[list[int]] = [[] for _ in range(m)]
     for cm in targ.copies:
         targ_by_last[cm.bit_length() - 1].append(cm)
-        for idx in range(m):
-            if cm >> idx & 1:
-                targ_by_edge[idx].append(cm)
+        for idx in _bits(cm):
+            targ_by_edge[idx].append(cm)
     # a copy ending before idx that avoids `excluded` lies inside `chosen`,
     # so the tie check ORs in only the copies of mask >= 1 << idx
     open_from = [targ.copies[bisect_left(targ.copies, 1 << idx):] for idx in range(m + 1)]
@@ -615,8 +617,7 @@ def brute_force_gen_ex(
         dfs(idx + 1, chosen, excluded | bit, done, alive - lost)
 
     dfs(0, 0, 0, 0, len(targ))
-    witness = RGraph(n, r, ranker.unmask(best_mask))
-    return best_count, witness
+    return best_count, RGraph(n, r, ranker.unmask(best_mask))
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +674,8 @@ __all__ = [
     "CoreFamily",
     "EdgeRanker",
     "rsets_colex",
+    "colex_rank",
+    "edge_mask",
     "balanced_partition",
     "partition_pairs",
     "turan_construct",

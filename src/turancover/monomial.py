@@ -1,13 +1,13 @@
 """Squarefree monomials and cover ideals in the edge-variable ring.
 
 A squarefree monomial is its support: an int bitmask over the edge
-variables, ranked by `hypergraph.EdgeRanker`, and its degree is the mask's
-`bit_count()`.  A cover ideal is given by its copy masks: the intersection
-of variable ideals over a copy family, so a support is a member iff it
-meets every copy (`all(m & c for c in copies)`).  No copies give the whole
-ring; an empty copy gives the zero ideal.  `minimal_supports`, the
-inclusion-minimal masks of a list, lives in `hypergraph` and is re-exported
-here.
+variables at their colex ranks (`hypergraph.colex_rank`, the same for every
+n), and its degree is the mask's `bit_count()`.  A cover ideal is given by
+its copy masks: the intersection of variable ideals over a copy family, so
+a support is a member iff it meets every copy (`all(m & c for c in
+copies)`).  No copies give the whole ring; an empty copy gives the zero
+ideal.  `minimal_supports`, the inclusion-minimal masks of a list, lives in
+`hypergraph` and is re-exported here.
 
 `setup_search` sets the one hitting-set search up and returns it as a
 function of a cut and a floor; `min_targets_met` is its search over every

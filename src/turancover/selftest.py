@@ -37,7 +37,7 @@ from .diagonal import (
     verify_counterexample,
 )
 from .dictionary import ex_via_cover, gen_ex_via_cover
-from .errors import ClaimCheckError
+from .errors import ClaimCheckError, to_devnull
 from .hypergraph import brute_force_ex, brute_force_gen_ex, builtin_spec, turan_count
 from .polycore import Polynomial
 from .squarezero import (
@@ -280,7 +280,7 @@ def check_grid(row: Criterion, points: Sequence) -> None:
 
 def run_selftest(quick: bool = False, out=sys.stderr) -> tuple[list[dict], bool]:
     """Run every row on its quick or full grid, printing one line per row.
-    Only `ClaimCheckError` is caught, and a failing row does not stop the rest."""
+    Only `ClaimCheckError` is caught; a failing row or a closed `out` stops none of the rest."""
     results = []
     for row in CRITERIA:
         start = time.perf_counter()
@@ -296,7 +296,10 @@ def run_selftest(quick: bool = False, out=sys.stderr) -> tuple[list[dict], bool]
             result["message"] = message
             line = f"[FAIL] {row.name} ({ms} ms): {message}"
         results.append(result)
-        print(line, file=out)
+        try:
+            print(line, file=out)
+        except BrokenPipeError:
+            to_devnull(out)
     return results, all(r["pass"] for r in results)
 
 

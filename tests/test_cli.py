@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from turancover import cli, dictionary, squarezero
+from turancover import cli, dictionary, hypergraph, squarezero
 from turancover.cli import (
     EXIT_BAD_INPUT,
     EXIT_CLAIM_FAILED,
@@ -287,6 +287,54 @@ def test_codegree_star_witness_support_in_rank_order(capsys):
     assert report["result"]["witness_support"] == [
         [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4], [1, 2, 5], [3, 4, 5],
     ]
+
+
+def count_rankers(monkeypatch) -> list[str]:
+    """A list that gets the qualified name of the function building each
+    `EdgeRanker` from now on."""
+    built = []
+    init = hypergraph.EdgeRanker.__init__
+
+    def counted(self, n, r):
+        built.append(sys._getframe(1).f_code.co_qualname)
+        init(self, n, r)
+
+    monkeypatch.setattr(hypergraph.EdgeRanker, "__init__", counted)
+    return built
+
+
+def test_placing_and_counting_copies_build_no_ranker(monkeypatch):
+    # colex ranks are a formula, so only listing r-sets or unmasking needs a ranker
+    built = count_rankers(monkeypatch)
+    dictionary.make_instance(7, builtin_spec("K3"))
+    dictionary.make_instance(6, builtin_spec("C4"), builtin_spec("P3"))
+    dictionary.make_instance(8, builtin_spec("K_ell_r(4,3)"))
+    triangles = enumerate_forbidden_copies(builtin_spec("K3"), 6)
+    assert count_copies(hypergraph.turan_construct(6, 3, 2), triangles) == 8
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ex", "--n", "7", "--forbid", "K3"],
+        ["ex", "--n", "9", "--forbid", "K_ell_r(4,3)"],
+        ["gen-ex", "--n", "6", "--target", "K3", "--forbid", "K4"],
+        ["gen-ex", "--n", "7", "--target", "K3", "--forbid", "K_ell_r(4,2)"],
+    ],
+)
+def test_ex_and_gen_ex_build_at_most_one_ranker(capsys, monkeypatch, argv):
+    built = count_rankers(monkeypatch)
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert len(built) <= 1
+
+
+def test_codegree_star_alpha_builds_only_its_parameters_ranker(capsys, monkeypatch):
+    built = count_rankers(monkeypatch)
+    code, _, _ = run(capsys, "codegree-star", "--n", "7", "--ell", "4", "--r", "3", "--alpha")
+    assert code == EXIT_OK
+    assert built == ["StarParams.ranker"]
 
 
 @pytest.mark.parametrize(
@@ -655,3 +703,19 @@ def test_closed_stdout_keeps_the_reports_exit_code():
     proc.stderr.close()
     assert proc.wait(timeout=60) == EXIT_OK
     assert err == ""
+
+
+def test_closed_stderr_keeps_the_selftests_exit_code():
+    # the reader takes the first row and closes the pipe: the rows stop, and
+    # every check still runs and reports
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "turancover.cli", "selftest", "--quick"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(),
+    )
+    assert proc.stderr.readline().startswith(b"[PASS] ")
+    proc.stderr.close()
+    report = json.loads(proc.stdout.read())
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert report["result"]["ok"] is True
+    assert len(report["result"]["checks"]) == len(CRITERIA)

@@ -31,10 +31,10 @@ from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import (
     CopyFamily,
     CoreFamily,
-    EdgeRanker,
     RGraph,
     builtin_spec,
     core_family_free,
+    edge_mask,
     enumerate_forbidden_copies,
     turan_construct,
     turan_count,
@@ -341,9 +341,8 @@ def test_star_initial_degree_scale_guard(monkeypatch):
 def _clique_copies(n, s):
     """The s-cliques of K_n, each as the mask of its C(s, 2) pairs: a
     reference list built without the pattern enumerator."""
-    ranker = EdgeRanker(n, 2)
     copies = (
-        ranker.mask(itertools.combinations(clique, 2))
+        edge_mask(itertools.combinations(clique, 2))
         for clique in itertools.combinations(range(1, n + 1), s)
     )
     return CopyFamily(n, 2, tuple(sorted(copies)))

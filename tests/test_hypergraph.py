@@ -20,6 +20,7 @@ from turancover.hypergraph import (
     builtin_spec,
     core_family_free,
     count_copies,
+    edge_mask,
     enumerate_forbidden_copies,
     explicit_shapes,
     minimal_supports,
@@ -183,7 +184,7 @@ def test_copy_list_closed_under_relabeling():
     rk = EdgeRanker(5, 2)
     copies = set(fam.copies)
     perm = {1: 3, 2: 5, 3: 1, 4: 2, 5: 4}
-    relabeled = {rk.mask({perm[v] for v in e} for e in rk.unmask(c)) for c in copies}
+    relabeled = {edge_mask({perm[v] for v in e} for e in rk.unmask(c)) for c in copies}
     assert relabeled == copies
 
 
@@ -251,14 +252,13 @@ def reference_core_copies(ell, r, n):
     generators of its edge-level cover ideal: every system of one edge per
     pair of an ell-core, as a union of edge masks, then the minimal ones
     per core and across cores."""
-    ranker = EdgeRanker(n, r)
     all_minimal = set()
     for core in itertools.combinations(range(1, n + 1), ell):
         systems = {0}
         for pair in itertools.combinations(core, 2):
             others = [v for v in range(1, n + 1) if v not in pair]
             options = [
-                ranker.mask([pair + rest]) for rest in itertools.combinations(others, r - 2)
+                edge_mask([pair + rest]) for rest in itertools.combinations(others, r - 2)
             ]
             systems = {s | o for s in systems for o in options}
         all_minimal.update(minimal_supports(systems))
@@ -295,12 +295,11 @@ def reference_copies(F, n):
     F's vertices into [n], deduplicated."""
     if F.n > n:
         return CopyFamily(n, F.r, ())
-    ranker = EdgeRanker(n, F.r)
     verts = sorted(set().union(*F.edges))
     copies = set()
     for image in itertools.permutations(range(1, n + 1), len(verts)):
         phi = dict(zip(verts, image))
-        copies.add(ranker.mask({phi[v] for v in e} for e in F.edges))
+        copies.add(edge_mask({phi[v] for v in e} for e in F.edges))
     return CopyFamily(n, F.r, tuple(sorted(copies)))
 
 
@@ -722,15 +721,36 @@ def test_bit_positions_and_masks_round_trip(length, count):
     assert hypergraph._mask_of(positions) == mask
 
 
+def colex_reference(n, r):
+    """The r-subsets of [n] sorted by reversed tuple: colex order by its
+    definition, largest vertex compared first."""
+    return sorted(itertools.combinations(range(1, n + 1), r), key=lambda t: t[::-1])
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(10) for r in range(n + 1)])
+def test_colex_formula_matches_the_sort(n, r):
+    sets = hypergraph.rsets_colex(n, r)
+    assert sets == colex_reference(n, r)
+    assert [hypergraph.colex_rank(t) for t in sets] == list(range(comb(n, r)))
+    # the r-sets of [n] come first at every larger n, so each keeps its rank:
+    # the chain's cut 1 << C(m, r) relies on it
+    for bigger in range(n, 10):
+        assert colex_reference(bigger, r)[: len(sets)] == sets
+
+
 def test_edge_ranker_roundtrip():
-    rk = EdgeRanker(5, 3)
-    assert rk.count == comb(5, 3)
-    mask = rk.mask([frozenset((1, 2, 3)), frozenset((3, 4, 5))])
-    assert rk.unmask(mask) == [frozenset((1, 2, 3)), frozenset((3, 4, 5))]
-    assert rk.unmask(0) == []
-    full = EdgeRanker(7, 3)
-    colex = sorted(itertools.combinations(range(1, 8), 3), key=lambda t: t[::-1])
-    assert full.unmask((1 << full.count) - 1) == [frozenset(t) for t in colex]
+    mask = edge_mask([frozenset((1, 2, 3)), frozenset((3, 4, 5))])
+    assert EdgeRanker(5, 3).unmask(mask) == [frozenset((1, 2, 3)), frozenset((3, 4, 5))]
+    for n, r, size in [(5, 3, 4), (7, 3, 32), (7, 3, 33), (9, 2, 20), (9, 4, 100)]:
+        rk = EdgeRanker(n, r)
+        assert rk.count == comb(n, r)
+        assert rk.unmask(0) == []
+        colex = [frozenset(t) for t in colex_reference(n, r)]
+        assert rk.unmask((1 << rk.count) - 1) == colex
+        # a random edge set on either side of PEEL_BITS, where `_mask_of`
+        # and `_bits` switch methods, comes back in rank order
+        chosen = set(random.Random(size).sample(colex, size))
+        assert rk.unmask(edge_mask(chosen)) == [e for e in colex if e in chosen]
 
 
 def test_builtin_specs():

@@ -6,7 +6,7 @@ import pytest
 
 from turancover import monomial
 from turancover.errors import InputError, ScaleGuardError
-from turancover.hypergraph import EdgeRanker, builtin_spec, enumerate_forbidden_copies
+from turancover.hypergraph import EdgeRanker, builtin_spec, edge_mask, enumerate_forbidden_copies
 from turancover.monomial import (
     min_hitting_set,
     min_targets_met,
@@ -24,8 +24,7 @@ def masks(*bit_lists):
 
 def test_cover_membership_triangle():
     copies = enumerate_forbidden_copies(builtin_spec("K3"), 3).copies
-    rk = EdgeRanker(3, 2)
-    m = rk.mask([frozenset((1, 2))])
+    m = edge_mask([frozenset((1, 2))])
     assert all(m & c for c in copies)
     assert not all(0 & c for c in copies)
 

@@ -75,8 +75,10 @@ def _builds_colex_rank(node) -> bool:
 
 
 def test_only_hypergraph_ranks_edges():
-    """`hypergraph.EdgeRanker` is the one map between r-sets and bit
-    positions; no other module may build its own colex order."""
+    """The colex rank formula of `hypergraph` (`colex_rank`, with
+    `edge_mask` over it and `rsets_colex` listing its order) is the one map
+    between r-sets and bit positions; no other module may build its own
+    colex order."""
     found = [
         f"{path.relative_to(SOURCE)}:{node.lineno}"
         for path in sorted(SOURCE.rglob("*.py"))
@@ -100,10 +102,14 @@ def _definitions(names) -> list[tuple[str, str]]:
 def test_antichain_and_star_helpers_live_only_in_hypergraph():
     """`minimal_supports`, `pair_stars`, the bitset clique search
     `_has_clique`, the within-part pairs of the balanced partition
-    `partition_pairs` and the one shape of a complete pattern
-    `complete_shape` are each defined once, in `hypergraph`; other modules
-    import them."""
-    shared = {"minimal_supports", "pair_stars", "_has_clique", "partition_pairs", "complete_shape"}
+    `partition_pairs`, the one shape of a complete pattern
+    `complete_shape`, and the colex rank of an r-set `colex_rank` with the
+    mask of an edge set `edge_mask` are each defined once, in `hypergraph`;
+    other modules import them."""
+    shared = {
+        "minimal_supports", "pair_stars", "_has_clique", "partition_pairs", "complete_shape",
+        "colex_rank", "edge_mask",
+    }
     assert _definitions(shared) == sorted((name, "hypergraph.py") for name in shared)
 
 
