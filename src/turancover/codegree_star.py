@@ -26,10 +26,12 @@ from .hypergraph import (
     CoreFamily,
     EdgeRanker,
     RGraph,
+    _mask_of,
+    balanced_partition,
     brute_force_ex,
     edge_mask,
     pair_stars,
-    turan_construct,
+    partition_pairs,
     turan_count,
 )
 
@@ -81,8 +83,13 @@ def in_star_ideal(m: int, params: StarParams) -> bool:
 def balanced_partition_monomial(params: StarParams) -> int:
     """Support of the product of all non-transversal r-sets of the balanced
     (ell-1)-partition of [n], the missing-edge monomial of T_r(n, ell-1);
-    degree C(n, r) - t_r(n, ell-1) and a member of the star ideal."""
-    return missing_edge_monomial(params, turan_construct(params.n, params.ell - 1, params.r))
+    degree C(n, r) - t_r(n, ell-1) and a member of the star ideal.  These
+    are the r-sets meeting some part twice: for r = 2, the pairs in a part."""
+    n, q, r = params.n, params.ell - 1, params.r
+    if r == 2:
+        return edge_mask(partition_pairs(n, q))
+    part = [-1] + [i for i, P in enumerate(balanced_partition(n, q)) for _ in P]
+    return _mask_of([i for i, t in enumerate(params.ranker.sets) if len({part[v] for v in t}) < r])
 
 
 def _variable_tables(nvars: int) -> list[int]:

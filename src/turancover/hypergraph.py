@@ -10,12 +10,14 @@ Copies of an explicit pattern F on k vertices are vertex sets times
 labellings: the k!/|Aut(F)| distinct relabellings of F's edges (for a
 complete pattern the one `complete_shape`, built without relabelling) are
 computed once and placed on each k-subset of [n] (`place_copies`), as are
-their pair shadows (`pair_shadows`).  The core-pair family is never
-listed: an r-graph holds a member iff its shadow graph (the pairs of
-positive codegree) has an ell-clique.  Its oracles keep that shadow graph
-as one adjacency bitmask per vertex (`_shadow_step`), and
-`core_family_free` runs the same bitset clique search on a whole graph's
-shadow.  The oracles import nothing from the cover-ideal search or the
+their pair shadows (`pair_shadows`).  The oracles read each listed copy,
+forbidden or target, as its rest mask, the copy without its last edge:
+adding that edge completes the copy iff the chosen edges hold the rest
+(`_rests`).  The core-pair family is never listed: an r-graph holds a
+member iff its shadow graph (the pairs of positive codegree) has an
+ell-clique.  Its oracles keep that shadow graph as one adjacency bitmask
+per vertex (`_shadow_step`), and `core_family_free` runs the same bitset
+clique search on a whole graph's shadow.  The oracles import nothing from the cover-ideal search or the
 polynomial core: they are the independent check of both.
 """
 
@@ -437,7 +439,8 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     Deterministic: among optimal witnesses, the one with the smallest edge
     bitmask (colex edge ranks) is returned.  ScaleGuardError refuses more
     than ORACLE_CAP_EDGES potential edges before any copy is listed.  The
-    freeness test is `_freeness_test`'s.
+    freeness test is `_freeness_test`'s: edge idx may join `chosen` unless
+    `chosen` holds the rest mask of a copy ending at idx.
 
     A node deciding edge idx is cut when even taking every remaining edge
     cannot beat the incumbent: below the size bound, or at it (a tie) when
@@ -449,24 +452,25 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     if m > ORACLE_CAP_EDGES:
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     ranker = EdgeRanker(n, spec.r)
-    by_last, add, remove = _freeness_test(spec, n, ranker)
-    full = (1 << m) - 1
-
-    best_size = -1
-    best_mask = 0
+    rests, add, remove = _freeness_test(spec, n, ranker)
+    tails = [(1 << m) - (1 << idx) for idx in range(m + 1)]  # the edges from idx on
+    best_size, best_mask = -1, 0
 
     def dfs(idx: int, chosen: int, size: int) -> None:
         nonlocal best_size, best_mask
         reach = size + (m - idx)
-        if reach < best_size or (reach == best_size and chosen | (full >> idx << idx) >= best_mask):
+        if reach < best_size or (reach == best_size and chosen | tails[idx] >= best_mask):
             return
         if idx == m:  # passed the cut: larger, or as large with a smaller mask
             best_size, best_mask = size, chosen
             return
         # include edge idx if it completes no forbidden copy
-        cand = chosen | (1 << idx)
-        if (add(idx) if add else all((cm & cand) != cm for cm in by_last[idx])):
-            dfs(idx + 1, cand, size + 1)
+        for rest in rests[idx]:
+            if chosen & rest == rest:
+                break
+        else:
+            if not add or add(idx):
+                dfs(idx + 1, chosen | (1 << idx), size + 1)
         if remove:
             remove(idx)
         dfs(idx + 1, chosen, size)
@@ -475,18 +479,24 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     return best_size, RGraph(n, spec.r, ranker.unmask(best_mask))
 
 
+def _rests(copies: Iterable[int], m: int) -> list[tuple[int, ...]]:
+    """Copy masks over m edges indexed by their last (highest-ranked) edge i,
+    each as its rest mask `cm ^ (1 << i)`: only adding edge i can complete
+    the copy, and it does iff `chosen & rest == rest`."""
+    rests: list[list[int]] = [[] for _ in range(m)]
+    for cm in copies:
+        last = cm.bit_length() - 1
+        rests[last].append(cm ^ (1 << last))
+    return [tuple(r) for r in rests]
+
+
 def _freeness_test(spec: FamilySpec, n: int, ranker: EdgeRanker):
-    """(by_last, add, remove): how the oracles test that a chosen edge set
-    stays free of `spec`.  For an explicit pattern, its copies indexed by
-    their highest-ranked edge, since a copy can only become fully chosen
-    when its last edge is added, and no steps; for the core-pair family, no
-    copies and the steps of `_shadow_step`."""
-    by_last: list[list[int]] = [[] for _ in range(ranker.count)]
+    """(rests, add, remove): how the oracles keep a chosen edge set free of
+    `spec`.  For an explicit pattern, its copies' rest masks (`_rests`) and
+    no steps; for the core-pair family, none and `_shadow_step`'s steps."""
     if isinstance(spec, CoreFamily):
-        return (by_last, *_shadow_step(ranker, spec.ell))
-    for cm in enumerate_forbidden_copies(spec, n).copies:
-        by_last[cm.bit_length() - 1].append(cm)
-    return by_last, None, None
+        return ([()] * ranker.count, *_shadow_step(ranker, spec.ell))
+    return _rests(enumerate_forbidden_copies(spec, n).copies, ranker.count), None, None
 
 
 def _shadow_step(ranker: EdgeRanker, ell: int):
@@ -558,9 +568,10 @@ def brute_force_gen_ex(
     """Exact generalized Turán number ex(n, T, F): max number of target copies
     in a forbid-free graph, by branch-and-bound over subgraphs; refused above
     ORACLE_CAP_EDGES potential edges before any copy is listed.  The target
-    must pass `check_target_spec`; the freeness test is `_freeness_test`'s.
-    Among optimal witnesses, the one with the smallest edge bitmask is
-    returned.
+    must pass `check_target_spec`; the freeness test is `_freeness_test`'s,
+    and adding edge idx completes the target copies ending there whose rest
+    masks `chosen` holds.  Among optimal witnesses, the one with the
+    smallest edge bitmask is returned.
 
     A node is cut when the copies still alive (those avoiding every
     excluded edge) cannot beat the incumbent, or can only tie it: a tying
@@ -573,22 +584,19 @@ def brute_force_gen_ex(
     if m > ORACLE_CAP_EDGES:
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     ranker = EdgeRanker(n, r)
-    forb_by_last, add, remove = _freeness_test(forbid_spec, n, ranker)
+    forb_rests, add, remove = _freeness_test(forbid_spec, n, ranker)
     targ = enumerate_forbidden_copies(target_spec, n)
-    # target copies grouped by last edge: count completed copies incrementally;
-    # and by every edge: excluding an edge loses only the copies through it
-    targ_by_last: list[list[int]] = [[] for _ in range(m)]
+    # target rest masks count completed copies incrementally; target copies
+    # by every edge: excluding an edge loses only the copies through it
+    targ_rests = _rests(targ.copies, m)
     targ_by_edge: list[list[int]] = [[] for _ in range(m)]
     for cm in targ.copies:
-        targ_by_last[cm.bit_length() - 1].append(cm)
         for idx in _bits(cm):
             targ_by_edge[idx].append(cm)
     # a copy ending before idx that avoids `excluded` lies inside `chosen`,
     # so the tie check ORs in only the copies of mask >= 1 << idx
     open_from = [targ.copies[bisect_left(targ.copies, 1 << idx):] for idx in range(m + 1)]
-
-    best_count = -1
-    best_mask = 0
+    best_count, best_mask = -1, 0
 
     def dfs(idx: int, chosen: int, excluded: int, done: int, alive: int) -> None:
         # done: target copies already fully inside chosen
@@ -607,13 +615,22 @@ def brute_force_gen_ex(
             best_count, best_mask = done, chosen
             return
         bit = 1 << idx
-        cand = chosen | bit
-        if (add(idx) if add else all((cm & cand) != cm for cm in forb_by_last[idx])):
-            gained = sum(1 for cm in targ_by_last[idx] if (cm & cand) == cm)
-            dfs(idx + 1, cand, excluded, done + gained, alive)
+        for rest in forb_rests[idx]:
+            if chosen & rest == rest:
+                break
+        else:
+            if not add or add(idx):
+                gained = 0
+                for rest in targ_rests[idx]:
+                    if chosen & rest == rest:
+                        gained += 1
+                dfs(idx + 1, chosen | bit, excluded, done + gained, alive)
         if remove:
             remove(idx)
-        lost = sum(1 for cm in targ_by_edge[idx] if not (cm & excluded))
+        lost = 0
+        for cm in targ_by_edge[idx]:
+            if not cm & excluded:
+                lost += 1
         dfs(idx + 1, chosen, excluded | bit, done, alive - lost)
 
     dfs(0, 0, 0, 0, len(targ))

@@ -131,6 +131,15 @@ def test_balanced_partition_monomial_is_member():
         assert m0.bit_count() == comb(n, r) - turan_count(n, ell - 1, r)
 
 
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_balanced_partition_monomial_masks_the_turan_complement(r):
+    for n in range(1, 10):
+        for ell in range(2, n + 3):
+            p = StarParams(n, ell, r)
+            expected = missing_edge_monomial(p, turan_construct(n, ell - 1, r))
+            assert balanced_partition_monomial(p) == expected, (n, ell, r)
+
+
 def test_vacuous_range_everything_member():
     p = StarParams(3, 4, 3)
     assert in_star_ideal(0, p)

@@ -495,10 +495,18 @@ def test_oracles_return_the_smallest_optimal_mask(n, r):
 
 def reference_ex(n, spec):
     """`brute_force_ex` without the tie cut: a node is cut only when even
-    every remaining edge cannot reach the incumbent's size."""
+    every remaining edge cannot reach the incumbent's size.  Freeness of an
+    explicit pattern is tested on its own list of copies by last edge; the
+    core-pair family takes the oracle's `_shadow_step`."""
     m = comb(n, spec.r)
     ranker = EdgeRanker(n, spec.r)
-    by_last, add, remove = hypergraph._freeness_test(spec, n, ranker)
+    add = remove = None
+    by_last = [[] for _ in range(m)]
+    if isinstance(spec, CoreFamily):
+        add, remove = hypergraph._shadow_step(ranker, spec.ell)
+    else:
+        for cm in enumerate_forbidden_copies(spec, n).copies:
+            by_last[cm.bit_length() - 1].append(cm)
     best_size, best_mask = -1, 0
 
     def dfs(idx, chosen, size):
@@ -520,15 +528,21 @@ def reference_ex(n, spec):
     return best_size, RGraph(n, spec.r, ranker.unmask(best_mask))
 
 
+# K2's one-edge copies have the empty rest mask; P3 padded to 5 vertices
+# has two isolated ones
+UNCUT_SPECS = {name: builtin_spec(name) for name in ("K2", "K3", "K4", "K5", "P3", "C4")}
+UNCUT_SPECS["P3_on_5"] = RGraph(5, 2, [(1, 2), (2, 3)])
+
+
 def _uncut_grid():
-    for name, top in [("K3", 8), ("K4", 8), ("K5", 8), ("P3", 8), ("C4", 7)]:
-        for n in range(1, top + 1):
+    for name in UNCUT_SPECS:
+        for n in range(1, (7 if name == "C4" else 8) + 1):
             yield n, name
 
 
 @pytest.mark.parametrize("n,name", list(_uncut_grid()))
 def test_ex_oracle_matches_the_uncut_search(n, name):
-    assert brute_force_ex(n, builtin_spec(name)) == reference_ex(n, builtin_spec(name))
+    assert brute_force_ex(n, UNCUT_SPECS[name]) == reference_ex(n, UNCUT_SPECS[name])
 
 
 def _count_shadow_adds(monkeypatch):
@@ -676,7 +690,11 @@ GEN_EX_PAIRS = [
     ("K3", "K4"), ("K3", "K5"), ("K4", "K5"), ("P3", "K3"), ("C4", "K3"), ("K3", "C4"),
     ("K3", "K_ell_r(3,2)"),
 ]
-GEN_EX_GRID = sorted({(n, t, f) for t, f in GEN_EX_PAIRS for n in range(1, 7)} | {(5, "K3", "K3")})
+GEN_EX_GRID = sorted(
+    {(n, t, f) for t, f in GEN_EX_PAIRS for n in range(1, 7)}
+    | {(7, t, f) for t, f in GEN_EX_PAIRS[:6]}
+    | {(5, "K3", "K3")}
+)
 
 
 @pytest.mark.parametrize("n,t,f", GEN_EX_GRID)
