@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 
 from .errors import ClaimCheckError, InputError
@@ -49,12 +49,19 @@ from .squarezero import SquareZeroQuotient
 class CoverInstance:
     """A cover-ideal instance over C(n, r) variables, the edges (or pairs
     for the core-pair family, with r = 2) at their colex ranks: forbidden
-    copies and target copies, as colex masks."""
+    copies and target copies, as colex masks.
+
+    `symmetric` says that both families, cut to the r-sets of [m], are
+    invariant under every permutation of [m] for each m <= n, so that
+    `alpha_target` may take averaging floors from smaller m and cut the
+    search's sibling branches by orbits.  `make_instance` sets it; it takes
+    no part in equality."""
 
     n: int
     r: int
     forbidden: CopyFamily
     target: CopyFamily
+    symmetric: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if (self.forbidden.n, self.forbidden.r) != (self.n, self.r):
@@ -96,7 +103,11 @@ def make_instance(
     shadow is built, ScaleGuardError refuses C(n, ell) cliques placing more
     than COPY_CAP pairs, then a search setup past `guard_search_setup`'s
     budget; the targets are placed, under `place_copies`'s guard, before
-    the cliques."""
+    the cliques.
+
+    Both families hold every copy placed on [n], so cut to the r-sets of
+    [m] they are invariant under the permutations of [m]: the instance is
+    marked `symmetric`."""
     if target_spec is None:
         target_spec = one_edge(forbid_spec.r)
     check_target_spec(target_spec, forbid_spec)
@@ -108,12 +119,12 @@ def make_instance(
         guard_search_setup(ntargets, comb(n, ell), comb(n, 2))
         targets = place_copies(pair_shadows(target_shapes), n, 2)
         cliques = complete_shape(ell, 2) if ell <= n else (0, set())
-        return CoverInstance(n, 2, place_copies(cliques, n, 2), targets)
+        return CoverInstance(n, 2, place_copies(cliques, n, 2), targets, symmetric=True)
     r = forbid_spec.r
     forbid_shapes = explicit_shapes(forbid_spec, n)
     guard_search_setup(ntargets, explicit_copy_count(forbid_shapes, n), comb(n, r))
     forbidden = enumerate_forbidden_copies(forbid_spec, n, forbid_shapes)
-    return CoverInstance(n, r, forbidden, place_copies(target_shapes, n, r))
+    return CoverInstance(n, r, forbidden, place_copies(target_shapes, n, r), symmetric=True)
 
 
 def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
@@ -143,12 +154,14 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     copy lists enumerated at n; with the single edges as targets
     (`one_edge`) the minimum is |M|, the cover ideal's initial degree.
 
-    When every target spans k vertices (the target family's `span`; k = r
-    for single edges), the search is certified link by link.  The
-    averaging bound of Katona, Nemetz and Simonovits (1964): the property of
-    having no forbidden copy passes to induced subgraphs, and each target on
-    [m] lies inside m - k of the m vertex-deleted subsets of [m], so summing
-    the target count over those subsets gives
+    When the instance is `symmetric` and every target spans k vertices (the
+    target family's `span`; k = r for single edges), the search is
+    certified link by link.  The averaging bound of Katona, Nemetz and
+    Simonovits (1964): the property of having no forbidden copy passes to
+    induced subgraphs, each vertex-deleted subset of [m] carries the
+    instance on [m - 1] up to relabelling (by the symmetry), and each
+    target on [m] lies inside m - k of those m subsets, so summing the
+    target count over them gives
     ex(m) * (m - k) <= m * ex(m - 1), with ex(m) the most targets that a
     support hitting every forbidden copy on [m] leaves unmet.  So
     |targets on [m]| - floor(ex(m-1) * m / (m - k)) is a proven lower bound
@@ -157,20 +170,29 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     Link m searches the masks below the cut `1 << C(m, r)`: colex ranks
     put the r-sets of [m] first, so these are the families on [m].  Each
     floor comes from the previous link's value only, never from a theorem a
-    caller checks.  The first link gets floor 0, and a target family
-    without a span (built by hand, or none placed) runs one search on [n].
-    The bound holds for repeated targets too, counted with multiplicity.
-    The final link expands a prefix of the floor-free search's nodes, so
-    the minimum and witness are that search's, reached sooner.
+    caller checks.  The first link gets floor 0, and a hand-built instance,
+    which makes no symmetry claim, or a target family without a span (none
+    placed) runs one search on [n].  The bound holds for repeated targets
+    too, counted with multiplicity.
+
+    On a `symmetric` instance every link also cuts orbits (`setup_search`
+    with r): the families below each cut are invariant under the
+    permutations of [m], so a sibling branch that one of them maps onto an
+    earlier branch is skipped.  A hand-built instance runs the uncut tree.
+    Either way the final link expands a prefix of the floor-free search's
+    nodes (the floor-free cut search's, on a symmetric instance), and its
+    minimum and witness are those of the uncut search on [n], reached
+    sooner.
 
     A setup on [n] past `monomial.guard_search_setup`'s budget raises
     ScaleGuardError before the first link; each link's search raises it past
     its own ALPHA_CAP_NODES nodes.
     """
-    n, r, k = inst.n, inst.r, inst.target.span
+    n, r = inst.n, inst.r
+    k = inst.target.span if inst.symmetric else None
     targets = inst.target.copies
     guard_search_setup(len(targets), len(inst.forbidden), comb(n, r))
-    search = setup_search(inst.forbidden.copies, targets, comb(n, r))
+    search = setup_search(inst.forbidden.copies, targets, comb(n, r), r if inst.symmetric else None)
     previous = None
     for m in range(min(k, n), n + 1) if k is not None else (n,):
         cut = comb(m, r)

@@ -4,7 +4,8 @@ Edges are r-element frozensets of 1-based vertices.  Edge sets are colex
 masks: bit i is the r-set of colex rank i (`colex_rank`, the same for every
 n), so subset tests are single AND ops.  A forbidden copy is such a mask
 from the moment it is listed: the squarefree monomial of its edges in the
-edge-variable ring.  `EdgeRanker` lists the r-sets of [n] in that order.
+edge-variable ring.  `EdgeRanker` lists the r-sets of [n] in that order, and
+`colex_unrank` maps one rank back to its r-set without a list.
 
 Copies of an explicit pattern F on k vertices are vertex sets times
 labellings: the k!/|Aut(F)| distinct relabellings of F's edges (for a
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb, factorial, isqrt
 from operator import le
 from typing import Collection, Iterable
 
@@ -49,6 +50,30 @@ def colex_rank(edge: Iterable[int]) -> int:
     """The colex position of {v_1 < ... < v_r}, the sum of C(v_j - 1, j)
     (combinatorial number system); independent of n, so [m]'s r-sets come first."""
     return sum(comb(v - 1, j) for j, v in enumerate(sorted(edge), 1))
+
+
+def colex_unrank(rank: int, r: int) -> tuple[int, ...]:
+    """The r-set at colex position `rank`, as a sorted tuple: the inverse of
+    `colex_rank`.  From j = r down to 3, v_j - 1 is the largest c with
+    C(c, j) <= rank, bisected below rank + j (C(c, j) >= c - j + 1 for
+    c >= j), and C(c, j) is taken off the rank.  The last two are closed
+    form: v_2 - 1 = (1 + isqrt(8 rank + 1)) // 2, and v_1 - 1 is the rank
+    left after C(v_2 - 1, 2)."""
+    if r < 2:
+        return (rank + 1,) if r else ()
+    top = ()
+    for j in range(r, 2, -1):
+        c, hi = j - 1, rank + j  # C(c, j) <= rank < C(hi, j)
+        while hi - c > 1:
+            mid = (c + hi) // 2
+            if comb(mid, j) <= rank:
+                c = mid
+            else:
+                hi = mid
+        top = (c + 1, *top)
+        rank -= comb(c, j)
+    b = (1 + isqrt(8 * rank + 1)) // 2
+    return (rank - b * (b - 1) // 2 + 1, b + 1, *top)
 
 
 def edge_mask(edges: Iterable[Iterable[int]]) -> int:
@@ -692,6 +717,7 @@ __all__ = [
     "EdgeRanker",
     "rsets_colex",
     "colex_rank",
+    "colex_unrank",
     "edge_mask",
     "balanced_partition",
     "partition_pairs",

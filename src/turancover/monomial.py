@@ -13,7 +13,11 @@ ideal.  `minimal_supports`, the inclusion-minimal masks of a list, lives in
 function of a cut and a floor; `min_targets_met` is its search over every
 variable.  The minimum hitting set is its instance with one singleton
 target per variable, `min_hitting_set`; the library's one entry is
-`dictionary.alpha_target`, whose `ex` targets are those singletons.
+`dictionary.alpha_target`, whose `ex` targets are those singletons.  Given
+the uniformity r of vertex-symmetric families, the search also skips the
+sibling branches that a vertex permutation maps onto earlier ones (orbit
+cuts); `alpha_target` asks for that on instances `make_instance` built, and
+the other entries search the uncut tree.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from bisect import bisect_left
 from typing import Callable, Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import PEEL_BITS, _bits, _mask_of, minimal_supports
+from .hypergraph import PEEL_BITS, _bits, _mask_of, colex_unrank, minimal_supports
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +72,25 @@ class _FloorReached(Exception):
     """The incumbent has reached the floor: no better set exists."""
 
 
-def setup_search(copies: Iterable[int], targets: Sequence[int], nvars: int) -> Callable:
+class _VertexMasks(dict):
+    """Variable -> the vertex mask of its r-set (bit u for vertex u),
+    unranked (`colex_unrank`) on first use."""
+
+    def __init__(self, r: int):
+        super().__init__()
+        self.r = r
+
+    def __missing__(self, v: int) -> int:
+        mask = 0
+        for u in colex_unrank(v, self.r):
+            mask |= 1 << u
+        self[v] = mask
+        return mask
+
+
+def setup_search(
+    copies: Iterable[int], targets: Sequence[int], nvars: int, r: int | None = None
+) -> Callable:
     """Set the hitting-set search up once for the copy and target masks over
     nvars variables, and return `search(cut, floor)`: the minimum number of
     targets below `1 << cut` meeting M, over supports M meeting every copy
@@ -86,15 +108,34 @@ def setup_search(copies: Iterable[int], targets: Sequence[int], nvars: int) -> C
     variables of an uncovered copy with the fewest of them, banning each
     variable in the branches after its own.  The count of targets met is
     monotone in M, so a branch is cut as soon as it meets as many targets
-    as the incumbent.  The witness is therefore the first optimum in this
-    fixed branching order.  Uncovered copies and unmet targets are bitsets
-    over their indices.
+    as the incumbent, and a node stops walking its branches once the
+    incumbent meets no more targets than the node's own chosen set, which no
+    branch can beat.  Uncovered copies and unmet targets are bitsets over
+    their indices.
+
+    Orbit cut.  Given `r`, variable v is the r-set `colex_unrank(v, r)`,
+    and the caller promises that the copies and the targets below each cut
+    C(m, r) are, as multisets, invariant under every permutation of [m].
+    Each node carries T, the vertices of its chosen and banned variables,
+    and skips the branch on v when an earlier sibling u has the same
+    vertices in T (McKay, "Isomorph-free exhaustive generation", J.
+    Algorithms 1998).  A permutation of [m] fixing T pointwise then maps v
+    to u and fixes the node's chosen and banned sets, so it maps each set
+    of v's branch to one of the same count in the branches up to u's.  A
+    skipped variable is still banned in the later siblings' branches.  At
+    the root T is empty and only the first branch runs; with fewer than two
+    vertices of [m] outside T no two variables match, and the plain loop
+    runs.  A search whose targets are all forced runs uncut: its first leaf
+    is optimal and cuts every later branch.
+
+    The witness is the first optimum in the fixed branching order: only a
+    strictly better set replaces the incumbent, and no skipped branch holds
+    that first optimum, so the cut changes neither value nor witness.
 
     `floor` is a proven lower bound on the minimum: the search stops once
-    the incumbent reaches it (forced + best <= floor).  Only a strictly
-    better set replaces the incumbent, so a floor at or below the minimum
-    keeps the floor-free answer, reached after a prefix of its nodes; a
-    floor above it may stop on a set that is not optimal.
+    the incumbent reaches it (forced + best <= floor).  A floor at or below
+    the minimum keeps the floor-free answer, reached after a prefix of its
+    nodes; a floor above it may stop on a set that is not optimal.
 
     ScaleGuardError refuses a setup past `guard_search_setup`'s budget
     before the filter runs, a search past ALPHA_CAP_NODES nodes (a budget
@@ -113,6 +154,7 @@ def setup_search(copies: Iterable[int], targets: Sequence[int], nvars: int) -> C
     free = [t for t in ordered if not any(c & t == c for c in forb)]
     targets_at = _index_sets(free, nvars)
     copies_at = _index_sets(forb, nvars)
+    verts = None if r is None else _VertexMasks(r)
 
     def search(cut: int, floor: int) -> tuple[int, int]:
         below = 1 << cut
@@ -122,12 +164,19 @@ def setup_search(copies: Iterable[int], targets: Sequence[int], nvars: int) -> C
         nfree = bisect_left(free, below)
         forced = bisect_left(ordered, below) - nfree
         best, best_mask, nodes = nfree + 1, 0, 0
+        # [m]'s vertices, m the top vertex of the last variable below the
+        # cut.  None without the orbit cut, and none when every target is
+        # forced: the first leaf then meets no free target and cuts every
+        # later branch, so there is nothing to skip.  Then every node runs
+        # the plain loop.
+        ground = 0 if verts is None or not nfree else (2 << colex_unrank(cut - 1, r)[-1]) - 2
 
         def dfs(
-            chosen: int, banned: int, banned_copies: int, uncovered: int, alive: int, killed: int
+            chosen: int, banned: int, banned_copies: int, uncovered: int, alive: int, killed: int,
+            fixed: int,
         ) -> None:
             # uncovered: copies not hit yet; banned_copies: copies through a
-            # banned variable; alive: free targets not met yet
+            # banned variable; alive: free targets not met yet; fixed: T
             nonlocal best, best_mask, nodes
             nodes += 1
             if nodes > ALPHA_CAP_NODES:
@@ -154,6 +203,41 @@ def setup_search(copies: Iterable[int], targets: Sequence[int], nvars: int) -> C
                     pivot, size = j, k
             avail = forb[pivot] & allowed
             local_ban, local_copies = banned, banned_copies
+            # the vertices of [m] outside T, which a permutation fixing T may
+            # move; with fewer than two of them no two variables match, here
+            # or below, and the plain loops pass T on unchanged
+            moved = ground ^ fixed
+            if moved & (moved - 1):
+                if not fixed:
+                    # the root: every variable has key 0, so only the first
+                    # branch runs, and the pivot is never listed
+                    bit = avail & -avail
+                    v = bit.bit_length() - 1
+                    hit = targets_at[v] & alive
+                    dfs(bit, 0, 0, uncovered & ~copies_at[v], alive ^ hit, hit.bit_count(), verts[v])
+                    return
+                # the orbit cut: one branch per key vv & T among the pivot's
+                # variables; each child's T adds its own and earlier siblings
+                keys, reach = [], fixed
+                for v in _bits(avail):
+                    vv = verts[v]
+                    key = vv & fixed
+                    if key not in keys:
+                        keys.append(key)
+                        hit = targets_at[v] & alive
+                        total = killed + hit.bit_count()
+                        if total < best:
+                            bit = 1 << v
+                            rest = uncovered & ~copies_at[v]
+                            dfs(
+                                chosen | bit, banned | avail & (bit - 1), local_copies, rest,
+                                alive ^ hit, total, reach | vv,
+                            )
+                            if best <= killed:
+                                return
+                    reach |= vv
+                    local_copies |= copies_at[v]
+                return
             if size > PEEL_BITS:
                 # peeling copies avail once per variable, quadratic in a long
                 # pivot, so its variables are listed in one pass (`_bits`) and
@@ -164,7 +248,12 @@ def setup_search(copies: Iterable[int], targets: Sequence[int], nvars: int) -> C
                     if total < best:
                         bit = 1 << v
                         rest = uncovered & ~copies_at[v]
-                        dfs(chosen | bit, banned | avail & (bit - 1), local_copies, rest, alive ^ hit, total)
+                        dfs(
+                            chosen | bit, banned | avail & (bit - 1), local_copies, rest,
+                            alive ^ hit, total, fixed,
+                        )
+                        if best <= killed:
+                            return
                     local_copies |= copies_at[v]
                 return
             while avail:
@@ -175,12 +264,14 @@ def setup_search(copies: Iterable[int], targets: Sequence[int], nvars: int) -> C
                 total = killed + hit.bit_count()
                 if total < best:
                     rest = uncovered & ~copies_at[v]
-                    dfs(chosen | bit, local_ban, local_copies, rest, alive ^ hit, total)
+                    dfs(chosen | bit, local_ban, local_copies, rest, alive ^ hit, total, fixed)
+                    if best <= killed:
+                        return
                 local_ban |= bit
                 local_copies |= copies_at[v]
 
         try:
-            dfs(0, 0, 0, uncovered, (1 << nfree) - 1, 0)
+            dfs(0, 0, 0, uncovered, (1 << nfree) - 1, 0, 0)
         except _FloorReached:
             pass
         except RecursionError:

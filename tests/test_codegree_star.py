@@ -340,11 +340,13 @@ def test_star_initial_degree_vacuous():
 
 
 def test_star_initial_degree_scale_guard(monkeypatch):
-    # the pair-graph search at (7, 4, 3): 35 triangle targets x 35 K4 copies
-    # = 1,225 setup steps pass; the search needs 1,802 nodes
-    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1225)
+    # the pair-graph search at (10, 4, 3): 120 triangle targets x 210 K4
+    # copies = 25,200 setup steps pass, and so do the links on [3]..[9]
+    # (at most 10,521 nodes); even with the orbit cut, the link on [10]
+    # needs far more
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 25_200)
     with pytest.raises(ScaleGuardError, match="nodes"):
-        star_initial_degree(StarParams(7, 4, 3))
+        star_initial_degree(StarParams(10, 4, 3))
 
 
 def _clique_copies(n, s):

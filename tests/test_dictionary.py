@@ -1,3 +1,5 @@
+import collections
+import itertools
 import random
 from math import comb
 
@@ -32,7 +34,7 @@ from turancover.hypergraph import (
     enumerate_forbidden_copies,
     turan_count,
 )
-from turancover.monomial import min_hitting_set, min_targets_met
+from turancover.monomial import min_hitting_set, min_targets_met, setup_search
 from turancover.squarezero import SquareZeroQuotient
 
 
@@ -270,15 +272,16 @@ SHARED_SETUP_GRID = [
 
 def _record_links(monkeypatch) -> list:
     """Wrap `dictionary.setup_search` so that each link's search appends
-    (cut, floor, answer, search nodes) to the returned list."""
+    (cut, floor, orbit-cut uniformity r, answer, search nodes) to the
+    returned list."""
     links, setup = [], dictionary.setup_search
 
-    def recording(copies, targets, nvars):
-        search = setup(copies, targets, nvars)
+    def recording(copies, targets, nvars, r=None):
+        search = setup(copies, targets, nvars, r)
 
         def link(cut, floor):
             answer, nodes = _with_search_nodes(search, cut, floor)
-            links.append((cut, floor, answer, nodes))
+            links.append((cut, floor, r, answer, nodes))
             return answer
 
         return link
@@ -293,19 +296,104 @@ def _record_links(monkeypatch) -> list:
 )
 def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, target, forbid, top):
     # one setup at n serves every link: each link picks the pivots, expands
-    # the nodes and returns the answer of a search set up on its own lists
+    # the nodes and returns the answer of a search set up on its own lists,
+    # with the same orbit cut
     links = _record_links(monkeypatch)
     for n in range(1, top + 1):
         inst = make_instance(n, builtin_spec(forbid), target and builtin_spec(target))
         links.clear()
         alpha_target(inst)
         assert links, n
-        for cut, floor, answer, nodes in links:
+        for cut, floor, r, answer, nodes in links:
+            assert r == inst.r
             below = 1 << cut
             copies = [c for c in inst.forbidden.copies if c < below]
             targets = [t for t in inst.target.copies if t < below]
-            fresh = _with_search_nodes(min_targets_met, copies, targets, cut, floor)
+            fresh = _with_search_nodes(setup_search(copies, targets, cut, r), cut, floor)
             assert fresh == (answer, nodes), (n, cut)
+
+
+# the shared-setup grid, both core-pair families at n = 8, and K9-free
+# instances whose clique pivots hold 36 pair variables, past PEEL_BITS
+ORBIT_GRID = [
+    *SHARED_SETUP_GRID,
+    (None, "K_ell_r(4,3)", 8),
+    (None, "K_ell_r(3,2)", 8),
+    (None, "K_ell_r(9,2)", 11),
+    ("K3", "K_ell_r(9,2)", 11),
+]
+
+
+def _orbit_cut_mismatches(grid):
+    """Yield each (target, forbid, n) of the grid, n up to its top, where
+    `alpha_target`, with the orbit cut, differs in value or witness from
+    the uncut search on [n]."""
+    for target, forbid, top in grid:
+        for n in range(1, top + 1):
+            inst = make_instance(n, builtin_spec(forbid), target and builtin_spec(target))
+            uncut = min_targets_met(inst.forbidden.copies, inst.target.copies, comb(n, inst.r))
+            if alpha_target(inst) != uncut:
+                yield target, forbid, n
+
+
+def test_orbit_cut_keeps_value_and_witness():
+    assert list(_orbit_cut_mismatches(ORBIT_GRID)) == []
+
+
+def test_orbit_cut_that_ignores_the_fixed_vertices_fails_the_grid(monkeypatch):
+    # every variable gets the empty vertex mask, so all of a node's
+    # variables fall into one orbit and only its first branch runs
+    monkeypatch.setattr(monomial, "_VertexMasks", lambda r: collections.defaultdict(int))
+    assert next(_orbit_cut_mismatches(ORBIT_GRID), None) is not None
+
+
+def test_orbit_cut_fires_on_the_last_link(monkeypatch):
+    # gen-ex K3/K4 at n = 8: the link on [8] has floor 37 and answer 38, and
+    # the uncut search walks 24,344 nodes to prove it
+    links = _record_links(monkeypatch)
+    inst = make_instance(8, builtin_spec("K4"), builtin_spec("K3"))
+    alpha_target(inst)
+    cut, floor, r, answer, nodes = links[-1]
+    assert (cut, floor, r, answer[0]) == (28, 37, 2, 38)
+    uncut = _with_search_nodes(setup_search(inst.forbidden.copies, inst.target.copies, cut), cut, floor)
+    assert uncut[0] == answer
+    assert 5 * nodes < uncut[1]
+
+
+def test_hand_built_instances_run_the_uncut_search(monkeypatch):
+    # the instance of ex(7, K3) rebuilt by hand: its target family keeps
+    # its span, but the instance makes no symmetry claim, so it runs one
+    # uncut search on [7], with the same answer
+    inst = make_instance(7, builtin_spec("K3"))
+    expected = alpha_target(inst)
+    links = _record_links(monkeypatch)
+    assert alpha_target(CoverInstance(7, 2, inst.forbidden, inst.target)) == expected
+    assert [link[:3] for link in links] == [(21, 0, None)]
+    # triangles through vertex 1, with the pairs at vertex 1 or 2 as
+    # targets: not invariant under S_7, and no span, so one search on [7],
+    # node for node the uncut search
+    stars = edge_mask((v, u) for v in (1, 2) for u in range(1, 8) if u != v)
+    one = edge_mask((1, u) for u in range(2, 8))
+    forbidden = CopyFamily(7, 2, tuple(c for c in inst.forbidden.copies if c & one))
+    targets = CopyFamily(7, 2, tuple(1 << i for i in range(21) if 1 << i & stars))
+    links.clear()
+    alpha_target(CoverInstance(7, 2, forbidden, targets))
+    answer, nodes = _with_search_nodes(min_targets_met, forbidden.copies, targets.copies, 21)
+    assert answer[0] == 1
+    assert links == [(21, 0, None, answer, nodes)]
+
+
+def test_hand_built_instances_take_no_averaging_floor():
+    # the edges of K_4 as targets, with their span, and the triangles 123
+    # and 134 forbidden: one edge, 13, meets both.  Averaging over [3],
+    # where 123 forces one edge, would floor the link on [4] at
+    # 6 - 2 * 4 // 2 = 2 and stop on a two-edge set.
+    forbidden = CopyFamily(4, 2, tuple(sorted(
+        edge_mask(itertools.combinations(t, 2)) for t in [(1, 2, 3), (1, 3, 4)]
+    )))
+    targets = make_instance(4, builtin_spec("K3")).target
+    assert targets.span == 2
+    assert alpha_target(CoverInstance(4, 2, forbidden, targets)) == (1, edge_mask([(1, 3)]))
 
 
 def test_one_alpha_target_call_builds_the_index_tables_once(monkeypatch):
@@ -558,10 +646,12 @@ def test_alpha_target_matches_exhaustive_minimum(target, forbid):
 
 
 def test_gen_ex_scale_guard(monkeypatch):
-    # the instance gen_ex_via_cover(7, K3, K4) searches: 35 triangle targets
-    # x 35 K4 copies = 1,225 setup steps pass; the search needs 1,802 nodes
-    inst = make_instance(7, builtin_spec("K4"), builtin_spec("K3"))
-    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1225)
+    # the instance gen_ex_via_cover(8, K3, C4) searches: 56 triangle targets
+    # x 210 C4 copies = 11,760 setup steps pass, and so do the links on
+    # [3]..[7] (at most 222 nodes); even with the orbit cut, the link on
+    # [8] needs 124,353 nodes
+    inst = make_instance(8, builtin_spec("C4"), builtin_spec("K3"))
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 11_760)
     with pytest.raises(ScaleGuardError, match="nodes"):
         alpha_target(inst)
 

@@ -756,6 +756,15 @@ def test_colex_formula_matches_the_sort(n, r):
         assert colex_reference(bigger, r)[: len(sets)] == sets
 
 
+@pytest.mark.parametrize("n,r", [(n, r) for n in range(13) for r in range(5)])
+def test_colex_unrank_inverts_the_rank(n, r):
+    # every rank below C(n, r) unranks to the r-set listed there, and ranks
+    # back to itself
+    for rank, t in enumerate(hypergraph.rsets_colex(n, r)):
+        assert hypergraph.colex_unrank(rank, r) == t
+        assert hypergraph.colex_rank(hypergraph.colex_unrank(rank, r)) == rank
+
+
 def test_edge_ranker_roundtrip():
     mask = edge_mask([frozenset((1, 2, 3)), frozenset((3, 4, 5))])
     assert EdgeRanker(5, 3).unmask(mask) == [frozenset((1, 2, 3)), frozenset((3, 4, 5))]
