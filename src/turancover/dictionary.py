@@ -184,14 +184,14 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     minimum and witness are those of the uncut search on [n], reached
     sooner.
 
-    A setup on [n] past `monomial.guard_search_setup`'s budget raises
-    ScaleGuardError before the first link; each link's search raises it past
-    its own ALPHA_CAP_NODES nodes.
+    `setup_search` refuses a setup on [n] past
+    `monomial.guard_search_setup`'s budget with ScaleGuardError before the
+    first link; each link's search raises it past its own ALPHA_CAP_NODES
+    nodes.
     """
     n, r = inst.n, inst.r
     k = inst.target.span if inst.symmetric else None
     targets = inst.target.copies
-    guard_search_setup(len(targets), len(inst.forbidden), comb(n, r))
     search = setup_search(inst.forbidden.copies, targets, comb(n, r), r if inst.symmetric else None)
     previous = None
     for m in range(min(k, n), n + 1) if k is not None else (n,):

@@ -8,8 +8,9 @@ edge-variable ring.  `EdgeRanker` lists the r-sets of [n] in that order, and
 `colex_unrank` maps one rank back to its r-set without a list.
 
 Copies of an explicit pattern F on k vertices are vertex sets times
-labellings: the k!/|Aut(F)| distinct relabellings of F's edges (for a
-complete pattern the one `complete_shape`, built without relabelling) are
+labellings.  Its shapes, the k!/|Aut(F)| distinct relabellings of F's edges
+by positions 0..k-1 (for a complete pattern the one `complete_shape`, built
+without relabelling), each a sorted tuple of sorted position tuples, are
 computed once and placed on each k-subset of [n] (`place_copies`), as are
 their pair shadows (`pair_shadows`).  The oracles read each listed copy,
 forbidden or target, as its rest mask, the copy without its last edge:
@@ -326,7 +327,7 @@ ORACLE_CAP_EDGES = 30
 def complete_shape(k: int, r: int) -> tuple[int, set]:
     """(k, shapes) of the complete r-graph on k vertices: its one shape, all
     r-sets of the positions 0..k-1."""
-    return k, {frozenset(map(frozenset, itertools.combinations(range(k), r)))}
+    return k, {tuple(itertools.combinations(range(k), r))}
 
 
 def _shapes(F: RGraph) -> tuple[int, set]:
@@ -348,7 +349,7 @@ def _shapes(F: RGraph) -> tuple[int, set]:
     if labelling_work > COPY_CAP:
         raise ScaleGuardError(f"labelling work {labelling_work} exceeds cap {COPY_CAP}")
     shapes = {
-        frozenset(frozenset(p[i] for i in e) for e in edges)
+        tuple(sorted(tuple(sorted(p[i] for i in e)) for e in edges))
         for p in itertools.permutations(range(k))
     }
     return k, shapes
@@ -367,7 +368,7 @@ def pair_shadows(shapes: tuple[int, set]) -> tuple[int, list]:
     the shadow of every copy of T, repeats included."""
     k, found = shapes
     return k, [
-        frozenset(frozenset(p) for e in shape for p in itertools.combinations(e, 2))
+        tuple(sorted({p for e in shape for p in itertools.combinations(e, 2)}))
         for shape in found
     ]
 
@@ -398,13 +399,13 @@ def place_copies(shapes: tuple[int, Collection], n: int, r: int) -> CopyFamily:
     guard_copy_listing(explicit_copy_count(shapes, n), len(next(iter(found))))
     # every position lies in an edge, so a copy's vertex set is the k-set it
     # was placed on: distinct shapes give distinct copies, and a shape listed
-    # twice gives each of its copies twice.  Edges are sorted once, so on the
-    # 0-based k-set c (c[i] = v - 1) `colex_rank`'s sum needs no sort per copy
-    sorted_shapes = [[sorted(e) for e in shape] for shape in found]
+    # twice gives each of its copies twice.  A shape's edges are sorted
+    # position tuples, so on the 0-based k-set c (c[i] = v - 1) `colex_rank`'s
+    # sum needs no sort per copy
     copies = [
         _mask_of([sum(map(comb, map(c.__getitem__, e), itertools.count(1))) for e in shape])
         for c in itertools.combinations(range(n), k)
-        for shape in sorted_shapes
+        for shape in found
     ]
     return CopyFamily(n, r, tuple(sorted(copies)), k)
 

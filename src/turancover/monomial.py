@@ -26,7 +26,7 @@ from bisect import bisect_left
 from typing import Callable, Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import PEEL_BITS, _bits, _mask_of, colex_unrank, minimal_supports
+from .hypergraph import _bits, _mask_of, colex_unrank, minimal_supports
 
 
 # ---------------------------------------------------------------------------
@@ -104,14 +104,14 @@ def setup_search(
     are built once, and each search expands the nodes of one set up on the
     masks below its cut alone.
 
-    Branch-and-bound over minimal hitting sets: branch on the allowed
-    variables of an uncovered copy with the fewest of them, banning each
-    variable in the branches after its own.  The count of targets met is
-    monotone in M, so a branch is cut as soon as it meets as many targets
-    as the incumbent, and a node stops walking its branches once the
-    incumbent meets no more targets than the node's own chosen set, which no
-    branch can beat.  Uncovered copies and unmet targets are bitsets over
-    their indices.
+    Branch-and-bound over minimal hitting sets, in one branch loop: branch
+    on the allowed variables of an uncovered copy with the fewest of them,
+    in increasing order, banning each variable in the branches after its
+    own.  The count of targets met is monotone in M, so a branch is cut as
+    soon as it meets as many targets as the incumbent, and a node stops
+    walking its branches once the incumbent meets no more targets than the
+    node's own chosen set, which no branch can beat.  Uncovered copies and
+    unmet targets are bitsets over their indices.
 
     Orbit cut.  Given `r`, variable v is the r-set `colex_unrank(v, r)`,
     and the caller promises that the copies and the targets below each cut
@@ -124,9 +124,9 @@ def setup_search(
     of v's branch to one of the same count in the branches up to u's.  A
     skipped variable is still banned in the later siblings' branches.  At
     the root T is empty and only the first branch runs; with fewer than two
-    vertices of [m] outside T no two variables match, and the plain loop
-    runs.  A search whose targets are all forced runs uncut: its first leaf
-    is optimal and cuts every later branch.
+    vertices of [m] outside T no two variables match, and none is skipped.
+    A search whose targets are all forced runs uncut: its first leaf is
+    optimal and cuts every later branch.
 
     The witness is the first optimum in the fixed branching order: only a
     strictly better set replaces the incumbent, and no skipped branch holds
@@ -167,8 +167,8 @@ def setup_search(
         # [m]'s vertices, m the top vertex of the last variable below the
         # cut.  None without the orbit cut, and none when every target is
         # forced: the first leaf then meets no free target and cuts every
-        # later branch, so there is nothing to skip.  Then every node runs
-        # the plain loop.
+        # later branch, so there is nothing to skip.  Then no node skips a
+        # branch, and T stays empty.
         ground = 0 if verts is None or not nfree else (2 << colex_unrank(cut - 1, r)[-1]) - 2
 
         def dfs(
@@ -202,72 +202,42 @@ def setup_search(
                 if k < size or (k == size and j < pivot):
                     pivot, size = j, k
             avail = forb[pivot] & allowed
-            local_ban, local_copies = banned, banned_copies
+            local_copies, reach = banned_copies, fixed
             # the vertices of [m] outside T, which a permutation fixing T may
             # move; with fewer than two of them no two variables match, here
-            # or below, and the plain loops pass T on unchanged
+            # or below, and every child gets T unchanged
             moved = ground ^ fixed
-            if moved & (moved - 1):
+            orbit = moved & (moved - 1)
+            if orbit:
+                # one branch per key vv & T among the pivot's variables; each
+                # child's T adds its own and earlier siblings.  At the root
+                # every key is 0, so only the first branch runs
+                keys = []
                 if not fixed:
-                    # the root: every variable has key 0, so only the first
-                    # branch runs, and the pivot is never listed
-                    bit = avail & -avail
-                    v = bit.bit_length() - 1
-                    hit = targets_at[v] & alive
-                    dfs(bit, 0, 0, uncovered & ~copies_at[v], alive ^ hit, hit.bit_count(), verts[v])
-                    return
-                # the orbit cut: one branch per key vv & T among the pivot's
-                # variables; each child's T adds its own and earlier siblings
-                keys, reach = [], fixed
-                for v in _bits(avail):
-                    vv = verts[v]
-                    key = vv & fixed
-                    if key not in keys:
-                        keys.append(key)
-                        hit = targets_at[v] & alive
-                        total = killed + hit.bit_count()
-                        if total < best:
-                            bit = 1 << v
-                            rest = uncovered & ~copies_at[v]
-                            dfs(
-                                chosen | bit, banned | avail & (bit - 1), local_copies, rest,
-                                alive ^ hit, total, reach | vv,
-                            )
-                            if best <= killed:
-                                return
-                    reach |= vv
-                    local_copies |= copies_at[v]
-                return
-            if size > PEEL_BITS:
-                # peeling copies avail once per variable, quadratic in a long
-                # pivot, so its variables are listed in one pass (`_bits`) and
-                # each branch bans the ones before its own
-                for v in _bits(avail):
-                    hit = targets_at[v] & alive
-                    total = killed + hit.bit_count()
-                    if total < best:
-                        bit = 1 << v
-                        rest = uncovered & ~copies_at[v]
-                        dfs(
-                            chosen | bit, banned | avail & (bit - 1), local_copies, rest,
-                            alive ^ hit, total, fixed,
-                        )
-                        if best <= killed:
-                            return
-                    local_copies |= copies_at[v]
-                return
+                    avail &= -avail
+            # each branch bans the pivot's variables before its own, found
+            # from `pool` only when it runs
+            pool = avail
             while avail:
                 bit = avail & -avail
                 avail ^= bit
                 v = bit.bit_length() - 1
+                if orbit:
+                    vv = verts[v]
+                    reach |= vv
+                    key = vv & fixed
+                    if key in keys:
+                        local_copies |= copies_at[v]
+                        continue
+                    keys.append(key)
                 hit = targets_at[v] & alive
                 total = killed + hit.bit_count()
                 if total < best:
                     rest = uncovered & ~copies_at[v]
-                    dfs(chosen | bit, local_ban, local_copies, rest, alive ^ hit, total, fixed)
+                    ban = banned | pool & (bit - 1)
+                    dfs(chosen | bit, ban, local_copies, rest, alive ^ hit, total, reach)
                     if best <= killed:
                         return
-                local_ban |= bit
                 local_copies |= copies_at[v]
 
         try:

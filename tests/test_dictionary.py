@@ -252,7 +252,10 @@ def test_chain_guards_the_whole_instance_before_the_first_link(monkeypatch):
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 734)
     with pytest.raises(ScaleGuardError, match="735 setup steps"):
         ex_via_cover(7, CoreFamily(3, 2))
-    # 35 triangle targets x 35 K4 copies at n = 7
+    # 35 triangle targets x 35 K4 copies at n = 7, refused by the search's
+    # setup on [n] before it builds a table or runs a link
+    monkeypatch.setattr(dictionary, "setup_search", monomial.setup_search)
+    monkeypatch.setattr(monomial, "_index_sets", _no_setup)
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1224)
     with pytest.raises(ScaleGuardError, match="1225 setup steps"):
         alpha_target(inst)
@@ -314,7 +317,7 @@ def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, tar
 
 
 # the shared-setup grid, both core-pair families at n = 8, and K9-free
-# instances whose clique pivots hold 36 pair variables, past PEEL_BITS
+# instances whose clique pivots hold 36 pair variables
 ORBIT_GRID = [
     *SHARED_SETUP_GRID,
     (None, "K_ell_r(4,3)", 8),

@@ -334,7 +334,7 @@ def test_complete_patterns_have_one_unpermuted_shape(r):
         F = RGraph(k + 2, r, itertools.combinations(range(3, k + 3), r))
         edges = [[v - 3 for v in e] for e in F.edges]
         permuted = {
-            frozenset(frozenset(p[i] for i in e) for e in edges)
+            tuple(sorted(tuple(sorted(p[i] for i in e)) for e in edges))
             for p in itertools.permutations(range(k))
         }
         assert _shapes(F) == (k, permuted)

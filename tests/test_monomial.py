@@ -154,14 +154,14 @@ def _with_search_nodes(search, *args):
     return answer, nodes
 
 
-def test_long_pivot_is_walked_in_the_peel_order(monkeypatch):
+def test_long_pivot_is_walked_in_the_peel_order():
     # six copies of 33 to 40 variables in overlapping windows, every
-    # variable a target: the pivots past PEEL_BITS are listed by `_bits`;
-    # peeling every pivot instead must expand the same nodes and give the
-    # same answers
+    # variable a target: long pivots, peeled one variable at a time by the
+    # one branch loop, must give the answers and expand the nodes recorded
+    # when pivots past 32 variables were listed in one pass instead
     rng = random.Random(11)
     nvars = 160
-    cases = []
+    found = []
     for _ in range(8):
         copies = [
             sum(1 << v for v in rng.sample(range(20 * i, 20 * i + 45), rng.randint(33, 40)))
@@ -169,10 +169,14 @@ def test_long_pivot_is_walked_in_the_peel_order(monkeypatch):
         ]
         targets = [1 << v for v in range(nvars)]
         targets += [sum(1 << v for v in rng.sample(range(nvars), 2)) for _ in range(40)]
-        cases.append((copies, targets))
-    listed = [_with_search_nodes(min_targets_met, c, t, nvars) for c, t in cases]
-    monkeypatch.setattr(monomial, "PEEL_BITS", nvars)
-    assert [_with_search_nodes(min_targets_met, c, t, nvars) for c, t in cases] == listed
+        found.append(_with_search_nodes(min_targets_met, copies, targets, nvars))
+    assert found == [
+        ((size, sum(1 << v for v in witness)), nodes)
+        for size, witness, nodes in [
+            (2, (40, 101), 111), (3, (0, 63, 101), 526), (2, (40, 100), 271), (2, (41, 100), 776),
+            (2, (43, 103), 292), (2, (41, 101), 239), (3, (20, 80, 100), 340), (2, (40, 100), 921),
+        ]
+    ]
 
 
 def test_long_pivot_bans_the_variables_before_each_branch():
