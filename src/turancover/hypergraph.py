@@ -26,7 +26,6 @@ polynomial core: they are the independent check of both.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from math import comb, factorial, isqrt
 from operator import le
@@ -462,32 +461,28 @@ def count_copies(G: RGraph, fam: CopyFamily) -> int:
 def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     """Exact ex(n, spec) by branch-and-bound over subgraphs of the complete r-graph.
 
-    Deterministic: among optimal witnesses, the one with the smallest edge
-    bitmask (colex edge ranks) is returned.  ScaleGuardError refuses more
-    than ORACLE_CAP_EDGES potential edges before any copy is listed.  The
-    freeness test is `_freeness_test`'s: edge idx may join `chosen` unless
-    `chosen` holds the rest mask of a copy ending at idx.
+    ScaleGuardError refuses more than ORACLE_CAP_EDGES potential edges
+    before any copy is listed.  The freeness test is `_freeness_test`'s:
+    edge idx may join `chosen` unless `chosen` holds the rest mask of a copy
+    ending at idx.  A node deciding edge idx is cut when even taking every
+    remaining edge cannot beat the incumbent.
 
-    A node deciding edge idx is cut when even taking every remaining edge
-    cannot beat the incumbent: below the size bound, or at it (a tie) when
-    that one tying leaf, `chosen` with all edges from idx on, has a mask no
-    smaller than the incumbent's.  Every leaf the cut skips would lose the
-    tie-break, so the witness is the one the uncut search returns.
+    The witness is the first optimum in the walk's order, edge 0 taken
+    before edge 0 left out, then edge 1, and so on: the optimal free set
+    whose indicator vector, read from edge 0, is largest.
     """
     m = comb(n, spec.r)
     if m > ORACLE_CAP_EDGES:
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     ranker = EdgeRanker(n, spec.r)
     rests, add, remove = _freeness_test(spec, n, ranker)
-    tails = [(1 << m) - (1 << idx) for idx in range(m + 1)]  # the edges from idx on
     best_size, best_mask = -1, 0
 
     def dfs(idx: int, chosen: int, size: int) -> None:
         nonlocal best_size, best_mask
-        reach = size + (m - idx)
-        if reach < best_size or (reach == best_size and chosen | tails[idx] >= best_mask):
+        if size + (m - idx) <= best_size:
             return
-        if idx == m:  # passed the cut: larger, or as large with a smaller mask
+        if idx == m:  # passed the cut: strictly larger
             best_size, best_mask = size, chosen
             return
         # include edge idx if it completes no forbidden copy
@@ -596,14 +591,9 @@ def brute_force_gen_ex(
     ORACLE_CAP_EDGES potential edges before any copy is listed.  The target
     must pass `check_target_spec`; the freeness test is `_freeness_test`'s,
     and adding edge idx completes the target copies ending there whose rest
-    masks `chosen` holds.  Among optimal witnesses, the one with the
-    smallest edge bitmask is returned.
-
-    A node is cut when the copies still alive (those avoiding every
-    excluded edge) cannot beat the incumbent, or can only tie it: a tying
-    leaf completes every alive copy, so its mask holds `chosen` and their
-    union, and when that union is no smaller than the incumbent's mask the
-    leaf loses the tie-break.  The witness is the uncut search's."""
+    masks `chosen` holds.  A node is cut when the copies still alive (those
+    avoiding every excluded edge) cannot beat the incumbent.  The witness is
+    the first optimum in the walk's order, as in `brute_force_ex`."""
     check_target_spec(target_spec, forbid_spec)
     r = forbid_spec.r
     m = comb(n, r)
@@ -619,24 +609,14 @@ def brute_force_gen_ex(
     for cm in targ.copies:
         for idx in _bits(cm):
             targ_by_edge[idx].append(cm)
-    # a copy ending before idx that avoids `excluded` lies inside `chosen`,
-    # so the tie check ORs in only the copies of mask >= 1 << idx
-    open_from = [targ.copies[bisect_left(targ.copies, 1 << idx):] for idx in range(m + 1)]
     best_count, best_mask = -1, 0
 
     def dfs(idx: int, chosen: int, excluded: int, done: int, alive: int) -> None:
         # done: target copies already fully inside chosen
         # alive: upper bound = done + copies not yet touching an excluded edge
         nonlocal best_count, best_mask
-        if alive < best_count:
+        if alive <= best_count:
             return
-        if alive == best_count:
-            tie = chosen
-            for cm in open_from[idx]:
-                if not cm & excluded:
-                    tie |= cm
-            if tie >= best_mask:
-                return
         if idx == m:  # passed the cut: every alive copy is done
             best_count, best_mask = done, chosen
             return

@@ -68,10 +68,6 @@ def _index_sets(masks: list[int], nvars: int) -> list[int]:
     return out
 
 
-class _FloorReached(Exception):
-    """The incumbent has reached the floor: no better set exists."""
-
-
 class _VertexMasks(dict):
     """Variable -> the vertex mask of its r-set (bit u for vertex u),
     unranked (`colex_unrank`) on first use."""
@@ -108,10 +104,15 @@ def setup_search(
     on the allowed variables of an uncovered copy with the fewest of them,
     in increasing order, banning each variable in the branches after its
     own.  The count of targets met is monotone in M, so a branch is cut as
-    soon as it meets as many targets as the incumbent, and a node stops
-    walking its branches once the incumbent meets no more targets than the
-    node's own chosen set, which no branch can beat.  Uncovered copies and
-    unmet targets are bitsets over their indices.
+    soon as it meets as many targets as the incumbent.  `floor` is a proven
+    lower bound on the minimum, so no set meets fewer than floor - forced
+    free targets.  A node stops walking its branches once the incumbent
+    meets no more free targets than its stop limit, the larger of the
+    node's own count and floor - forced: no branch can beat the node's own
+    set, and none needs to beat the floor.  A floor at or below the minimum
+    keeps the floor-free answer, reached after a prefix of its nodes; a
+    floor above it may stop on a set that is not optimal.  Uncovered copies
+    and unmet targets are bitsets over their indices.
 
     Orbit cut.  Given `r`, variable v is the r-set `colex_unrank(v, r)`,
     and the caller promises that the copies and the targets below each cut
@@ -131,11 +132,6 @@ def setup_search(
     The witness is the first optimum in the fixed branching order: only a
     strictly better set replaces the incumbent, and no skipped branch holds
     that first optimum, so the cut changes neither value nor witness.
-
-    `floor` is a proven lower bound on the minimum: the search stops once
-    the incumbent reaches it (forced + best <= floor).  A floor at or below
-    the minimum keeps the floor-free answer, reached after a prefix of its
-    nodes; a floor above it may stop on a set that is not optimal.
 
     ScaleGuardError refuses a setup past `guard_search_setup`'s budget
     before the filter runs, a search past ALPHA_CAP_NODES nodes (a budget
@@ -164,6 +160,7 @@ def setup_search(
         nfree = bisect_left(free, below)
         forced = bisect_left(ordered, below) - nfree
         best, best_mask, nodes = nfree + 1, 0, 0
+        free_floor = floor - forced  # no set meets fewer free targets
         # [m]'s vertices, m the top vertex of the last variable below the
         # cut.  None without the orbit cut, and none when every target is
         # forced: the first leaf then meets no free target and cuts every
@@ -183,8 +180,6 @@ def setup_search(
                 raise ScaleGuardError(f"hitting-set search exceeds {ALPHA_CAP_NODES} nodes")
             if not uncovered:
                 best, best_mask = killed, chosen
-                if forced + best <= floor:
-                    raise _FloorReached
                 return
             allowed = ~banned
             whole = uncovered & ~banned_copies
@@ -216,8 +211,9 @@ def setup_search(
                 if not fixed:
                     avail &= -avail
             # each branch bans the pivot's variables before its own, found
-            # from `pool` only when it runs
-            pool = avail
+            # from `pool` only when it runs; the node returns once the
+            # incumbent is down to its stop limit
+            pool, stop = avail, killed if killed > free_floor else free_floor
             while avail:
                 bit = avail & -avail
                 avail ^= bit
@@ -236,14 +232,12 @@ def setup_search(
                     rest = uncovered & ~copies_at[v]
                     ban = banned | pool & (bit - 1)
                     dfs(chosen | bit, ban, local_copies, rest, alive ^ hit, total, reach)
-                    if best <= killed:
+                    if best <= stop:
                         return
                 local_copies |= copies_at[v]
 
         try:
             dfs(0, 0, 0, uncovered, (1 << nfree) - 1, 0, 0)
-        except _FloorReached:
-            pass
         except RecursionError:
             raise ScaleGuardError("hitting-set search exceeds the recursion limit") from None
         if best > nfree:
@@ -253,22 +247,20 @@ def setup_search(
     return search
 
 
-def min_targets_met(
-    copies: Iterable[int], targets: Sequence[int], nvars: int, floor: int = 0
-) -> tuple[int, int]:
-    """`setup_search`'s one search over all nvars variables: (minimum number
-    of target masks meeting M over supports M meeting every copy mask,
-    witness M).  No copies give (0, 0); an empty copy raises InputError."""
-    return setup_search(copies, targets, nvars)(nvars, floor)
+def min_targets_met(copies: Iterable[int], targets: Sequence[int], nvars: int) -> tuple[int, int]:
+    """`setup_search`'s one search over all nvars variables, with no floor:
+    (minimum number of target masks meeting M over supports M meeting every
+    copy mask, witness M).  No copies give (0, 0); an empty copy raises
+    InputError."""
+    return setup_search(copies, targets, nvars)(nvars, 0)
 
 
-def min_hitting_set(copies: Sequence[int], nvars: int, floor: int = 0) -> tuple[int, int]:
+def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
     """Exact minimum-cardinality transversal of the copy masks.
 
     Returns (size, witness mask).  This is `min_targets_met` with one
     singleton target per variable, so the number of targets met is |M|; the
-    witness is the first optimum in that search's fixed branching order, and
-    `floor`, a proven lower bound on the size, only stops the search early.
+    witness is the first optimum in that search's fixed branching order.
     Empty family -> (0, 0); an empty copy mask raises InputError.  A setup
     past `guard_search_setup`'s budget raises ScaleGuardError before the
     singletons are built.
@@ -276,7 +268,7 @@ def min_hitting_set(copies: Sequence[int], nvars: int, floor: int = 0) -> tuple[
     if not copies:
         return 0, 0
     guard_search_setup(nvars, len(copies), nvars)
-    return min_targets_met(copies, [1 << v for v in range(nvars)], nvars, floor)
+    return min_targets_met(copies, [1 << v for v in range(nvars)], nvars)
 
 
 __all__ = [

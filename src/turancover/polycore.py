@@ -11,6 +11,7 @@ polynomial equality.
 
 from __future__ import annotations
 
+import itertools
 from math import perm
 from operator import add
 from typing import Iterable, Mapping
@@ -210,15 +211,10 @@ def product(factors: Iterable[Polynomial], nvars: int) -> Polynomial:
     return result
 
 
-def vandermonde(n: int, indices: Iterable[int] | None = None) -> Polynomial:
-    """Product of (x_a - x_b) over a < b drawn from `indices` (default all of [n])."""
-    idx = sorted(indices) if indices is not None else list(range(1, n + 1))
-    factors = [
-        Polynomial.difference(idx[i], idx[j], n)
-        for i in range(len(idx))
-        for j in range(i + 1, len(idx))
-    ]
-    return product(factors, n)
+def vandermonde(n: int) -> Polynomial:
+    """Product of (x_a - x_b) over 1 <= a < b <= n."""
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return product((Polynomial.difference(a, b, n) for a, b in pairs), n)
 
 
 __all__ = ["Polynomial", "product", "vandermonde"]

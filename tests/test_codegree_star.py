@@ -39,7 +39,7 @@ from turancover.hypergraph import (
     turan_construct,
     turan_count,
 )
-from turancover.monomial import min_targets_met
+from turancover.monomial import setup_search
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +379,8 @@ def test_floors_never_come_from_the_checked_value(monkeypatch, n, ell, r):
     true_count = turan_count(n, ell - 1, r)
     alpha = comb(n, r) - true_count
     forbidden, targets = _clique_copies(n, ell), _clique_copies(n, r)
-    stopped, _ = min_targets_met(forbidden.copies, targets.copies, comb(n, 2), alpha + 1)
+    search = setup_search(forbidden.copies, targets.copies, comb(n, 2))
+    stopped, _ = search(comb(n, 2), alpha + 1)
     assert stopped == alpha + 1
     monkeypatch.setattr(codegree_star, "turan_count", lambda *args: true_count - 1)
     with pytest.raises(ClaimCheckError, match=f"gives {alpha},"):

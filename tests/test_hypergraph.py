@@ -451,8 +451,9 @@ def test_brute_force_witness_deterministic():
 
 
 # the oracles' contract, with no search: every edge mask of K_n^(r) with
-# C(n, r) <= 15 is tried, and the value is the best over free masks, the
-# witness the smallest mask reaching it
+# C(n, r) <= 15 is tried in the oracles' leaf order (edge 0 in before out,
+# then edge 1, and so on), and the value is the best over free masks, the
+# witness the first mask reaching it
 EXHAUSTIVE_EX = ["K3", "K4", "C4", "P3", "K_ell_r(3,2)", "K_ell_r(4,3)", "K_ell_r(3,3)"]
 EXHAUSTIVE_GEN_EX = [("K3", "K4"), ("P3", "K3"), ("C4", "K3"), ("K3", "C4"), ("K3", "K_ell_r(3,2)")]
 
@@ -464,8 +465,16 @@ def _exhaustive_grid():
                 yield n, r
 
 
+def _leaf_order(m):
+    """Every edge mask over m edges, in the oracles' leaf order: with bit i
+    of the mask read as digit i of a binary word from edge 0, the words
+    from largest to smallest."""
+    for word in reversed(range(1 << m)):
+        yield sum(1 << i for i in range(m) if word >> (m - 1 - i) & 1)
+
+
 @pytest.mark.parametrize("n,r", list(_exhaustive_grid()))
-def test_oracles_return_the_smallest_optimal_mask(n, r):
+def test_oracles_return_the_first_optimum_in_edge_order(n, r):
     specs = {name: builtin_spec(name) for name in EXHAUSTIVE_EX + [x for p in EXHAUSTIVE_GEN_EX for x in p]}
     specs = {name: spec for name, spec in specs.items() if spec.r == r}
     fams = {
@@ -477,7 +486,7 @@ def test_oracles_return_the_smallest_optimal_mask(n, r):
     points += [(t, f) for t, f in EXHAUSTIVE_GEN_EX if f in specs]
     best = dict.fromkeys(points, (-1, None))
     ranker = EdgeRanker(n, r)
-    for g in range(1 << ranker.count):  # increasing, so the first optimum is the smallest
+    for g in _leaf_order(ranker.count):
         G = RGraph(n, r, ranker.unmask(g))
         counts = {name: count_copies(G, fam) for name, fam in fams.items()}
         for t, f in points:
@@ -494,8 +503,9 @@ def test_oracles_return_the_smallest_optimal_mask(n, r):
 
 
 def reference_ex(n, spec):
-    """`brute_force_ex` without the tie cut: a node is cut only when even
-    every remaining edge cannot reach the incumbent's size.  Freeness of an
+    """`brute_force_ex` without the strict cut: a node is cut only when even
+    every remaining edge cannot reach the incumbent's size, and a leaf
+    replaces the incumbent only when strictly larger.  Freeness of an
     explicit pattern is tested on its own list of copies by last edge; the
     core-pair family takes the oracle's `_shadow_step`."""
     m = comb(n, spec.r)
@@ -514,7 +524,7 @@ def reference_ex(n, spec):
         if size + (m - idx) < best_size:
             return
         if idx == m:
-            if size > best_size or (size == best_size and chosen < best_mask):
+            if size > best_size:
                 best_size, best_mask = size, chosen
             return
         cand = chosen | (1 << idx)
@@ -564,7 +574,7 @@ def _count_shadow_adds(monkeypatch):
 
 
 @pytest.mark.parametrize("n,ell", [(7, 4), (8, 6)])
-def test_tie_cut_skips_edges_the_uncut_search_adds(monkeypatch, n, ell):
+def test_strict_cut_skips_edges_the_uncut_search_adds(monkeypatch, n, ell):
     calls = _count_shadow_adds(monkeypatch)
     spec = CoreFamily(ell, 2)
     answer = brute_force_ex(n, spec)
@@ -574,7 +584,7 @@ def test_tie_cut_skips_edges_the_uncut_search_adds(monkeypatch, n, ell):
     assert 0 < cut_adds < len(calls)
 
 
-def test_gen_ex_tie_cut_skips_edges_the_uncut_search_tries(monkeypatch):
+def test_gen_ex_strict_cut_skips_edges_the_uncut_search_tries(monkeypatch):
     # the oracle's shadow step runs once per edge it tries to include; the
     # reference lists its own copies, so its tries are counted directly
     calls = _count_shadow_adds(monkeypatch)
@@ -612,7 +622,7 @@ def reference_core_family_ex(n, ell, r):
         if size + (m - idx) < best_size:
             return
         if idx == m:
-            if size > best_size or (size == best_size and chosen < best_mask):
+            if size > best_size:
                 best_size, best_mask = size, chosen
             return
         new_pairs = [p for p in edge_pairs[idx] if codeg.get(p, 0) == 0]
@@ -642,7 +652,8 @@ def test_core_family_oracle_matches_codegree_scan(n, ell, r):
 
 
 def reference_gen_ex(n, target_spec, forbid_spec, tried=None):
-    """`brute_force_gen_ex` without the tie cut, with freeness tested on its
+    """`brute_force_gen_ex` without the strict cut (a leaf replaces the
+    incumbent only when strictly better), with freeness tested on its
     own list of forbidden copies (for the core-pair family its minimal
     copies, `reference_core_copies`), and with the loss of an excluded edge
     found by scanning every target mask.  Each edge index whose inclusion is
@@ -668,7 +679,7 @@ def reference_gen_ex(n, target_spec, forbid_spec, tried=None):
         if alive < best_count:
             return
         if idx == m:
-            if done > best_count or (done == best_count and chosen < best_mask):
+            if done > best_count:
                 best_count, best_mask = done, chosen
             return
         bit = 1 << idx

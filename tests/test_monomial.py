@@ -5,12 +5,14 @@ from math import comb
 import pytest
 
 from turancover import monomial
+from turancover.dictionary import make_instance
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import EdgeRanker, builtin_spec, edge_mask, enumerate_forbidden_copies
 from turancover.monomial import (
     min_hitting_set,
     min_targets_met,
     minimal_supports,
+    setup_search,
 )
 
 
@@ -121,20 +123,24 @@ def _random_instances(seed: int, count: int):
         yield copies, targets, nv
 
 
+def _singletons(nvars):
+    return [1 << v for v in range(nvars)]
+
+
 def test_floor_at_or_below_the_minimum_keeps_value_and_witness():
     for copies, targets, nv in _random_instances(29, 40):
         reference = min_targets_met(copies, targets, nv)
         for floor in range(-2, reference[0] + 1):
-            assert min_targets_met(copies, targets, nv, floor) == reference
+            assert setup_search(copies, targets, nv)(nv, floor) == reference
         reference = min_hitting_set(copies, nv)
         for floor in range(-2, reference[0] + 1):
-            assert min_hitting_set(copies, nv, floor) == reference
+            assert setup_search(copies, _singletons(nv), nv)(nv, floor) == reference
     # K3 at n = 7: alpha = 21 - 12 = 9
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 7)
     reference = min_hitting_set(fam.copies, 21)
     assert reference[0] == 9
     for floor in range(10):
-        assert min_hitting_set(fam.copies, 21, floor) == reference
+        assert setup_search(fam.copies, _singletons(21), 21)(21, floor) == reference
 
 
 def _with_search_nodes(search, *args):
@@ -179,6 +185,37 @@ def test_long_pivot_is_walked_in_the_peel_order():
     ]
 
 
+def test_floored_searches_expand_the_recorded_nodes():
+    # random instances of 16 variables, every variable a target, and gen-ex
+    # K3/K4 at n = 7 under the orbit cut, each floored below its minimum, at
+    # it and above it: every node stops once the incumbent is down to the
+    # larger of its own count and the floor, so each search gives the
+    # recorded answer after the recorded number of nodes
+    rng = random.Random(5)
+    searches = []
+    for _ in range(3):
+        copies = [sum(1 << v for v in rng.sample(range(16), rng.randint(2, 4))) for _ in range(14)]
+        targets = _singletons(16) + [sum(1 << v for v in rng.sample(range(16), 2)) for _ in range(8)]
+        searches.append((setup_search(copies, targets, 16), 16))
+    inst = make_instance(7, builtin_spec("K4"), builtin_spec("K3"))
+    searches.append((setup_search(inst.forbidden.copies, inst.target.copies, 21, 2), 21))
+    floors = [(8, 10, 12), (4, 6, 8), (5, 7, 9), (20, 23, 24)]
+    found = [
+        _with_search_nodes(search, cut, floor)
+        for (search, cut), row in zip(searches, floors)
+        for floor in row
+    ]
+    assert found == [
+        ((size, sum(1 << v for v in witness)), nodes)
+        for size, witness, nodes in [
+            (10, (0, 1, 5, 6, 9), 67), (10, (0, 1, 5, 6, 9), 64), (12, (1, 2, 3, 4, 5, 7, 12), 26),
+            (6, (1, 3, 6, 14, 15), 22), (6, (1, 3, 6, 14, 15), 22), (8, (0, 5, 7, 11), 9),
+            (7, (0, 4, 5, 9, 12), 14), (7, (0, 4, 5, 9, 12), 9), (8, (2, 4, 5, 12), 5),
+            (23, (0, 1, 2, 9, 20), 162), (23, (0, 1, 2, 9, 20), 72), (23, (0, 1, 2, 9, 20), 72),
+        ]
+    ]
+
+
 def test_long_pivot_bans_the_variables_before_each_branch():
     # A = vars 0..39, B = vars 20..59: the first single hitting variable in
     # branching order is 20, after two-variable sets through 0..19
@@ -196,9 +233,10 @@ def test_floor_at_the_minimum_stops_the_search(monkeypatch):
     reference = min_hitting_set(fam.copies, 28)
     assert reference[0] == 12
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1568)
-    assert min_hitting_set(fam.copies, 28, 12) == reference
+    search = setup_search(fam.copies, _singletons(28), 28)
+    assert search(28, 12) == reference
     with pytest.raises(ScaleGuardError, match="nodes"):
-        min_hitting_set(fam.copies, 28, 11)
+        search(28, 11)
 
 
 def test_hitting_set_search_guards(monkeypatch):
