@@ -28,6 +28,7 @@ from .hypergraph import (
     EdgeRanker,
     FamilySpec,
     RGraph,
+    _bits,
     check_target_spec,
     complete_shape,
     core_family_free,
@@ -38,7 +39,6 @@ from .hypergraph import (
     explicit_shapes,
     guard_copy_listing,
     pair_shadows,
-    pair_stars,
     place_copies,
 )
 from .monomial import guard_search_setup, setup_search
@@ -236,13 +236,20 @@ def gen_ex_via_cover(
     core-pair family.  The target copies M leaves are the copies of T in
     it, so ClaimCheckError is raised unless it holds no member of F and
     `quotient_rank(M, targets)` equals the value (its edge count for a
-    one-edge target)."""
+    one-edge target).  For a clique target K_s on graphs (r = 2, the
+    one-edge target K_2 included) that rank must also be the degree-s
+    Hilbert value of `vertex_quotient(M)`, whose kill graph is M: a K_s
+    survives iff its vertex set is standard."""
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     inst = make_instance(n, forbid_spec, target_spec)
     alpha, M = alpha_target(inst)
     value = len(inst.target) - alpha
     r = forbid_spec.r
+    s = len(set().union(*target_spec.edges))
+    clique = r == 2 and len(target_spec.edges) == comb(s, 2)
+    # one ranker, built only when the witness or the clique check reads it
+    ranker = inst.ranker() if clique or not isinstance(forbid_spec, CoreFamily) else None
     if isinstance(forbid_spec, CoreFamily):
         witness = RGraph(n, r, (
             e for e in itertools.combinations(range(1, n + 1), r)
@@ -250,11 +257,15 @@ def gen_ex_via_cover(
         ))
         free = core_family_free(witness, forbid_spec.ell)
     else:
-        witness = RGraph(n, r, inst.ranker().unmask(((1 << comb(n, r)) - 1) ^ M))
+        witness = RGraph(n, r, ranker.unmask(((1 << comb(n, r)) - 1) ^ M))
         free = count_copies(witness, inst.forbidden) == 0
     rank = quotient_rank(M, inst.target.copies)
     if not free or rank != value:
         raise ClaimCheckError(f"witness of {rank} target copies is not a forbidden-free graph of {value}")
+    if clique:
+        standard = vertex_quotient(M, ranker).hilbert(s)
+        if standard != rank:
+            raise ClaimCheckError(f"{rank} K{s} copies survive the support, but its vertex quotient has {standard}")
     return value, witness
 
 
@@ -262,9 +273,19 @@ def vertex_quotient(support: int, ranker: EdgeRanker) -> SquareZeroQuotient:
     """The square-zero quotient on [n] killing x_a x_b iff the support, a
     mask over `ranker`, holds the star of {a, b} (`pair_stars`).  Every
     r-set outside the support is standard.  For r = 2 the kill graph is the
-    support, so an s-clique survives it iff its vertex set is standard."""
-    kill = [p for p, star in pair_stars(ranker).items() if star & support == star]
-    return SquareZeroQuotient(ranker.n, kill)
+    support, so an s-clique survives it iff its vertex set is standard.
+
+    A pair survives iff some r-set through it lies outside the support, so
+    the pairs of those r-sets are marked and no star mask is built: the
+    C(n, 2) masks of `pair_stars` hold up to C(n, r) bits each, quadratic
+    in the support's length for r = 2."""
+    n = ranker.n
+    kept = [0] * (n + 1)
+    for i in _bits(((1 << ranker.count) - 1) & ~support):
+        for a, b in itertools.combinations(ranker.sets[i], 2):
+            kept[a] |= 1 << b
+    kill = [(a, b) for a, b in itertools.combinations(range(1, n + 1), 2) if not kept[a] >> b & 1]
+    return SquareZeroQuotient(n, kill)
 
 
 __all__ = [

@@ -7,7 +7,8 @@ here is exact combinatorial counting on the kill graph.
 
 The kill graph is kept as one adjacency bitmask per variable, and every
 step works on those masks: the Hilbert count is an iterative branching over
-vertex masks with closed forms for d <= 3 and binomial blocks of free
+vertex masks, in smallest-last order of the non-kill graph (most kill
+partners first), with closed forms for d <= 3 and binomial blocks of free
 vertices, under a step budget (HILBERT_CAP_STEPS); parallel classes are
 grouped by closed-neighbourhood mask, once per quotient, and
 symmetrization picks its clone pair from the class representatives alone; a
@@ -179,10 +180,19 @@ class SquareZeroQuotient:
     def _count(self, allowed: int, d: int) -> int:
         """Number of d-subsets of the vertex mask `allowed` with no kill pair.
 
-        Depth-first over an explicit stack of (allowed, d, multiplicity),
-        branching on the lowest vertex v: subsets avoiding v, plus subsets
-        through v with v's kill partners barred.  Three shortcuts end a
-        branch or widen it:
+        Depth-first over an explicit stack of (allowed, d, multiplicity, p).
+        An entry branches on its first vertex v in `order`, searched from
+        position p on: subsets avoiding v, plus subsets through v with v's
+        kill partners barred.  Both children hold only vertices after v, so
+        they start at v's position + 1.  Each d-set is counted once, on the
+        branch path through its own vertices, so any order gives the same
+        count.  `order` is the smallest-last order of the non-kill graph on
+        the call's vertices (`_kill_order`): each vertex has the most kill
+        partners among those after it, so the child through v keeps only its
+        later non-kill partners, at most the degeneracy of the non-kill graph
+        (Matula and Beck 1983; Chiba and Nishizeki 1985).  The order is built
+        only for d >= 4, since no entry of a smaller d branches.  Four
+        shortcuts end a branch or widen it:
 
         * d <= 1: the count is 1 or popcount(allowed);
         * d == 2: C(m, 2) minus the kill pairs inside `allowed`;
@@ -197,11 +207,12 @@ class SquareZeroQuotient:
         refused with ScaleGuardError.
         """
         adj = self._adj
+        order = _kill_order(adj, allowed) if d >= 4 else ()
         total = 0
         steps = 0
-        stack = [(allowed, d, 1)]
+        stack = [(allowed, d, 1, 0)]
         while stack:
-            allowed, d, mult = stack.pop()
+            allowed, d, mult, p = stack.pop()
             steps += 1
             if steps > HILBERT_CAP_STEPS:
                 raise ScaleGuardError(
@@ -228,12 +239,15 @@ class SquareZeroQuotient:
             if d == 3:
                 total += mult * _independent_triples(adj, allowed, m)
                 continue
-            low = allowed & -allowed
-            v = low.bit_length() - 1
+            v = order[p]
+            while not allowed >> v & 1:
+                p += 1
+                v = order[p]
+            p += 1
             if adj[v] & allowed:
-                without = allowed ^ low
-                stack.append((without, d, mult))
-                stack.append((without & ~adj[v], d - 1, mult))
+                without = allowed ^ (1 << v)
+                stack.append((without, d, mult, p))
+                stack.append((without & ~adj[v], d - 1, mult, p))
                 continue
             free = 0
             scan = allowed
@@ -245,7 +259,7 @@ class SquareZeroQuotient:
             rest = allowed ^ free
             f = free.bit_count()
             for k in range(max(0, d - rest.bit_count()), min(f, d) + 1):
-                stack.append((rest, d - k, mult * comb(f, k)))
+                stack.append((rest, d - k, mult * comb(f, k), p))
         return total
 
     def top_vanishing(self, q: int) -> bool:
@@ -367,6 +381,38 @@ def _group_classes(adj) -> dict[int, int]:
         closed = adj[v] | (1 << v)
         classes[closed] = classes.get(closed, 0) | (1 << v)
     return classes
+
+
+def _kill_order(adj, allowed: int) -> list[int]:
+    """The vertices of `allowed`, each next one with the most kill partners
+    among those not yet placed: the smallest-last order of the non-kill graph
+    inside `allowed`.  A bucket queue on kill degree builds it in O(m + e)
+    for m vertices and e kill pairs: placing a vertex moves each unplaced
+    kill partner one bucket down, and the entry it leaves behind is skipped,
+    since its degree no longer matches that bucket."""
+    verts = _bits(allowed)
+    deg = [0] * len(adj)
+    buckets = [[] for _ in verts]
+    for v in verts:
+        deg[v] = k = (adj[v] & allowed).bit_count()
+        buckets[k].append(v)
+    order = []
+    left = allowed
+    top = len(verts) - 1
+    while top >= 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
+            continue
+        v = bucket.pop()
+        if deg[v] != top:
+            continue
+        order.append(v)
+        left ^= 1 << v
+        for u in _bits(adj[v] & left):
+            deg[u] -= 1
+            buckets[deg[u]].append(u)
+    return order
 
 
 def _independent_triples(adj, allowed: int, m: int) -> int:

@@ -595,6 +595,56 @@ def test_gen_ex_refuses_core_pair_targets(target, forbid, top):
             call(top, target, forbid)
 
 
+def test_vertex_quotient_kills_the_pairs_whose_star_the_support_holds():
+    rng = random.Random(29)
+    for n, r in [(4, 2), (6, 2), (5, 3), (6, 3), (5, 4), (3, 4)]:
+        rk = EdgeRanker(n, r)
+        stars = hypergraph.pair_stars(rk)
+        for _ in range(20):
+            M = rng.randrange(1 << rk.count) | rng.randrange(1 << rk.count)
+            kill = {frozenset(p) for p, star in stars.items() if star & M == star}
+            assert vertex_quotient(M, rk).kill == kill, (n, r, M)
+
+
+# (n, target, forbidden): clique targets on graphs, the one-edge target of
+# ex included, and targets that are not
+CLIQUE_CHECK_GRID = [
+    (6, "K3", "K4", True), (7, "K3", "K5", True), (7, "K4", "K5", True), (6, "K2", "K3", True),
+    (7, "K2", "K_ell_r(3,2)", True), (6, "P3", "K3", False), (6, "C4", "K3", False),
+]
+
+
+def test_clique_targets_check_the_vertex_quotient(monkeypatch):
+    quotients = []
+
+    def recorded(support, ranker):
+        quotients.append(support)
+        return vertex_quotient(support, ranker)
+
+    monkeypatch.setattr(dictionary, "vertex_quotient", recorded)
+    for n, t, f, clique in CLIQUE_CHECK_GRID:
+        quotients.clear()
+        gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
+        assert len(quotients) == clique, (t, f)
+    quotients.clear()
+    gen_ex_via_cover(6, EDGE_3, CoreFamily(4, 3))
+    ex_via_cover(6, builtin_spec("K3"))
+    assert len(quotients) == 1
+
+
+def test_a_wrong_kill_pair_fails_the_clique_target_check(monkeypatch):
+    def one_pair_too_many(support, ranker):
+        A = vertex_quotient(support, ranker)
+        extra = next(p for p in itertools.combinations(range(1, A.n + 1), 2) if not A.killed(*p))
+        return SquareZeroQuotient(A.n, A._pairs() + [extra])
+
+    monkeypatch.setattr(dictionary, "vertex_quotient", one_pair_too_many)
+    for n, t, f, clique in CLIQUE_CHECK_GRID:
+        if clique:
+            with pytest.raises(ClaimCheckError, match="vertex quotient"):
+                gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
+
+
 def test_gen_ex_with_edge_target_reduces_to_ex():
     for n in (4, 5, 6):
         assert gen_ex_via_cover(n, builtin_spec("K2"), builtin_spec("K3")) == (

@@ -337,6 +337,9 @@ def test_hilbert_past_the_old_recursion_limit():
     assert SquareZeroQuotient(2000).hilbert(1) == 2000
     assert SquareZeroQuotient(2000).lambda_dim(1, 1) == 1999
     assert SquareZeroQuotient(60).hilbert(30) == comb(60, 30)
+    # d = 4 orders all 4000 vertices first, which a quadratic order cannot
+    # do inside the budget
+    assert SquareZeroQuotient(4000).hilbert(4) == comb(4000, 4)
     assert time.monotonic() - start < 1.0
 
 
@@ -699,3 +702,107 @@ def test_a_wrong_ledger_step_fails_the_terminal_certificate(monkeypatch, capsys)
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"] == "claim check failed"
+
+
+# ---------------------------------------------------------------------------
+# the branching order of counts at d >= 4
+
+
+def kill_order_cases():
+    """(adj, allowed) pairs: the grid and the tied grid, each with the full
+    vertex mask and two random submasks."""
+    rng = random.Random(4141)
+    for n, pairs in itertools.chain(grid_quotients(), tied_grid_quotients()):
+        adj = reference_adj(n, pairs)
+        full = (1 << (n + 1)) - 2
+        yield adj, full
+        for _ in range(2):
+            yield adj, full & rng.getrandbits(n + 1)
+
+
+def test_kill_order_places_a_vertex_with_the_most_kill_partners_next():
+    for adj, allowed in kill_order_cases():
+        order = squarezero._kill_order(adj, allowed)
+        assert sorted(order) == [v for v in range(len(adj)) if allowed >> v & 1], allowed
+        left = allowed
+        for v in order:
+            degrees = [(adj[u] & left).bit_count() for u in range(len(adj)) if left >> u & 1]
+            assert (adj[v] & left).bit_count() == max(degrees), (allowed, order)
+            left ^= 1 << v
+
+
+def strata_quotients(scale):
+    """Seeded kill graphs of the benchmark's Hilbert strata shapes (n, kill
+    density, d), with n cut to n // scale."""
+    rng = random.Random(606)
+    for n, density, d in ((20, 0.1, 6), (24, 0.2, 6), (30, 0.2, 6), (40, 0.3, 6),
+                          (40, 0.5, 5), (60, 0.5, 5), (60, 0.7, 4)):
+        n //= scale
+        for _ in range(3):
+            pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density]
+            yield n, pairs, d
+
+
+def test_ordered_count_matches_the_recursive_count_from_d_4():
+    for n, pairs, d in strata_quotients(2):
+        A = SquareZeroQuotient(n, pairs)
+        hilbert, lam = reference_hilbert_lambda(n, {frozenset(p) for p in pairs})
+        for e in range(4, d + 2):
+            assert A.hilbert(e) == hilbert(e), (n, pairs, e)
+            for c in range(1, n + 1):
+                assert A.lambda_dim(c, e) == lam(c, e), (n, pairs, c, e)
+
+
+def count_steps(monkeypatch, call):
+    """The steps `call` takes: the least HILBERT_CAP_STEPS it passes under,
+    found by bisection."""
+    def passes(cap):
+        monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", cap)
+        try:
+            call()
+        except ScaleGuardError:
+            return False
+        return True
+
+    low, high = 0, 1
+    while not passes(high):
+        low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        if passes(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def seeded_quotient(seed, n, density):
+    rng = random.Random(seed)
+    return SquareZeroQuotient(n, [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density])
+
+
+# (seed, n, kill density, d, value, steps, steps of the lowest-label order)
+ORDERED_STEPS = [
+    (1, 20, 0.1, 6, 5080, 199, 482),
+    (2, 24, 0.2, 6, 3373, 574, 955),
+    (3, 30, 0.2, 6, 24388, 1203, 2648),
+    (4, 40, 0.3, 6, 13975, 2845, 4484),
+    (5, 40, 0.5, 5, 510, 554, 607),
+    (6, 60, 0.7, 4, 228, 112, 115),
+]
+
+
+@pytest.mark.parametrize("seed,n,density,d,value,steps,label_steps", ORDERED_STEPS)
+def test_ordered_count_takes_the_pinned_steps(monkeypatch, seed, n, density, d, value, steps, label_steps):
+    A = seeded_quotient(seed, n, density)
+    assert A.hilbert(d) == value
+    assert count_steps(monkeypatch, lambda: A.hilbert(d)) == steps
+    if d == 6:
+        # the sparse strata are where the order pays
+        assert steps < label_steps
+
+
+def test_ordered_lambda_takes_the_pinned_steps(monkeypatch):
+    A = seeded_quotient(7, 30, 0.3)
+    assert A.lambda_dim(1, 5) == 28
+    assert count_steps(monkeypatch, lambda: A.lambda_dim(1, 5)) == 81 < 104
