@@ -84,11 +84,12 @@ def balanced_partition_monomial(params: StarParams) -> int:
     """Support of the product of all non-transversal r-sets of the balanced
     (ell-1)-partition of [n], the missing-edge monomial of T_r(n, ell-1);
     degree C(n, r) - t_r(n, ell-1) and a member of the star ideal.  These
-    are the r-sets meeting some part twice: for r = 2, the pairs in a part."""
+    are the r-sets meeting some part twice: for r = 2, the pairs in a part.
+    Only the first min(q, n) parts are nonempty, so only those are built."""
     n, q, r = params.n, params.ell - 1, params.r
     if r == 2:
         return edge_mask(partition_pairs(n, q))
-    part = [-1] + [i for i, P in enumerate(balanced_partition(n, q)) for _ in P]
+    part = [-1] + [i for i, P in enumerate(balanced_partition(n, min(q, n))) for _ in P]
     return _mask_of([i for i, t in enumerate(params.ranker.sets) if len({part[v] for v in t}) < r])
 
 
@@ -114,9 +115,11 @@ def _collapse_tables(params: StarParams) -> tuple[int, int]:
     n, ell, ranker = params.n, params.ell, params.ranker
     T = _variable_tables(ranker.count)
     full = (1 << (1 << ranker.count)) - 1
+    # no ell-set for ell > n, where `combinations` would still allocate ell
+    # indices
     ell_sets = [
         list(itertools.combinations(L, 2))
-        for L in itertools.combinations(range(1, n + 1), ell)
+        for L in (itertools.combinations(range(1, n + 1), ell) if ell <= n else ())
     ]
 
     killed = {
@@ -180,8 +183,14 @@ def star_initial_degree(params: StarParams) -> tuple[int, int]:
     equal it, and the returned balanced-partition monomial must be a member
     of that degree.  The search's floors come from its own links, never from
     t_r(n, ell-1), which would let it stop on any set of that size.
+
+    For r > n, [n] has no r-set, so the ring has no variable and the ideal
+    is the whole ring: (0, 0) is returned before the pair instance, whose
+    one-edge target has r vertices, is built.
     """
     n, ell, r = params.n, params.ell, params.r
+    if r > n:
+        return 0, 0
     lb = comb(n, r) - turan_count(n, ell - 1, r)
     alpha, _ = core_pair_alpha(n, ell, r)
     if alpha != lb:

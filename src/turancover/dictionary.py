@@ -132,7 +132,12 @@ def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     `gen_ex_via_cover` with the one-edge target `one_edge(F.r)`.  For an
     explicit F, alpha is the initial degree of the cover ideal of F's
     copies and the witness the complement of a minimum hitting set M; for
-    the core-pair family, the witness is the r-cliques of K_n - M."""
+    the core-pair family, the witness is the r-cliques of K_n - M.
+
+    For 1 <= n < r, [n] has no r-set: the value is 0 and the witness empty,
+    returned before the r-vertex target is built."""
+    if 1 <= n < spec.r:
+        return 0, RGraph(n, spec.r)
     return gen_ex_via_cover(n, one_edge(spec.r), spec)
 
 

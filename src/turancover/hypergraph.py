@@ -42,7 +42,11 @@ Edge = frozenset
 
 def rsets_colex(n: int, r: int) -> list[tuple[int, ...]]:
     """All r-subsets of [n] as sorted tuples, in colex order: the combinations
-    of n, n-1, ..., 1 (reverse colex order) read backwards."""
+    of n, n-1, ..., 1 (reverse colex order) read backwards.  For r > n the
+    list is empty, returned before `itertools.combinations` allocates its r
+    indices."""
+    if r > n:
+        return []
     return [t[::-1] for t in reversed(list(itertools.combinations(range(n, 0, -1), r)))]
 
 
@@ -266,8 +270,9 @@ def partition_pairs(n: int, q: int) -> list[tuple[int, int]]:
 
 
 def turan_construct(n: int, q: int, r: int) -> RGraph:
-    """The complete balanced q-partite r-graph T_r(n, q)."""
-    part_of = {v: i for i, P in enumerate(balanced_partition(n, q)) for v in P}
+    """The complete balanced q-partite r-graph T_r(n, q); only the first
+    min(q, n) parts are nonempty, so only those are built."""
+    part_of = {v: i for i, P in enumerate(balanced_partition(n, min(q, n))) for v in P}
     edges = [
         e
         for e in itertools.combinations(range(1, n + 1), r)

@@ -10,19 +10,21 @@ ideal.  `minimal_supports`, the inclusion-minimal masks of a list, lives in
 `hypergraph` and is re-exported here.
 
 `setup_search` sets the one hitting-set search up and returns it as a
-function of a cut and a floor; `min_targets_met` is its search over every
-variable.  The minimum hitting set is its instance with one singleton
-target per variable, `min_hitting_set`; the library's one entry is
-`dictionary.alpha_target`, whose `ex` targets are those singletons.  Given
-the uniformity r of vertex-symmetric families, the search also skips the
-sibling branches that a vertex permutation maps onto earlier ones (orbit
-cuts); `alpha_target` asks for that on instances `make_instance` built, and
-the other entries search the uncut tree.
+function of a cut and a floor.  The minimum hitting set is its search over
+every variable, with no floor and one singleton target per variable,
+`min_hitting_set`; the library's one entry is `dictionary.alpha_target`,
+whose `ex` targets are those singletons.  Given the uniformity r of
+vertex-symmetric families, the search also skips the sibling branches that
+a vertex permutation maps onto earlier ones (orbit cuts); `alpha_target`
+asks for that on instances `make_instance` built, and the other entries
+search the uncut tree.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import reduce
+from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
@@ -40,11 +42,13 @@ def guard_search_setup(ntargets: int, ncopies: int, nvars: int) -> None:
     """Refuse a search whose setup alone exceeds the ALPHA_CAP_NODES budget.
     Callers with exact copy counts run it before any copy is listed.
 
-    The forced-target filter takes one step per target-copy pair.  The
-    target and copy masks have up to nvars bits each, and the index tables
-    (`_index_sets`) hold one bitset per variable over the target and copy
-    indices, so together they take up to 2 * nvars * (ntargets + ncopies)
-    bits; past ALPHA_CAP_NODES KiB that is refused too."""
+    ntargets * ncopies counts the target-copy pairs whose containment the
+    forced-target pass decides: each copy ANDs the rows of the target table
+    at its variables, bitsets over the target indices.  The target and copy
+    masks have up to nvars bits each, and the index tables (`_index_sets`)
+    hold one bitset per variable over the target and copy indices, so
+    together they take up to 2 * nvars * (ntargets + ncopies) bits; past
+    ALPHA_CAP_NODES KiB that is refused too."""
     work = ntargets * ncopies
     if work > ALPHA_CAP_NODES:
         raise ScaleGuardError(
@@ -93,23 +97,25 @@ def setup_search(
     below it, with a witness M.  Under colex ranks those are the families
     on [m] for cut = C(m, r), so one setup at n serves every m <= n.
 
-    A target containing a copy meets every hitting set: these forced
-    targets are counted up front and not searched.  Its copy has a smaller
-    mask, so it lies below the same cut, and the copies below a cut keep
-    their sorted order: the sort, the filter and both `_index_sets` tables
-    are built once, and each search expands the nodes of one set up on the
-    masks below its cut alone.
+    A target containing a copy meets every hitting set.  These forced
+    targets are read off the target table, `targets_at`: the AND of its
+    rows over a copy's variables holds the targets containing that copy.
+    Each search starts its root with the forced targets below its cut
+    already met.  A forced target's copy has a smaller mask, so it lies
+    below the same cut, and the copies below a cut keep their sorted order:
+    the sort, both `_index_sets` tables and the forced set are built once,
+    and each search expands the nodes of one set up on the masks below its
+    cut alone.
 
     Branch-and-bound over minimal hitting sets, in one branch loop: branch
     on the allowed variables of an uncovered copy with the fewest of them,
     in increasing order, banning each variable in the branches after its
     own.  The count of targets met is monotone in M, so a branch is cut as
     soon as it meets as many targets as the incumbent.  `floor` is a proven
-    lower bound on the minimum, so no set meets fewer than floor - forced
-    free targets.  A node stops walking its branches once the incumbent
-    meets no more free targets than its stop limit, the larger of the
-    node's own count and floor - forced: no branch can beat the node's own
-    set, and none needs to beat the floor.  A floor at or below the minimum
+    lower bound on the minimum.  A node stops walking its branches once the
+    incumbent meets no more targets than its stop limit, the larger of the
+    node's own count and the floor: no branch can beat the node's own set,
+    and none needs to beat the floor.  A floor at or below the minimum
     keeps the floor-free answer, reached after a prefix of its nodes; a
     floor above it may stop on a set that is not optimal.  Uncovered copies
     and unmet targets are bitsets over their indices.
@@ -126,15 +132,13 @@ def setup_search(
     skipped variable is still banned in the later siblings' branches.  At
     the root T is empty and only the first branch runs; with fewer than two
     vertices of [m] outside T no two variables match, and none is skipped.
-    A search whose targets are all forced runs uncut: its first leaf is
-    optimal and cuts every later branch.
 
     The witness is the first optimum in the fixed branching order: only a
     strictly better set replaces the incumbent, and no skipped branch holds
     that first optimum, so the cut changes neither value nor witness.
 
     ScaleGuardError refuses a setup past `guard_search_setup`'s budget
-    before the filter runs, a search past ALPHA_CAP_NODES nodes (a budget
+    before any table is built, a search past ALPHA_CAP_NODES nodes (a budget
     per search), and a witness deeper than Python's recursion limit.
     """
     # smallest copies first, so the first copy avoiding every banned
@@ -147,9 +151,13 @@ def setup_search(
         raise InputError("empty copy cannot be hit")
     # only counts of targets met matter, so sorted targets cut to a prefix
     ordered = sorted(targets)
-    free = [t for t in ordered if not any(c & t == c for c in forb)]
-    targets_at = _index_sets(free, nvars)
+    targets_at = _index_sets(ordered, nvars)
     copies_at = _index_sets(forb, nvars)
+    # the forced targets, an index bitset: each holds every variable of
+    # some copy, so every hitting set meets it
+    forced = 0
+    for c in forb:
+        forced |= reduce(and_, map(targets_at.__getitem__, _bits(c)))
     verts = None if r is None else _VertexMasks(r)
 
     def search(cut: int, floor: int) -> tuple[int, int]:
@@ -157,23 +165,21 @@ def setup_search(
         uncovered = _mask_of([i for i, c in enumerate(forb) if c < below])
         if not uncovered:
             return 0, 0
-        nfree = bisect_left(free, below)
-        forced = bisect_left(ordered, below) - nfree
-        best, best_mask, nodes = nfree + 1, 0, 0
-        free_floor = floor - forced  # no set meets fewer free targets
+        ntargets = bisect_left(ordered, below)
+        alive = (1 << ntargets) - 1
+        met = forced & alive  # met at the root, by every hitting set
+        best, best_mask, nodes = ntargets + 1, 0, 0
         # [m]'s vertices, m the top vertex of the last variable below the
-        # cut.  None without the orbit cut, and none when every target is
-        # forced: the first leaf then meets no free target and cuts every
-        # later branch, so there is nothing to skip.  Then no node skips a
-        # branch, and T stays empty.
-        ground = 0 if verts is None or not nfree else (2 << colex_unrank(cut - 1, r)[-1]) - 2
+        # cut; none without the orbit cut, and then no node skips a branch
+        # and T stays empty
+        ground = 0 if verts is None else (2 << colex_unrank(cut - 1, r)[-1]) - 2
 
         def dfs(
             chosen: int, banned: int, banned_copies: int, uncovered: int, alive: int, killed: int,
             fixed: int,
         ) -> None:
             # uncovered: copies not hit yet; banned_copies: copies through a
-            # banned variable; alive: free targets not met yet; fixed: T
+            # banned variable; alive: targets not met yet; fixed: T
             nonlocal best, best_mask, nodes
             nodes += 1
             if nodes > ALPHA_CAP_NODES:
@@ -213,7 +219,7 @@ def setup_search(
             # each branch bans the pivot's variables before its own, found
             # from `pool` only when it runs; the node returns once the
             # incumbent is down to its stop limit
-            pool, stop = avail, killed if killed > free_floor else free_floor
+            pool, stop = avail, killed if killed > floor else floor
             while avail:
                 bit = avail & -avail
                 avail ^= bit
@@ -237,30 +243,23 @@ def setup_search(
                 local_copies |= copies_at[v]
 
         try:
-            dfs(0, 0, 0, uncovered, (1 << nfree) - 1, 0, 0)
+            dfs(0, 0, 0, uncovered, alive ^ met, met.bit_count(), 0)
         except RecursionError:
             raise ScaleGuardError("hitting-set search exceeds the recursion limit") from None
-        if best > nfree:
+        if best > ntargets:
             raise ClaimCheckError("no hitting set found for a nonempty copy family")
-        return forced + best, best_mask
+        return best, best_mask
 
     return search
-
-
-def min_targets_met(copies: Iterable[int], targets: Sequence[int], nvars: int) -> tuple[int, int]:
-    """`setup_search`'s one search over all nvars variables, with no floor:
-    (minimum number of target masks meeting M over supports M meeting every
-    copy mask, witness M).  No copies give (0, 0); an empty copy raises
-    InputError."""
-    return setup_search(copies, targets, nvars)(nvars, 0)
 
 
 def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
     """Exact minimum-cardinality transversal of the copy masks.
 
-    Returns (size, witness mask).  This is `min_targets_met` with one
-    singleton target per variable, so the number of targets met is |M|; the
-    witness is the first optimum in that search's fixed branching order.
+    Returns (size, witness mask).  This is `setup_search`'s search over all
+    nvars variables, with no floor and one singleton target per variable,
+    so the number of targets met is |M|; the witness is the first optimum
+    in that search's fixed branching order.
     Empty family -> (0, 0); an empty copy mask raises InputError.  A setup
     past `guard_search_setup`'s budget raises ScaleGuardError before the
     singletons are built.
@@ -268,7 +267,7 @@ def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
     if not copies:
         return 0, 0
     guard_search_setup(nvars, len(copies), nvars)
-    return min_targets_met(copies, [1 << v for v in range(nvars)], nvars)
+    return setup_search(copies, [1 << v for v in range(nvars)], nvars)(nvars, 0)
 
 
 __all__ = [
@@ -276,6 +275,5 @@ __all__ = [
     "ALPHA_CAP_NODES",
     "guard_search_setup",
     "setup_search",
-    "min_targets_met",
     "min_hitting_set",
 ]

@@ -386,6 +386,41 @@ def test_long_single_edge_chain_answers_in_bounded_time(capsys):
 
 
 @pytest.mark.parametrize(
+    "mode,result",
+    [
+        ("--alpha", {"expected": 0, "alpha": 0, "witness_support": []}),
+        ("--verify-collapse", {"expected": 0, "collapse_ok": True}),
+    ],
+)
+def test_huge_ell_answers_in_bounded_time(capsys, mode, result):
+    # only the first min(ell - 1, n) parts of the balanced partition are
+    # nonempty, and [5] has no ell-set: nothing of size ell is built
+    start = time.monotonic()
+    code, report, _ = run(capsys, "codegree-star", "--n", "5", "--ell", str(10**9), "--r", "3", mode)
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_OK
+    assert report["result"] == result
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ex", "--forbid", "K_ell_r(3,{r})", "--n", "5"),
+        ("codegree-star", "--n", "5", "--ell", "3", "--r", "{r}", "--alpha"),
+    ],
+)
+def test_huge_r_gives_the_answer_at_r_6(capsys, argv):
+    # [5] has no r-set for r >= 6: the answer is found before anything
+    # with r vertices is built
+    small_code, small, _ = run(capsys, *(a.format(r=6) for a in argv))
+    start = time.monotonic()
+    code, report, _ = run(capsys, *(a.format(r=10**9) for a in argv))
+    assert time.monotonic() - start < 1.0
+    assert code == small_code == EXIT_OK
+    assert (report["result"], report["witnesses"]) == (small["result"], small["witnesses"])
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("codegree-star", "--n", "900", "--ell", "900", "--r", "2", "--alpha"),

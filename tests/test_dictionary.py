@@ -34,7 +34,7 @@ from turancover.hypergraph import (
     enumerate_forbidden_copies,
     turan_count,
 )
-from turancover.monomial import min_hitting_set, min_targets_met, setup_search
+from turancover.monomial import min_hitting_set, setup_search
 from turancover.squarezero import SquareZeroQuotient
 
 
@@ -236,7 +236,7 @@ def test_chain_returns_the_single_search_witness():
     ]:
         target, forbid = (builtin_spec(x) if isinstance(x, str) else x for x in (target, forbid))
         inst = make_instance(n, forbid, target)
-        reference = min_targets_met(inst.forbidden.copies, inst.target.copies, comb(n, 2))
+        reference = setup_search(inst.forbidden.copies, inst.target.copies, comb(n, 2))(comb(n, 2), 0)
         assert alpha_target(inst) == reference
 
 
@@ -334,7 +334,8 @@ def _orbit_cut_mismatches(grid):
     for target, forbid, top in grid:
         for n in range(1, top + 1):
             inst = make_instance(n, builtin_spec(forbid), target and builtin_spec(target))
-            uncut = min_targets_met(inst.forbidden.copies, inst.target.copies, comb(n, inst.r))
+            nvars = comb(n, inst.r)
+            uncut = setup_search(inst.forbidden.copies, inst.target.copies, nvars)(nvars, 0)
             if alpha_target(inst) != uncut:
                 yield target, forbid, n
 
@@ -363,6 +364,26 @@ def test_orbit_cut_fires_on_the_last_link(monkeypatch):
     assert 5 * nodes < uncut[1]
 
 
+def test_all_forced_instances_keep_the_recorded_answers_and_nodes():
+    # every K4 target holds a K3 copy, and every r-clique of the pair
+    # instances with r >= ell holds an ell-clique: all targets are forced,
+    # met at the root, and each chain gives the answer and walks the nodes
+    # (over all its links) recorded when they were counted apart
+    found = [
+        _with_search_nodes(alpha_target, inst)
+        for inst in [
+            make_instance(7, builtin_spec("K3"), builtin_spec("K4")),
+            make_instance(8, CoreFamily(3, 4)),
+            make_instance(7, CoreFamily(4, 4)),
+        ]
+    ]
+    assert found == [
+        ((35, (1 << 15) - 1), 38),
+        ((70, (1 << 21) - 1), 60),
+        ((35, (1 << 10) - 1), 24),
+    ]
+
+
 def test_hand_built_instances_run_the_uncut_search(monkeypatch):
     # the instance of ex(7, K3) rebuilt by hand: its target family keeps
     # its span, but the instance makes no symmetry claim, so it runs one
@@ -381,7 +402,7 @@ def test_hand_built_instances_run_the_uncut_search(monkeypatch):
     targets = CopyFamily(7, 2, tuple(1 << i for i in range(21) if 1 << i & stars))
     links.clear()
     alpha_target(CoverInstance(7, 2, forbidden, targets))
-    answer, nodes = _with_search_nodes(min_targets_met, forbidden.copies, targets.copies, 21)
+    answer, nodes = _with_search_nodes(setup_search(forbidden.copies, targets.copies, 21), 21, 0)
     assert answer[0] == 1
     assert links == [(21, 0, None, answer, nodes)]
 

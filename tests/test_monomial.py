@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from math import comb
 
 import pytest
@@ -8,12 +9,7 @@ from turancover import monomial
 from turancover.dictionary import make_instance
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import EdgeRanker, builtin_spec, edge_mask, enumerate_forbidden_copies
-from turancover.monomial import (
-    min_hitting_set,
-    min_targets_met,
-    minimal_supports,
-    setup_search,
-)
+from turancover.monomial import min_hitting_set, minimal_supports, setup_search
 
 
 def masks(*bit_lists):
@@ -129,7 +125,7 @@ def _singletons(nvars):
 
 def test_floor_at_or_below_the_minimum_keeps_value_and_witness():
     for copies, targets, nv in _random_instances(29, 40):
-        reference = min_targets_met(copies, targets, nv)
+        reference = setup_search(copies, targets, nv)(nv, 0)
         for floor in range(-2, reference[0] + 1):
             assert setup_search(copies, targets, nv)(nv, floor) == reference
         reference = min_hitting_set(copies, nv)
@@ -175,7 +171,7 @@ def test_long_pivot_is_walked_in_the_peel_order():
         ]
         targets = [1 << v for v in range(nvars)]
         targets += [sum(1 << v for v in rng.sample(range(nvars), 2)) for _ in range(40)]
-        found.append(_with_search_nodes(min_targets_met, copies, targets, nvars))
+        found.append(_with_search_nodes(setup_search(copies, targets, nvars), nvars, 0))
     assert found == [
         ((size, sum(1 << v for v in witness)), nodes)
         for size, witness, nodes in [
@@ -216,6 +212,62 @@ def test_floored_searches_expand_the_recorded_nodes():
     ]
 
 
+def _planted_instances():
+    # ten hand-built instances with forced targets planted: a copy's mask,
+    # some with up to two more variables; the last three have no other
+    # target, so all of their targets are forced
+    rng = random.Random(35)
+    for i in range(10):
+        nv = rng.randint(12, 16)
+        copies = [sum(1 << v for v in rng.sample(range(nv), rng.randint(2, 4))) for _ in range(rng.randint(8, 14))]
+        forced = [
+            rng.choice(copies) | sum(1 << v for v in rng.sample(range(nv), rng.randint(0, 2)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        free = [] if i >= 7 else [
+            sum(1 << v for v in rng.sample(range(nv), rng.randint(1, 3))) for _ in range(rng.randint(8, 16))
+        ]
+        yield copies, free + forced, nv
+
+
+def test_forced_targets_keep_the_recorded_answers_and_nodes():
+    # each planted instance at floors 0, 2 and 5: forced targets are met at
+    # the root, so every count, cut and stop is the one recorded when they
+    # were counted apart from a search over the other targets
+    found = [
+        _with_search_nodes(setup_search(copies, targets, nv), nv, floor)
+        for copies, targets, nv in _planted_instances()
+        for floor in (0, 2, 5)
+    ]
+    assert found == [
+        ((size, sum(1 << v for v in witness)), nodes)
+        for size, witness, nodes in [
+            (5, (0, 6, 10, 11), 35), (5, (0, 6, 10, 11), 35), (5, (0, 6, 10, 11), 27),
+            (7, (0, 1, 5, 6, 13, 15), 21), (7, (0, 1, 5, 6, 13, 15), 21), (7, (0, 1, 5, 6, 13, 15), 21),
+            (6, (4, 7, 8, 11), 15), (6, (4, 7, 8, 11), 15), (6, (4, 7, 8, 11), 15),
+            (3, (0, 4, 8, 10, 11, 13), 24), (3, (0, 4, 8, 10, 11, 13), 24), (5, (0, 3, 5, 10, 11, 13), 14),
+            (7, (2, 4, 7, 12), 20), (7, (2, 4, 7, 12), 20), (7, (2, 4, 7, 12), 20),
+            (7, (1, 2, 4, 5, 9), 15), (7, (1, 2, 4, 5, 9), 15), (7, (1, 2, 4, 5, 9), 15),
+            (5, (0, 4, 10), 7), (5, (0, 4, 10), 7), (5, (0, 4, 10), 7),
+            (3, (0, 1, 2, 3, 7), 6), (3, (0, 1, 2, 3, 7), 6), (3, (0, 1, 2, 3, 7), 6),
+            (3, (0, 1, 2, 4, 7), 6), (3, (0, 1, 2, 4, 7), 6), (3, (0, 1, 2, 4, 7), 6),
+            (4, (0, 2, 3, 5, 8), 6), (4, (0, 2, 3, 5, 8), 6), (4, (0, 2, 3, 5, 8), 6),
+        ]
+    ]
+
+
+def test_all_forced_search_stops_at_its_first_leaf():
+    # the triangles of K8 as both copies and targets: every target is
+    # forced, so the first leaf meets all 56 and cuts every later branch.
+    # Counted like the other targets, they would make the search
+    # exponential in n
+    fam = enumerate_forbidden_copies(builtin_spec("K3"), 8)
+    start = time.perf_counter()
+    answer, nodes = _with_search_nodes(setup_search(fam.copies, fam.copies, 28), 28, 0)
+    assert time.perf_counter() - start < 0.1
+    assert (answer, nodes) == ((56, (1 << 21) - 1), 22)
+
+
 def test_long_pivot_bans_the_variables_before_each_branch():
     # A = vars 0..39, B = vars 20..59: the first single hitting variable in
     # branching order is 20, after two-variable sets through 0..19
@@ -245,7 +297,7 @@ def test_hitting_set_search_guards(monkeypatch):
     rk = EdgeRanker(8, 2)
     singletons = [1 << v for v in range(rk.count)]
     with pytest.raises(InputError):
-        min_targets_met(masks([0, 1], []), singletons, rk.count)
+        setup_search(masks([0, 1], []), singletons, rk.count)(rk.count, 0)
     with pytest.raises(InputError):
         min_hitting_set(masks([0, 1], []), 2)
     # 2000 variables x 2000 disjoint copies: 4M setup steps, refused up front
@@ -254,12 +306,12 @@ def test_hitting_set_search_guards(monkeypatch):
     # with no targets there is no setup, and the search must go 2000 deep,
     # past the recursion limit
     with pytest.raises(ScaleGuardError, match="recursion limit"):
-        min_targets_met([1 << v for v in range(2000)], [], 2000)
+        setup_search([1 << v for v in range(2000)], [], 2000)(2000, 0)
     # 28 targets x 56 copies = 1,568 setup steps pass; the search needs
     # 5,114 nodes
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1568)
     with pytest.raises(ScaleGuardError, match="nodes"):
-        min_targets_met(fam.copies, singletons, rk.count)
+        setup_search(fam.copies, singletons, rk.count)(rk.count, 0)
 
 
 def _no_search(*args, **kwargs):
@@ -273,14 +325,14 @@ def test_hitting_set_setup_guard(monkeypatch):
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 12)
     assert min_hitting_set(copies, 4)[0] == 2
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 11)
-    assert min_targets_met(copies, targets, 4)[0] == 1
+    assert setup_search(copies, targets, 4)(4, 0)[0] == 1
     with pytest.raises(ScaleGuardError):
         min_hitting_set(copies, 4)
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 8)
     with pytest.raises(ScaleGuardError):
-        min_targets_met(copies, targets, 4)
+        setup_search(copies, targets, 4)(4, 0)
     # refusals and empty families never reach the singleton targets
-    monkeypatch.setattr(monomial, "min_targets_met", _no_search)
+    monkeypatch.setattr(monomial, "setup_search", _no_search)
     with pytest.raises(ScaleGuardError):
         min_hitting_set(copies, 4)
     assert min_hitting_set([], 5) == (0, 0)

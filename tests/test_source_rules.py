@@ -135,11 +135,10 @@ def _callee(call) -> str | None:
 def test_only_alpha_target_enters_the_search():
     """`dictionary.alpha_target` is the one search entry of the library, and
     it sets the search up once with `setup_search`: `ex` is the generalized
-    search with a one-edge target.  `min_targets_met`, the single search,
-    is the only other caller of `setup_search`.  No library function calls
+    search with a one-edge target.  No library function calls
     `min_hitting_set`, a monomial-level entry kept for callers outside the
-    library; it is the only caller of `min_targets_met`."""
-    search = {"setup_search", "min_targets_met", "min_hitting_set"}
+    library; it is the only other caller of `setup_search`."""
+    search = {"setup_search", "min_hitting_set"}
     calls = {
         (path.name, getattr(top, "name", "<module>"), _callee(node))
         for path in sorted(SOURCE.rglob("*.py"))
@@ -149,8 +148,7 @@ def test_only_alpha_target_enters_the_search():
     }
     assert calls == {
         ("dictionary.py", "alpha_target", "setup_search"),
-        ("monomial.py", "min_targets_met", "setup_search"),
-        ("monomial.py", "min_hitting_set", "min_targets_met"),
+        ("monomial.py", "min_hitting_set", "setup_search"),
     }
 
 
