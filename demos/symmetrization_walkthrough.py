@@ -9,15 +9,16 @@ degree-r Hilbert value, which proves hilbert(r) <= t_r(n, q) with the
 balanced partition structure attaining equality.
 """
 
+import itertools
+
 from turancover.squarezero import (
     SquareZeroQuotient,
-    brute_force_hilbert_turan,
     elem_sym,
     smoothing_step,
     symmetrize,
     terminal_class_sizes,
 )
-from turancover.hypergraph import turan_count
+from turancover.hypergraph import RGraph, brute_force_gen_ex, turan_count
 
 # ---------------------------------------------------------------------------
 # A worked instance on four variables.
@@ -51,8 +52,14 @@ while True:
 print("balanced:", tup, " e_3 =", elem_sym(tup, 3), "= t_3(6,3) =", turan_count(6, 3, 3))
 
 # ---------------------------------------------------------------------------
-# Small-n certainty: exhaust every kill graph on [5] and confirm that a
-# vanishing degree-3 piece forces hilbert(2) <= t_2(5, 2), sharply.
+# Small-n certainty: the standard r-sets of a quotient are the r-cliques of G,
+# the complement of its kill graph, and the degree-(q+1) piece vanishes iff G
+# is K_{q+1}-free.  So the largest hilbert(3) with a vanishing degree-4 piece
+# on [7] is ex(7, K_3, K_4), which the independent gen-ex oracle computes.
 
-ok, best = brute_force_hilbert_turan(5, 2, 2)
-print(f"exhaustive n=5, q=2, r=2: bound holds and is attained = {ok}, max = {best}")
+best, G = brute_force_gen_ex(7, RGraph.complete(3, 2), RGraph.complete(4, 2))
+kill = [p for p in itertools.combinations(range(1, 8), 2) if frozenset(p) not in G.edges]
+W = SquareZeroQuotient(7, kill)
+print(f"n=7, q=3, r=3: ex(7, K3, K4) = {best} = t_3(7, 3) = {turan_count(7, 3, 3)};"
+      f" the witness's quotient has hilbert(4) = {W.hilbert(4)}, hilbert(3) = {W.hilbert(3)}")
+assert best == turan_count(7, 3, 3) == W.hilbert(3) and W.hilbert(4) == 0

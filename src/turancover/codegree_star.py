@@ -167,7 +167,8 @@ def verify_collapse(params: StarParams) -> bool:
     bits (256 KB, N = 21); about N + 2 C(n, 2) tables are alive at once.
     """
     nvars = comb(params.n, params.r)
-    if 1 << nvars > COLLAPSE_CAP:
+    # COLLAPSE_CAP is a power of two: compare exponents, never building 2^nvars
+    if nvars > COLLAPSE_CAP.bit_length() - 1:
         raise ScaleGuardError(f"2^{nvars} supports exceeds cap {COLLAPSE_CAP}")
     in_j, free = _collapse_tables(params)
     return in_j == free

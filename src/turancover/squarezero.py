@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import _bits, partition_pairs, turan_count
+from .hypergraph import _bits, partition_pairs
 
 # stack entries one Hilbert count may pop before it is refused
 HILBERT_CAP_STEPS = 5_000_000
@@ -522,40 +522,6 @@ def terminal_class_sizes(B: SquareZeroQuotient) -> list[int]:
     return sorted((mask.bit_count() for mask in B._class_masks().values()), reverse=True)
 
 
-HILBERT_ORACLE_CAP_N = 5
-
-
-def brute_force_hilbert_turan(n: int, q: int, r: int) -> tuple[bool, int]:
-    """Independent oracle for the Hilbert-Turán bound: exhaust all kill graphs
-    on [n], keep those whose degree-(q+1) piece vanishes, and check that the
-    degree-r Hilbert value never exceeds t_r(n, q) and that the balanced
-    partition structure attains the maximum.
-
-    Returns (bound holds and is attained, max Hilbert value observed);
-    n above HILBERT_ORACLE_CAP_N raises ScaleGuardError.
-    """
-    if n > HILBERT_ORACLE_CAP_N:
-        raise ScaleGuardError(
-            f"exhaustion over 2^C({n},2) kill graphs refused (cap n <= {HILBERT_ORACLE_CAP_N})"
-        )
-    if q < 0 or r < 0:
-        raise InputError("q and r must be nonnegative")
-    bound = turan_count(n, q, r)
-    best = -1
-    ok = True
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    for mask in range(1 << len(pairs)):
-        A = SquareZeroQuotient(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-        if A.hilbert(q + 1):
-            continue
-        h = A.hilbert(r)
-        best = max(best, h)
-        if h > bound:
-            ok = False
-    attained = SquareZeroQuotient.from_partition(n, q).hilbert(r) == bound
-    return ok and attained and best == bound, best
-
-
 __all__ = [
     "SquareZeroQuotient",
     "ParallelPartition",
@@ -563,5 +529,4 @@ __all__ = [
     "smoothing_step",
     "symmetrize",
     "terminal_class_sizes",
-    "brute_force_hilbert_turan",
 ]

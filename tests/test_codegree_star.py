@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -216,6 +217,19 @@ def test_collapse(n, ell, r):
 def test_collapse_scale_guard():
     with pytest.raises(ScaleGuardError):
         verify_collapse(StarParams(7, 3, 3))
+
+
+def test_collapse_refusal_builds_no_table_sized_number():
+    # 2^C(10000, 2) is a 6 MB int; the guard compares exponents instead
+    params = StarParams(10_000, 3, 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleGuardError, match="exceeds cap"):
+            verify_collapse(params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def scan_collapse(params: StarParams) -> bool:

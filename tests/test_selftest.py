@@ -1,6 +1,7 @@
 """The table of acceptance criteria, and how `selftest` reports a failing row."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 from turancover import selftest
 from turancover.cli import EXIT_BAD_INPUT, EXIT_CLAIM_FAILED, EXIT_SCALE_GUARD, main
 from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
-from turancover.selftest import CRITERIA, run_selftest
+from turancover.hypergraph import RGraph
+from turancover.selftest import CRITERIA, check_grid, run_selftest
 
 
 def test_row_names_are_unique():
@@ -84,3 +86,33 @@ def test_quick_table_passes_under_optimize_flag():
     assert len(rows) == len(CRITERIA)
     assert all(row.startswith("[PASS]") for row in rows), rows
     assert json.loads(done.stdout)["result"]["ok"] is True
+
+
+def _with_extra_edge(gen_ex):
+    """`gen_ex` whose witness gains one edge completing a copy of the forbidden clique."""
+
+    def mutated(n, target, forbid):
+        best, G = gen_ex(n, target, forbid)
+        for clique in itertools.combinations(range(1, n + 1), forbid.n):
+            missing = [p for p in itertools.combinations(clique, 2) if frozenset(p) not in G.edges]
+            if len(missing) == 1:
+                return best, RGraph(n, 2, G.edge_list() + missing)
+        raise AssertionError("no clique lacks exactly one edge")
+
+    return mutated
+
+
+@pytest.mark.parametrize(
+    "name, mutate",
+    [
+        ("turan_count", lambda f: lambda *a: f(*a) + 1),
+        ("brute_force_gen_ex", lambda f: lambda *a: (f(*a)[0] - 1, f(*a)[1])),
+        ("brute_force_gen_ex", _with_extra_edge),
+    ],
+    ids=["turan_count+1", "oracle_value-1", "witness_edge+1"],
+)
+def test_hilbert_turan_row_catches_a_mutation(monkeypatch, name, mutate):
+    (row,) = [row for row in CRITERIA if row.name == "Hilbert-Turán bound"]
+    monkeypatch.setattr(selftest, name, mutate(getattr(selftest, name)))
+    with pytest.raises(ClaimCheckError):
+        check_grid(row, row.full)

@@ -48,11 +48,20 @@ def test_arithmetic_is_integer_only():
 
 
 def test_oracles_import_nothing_from_the_certified_path():
-    """The brute-force oracles in `hypergraph` check the cover-ideal search
-    and the polynomial core, so they must not call into them."""
+    """The brute-force oracles check the cover-ideal search and the
+    polynomial core, so they must not call into them: every `brute_force_*`
+    function is defined in `hypergraph`, which imports nothing from them."""
     path = SOURCE / "hypergraph.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     assert set(_imported_modules(tree)) & CERTIFIED_PATH == set()
+    oracles = {
+        (node.name, path.name)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name.startswith("brute_force_")
+    }
+    assert oracles and {file for _, file in oracles} == {"hypergraph.py"}, sorted(oracles)
 
 
 def _builds_colex_rank(node) -> bool:

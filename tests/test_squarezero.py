@@ -10,10 +10,9 @@ import pytest
 from turancover import squarezero
 from turancover.cli import EXIT_CLAIM_FAILED, main
 from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
-from turancover.hypergraph import turan_count
+from turancover.hypergraph import RGraph, brute_force_gen_ex, turan_count
 from turancover.squarezero import (
     SquareZeroQuotient,
-    brute_force_hilbert_turan,
     elem_sym,
     smoothing_step,
     symmetrize,
@@ -304,18 +303,43 @@ def test_smoothing_reaches_balanced_tuple():
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracle
+# reference: every kill graph on [n]
+
+
+def kill_graph_maxima(n):
+    """{(q, r): the largest h_r over quotients on [n] with h_{q+1} = 0}, for
+    q = 1..n+1 and r = 2..n, by walking all 2^C(n,2) kill graphs."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    best = {}
+    for mask in range(1 << len(pairs)):
+        A = SquareZeroQuotient(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        h = [A.hilbert(d) for d in range(n + 3)]
+        for q in range(1, n + 2):
+            if h[q + 1] == 0:
+                for r in range(2, n + 1):
+                    best[q, r] = max(best.get((q, r), 0), h[r])
+    return best
+
+
+def test_kill_graph_maxima_are_gen_ex_on_the_complement():
+    # the standard r-sets are the r-cliques of the kill graph's complement
+    for n in range(2, 6):
+        for (q, r), best in kill_graph_maxima(n).items():
+            value, _ = brute_force_gen_ex(n, RGraph.complete(r, 2), RGraph.complete(q + 1, 2))
+            assert value == best == turan_count(n, q, r), (n, q, r)
 
 
 @pytest.mark.parametrize("n,q,r", [(4, 2, 2), (5, 2, 2), (4, 3, 2), (4, 2, 3)])
 def test_brute_force_hilbert_turan(n, q, r):
-    ok, best = brute_force_hilbert_turan(n, q, r)
-    assert ok
-    assert best == turan_count(n, q, r)
+    # the Hilbert-Turán bound h_r <= t_r(n, q), attained, checked by the gen-ex
+    # oracle on the complement and by the walk over every kill graph
+    best, _ = brute_force_gen_ex(n, RGraph.complete(r, 2), RGraph.complete(q + 1, 2))
+    assert best == kill_graph_maxima(n)[q, r] == turan_count(n, q, r)
 
 
 def test_brute_force_hilbert_turan_matches_per_quotient_loop():
-    # the reference builds every quotient on every call, as the oracle once did
+    # every quotient built on every call, against the gen-ex oracle's value and
+    # its witness: the quotient killing the witness's non-edges attains it
     n = 4
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     quotients = [
@@ -323,12 +347,18 @@ def test_brute_force_hilbert_turan_matches_per_quotient_loop():
         for mask in range(1 << len(pairs))
     ]
     for q in range(1, n + 2):
-        for r in range(0, n + 2):
+        for r in range(2, n + 1):
             values = [A.hilbert(r) for A in quotients if A.top_vanishing(q)]
-            bound = turan_count(n, q, r)
-            ok, best = brute_force_hilbert_turan(n, q, r)
-            assert best == max(values), (q, r)
-            assert ok == (best == bound and all(v <= bound for v in values)), (q, r)
+            best, G = brute_force_gen_ex(n, RGraph.complete(r, 2), RGraph.complete(q + 1, 2))
+            assert best == max(values) == turan_count(n, q, r), (q, r)
+            W = SquareZeroQuotient(n, [p for p in pairs if frozenset(p) not in G.edges])
+            assert W.top_vanishing(q) and W.hilbert(r) == best, (q, r)
+
+
+def test_brute_force_hilbert_turan_trivial_large_q():
+    # q >= n: no (q+1)-set exists, so the free algebra is allowed and h_2 = C(4, 2)
+    best, _ = brute_force_gen_ex(4, RGraph.complete(2, 2), RGraph.complete(6, 2))
+    assert best == kill_graph_maxima(4)[5, 2] == comb(4, 2)
 
 
 def test_hilbert_past_the_old_recursion_limit():
@@ -351,16 +381,6 @@ def test_hilbert_step_budget_is_refused(monkeypatch):
         A.hilbert(4)
     with pytest.raises(ScaleGuardError):
         A.lambda_dim(1, 4)
-
-
-def test_brute_force_hilbert_turan_trivial_large_q():
-    ok, best = brute_force_hilbert_turan(4, 5, 2)
-    assert ok and best == comb(4, 2)
-
-
-def test_brute_force_scale_guard():
-    with pytest.raises(ScaleGuardError):
-        brute_force_hilbert_turan(8, 2, 2)
 
 
 # ---------------------------------------------------------------------------
