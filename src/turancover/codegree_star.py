@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 from math import comb
 from operator import and_, or_
 
-from .dictionary import core_pair_alpha, vertex_quotient
+from .dictionary import alpha_target, make_instance, vertex_quotient
 from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import (
     CoreFamily,
@@ -56,10 +56,11 @@ class StarParams:
 
 def codegree_star_monomial(params: StarParams, a: int, b: int) -> int:
     """Support of the product of all edge variables whose edge contains
-    {a, b}; its size is C(n-2, r-2)."""
+    {a, b}, the r-sets {a, b} | S; its size is C(n-2, r-2)."""
     if a == b or not (1 <= a <= params.n and 1 <= b <= params.n):
         raise InputError(f"bad pair ({a}, {b})")
-    return pair_stars(params.ranker)[(min(a, b), max(a, b))]
+    others = [v for v in range(1, params.n + 1) if v != a and v != b]
+    return edge_mask((a, b, *S) for S in itertools.combinations(others, params.r - 2))
 
 
 def missing_edge_monomial(params: StarParams, G: RGraph) -> int:
@@ -178,12 +179,20 @@ def star_initial_degree(params: StarParams) -> tuple[int, int]:
     """Exact initial degree of the star ideal, returned with a colex
     witness support, which `params.ranker` unmasks.
 
-    The value is `dictionary.core_pair_alpha`, whose docstring proves it is
-    C(n, r) - ex(n, K_r, K_ell); Zykov (1949) gives ex(n, K_r, K_ell) =
-    t_r(n, ell-1).  That value is certified, not assumed: the search must
-    equal it, and the returned balanced-partition monomial must be a member
-    of that degree.  The search's floors come from its own links, never from
-    t_r(n, ell-1), which would let it stop on any set of that size.
+    The value is `alpha_target` on the pair instance `make_instance(n,
+    CoreFamily(ell, r))`: the fewest r-sets with a pair in M, over pair sets
+    M meeting every ell-clique of K_n, which is C(n, r) - ex(n, K_r, K_ell).
+    It is the star ideal's initial degree.  Let P(S) be the pairs whose
+    star lies in a support S.  S is a member iff P(S) meets every ell-set,
+    and S holds every r-set with a pair in P(S); conversely, the union of
+    the stars over such an M is a member of exactly that size.  (By
+    `make_instance`'s shadow argument it is also C(n, r) - ex(n,
+    K_ell^(r)).)  Zykov (1949) gives ex(n, K_r, K_ell) = t_r(n, ell-1).
+    That value is certified, not assumed: the search must equal it, and the
+    returned balanced-partition monomial must be a member of that degree.
+    The search's floors come from its own links, never from t_r(n, ell-1),
+    which would let it stop on any set of that size.  The instance's guards
+    raise ScaleGuardError before either clique is built.
 
     For r > n, [n] has no r-set, so the ring has no variable and the ideal
     is the whole ring: (0, 0) is returned before the pair instance, whose
@@ -193,7 +202,7 @@ def star_initial_degree(params: StarParams) -> tuple[int, int]:
     if r > n:
         return 0, 0
     lb = comb(n, r) - turan_count(n, ell - 1, r)
-    alpha, _ = core_pair_alpha(n, ell, r)
+    alpha, _ = alpha_target(make_instance(n, CoreFamily(ell, r)))
     if alpha != lb:
         raise ClaimCheckError(f"pair-graph search gives {alpha}, not C(n,r) - t_r(n,ell-1) = {lb}")
     m0 = balanced_partition_monomial(params)

@@ -51,17 +51,18 @@ class CoverInstance:
     for the core-pair family, with r = 2) at their colex ranks: forbidden
     copies and target copies, as colex masks.
 
-    `symmetric` says that both families, cut to the r-sets of [m], are
-    invariant under every permutation of [m] for each m <= n, so that
-    `alpha_target` may take averaging floors from smaller m and cut the
-    search's sibling branches by orbits.  `make_instance` sets it; it takes
-    no part in equality."""
+    `span`, the k vertices each target copy spans, is the symmetry claim:
+    both families, cut to the r-sets of [m], are invariant under every
+    permutation of [m] for each m <= n, so that `alpha_target` may take
+    averaging floors from smaller m and cut the search's sibling branches
+    by orbits.  Only `make_instance` sets it; None makes no claim, and it
+    takes no part in equality."""
 
     n: int
     r: int
     forbidden: CopyFamily
     target: CopyFamily
-    symmetric: bool = field(default=False, compare=False)
+    span: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if (self.forbidden.n, self.forbidden.r) != (self.n, self.r):
@@ -106,25 +107,27 @@ def make_instance(
     the cliques.
 
     Both families hold every copy placed on [n], so cut to the r-sets of
-    [m] they are invariant under the permutations of [m]: the instance is
-    marked `symmetric`."""
+    [m] they are invariant under the permutations of [m]: the instance's
+    `span` is the k vertices of T's shapes, None when no target copy is
+    placed (T.n > n)."""
     if target_spec is None:
         target_spec = one_edge(forbid_spec.r)
     check_target_spec(target_spec, forbid_spec)
     target_shapes = explicit_shapes(target_spec, n)  # each pattern's shapes, found once
     ntargets = explicit_copy_count(target_shapes, n)
+    span = target_shapes[0] or None  # k = 0 iff no shape
     if isinstance(forbid_spec, CoreFamily):
         ell = forbid_spec.ell
         guard_copy_listing(comb(n, ell), comb(ell, 2))
         guard_search_setup(ntargets, comb(n, ell), comb(n, 2))
         targets = place_copies(pair_shadows(target_shapes), n, 2)
         cliques = complete_shape(ell, 2) if ell <= n else (0, set())
-        return CoverInstance(n, 2, place_copies(cliques, n, 2), targets, symmetric=True)
+        return CoverInstance(n, 2, place_copies(cliques, n, 2), targets, span)
     r = forbid_spec.r
     forbid_shapes = explicit_shapes(forbid_spec, n)
     guard_search_setup(ntargets, explicit_copy_count(forbid_shapes, n), comb(n, r))
     forbidden = enumerate_forbidden_copies(forbid_spec, n, forbid_shapes)
-    return CoverInstance(n, r, forbidden, place_copies(target_shapes, n, r), symmetric=True)
+    return CoverInstance(n, r, forbidden, place_copies(target_shapes, n, r), span)
 
 
 def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
@@ -159,14 +162,13 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     copy lists enumerated at n; with the single edges as targets
     (`one_edge`) the minimum is |M|, the cover ideal's initial degree.
 
-    When the instance is `symmetric` and every target spans k vertices (the
-    target family's `span`; k = r for single edges), the search is
-    certified link by link.  The averaging bound of Katona, Nemetz and
-    Simonovits (1964): the property of having no forbidden copy passes to
-    induced subgraphs, each vertex-deleted subset of [m] carries the
-    instance on [m - 1] up to relabelling (by the symmetry), and each
-    target on [m] lies inside m - k of those m subsets, so summing the
-    target count over them gives
+    When the instance has a `span`, every target spans k = span vertices
+    (k = r for single edges) and the search is certified link by link.
+    The averaging bound of Katona, Nemetz and Simonovits (1964): the
+    property of having no forbidden copy passes to induced subgraphs, each
+    vertex-deleted subset of [m] carries the instance on [m - 1] up to
+    relabelling (by the symmetry), and each target on [m] lies inside
+    m - k of those m subsets, so summing the target count over them gives
     ex(m) * (m - k) <= m * ex(m - 1), with ex(m) the most targets that a
     support hitting every forbidden copy on [m] leaves unmet.  So
     |targets on [m]| - floor(ex(m-1) * m / (m - k)) is a proven lower bound
@@ -175,17 +177,16 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     Link m searches the masks below the cut `1 << C(m, r)`: colex ranks
     put the r-sets of [m] first, so these are the families on [m].  Each
     floor comes from the previous link's value only, never from a theorem a
-    caller checks.  The first link gets floor 0, and a hand-built instance,
-    which makes no symmetry claim, or a target family without a span (none
-    placed) runs one search on [n].  The bound holds for repeated targets
-    too, counted with multiplicity.
+    caller checks.  The first link gets floor 0, and an instance without a
+    span (hand-built, or with no target placed) runs one search on [n].
+    The bound holds for repeated targets too, counted with multiplicity.
 
-    On a `symmetric` instance every link also cuts orbits (`setup_search`
-    with r): the families below each cut are invariant under the
-    permutations of [m], so a sibling branch that one of them maps onto an
-    earlier branch is skipped.  A hand-built instance runs the uncut tree.
-    Either way the final link expands a prefix of the floor-free search's
-    nodes (the floor-free cut search's, on a symmetric instance), and its
+    With a span every link also cuts orbits (`setup_search` with r): the
+    families below each cut are invariant under the permutations of [m], so
+    a sibling branch that one of them maps onto an earlier branch is
+    skipped.  An instance without a span runs the uncut tree.  Either way
+    the final link expands a prefix of the floor-free search's nodes (the
+    floor-free cut search's, with a span), and its
     minimum and witness are those of the uncut search on [n], reached
     sooner.
 
@@ -194,39 +195,17 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     first link; each link's search raises it past its own ALPHA_CAP_NODES
     nodes.
     """
-    n, r = inst.n, inst.r
-    k = inst.target.span if inst.symmetric else None
+    n, r, k = inst.n, inst.r, inst.span
     targets = inst.target.copies
-    search = setup_search(inst.forbidden.copies, targets, comb(n, r), r if inst.symmetric else None)
+    search = setup_search(inst.forbidden.copies, targets, comb(n, r), None if k is None else r)
     previous = None
-    for m in range(min(k, n), n + 1) if k is not None else (n,):
+    for m in range(k, n + 1) if k is not None else (n,):
         cut = comb(m, r)
         ntargets = bisect_left(targets, 1 << cut)
         floor = 0 if previous is None else ntargets - previous * m // (m - k)
         alpha, witness = search(cut, floor)
         previous = ntargets - alpha
     return alpha, witness
-
-
-def core_pair_alpha(n: int, ell: int, r: int) -> tuple[int, int]:
-    """The core-pair family (ell, r) on [n], reduced to its shadow graph.
-
-    Returns (alpha, M): the fewest r-sets with a pair in M, over pair sets M
-    (colex masks of pairs) meeting every ell-clique of K_n, and one
-    such M.  So alpha = C(n, r) - ex(n, K_r, K_ell), and it is also:
-
-    * C(n, r) - ex(n, K_ell^(r)), by `make_instance`'s shadow argument with
-      one r-edge as the target.
-    * The codegree-star ideal's initial degree.  Let P(S) be the pairs whose
-      star lies in a support S.  S is a member iff P(S) meets every ell-set,
-      and S holds every r-set with a pair in P(S); conversely, the union of
-      the stars over such an M is a member of exactly that size.
-
-    The search is `alpha_target` on the pair instance `make_instance(n,
-    CoreFamily(ell, r))`, certified link by link; its guards raise
-    ScaleGuardError before either clique is built.
-    """
-    return alpha_target(make_instance(n, CoreFamily(ell, r)))
 
 
 def gen_ex_via_cover(
@@ -300,7 +279,6 @@ __all__ = [
     "ex_via_cover",
     "quotient_rank",
     "alpha_target",
-    "core_pair_alpha",
     "gen_ex_via_cover",
     "vertex_quotient",
 ]

@@ -26,7 +26,7 @@ polynomial core: they are the independent check of both.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb, factorial, isqrt
 from operator import le
 from typing import Collection, Iterable
@@ -201,14 +201,12 @@ class CopyFamily:
 
     Each copy is a nonzero colex edge mask (`edge_mask`), in nondecreasing
     order; a repeated copy (a pair shadow shared by two target copies)
-    counts each time.  `span`, for placed copies, is the k vertices each
-    spans; it takes no part in equality.
+    counts each time.
     """
 
     n: int
     r: int
     copies: tuple[int, ...]
-    span: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         copies = self.copies
@@ -393,8 +391,8 @@ def guard_copy_listing(copies: int, edges: int) -> None:
 
 def place_copies(shapes: tuple[int, Collection], n: int, r: int) -> CopyFamily:
     """Every shape of `shapes` = (k, shapes on positions 0..k-1) placed on
-    every k-subset of [n], as colex masks in nondecreasing order; the family
-    records k as its span, and no shape gives the empty family.
+    every k-subset of [n], as colex masks in nondecreasing order; no shape
+    gives the empty family.
     ScaleGuardError refuses C(n, k) * (number of shapes) copies times the
     edges of one shape above COPY_CAP, before any is placed."""
     k, found = shapes
@@ -411,7 +409,7 @@ def place_copies(shapes: tuple[int, Collection], n: int, r: int) -> CopyFamily:
         for c in itertools.combinations(range(n), k)
         for shape in found
     ]
-    return CopyFamily(n, r, tuple(sorted(copies)), k)
+    return CopyFamily(n, r, tuple(sorted(copies)))
 
 
 def enumerate_forbidden_copies(
@@ -597,8 +595,10 @@ def brute_force_gen_ex(
     must pass `check_target_spec`; the freeness test is `_freeness_test`'s,
     and adding edge idx completes the target copies ending there whose rest
     masks `chosen` holds.  A node is cut when the copies still alive (those
-    avoiding every excluded edge) cannot beat the incumbent.  The witness is
-    the first optimum in the walk's order, as in `brute_force_ex`."""
+    avoiding every excluded edge) cannot beat the incumbent; for an explicit
+    F, a target copy holding a forbidden copy is in no free graph, so it is
+    dropped before the walk.  The witness is the first optimum in the
+    walk's order, as in `brute_force_ex`."""
     check_target_spec(target_spec, forbid_spec)
     r = forbid_spec.r
     m = comb(n, r)
@@ -606,12 +606,16 @@ def brute_force_gen_ex(
         raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
     ranker = EdgeRanker(n, r)
     forb_rests, add, remove = _freeness_test(forbid_spec, n, ranker)
-    targ = enumerate_forbidden_copies(target_spec, n)
+    targ = enumerate_forbidden_copies(target_spec, n).copies
+    if not add:
+        # the forbidden copies, each its rest plus its last edge
+        forb = [rest | 1 << idx for idx, rests in enumerate(forb_rests) for rest in rests]
+        targ = [t for t in targ if not any(f & t == f for f in forb)]
     # target rest masks count completed copies incrementally; target copies
     # by every edge: excluding an edge loses only the copies through it
-    targ_rests = _rests(targ.copies, m)
+    targ_rests = _rests(targ, m)
     targ_by_edge: list[list[int]] = [[] for _ in range(m)]
-    for cm in targ.copies:
+    for cm in targ:
         for idx in _bits(cm):
             targ_by_edge[idx].append(cm)
     best_count, best_mask = -1, 0

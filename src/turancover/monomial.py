@@ -47,8 +47,9 @@ def guard_search_setup(ntargets: int, ncopies: int, nvars: int) -> None:
     at its variables, bitsets over the target indices.  The target and copy
     masks have up to nvars bits each, and the index tables (`_index_sets`)
     hold one bitset per variable over the target and copy indices, so
-    together they take up to 2 * nvars * (ntargets + ncopies) bits; past
-    ALPHA_CAP_NODES KiB that is refused too."""
+    together they take up to 2 * nvars * (ntargets + ncopies) bits (unit
+    targets, their own table, take less); past ALPHA_CAP_NODES KiB that is
+    refused too."""
     work = ntargets * ncopies
     if work > ALPHA_CAP_NODES:
         raise ScaleGuardError(
@@ -105,7 +106,9 @@ def setup_search(
     below the same cut, and the copies below a cut keep their sorted order:
     the sort, both `_index_sets` tables and the forced set are built once,
     and each search expands the nodes of one set up on the masks below its
-    cut alone.
+    cut alone.  Unit targets, the nvars singletons of `ex` and
+    `min_hitting_set`, are already their own target table, so only the copy
+    table is built for them.
 
     Branch-and-bound over minimal hitting sets, in one branch loop: branch
     on the allowed variables of an uncovered copy with the fewest of them,
@@ -151,7 +154,9 @@ def setup_search(
         raise InputError("empty copy cannot be hit")
     # only counts of targets met matter, so sorted targets cut to a prefix
     ordered = sorted(targets)
-    targets_at = _index_sets(ordered, nvars)
+    # the nvars singletons in order are their own target table: row v is 1 << v
+    unit = len(ordered) == nvars and all(t == 1 << i for i, t in enumerate(ordered))
+    targets_at = ordered if unit else _index_sets(ordered, nvars)
     copies_at = _index_sets(forb, nvars)
     # the forced targets, an index bitset: each holds every variable of
     # some copy, so every hitting set meets it

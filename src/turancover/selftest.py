@@ -245,11 +245,8 @@ _GENERALIZED = [  # (target, forbidden, n, ex)
     ("K2", "K3", 6, 9),
     ("K3", "K5", 6, 12),
 ]
-# (n, q, r).  At r > q both sides are 0, every r-set holding a killed pair, but
-# the oracle is slow there, so those points stop at n = 5.
-_HILBERT = [(n, q, r) for n in (3, 4, 5) for q in range(1, n) for r in range(2, n + 1)] + [
-    (n, q, r) for n in (6, 7, 8) for q in range(1, n) for r in range(2, q + 1)
-]
+# (n, q, r); at r > q both sides are 0, every r-set holding a killed pair
+_HILBERT = [(n, q, r) for n in range(3, 9) for q in range(1, n) for r in range(2, n + 1)]
 _CLONING = _cloning_samples(1000)
 _SMOOTHING = _smoothing_samples(500)
 _COLLAPSE = [(4, 3, 2), (4, 3, 3), (4, 4, 3), (5, 3, 2), (5, 3, 3), (5, 4, 3)]  # (n, ell, r)

@@ -23,7 +23,6 @@ from turancover.codegree_star import (
 from turancover.dictionary import (
     CoverInstance,
     alpha_target,
-    core_pair_alpha,
     ex_via_cover,
     make_instance,
     vertex_quotient,
@@ -37,6 +36,7 @@ from turancover.hypergraph import (
     core_family_free,
     edge_mask,
     enumerate_forbidden_copies,
+    pair_stars,
     turan_construct,
     turan_count,
 )
@@ -63,6 +63,17 @@ def test_star_monomial_size_law():
         p = StarParams(n, 3, r)
         for a, b in itertools.combinations(range(1, n + 1), 2):
             assert codegree_star_monomial(p, a, b).bit_count() == comb(n - 2, r - 2)
+
+
+@pytest.mark.parametrize("r", range(2, 6))
+def test_star_monomial_is_the_pair_stars_entry(r):
+    # built from the r-sets through the pair alone, it is that pair's entry
+    # in the table of every star, empty for r > n
+    for n in range(2, 9):
+        p = StarParams(n, 3, r)
+        stars = pair_stars(p.ranker)
+        for a, b in itertools.combinations(range(1, n + 1), 2):
+            assert codegree_star_monomial(p, a, b) == stars[(a, b)]
 
 
 def test_star_monomial_rejects_bad_pairs():
@@ -382,7 +393,7 @@ def test_pair_reduction_lists_the_reference_cliques(ell, r):
         assert (inst.forbidden, inst.target) == (forbidden, targets)
         # the hand-built families record no span, so this is the single search
         reference = alpha_target(CoverInstance(n, 2, forbidden, targets))
-        assert core_pair_alpha(n, ell, r) == reference
+        assert alpha_target(make_instance(n, CoreFamily(ell, r))) == reference
 
 
 @pytest.mark.parametrize("n,ell,r", [(5, 4, 3), (7, 4, 2), (8, 3, 2)])

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import tracemalloc
 from math import comb
 
 import pytest
@@ -300,7 +301,8 @@ def _record_links(monkeypatch) -> list:
 def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, target, forbid, top):
     # one setup at n serves every link: each link picks the pivots, expands
     # the nodes and returns the answer of a search set up on its own lists,
-    # with the same orbit cut
+    # with the same orbit cut: none below the target's order, where no
+    # target is placed and the instance has no span
     links = _record_links(monkeypatch)
     for n in range(1, top + 1):
         inst = make_instance(n, builtin_spec(forbid), target and builtin_spec(target))
@@ -308,7 +310,7 @@ def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, tar
         alpha_target(inst)
         assert links, n
         for cut, floor, r, answer, nodes in links:
-            assert r == inst.r
+            assert r == (None if inst.span is None else inst.r)
             below = 1 << cut
             copies = [c for c in inst.forbidden.copies if c < below]
             targets = [t for t in inst.target.copies if t < below]
@@ -385,16 +387,16 @@ def test_all_forced_instances_keep_the_recorded_answers_and_nodes():
 
 
 def test_hand_built_instances_run_the_uncut_search(monkeypatch):
-    # the instance of ex(7, K3) rebuilt by hand: its target family keeps
-    # its span, but the instance makes no symmetry claim, so it runs one
-    # uncut search on [7], with the same answer
+    # the instance of ex(7, K3) rebuilt by hand: the same families, but no
+    # span, so no symmetry claim, and it runs one uncut search on [7], with
+    # the same answer
     inst = make_instance(7, builtin_spec("K3"))
     expected = alpha_target(inst)
     links = _record_links(monkeypatch)
     assert alpha_target(CoverInstance(7, 2, inst.forbidden, inst.target)) == expected
     assert [link[:3] for link in links] == [(21, 0, None)]
     # triangles through vertex 1, with the pairs at vertex 1 or 2 as
-    # targets: not invariant under S_7, and no span, so one search on [7],
+    # targets: not invariant under S_7, and no claim, so one search on [7],
     # node for node the uncut search
     stars = edge_mask((v, u) for v in (1, 2) for u in range(1, 8) if u != v)
     one = edge_mask((1, u) for u in range(2, 8))
@@ -408,16 +410,16 @@ def test_hand_built_instances_run_the_uncut_search(monkeypatch):
 
 
 def test_hand_built_instances_take_no_averaging_floor():
-    # the edges of K_4 as targets, with their span, and the triangles 123
-    # and 134 forbidden: one edge, 13, meets both.  Averaging over [3],
-    # where 123 forces one edge, would floor the link on [4] at
+    # the edges of K_4 as targets, each spanning two vertices, and the
+    # triangles 123 and 134 forbidden: one edge, 13, meets both.  Averaging
+    # over [3], where 123 forces one edge, would floor the link on [4] at
     # 6 - 2 * 4 // 2 = 2 and stop on a two-edge set.
     forbidden = CopyFamily(4, 2, tuple(sorted(
         edge_mask(itertools.combinations(t, 2)) for t in [(1, 2, 3), (1, 3, 4)]
     )))
-    targets = make_instance(4, builtin_spec("K3")).target
-    assert targets.span == 2
-    assert alpha_target(CoverInstance(4, 2, forbidden, targets)) == (1, edge_mask([(1, 3)]))
+    inst = make_instance(4, builtin_spec("K3"))
+    assert inst.span == 2
+    assert alpha_target(CoverInstance(4, 2, forbidden, inst.target)) == (1, edge_mask([(1, 3)]))
 
 
 def test_one_alpha_target_call_builds_the_index_tables_once(monkeypatch):
@@ -427,17 +429,35 @@ def test_one_alpha_target_call_builds_the_index_tables_once(monkeypatch):
         monomial, "_index_sets", lambda masks, nvars: built.append(nvars) or index_sets(masks, nvars)
     )
     # links m = 2..n for ex, m = 3..n for triangle targets, one for a
-    # hand-built target family, which records no span
+    # hand-built instance.  Unit targets, one per variable (the single edges
+    # of ex, the single pairs of an r = 2 pair instance), are their own
+    # target table, so only the copy table is built; others build both
     triangles = enumerate_forbidden_copies(builtin_spec("K3"), 6)
-    for inst in [
-        *(make_instance(n, builtin_spec("K3")) for n in (3, 5, 9)),
-        make_instance(7, builtin_spec("K4"), builtin_spec("K3")),
-        make_instance(7, CoreFamily(4, 3)),
-        CoverInstance(6, 2, triangles, CopyFamily(6, 2, triangles.copies)),
+    for inst, tables in [
+        *((make_instance(n, builtin_spec("K3")), 1) for n in (3, 5, 9)),
+        (make_instance(7, CoreFamily(4, 2)), 1),
+        (CoverInstance(6, 2, triangles, CopyFamily(6, 2, tuple(1 << i for i in range(15)))), 1),
+        (make_instance(7, builtin_spec("K4"), builtin_spec("K3")), 2),
+        (make_instance(7, CoreFamily(4, 3)), 2),
+        (CoverInstance(6, 2, triangles, CopyFamily(6, 2, triangles.copies)), 2),
     ]:
         built.clear()
         alpha_target(inst)
-        assert built == [comb(inst.n, inst.r)] * 2
+        assert built == [comb(inst.n, inst.r)] * tables
+
+
+def test_unit_targets_build_no_second_table():
+    # the pair instance of K_150: 11,175 single-pair targets, about 7.8 MB
+    # of masks; a target table over them would take as much again
+    inst = make_instance(150, CoreFamily(150, 2))
+    size = sum(t.bit_length() for t in inst.target.copies) // 8
+    tracemalloc.start()
+    try:
+        assert alpha_target(inst) == (1, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size // 4
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from math import comb, factorial, prod
 import pytest
 
 from turancover import hypergraph
-from turancover.dictionary import alpha_target, make_instance
+from turancover.dictionary import CoverInstance, alpha_target, make_instance
 from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
     COPY_CAP,
@@ -22,12 +22,9 @@ from turancover.hypergraph import (
     count_copies,
     edge_mask,
     enumerate_forbidden_copies,
-    explicit_shapes,
     minimal_supports,
-    pair_shadows,
     parse_hypergraph,
     partition_pairs,
-    place_copies,
     turan_construct,
     turan_count,
 )
@@ -229,22 +226,24 @@ def test_restrict_does_not_check_its_prefix_again(monkeypatch):
 
 @pytest.mark.parametrize("name", [f"K{s}" for s in range(2, 10)] + ["P3", "C4"])
 def test_explicit_copies_record_their_span(name):
+    # the instance of ex(9, F, F) records the F.n vertices its targets span,
+    # and that of ex(9, F) the two of one edge
     F = builtin_spec(name)
-    fam = enumerate_forbidden_copies(F, 9)
-    assert fam.span == F.n
+    assert make_instance(9, F, F).span == F.n
+    assert make_instance(9, F).span == 2
 
 
 def test_span_of_padded_and_core_pair_copies():
     # P3 declared on 5 vertices still spans its 3 edge-covered vertices
-    fam = enumerate_forbidden_copies(RGraph(5, 2, [(1, 2), (2, 3)]), 6)
-    assert fam.span == 3
+    assert make_instance(6, K(3), RGraph(5, 2, [(1, 2), (2, 3)])).span == 3
     # the pair shadows of K4^(3) minus an edge, the targets of a core-pair
     # instance, span the pattern's 4 vertices
-    shadows = place_copies(pair_shadows(explicit_shapes(K4_MINUS_EDGE_3, 6)), 6, 2)
-    assert shadows.span == 4
-    # equality compares the copies only
-    triangles = enumerate_forbidden_copies(K(3), 5)
-    assert triangles == CopyFamily(5, 2, triangles.copies)
+    assert make_instance(6, CoreFamily(4, 3), K4_MINUS_EDGE_3).span == 4
+    # a K4 target places no copy on [3], so the instance makes no claim
+    assert make_instance(3, K(3), K(4)).span is None
+    # equality compares the families only
+    inst = make_instance(5, K(3))
+    assert inst == CoverInstance(5, 2, inst.forbidden, inst.target)
 
 
 def reference_core_copies(ell, r, n):
@@ -712,6 +711,23 @@ GEN_EX_GRID = sorted(
 def test_gen_ex_oracle_matches_target_scan(n, t, f):
     args = n, builtin_spec(t), builtin_spec(f)
     assert brute_force_gen_ex(*args) == reference_gen_ex(*args)
+
+
+def test_gen_ex_oracle_walks_no_target_holding_a_forbidden_copy(monkeypatch):
+    # a target copy holding a forbidden copy lies in no free graph, so it is
+    # dropped before the walk: every K3 holds a K3 and every K4 a C4, while
+    # no K3 holds a C4 and no C4 a K3.  The oracle lists its forbidden rests
+    # first and its target rests last
+    listed = []
+    rests = hypergraph._rests
+    monkeypatch.setattr(
+        hypergraph, "_rests", lambda copies, m: listed.append(len(copies)) or rests(copies, m)
+    )
+    for t, f, walked, value in [
+        ("K3", "K3", 0, 0), ("K4", "C4", 0, 0), ("K3", "C4", 20, 2), ("C4", "K3", 45, 9),
+    ]:
+        assert brute_force_gen_ex(6, builtin_spec(t), builtin_spec(f))[0] == value
+        assert listed[-1] == walked
 
 
 def test_scale_guard_on_edge_count():

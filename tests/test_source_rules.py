@@ -1,6 +1,8 @@
 """Rules on the library's source that no single behaviour test can see."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import turancover
@@ -122,13 +124,6 @@ def test_antichain_and_star_helpers_live_only_in_hypergraph():
     assert _definitions(shared) == sorted((name, "hypergraph.py") for name in shared)
 
 
-def test_pair_reduction_lives_only_in_dictionary():
-    """`core_pair_alpha`, the one pair reduction of the core-pair family, is
-    defined once, in `dictionary`; `ex_via_cover` reaches the same pair
-    instance through `gen_ex_via_cover`, and the star ideal calls it."""
-    assert _definitions({"core_pair_alpha"}) == [("core_pair_alpha", "dictionary.py")]
-
-
 def test_vertex_quotient_lives_only_in_dictionary():
     """`vertex_quotient`, the square-zero quotient on [n] of a support, is
     defined once, in `dictionary`, for every uniformity; the star ideal's
@@ -141,23 +136,42 @@ def _callee(call) -> str | None:
     return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
+def _calls(names) -> set[tuple[str, str, str]]:
+    """(file, top-level definition, callee) of every library call of one of
+    `names`."""
+    return {
+        (path.name, getattr(top, "name", "<module>"), _callee(node))
+        for path in sorted(SOURCE.rglob("*.py"))
+        for top in ast.parse(path.read_text(), filename=str(path)).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _callee(node) in names
+    }
+
+
 def test_only_alpha_target_enters_the_search():
     """`dictionary.alpha_target` is the one search entry of the library, and
     it sets the search up once with `setup_search`: `ex` is the generalized
     search with a one-edge target.  No library function calls
     `min_hitting_set`, a monomial-level entry kept for callers outside the
     library; it is the only other caller of `setup_search`."""
-    search = {"setup_search", "min_hitting_set"}
-    calls = {
-        (path.name, getattr(top, "name", "<module>"), _callee(node))
-        for path in sorted(SOURCE.rglob("*.py"))
-        for top in ast.parse(path.read_text(), filename=str(path)).body
-        for node in ast.walk(top)
-        if isinstance(node, ast.Call) and _callee(node) in search
-    }
-    assert calls == {
+    assert _calls({"setup_search", "min_hitting_set"}) == {
         ("dictionary.py", "alpha_target", "setup_search"),
         ("monomial.py", "min_hitting_set", "setup_search"),
+    }
+
+
+def test_pair_reduction_lives_only_in_dictionary():
+    """`make_instance`, the one reduction of a Turán problem to a cover
+    instance, the core-pair family's pair instance included, is defined
+    once, in `dictionary`, and is the library's one builder of a
+    `CoverInstance`.  No module but `hypergraph` and `dictionary` places
+    copies, so no second pair instance is listed elsewhere; `ex_via_cover`
+    and the star ideal reach the pair instance through `make_instance`."""
+    assert _definitions({"make_instance"}) == [("make_instance", "dictionary.py")]
+    assert _calls({"place_copies", "CoverInstance"}) == {
+        ("dictionary.py", "make_instance", "place_copies"),
+        ("dictionary.py", "make_instance", "CoverInstance"),
+        ("hypergraph.py", "enumerate_forbidden_copies", "place_copies"),
     }
 
 
@@ -196,3 +210,32 @@ def test_no_unused_imports():
         for name in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+PERFBENCH = TESTS.parent / "perfbench"
+
+
+def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
+    """The benchmark's tracer (`perfbench/tracing.py`) wraps each `(owner,
+    attr)` of its `TRACED` table by name, on the module or class that holds
+    it, so each must stay in its owner's namespace: `minimal_supports`,
+    `min_hitting_set` and `vandermonde` are kept for it alone.  The table
+    is read from the tracer's own file, with `perfbench/` on the path for
+    this test only."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    fresh = "workloads" not in sys.modules
+    spec = importlib.util.spec_from_file_location("traced_table", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        if fresh:
+            sys.modules.pop("workloads", None)
+    missing = []
+    for pairs in tracing.TRACED.values():
+        for owner, attr in pairs:
+            module, _, cls = owner.partition(".")
+            obj = importlib.import_module(f"turancover.{module}")
+            if attr not in vars(getattr(obj, cls) if cls else obj):
+                missing.append(f"{owner}.{attr}")
+    assert tracing.TRACED and missing == []
