@@ -9,9 +9,10 @@ target copies minus the fewest of them a member M meets.  The copies M
 leaves are the target monomials surviving the quotient that kills M
 (`quotient_rank`), the copies of T in the F-free graph M leaves.
 Ordinary: ex(n, F) is the case of a one-edge target (`one_edge`), whose
-copies are the single edges.  The minimum is then the cover ideal's
-initial degree C(n, r) - ex(n, F), and minimum hitting sets complement
-extremal witnesses.
+copies are the single edges, the variables themselves, so no target list
+is held.  The minimum is then the cover ideal's initial degree
+C(n, r) - ex(n, F), and minimum hitting sets complement extremal
+witnesses.
 """
 
 from __future__ import annotations
@@ -49,7 +50,8 @@ from .squarezero import SquareZeroQuotient
 class CoverInstance:
     """A cover-ideal instance over C(n, r) variables, the edges (or pairs
     for the core-pair family, with r = 2) at their colex ranks: forbidden
-    copies and target copies, as colex masks.
+    copies and target copies, as colex masks.  `target` None makes the
+    variables the targets, one each: the copies of a one-edge target.
 
     `span`, the k vertices each target copy spans, is the symmetry claim:
     both families, cut to the r-sets of [m], are invariant under every
@@ -61,13 +63,13 @@ class CoverInstance:
     n: int
     r: int
     forbidden: CopyFamily
-    target: CopyFamily
+    target: CopyFamily | None
     span: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if (self.forbidden.n, self.forbidden.r) != (self.n, self.r):
             raise InputError("forbidden family has incompatible (n, r)")
-        if (self.target.n, self.target.r) != (self.n, self.r):
+        if self.target is not None and (self.target.n, self.target.r) != (self.n, self.r):
             raise InputError("target family has incompatible (n, r)")
 
     def ranker(self) -> EdgeRanker:
@@ -88,10 +90,9 @@ def make_instance(
     listed.
 
     For an explicit F the variables are the C(n, r) edges, and the copies
-    of F and of T are listed by `place_copies`; the one-edge targets are
-    the C(n, r) single edges.  Both copy counts are exact before
-    enumeration, so the search's setup guard refuses an oversized instance
-    before any copy is listed.
+    of F and of T are listed by `place_copies`.  Both copy counts are exact
+    before enumeration, so the search's setup guard refuses an oversized
+    instance before any copy is listed.
 
     For the core-pair family K_ell^(r) the variables are the C(n, 2) pairs.
     An r-graph H contains a member iff its shadow graph (the pairs of
@@ -109,7 +110,10 @@ def make_instance(
     Both families hold every copy placed on [n], so cut to the r-sets of
     [m] they are invariant under the permutations of [m]: the instance's
     `span` is the k vertices of T's shapes, None when no target copy is
-    placed (T.n > n)."""
+    placed (T.n > n).  A T spanning as many vertices as a variable, one
+    edge (one pair of a pair instance, r = 2), has the variables as its
+    copies, each once: the instance's `target` is None and no target is
+    placed."""
     if target_spec is None:
         target_spec = one_edge(forbid_spec.r)
     check_target_spec(target_spec, forbid_spec)
@@ -120,14 +124,15 @@ def make_instance(
         ell = forbid_spec.ell
         guard_copy_listing(comb(n, ell), comb(ell, 2))
         guard_search_setup(ntargets, comb(n, ell), comb(n, 2))
-        targets = place_copies(pair_shadows(target_shapes), n, 2)
+        targets = None if span == 2 else place_copies(pair_shadows(target_shapes), n, 2)
         cliques = complete_shape(ell, 2) if ell <= n else (0, set())
         return CoverInstance(n, 2, place_copies(cliques, n, 2), targets, span)
     r = forbid_spec.r
     forbid_shapes = explicit_shapes(forbid_spec, n)
     guard_search_setup(ntargets, explicit_copy_count(forbid_shapes, n), comb(n, r))
     forbidden = enumerate_forbidden_copies(forbid_spec, n, forbid_shapes)
-    return CoverInstance(n, r, forbidden, place_copies(target_shapes, n, r), span)
+    targets = None if span == r else place_copies(target_shapes, n, r)
+    return CoverInstance(n, r, forbidden, targets, span)
 
 
 def ex_via_cover(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
@@ -159,8 +164,9 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     every forbidden copy.  Returns (minimum, witness support mask).
 
     The search is `monomial.setup_search`'s, set up once per call on the
-    copy lists enumerated at n; with the single edges as targets
-    (`one_edge`) the minimum is |M|, the cover ideal's initial degree.
+    copy lists enumerated at n; with the variables as targets (`target`
+    None, the single edges of `one_edge`) the minimum is |M|, the cover
+    ideal's initial degree, and the targets below a cut number the cut.
 
     When the instance has a `span`, every target spans k = span vertices
     (k = r for single edges) and the search is certified link by link.
@@ -196,12 +202,12 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     nodes.
     """
     n, r, k = inst.n, inst.r, inst.span
-    targets = inst.target.copies
+    targets = None if inst.target is None else inst.target.copies
     search = setup_search(inst.forbidden.copies, targets, comb(n, r), None if k is None else r)
     previous = None
     for m in range(k, n + 1) if k is not None else (n,):
         cut = comb(m, r)
-        ntargets = bisect_left(targets, 1 << cut)
+        ntargets = cut if targets is None else bisect_left(targets, 1 << cut)
         floor = 0 if previous is None else ntargets - previous * m // (m - k)
         alpha, witness = search(cut, floor)
         previous = ntargets - alpha
@@ -219,16 +225,17 @@ def gen_ex_via_cover(
     outside M for an explicit F, the r-sets with no pair in M for the
     core-pair family.  The target copies M leaves are the copies of T in
     it, so ClaimCheckError is raised unless it holds no member of F and
-    `quotient_rank(M, targets)` equals the value (its edge count for a
-    one-edge target).  For a clique target K_s on graphs (r = 2, the
-    one-edge target K_2 included) that rank must also be the degree-s
-    Hilbert value of `vertex_quotient(M)`, whose kill graph is M: a K_s
-    survives iff its vertex set is standard."""
+    `quotient_rank(M, targets)` equals the value.  For a one-edge target,
+    whose copies are the C(n, r) variables, the value is C(n, r) - alpha
+    and that rank is the witness's edge count.  For a clique target K_s on
+    graphs (r = 2, the one-edge target K_2 included) that rank must also be
+    the degree-s Hilbert value of `vertex_quotient(M)`, whose kill graph is
+    M: a K_s survives iff its vertex set is standard."""
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     inst = make_instance(n, forbid_spec, target_spec)
     alpha, M = alpha_target(inst)
-    value = len(inst.target) - alpha
+    value = (comb(n, inst.r) if inst.target is None else len(inst.target)) - alpha
     r = forbid_spec.r
     s = len(set().union(*target_spec.edges))
     clique = r == 2 and len(target_spec.edges) == comb(s, 2)
@@ -243,7 +250,7 @@ def gen_ex_via_cover(
     else:
         witness = RGraph(n, r, ranker.unmask(((1 << comb(n, r)) - 1) ^ M))
         free = count_copies(witness, inst.forbidden) == 0
-    rank = quotient_rank(M, inst.target.copies)
+    rank = len(witness) if inst.target is None else quotient_rank(M, inst.target.copies)
     if not free or rank != value:
         raise ClaimCheckError(f"witness of {rank} target copies is not a forbidden-free graph of {value}")
     if clique:

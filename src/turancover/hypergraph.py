@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb, factorial, isqrt
 from operator import le
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from .errors import InputError, ScaleGuardError
 
@@ -239,32 +239,30 @@ FamilySpec = RGraph | CoreFamily
 # Turán constructions
 
 
-def balanced_partition(n: int, q: int) -> list[list[int]]:
-    """Partition [n] into q parts in index order, larger parts first."""
+def _balanced_parts(n: int, q: int) -> Iterator[range]:
+    """The q parts of [n] in index order, larger parts first, as ranges
+    made one at a time."""
     if n < 0 or q < 1:
         raise InputError(f"bad partition parameters n={n}, q={q}")
     base, extra = divmod(n, q)
-    parts = []
-    v = 1
-    for i in range(q):
-        size = base + (1 if i < extra else 0)
-        parts.append(list(range(v, v + size)))
-        v += size
-    return parts
+    # the i parts before part i hold base vertices each, one more for each
+    # of the first `extra`
+    starts = (base * i + min(i, extra) + 1 for i in range(q + 1))
+    return itertools.starmap(range, itertools.pairwise(starts))
+
+
+def balanced_partition(n: int, q: int) -> list[list[int]]:
+    """Partition [n] into q parts in index order, larger parts first."""
+    return [list(part) for part in _balanced_parts(n, q)]
 
 
 def partition_pairs(n: int, q: int) -> list[tuple[int, int]]:
     """The pairs inside the parts of `balanced_partition(n, q)`, part by
-    part; one-vertex parts are skipped unbuilt, so the cost is the pairs'."""
-    if n < 0 or q < 1:
-        raise InputError(f"bad partition parameters n={n}, q={q}")
-    base, extra = divmod(n, q)
-    sizes = [base + 1] * (extra if base else 0) + [base] * (q - extra if base > 1 else 0)
-    pairs, start = [], 1
-    for size in sizes:
-        pairs += itertools.combinations(range(start, start + size), 2)
-        start += size
-    return pairs
+    part.  Part sizes never grow, so the walk stops at the first part of
+    fewer than two vertices and no later part is made: the cost is the
+    pairs'."""
+    parts = itertools.takewhile(lambda part: len(part) > 1, _balanced_parts(n, q))
+    return [pair for part in parts for pair in itertools.combinations(part, 2)]
 
 
 def turan_construct(n: int, q: int, r: int) -> RGraph:
@@ -287,10 +285,10 @@ def turan_count(n: int, q: int, r: int) -> int:
     (base + 1)^i * base^(r - i), and there are C(extra, i) * C(q - extra, r - i)
     of them: O(r) work, with no partition built.
     """
-    if r > q:
-        return 0
     if n < 0 or q < 1 or r < 0:
         raise InputError(f"bad Turán parameters n={n}, q={q}, r={r}")
+    if r > q:
+        return 0
     base, extra = divmod(n, q)
     return sum(
         comb(extra, i) * comb(q - extra, r - i) * (base + 1) ** i * base ** (r - i)

@@ -11,9 +11,9 @@ ideal.  `minimal_supports`, the inclusion-minimal masks of a list, lives in
 
 `setup_search` sets the one hitting-set search up and returns it as a
 function of a cut and a floor.  The minimum hitting set is its search over
-every variable, with no floor and one singleton target per variable,
+every variable, with no floor and the variables themselves as targets,
 `min_hitting_set`; the library's one entry is `dictionary.alpha_target`,
-whose `ex` targets are those singletons.  Given the uniformity r of
+whose `ex` targets are the variables too.  Given the uniformity r of
 vertex-symmetric families, the search also skips the sibling branches that
 a vertex permutation maps onto earlier ones (orbit cuts); `alpha_target`
 asks for that on instances `make_instance` built, and the other entries
@@ -47,9 +47,9 @@ def guard_search_setup(ntargets: int, ncopies: int, nvars: int) -> None:
     at its variables, bitsets over the target indices.  The target and copy
     masks have up to nvars bits each, and the index tables (`_index_sets`)
     hold one bitset per variable over the target and copy indices, so
-    together they take up to 2 * nvars * (ntargets + ncopies) bits (unit
-    targets, their own table, take less); past ALPHA_CAP_NODES KiB that is
-    refused too."""
+    together they take up to 2 * nvars * (ntargets + ncopies) bits (the
+    variables as targets, nvars of them, build neither list nor table and
+    take less); past ALPHA_CAP_NODES KiB that is refused too."""
     work = ntargets * ncopies
     if work > ALPHA_CAP_NODES:
         raise ScaleGuardError(
@@ -90,7 +90,7 @@ class _VertexMasks(dict):
 
 
 def setup_search(
-    copies: Iterable[int], targets: Sequence[int], nvars: int, r: int | None = None
+    copies: Iterable[int], targets: Sequence[int] | None, nvars: int, r: int | None = None
 ) -> Callable:
     """Set the hitting-set search up once for the copy and target masks over
     nvars variables, and return `search(cut, floor)`: the minimum number of
@@ -106,9 +106,11 @@ def setup_search(
     below the same cut, and the copies below a cut keep their sorted order:
     the sort, both `_index_sets` tables and the forced set are built once,
     and each search expands the nodes of one set up on the masks below its
-    cut alone.  Unit targets, the nvars singletons of `ex` and
-    `min_hitting_set`, are already their own target table, so only the copy
-    table is built for them.
+    cut alone.  Targets None are the nvars variables themselves, target v
+    being variable v (`ex`, `min_hitting_set`): no target list or table is
+    built, the targets below a cut number the cut, a branch on v meets
+    target v unless it is met already, and the forced targets are the
+    one-variable copies.
 
     Branch-and-bound over minimal hitting sets, in one branch loop: branch
     on the allowed variables of an uncovered copy with the fewest of them,
@@ -149,20 +151,26 @@ def setup_search(
     forb = sorted(copies, key=lambda c: (c.bit_count(), c))
     if not forb:
         return lambda cut, floor: (0, 0)
-    guard_search_setup(len(targets), len(forb), nvars)
+    guard_search_setup(nvars if targets is None else len(targets), len(forb), nvars)
     if forb[0] == 0:
         raise InputError("empty copy cannot be hit")
-    # only counts of targets met matter, so sorted targets cut to a prefix
-    ordered = sorted(targets)
-    # the nvars singletons in order are their own target table: row v is 1 << v
-    unit = len(ordered) == nvars and all(t == 1 << i for i, t in enumerate(ordered))
-    targets_at = ordered if unit else _index_sets(ordered, nvars)
     copies_at = _index_sets(forb, nvars)
     # the forced targets, an index bitset: each holds every variable of
     # some copy, so every hitting set meets it
     forced = 0
-    for c in forb:
-        forced |= reduce(and_, map(targets_at.__getitem__, _bits(c)))
+    if targets is None:
+        # the one-variable copies, which sort first
+        ordered = targets_at = None
+        for c in forb:
+            if c & (c - 1):
+                break
+            forced |= c
+    else:
+        # only counts of targets met matter, so sorted targets cut to a prefix
+        ordered = sorted(targets)
+        targets_at = _index_sets(ordered, nvars)
+        for c in forb:
+            forced |= reduce(and_, map(targets_at.__getitem__, _bits(c)))
     verts = None if r is None else _VertexMasks(r)
 
     def search(cut: int, floor: int) -> tuple[int, int]:
@@ -170,7 +178,7 @@ def setup_search(
         uncovered = _mask_of([i for i, c in enumerate(forb) if c < below])
         if not uncovered:
             return 0, 0
-        ntargets = bisect_left(ordered, below)
+        ntargets = cut if ordered is None else bisect_left(ordered, below)
         alive = (1 << ntargets) - 1
         met = forced & alive  # met at the root, by every hitting set
         best, best_mask, nodes = ntargets + 1, 0, 0
@@ -237,7 +245,7 @@ def setup_search(
                         local_copies |= copies_at[v]
                         continue
                     keys.append(key)
-                hit = targets_at[v] & alive
+                hit = (bit if targets_at is None else targets_at[v]) & alive
                 total = killed + hit.bit_count()
                 if total < best:
                     rest = uncovered & ~copies_at[v]
@@ -262,17 +270,13 @@ def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
     """Exact minimum-cardinality transversal of the copy masks.
 
     Returns (size, witness mask).  This is `setup_search`'s search over all
-    nvars variables, with no floor and one singleton target per variable,
-    so the number of targets met is |M|; the witness is the first optimum
-    in that search's fixed branching order.
+    nvars variables, with no floor and the variables as targets, so the
+    number of targets met is |M|; the witness is the first optimum in that
+    search's fixed branching order.
     Empty family -> (0, 0); an empty copy mask raises InputError.  A setup
-    past `guard_search_setup`'s budget raises ScaleGuardError before the
-    singletons are built.
+    past `guard_search_setup`'s budget raises ScaleGuardError.
     """
-    if not copies:
-        return 0, 0
-    guard_search_setup(nvars, len(copies), nvars)
-    return setup_search(copies, [1 << v for v in range(nvars)], nvars)(nvars, 0)
+    return setup_search(copies, None, nvars)(nvars, 0)
 
 
 __all__ = [

@@ -390,7 +390,8 @@ def test_pair_reduction_lists_the_reference_cliques(ell, r):
     for n in range(1, 9):
         forbidden, targets = _clique_copies(n, ell), _clique_copies(n, r)
         inst = make_instance(n, RGraph.complete(ell, 2), RGraph.complete(r, 2))
-        assert (inst.forbidden, inst.target) == (forbidden, targets)
+        # one-pair targets are the pair variables themselves, held as no list
+        assert (inst.forbidden, inst.target) == (forbidden, None if r == 2 <= n else targets)
         # the hand-built families record no span, so this is the single search
         reference = alpha_target(CoverInstance(n, 2, forbidden, targets))
         assert alpha_target(make_instance(n, CoreFamily(ell, r))) == reference

@@ -39,6 +39,14 @@ from turancover.monomial import min_hitting_set, setup_search
 from turancover.squarezero import SquareZeroQuotient
 
 
+def target_list(inst: CoverInstance) -> tuple[int, ...]:
+    """The instance's target copies as masks: one singleton per variable
+    when its `target` is None, the variables themselves."""
+    if inst.target is None:
+        return tuple(1 << v for v in range(comb(inst.n, inst.r)))
+    return inst.target.copies
+
+
 # ---------------------------------------------------------------------------
 # ordinary Turán numbers via the cover ideal
 
@@ -158,7 +166,7 @@ def _check_rejects_wrong_answers(monkeypatch, target, forbid, n=6):
     nvars = comb(n, inst.r)
 
     def met(S):
-        return sum(1 for t in inst.target.copies if t & S)
+        return sum(1 for t in target_list(inst) if t & S)
 
     missing = next(
         S for S in range(1 << nvars)
@@ -313,9 +321,33 @@ def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, tar
             assert r == (None if inst.span is None else inst.r)
             below = 1 << cut
             copies = [c for c in inst.forbidden.copies if c < below]
-            targets = [t for t in inst.target.copies if t < below]
+            targets = [t for t in target_list(inst) if t < below]
             fresh = _with_search_nodes(setup_search(copies, targets, cut, r), cut, floor)
             assert fresh == (answer, nodes), (n, cut)
+
+
+# ex on four patterns up to n = 8, and the r = 2 pair instances up to n = 9
+UNIT_TARGET_GRID = [
+    *((name, 8) for name in ("K3", "K4", "C4", "P3")),
+    *((f"K_ell_r({ell},2)", 9) for ell in range(2, 10)),
+]
+
+
+@pytest.mark.parametrize("forbid,top", UNIT_TARGET_GRID)
+def test_variables_as_targets_search_as_their_singleton_list(monkeypatch, forbid, top):
+    # a one-edge target is held as no list (target None); each link of its
+    # chain gives the answer and walks the nodes of the same search set up
+    # on the explicit list of single edges, which builds a target table
+    links = _record_links(monkeypatch)
+    for n in range(1, top + 1):
+        inst = make_instance(n, builtin_spec(forbid))
+        assert (inst.target is None) == (inst.span == 2), n
+        links.clear()
+        alpha_target(inst)
+        nvars = comb(n, inst.r)
+        for cut, floor, r, answer, nodes in links:
+            listed = setup_search(inst.forbidden.copies, target_list(inst), nvars, r)
+            assert _with_search_nodes(listed, cut, floor) == (answer, nodes), (n, cut)
 
 
 # the shared-setup grid, both core-pair families at n = 8, and K9-free
@@ -337,7 +369,7 @@ def _orbit_cut_mismatches(grid):
         for n in range(1, top + 1):
             inst = make_instance(n, builtin_spec(forbid), target and builtin_spec(target))
             nvars = comb(n, inst.r)
-            uncut = setup_search(inst.forbidden.copies, inst.target.copies, nvars)(nvars, 0)
+            uncut = setup_search(inst.forbidden.copies, target_list(inst), nvars)(nvars, 0)
             if alpha_target(inst) != uncut:
                 yield target, forbid, n
 
@@ -429,14 +461,14 @@ def test_one_alpha_target_call_builds_the_index_tables_once(monkeypatch):
         monomial, "_index_sets", lambda masks, nvars: built.append(nvars) or index_sets(masks, nvars)
     )
     # links m = 2..n for ex, m = 3..n for triangle targets, one for a
-    # hand-built instance.  Unit targets, one per variable (the single edges
-    # of ex, the single pairs of an r = 2 pair instance), are their own
-    # target table, so only the copy table is built; others build both
+    # hand-built instance.  The variables as targets (the single edges of
+    # ex, the single pairs of an r = 2 pair instance) build only the copy
+    # table; listed targets, the same singletons by hand included, build both
     triangles = enumerate_forbidden_copies(builtin_spec("K3"), 6)
     for inst, tables in [
         *((make_instance(n, builtin_spec("K3")), 1) for n in (3, 5, 9)),
         (make_instance(7, CoreFamily(4, 2)), 1),
-        (CoverInstance(6, 2, triangles, CopyFamily(6, 2, tuple(1 << i for i in range(15)))), 1),
+        (CoverInstance(6, 2, triangles, CopyFamily(6, 2, tuple(1 << i for i in range(15)))), 2),
         (make_instance(7, builtin_spec("K4"), builtin_spec("K3")), 2),
         (make_instance(7, CoreFamily(4, 3)), 2),
         (CoverInstance(6, 2, triangles, CopyFamily(6, 2, triangles.copies)), 2),
@@ -447,17 +479,18 @@ def test_one_alpha_target_call_builds_the_index_tables_once(monkeypatch):
 
 
 def test_unit_targets_build_no_second_table():
-    # the pair instance of K_150: 11,175 single-pair targets, about 7.8 MB
-    # of masks; a target table over them would take as much again
-    inst = make_instance(150, CoreFamily(150, 2))
-    size = sum(t.bit_length() for t in inst.target.copies) // 8
+    # the pair instance of K_150: its 11,175 single-pair targets are the
+    # variables, held as no list.  Listed, their masks alone would take
+    # about 7.8 MB, and a target table over them as much again
     tracemalloc.start()
     try:
+        inst = make_instance(150, CoreFamily(150, 2))
+        assert inst.target is None
         assert alpha_target(inst) == (1, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < size // 4
+    assert peak < 3_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -727,7 +760,7 @@ def test_alpha_target_matches_exhaustive_minimum(target, forbid):
         inst = make_instance(n, builtin_spec(forbid), builtin_spec(target))
         rk = inst.ranker()
         forb = inst.forbidden.copies
-        targ = inst.target.copies
+        targ = target_list(inst)
         alpha, witness = alpha_target(inst)
         best = min(
             len(targ) - quotient_rank(M, targ)
@@ -794,6 +827,6 @@ def test_instance_validation():
         CoverInstance(5, 2, fam3, fam5)
     with pytest.raises(InputError, match="target family"):
         CoverInstance(4, 2, fam3, fam5)
-    # every instance carries a target family
+    # every instance names its targets, None for the variables
     with pytest.raises(TypeError):
         CoverInstance(4, 2, fam3)

@@ -64,6 +64,13 @@ def test_turan_count_values(n, q, r, expected):
     assert turan_count(n, q, r) == expected
 
 
+@pytest.mark.parametrize("n,q,r", [(-1, 1, 2), (5, 0, 1), (-1, 3, 2), (4, 0, 3), (4, -1, 0), (4, 2, -1)])
+def test_turan_count_rejects_bad_parameters(n, q, r):
+    # checked before the r > q shortcut, which would answer 0
+    with pytest.raises(InputError, match="bad Turán parameters"):
+        turan_count(n, q, r)
+
+
 def test_turan_count_matches_construction():
     for n in range(1, 13):
         for q in range(1, 7):
@@ -103,14 +110,15 @@ def test_balanced_partition_larger_parts_first():
 
 
 def test_partition_pairs_are_the_within_part_pairs():
-    for n in range(0, 13):
-        for q in range(1, 16):
+    for n in range(0, 31):
+        for q in range(1, n + 3):
             want = [p for part in balanced_partition(n, q) for p in itertools.combinations(part, 2)]
             assert partition_pairs(n, q) == want, (n, q)
+        assert partition_pairs(n, 10**9) == []
     # one-vertex parts are never built, however many there are
     assert partition_pairs(10**9, 10**9 - 2) == [(1, 2), (3, 4)]
     assert partition_pairs(3, 10**12) == []
-    for n, q in [(5, 0), (5, -1), (-1, 2)]:
+    for n, q in [(5, 0), (5, -1), (-1, 2), (0, 0)]:
         with pytest.raises(InputError, match="bad partition parameters"):
             partition_pairs(n, q)
 
@@ -363,7 +371,11 @@ def test_restricted_copies_equal_enumeration_on_fewer_vertices(name, top):
         smallest, families = spec.n, lambda n: [enumerate_forbidden_copies(spec, n)]
     else:
         smallest = max(spec.ell, spec.r)
-        families = lambda n: [make_instance(n, spec).forbidden, make_instance(n, spec).target]
+
+        def families(n):
+            # the targets of an r = 2 pair instance are its variables, held as no list
+            inst = make_instance(n, spec)
+            return [inst.forbidden] + ([] if inst.target is None else [inst.target])
     fams = {n: families(n) for n in range(smallest, top + 1)}
     for n in fams:
         for m in range(smallest, n + 1):

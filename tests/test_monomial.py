@@ -139,6 +139,29 @@ def test_floor_at_or_below_the_minimum_keeps_value_and_witness():
         assert setup_search(fam.copies, _singletons(21), 21)(21, floor) == reference
 
 
+def test_variables_as_targets_search_as_their_singleton_list():
+    # targets None, the variables themselves, against the same search on
+    # the explicit list of nvars singletons, which builds a target table:
+    # random families, half of them with one-variable copies (forced
+    # targets), give the same answer after the same nodes at every cut and
+    # every floor from -2 to the minimum
+    rng = random.Random(39)
+    for i in range(60):
+        nv = rng.randint(3, 12)
+        copies = [
+            sum(1 << v for v in rng.sample(range(nv), rng.randint(2, min(4, nv))))
+            for _ in range(rng.randint(1, 10))
+        ]
+        if i % 2:
+            copies += [1 << v for v in rng.sample(range(nv), rng.randint(1, 2))]
+        unit, listed = setup_search(copies, None, nv), setup_search(copies, _singletons(nv), nv)
+        for cut in range(1, nv + 1):
+            minimum = listed(cut, 0)[0]
+            for floor in range(-2, minimum + 1):
+                expected = _with_search_nodes(listed, cut, floor)
+                assert _with_search_nodes(unit, cut, floor) == expected, (i, cut, floor)
+
+
 def _with_search_nodes(search, *args):
     """`search(*args)`'s answer and the number of search nodes it expands."""
     nodes = 0
@@ -292,7 +315,7 @@ def test_floor_at_the_minimum_stops_the_search(monkeypatch):
 
 
 def test_hitting_set_search_guards(monkeypatch):
-    # K3 at n = 8 as the `ex` search sees it: one singleton target per edge
+    # K3 at n = 8 with one singleton target per edge, listed by hand
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 8)
     rk = EdgeRanker(8, 2)
     singletons = [1 << v for v in range(rk.count)]
@@ -314,8 +337,8 @@ def test_hitting_set_search_guards(monkeypatch):
         setup_search(fam.copies, singletons, rk.count)(rk.count, 0)
 
 
-def _no_search(*args, **kwargs):
-    raise AssertionError("the search was called")
+def _no_table(*args, **kwargs):
+    raise AssertionError("an index table was built")
 
 
 def test_hitting_set_setup_guard(monkeypatch):
@@ -331,10 +354,14 @@ def test_hitting_set_setup_guard(monkeypatch):
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 8)
     with pytest.raises(ScaleGuardError):
         setup_search(copies, targets, 4)(4, 0)
-    # refusals and empty families never reach the singleton targets
-    monkeypatch.setattr(monomial, "setup_search", _no_search)
-    with pytest.raises(ScaleGuardError):
+    # a refusal builds no index table, and an empty family needs none
+    monkeypatch.setattr(monomial, "_index_sets", _no_table)
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 11)
+    with pytest.raises(ScaleGuardError, match="12 setup steps exceed 11"):
         min_hitting_set(copies, 4)
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 8)
+    with pytest.raises(ScaleGuardError, match="9 setup steps exceed 8"):
+        setup_search(copies, targets, 4)
     assert min_hitting_set([], 5) == (0, 0)
 
 

@@ -160,6 +160,48 @@ def test_only_alpha_target_enters_the_search():
     }
 
 
+COPY_LISTINGS = {"place_copies", "enumerate_forbidden_copies"}
+
+
+def _unguarded_listings(stmts, guarded=False):
+    """Line of every copy-listing call in the statements that no earlier
+    statement calling `guard_search_setup`, in its own block or an
+    enclosing one, precedes."""
+    for stmt in stmts:
+        blocks = [b for b in (getattr(stmt, f, None) for f in ("body", "orelse")) if isinstance(b, list)]
+        inner = {id(node) for block in blocks for s in block for node in ast.walk(s)}
+        for node in ast.walk(stmt):
+            if id(node) not in inner and isinstance(node, ast.Call) and _callee(node) in COPY_LISTINGS:
+                if not guarded:
+                    yield node.lineno
+        for block in blocks:
+            yield from _unguarded_listings(block, guarded)
+        call = getattr(stmt, "value", None)
+        guarded |= isinstance(call, ast.Call) and _callee(call) == "guard_search_setup"
+
+
+def test_one_setup_guard_per_search_entry():
+    """`guard_search_setup` prices a search's setup once per entry: in
+    `setup_search`, which every search goes through, and in
+    `dictionary.make_instance`, before any copy is listed, since there the
+    copy counts are exact beforehand.  No other function calls it, so no
+    entry guards the same setup twice."""
+    assert _calls({"guard_search_setup"}) == {
+        ("dictionary.py", "make_instance", "guard_search_setup"),
+        ("monomial.py", "setup_search", "guard_search_setup"),
+    }
+    path = SOURCE / "dictionary.py"
+    (make_instance,) = (
+        node for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "make_instance"
+    )
+    listings = [
+        node for node in ast.walk(make_instance)
+        if isinstance(node, ast.Call) and _callee(node) in COPY_LISTINGS
+    ]
+    assert listings and list(_unguarded_listings(make_instance.body)) == []
+
+
 def test_pair_reduction_lives_only_in_dictionary():
     """`make_instance`, the one reduction of a Turán problem to a cover
     instance, the core-pair family's pair instance included, is defined
