@@ -9,10 +9,10 @@ target copies minus the fewest of them a member M meets.  The copies M
 leaves are the target monomials surviving the quotient that kills M
 (`quotient_rank`), the copies of T in the F-free graph M leaves.
 Ordinary: ex(n, F) is the case of a one-edge target (`one_edge`), whose
-copies are the single edges, the variables themselves, so no target list
-is held.  The minimum is then the cover ideal's initial degree
-C(n, r) - ex(n, F), and minimum hitting sets complement extremal
-witnesses.
+copies are the single edges, on an edge instance the variables
+themselves, so no target list is held.  The minimum is then the cover
+ideal's initial degree C(n, r) - ex(n, F), and minimum hitting sets
+complement extremal witnesses.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .hypergraph import (
     complete_shape,
     core_family_free,
     count_copies,
-    edge_mask,
     enumerate_forbidden_copies,
     explicit_copy_count,
     explicit_shapes,
@@ -219,44 +218,45 @@ def gen_ex_via_cover(
 ) -> tuple[int, RGraph]:
     """ex(n, T, F) = |target copies| - alpha_T(cover ideal), with a witness.
     n < 1, and a target that fails `check_target_spec` (a core-pair family,
-    or another uniformity), raise InputError.
+    another uniformity, or no edge), raise InputError.
 
-    The witness is what the support M of `alpha_target` leaves: the edges
-    outside M for an explicit F, the r-sets with no pair in M for the
-    core-pair family.  The target copies M leaves are the copies of T in
-    it, so ClaimCheckError is raised unless it holds no member of F and
-    `quotient_rank(M, targets)` equals the value.  For a one-edge target,
-    whose copies are the C(n, r) variables, the value is C(n, r) - alpha
-    and that rank is the witness's edge count.  For a clique target K_s on
-    graphs (r = 2, the one-edge target K_2 included) that rank must also be
-    the degree-s Hilbert value of `vertex_quotient(M)`, whose kill graph is
-    M: a K_s survives iff its vertex set is standard."""
+    One witness rule for every instance: the witness is what the support M
+    of `alpha_target` leaves, the r-sets of [n] none of whose variables
+    lies in M (the r-set itself, or its pairs for the core-pair family).
+    The target copies M leaves are the copies of T in it, so
+    ClaimCheckError is raised unless it holds no member of F and their
+    count, the rank, equals the value.  A T whose copies span r vertices
+    (`inst.span`) is one edge, with the C(n, r) r-sets as its copies,
+    whatever list the search held: the value is C(n, r) - alpha and the
+    rank the witness's edge count.  Any other T has the value |targets| -
+    alpha and the rank `quotient_rank(M, targets)`.  When copies of a
+    clique K_s on graphs are placed (r = 2, s = span, the one-edge K_2
+    included), the rank must also be the degree-s Hilbert value of
+    `vertex_quotient(M)`, whose kill graph is M: a K_s survives iff its
+    vertex set is standard."""
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     inst = make_instance(n, forbid_spec, target_spec)
     alpha, M = alpha_target(inst)
-    value = (comb(n, inst.r) if inst.target is None else len(inst.target)) - alpha
-    r = forbid_spec.r
-    s = len(set().union(*target_spec.edges))
-    clique = r == 2 and len(target_spec.edges) == comb(s, 2)
-    # one ranker, built only when the witness or the clique check reads it
-    ranker = inst.ranker() if clique or not isinstance(forbid_spec, CoreFamily) else None
-    if isinstance(forbid_spec, CoreFamily):
-        witness = RGraph(n, r, (
-            e for e in itertools.combinations(range(1, n + 1), r)
-            if not edge_mask(itertools.combinations(e, 2)) & M
-        ))
-        free = core_family_free(witness, forbid_spec.ell)
+    r, k = forbid_spec.r, inst.span
+    ranker = inst.ranker()
+    killed = set(ranker.unmask(M))
+    witness = RGraph(n, r, (
+        e for e in itertools.combinations(range(1, n + 1), r)
+        if killed.isdisjoint(map(frozenset, itertools.combinations(e, inst.r)))
+    ))
+    free = (core_family_free(witness, forbid_spec.ell) if isinstance(forbid_spec, CoreFamily)
+            else count_copies(witness, inst.forbidden) == 0)
+    if k == r:  # T is one edge, its copies the r-sets
+        value, rank = comb(n, r) - alpha, len(witness)
     else:
-        witness = RGraph(n, r, ranker.unmask(((1 << comb(n, r)) - 1) ^ M))
-        free = count_copies(witness, inst.forbidden) == 0
-    rank = len(witness) if inst.target is None else quotient_rank(M, inst.target.copies)
+        value, rank = len(inst.target) - alpha, quotient_rank(M, inst.target.copies)
     if not free or rank != value:
         raise ClaimCheckError(f"witness of {rank} target copies is not a forbidden-free graph of {value}")
-    if clique:
-        standard = vertex_quotient(M, ranker).hilbert(s)
+    if r == 2 and k is not None and len(target_spec.edges) == comb(k, 2):
+        standard = vertex_quotient(M, ranker).hilbert(k)
         if standard != rank:
-            raise ClaimCheckError(f"{rank} K{s} copies survive the support, but its vertex quotient has {standard}")
+            raise ClaimCheckError(f"{rank} K{k} copies survive the support, but its vertex quotient has {standard}")
     return value, witness
 
 

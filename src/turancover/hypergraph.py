@@ -574,14 +574,16 @@ def _has_clique(adj: list[int], cand: int, k: int) -> bool:
 
 def check_target_spec(target_spec: FamilySpec, forbid_spec: FamilySpec) -> None:
     """InputError unless the target of ex(n, T, F) is an explicit pattern of
-    F's uniformity.  A core-pair target family would count only the
-    minimal copies it lists, which is no standard objective."""
+    F's uniformity with an edge.  A core-pair target family would count
+    only the minimal copies it lists, which is no standard objective."""
     if target_spec.r != forbid_spec.r:
         raise InputError("target and forbidden families must share uniformity")
     if isinstance(target_spec, CoreFamily):
         raise InputError(
             "target must be an explicit pattern: a core-pair family would count only its minimal copies"
         )
+    if not target_spec.edges:
+        raise InputError("target has no edges")
 
 
 def brute_force_gen_ex(

@@ -462,7 +462,8 @@ def symmetrize(
     """Repeatedly clone between zero-product parallel class pairs until the
     kill graph is a disjoint union of class cliques.
 
-    Requires top_vanishing(A, q).  Each step takes the zero-product class
+    Requires r >= 1 and top_vanishing(A, q), else InputError, before any
+    count.  Each step takes the zero-product class
     pair with the smallest (first vertex, first vertex), read by
     `first_zero_product_pair`, and clones the class
     with the larger lambda(r-1) onto the other (ties: the class with the
@@ -478,6 +479,8 @@ def symmetrize(
     the initial value and the terminal certificate.  Returns the terminal
     quotient and the step trace.
     """
+    if r < 1:
+        raise InputError(f"need r >= 1, got r={r}")
     if not A.top_vanishing(q):
         raise InputError("symmetrize requires a vanishing degree-(q+1) piece")
     trace: list[dict] = []

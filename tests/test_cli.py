@@ -246,6 +246,30 @@ def test_gen_ex_core_pair_family_on_shadow_targets(capsys, tmp_path):
     assert len(witness) == 18 and core_family_free(witness, 4)
 
 
+@pytest.mark.parametrize(
+    "text,forbid,n",
+    [("5 2\n1 2\n2 3\n1 3\n", "K4", "4"), ("4 2\n1 2\n", "K_ell_r(3,2)", "3")],
+    ids=["K3-on-5/K4", "edge-on-4/K32"],
+)
+def test_gen_ex_target_larger_than_n_matches_the_oracle(capsys, tmp_path, text, forbid, n):
+    # isolated vertices put T past [n]: no copy fits, and both sides say 0
+    path = tmp_path / "target.txt"
+    path.write_text(text)
+    code, report, _ = run(capsys, "gen-ex", "--target", str(path), "--forbid", forbid, "--n", n, "--oracle")
+    assert code == EXIT_OK
+    assert report["result"]["value"] == 0
+    assert report["oracle"] == {"oracle_value": 0, "match": True}
+
+
+def test_gen_ex_edgeless_target_is_bad_input(capsys, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("3 2\n")
+    code, payload, err = run(capsys, "gen-ex", "--target", str(path), "--forbid", "K3", "--n", "4")
+    assert code == EXIT_BAD_INPUT
+    assert payload is None
+    assert json.loads(err) == {"error": "bad input", "message": "target has no edges"}
+
+
 def test_bad_kill_pair_exit_code(capsys):
     code, _, err = run(capsys, "hilbert", "--n", "4", "--d", "1", "--kill", "1")
     assert code == EXIT_BAD_INPUT

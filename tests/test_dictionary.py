@@ -669,6 +669,15 @@ def test_gen_ex_refuses_core_pair_targets(target, forbid, top):
             call(top, target, forbid)
 
 
+@pytest.mark.parametrize(
+    "target,forbid", [(RGraph(3, 2), builtin_spec("K3")), (RGraph(4, 3), CoreFamily(4, 3))], ids=["K3", "K43"]
+)
+def test_gen_ex_refuses_an_edgeless_target_as_a_target(target, forbid):
+    for call in (gen_ex_via_cover, brute_force_gen_ex):
+        with pytest.raises(InputError, match="^target has no edges$"):
+            call(4, target, forbid)
+
+
 def test_vertex_quotient_kills_the_pairs_whose_star_the_support_holds():
     rng = random.Random(29)
     for n, r in [(4, 2), (6, 2), (5, 3), (6, 3), (5, 4), (3, 4)]:
@@ -680,12 +689,23 @@ def test_vertex_quotient_kills_the_pairs_whose_star_the_support_holds():
             assert vertex_quotient(M, rk).kill == kill, (n, r, M)
 
 
+# a triangle and an edge, each declared with isolated vertices
+K3_ON_5 = RGraph(5, 2, [(1, 2), (2, 3), (1, 3)])
+EDGE_ON_4 = RGraph(4, 2, [(1, 2)])
 # (n, target, forbidden): clique targets on graphs, the one-edge target of
-# ex included, and targets that are not
+# ex included, and targets that are not.  A clique declared with isolated
+# vertices is checked as K_s, s its span, once it fits in [n]; below its
+# order no copy is placed and there is nothing to check
 CLIQUE_CHECK_GRID = [
     (6, "K3", "K4", True), (7, "K3", "K5", True), (7, "K4", "K5", True), (6, "K2", "K3", True),
     (7, "K2", "K_ell_r(3,2)", True), (6, "P3", "K3", False), (6, "C4", "K3", False),
+    (5, K3_ON_5, "K4", True), (6, K3_ON_5, "K4", True), (4, K3_ON_5, "K4", False),
+    (4, EDGE_ON_4, "K_ell_r(3,2)", True), (3, EDGE_ON_4, "K_ell_r(3,2)", False),
 ]
+
+
+def _spec(x):
+    return builtin_spec(x) if isinstance(x, str) else x
 
 
 def test_clique_targets_check_the_vertex_quotient(monkeypatch):
@@ -698,8 +718,8 @@ def test_clique_targets_check_the_vertex_quotient(monkeypatch):
     monkeypatch.setattr(dictionary, "vertex_quotient", recorded)
     for n, t, f, clique in CLIQUE_CHECK_GRID:
         quotients.clear()
-        gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
-        assert len(quotients) == clique, (t, f)
+        gen_ex_via_cover(n, _spec(t), builtin_spec(f))
+        assert len(quotients) == clique, (n, t, f)
     quotients.clear()
     gen_ex_via_cover(6, EDGE_3, CoreFamily(4, 3))
     ex_via_cover(6, builtin_spec("K3"))
@@ -716,7 +736,48 @@ def test_a_wrong_kill_pair_fails_the_clique_target_check(monkeypatch):
     for n, t, f, clique in CLIQUE_CHECK_GRID:
         if clique:
             with pytest.raises(ClaimCheckError, match="vertex quotient"):
-                gen_ex_via_cover(n, builtin_spec(t), builtin_spec(f))
+                gen_ex_via_cover(n, _spec(t), builtin_spec(f))
+
+
+@pytest.mark.parametrize(
+    "target,forbid,n",
+    [(K3_ON_5, builtin_spec("K4"), 4), (EDGE_ON_4, CoreFamily(3, 2), 3)],
+    ids=["K3-on-5/K4", "edge-on-4/K32"],
+)
+def test_a_target_larger_than_n_answers_the_oracles_zero(target, forbid, n):
+    # T's isolated vertices put it past [n]: no copy is placed, so the K_s
+    # the witness holds are no copies of T and the value is 0
+    assert gen_ex_via_cover(n, target, forbid)[0] == brute_force_gen_ex(n, target, forbid)[0] == 0
+
+
+def test_one_edge_targets_are_counted_on_the_witness(monkeypatch):
+    # a pair instance with r >= 3 holds C(n, r) shadow targets for the
+    # search, but the certificate counts a one-edge target's copies as the
+    # r-sets themselves: a list one shadow short fails it
+    def one_shadow_short(shapes, n, r):
+        fam = hypergraph.place_copies(shapes, n, r)
+        # the shadows of a 3-edge span 3 positions, the forbidden K4s 4
+        return CopyFamily(n, r, fam.copies[:-1]) if shapes[0] == 3 else fam
+
+    monkeypatch.setattr(dictionary, "place_copies", one_shadow_short)
+    for n in (5, 6, 7):
+        with pytest.raises(ClaimCheckError, match="not a forbidden-free graph"):
+            ex_via_cover(n, CoreFamily(4, 3))
+
+
+def test_only_targets_of_more_than_one_edge_read_the_quotient_rank(monkeypatch):
+    ranks = []
+
+    def recorded(M, targets):
+        ranks.append(M)
+        return quotient_rank(M, targets)
+
+    monkeypatch.setattr(dictionary, "quotient_rank", recorded)
+    assert ex_via_cover(6, CoreFamily(4, 3))[0] == turan_count(6, 3, 3)
+    assert gen_ex_via_cover(6, EDGE_3, CoreFamily(4, 3))[0] == turan_count(6, 3, 3)
+    assert ranks == []
+    gen_ex_via_cover(6, CHERRY_3, CoreFamily(4, 3))
+    assert len(ranks) == 1
 
 
 def test_gen_ex_with_edge_target_reduces_to_ex():

@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 from turancover import squarezero
-from turancover.cli import EXIT_CLAIM_FAILED, main
+from turancover.cli import EXIT_BAD_INPUT, EXIT_CLAIM_FAILED, main
 from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import RGraph, brute_force_gen_ex, turan_count
 from turancover.squarezero import (
@@ -226,6 +226,27 @@ def test_symmetrize_worked_example():
     assert len(sizes) <= 2
     assert term.hilbert(2) >= 3
     assert term.hilbert(2) == elem_sym(sizes, 2)
+
+
+@pytest.mark.parametrize("q,kill", [(3, [(1, 2)]), (2, [(1, 2), (3, 4), (1, 3)])], ids=["no-step", "steps"])
+def test_symmetrize_refuses_r_below_one_before_any_count(monkeypatch, capsys, q, kill):
+    # the first graph takes no clone step and the second does: both are
+    # refused on r, before a Hilbert or lambda count reads it as a degree
+    def no_count(*args):
+        raise AssertionError("counted")
+
+    A = SquareZeroQuotient(4, kill)
+    with monkeypatch.context() as m:
+        for name in ("top_vanishing", "hilbert", "lambda_dim"):
+            m.setattr(SquareZeroQuotient, name, no_count)
+        for r in (0, -1):
+            with pytest.raises(InputError, match=f"^need r >= 1, got r={r}$"):
+                symmetrize(A, q, r)
+    argv = ["symmetrize", "--n", "4", "--q", str(q), "--r", "0", "--kill", *(f"{a},{b}" for a, b in kill)]
+    assert main(argv) == EXIT_BAD_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": "bad input", "message": "need r >= 1, got r=0"}
 
 
 def test_symmetrize_properties_random():
