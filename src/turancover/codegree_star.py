@@ -182,6 +182,10 @@ def star_initial_degree(params: StarParams) -> tuple[int, int]:
     The value is `alpha_target` on the pair instance `make_instance(n,
     CoreFamily(ell, r))`: the fewest r-sets with a pair in M, over pair sets
     M meeting every ell-clique of K_n, which is C(n, r) - ex(n, K_r, K_ell).
+    The search holds no list of those r-sets: a branch on a pair meets the
+    r-sets of its codegree star (`pair_stars`), the support of
+    `codegree_star_monomial`, and for ell <= r every r-set holds an
+    ell-clique, so all of them are met at the root and no star is read.
     It is the star ideal's initial degree.  Let P(S) be the pairs whose
     star lies in a support S.  S is a member iff P(S) meets every ell-set,
     and S holds every r-set with a pair in P(S); conversely, the union of

@@ -9,10 +9,11 @@ target copies minus the fewest of them a member M meets.  The copies M
 leaves are the target monomials surviving the quotient that kills M
 (`quotient_rank`), the copies of T in the F-free graph M leaves.
 Ordinary: ex(n, F) is the case of a one-edge target (`one_edge`), whose
-copies are the single edges, on an edge instance the variables
-themselves, so no target list is held.  The minimum is then the cover
-ideal's initial degree C(n, r) - ex(n, F), and minimum hitting sets
-complement extremal witnesses.
+copies are the r-sets of [n]: on an edge instance the variables
+themselves, on a pair instance the r-sets a branch meets through each
+pair's codegree star, so no target list is held.  On an edge instance
+the minimum is the cover ideal's initial degree C(n, r) - ex(n, F), and
+minimum hitting sets complement extremal witnesses.
 """
 
 from __future__ import annotations
@@ -49,8 +50,10 @@ from .squarezero import SquareZeroQuotient
 class CoverInstance:
     """A cover-ideal instance over C(n, r) variables, the edges (or pairs
     for the core-pair family, with r = 2) at their colex ranks: forbidden
-    copies and target copies, as colex masks.  `target` None makes the
-    variables the targets, one each: the copies of a one-edge target.
+    copies and target copies, as colex masks.  `target` None holds no list:
+    the targets are the copies of a one-edge target, the k-sets of [n]
+    with k = `span` (the variables themselves when the span is r, or when
+    there is none).
 
     `span`, the k vertices each target copy spans, is the symmetry claim:
     both families, cut to the r-sets of [m], are invariant under every
@@ -100,22 +103,24 @@ def make_instance(
     every ell-clique, and the copies of T there are those whose shadow
     avoids M: the forbidden copies are the ell-cliques of K_n, and the
     targets the pair shadows of the copies of T (`pair_shadows`), a
-    multiset; a one-edge target's shadows are the r-cliques.  Before any
-    shadow is built, ScaleGuardError refuses C(n, ell) cliques placing more
-    than COPY_CAP pairs, then a search setup past `guard_search_setup`'s
-    budget; the targets are placed, under `place_copies`'s guard, before
-    the cliques.
+    multiset.  Before any shadow is built, ScaleGuardError refuses C(n,
+    ell) cliques placing more than COPY_CAP pairs, then a search setup past
+    `guard_search_setup`'s budget, which prices the C(n, k) targets whether
+    they are placed or not; the targets are placed, under `place_copies`'s
+    guard, before the cliques.
 
     Both families hold every copy placed on [n], so cut to the r-sets of
     [m] they are invariant under the permutations of [m]: the instance's
     `span` is the k vertices of T's shapes, None when no target copy is
-    placed (T.n > n).  A T spanning as many vertices as a variable, one
-    edge (one pair of a pair instance, r = 2), has the variables as its
-    copies, each once: the instance's `target` is None and no target is
-    placed."""
+    placed (T.n > n).  A T spanning as many vertices as an edge of F is one
+    edge, whose copies are the r-sets of [n], each once: the instance's
+    `target` is None and no target is placed.  On an edge instance these
+    are the variables; on a pair instance with r >= 3 the search reads
+    them off the pairs' codegree stars (`setup_search` with that span)."""
     if target_spec is None:
         target_spec = one_edge(forbid_spec.r)
     check_target_spec(target_spec, forbid_spec)
+    r = forbid_spec.r
     target_shapes = explicit_shapes(target_spec, n)  # each pattern's shapes, found once
     ntargets = explicit_copy_count(target_shapes, n)
     span = target_shapes[0] or None  # k = 0 iff no shape
@@ -123,10 +128,9 @@ def make_instance(
         ell = forbid_spec.ell
         guard_copy_listing(comb(n, ell), comb(ell, 2))
         guard_search_setup(ntargets, comb(n, ell), comb(n, 2))
-        targets = None if span == 2 else place_copies(pair_shadows(target_shapes), n, 2)
+        targets = None if span == r else place_copies(pair_shadows(target_shapes), n, 2)
         cliques = complete_shape(ell, 2) if ell <= n else (0, set())
         return CoverInstance(n, 2, place_copies(cliques, n, 2), targets, span)
-    r = forbid_spec.r
     forbid_shapes = explicit_shapes(forbid_spec, n)
     guard_search_setup(ntargets, explicit_copy_count(forbid_shapes, n), comb(n, r))
     forbidden = enumerate_forbidden_copies(forbid_spec, n, forbid_shapes)
@@ -163,9 +167,12 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     every forbidden copy.  Returns (minimum, witness support mask).
 
     The search is `monomial.setup_search`'s, set up once per call on the
-    copy lists enumerated at n; with the variables as targets (`target`
-    None, the single edges of `one_edge`) the minimum is |M|, the cover
-    ideal's initial degree, and the targets below a cut number the cut.
+    copy lists enumerated at n, with the instance's span.  With `target`
+    None the targets are the copies of `one_edge`, the k-sets of [n] (k =
+    span), C(m, k) of them on [m]: on an edge instance the variables, where
+    the minimum is |M|, the cover ideal's initial degree, and on a pair
+    instance with r >= 3 the r-sets, which each pair meets through its
+    codegree star.
 
     When the instance has a `span`, every target spans k = span vertices
     (k = r for single edges) and the search is certified link by link.
@@ -202,11 +209,12 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     """
     n, r, k = inst.n, inst.r, inst.span
     targets = None if inst.target is None else inst.target.copies
-    search = setup_search(inst.forbidden.copies, targets, comb(n, r), None if k is None else r)
+    search = setup_search(inst.forbidden.copies, targets, comb(n, r), None if k is None else r, k)
     previous = None
     for m in range(k, n + 1) if k is not None else (n,):
         cut = comb(m, r)
-        ntargets = cut if targets is None else bisect_left(targets, 1 << cut)
+        # the k-sets of [m], or with no span (one link) the variables
+        ntargets = comb(m, k or r) if targets is None else bisect_left(targets, 1 << cut)
         floor = 0 if previous is None else ntargets - previous * m // (m - k)
         alpha, witness = search(cut, floor)
         previous = ntargets - alpha

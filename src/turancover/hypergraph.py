@@ -428,13 +428,16 @@ def enumerate_forbidden_copies(
 
 def pair_stars(ranker: EdgeRanker) -> dict[tuple[int, int], int]:
     """Each pair (a, b), a < b, of [n] mapped to the mask of the r-sets
-    containing it, in one pass over the ranked r-sets.  Every pair is
-    listed, with mask 0 when r > n."""
-    stars = dict.fromkeys(itertools.combinations(range(1, ranker.n + 1), 2), 0)
+    containing it, in one pass over the ranked r-sets that lists each
+    star's positions, set by `_mask_of` (OR-ing in one bit per r-set would
+    copy the growing mask each time).  Every pair is listed, in pair-rank
+    (colex) order, with mask 0 when r > n."""
+    n = ranker.n
+    stars = {(a, b): [] for b in range(2, n + 1) for a in range(1, b)}
     for i, t in enumerate(ranker.sets):
         for p in itertools.combinations(t, 2):
-            stars[p] |= 1 << i
-    return stars
+            stars[p].append(i)
+    return {p: _mask_of(positions) for p, positions in stars.items()}
 
 
 def minimal_supports(masks: Iterable[int]) -> list[int]:

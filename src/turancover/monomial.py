@@ -13,7 +13,9 @@ ideal.  `minimal_supports`, the inclusion-minimal masks of a list, lives in
 function of a cut and a floor.  The minimum hitting set is its search over
 every variable, with no floor and the variables themselves as targets,
 `min_hitting_set`; the library's one entry is `dictionary.alpha_target`,
-whose `ex` targets are the variables too.  Given the uniformity r of
+whose `ex` targets are the r-sets: the variables too on an edge instance,
+and on a pair instance the k-sets each pair meets through its codegree
+star.  Given the uniformity r of
 vertex-symmetric families, the search also skips the sibling branches that
 a vertex permutation maps onto earlier ones (orbit cuts); `alpha_target`
 asks for that on instances `make_instance` built, and the other entries
@@ -24,11 +26,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import reduce
+from math import comb
 from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
-from .hypergraph import _bits, _mask_of, colex_unrank, minimal_supports
+from .hypergraph import EdgeRanker, _bits, _mask_of, colex_unrank, minimal_supports, pair_stars
 
 
 # ---------------------------------------------------------------------------
@@ -43,13 +46,19 @@ def guard_search_setup(ntargets: int, ncopies: int, nvars: int) -> None:
     Callers with exact copy counts run it before any copy is listed.
 
     ntargets * ncopies counts the target-copy pairs whose containment the
-    forced-target pass decides: each copy ANDs the rows of the target table
-    at its variables, bitsets over the target indices.  The target and copy
-    masks have up to nvars bits each, and the index tables (`_index_sets`)
-    hold one bitset per variable over the target and copy indices, so
-    together they take up to 2 * nvars * (ntargets + ncopies) bits (the
-    variables as targets, nvars of them, build neither list nor table and
-    take less); past ALPHA_CAP_NODES KiB that is refused too."""
+    forced-target pass of listed targets decides: each copy ANDs the rows
+    of the target table at its variables, bitsets over the target indices.
+    The target and copy masks have up to nvars bits each, and the index
+    tables (`_index_sets`) hold one bitset per variable over the target and
+    copy indices, so together they take up to 2 * nvars * (ntargets +
+    ncopies) bits; past ALPHA_CAP_NODES KiB that is refused too.
+
+    One-edge targets held as no list are priced the same way, though their
+    setup does less: the variables as targets, nvars of them, build neither
+    list nor table, and the k-sets over pair variables build no list and
+    run no forced pass, only C(n, 2) codegree stars of up to ntargets bits
+    each (none when every target is forced).  The price stays: past it the
+    search itself can run for minutes before ALPHA_CAP_NODES stops it."""
     work = ntargets * ncopies
     if work > ALPHA_CAP_NODES:
         raise ScaleGuardError(
@@ -90,7 +99,8 @@ class _VertexMasks(dict):
 
 
 def setup_search(
-    copies: Iterable[int], targets: Sequence[int] | None, nvars: int, r: int | None = None
+    copies: Iterable[int], targets: Sequence[int] | None, nvars: int, r: int | None = None,
+    span: int | None = None,
 ) -> Callable:
     """Set the hitting-set search up once for the copy and target masks over
     nvars variables, and return `search(cut, floor)`: the minimum number of
@@ -98,19 +108,37 @@ def setup_search(
     below it, with a witness M.  Under colex ranks those are the families
     on [m] for cut = C(m, r), so one setup at n serves every m <= n.
 
-    A target containing a copy meets every hitting set.  These forced
-    targets are read off the target table, `targets_at`: the AND of its
-    rows over a copy's variables holds the targets containing that copy.
-    Each search starts its root with the forced targets below its cut
-    already met.  A forced target's copy has a smaller mask, so it lies
-    below the same cut, and the copies below a cut keep their sorted order:
-    the sort, both `_index_sets` tables and the forced set are built once,
-    and each search expands the nodes of one set up on the masks below its
-    cut alone.  Targets None are the nvars variables themselves, target v
-    being variable v (`ex`, `min_hitting_set`): no target list or table is
-    built, the targets below a cut number the cut, a branch on v meets
-    target v unless it is met already, and the forced targets are the
-    one-variable copies.
+    Each variable's row is the bitset of the targets it meets, and a
+    target containing a copy meets every hitting set.  Each search starts
+    its root with these forced targets below its cut already met.  The
+    targets take one of three forms:
+
+    * listed masks: sorted, so that the targets below a cut are a prefix,
+      with the target table `targets_at` as rows.  The AND of its rows over
+      a copy's variables holds the targets containing that copy, so the
+      forced set is the OR of those ANDs.  A forced target's copy has a
+      smaller mask, so it lies below the same cut.
+    * None, with `span` None or r: the nvars variables themselves, target v
+      being variable v (`ex`, `min_hitting_set`).  No target list or table
+      is built, the targets below a cut number the cut, a branch on v meets
+      target v unless it is met already, and the forced targets are the
+      one-variable copies.
+    * None, with pair variables (r = 2) and a larger `span` k: the k-sets
+      of [n] at their colex ranks, each below the cut of [m] iff its pairs
+      are (the one-edge target of a pair instance).  A pair meets the
+      k-sets through it, so its row is its codegree star, read from
+      `pair_stars` in pair-rank order, and [m] holds C(m, k) targets.  A
+      k-set holds a copy iff it holds that copy's vertices; by the
+      symmetry that r promises (below) some k-set does iff some copy lies
+      in [k], and then every one does.  So the forced targets are all of
+      them or none: all when the smallest copy mask lies below the cut
+      C(k, 2), and then no row is built, since no branch meets a target
+      that is not met already.
+
+    The copies below a cut keep their sorted order, so the sort, the
+    `_index_sets` tables, the rows and the forced set are built once, and
+    each search expands the nodes of one set up on the masks below its cut
+    alone.
 
     Branch-and-bound over minimal hitting sets, in one branch loop: branch
     on the allowed variables of an uncovered copy with the fewest of them,
@@ -151,26 +179,39 @@ def setup_search(
     forb = sorted(copies, key=lambda c: (c.bit_count(), c))
     if not forb:
         return lambda cut, floor: (0, 0)
-    guard_search_setup(nvars if targets is None else len(targets), len(forb), nvars)
+    stars = targets is None and span not in (None, r)
+    if targets is not None:
+        ntargets = len(targets)
+    elif stars:
+        n = colex_unrank(nvars - 1, 2)[-1]
+        ntargets = comb(n, span)
+    else:
+        ntargets = nvars
+    guard_search_setup(ntargets, len(forb), nvars)
     if forb[0] == 0:
         raise InputError("empty copy cannot be hit")
     copies_at = _index_sets(forb, nvars)
     # the forced targets, an index bitset: each holds every variable of
     # some copy, so every hitting set meets it
     forced = 0
-    if targets is None:
-        # the one-variable copies, which sort first
-        ordered = targets_at = None
-        for c in forb:
-            if c & (c - 1):
-                break
-            forced |= c
-    else:
+    ordered = targets_at = None
+    if targets is not None:
         # only counts of targets met matter, so sorted targets cut to a prefix
         ordered = sorted(targets)
         targets_at = _index_sets(ordered, nvars)
         for c in forb:
             forced |= reduce(and_, map(targets_at.__getitem__, _bits(c)))
+    elif not stars:
+        # the one-variable copies, which sort first
+        for c in forb:
+            if c & (c - 1):
+                break
+            forced |= c
+    elif min(forb) >> comb(span, 2):
+        # no copy in [k]: none is forced, and each pair's row is its star
+        targets_at = list(pair_stars(EdgeRanker(n, span)).values())
+    else:
+        forced = -1  # every k-set holds a copy
     verts = None if r is None else _VertexMasks(r)
 
     def search(cut: int, floor: int) -> tuple[int, int]:
@@ -178,7 +219,12 @@ def setup_search(
         uncovered = _mask_of([i for i, c in enumerate(forb) if c < below])
         if not uncovered:
             return 0, 0
-        ntargets = cut if ordered is None else bisect_left(ordered, below)
+        if ordered is not None:
+            ntargets = bisect_left(ordered, below)
+        elif stars:  # C(m, k), m the top vertex of the last pair below the cut
+            ntargets = comb(colex_unrank(cut - 1, 2)[-1], span)
+        else:
+            ntargets = cut
         alive = (1 << ntargets) - 1
         met = forced & alive  # met at the root, by every hitting set
         best, best_mask, nodes = ntargets + 1, 0, 0
@@ -245,6 +291,7 @@ def setup_search(
                         local_copies |= copies_at[v]
                         continue
                     keys.append(key)
+                # no rows: the variables as targets, or every target met
                 hit = (bit if targets_at is None else targets_at[v]) & alive
                 total = killed + hit.bit_count()
                 if total < best:

@@ -348,17 +348,20 @@ def test_placing_and_counting_copies_build_no_ranker(monkeypatch):
     ],
 )
 def test_ex_and_gen_ex_build_at_most_one_ranker(capsys, monkeypatch, argv):
+    # besides the one that lists the r-sets for the codegree stars, the
+    # rows of a pair instance's search when r >= 3
     built = count_rankers(monkeypatch)
     code, _, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    assert len(built) <= 1
+    assert len([f for f in built if f != "setup_search"]) <= 1
 
 
 def test_codegree_star_alpha_builds_only_its_parameters_ranker(capsys, monkeypatch):
+    # and the search's, whose codegree stars are its rows
     built = count_rankers(monkeypatch)
     code, _, _ = run(capsys, "codegree-star", "--n", "7", "--ell", "4", "--r", "3", "--alpha")
     assert code == EXIT_OK
-    assert built == ["StarParams.ranker"]
+    assert built == ["setup_search", "StarParams.ranker"]
 
 
 @pytest.mark.parametrize(
@@ -377,6 +380,21 @@ def test_hitting_set_setup_refused_fast(capsys, argv):
     assert code == EXIT_SCALE_GUARD
     assert payload is None
     assert json.loads(err)["error"] == "scale guard"
+
+
+@pytest.mark.parametrize("n,ell", [(18, 8), (16, 6)])
+def test_pair_instance_setup_is_priced_on_its_targets_times_copies(capsys, n, ell):
+    # the search holds no list of these C(n, 3) targets, but the setup
+    # guard still prices them times the C(n, ell) cliques and refuses at
+    # once; unpriced, the search runs for minutes before its node cap
+    start = time.monotonic()
+    code, _, err = run(capsys, "codegree-star", "--n", str(n), "--ell", str(ell), "--r", "3", "--alpha")
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_SCALE_GUARD
+    assert json.loads(err)["message"] == (
+        f"{comb(n, 3)} targets x {comb(n, ell)} copies = {comb(n, 3) * comb(n, ell)} setup steps"
+        " exceed 2000000"
+    )
 
 
 @pytest.mark.parametrize(

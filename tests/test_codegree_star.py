@@ -31,6 +31,7 @@ from turancover.errors import ClaimCheckError, InputError, ScaleGuardError
 from turancover.hypergraph import (
     CopyFamily,
     CoreFamily,
+    EdgeRanker,
     RGraph,
     builtin_spec,
     core_family_free,
@@ -74,6 +75,25 @@ def test_star_monomial_is_the_pair_stars_entry(r):
         stars = pair_stars(p.ranker)
         for a, b in itertools.combinations(range(1, n + 1), 2):
             assert codegree_star_monomial(p, a, b) == stars[(a, b)]
+
+
+def reference_pair_stars(ranker: EdgeRanker) -> dict:
+    """Each pair's star by OR-ing in one bit per r-set through it."""
+    stars = dict.fromkeys(itertools.combinations(range(1, ranker.n + 1), 2), 0)
+    for i, t in enumerate(ranker.sets):
+        for p in itertools.combinations(t, 2):
+            stars[p] |= 1 << i
+    return stars
+
+
+@pytest.mark.parametrize("r", range(2, 6))
+def test_pair_stars_match_the_bit_by_bit_loop(r):
+    for n in range(1, 10):
+        ranker = EdgeRanker(n, r)
+        stars = pair_stars(ranker)
+        assert stars == reference_pair_stars(ranker)
+        # listed in pair-rank order, the order of the search's rows
+        assert list(stars) == EdgeRanker(n, 2).sets
 
 
 def test_star_monomial_rejects_bad_pairs():

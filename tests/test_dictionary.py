@@ -33,6 +33,9 @@ from turancover.hypergraph import (
     count_copies,
     edge_mask,
     enumerate_forbidden_copies,
+    explicit_shapes,
+    pair_shadows,
+    place_copies,
     turan_count,
 )
 from turancover.monomial import min_hitting_set, setup_search
@@ -40,11 +43,16 @@ from turancover.squarezero import SquareZeroQuotient
 
 
 def target_list(inst: CoverInstance) -> tuple[int, ...]:
-    """The instance's target copies as masks: one singleton per variable
-    when its `target` is None, the variables themselves."""
-    if inst.target is None:
+    """The instance's target copies as masks.  With `target` None they are
+    the one-edge target's copies, held as no list: on an edge instance (or
+    r = 2 pair instance) one singleton per variable, and on a pair instance
+    with r >= 3 the pair shadows of the r-sets, listed here as the
+    reference."""
+    if inst.target is not None:
+        return inst.target.copies
+    if inst.span in (None, inst.r):
         return tuple(1 << v for v in range(comb(inst.n, inst.r)))
-    return inst.target.copies
+    return place_copies(pair_shadows(explicit_shapes(one_edge(inst.span), inst.n)), inst.n, 2).copies
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +253,7 @@ def test_chain_returns_the_single_search_witness():
     ]:
         target, forbid = (builtin_spec(x) if isinstance(x, str) else x for x in (target, forbid))
         inst = make_instance(n, forbid, target)
-        reference = setup_search(inst.forbidden.copies, inst.target.copies, comb(n, 2))(comb(n, 2), 0)
+        reference = setup_search(inst.forbidden.copies, target_list(inst), comb(n, 2))(comb(n, 2), 0)
         assert alpha_target(inst) == reference
 
 
@@ -288,8 +296,8 @@ def _record_links(monkeypatch) -> list:
     returned list."""
     links, setup = [], dictionary.setup_search
 
-    def recording(copies, targets, nvars, r=None):
-        search = setup(copies, targets, nvars, r)
+    def recording(copies, targets, nvars, r=None, span=None):
+        search = setup(copies, targets, nvars, r, span)
 
         def link(cut, floor):
             answer, nodes = _with_search_nodes(search, cut, floor)
@@ -347,6 +355,29 @@ def test_variables_as_targets_search_as_their_singleton_list(monkeypatch, forbid
         nvars = comb(n, inst.r)
         for cut, floor, r, answer, nodes in links:
             listed = setup_search(inst.forbidden.copies, target_list(inst), nvars, r)
+            assert _with_search_nodes(listed, cut, floor) == (answer, nodes), (n, cut)
+
+
+@pytest.mark.parametrize("r", range(3, 6))
+@pytest.mark.parametrize("ell", range(3, 7))
+def test_one_edge_pair_targets_search_as_their_listed_shadows(monkeypatch, ell, r):
+    # the r-sets of a pair instance with r >= 3 are held as no list: each
+    # pair's row is its codegree star, read once per search, and none is
+    # read when an ell-clique fits in an r-set, where every target is
+    # forced.  Each link of the chain gives the answer and walks the nodes
+    # of the same search set up on the listed pair shadows
+    links = _record_links(monkeypatch)
+    rows, stars = [], monomial.pair_stars
+    monkeypatch.setattr(monomial, "pair_stars", lambda ranker: rows.append(ranker.r) or stars(ranker))
+    for n in range(r, 10):
+        inst = make_instance(n, CoreFamily(ell, r))
+        assert (inst.target, inst.span) == (None, r)
+        links.clear()
+        rows.clear()
+        alpha_target(inst)
+        assert rows == ([] if ell <= r or ell > n else [r]), n
+        listed = setup_search(inst.forbidden.copies, target_list(inst), comb(n, 2), 2)
+        for cut, floor, _, answer, nodes in links:
             assert _with_search_nodes(listed, cut, floor) == (answer, nodes), (n, cut)
 
 
@@ -461,16 +492,18 @@ def test_one_alpha_target_call_builds_the_index_tables_once(monkeypatch):
         monomial, "_index_sets", lambda masks, nvars: built.append(nvars) or index_sets(masks, nvars)
     )
     # links m = 2..n for ex, m = 3..n for triangle targets, one for a
-    # hand-built instance.  The variables as targets (the single edges of
-    # ex, the single pairs of an r = 2 pair instance) build only the copy
-    # table; listed targets, the same singletons by hand included, build both
+    # hand-built instance.  One-edge targets held as no list (the single
+    # edges of ex, the single pairs of an r = 2 pair instance, the r-sets
+    # of a pair instance with r >= 3, whose rows are codegree stars) build
+    # only the copy table; listed targets, the same singletons by hand
+    # included, build both
     triangles = enumerate_forbidden_copies(builtin_spec("K3"), 6)
     for inst, tables in [
         *((make_instance(n, builtin_spec("K3")), 1) for n in (3, 5, 9)),
         (make_instance(7, CoreFamily(4, 2)), 1),
         (CoverInstance(6, 2, triangles, CopyFamily(6, 2, tuple(1 << i for i in range(15)))), 2),
         (make_instance(7, builtin_spec("K4"), builtin_spec("K3")), 2),
-        (make_instance(7, CoreFamily(4, 3)), 2),
+        (make_instance(7, CoreFamily(4, 3)), 1),
         (CoverInstance(6, 2, triangles, CopyFamily(6, 2, triangles.copies)), 2),
     ]:
         built.clear()
@@ -751,15 +784,16 @@ def test_a_target_larger_than_n_answers_the_oracles_zero(target, forbid, n):
 
 
 def test_one_edge_targets_are_counted_on_the_witness(monkeypatch):
-    # a pair instance with r >= 3 holds C(n, r) shadow targets for the
-    # search, but the certificate counts a one-edge target's copies as the
-    # r-sets themselves: a list one shadow short fails it
-    def one_shadow_short(shapes, n, r):
-        fam = hypergraph.place_copies(shapes, n, r)
-        # the shadows of a 3-edge span 3 positions, the forbidden K4s 4
-        return CopyFamily(n, r, fam.copies[:-1]) if shapes[0] == 3 else fam
+    # the search of a pair instance with r >= 3 reads each pair's targets
+    # from its codegree star, but the certificate counts a one-edge
+    # target's copies as the r-sets themselves: a star one r-set short
+    # fails it
+    def one_set_short(ranker):
+        stars = hypergraph.pair_stars(ranker)
+        stars[(1, 2)] &= stars[(1, 2)] - 1  # drop the lowest r-set, {1, 2, 3}
+        return stars
 
-    monkeypatch.setattr(dictionary, "place_copies", one_shadow_short)
+    monkeypatch.setattr(monomial, "pair_stars", one_set_short)
     for n in (5, 6, 7):
         with pytest.raises(ClaimCheckError, match="not a forbidden-free graph"):
             ex_via_cover(n, CoreFamily(4, 3))
