@@ -183,7 +183,8 @@ def star_initial_degree(params: StarParams) -> tuple[int, int]:
     CoreFamily(ell, r))`: the fewest r-sets with a pair in M, over pair sets
     M meeting every ell-clique of K_n, which is C(n, r) - ex(n, K_r, K_ell).
     The search holds no list of those r-sets: a branch on a pair meets the
-    r-sets of its codegree star (`pair_stars`), the support of
+    r-sets of its codegree star (`pair_stars` of `params.ranker`, the
+    ranker this function's certificate unmasks), the support of
     `codegree_star_monomial`, and for ell <= r every r-set holds an
     ell-clique, so all of them are met at the root and no star is read.
     It is the star ideal's initial degree.  Let P(S) be the pairs whose
@@ -206,7 +207,7 @@ def star_initial_degree(params: StarParams) -> tuple[int, int]:
     if r > n:
         return 0, 0
     lb = comb(n, r) - turan_count(n, ell - 1, r)
-    alpha, _ = alpha_target(make_instance(n, CoreFamily(ell, r)))
+    alpha, _ = alpha_target(make_instance(n, CoreFamily(ell, r)), params.ranker)
     if alpha != lb:
         raise ClaimCheckError(f"pair-graph search gives {alpha}, not C(n,r) - t_r(n,ell-1) = {lb}")
     m0 = balanced_partition_monomial(params)

@@ -32,6 +32,7 @@ from .hypergraph import (
     RGraph,
     _bits,
     check_target_spec,
+    colex_unrank,
     complete_shape,
     core_family_free,
     count_copies,
@@ -116,7 +117,7 @@ def make_instance(
     edge, whose copies are the r-sets of [n], each once: the instance's
     `target` is None and no target is placed.  On an edge instance these
     are the variables; on a pair instance with r >= 3 the search reads
-    them off the pairs' codegree stars (`setup_search` with that span)."""
+    them off the pairs' codegree stars (`alpha_target`)."""
     if target_spec is None:
         target_spec = one_edge(forbid_spec.r)
     check_target_spec(target_spec, forbid_spec)
@@ -162,17 +163,19 @@ def quotient_rank(M: int, target_masks: list[int]) -> int:
     return sum(1 for t in target_masks if not (t & M))
 
 
-def alpha_target(inst: CoverInstance) -> tuple[int, int]:
+def alpha_target(inst: CoverInstance, ranker: EdgeRanker | None = None) -> tuple[int, int]:
     """Minimum number of target copies meeting M, over supports M hitting
     every forbidden copy.  Returns (minimum, witness support mask).
 
     The search is `monomial.setup_search`'s, set up once per call on the
-    copy lists enumerated at n, with the instance's span.  With `target`
-    None the targets are the copies of `one_edge`, the k-sets of [n] (k =
-    span), C(m, k) of them on [m]: on an edge instance the variables, where
-    the minimum is |M|, the cover ideal's initial degree, and on a pair
-    instance with r >= 3 the r-sets, which each pair meets through its
-    codegree star.
+    copy lists enumerated at n.  With `target` None the targets are the
+    copies of `one_edge`, the k-sets of [n] (k = span), C(m, k) of them on
+    [m], counted here for each link.  On an edge instance they are the
+    variables, and the minimum is |M|, the cover ideal's initial degree.
+    On a pair instance with r >= 3 they are the r-sets, which each pair
+    meets through its codegree star: the search reads the stars off
+    `ranker`, an `EdgeRanker(n, k)` the caller already holds, or one built
+    here when none is given (InputError for another n or k).
 
     When the instance has a `span`, every target spans k = span vertices
     (k = r for single edges) and the search is certified link by link.
@@ -209,14 +212,21 @@ def alpha_target(inst: CoverInstance) -> tuple[int, int]:
     """
     n, r, k = inst.n, inst.r, inst.span
     targets = None if inst.target is None else inst.target.copies
-    search = setup_search(inst.forbidden.copies, targets, comb(n, r), None if k is None else r, k)
+    sets = None
+    if targets is None and k not in (None, r):  # the k-sets of a pair instance
+        if ranker is None:
+            ranker = EdgeRanker(n, k)
+        elif (ranker.n, ranker.r) != (n, k):
+            raise InputError(f"need the {k}-sets of [{n}], got a ranker of ({ranker.n}, {ranker.r})")
+        sets = ranker
+    search = setup_search(inst.forbidden.copies, targets, comb(n, r), None if k is None else r, sets)
     previous = None
     for m in range(k, n + 1) if k is not None else (n,):
         cut = comb(m, r)
         # the k-sets of [m], or with no span (one link) the variables
         ntargets = comb(m, k or r) if targets is None else bisect_left(targets, 1 << cut)
         floor = 0 if previous is None else ntargets - previous * m // (m - k)
-        alpha, witness = search(cut, floor)
+        alpha, witness = search(cut, floor, ntargets)
         previous = ntargets - alpha
     return alpha, witness
 
@@ -247,11 +257,12 @@ def gen_ex_via_cover(
     inst = make_instance(n, forbid_spec, target_spec)
     alpha, M = alpha_target(inst)
     r, k = forbid_spec.r, inst.span
-    ranker = inst.ranker()
-    killed = set(ranker.unmask(M))
+    # M's variables unranked by formula: no ranker of [n]'s pairs is built
+    # beside the r-sets a pair instance's search lists for its stars
+    killed = {colex_unrank(i, inst.r) for i in _bits(M)}
     witness = RGraph(n, r, (
         e for e in itertools.combinations(range(1, n + 1), r)
-        if killed.isdisjoint(map(frozenset, itertools.combinations(e, inst.r)))
+        if killed.isdisjoint(itertools.combinations(e, inst.r))
     ))
     free = (core_family_free(witness, forbid_spec.ell) if isinstance(forbid_spec, CoreFamily)
             else count_copies(witness, inst.forbidden) == 0)
@@ -262,7 +273,7 @@ def gen_ex_via_cover(
     if not free or rank != value:
         raise ClaimCheckError(f"witness of {rank} target copies is not a forbidden-free graph of {value}")
     if r == 2 and k is not None and len(target_spec.edges) == comb(k, 2):
-        standard = vertex_quotient(M, ranker).hilbert(k)
+        standard = vertex_quotient(M, inst.ranker()).hilbert(k)
         if standard != rank:
             raise ClaimCheckError(f"{rank} K{k} copies survive the support, but its vertex quotient has {standard}")
     return value, witness

@@ -100,13 +100,16 @@ class _VertexMasks(dict):
 
 def setup_search(
     copies: Iterable[int], targets: Sequence[int] | None, nvars: int, r: int | None = None,
-    span: int | None = None,
+    sets: EdgeRanker | None = None,
 ) -> Callable:
     """Set the hitting-set search up once for the copy and target masks over
-    nvars variables, and return `search(cut, floor)`: the minimum number of
-    targets below `1 << cut` meeting M, over supports M meeting every copy
-    below it, with a witness M.  Under colex ranks those are the families
-    on [m] for cut = C(m, r), so one setup at n serves every m <= n.
+    nvars variables, and return `search(cut, floor, ntargets=None)`: the
+    minimum number of targets below `1 << cut` meeting M, over supports M
+    meeting every copy below it, with a witness M.  Under colex ranks those
+    are the families on [m] for cut = C(m, r), so one setup at n serves
+    every m <= n.  `ntargets` is the number of targets below the cut: the
+    search counts listed targets and the variables itself, and the caller
+    passes the count of `sets`.
 
     Each variable's row is the bitset of the targets it meets, and a
     target containing a copy meets every hitting set.  Each search starts
@@ -118,22 +121,24 @@ def setup_search(
       a copy's variables holds the targets containing that copy, so the
       forced set is the OR of those ANDs.  A forced target's copy has a
       smaller mask, so it lies below the same cut.
-    * None, with `span` None or r: the nvars variables themselves, target v
-      being variable v (`ex`, `min_hitting_set`).  No target list or table
-      is built, the targets below a cut number the cut, a branch on v meets
-      target v unless it is met already, and the forced targets are the
+    * None: the nvars variables themselves, target v being variable v
+      (`ex`, `min_hitting_set`).  No target list or table is built, the
+      targets below a cut number the cut, a branch on v meets target v
+      unless it is met already, and the forced targets are the
       one-variable copies.
-    * None, with pair variables (r = 2) and a larger `span` k: the k-sets
-      of [n] at their colex ranks, each below the cut of [m] iff its pairs
-      are (the one-edge target of a pair instance).  A pair meets the
-      k-sets through it, so its row is its codegree star, read from
-      `pair_stars` in pair-rank order, and [m] holds C(m, k) targets.  A
-      k-set holds a copy iff it holds that copy's vertices; by the
-      symmetry that r promises (below) some k-set does iff some copy lies
-      in [k], and then every one does.  So the forced targets are all of
-      them or none: all when the smallest copy mask lies below the cut
-      C(k, 2), and then no row is built, since no branch meets a target
-      that is not met already.
+    * None with `sets`, an `EdgeRanker(n, k)` the caller holds, over pair
+      variables (r = 2): the k-sets of [n] at their colex ranks, each below
+      the cut of [m] iff its pairs are (the one-edge target of a pair
+      instance), C(m, k) of them, which the caller counts.  A pair meets
+      the k-sets through it, so its row is its codegree star, read from
+      `pair_stars(sets)` in pair-rank order.  A k-set holds a copy iff it
+      holds that copy's vertices; by the symmetry that r promises (below)
+      some k-set does iff some copy lies in [k], and then every one does.
+      So the forced targets are all of them or none: all when the smallest
+      copy mask lies below the cut C(k, 2), and then no row is built, since
+      no branch meets a target that is not met already.  `sets` with
+      listed targets, or without r = 2, raises InputError, and so does a
+      search on `sets` given no count.
 
     The copies below a cut keep their sorted order, so the sort, the
     `_index_sets` tables, the rows and the forced set are built once, and
@@ -176,17 +181,15 @@ def setup_search(
     """
     # smallest copies first, so the first copy avoiding every banned
     # variable is the smallest of those
+    if sets is not None and (targets is not None or r != 2):
+        raise InputError("k-set targets need no target list, pair variables and r = 2")
     forb = sorted(copies, key=lambda c: (c.bit_count(), c))
     if not forb:
-        return lambda cut, floor: (0, 0)
-    stars = targets is None and span not in (None, r)
+        return lambda cut, floor, ntargets=None: (0, 0)
     if targets is not None:
         ntargets = len(targets)
-    elif stars:
-        n = colex_unrank(nvars - 1, 2)[-1]
-        ntargets = comb(n, span)
     else:
-        ntargets = nvars
+        ntargets = nvars if sets is None else sets.count
     guard_search_setup(ntargets, len(forb), nvars)
     if forb[0] == 0:
         raise InputError("empty copy cannot be hit")
@@ -201,30 +204,28 @@ def setup_search(
         targets_at = _index_sets(ordered, nvars)
         for c in forb:
             forced |= reduce(and_, map(targets_at.__getitem__, _bits(c)))
-    elif not stars:
+    elif sets is None:
         # the one-variable copies, which sort first
         for c in forb:
             if c & (c - 1):
                 break
             forced |= c
-    elif min(forb) >> comb(span, 2):
+    elif min(forb) >> comb(sets.r, 2):
         # no copy in [k]: none is forced, and each pair's row is its star
-        targets_at = list(pair_stars(EdgeRanker(n, span)).values())
+        targets_at = list(pair_stars(sets).values())
     else:
         forced = -1  # every k-set holds a copy
     verts = None if r is None else _VertexMasks(r)
 
-    def search(cut: int, floor: int) -> tuple[int, int]:
+    def search(cut: int, floor: int, ntargets: int | None = None) -> tuple[int, int]:
         below = 1 << cut
         uncovered = _mask_of([i for i, c in enumerate(forb) if c < below])
         if not uncovered:
             return 0, 0
-        if ordered is not None:
-            ntargets = bisect_left(ordered, below)
-        elif stars:  # C(m, k), m the top vertex of the last pair below the cut
-            ntargets = comb(colex_unrank(cut - 1, 2)[-1], span)
-        else:
-            ntargets = cut
+        if ntargets is None:
+            if sets is not None:
+                raise InputError("the caller counts the k-sets below the cut")
+            ntargets = cut if ordered is None else bisect_left(ordered, below)
         alive = (1 << ntargets) - 1
         met = forced & alive  # met at the root, by every hitting set
         best, best_mask, nodes = ntargets + 1, 0, 0

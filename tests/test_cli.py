@@ -348,20 +348,17 @@ def test_placing_and_counting_copies_build_no_ranker(monkeypatch):
     ],
 )
 def test_ex_and_gen_ex_build_at_most_one_ranker(capsys, monkeypatch, argv):
-    # besides the one that lists the r-sets for the codegree stars, the
-    # rows of a pair instance's search when r >= 3
     built = count_rankers(monkeypatch)
     code, _, _ = run(capsys, *argv)
     assert code == EXIT_OK
-    assert len([f for f in built if f != "setup_search"]) <= 1
+    assert len(built) <= 1
 
 
 def test_codegree_star_alpha_builds_only_its_parameters_ranker(capsys, monkeypatch):
-    # and the search's, whose codegree stars are its rows
     built = count_rankers(monkeypatch)
     code, _, _ = run(capsys, "codegree-star", "--n", "7", "--ell", "4", "--r", "3", "--alpha")
     assert code == EXIT_OK
-    assert built == ["setup_search", "StarParams.ranker"]
+    assert built == ["StarParams.ranker"]
 
 
 @pytest.mark.parametrize(

@@ -296,11 +296,11 @@ def _record_links(monkeypatch) -> list:
     returned list."""
     links, setup = [], dictionary.setup_search
 
-    def recording(copies, targets, nvars, r=None, span=None):
-        search = setup(copies, targets, nvars, r, span)
+    def recording(copies, targets, nvars, r=None, sets=None):
+        search = setup(copies, targets, nvars, r, sets)
 
-        def link(cut, floor):
-            answer, nodes = _with_search_nodes(search, cut, floor)
+        def link(cut, floor, ntargets=None):
+            answer, nodes = _with_search_nodes(search, cut, floor, ntargets)
             links.append((cut, floor, r, answer, nodes))
             return answer
 
@@ -379,6 +379,22 @@ def test_one_edge_pair_targets_search_as_their_listed_shadows(monkeypatch, ell, 
         listed = setup_search(inst.forbidden.copies, target_list(inst), comb(n, 2), 2)
         for cut, floor, _, answer, nodes in links:
             assert _with_search_nodes(listed, cut, floor) == (answer, nodes), (n, cut)
+
+
+def test_k_set_targets_refuse_a_misuse():
+    # the codegree-star rows need no target list, pair variables under the
+    # orbit cut's symmetry, the caller's count of the k-sets below each cut,
+    # and a ranker of the instance's own k-sets
+    inst = make_instance(6, CoreFamily(4, 3))
+    copies, sets, nvars = inst.forbidden.copies, EdgeRanker(6, 3), comb(6, 2)
+    for targets, r in [(None, None), (None, 3), (target_list(inst), 2)]:
+        with pytest.raises(InputError, match="^k-set targets need"):
+            setup_search(copies, targets, nvars, r, sets)
+    with pytest.raises(InputError, match="counts the k-sets"):
+        setup_search(copies, None, nvars, 2, sets)(nvars, 0)
+    with pytest.raises(InputError, match=r"need the 3-sets of \[6\]"):
+        alpha_target(inst, EdgeRanker(7, 3))
+    assert alpha_target(inst, sets) == alpha_target(inst)
 
 
 # the shared-setup grid, both core-pair families at n = 8, and K9-free
