@@ -54,7 +54,8 @@ class CoverInstance:
     copies and target copies, as colex masks.  `target` None holds no list:
     the targets are the copies of a one-edge target, the k-sets of [n]
     with k = `span` (the variables themselves when the span is r, or when
-    there is none).
+    there is none).  `count(m)` is the number of targets on [m], the one
+    count that the search's links and the value ex(n, T, F) read.
 
     `span`, the k vertices each target copy spans, is the symmetry claim:
     both families, cut to the r-sets of [m], are invariant under every
@@ -77,6 +78,14 @@ class CoverInstance:
 
     def ranker(self) -> EdgeRanker:
         return EdgeRanker(self.n, self.r)
+
+    def count(self, m: int) -> int:
+        """The number of target copies on [m], m <= n, with multiplicity:
+        C(m, k) k-sets with no list, else the listed copies below the cut
+        `1 << C(m, r)`, a prefix of the sorted list."""
+        if self.target is None:
+            return comb(m, self.span or self.r)
+        return bisect_left(self.target.copies, 1 << comb(m, self.r))
 
 
 def one_edge(r: int) -> RGraph:
@@ -168,14 +177,14 @@ def alpha_target(inst: CoverInstance, ranker: EdgeRanker | None = None) -> tuple
     every forbidden copy.  Returns (minimum, witness support mask).
 
     The search is `monomial.setup_search`'s, set up once per call on the
-    copy lists enumerated at n.  With `target` None the targets are the
-    copies of `one_edge`, the k-sets of [n] (k = span), C(m, k) of them on
-    [m], counted here for each link.  On an edge instance they are the
-    variables, and the minimum is |M|, the cover ideal's initial degree.
-    On a pair instance with r >= 3 they are the r-sets, which each pair
-    meets through its codegree star: the search reads the stars off
-    `ranker`, an `EdgeRanker(n, k)` the caller already holds, or one built
-    here when none is given (InputError for another n or k).
+    copy lists enumerated at n, and each link passes it `inst.count(m)`,
+    the targets on [m].  With `target` None the targets are the copies of
+    `one_edge`, the k-sets of [n] (k = span).  On an edge instance they are
+    the variables, and the minimum is |M|, the cover ideal's initial
+    degree.  On a pair instance with r >= 3 they are the r-sets, which
+    each pair meets through its codegree star: the search takes as its
+    targets `ranker`, an `EdgeRanker(n, k)` the caller already holds, or
+    one built here when none is given (InputError for another n or k).
 
     When the instance has a `span`, every target spans k = span vertices
     (k = r for single edges) and the search is certified link by link.
@@ -212,21 +221,18 @@ def alpha_target(inst: CoverInstance, ranker: EdgeRanker | None = None) -> tuple
     """
     n, r, k = inst.n, inst.r, inst.span
     targets = None if inst.target is None else inst.target.copies
-    sets = None
     if targets is None and k not in (None, r):  # the k-sets of a pair instance
         if ranker is None:
             ranker = EdgeRanker(n, k)
         elif (ranker.n, ranker.r) != (n, k):
             raise InputError(f"need the {k}-sets of [{n}], got a ranker of ({ranker.n}, {ranker.r})")
-        sets = ranker
-    search = setup_search(inst.forbidden.copies, targets, comb(n, r), None if k is None else r, sets)
+        targets = ranker
+    search = setup_search(inst.forbidden.copies, targets, comb(n, r), None if k is None else r)
     previous = None
     for m in range(k, n + 1) if k is not None else (n,):
-        cut = comb(m, r)
-        # the k-sets of [m], or with no span (one link) the variables
-        ntargets = comb(m, k or r) if targets is None else bisect_left(targets, 1 << cut)
+        ntargets = inst.count(m)
         floor = 0 if previous is None else ntargets - previous * m // (m - k)
-        alpha, witness = search(cut, floor, ntargets)
+        alpha, witness = search(comb(m, r), floor, ntargets)
         previous = ntargets - alpha
     return alpha, witness
 
@@ -238,20 +244,19 @@ def gen_ex_via_cover(
     n < 1, and a target that fails `check_target_spec` (a core-pair family,
     another uniformity, or no edge), raise InputError.
 
-    One witness rule for every instance: the witness is what the support M
-    of `alpha_target` leaves, the r-sets of [n] none of whose variables
-    lies in M (the r-set itself, or its pairs for the core-pair family).
-    The target copies M leaves are the copies of T in it, so
-    ClaimCheckError is raised unless it holds no member of F and their
-    count, the rank, equals the value.  A T whose copies span r vertices
-    (`inst.span`) is one edge, with the C(n, r) r-sets as its copies,
-    whatever list the search held: the value is C(n, r) - alpha and the
-    rank the witness's edge count.  Any other T has the value |targets| -
-    alpha and the rank `quotient_rank(M, targets)`.  When copies of a
-    clique K_s on graphs are placed (r = 2, s = span, the one-edge K_2
-    included), the rank must also be the degree-s Hilbert value of
-    `vertex_quotient(M)`, whose kill graph is M: a K_s survives iff its
-    vertex set is standard."""
+    The value is `inst.count(n) - alpha`.  One witness rule for every
+    instance: the witness is what the support M of `alpha_target` leaves,
+    the r-sets of [n] none of whose variables lies in M (the r-set itself,
+    or its pairs for the core-pair family).  The target copies M leaves are
+    the copies of T in it, so ClaimCheckError is raised unless it holds no
+    member of F and their count, the rank, equals the value.  A T whose
+    copies span r vertices (`inst.span`) is one edge, with the C(n, r)
+    r-sets as its copies and no list: the rank is the witness's edge
+    count.  Any other T has the rank `quotient_rank(M, targets)`.  When
+    copies of a clique K_s on graphs are placed (r = 2, s = span, the
+    one-edge K_2 included), the rank must also be the degree-s Hilbert
+    value of `vertex_quotient(M)`, whose kill graph is M: a K_s survives
+    iff its vertex set is standard."""
     if n < 1:
         raise InputError(f"need n >= 1, got n={n}")
     inst = make_instance(n, forbid_spec, target_spec)
@@ -266,10 +271,9 @@ def gen_ex_via_cover(
     ))
     free = (core_family_free(witness, forbid_spec.ell) if isinstance(forbid_spec, CoreFamily)
             else count_copies(witness, inst.forbidden) == 0)
-    if k == r:  # T is one edge, its copies the r-sets
-        value, rank = comb(n, r) - alpha, len(witness)
-    else:
-        value, rank = len(inst.target) - alpha, quotient_rank(M, inst.target.copies)
+    value = inst.count(n) - alpha
+    # T is one edge, its copies the r-sets
+    rank = len(witness) if k == r else quotient_rank(M, inst.target.copies)
     if not free or rank != value:
         raise ClaimCheckError(f"witness of {rank} target copies is not a forbidden-free graph of {value}")
     if r == 2 and k is not None and len(target_spec.edges) == comb(k, 2):

@@ -10,21 +10,23 @@ ideal.  `minimal_supports`, the inclusion-minimal masks of a list, lives in
 `hypergraph` and is re-exported here.
 
 `setup_search` sets the one hitting-set search up and returns it as a
-function of a cut and a floor.  The minimum hitting set is its search over
-every variable, with no floor and the variables themselves as targets,
-`min_hitting_set`; the library's one entry is `dictionary.alpha_target`,
-whose `ex` targets are the r-sets: the variables too on an edge instance,
-and on a pair instance the k-sets each pair meets through its codegree
-star.  Given the uniformity r of
-vertex-symmetric families, the search also skips the sibling branches that
-a vertex permutation maps onto earlier ones (orbit cuts); `alpha_target`
-asks for that on instances `make_instance` built, and the other entries
-search the uncut tree.
+function of a cut, a floor and the number of targets below the cut, which
+the caller counts.  Its targets are listed masks, the variables (None), or
+the k-sets of an `EdgeRanker` over pair variables.  The minimum hitting set
+is its search over every variable, with no floor and the variables
+themselves as targets, `min_hitting_set`; the library's one entry is
+`dictionary.alpha_target`, which counts each link's targets with
+`CoverInstance.count`, and whose `ex` targets are the r-sets: the
+variables too on an edge instance, and on a pair instance the ranker's
+k-sets, which each pair meets through its codegree star.  Given the
+uniformity r of vertex-symmetric families, the search also skips the
+sibling branches that a vertex permutation maps onto earlier ones (orbit
+cuts); `alpha_target` asks for that on instances `make_instance` built,
+and the other entries search the uncut tree.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import reduce
 from math import comb
 from operator import and_
@@ -99,17 +101,16 @@ class _VertexMasks(dict):
 
 
 def setup_search(
-    copies: Iterable[int], targets: Sequence[int] | None, nvars: int, r: int | None = None,
-    sets: EdgeRanker | None = None,
+    copies: Iterable[int], targets: Sequence[int] | EdgeRanker | None, nvars: int,
+    r: int | None = None,
 ) -> Callable:
     """Set the hitting-set search up once for the copy and target masks over
-    nvars variables, and return `search(cut, floor, ntargets=None)`: the
-    minimum number of targets below `1 << cut` meeting M, over supports M
-    meeting every copy below it, with a witness M.  Under colex ranks those
-    are the families on [m] for cut = C(m, r), so one setup at n serves
-    every m <= n.  `ntargets` is the number of targets below the cut: the
-    search counts listed targets and the variables itself, and the caller
-    passes the count of `sets`.
+    nvars variables, and return `search(cut, floor, ntargets)`: the minimum
+    number of targets below `1 << cut` meeting M, over supports M meeting
+    every copy below it, with a witness M.  Under colex ranks those are the
+    families on [m] for cut = C(m, r), so one setup at n serves every
+    m <= n.  `ntargets` is the number of targets below the cut, which the
+    caller counts (`dictionary.CoverInstance.count`).
 
     Each variable's row is the bitset of the targets it meets, and a
     target containing a copy meets every hitting set.  Each search starts
@@ -122,23 +123,20 @@ def setup_search(
       forced set is the OR of those ANDs.  A forced target's copy has a
       smaller mask, so it lies below the same cut.
     * None: the nvars variables themselves, target v being variable v
-      (`ex`, `min_hitting_set`).  No target list or table is built, the
-      targets below a cut number the cut, a branch on v meets target v
-      unless it is met already, and the forced targets are the
-      one-variable copies.
-    * None with `sets`, an `EdgeRanker(n, k)` the caller holds, over pair
-      variables (r = 2): the k-sets of [n] at their colex ranks, each below
-      the cut of [m] iff its pairs are (the one-edge target of a pair
-      instance), C(m, k) of them, which the caller counts.  A pair meets
-      the k-sets through it, so its row is its codegree star, read from
-      `pair_stars(sets)` in pair-rank order.  A k-set holds a copy iff it
+      (`ex`, `min_hitting_set`).  No target list or table is built, a
+      branch on v meets target v unless it is met already, and the forced
+      targets are the one-variable copies.
+    * an `EdgeRanker(n, k)` the caller holds, over pair variables (r = 2):
+      the k-sets of [n] at their colex ranks, each below the cut of [m]
+      iff its pairs are (the one-edge target of a pair instance).  A pair
+      meets the k-sets through it, so its row is its codegree star, read
+      from `pair_stars` in pair-rank order.  A k-set holds a copy iff it
       holds that copy's vertices; by the symmetry that r promises (below)
       some k-set does iff some copy lies in [k], and then every one does.
       So the forced targets are all of them or none: all when the smallest
       copy mask lies below the cut C(k, 2), and then no row is built, since
-      no branch meets a target that is not met already.  `sets` with
-      listed targets, or without r = 2, raises InputError, and so does a
-      search on `sets` given no count.
+      no branch meets a target that is not met already.  A ranker without
+      r = 2 raises InputError.
 
     The copies below a cut keep their sorted order, so the sort, the
     `_index_sets` tables, the rows and the forced set are built once, and
@@ -179,17 +177,15 @@ def setup_search(
     before any table is built, a search past ALPHA_CAP_NODES nodes (a budget
     per search), and a witness deeper than Python's recursion limit.
     """
+    stars = isinstance(targets, EdgeRanker)
+    if stars and r != 2:
+        raise InputError("k-set targets need pair variables and r = 2")
     # smallest copies first, so the first copy avoiding every banned
     # variable is the smallest of those
-    if sets is not None and (targets is not None or r != 2):
-        raise InputError("k-set targets need no target list, pair variables and r = 2")
     forb = sorted(copies, key=lambda c: (c.bit_count(), c))
     if not forb:
-        return lambda cut, floor, ntargets=None: (0, 0)
-    if targets is not None:
-        ntargets = len(targets)
-    else:
-        ntargets = nvars if sets is None else sets.count
+        return lambda cut, floor, ntargets: (0, 0)
+    ntargets = nvars if targets is None else targets.count if stars else len(targets)
     guard_search_setup(ntargets, len(forb), nvars)
     if forb[0] == 0:
         raise InputError("empty copy cannot be hit")
@@ -197,35 +193,30 @@ def setup_search(
     # the forced targets, an index bitset: each holds every variable of
     # some copy, so every hitting set meets it
     forced = 0
-    ordered = targets_at = None
-    if targets is not None:
-        # only counts of targets met matter, so sorted targets cut to a prefix
-        ordered = sorted(targets)
-        targets_at = _index_sets(ordered, nvars)
-        for c in forb:
-            forced |= reduce(and_, map(targets_at.__getitem__, _bits(c)))
-    elif sets is None:
+    targets_at = None
+    if targets is None:
         # the one-variable copies, which sort first
         for c in forb:
             if c & (c - 1):
                 break
             forced |= c
-    elif min(forb) >> comb(sets.r, 2):
+    elif not stars:
+        # only counts of targets met matter, so sorted targets cut to a prefix
+        targets_at = _index_sets(sorted(targets), nvars)
+        for c in forb:
+            forced |= reduce(and_, map(targets_at.__getitem__, _bits(c)))
+    elif min(forb) >> comb(targets.r, 2):
         # no copy in [k]: none is forced, and each pair's row is its star
-        targets_at = list(pair_stars(sets).values())
+        targets_at = list(pair_stars(targets).values())
     else:
         forced = -1  # every k-set holds a copy
     verts = None if r is None else _VertexMasks(r)
 
-    def search(cut: int, floor: int, ntargets: int | None = None) -> tuple[int, int]:
+    def search(cut: int, floor: int, ntargets: int) -> tuple[int, int]:
         below = 1 << cut
         uncovered = _mask_of([i for i, c in enumerate(forb) if c < below])
         if not uncovered:
             return 0, 0
-        if ntargets is None:
-            if sets is not None:
-                raise InputError("the caller counts the k-sets below the cut")
-            ntargets = cut if ordered is None else bisect_left(ordered, below)
         alive = (1 << ntargets) - 1
         met = forced & alive  # met at the root, by every hitting set
         best, best_mask, nodes = ntargets + 1, 0, 0
@@ -324,7 +315,7 @@ def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
     Empty family -> (0, 0); an empty copy mask raises InputError.  A setup
     past `guard_search_setup`'s budget raises ScaleGuardError.
     """
-    return setup_search(copies, None, nvars)(nvars, 0)
+    return setup_search(copies, None, nvars)(nvars, 0, nvars)
 
 
 __all__ = [

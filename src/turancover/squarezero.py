@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
+from operator import or_
 
 from .errors import ClaimCheckError, InputError, ScaleGuardError
 from .hypergraph import _bits, partition_pairs
@@ -203,10 +205,17 @@ class SquareZeroQuotient:
           pushed for each k, since the block's k-subsets combine freely with
           any standard subset of the rest.
 
+        A vertex with no kill partner at all adds no kill pair and is free
+        in every entry, so the kill-pair scans and the free-vertex scan
+        visit only `partnered`, the vertices with one, built once per count:
+        a count with few kill pairs costs no peel of an n-bit mask per
+        vertex.
+
         Each popped entry is one step; past HILBERT_CAP_STEPS the count is
         refused with ScaleGuardError.
         """
         adj = self._adj
+        partnered = reduce(or_, adj)
         order = _kill_order(adj, allowed) if d >= 4 else ()
         total = 0
         steps = 0
@@ -229,7 +238,7 @@ class SquareZeroQuotient:
                 continue
             if d == 2:
                 pairs = comb(m, 2)
-                later = allowed
+                later = allowed & partnered
                 while later:
                     low = later & -later
                     later ^= low
@@ -237,7 +246,7 @@ class SquareZeroQuotient:
                 total += mult * pairs
                 continue
             if d == 3:
-                total += mult * _independent_triples(adj, allowed, m)
+                total += mult * _independent_triples(adj, allowed, m, partnered)
                 continue
             v = order[p]
             while not allowed >> v & 1:
@@ -249,8 +258,8 @@ class SquareZeroQuotient:
                 stack.append((without, d, mult, p))
                 stack.append((without & ~adj[v], d - 1, mult, p))
                 continue
-            free = 0
-            scan = allowed
+            free = allowed & ~partnered
+            scan = allowed & partnered
             while scan:
                 low = scan & -scan
                 scan ^= low
@@ -415,18 +424,20 @@ def _kill_order(adj, allowed: int) -> list[int]:
     return order
 
 
-def _independent_triples(adj, allowed: int, m: int) -> int:
+def _independent_triples(adj, allowed: int, m: int, partnered: int) -> int:
     """Number of 3-subsets of the m-vertex mask `allowed` with no kill pair.
 
     With e kill pairs inside `allowed` and degrees deg(v) there, inclusion-
     exclusion over the kill pairs of a triple gives
-    C(m, 3) - e (m - 2) + sum_v C(deg v, 2) - (kill triangles).  When the
-    kill graph is the denser side (2e > C(m, 2)) the triples are counted
-    directly instead, as the triangles of its complement.
+    C(m, 3) - e (m - 2) + sum_v C(deg v, 2) - (kill triangles).  Only the
+    vertices of `partnered`, those with a kill partner, have a degree or a
+    kill triangle, so only they are scanned.  When the kill graph is the
+    denser side (2e > C(m, 2)) the triples are counted directly instead,
+    as the triangles of its complement.
     """
     twice_e = 0
     paths = 0
-    scan = allowed
+    scan = busy = allowed & partnered
     while scan:
         low = scan & -scan
         scan ^= low
@@ -435,7 +446,7 @@ def _independent_triples(adj, allowed: int, m: int) -> int:
         paths += deg * (deg - 1) // 2
     if twice_e > comb(m, 2):
         return _triangles(adj, allowed, -1)
-    return comb(m, 3) - twice_e // 2 * (m - 2) + paths - _triangles(adj, allowed, 0)
+    return comb(m, 3) - twice_e // 2 * (m - 2) + paths - _triangles(adj, busy, 0)
 
 
 def _triangles(adj, allowed: int, flip: int) -> int:
@@ -493,12 +504,8 @@ def symmetrize(
         U, V = pair
         lu = current.lambda_dim(U[0], r - 1)
         lv = current.lambda_dim(V[0], r - 1)
-        if lu > lv:
-            source, target = U, V
-        elif lv > lu:
-            source, target = V, U
-        else:
-            source, target = (U, V) if U[0] < V[0] else (V, U)
+        # a tie keeps U, whose first vertex is the smaller, as the source
+        source, target = (V, U) if lv > lu else (U, V)
         before = current.hilbert(r) if h is None else h
         current = current.clone(source, target)
         h = before + len(target) * abs(lu - lv)

@@ -285,6 +285,16 @@ def test_hilbert_past_the_old_recursion_limit(capsys):
         assert report["result"]["value"] == comb(n, d)
 
 
+def test_hilbert_with_no_kill_pairs_is_not_quadratic_in_n(capsys):
+    # a million vertices, none with a kill partner: the kill-pair scans
+    # visit none of them, so the closed form answers at once
+    start = time.monotonic()
+    code, report, _ = run(capsys, "hilbert", "--n", "1000000", "--d", "3")
+    assert time.monotonic() - start < 2.0
+    assert code == EXIT_OK
+    assert report["result"]["value"] == comb(10**6, 3)
+
+
 def test_hilbert_step_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", 10)
     cycle = [f"{v},{v % 12 + 1}" for v in range(1, 13)]

@@ -55,6 +55,11 @@ def target_list(inst: CoverInstance) -> tuple[int, ...]:
     return place_copies(pair_shadows(explicit_shapes(one_edge(inst.span), inst.n)), inst.n, 2).copies
 
 
+def count_below(targets, cut: int) -> int:
+    """The number of target masks below `1 << cut`, counted one by one."""
+    return sum(t >> cut == 0 for t in targets)
+
+
 # ---------------------------------------------------------------------------
 # ordinary Turán numbers via the cover ideal
 
@@ -253,7 +258,8 @@ def test_chain_returns_the_single_search_witness():
     ]:
         target, forbid = (builtin_spec(x) if isinstance(x, str) else x for x in (target, forbid))
         inst = make_instance(n, forbid, target)
-        reference = setup_search(inst.forbidden.copies, target_list(inst), comb(n, 2))(comb(n, 2), 0)
+        targets = target_list(inst)
+        reference = setup_search(inst.forbidden.copies, targets, comb(n, 2))(comb(n, 2), 0, len(targets))
         assert alpha_target(inst) == reference
 
 
@@ -296,10 +302,10 @@ def _record_links(monkeypatch) -> list:
     returned list."""
     links, setup = [], dictionary.setup_search
 
-    def recording(copies, targets, nvars, r=None, sets=None):
-        search = setup(copies, targets, nvars, r, sets)
+    def recording(copies, targets, nvars, r=None):
+        search = setup(copies, targets, nvars, r)
 
-        def link(cut, floor, ntargets=None):
+        def link(cut, floor, ntargets):
             answer, nodes = _with_search_nodes(search, cut, floor, ntargets)
             links.append((cut, floor, r, answer, nodes))
             return answer
@@ -330,7 +336,7 @@ def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, tar
             below = 1 << cut
             copies = [c for c in inst.forbidden.copies if c < below]
             targets = [t for t in target_list(inst) if t < below]
-            fresh = _with_search_nodes(setup_search(copies, targets, cut, r), cut, floor)
+            fresh = _with_search_nodes(setup_search(copies, targets, cut, r), cut, floor, len(targets))
             assert fresh == (answer, nodes), (n, cut)
 
 
@@ -355,7 +361,7 @@ def test_variables_as_targets_search_as_their_singleton_list(monkeypatch, forbid
         nvars = comb(n, inst.r)
         for cut, floor, r, answer, nodes in links:
             listed = setup_search(inst.forbidden.copies, target_list(inst), nvars, r)
-            assert _with_search_nodes(listed, cut, floor) == (answer, nodes), (n, cut)
+            assert _with_search_nodes(listed, cut, floor, cut) == (answer, nodes), (n, cut)
 
 
 @pytest.mark.parametrize("r", range(3, 6))
@@ -376,25 +382,50 @@ def test_one_edge_pair_targets_search_as_their_listed_shadows(monkeypatch, ell, 
         rows.clear()
         alpha_target(inst)
         assert rows == ([] if ell <= r or ell > n else [r]), n
-        listed = setup_search(inst.forbidden.copies, target_list(inst), comb(n, 2), 2)
+        shadows = target_list(inst)
+        listed = setup_search(inst.forbidden.copies, shadows, comb(n, 2), 2)
         for cut, floor, _, answer, nodes in links:
-            assert _with_search_nodes(listed, cut, floor) == (answer, nodes), (n, cut)
+            ntargets = count_below(shadows, cut)
+            assert _with_search_nodes(listed, cut, floor, ntargets) == (answer, nodes), (n, cut)
 
 
 def test_k_set_targets_refuse_a_misuse():
-    # the codegree-star rows need no target list, pair variables under the
-    # orbit cut's symmetry, the caller's count of the k-sets below each cut,
-    # and a ranker of the instance's own k-sets
+    # the codegree-star rows need pair variables under the orbit cut's
+    # symmetry, and a ranker of the instance's own k-sets
     inst = make_instance(6, CoreFamily(4, 3))
     copies, sets, nvars = inst.forbidden.copies, EdgeRanker(6, 3), comb(6, 2)
-    for targets, r in [(None, None), (None, 3), (target_list(inst), 2)]:
+    for r in (None, 3):
         with pytest.raises(InputError, match="^k-set targets need"):
-            setup_search(copies, targets, nvars, r, sets)
-    with pytest.raises(InputError, match="counts the k-sets"):
-        setup_search(copies, None, nvars, 2, sets)(nvars, 0)
+            setup_search(copies, sets, nvars, r)
     with pytest.raises(InputError, match=r"need the 3-sets of \[6\]"):
         alpha_target(inst, EdgeRanker(7, 3))
     assert alpha_target(inst, sets) == alpha_target(inst)
+
+
+def test_instance_counts_its_targets_on_each_prefix():
+    # the instance's count of targets on [m], for every m <= n, against a
+    # count one by one of the listed reference below the cut of [m]:
+    # listed gen-ex targets, ex on edge instances, one-edge pair instances
+    # (r = 3..5, some all forced), an instance with no span (no target
+    # placed), and hand-built instances with no span, one with no list
+    K3, K4 = builtin_spec("K3"), builtin_spec("K4")
+    ex_k3 = make_instance(7, K3)
+    stars = edge_mask((v, u) for v in (1, 2) for u in range(1, 8) if u != v)
+    instances = [
+        make_instance(7, K4, K3), make_instance(7, K3, builtin_spec("P3")),
+        make_instance(6, builtin_spec("C4"), K3), make_instance(5, K3, K4),
+        ex_k3, make_instance(7, builtin_spec("C4")), make_instance(6, K4),
+        *(make_instance(8, CoreFamily(ell, r)) for r in range(3, 6) for ell in (3, r + 1)),
+        make_instance(2, K4, K3),
+        CoverInstance(7, 2, ex_k3.forbidden, None),
+        CoverInstance(7, 2, ex_k3.forbidden, CopyFamily(7, 2, tuple(1 << i for i in range(21) if 1 << i & stars))),
+    ]
+    assert instances[-3].span is None and instances[-3].target is not None
+    for inst in instances:
+        targets = target_list(inst)
+        counts = [inst.count(m) for m in range(inst.n + 1)]
+        assert counts == [count_below(targets, comb(m, inst.r)) for m in range(inst.n + 1)], inst
+        assert counts[-1] == len(targets)
 
 
 # the shared-setup grid, both core-pair families at n = 8, and K9-free
@@ -415,8 +446,8 @@ def _orbit_cut_mismatches(grid):
     for target, forbid, top in grid:
         for n in range(1, top + 1):
             inst = make_instance(n, builtin_spec(forbid), target and builtin_spec(target))
-            nvars = comb(n, inst.r)
-            uncut = setup_search(inst.forbidden.copies, target_list(inst), nvars)(nvars, 0)
+            nvars, targets = comb(n, inst.r), target_list(inst)
+            uncut = setup_search(inst.forbidden.copies, targets, nvars)(nvars, 0, len(targets))
             if alpha_target(inst) != uncut:
                 yield target, forbid, n
 
@@ -440,7 +471,8 @@ def test_orbit_cut_fires_on_the_last_link(monkeypatch):
     alpha_target(inst)
     cut, floor, r, answer, nodes = links[-1]
     assert (cut, floor, r, answer[0]) == (28, 37, 2, 38)
-    uncut = _with_search_nodes(setup_search(inst.forbidden.copies, inst.target.copies, cut), cut, floor)
+    search = setup_search(inst.forbidden.copies, inst.target.copies, cut)
+    uncut = _with_search_nodes(search, cut, floor, len(inst.target))
     assert uncut[0] == answer
     assert 5 * nodes < uncut[1]
 
@@ -483,7 +515,7 @@ def test_hand_built_instances_run_the_uncut_search(monkeypatch):
     targets = CopyFamily(7, 2, tuple(1 << i for i in range(21) if 1 << i & stars))
     links.clear()
     alpha_target(CoverInstance(7, 2, forbidden, targets))
-    answer, nodes = _with_search_nodes(setup_search(forbidden.copies, targets.copies, 21), 21, 0)
+    answer, nodes = _with_search_nodes(setup_search(forbidden.copies, targets.copies, 21), 21, 0, len(targets))
     assert answer[0] == 1
     assert links == [(21, 0, None, answer, nodes)]
 

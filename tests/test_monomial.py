@@ -125,18 +125,18 @@ def _singletons(nvars):
 
 def test_floor_at_or_below_the_minimum_keeps_value_and_witness():
     for copies, targets, nv in _random_instances(29, 40):
-        reference = setup_search(copies, targets, nv)(nv, 0)
+        reference = setup_search(copies, targets, nv)(nv, 0, len(targets))
         for floor in range(-2, reference[0] + 1):
-            assert setup_search(copies, targets, nv)(nv, floor) == reference
+            assert setup_search(copies, targets, nv)(nv, floor, len(targets)) == reference
         reference = min_hitting_set(copies, nv)
         for floor in range(-2, reference[0] + 1):
-            assert setup_search(copies, _singletons(nv), nv)(nv, floor) == reference
+            assert setup_search(copies, _singletons(nv), nv)(nv, floor, nv) == reference
     # K3 at n = 7: alpha = 21 - 12 = 9
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 7)
     reference = min_hitting_set(fam.copies, 21)
     assert reference[0] == 9
     for floor in range(10):
-        assert setup_search(fam.copies, _singletons(21), 21)(21, floor) == reference
+        assert setup_search(fam.copies, _singletons(21), 21)(21, floor, 21) == reference
 
 
 def test_variables_as_targets_search_as_their_singleton_list():
@@ -156,10 +156,10 @@ def test_variables_as_targets_search_as_their_singleton_list():
             copies += [1 << v for v in rng.sample(range(nv), rng.randint(1, 2))]
         unit, listed = setup_search(copies, None, nv), setup_search(copies, _singletons(nv), nv)
         for cut in range(1, nv + 1):
-            minimum = listed(cut, 0)[0]
+            minimum = listed(cut, 0, cut)[0]
             for floor in range(-2, minimum + 1):
-                expected = _with_search_nodes(listed, cut, floor)
-                assert _with_search_nodes(unit, cut, floor) == expected, (i, cut, floor)
+                expected = _with_search_nodes(listed, cut, floor, cut)
+                assert _with_search_nodes(unit, cut, floor, cut) == expected, (i, cut, floor)
 
 
 def _with_search_nodes(search, *args):
@@ -194,7 +194,7 @@ def test_long_pivot_is_walked_in_the_peel_order():
         ]
         targets = [1 << v for v in range(nvars)]
         targets += [sum(1 << v for v in rng.sample(range(nvars), 2)) for _ in range(40)]
-        found.append(_with_search_nodes(setup_search(copies, targets, nvars), nvars, 0))
+        found.append(_with_search_nodes(setup_search(copies, targets, nvars), nvars, 0, len(targets)))
     assert found == [
         ((size, sum(1 << v for v in witness)), nodes)
         for size, witness, nodes in [
@@ -215,13 +215,13 @@ def test_floored_searches_expand_the_recorded_nodes():
     for _ in range(3):
         copies = [sum(1 << v for v in rng.sample(range(16), rng.randint(2, 4))) for _ in range(14)]
         targets = _singletons(16) + [sum(1 << v for v in rng.sample(range(16), 2)) for _ in range(8)]
-        searches.append((setup_search(copies, targets, 16), 16))
+        searches.append((setup_search(copies, targets, 16), 16, len(targets)))
     inst = make_instance(7, builtin_spec("K4"), builtin_spec("K3"))
-    searches.append((setup_search(inst.forbidden.copies, inst.target.copies, 21, 2), 21))
+    searches.append((setup_search(inst.forbidden.copies, inst.target.copies, 21, 2), 21, len(inst.target)))
     floors = [(8, 10, 12), (4, 6, 8), (5, 7, 9), (20, 23, 24)]
     found = [
-        _with_search_nodes(search, cut, floor)
-        for (search, cut), row in zip(searches, floors)
+        _with_search_nodes(search, cut, floor, ntargets)
+        for (search, cut, ntargets), row in zip(searches, floors)
         for floor in row
     ]
     assert found == [
@@ -258,7 +258,7 @@ def test_forced_targets_keep_the_recorded_answers_and_nodes():
     # the root, so every count, cut and stop is the one recorded when they
     # were counted apart from a search over the other targets
     found = [
-        _with_search_nodes(setup_search(copies, targets, nv), nv, floor)
+        _with_search_nodes(setup_search(copies, targets, nv), nv, floor, len(targets))
         for copies, targets, nv in _planted_instances()
         for floor in (0, 2, 5)
     ]
@@ -286,7 +286,7 @@ def test_all_forced_search_stops_at_its_first_leaf():
     # exponential in n
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 8)
     start = time.perf_counter()
-    answer, nodes = _with_search_nodes(setup_search(fam.copies, fam.copies, 28), 28, 0)
+    answer, nodes = _with_search_nodes(setup_search(fam.copies, fam.copies, 28), 28, 0, len(fam))
     assert time.perf_counter() - start < 0.1
     assert (answer, nodes) == ((56, (1 << 21) - 1), 22)
 
@@ -309,9 +309,9 @@ def test_floor_at_the_minimum_stops_the_search(monkeypatch):
     assert reference[0] == 12
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1568)
     search = setup_search(fam.copies, _singletons(28), 28)
-    assert search(28, 12) == reference
+    assert search(28, 12, 28) == reference
     with pytest.raises(ScaleGuardError, match="nodes"):
-        search(28, 11)
+        search(28, 11, 28)
 
 
 def test_hitting_set_search_guards(monkeypatch):
@@ -320,7 +320,7 @@ def test_hitting_set_search_guards(monkeypatch):
     rk = EdgeRanker(8, 2)
     singletons = [1 << v for v in range(rk.count)]
     with pytest.raises(InputError):
-        setup_search(masks([0, 1], []), singletons, rk.count)(rk.count, 0)
+        setup_search(masks([0, 1], []), singletons, rk.count)(rk.count, 0, rk.count)
     with pytest.raises(InputError):
         min_hitting_set(masks([0, 1], []), 2)
     # 2000 variables x 2000 disjoint copies: 4M setup steps, refused up front
@@ -329,12 +329,12 @@ def test_hitting_set_search_guards(monkeypatch):
     # with no targets there is no setup, and the search must go 2000 deep,
     # past the recursion limit
     with pytest.raises(ScaleGuardError, match="recursion limit"):
-        setup_search([1 << v for v in range(2000)], [], 2000)(2000, 0)
+        setup_search([1 << v for v in range(2000)], [], 2000)(2000, 0, 0)
     # 28 targets x 56 copies = 1,568 setup steps pass; the search needs
     # 5,114 nodes
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1568)
     with pytest.raises(ScaleGuardError, match="nodes"):
-        setup_search(fam.copies, singletons, rk.count)(rk.count, 0)
+        setup_search(fam.copies, singletons, rk.count)(rk.count, 0, rk.count)
 
 
 def _no_table(*args, **kwargs):
@@ -348,12 +348,12 @@ def test_hitting_set_setup_guard(monkeypatch):
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 12)
     assert min_hitting_set(copies, 4)[0] == 2
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 11)
-    assert setup_search(copies, targets, 4)(4, 0)[0] == 1
+    assert setup_search(copies, targets, 4)(4, 0, 3)[0] == 1
     with pytest.raises(ScaleGuardError):
         min_hitting_set(copies, 4)
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 8)
     with pytest.raises(ScaleGuardError):
-        setup_search(copies, targets, 4)(4, 0)
+        setup_search(copies, targets, 4)(4, 0, 3)
     # a refusal builds no index table, and an empty family needs none
     monkeypatch.setattr(monomial, "_index_sets", _no_table)
     monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 11)

@@ -2,10 +2,12 @@
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import turancover
+from turancover.monomial import setup_search
 
 SOURCE = Path(turancover.__file__).parent
 
@@ -158,6 +160,28 @@ def test_only_alpha_target_enters_the_search():
         ("dictionary.py", "alpha_target", "setup_search"),
         ("monomial.py", "min_hitting_set", "setup_search"),
     }
+
+
+def test_only_the_instance_counts_its_targets():
+    """The number of targets on [m] is worked out once, by
+    `CoverInstance.count`, the library's one caller of `bisect_left`.  The
+    search takes one targets argument, with no ranker beside it, and each
+    search takes its count of targets below the cut from the caller, with
+    no default to fall back on."""
+    found = set()
+    for path in sorted(SOURCE.rglob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for part in top.body if isinstance(top, ast.ClassDef) else [top]:
+                where = getattr(top, "name", "<module>")
+                if part is not top:
+                    where += f".{getattr(part, 'name', '<body>')}"
+                if any(isinstance(node, ast.Call) and _callee(node) == "bisect_left" for node in ast.walk(part)):
+                    found.add((path.name, where))
+    assert found == {("dictionary.py", "CoverInstance.count")}
+    assert list(inspect.signature(setup_search).parameters) == ["copies", "targets", "nvars", "r"]
+    for copies in ([], [1]):  # no copies: the search that answers at once
+        ntargets = inspect.signature(setup_search(copies, None, 1)).parameters["ntargets"]
+        assert ntargets.default is inspect.Parameter.empty
 
 
 COPY_LISTINGS = {"place_copies", "enumerate_forbidden_copies"}

@@ -72,6 +72,27 @@ def test_hilbert_exhaustive_reference():
             assert A.hilbert(d) == ref
 
 
+def test_hilbert_with_isolated_vertices_matches_brute_force():
+    # random kill graphs on at most five vertices of [n], the rest with no
+    # kill partner: the scans visit only the partnered vertices, and the
+    # count of every degree, of the quotient and of one lambda, is the
+    # brute-force count
+    rng = random.Random(43)
+    for _ in range(30):
+        n = rng.randint(4, 11)
+        busy = sorted(rng.sample(range(1, n + 1), rng.randint(2, 5)))
+        A = SquareZeroQuotient(n, [p for p in itertools.combinations(busy, 2) if rng.random() < 0.5])
+        c = rng.randint(1, n)
+        for d in range(n + 1):
+            standard = [
+                S for S in itertools.combinations(range(1, n + 1), d)
+                if not any(A.killed(a, b) for a, b in itertools.combinations(S, 2))
+            ]
+            assert A.hilbert(d) == len(standard)
+            lam = sum(all(v != c and not A.killed(c, v) for v in S) for S in standard)
+            assert A.lambda_dim(c, d) == lam, (n, c, d)
+
+
 # ---------------------------------------------------------------------------
 # top vanishing
 
