@@ -66,11 +66,12 @@ class RunReport:
 
 def _indented_json(obj, newline: str) -> str:
     """`json.dumps(obj, indent=2)` for obj written after `newline`, a line
-    break and obj's indentation.  A flat list of str, of int or of int
-    pairs is one join (json's own pure-Python encoder writes an indented
-    dump item by item); a scalar other than str or int, and a dict with a
-    key that is not a str, is json.dumps's.  Dumped text holds a line
-    break only between items, so re-indenting it is a plain replace."""
+    break and obj's indentation.  A flat list of str, of int, or of int
+    tuples all of one length is one join (json's own pure-Python encoder
+    writes an indented dump item by item); a scalar other than str or int,
+    and a dict with a key that is not a str, is json.dumps's.  Dumped text
+    holds a line break only between items, so re-indenting it is a plain
+    replace."""
     inner = newline + "  "
     if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         if not obj:
@@ -89,11 +90,12 @@ def _indented_json(obj, newline: str) -> str:
             items = map(int.__repr__, obj)
         elif (
             kinds <= {list, tuple}
-            and set(map(len, obj)) == {2}
+            and len(lengths := set(map(len, obj))) == 1
             and set(map(type, chain.from_iterable(obj))) == {int}
         ):
-            pair = inner + "  "
-            items = starmap(f"[{pair}{{}},{pair}{{}}{inner}]".format, obj)
+            entry = inner + "  "
+            template = "[" + entry + f",{entry}".join(["{}"] * lengths.pop()) + inner + "]"
+            items = starmap(template.format, obj)
         else:
             items = (_indented_json(item, inner) for item in obj)
     elif isinstance(obj, str):
@@ -240,7 +242,7 @@ def cmd_selftest(args) -> tuple[RunReport, int]:
 # name -> (handler, help, arguments as (flag, add_argument keywords)), in the
 # order the full parser lists them
 REQUIRED_INT = {"type": int, "required": True}
-FLAG = {"action": "store_true"}
+FLAG = {"action": "store_true", "default": False}  # argparse's default, spelled out for _read_regular
 SUBCOMMANDS = {
     "verify-counterexample": (
         cmd_verify_counterexample,
@@ -309,16 +311,6 @@ SUBCOMMANDS = {
 }
 
 
-def _add_subcommand(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give `parser` the arguments of subcommand `name` and the defaults
-    `func` (its handler) and `command` (its name); returns `parser`."""
-    func, _, arguments = SUBCOMMANDS[name]
-    for flag, keywords in arguments:
-        parser.add_argument(flag, **keywords)
-    parser.set_defaults(func=func, command=name)
-    return parser
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The full CLI parser, with a subparser for every subcommand."""
     parser = argparse.ArgumentParser(
@@ -326,52 +318,76 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact desk-scale verifiers for Turán-type theorems via monomial cover ideals.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, help_text, _) in SUBCOMMANDS.items():
-        _add_subcommand(sub.add_parser(name, help=help_text), name)
+    for name, (func, help_text, arguments) in SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            subparser.add_argument(flag, **keywords)
+        subparser.set_defaults(func=func, command=name)
     return parser
 
 
-def _split_kill(argv: list[str]) -> tuple[list[str], list[str] | None]:
-    """(argv without its --kill list, that list) for a hilbert or symmetrize
-    call with one --kill whose list ends where argparse ends it: at the end
-    or at a flag of the subcommand.  Otherwise (argv, None): a repeated
-    --kill, an abbreviation, help, "--", a value starting with "-" or any
-    other unusual token is left to argparse.  The list is found with one
+def _read_regular(argv: list[str]) -> argparse.Namespace | None:
+    """The Namespace the full parser gives `argv` when `argv` is regular (see
+    `parse_args`), read straight off its subcommand's `SUBCOMMANDS` entry
+    with no parser built; None otherwise.  A --kill list is found with one
     C-level scan, not a Python loop over its tokens."""
-    flags = {flag for flag, _ in SUBCOMMANDS[argv[0]][2]}
-    if "--kill" not in flags or argv.count("--kill") != 1:
-        return argv, None
-    start = argv.index("--kill") + 1
-    joined = "\0".join(argv[start - 1 :])  # "--kill\0tok\0tok..."
-    if joined.count("\0") != len(argv) - start:  # a token holds the separator
-        return argv, None
-    found = joined.find("\0-")
-    end = start + joined.count("\0", 0, found) if found >= 0 else len(argv)
-    rest = argv[: start - 1] + argv[end:]
-    if any(tok[:1] == "-" and tok not in flags for tok in rest):
-        return argv, None
-    return rest, argv[start:end]
+    if not argv or argv[0] not in SUBCOMMANDS:
+        return None
+    func, _, arguments = SUBCOMMANDS[argv[0]]
+    specs = dict(arguments)
+    values = {}
+    i, stop = 1, len(argv)
+    while i < stop:
+        flag = argv[i]
+        spec = specs.get(flag)
+        if spec is None or flag in values:
+            return None
+        if spec.get("action") == "store_true":
+            values[flag] = True
+            i += 1
+        elif "nargs" in spec:
+            joined = "\0".join(argv[i:])  # "--kill\0tok\0tok..."
+            if joined.count("\0") != stop - i - 1:  # a token holds the separator
+                return None
+            found = joined.find("\0-")
+            end = i + 1 + joined.count("\0", 0, found) if found >= 0 else stop
+            values[flag] = argv[i + 1 : end]
+            i = end
+        elif i + 1 < stop and argv[i + 1][:1] != "-":
+            try:
+                values[flag] = spec.get("type", str)(argv[i + 1])
+            except ValueError:
+                return None
+            i += 2
+        else:
+            return None
+    args = argparse.Namespace(func=func, command=argv[0])
+    for flag, spec in arguments:
+        if spec.get("required") and flag not in values:
+            return None
+        setattr(args, flag[2:].replace("-", "_"), values.get(flag, spec.get("default")))
+    return args
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse a known subcommand with one parser of its own,
-    `ArgumentParser(prog="turancover NAME")`, a hilbert or symmetrize
-    --kill list split off first (`_split_kill`).  That parser is the full
-    parser's subparser for NAME without the top level above it, so its
-    help and its usage errors read the same.  An empty or unknown
-    subcommand and leftover arguments go to the full parser (`build_parser`),
-    so every top-level usage and error text is the full parser's."""
+    """The Namespace of `argv` (default: the command line).
+
+    A regular argv is read straight off the `SUBCOMMANDS` table
+    (`_read_regular`): a known subcommand, then flags of its own, each
+    spelled in full and given once, every required flag among them, each
+    one of
+      - a store_true flag, alone;
+      - `--flag VALUE`, with a VALUE not starting with "-" that the flag's
+        `type` converts;
+      - `--kill`, whose list ends at the next token starting with "-".
+    Every other argv goes unchanged to the full parser (`build_parser`):
+    help, "--", "=" forms, abbreviations, repeated flags, values starting
+    with "-" or that the flag's type rejects, missing or leftover tokens,
+    and an empty or unknown subcommand.  So every usage text, error text
+    and exit code is argparse's own."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in SUBCOMMANDS:
-        name = argv[0]
-        rest, kill = _split_kill(argv)
-        parser = _add_subcommand(argparse.ArgumentParser(prog=f"turancover {name}"), name)
-        args, extras = parser.parse_known_args(rest[1:])
-        if not extras:
-            if kill is not None:
-                args.kill = kill
-            return args
-    return build_parser().parse_args(argv)
+    args = _read_regular(argv)
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

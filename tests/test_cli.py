@@ -561,8 +561,8 @@ def cli_argvs():
             yield [name, "--n", "x", *valid[1:]]
             yield valid
     yield ["hilbert", "--n", "4", "--d", "2", "--ki", "1,2"]  # an abbreviated flag
-    # a --kill list split off before argparse runs, and the argvs it leaves
-    # to argparse whole
+    # --kill lists the reader scans, and the argvs it leaves to the full
+    # parser whole
     hilbert = VALID_ARGVS["hilbert"]
     yield from (
         [*hilbert, "--kill", "1,2", "--kill", "3,4"],
@@ -576,6 +576,29 @@ def cli_argvs():
         # argparse reads -5 as a kill token, so --n has no value
         ["hilbert", "--d", "2", "--n", "--kill", "1,2", "-5"],
         [*hilbert, "--", "--kill", "1,2"],
+    )
+    # values the reader converts with the flag's own type, and forms it
+    # leaves to the full parser: "=", "--", repeated flags, values starting
+    # with "-" or that int() rejects
+    yield from (
+        ["hilbert", "--n", " 4", "--d", "1_0"],
+        ["verify-counterexample", "--n", "4", "--ell", "3"],
+        ["hilbert", "--n=4", "--d", "2"],
+        [*hilbert, "--d", "3"],
+        [*hilbert, "--kill", "1,2", "--n=5"],
+        [*hilbert, "--kill", "1,2", "--d", "3"],
+        [*hilbert, "--kill", "1,2", "3,4", "--"],
+        [*hilbert, "--"],
+        [*hilbert, "-h"],
+        ["hilbert", "--", "--n", "4", "--d", "2"],
+        ["hilbert", "--n", "4", "--d", ""],
+        ["hilbert", "--n", "4", "--d", "-"],
+        ["hilbert", "--n", "4", "--d", "9" * 5000],
+        ["hilbert", "--n", "4", "--kill", "1,2\0-"],
+        ["ex", "--n", "4", "--forbid", "--n"],
+        ["ex", "--n", "4", "--forbid", "K3", "--oracle=1"],
+        ["ex", "--n", "4", "--for", "K3"],
+        [*VALID_ARGVS["codegree-star"], "--alpha"],
     )
 
 
@@ -600,18 +623,75 @@ def test_cli_text_and_exit_codes_match_the_full_parser(monkeypatch):
 
 def test_valid_call_builds_no_subparser(monkeypatch):
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counted(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    # a valid call of each subcommand builds no parser at all
+    for argv in VALID_ARGVS.values():
+        args = cli.parse_args(argv)
+        assert built == [], argv
+        assert vars(args) == vars(build_parser().parse_args(argv)), argv
+        built.clear()
     assert cli_outcome(VALID_ARGVS["hilbert"])[0] == EXIT_OK
     assert built == []
     # a leftover token goes to the full parser and its seven subparsers
     assert cli_outcome(["hilbert", "--n", "4", "--d", "2", "extra"])[0] == 2
-    assert built == list(cli.SUBCOMMANDS)
+    assert built == ["turancover", *(f"turancover {name}" for name in cli.SUBCOMMANDS)]
+
+
+# tokens the edits of the reader's test draw from, besides the subcommand's
+# own flags and their abbreviations: values the reader converts or
+# declines, and forms it leaves to the full parser
+READER_TOKENS = ["4", "-3", "x", " 5", "1_0", "", "--", "-h", "-", "--n=4", "1,2"]
+
+
+@st.composite
+def reader_argvs(draw):
+    """A regular argv: a subcommand, then its flags in any order, each
+    store_true flag or not, one value after each value flag and --kill
+    absent or with zero, one or three tokens.  Then up to three edits, each
+    inserting, replacing or deleting one token, so flags come repeated,
+    abbreviated or missing and values come unconvertible or starting with
+    "-"."""
+    name = draw(st.sampled_from(list(cli.SUBCOMMANDS)))
+    arguments = cli.SUBCOMMANDS[name][2]
+    argv = [name]
+    for flag, keywords in draw(st.permutations(arguments)):
+        if keywords.get("action") == "store_true":
+            argv += [flag] * draw(st.integers(0, 1))
+        elif "nargs" in keywords:
+            argv += draw(st.sampled_from([[], [flag], [flag, "1,2"], [flag, "1,2", "3,4", "1,3"]]))
+        else:
+            argv += [flag, draw(st.sampled_from(["4", " 5", "1_0"]))]
+    flags = [flag for flag, _ in arguments]
+    tokens = st.sampled_from(READER_TOKENS + flags + [flag[:4] for flag in flags])
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(1, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert":
+            argv.insert(at, draw(tokens))
+        elif at < len(argv) and edit == "replace":
+            argv[at] = draw(tokens)
+        elif at < len(argv):
+            del argv[at]
+    return argv
+
+
+@settings(max_examples=1000, deadline=None)
+@given(reader_argvs())
+def test_reader_declines_or_gives_the_full_parsers_namespace(argv):
+    got = cli._read_regular(argv)
+    if got is not None:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                full = build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"the full parser rejects {argv}")
+        assert vars(got) == vars(full)
 
 
 REPORT_ARGVS = [
@@ -653,6 +733,13 @@ int_pairs = st.one_of(
     st.tuples(st.integers(), st.integers()),
     st.lists(st.integers(), min_size=2, max_size=2),
 )
+int_tuples = st.one_of(
+    int_pairs,
+    st.tuples(st.integers(), st.integers(), st.integers()),
+    st.lists(st.integers(), min_size=3, max_size=3),
+    st.tuples(st.integers(), st.integers(), st.integers(), st.integers()),
+    st.lists(st.integers(), min_size=4, max_size=4),
+)
 json_trees = st.recursive(
     json_scalars,
     lambda children: st.one_of(
@@ -664,6 +751,10 @@ json_trees = st.recursive(
         st.lists(st.one_of(st.integers(), st.booleans())),
         st.lists(int_pairs),
         st.lists(st.one_of(int_pairs, st.tuples(st.integers(), st.booleans()))),
+        st.lists(st.tuples(st.integers(), st.integers(), st.integers())),
+        st.lists(st.lists(st.integers(), min_size=4, max_size=4)),
+        st.lists(int_tuples),  # mixed lengths
+        st.lists(st.one_of(int_tuples, st.tuples(st.integers(), st.integers(), st.booleans()))),
     ),
     max_leaves=40,
 )

@@ -184,6 +184,21 @@ def test_only_the_instance_counts_its_targets():
         assert ntargets.default is inspect.Parameter.empty
 
 
+def test_only_build_parser_builds_an_argument_parser():
+    """The CLI reads a regular argv with no parser (`cli._read_regular`) and
+    hands every other argv to the one full parser, which `cli.build_parser`
+    builds afresh on each call: no per-subcommand parser, and none kept
+    across calls, stands beside the reader."""
+    assert _calls({"ArgumentParser"}) == {("cli.py", "build_parser", "ArgumentParser")}
+    assert _calls({"build_parser"}) == {("cli.py", "parse_args", "build_parser")}
+    path = SOURCE / "cli.py"
+    (build_parser,) = (
+        node for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, ast.FunctionDef) and node.name == "build_parser"
+    )
+    assert build_parser.decorator_list == []  # no cache
+
+
 COPY_LISTINGS = {"place_copies", "enumerate_forbidden_copies"}
 
 
