@@ -8,8 +8,11 @@ here is exact combinatorial counting on the kill graph.
 The kill graph is kept as one adjacency bitmask per variable, and every
 step works on those masks: the Hilbert count is an iterative branching over
 vertex masks, in smallest-last order of the non-kill graph (most kill
-partners first), with closed forms for d <= 3 and binomial blocks of free
-vertices, under a step budget (HILBERT_CAP_STEPS); parallel classes are
+partners first, only the vertices that have one), with closed forms for
+d <= 3 and binomial blocks of free vertices, under a step budget
+(HILBERT_CAP_STEPS); each chain of "avoid the next vertex" branches is
+walked in place, and its d = 3 children are counted where they are made,
+in one pass over their vertices; parallel classes are
 grouped by closed-neighbourhood mask, once per quotient, and
 symmetrization picks its clone pair from the class representatives alone; a
 clone step rewrites only the masks it changes.
@@ -189,44 +192,61 @@ class SquareZeroQuotient:
         they start at v's position + 1.  Each d-set is counted once, on the
         branch path through its own vertices, so any order gives the same
         count.  `order` is the smallest-last order of the non-kill graph on
-        the call's vertices (`_kill_order`): each vertex has the most kill
-        partners among those after it, so the child through v keeps only its
-        later non-kill partners, at most the degeneracy of the non-kill graph
-        (Matula and Beck 1983; Chiba and Nishizeki 1985).  The order is built
-        only for d >= 4, since no entry of a smaller d branches.  Four
-        shortcuts end a branch or widen it:
+        the call's vertices that have a kill partner (`_kill_order`): each
+        vertex has the most kill partners among those after it, so the child
+        through v keeps only its later non-kill partners, at most the
+        degeneracy of the non-kill graph (Matula and Beck 1983; Chiba and
+        Nishizeki 1985).  The order is built only for d >= 4, since no entry
+        of a smaller d branches.  Four shortcuts end a branch or widen it:
 
         * d <= 1: the count is 1 or popcount(allowed);
         * d == 2: C(m, 2) minus the kill pairs inside `allowed`;
         * d == 3: a closed form in edges, degrees and triangles of the
-          sparser of the kill graph and its complement inside `allowed`;
-        * v has no kill partner in `allowed`: every such free vertex, f of
-          them, is pulled out as one block, and (rest, d - k, C(f, k)) is
-          pushed for each k, since the block's k-subsets combine freely with
-          any standard subset of the rest.
+          sparser of the kill graph and its complement inside `allowed`
+          (`_independent_triples`);
+        * v has no kill partner in `allowed`, or `allowed` holds no vertex
+          with a kill partner at all: every free vertex, f of them, is
+          pulled out as one block, and (rest, d - k, C(f, k)) is pushed for
+          each k, since the block's k-subsets combine freely with any
+          standard subset of the rest.
 
         A vertex with no kill partner at all adds no kill pair and is free
-        in every entry, so the kill-pair scans and the free-vertex scan
-        visit only `partnered`, the vertices with one, built once per count:
-        a count with few kill pairs costs no peel of an n-bit mask per
-        vertex.
+        in every entry, so it is never ordered, and the kill-pair scans and
+        the free-vertex scan visit only `partnered`, the vertices with one,
+        built once per count: a count with few kill pairs costs no peel of
+        an n-bit mask per vertex.
 
-        Each popped entry is one step; past HILBERT_CAP_STEPS the count is
-        refused with ScaleGuardError.
+        An entry of d >= 4 walks its chain of entries that avoid the next
+        vertex in place, and pushes only its children through v of d >= 4.
+        A child of d = 3 is counted where it is made, in one of two forms
+        that `_leaf_flip` fixes once per count: the triangles of the
+        complement when the kill graph on the call's vertices has density
+        above 0.6, where the two forms measured level; else the kill side's
+        closed form in one pass over the leaf's vertices with a kill
+        partner, which sums the degrees, the kill pairs and the kill
+        triangles through each vertex u (those inside the later kill
+        partners of u) together.
+
+        Each entry is one step, whether popped or consumed in place by a
+        chain, and the steps are checked against HILBERT_CAP_STEPS where
+        they are taken: past it the count is refused with ScaleGuardError.
         """
         adj = self._adj
+        cap = HILBERT_CAP_STEPS
         partnered = reduce(or_, adj)
-        order = _kill_order(adj, allowed) if d >= 4 else ()
+        if d >= 4:
+            # a vertex with no kill partner would sit at the bottom of bucket
+            # 0 and be placed last, so leaving it out keeps the others' order
+            order = _kill_order(adj, allowed & partnered)
+            flip = _leaf_flip(adj, allowed, order)
         total = 0
         steps = 0
         stack = [(allowed, d, 1, 0)]
         while stack:
             allowed, d, mult, p = stack.pop()
             steps += 1
-            if steps > HILBERT_CAP_STEPS:
-                raise ScaleGuardError(
-                    f"Hilbert count exceeds {HILBERT_CAP_STEPS} steps"
-                )
+            if steps > cap:
+                raise ScaleGuardError(f"Hilbert count exceeds {cap} steps")
             if d == 0:
                 total += mult
                 continue
@@ -248,27 +268,66 @@ class SquareZeroQuotient:
             if d == 3:
                 total += mult * _independent_triples(adj, allowed, m, partnered)
                 continue
-            v = order[p]
-            while not allowed >> v & 1:
-                p += 1
-                v = order[p]
-            p += 1
-            if adj[v] & allowed:
-                without = allowed ^ (1 << v)
-                stack.append((without, d, mult, p))
-                stack.append((without & ~adj[v], d - 1, mult, p))
-                continue
-            free = allowed & ~partnered
-            scan = allowed & partnered
-            while scan:
-                low = scan & -scan
-                scan ^= low
-                if not adj[low.bit_length() - 1] & allowed:
-                    free |= low
-            rest = allowed ^ free
-            f = free.bit_count()
-            for k in range(max(0, d - rest.bit_count()), min(f, d) + 1):
-                stack.append((rest, d - k, mult * comb(f, k), p))
+            # d >= 4: walk the chain of entries that avoid the next vertex
+            while m >= d:
+                kills = 0
+                if allowed & partnered:
+                    v = order[p]
+                    while not allowed >> v & 1:
+                        p += 1
+                        v = order[p]
+                    p += 1
+                    kills = adj[v] & allowed
+                if not kills:
+                    free = allowed & ~partnered
+                    scan = allowed & partnered
+                    while scan:
+                        low = scan & -scan
+                        scan ^= low
+                        if not adj[low.bit_length() - 1] & allowed:
+                            free |= low
+                    rest = allowed ^ free
+                    f = free.bit_count()
+                    for k in range(max(0, d - rest.bit_count()), min(f, d) + 1):
+                        stack.append((rest, d - k, mult * comb(f, k), p))
+                    break
+                allowed ^= 1 << v
+                m -= 1
+                leaf = allowed & ~kills
+                # a step for the next entry of the chain, and one for a
+                # d = 3 child, each consumed here
+                steps += 1 if d > 4 else 2
+                if steps > cap:
+                    raise ScaleGuardError(f"Hilbert count exceeds {cap} steps")
+                if d > 4:
+                    stack.append((leaf, d - 1, mult, p))
+                    continue
+                size = leaf.bit_count()
+                if size < 3:
+                    continue
+                if flip:
+                    total += mult * _triangles(adj, leaf, -1)
+                    continue
+                # the kill side in one pass: degrees, kill pairs, and each
+                # kill triangle u < w < x found at u, with w and x among the
+                # later kill partners of u (nb & scan)
+                twice_e = squares = triangles = 0
+                scan = leaf & partnered
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    nb = adj[low.bit_length() - 1]
+                    deg = (nb & leaf).bit_count()
+                    twice_e += deg
+                    squares += deg * deg
+                    later = nb & scan
+                    while later:
+                        low_w = later & -later
+                        later ^= low_w
+                        triangles += (adj[low_w.bit_length() - 1] & later).bit_count()
+                # C(size, 3) - e (size - 2) + sum C(deg, 2) - triangles
+                paths = (squares - twice_e) // 2
+                total += mult * (comb(size, 3) - twice_e // 2 * (size - 2) + paths - triangles)
         return total
 
     def top_vanishing(self, q: int) -> bool:
@@ -395,10 +454,12 @@ def _group_classes(adj) -> dict[int, int]:
 def _kill_order(adj, allowed: int) -> list[int]:
     """The vertices of `allowed`, each next one with the most kill partners
     among those not yet placed: the smallest-last order of the non-kill graph
-    inside `allowed`.  A bucket queue on kill degree builds it in O(m + e)
-    for m vertices and e kill pairs: placing a vertex moves each unplaced
-    kill partner one bucket down, and the entry it leaves behind is skipped,
-    since its degree no longer matches that bucket."""
+    inside `allowed`.  The count passes only the vertices that have a kill
+    partner, so a quotient with few kill pairs orders few vertices.  A
+    bucket queue on kill degree builds it in O(m + e) for m vertices and e
+    kill pairs: placing a vertex moves each unplaced kill partner one bucket
+    down, and the entry it leaves behind is skipped, since its degree no
+    longer matches that bucket."""
     verts = _bits(allowed)
     deg = [0] * len(adj)
     buckets = [[] for _ in verts]
@@ -422,6 +483,19 @@ def _kill_order(adj, allowed: int) -> list[int]:
             deg[u] -= 1
             buckets[deg[u]].append(u)
     return order
+
+
+def _leaf_flip(adj, allowed: int, order) -> int:
+    """The form of the d = 3 leaves of a count on `allowed`, whose vertices
+    with a kill partner are `order`: -1 (the triangles of the complement,
+    as `_triangles` reads flip) when the kill graph on `allowed` has density
+    above 0.6, else 0 (the kill side's closed form).  The threshold is where
+    the two forms cross on seeded random kill graphs of 40-100 vertices at
+    d = 4 and 5: at density 0.5 the kill side is 1.2-1.6x faster, at 0.6
+    they are level, and at 0.7-0.9 the complement is up to 1.2x faster."""
+    twice_e = sum((adj[v] & allowed).bit_count() for v in order)
+    m = allowed.bit_count()
+    return -(5 * twice_e > 3 * m * (m - 1))
 
 
 def _independent_triples(adj, allowed: int, m: int, partnered: int) -> int:

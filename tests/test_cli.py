@@ -295,6 +295,16 @@ def test_hilbert_with_no_kill_pairs_is_not_quadratic_in_n(capsys):
     assert report["result"]["value"] == comb(10**6, 3)
 
 
+def test_hilbert_d4_with_no_kill_pairs_is_not_quadratic_in_n(capsys):
+    # above degree 3 only the vertices with a kill partner are ordered and
+    # branched on, so with none the free block answers at once
+    start = time.monotonic()
+    code, report, _ = run(capsys, "hilbert", "--n", "1000000", "--d", "4")
+    assert time.monotonic() - start < 2.0
+    assert code == EXIT_OK
+    assert report["result"]["value"] == comb(10**6, 4)
+
+
 def test_hilbert_step_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", 10)
     cycle = [f"{v},{v % 12 + 1}" for v in range(1, 13)]

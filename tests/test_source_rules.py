@@ -150,6 +150,17 @@ def _calls(names) -> set[tuple[str, str, str]]:
     }
 
 
+def _top_parts(path):
+    """(name, node) of each top-level definition of the module at `path`,
+    a class standing for each part of its body as "Class.part"."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for part in top.body if isinstance(top, ast.ClassDef) else [top]:
+            where = getattr(top, "name", "<module>")
+            if part is not top:
+                where += f".{getattr(part, 'name', '<body>')}"
+            yield where, part
+
+
 def test_only_alpha_target_enters_the_search():
     """`dictionary.alpha_target` is the one search entry of the library, and
     it sets the search up once with `setup_search`: `ex` is the generalized
@@ -168,15 +179,12 @@ def test_only_the_instance_counts_its_targets():
     search takes one targets argument, with no ranker beside it, and each
     search takes its count of targets below the cut from the caller, with
     no default to fall back on."""
-    found = set()
-    for path in sorted(SOURCE.rglob("*.py")):
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            for part in top.body if isinstance(top, ast.ClassDef) else [top]:
-                where = getattr(top, "name", "<module>")
-                if part is not top:
-                    where += f".{getattr(part, 'name', '<body>')}"
-                if any(isinstance(node, ast.Call) and _callee(node) == "bisect_left" for node in ast.walk(part)):
-                    found.add((path.name, where))
+    found = {
+        (path.name, where)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for where, part in _top_parts(path)
+        if any(isinstance(node, ast.Call) and _callee(node) == "bisect_left" for node in ast.walk(part))
+    }
     assert found == {("dictionary.py", "CoverInstance.count")}
     assert list(inspect.signature(setup_search).parameters) == ["copies", "targets", "nvars", "r"]
     for copies in ([], [1]):  # no copies: the search that answers at once
@@ -320,3 +328,27 @@ def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
             if attr not in vars(getattr(obj, cls) if cls else obj):
                 missing.append(f"{owner}.{attr}")
     assert tracing.TRACED and missing == []
+
+
+def test_the_hilbert_step_cap_is_read_only_by_the_count():
+    """Every step of a Hilbert count is charged inside the one budgeted
+    loop: `HILBERT_CAP_STEPS` is read only in `SquareZeroQuotient._count`,
+    and no function of `squarezero` calls itself, so no leaf is counted by
+    a recursion that the loop does not see."""
+    path = SOURCE / "squarezero.py"
+    readers = {
+        where
+        for where, part in _top_parts(path)
+        if any(
+            isinstance(node, ast.Name) and node.id == "HILBERT_CAP_STEPS" and isinstance(node.ctx, ast.Load)
+            for node in ast.walk(part)
+        )
+    }
+    assert readers == {"SquareZeroQuotient._count"}
+    recursive = [
+        func.name
+        for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(node, ast.Call) and _callee(node) == func.name for node in ast.walk(func))
+    ]
+    assert recursive == []

@@ -409,8 +409,9 @@ def test_hilbert_past_the_old_recursion_limit():
     assert SquareZeroQuotient(2000).hilbert(1) == 2000
     assert SquareZeroQuotient(2000).lambda_dim(1, 1) == 1999
     assert SquareZeroQuotient(60).hilbert(30) == comb(60, 30)
-    # d = 4 orders all 4000 vertices first, which a quadratic order cannot
-    # do inside the budget
+    # with no kill pairs d = 4 orders no vertex and takes the free block
+    # at once; it once ordered all 4000, which a quadratic order cannot do
+    # inside the budget
     assert SquareZeroQuotient(4000).hilbert(4) == comb(4000, 4)
     assert time.monotonic() - start < 1.0
 
@@ -868,3 +869,85 @@ def test_ordered_lambda_takes_the_pinned_steps(monkeypatch):
     A = seeded_quotient(7, 30, 0.3)
     assert A.lambda_dim(1, 5) == 28
     assert count_steps(monkeypatch, lambda: A.lambda_dim(1, 5)) == 81 < 104
+
+
+def coloured_quotient(seed, n, q, density):
+    """q colour classes killed inside plus random cross pairs, as
+    symmetrize's inputs look in the benchmark."""
+    rng = random.Random(seed)
+    colour = {v: rng.randrange(q) for v in range(1, n + 1)}
+    return SquareZeroQuotient(n, [
+        (a, b)
+        for a, b in itertools.combinations(range(1, n + 1), 2)
+        if colour[a] == colour[b] or rng.random() < density
+    ])
+
+
+# counts whose chains end in free blocks, in dead ends and in isolated
+# vertices: (quotient, count, value, steps)
+CHAIN_STEPS = [
+    pytest.param(seeded_quotient(8, 60, 0.5), lambda A: A.hilbert(5), 6137, 1385, id="hilbert-60-0.5-d5"),
+    pytest.param(coloured_quotient(9, 40, 4, 0.3), lambda A: A.hilbert(5), 0, 664, id="coloured-40-q4-d5"),
+    pytest.param(seeded_quotient(10, 30, 0.05), lambda A: A.lambda_dim(1, 4), 10637, 20, id="lambda-30-0.05-d4"),
+]
+
+
+@pytest.mark.parametrize("A,count,value,steps", CHAIN_STEPS)
+def test_chain_walk_takes_the_pinned_steps(monkeypatch, A, count, value, steps):
+    assert count(A) == value
+    assert count_steps(monkeypatch, lambda: count(A)) == steps
+
+
+def test_leaving_out_unpartnered_vertices_keeps_the_order_of_the_rest():
+    # a vertex with no kill partner sits at the bottom of bucket 0 and is
+    # placed last, so the count's order is the full order without it
+    for adj, allowed in kill_order_cases():
+        partnered = 0
+        for mask in adj:
+            partnered |= mask
+        full = squarezero._kill_order(adj, allowed)
+        assert squarezero._kill_order(adj, allowed & partnered) == [v for v in full if partnered >> v & 1]
+
+
+def test_chain_leaves_match_brute_force_in_both_forms(monkeypatch):
+    rng = random.Random(505)
+    cases = []
+    for density in (0.0, 0.1, 0.3, 0.5, 0.6, 0.8, 0.95, 1.0):
+        for n in range(4, 13):
+            pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density]
+            A = SquareZeroQuotient(n, pairs)
+            c = rng.randint(1, n)
+            partners = [v for v in range(1, n + 1) if v != c and not A.killed(c, v)]
+            want = [brute_force_count(A, d) for d in (4, 5, 6)] + [brute_force_count(A, 4, partners)]
+            cases.append((A, c, want))
+
+    def counts():
+        for A, c, want in cases:
+            assert [A.hilbert(4), A.hilbert(5), A.hilbert(6), A.lambda_dim(c, 4)] == want, (A, c)
+
+    # the count's own rule picks both forms on this grid
+    chosen = []
+    leaf_flip = squarezero._leaf_flip
+
+    def recorded_flip(*args):
+        chosen.append(leaf_flip(*args))
+        return chosen[-1]
+
+    monkeypatch.setattr(squarezero, "_leaf_flip", recorded_flip)
+    counts()
+    assert set(chosen) == {0, -1}
+    # and each form alone counts every leaf of the grid: the complement
+    # triangles are called once per leaf of three or more vertices
+    complement = {}
+    triangles = squarezero._triangles
+
+    def recorded(adj, allowed, flip):
+        complement[form] += flip == -1
+        return triangles(adj, allowed, flip)
+
+    monkeypatch.setattr(squarezero, "_triangles", recorded)
+    for form in (0, -1):
+        complement[form] = 0
+        monkeypatch.setattr(squarezero, "_leaf_flip", lambda *args: form)
+        counts()
+    assert complement[-1] - complement[0] > 100
