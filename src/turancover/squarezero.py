@@ -12,7 +12,7 @@ partners first, only the vertices that have one), with closed forms for
 d <= 3 and binomial blocks of free vertices, under a step budget
 (HILBERT_CAP_STEPS); each chain of "avoid the next vertex" branches is
 walked in place, and its d = 3 children are counted where they are made,
-in one pass over their vertices; parallel classes are
+each in one pass over its vertices; parallel classes are
 grouped by closed-neighbourhood mask, once per quotient, and
 symmetrization picks its clone pair from the class representatives alone; a
 clone step rewrites only the masks it changes.
@@ -201,9 +201,8 @@ class SquareZeroQuotient:
 
         * d <= 1: the count is 1 or popcount(allowed);
         * d == 2: C(m, 2) minus the kill pairs inside `allowed`;
-        * d == 3: a closed form in edges, degrees and triangles of the
-          sparser of the kill graph and its complement inside `allowed`
-          (`_independent_triples`);
+        * d == 3: `_independent_triples`, in the form `_leaf_flip` fixes
+          once per count (below);
         * v has no kill partner in `allowed`, or `allowed` holds no vertex
           with a kill partner at all: every free vertex, f of them, is
           pulled out as one block, and (rest, d - k, C(f, k)) is pushed for
@@ -218,11 +217,12 @@ class SquareZeroQuotient:
 
         An entry of d >= 4 walks its chain of entries that avoid the next
         vertex in place, and pushes only its children through v of d >= 4.
-        A child of d = 3 is counted where it is made, in one of two forms
-        that `_leaf_flip` fixes once per count: the triangles of the
+        A child of d = 3 is counted where it is made, by the same
+        `_independent_triples` call as a popped entry of d = 3.  Its form
+        is fixed once per count by `_leaf_flip`: the triangles of the
         complement when the kill graph on the call's vertices has density
         above 0.6, where the two forms measured level; else the kill side's
-        closed form in one pass over the leaf's vertices with a kill
+        closed form in one pass over the entry's vertices with a kill
         partner, which sums the degrees, the kill pairs and the kill
         triangles through each vertex u (those inside the later kill
         partners of u) together.
@@ -234,11 +234,10 @@ class SquareZeroQuotient:
         adj = self._adj
         cap = HILBERT_CAP_STEPS
         partnered = reduce(or_, adj)
+        if d >= 3:
+            flip = _leaf_flip(adj, allowed, partnered)
         if d >= 4:
-            # a vertex with no kill partner would sit at the bottom of bucket
-            # 0 and be placed last, so leaving it out keeps the others' order
             order = _kill_order(adj, allowed & partnered)
-            flip = _leaf_flip(adj, allowed, order)
         total = 0
         steps = 0
         stack = [(allowed, d, 1, 0)]
@@ -266,7 +265,7 @@ class SquareZeroQuotient:
                 total += mult * pairs
                 continue
             if d == 3:
-                total += mult * _independent_triples(adj, allowed, m, partnered)
+                total += mult * _independent_triples(adj, allowed, m, partnered, flip)
                 continue
             # d >= 4: walk the chain of entries that avoid the next vertex
             while m >= d:
@@ -303,31 +302,8 @@ class SquareZeroQuotient:
                     stack.append((leaf, d - 1, mult, p))
                     continue
                 size = leaf.bit_count()
-                if size < 3:
-                    continue
-                if flip:
-                    total += mult * _triangles(adj, leaf, -1)
-                    continue
-                # the kill side in one pass: degrees, kill pairs, and each
-                # kill triangle u < w < x found at u, with w and x among the
-                # later kill partners of u (nb & scan)
-                twice_e = squares = triangles = 0
-                scan = leaf & partnered
-                while scan:
-                    low = scan & -scan
-                    scan ^= low
-                    nb = adj[low.bit_length() - 1]
-                    deg = (nb & leaf).bit_count()
-                    twice_e += deg
-                    squares += deg * deg
-                    later = nb & scan
-                    while later:
-                        low_w = later & -later
-                        later ^= low_w
-                        triangles += (adj[low_w.bit_length() - 1] & later).bit_count()
-                # C(size, 3) - e (size - 2) + sum C(deg, 2) - triangles
-                paths = (squares - twice_e) // 2
-                total += mult * (comb(size, 3) - twice_e // 2 * (size - 2) + paths - triangles)
+                if size >= 3:
+                    total += mult * _independent_triples(adj, leaf, size, partnered, flip)
         return total
 
     def top_vanishing(self, q: int) -> bool:
@@ -485,59 +461,73 @@ def _kill_order(adj, allowed: int) -> list[int]:
     return order
 
 
-def _leaf_flip(adj, allowed: int, order) -> int:
-    """The form of the d = 3 leaves of a count on `allowed`, whose vertices
-    with a kill partner are `order`: -1 (the triangles of the complement,
-    as `_triangles` reads flip) when the kill graph on `allowed` has density
-    above 0.6, else 0 (the kill side's closed form).  The threshold is where
-    the two forms cross on seeded random kill graphs of 40-100 vertices at
-    d = 4 and 5: at density 0.5 the kill side is 1.2-1.6x faster, at 0.6
-    they are level, and at 0.7-0.9 the complement is up to 1.2x faster."""
-    twice_e = sum((adj[v] & allowed).bit_count() for v in order)
+def _leaf_flip(adj, allowed: int, partnered: int) -> int:
+    """The form in which a count on `allowed` counts its d = 3 entries
+    (`_independent_triples`): -1, the triangles of the complement, when the
+    kill graph on `allowed` has density above 0.6, else 0, the kill side's
+    closed form.  Only the vertices of `partnered` have a kill partner, so
+    only they are scanned.  The threshold is where the two forms cross on
+    seeded random kill graphs of 40-100 vertices at d = 4 and 5: at density
+    0.5 the kill side is 1.2-1.6x faster, at 0.6 they are level, and at
+    0.7-0.9 the complement is up to 1.2x faster."""
+    twice_e = 0
+    scan = allowed & partnered
+    while scan:
+        low = scan & -scan
+        scan ^= low
+        twice_e += (adj[low.bit_length() - 1] & allowed).bit_count()
     m = allowed.bit_count()
     return -(5 * twice_e > 3 * m * (m - 1))
 
 
-def _independent_triples(adj, allowed: int, m: int, partnered: int) -> int:
-    """Number of 3-subsets of the m-vertex mask `allowed` with no kill pair.
+def _independent_triples(adj, allowed: int, m: int, partnered: int, flip: int) -> int:
+    """Number of 3-subsets of the m-vertex mask `allowed` with no kill pair,
+    in the form `flip` names (`_leaf_flip`).
 
-    With e kill pairs inside `allowed` and degrees deg(v) there, inclusion-
-    exclusion over the kill pairs of a triple gives
-    C(m, 3) - e (m - 2) + sum_v C(deg v, 2) - (kill triangles).  Only the
-    vertices of `partnered`, those with a kill partner, have a degree or a
-    kill triangle, so only they are scanned.  When the kill graph is the
-    denser side (2e > C(m, 2)) the triples are counted directly instead,
-    as the triangles of its complement.
+    flip = -1 counts them directly, as the triangles of the complement.
+    flip = 0 takes the kill side: with e kill pairs inside `allowed` and
+    degrees deg(v) there, inclusion-exclusion over the kill pairs of a
+    triple gives C(m, 3) - e (m - 2) + sum_v C(deg v, 2) - (kill triangles).
+    One pass over the vertices of `partnered`, those with a kill partner,
+    sums the degrees and the kill triangles together: each triangle
+    u < w < x is found at u, with w and x among the later kill partners of
+    u (nb & scan).
     """
-    twice_e = 0
-    paths = 0
-    scan = busy = allowed & partnered
+    if flip:
+        return _complement_triangles(adj, allowed)
+    twice_e = squares = triangles = 0
+    scan = allowed & partnered
     while scan:
         low = scan & -scan
         scan ^= low
-        deg = (adj[low.bit_length() - 1] & allowed).bit_count()
+        nb = adj[low.bit_length() - 1]
+        deg = (nb & allowed).bit_count()
         twice_e += deg
-        paths += deg * (deg - 1) // 2
-    if twice_e > comb(m, 2):
-        return _triangles(adj, allowed, -1)
-    return comb(m, 3) - twice_e // 2 * (m - 2) + paths - _triangles(adj, busy, 0)
+        squares += deg * deg
+        later = nb & scan
+        while later:
+            low_w = later & -later
+            later ^= low_w
+            triangles += (adj[low_w.bit_length() - 1] & later).bit_count()
+    # sum_v C(deg v, 2) = (sum deg^2 - 2e) / 2
+    return comb(m, 3) - twice_e // 2 * (m - 2) + (squares - twice_e) // 2 - triangles
 
 
-def _triangles(adj, allowed: int, flip: int) -> int:
-    """Triangles inside `allowed` of the kill graph (flip = 0) or of its
-    complement (flip = -1, so that adj[v] ^ flip = ~adj[v]).  Each triangle
-    u < w < x is found once, at u, as a neighbour x > w shared by u and w."""
+def _complement_triangles(adj, allowed: int) -> int:
+    """Triangles inside `allowed` of the complement of the kill graph.  Each
+    triangle u < w < x is found once, at u, as a non-kill partner x > w
+    shared by u and w."""
     count = 0
     scan = allowed
     while scan:
         low = scan & -scan
         scan ^= low
         # scan now holds the vertices after u, so no self bit is read
-        later = (adj[low.bit_length() - 1] ^ flip) & scan
+        later = ~adj[low.bit_length() - 1] & scan
         while later:
             low_w = later & -later
             later ^= low_w
-            count += ((adj[low_w.bit_length() - 1] ^ flip) & later).bit_count()
+            count += (~adj[low_w.bit_length() - 1] & later).bit_count()
     return count
 
 

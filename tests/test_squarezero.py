@@ -646,26 +646,44 @@ def brute_force_count(A, d, allowed=None):
 
 
 def test_triple_closed_form_matches_brute_force_on_both_sides(monkeypatch):
-    sides = []
-    triangles = squarezero._triangles
-
-    def recorded(adj, allowed, flip):
-        sides.append(flip)
-        return triangles(adj, allowed, flip)
-
-    monkeypatch.setattr(squarezero, "_triangles", recorded)
+    # d = 3 is one closed-form step, and d = 4..6 branch down onto it; each
+    # count runs under its own leaf form, which picks both forms on this
+    # grid, and then under each form forced through _leaf_flip
     rng = random.Random(303)
+    cases = []
     for density in (0.0, 0.1, 0.3, 0.5, 0.6, 0.8, 0.95, 1.0):
         for n in range(3, 13):
             pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density]
             A = SquareZeroQuotient(n, pairs)
-            # d = 3 is one closed-form step; d = 4..6 branch down onto it
-            for d in range(3, 7):
-                assert A.hilbert(d) == brute_force_count(A, d), (n, density, d)
             c = rng.randint(1, n)
             partners = [v for v in range(1, n + 1) if v != c and not A.killed(c, v)]
-            assert A.lambda_dim(c, 3) == brute_force_count(A, 3, partners), (n, density, c)
-    assert set(sides) == {0, -1}
+            want = [brute_force_count(A, d) for d in range(3, 7)]
+            want += [brute_force_count(A, d, partners) for d in (3, 4)]
+            cases.append((A, c, want))
+    leaf_flip = squarezero._leaf_flip
+    complement_triangles = squarezero._complement_triangles
+    for form in (None, 0, -1):
+        forms, complement = [], []
+
+        def flip(adj, allowed, partnered):
+            forms.append(leaf_flip(adj, allowed, partnered) if form is None else form)
+            return forms[-1]
+
+        def recorded(adj, allowed):
+            complement.append(allowed)
+            return complement_triangles(adj, allowed)
+
+        monkeypatch.setattr(squarezero, "_leaf_flip", flip)
+        monkeypatch.setattr(squarezero, "_complement_triangles", recorded)
+        for A, c, want in cases:
+            got = [A.hilbert(d) for d in range(3, 7)] + [A.lambda_dim(c, d) for d in (3, 4)]
+            assert got == want, (A.n, c, form)
+        assert set(forms) == ({0, -1} if form is None else {form})
+        # the complement counts the d = 3 entries of exactly the counts
+        # that chose it
+        assert bool(complement) == (-1 in forms)
+        if form == -1:
+            assert len(complement) > 100
 
 
 def tied_grid_quotients():
@@ -899,55 +917,11 @@ def test_chain_walk_takes_the_pinned_steps(monkeypatch, A, count, value, steps):
 
 
 def test_leaving_out_unpartnered_vertices_keeps_the_order_of_the_rest():
-    # a vertex with no kill partner sits at the bottom of bucket 0 and is
-    # placed last, so the count's order is the full order without it
+    # placing a vertex with no kill partner moves no other vertex's degree,
+    # so the order without such vertices is the full order with them taken out
     for adj, allowed in kill_order_cases():
         partnered = 0
         for mask in adj:
             partnered |= mask
         full = squarezero._kill_order(adj, allowed)
         assert squarezero._kill_order(adj, allowed & partnered) == [v for v in full if partnered >> v & 1]
-
-
-def test_chain_leaves_match_brute_force_in_both_forms(monkeypatch):
-    rng = random.Random(505)
-    cases = []
-    for density in (0.0, 0.1, 0.3, 0.5, 0.6, 0.8, 0.95, 1.0):
-        for n in range(4, 13):
-            pairs = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < density]
-            A = SquareZeroQuotient(n, pairs)
-            c = rng.randint(1, n)
-            partners = [v for v in range(1, n + 1) if v != c and not A.killed(c, v)]
-            want = [brute_force_count(A, d) for d in (4, 5, 6)] + [brute_force_count(A, 4, partners)]
-            cases.append((A, c, want))
-
-    def counts():
-        for A, c, want in cases:
-            assert [A.hilbert(4), A.hilbert(5), A.hilbert(6), A.lambda_dim(c, 4)] == want, (A, c)
-
-    # the count's own rule picks both forms on this grid
-    chosen = []
-    leaf_flip = squarezero._leaf_flip
-
-    def recorded_flip(*args):
-        chosen.append(leaf_flip(*args))
-        return chosen[-1]
-
-    monkeypatch.setattr(squarezero, "_leaf_flip", recorded_flip)
-    counts()
-    assert set(chosen) == {0, -1}
-    # and each form alone counts every leaf of the grid: the complement
-    # triangles are called once per leaf of three or more vertices
-    complement = {}
-    triangles = squarezero._triangles
-
-    def recorded(adj, allowed, flip):
-        complement[form] += flip == -1
-        return triangles(adj, allowed, flip)
-
-    monkeypatch.setattr(squarezero, "_triangles", recorded)
-    for form in (0, -1):
-        complement[form] = 0
-        monkeypatch.setattr(squarezero, "_leaf_flip", lambda *args: form)
-        counts()
-    assert complement[-1] - complement[0] > 100
