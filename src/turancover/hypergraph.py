@@ -12,15 +12,24 @@ labellings.  Its shapes, the k!/|Aut(F)| distinct relabellings of F's edges
 by positions 0..k-1 (for a complete pattern the one `complete_shape`, built
 without relabelling), each a sorted tuple of sorted position tuples, are
 computed once and placed on each k-subset of [n] (`place_copies`), as are
-their pair shadows (`pair_shadows`).  The oracles read each listed copy,
-forbidden or target, as its rest mask, the copy without its last edge:
-adding that edge completes the copy iff the chosen edges hold the rest
-(`_rests`).  The core-pair family is never listed: an r-graph holds a
-member iff its shadow graph (the pairs of positive codegree) has an
-ell-clique.  Its oracles keep that shadow graph as one adjacency bitmask
-per vertex (`_shadow_step`), and `core_family_free` runs the same bitset
-clique search on a whole graph's shadow.  The oracles import nothing from the cover-ideal search or the
-polynomial core: they are the independent check of both.
+their pair shadows (`pair_shadows`).
+
+The oracles walk the edges in colex order: taking an edge recurses, and
+leaving it out is the next turn of the walk's loop.  They keep the listed
+copies, forbidden or target, in bitsets over copy indices
+(`_copy_bitsets`): per edge, the copies whose last edge it is and the
+copies avoiding it.  A copy is live while none of its edges is left out.
+Every edge below the current one is decided, so a live copy ending there
+has all its other edges chosen: adding the edge completes exactly the live
+copies ending there, and leaving it out kills the live copies through it.
+The core-pair family is never listed: an r-graph holds a member iff its
+shadow graph (the pairs of positive codegree) has an ell-clique.  Its
+oracles keep that shadow graph as one adjacency bitmask per vertex
+(`_shadow_step`), and `core_family_free` runs the same bitset clique search
+on a whole graph's shadow.
+
+The oracles import nothing from the cover-ideal search or the polynomial
+core: they are the independent check of both.
 """
 
 from __future__ import annotations
@@ -462,103 +471,134 @@ def count_copies(G: RGraph, fam: CopyFamily) -> int:
 # brute-force extremal oracles
 
 
+def _oracle_edges(n: int, r: int) -> int:
+    """C(n, r), the potential edges an oracle walks.  InputError refuses
+    n < 1, and ScaleGuardError more than ORACLE_CAP_EDGES edges, before
+    any copy is listed."""
+    if n < 1:
+        raise InputError(f"need n >= 1, got n={n}")
+    m = comb(n, r)
+    if m > ORACLE_CAP_EDGES:
+        raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
+    return m
+
+
 def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     """Exact ex(n, spec) by branch-and-bound over subgraphs of the complete r-graph.
 
-    ScaleGuardError refuses more than ORACLE_CAP_EDGES potential edges
-    before any copy is listed.  The freeness test is `_freeness_test`'s:
-    edge idx may join `chosen` unless `chosen` holds the rest mask of a copy
-    ending at idx.  A node deciding edge idx is cut when even taking every
-    remaining edge cannot beat the incumbent.
+    `_oracle_edges` refuses n < 1 and more than ORACLE_CAP_EDGES potential
+    edges before any copy is listed.  One loop decides edges 0, 1, ... in
+    turn: taking edge idx recurses, and leaving it out is the next turn.
+    A node is cut unless `room`, its size plus the m - idx edges still
+    open, beats the incumbent.  For an explicit pattern, `live` holds the
+    copies with no edge left out (`_copy_bitsets`): edge idx may join iff
+    no live copy ends there, and leaving it out keeps the live copies
+    avoiding it.  For the core-pair family, `_shadow_step` decides.
 
     The witness is the first optimum in the walk's order, edge 0 taken
     before edge 0 left out, then edge 1, and so on: the optimal free set
     whose indicator vector, read from edge 0, is largest.
     """
-    m = comb(n, spec.r)
-    if m > ORACLE_CAP_EDGES:
-        raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
+    m = _oracle_edges(n, spec.r)
     ranker = EdgeRanker(n, spec.r)
-    rests, add, remove = _freeness_test(spec, n, ranker)
+    copies, add, remove = _freeness_test(spec, n, ranker)
+    ending, avoiding = _copy_bitsets(copies, m)
     best_size, best_mask = -1, 0
 
-    def dfs(idx: int, chosen: int, size: int) -> None:
+    def walk(idx: int, chosen: int, room: int, live: int) -> None:
         nonlocal best_size, best_mask
-        if size + (m - idx) <= best_size:
-            return
-        if idx == m:  # passed the cut: strictly larger
-            best_size, best_mask = size, chosen
-            return
-        # include edge idx if it completes no forbidden copy
-        for rest in rests[idx]:
-            if chosen & rest == rest:
-                break
-        else:
-            if not add or add(idx):
-                dfs(idx + 1, chosen | (1 << idx), size + 1)
-        if remove:
-            remove(idx)
-        dfs(idx + 1, chosen, size)
+        while room > best_size:
+            if idx == m:  # passed the cut: strictly larger
+                best_size, best_mask = room, chosen
+                return
+            if not ending[idx] & live and (not add or add(idx)):
+                walk(idx + 1, chosen | 1 << idx, room, live)
+            if remove:
+                remove(idx)
+            live &= avoiding[idx]
+            idx += 1
+            room -= 1
 
-    dfs(0, 0, 0)
+    walk(0, 0, m, (1 << len(copies)) - 1)
     return best_size, RGraph(n, spec.r, ranker.unmask(best_mask))
 
 
-def _rests(copies: Iterable[int], m: int) -> list[tuple[int, ...]]:
-    """Copy masks over m edges indexed by their last (highest-ranked) edge i,
-    each as its rest mask `cm ^ (1 << i)`: only adding edge i can complete
-    the copy, and it does iff `chosen & rest == rest`."""
-    rests: list[list[int]] = [[] for _ in range(m)]
+def _copy_bitsets(copies: Collection[int], m: int) -> tuple[list[int], list[int]]:
+    """(ending, avoiding) over the copy masks on m edges: bit j of
+    `ending[i]` is set iff copy j's last (highest-ranked) edge is i, and bit
+    j of `avoiding[i]` iff copy j does not hold edge i."""
+    ending, avoiding = [0] * m, [(1 << len(copies)) - 1] * m
+    bit = 1
     for cm in copies:
-        last = cm.bit_length() - 1
-        rests[last].append(cm ^ (1 << last))
-    return [tuple(r) for r in rests]
+        ending[cm.bit_length() - 1] |= bit
+        while cm:  # peeled as `_bits` does, with no list per copy
+            low = cm & -cm
+            avoiding[low.bit_length() - 1] ^= bit
+            cm ^= low
+        bit <<= 1
+    return ending, avoiding
 
 
 def _freeness_test(spec: FamilySpec, n: int, ranker: EdgeRanker):
-    """(rests, add, remove): how the oracles keep a chosen edge set free of
-    `spec`.  For an explicit pattern, its copies' rest masks (`_rests`) and
-    no steps; for the core-pair family, none and `_shadow_step`'s steps."""
+    """(copies, add, remove): how the oracles keep a chosen edge set free of
+    `spec`.  For an explicit pattern, its copy masks, each listed once, and
+    no steps; for the core-pair family, no copies and `_shadow_step`'s
+    steps."""
     if isinstance(spec, CoreFamily):
-        return ([()] * ranker.count, *_shadow_step(ranker, spec.ell))
-    return _rests(enumerate_forbidden_copies(spec, n).copies, ranker.count), None, None
+        return ((), *_shadow_step(ranker, spec.ell))
+    return enumerate_forbidden_copies(spec, n).copies, None, None
 
 
 def _shadow_step(ranker: EdgeRanker, ell: int):
     """(add, remove), the core-pair freeness step of both oracles.
 
     A graph contains a member of the core-pair family (ell, r) iff its
-    shadow graph (the pairs of positive codegree) has an ell-clique.  An
-    added edge creates one iff some pair (a, b) it newly covers has an
-    (ell - 2)-clique in the common shadow neighbourhood of a and b.
+    shadow graph (the pairs of positive codegree) has an ell-clique.
     `add(idx)` adds the r-set of rank idx and says whether the shadow is
     still K_ell-free; `remove(idx)` takes an added r-set out again.  The
-    shadow is one adjacency bitmask per vertex beside the codegree counts.
+    shadow is one adjacency bitmask per vertex beside a flat list of
+    codegrees indexed by pair, and each r-set's pairs are listed once
+    with their vertex bits.  `add` covers the r-set's pairs in order: a new
+    ell-clique holds a new pair, and the last such pair sees all of the
+    clique's other pairs, so the step searches the common neighbourhood of
+    each newly covered pair for an (ell - 2)-clique as it is covered, and
+    stops searching at the first hit.  It still records every pair before
+    it answers, so `remove` undoes it exactly.  For ell <= r every r-set
+    alone is a member, so `add` refuses each one and keeps no state.
     """
-    n = ranker.n
-    edge_pairs = [list(itertools.combinations(t, 2)) for t in ranker.sets]
-    codeg = [[0] * (n + 1) for _ in range(n + 1)]  # codeg[a][b] for a < b
+    if ell <= ranker.r:  # one r-set alone covers an ell-clique
+        return (lambda idx: False), (lambda idx: None)
+    n, k = ranker.n, ell - 2
+    w = n + 1
+    # each pair {a < b} of each r-set as (its index a * w + b, a, b, bit of
+    # a, bit of b)
+    edge_pairs = [
+        [(a * w + b, a, b, 1 << a, 1 << b) for a, b in itertools.combinations(t, 2)]
+        for t in ranker.sets
+    ]
+    codeg = [0] * (w * w)
     adj = [0] * (n + 1)  # bit u of adj[v] is set iff {u, v} is covered
 
     def add(idx: int) -> bool:
-        new_pairs = []
-        for a, b in edge_pairs[idx]:
-            if not codeg[a][b]:
-                new_pairs.append((a, b))
-                adj[a] |= 1 << b
-                adj[b] |= 1 << a
-            codeg[a][b] += 1
-        for a, b in new_pairs:
-            if _has_clique(adj, adj[a] & adj[b], ell - 2):
-                return False
-        return True
+        free = True
+        for p, a, b, abit, bbit in edge_pairs[idx]:
+            if codeg[p]:
+                codeg[p] += 1
+                continue
+            codeg[p] = 1
+            adj[a] |= bbit
+            adj[b] |= abit
+            if free:
+                common = adj[a] & adj[b]
+                free = common.bit_count() < k or not _has_clique(adj, common, k)
+        return free
 
     def remove(idx: int) -> None:
-        for a, b in edge_pairs[idx]:
-            codeg[a][b] -= 1
-            if not codeg[a][b]:
-                adj[a] ^= 1 << b
-                adj[b] ^= 1 << a
+        for p, a, b, abit, bbit in edge_pairs[idx]:
+            codeg[p] -= 1
+            if not codeg[p]:
+                adj[a] ^= bbit
+                adj[b] ^= abit
 
     return add, remove
 
@@ -593,65 +633,49 @@ def brute_force_gen_ex(
     n: int, target_spec: FamilySpec, forbid_spec: FamilySpec
 ) -> tuple[int, RGraph]:
     """Exact generalized Turán number ex(n, T, F): max number of target copies
-    in a forbid-free graph, by branch-and-bound over subgraphs; refused above
-    ORACLE_CAP_EDGES potential edges before any copy is listed.  The target
-    must pass `check_target_spec`; the freeness test is `_freeness_test`'s,
-    and adding edge idx completes the target copies ending there whose rest
-    masks `chosen` holds.  A node is cut when the copies still alive (those
-    avoiding every excluded edge) cannot beat the incumbent; for an explicit
-    F, a target copy holding a forbidden copy is in no free graph, so it is
-    dropped before the walk.  The witness is the first optimum in the
-    walk's order, as in `brute_force_ex`."""
+    in a forbid-free graph, by branch-and-bound over subgraphs; refused on
+    n < 1 or above ORACLE_CAP_EDGES potential edges before any copy is
+    listed.  The target must pass `check_target_spec`.  The walk, its
+    freeness test and its witness are `brute_force_ex`'s, and the target
+    copies are kept in the same bitsets over their own indices: taking edge
+    idx completes the live target copies ending there, and leaving it out
+    kills the live ones through it.  A node is cut unless `alive`, the
+    copies done plus those still live, beats the incumbent.  A target copy
+    holding a forbidden copy of an explicit F is in no free graph, so it is
+    dropped before the walk."""
     check_target_spec(target_spec, forbid_spec)
     r = forbid_spec.r
-    m = comb(n, r)
-    if m > ORACLE_CAP_EDGES:
-        raise ScaleGuardError(f"{m} potential edges exceeds cap {ORACLE_CAP_EDGES}")
+    m = _oracle_edges(n, r)
     ranker = EdgeRanker(n, r)
-    forb_rests, add, remove = _freeness_test(forbid_spec, n, ranker)
-    targ = enumerate_forbidden_copies(target_spec, n).copies
-    if not add:
-        # the forbidden copies, each its rest plus its last edge
-        forb = [rest | 1 << idx for idx, rests in enumerate(forb_rests) for rest in rests]
-        targ = [t for t in targ if not any(f & t == f for f in forb)]
-    # target rest masks count completed copies incrementally; target copies
-    # by every edge: excluding an edge loses only the copies through it
-    targ_rests = _rests(targ, m)
-    targ_by_edge: list[list[int]] = [[] for _ in range(m)]
-    for cm in targ:
-        for idx in _bits(cm):
-            targ_by_edge[idx].append(cm)
+    forb, add, remove = _freeness_test(forbid_spec, n, ranker)
+    targ = [
+        t
+        for t in enumerate_forbidden_copies(target_spec, n).copies
+        if not any(f & t == f for f in forb)
+    ]
+    ending, avoiding = _copy_bitsets(forb, m)
+    t_end, t_avoiding = _copy_bitsets(targ, m)
     best_count, best_mask = -1, 0
 
-    def dfs(idx: int, chosen: int, excluded: int, done: int, alive: int) -> None:
+    def walk(idx: int, chosen: int, done: int, alive: int, live: int, tlive: int) -> None:
         # done: target copies already fully inside chosen
-        # alive: upper bound = done + copies not yet touching an excluded edge
         nonlocal best_count, best_mask
-        if alive <= best_count:
-            return
-        if idx == m:  # passed the cut: every alive copy is done
-            best_count, best_mask = done, chosen
-            return
-        bit = 1 << idx
-        for rest in forb_rests[idx]:
-            if chosen & rest == rest:
-                break
-        else:
-            if not add or add(idx):
-                gained = 0
-                for rest in targ_rests[idx]:
-                    if chosen & rest == rest:
-                        gained += 1
-                dfs(idx + 1, chosen | bit, excluded, done + gained, alive)
-        if remove:
-            remove(idx)
-        lost = 0
-        for cm in targ_by_edge[idx]:
-            if not cm & excluded:
-                lost += 1
-        dfs(idx + 1, chosen, excluded | bit, done, alive - lost)
+        while alive > best_count:
+            if idx == m:  # passed the cut: every alive copy is done
+                best_count, best_mask = done, chosen
+                return
+            if not ending[idx] & live and (not add or add(idx)):
+                gained = (t_end[idx] & tlive).bit_count()
+                walk(idx + 1, chosen | 1 << idx, done + gained, alive, live, tlive)
+            if remove:
+                remove(idx)
+            kept = tlive & t_avoiding[idx]
+            alive -= (tlive ^ kept).bit_count()
+            tlive = kept
+            live &= avoiding[idx]
+            idx += 1
 
-    dfs(0, 0, 0, 0, len(targ))
+    walk(0, 0, 0, len(targ), (1 << len(forb)) - 1, (1 << len(targ)) - 1)
     return best_count, RGraph(n, r, ranker.unmask(best_mask))
 
 

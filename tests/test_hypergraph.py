@@ -728,12 +728,12 @@ def test_gen_ex_oracle_matches_target_scan(n, t, f):
 def test_gen_ex_oracle_walks_no_target_holding_a_forbidden_copy(monkeypatch):
     # a target copy holding a forbidden copy lies in no free graph, so it is
     # dropped before the walk: every K3 holds a K3 and every K4 a C4, while
-    # no K3 holds a C4 and no C4 a K3.  The oracle lists its forbidden rests
-    # first and its target rests last
+    # no K3 holds a C4 and no C4 a K3.  The oracle builds its forbidden
+    # bitsets first and its target bitsets last
     listed = []
-    rests = hypergraph._rests
+    bitsets = hypergraph._copy_bitsets
     monkeypatch.setattr(
-        hypergraph, "_rests", lambda copies, m: listed.append(len(copies)) or rests(copies, m)
+        hypergraph, "_copy_bitsets", lambda copies, m: listed.append(len(copies)) or bitsets(copies, m)
     )
     for t, f, walked, value in [
         ("K3", "K3", 0, 0), ("K4", "C4", 0, 0), ("K3", "C4", 20, 2), ("C4", "K3", 45, 9),
@@ -741,6 +741,205 @@ def test_gen_ex_oracle_walks_no_target_holding_a_forbidden_copy(monkeypatch):
         assert brute_force_gen_ex(6, builtin_spec(t), builtin_spec(f))[0] == value
         assert listed[-1] == walked
 
+
+# the rest-mask walk the oracles took before their bookkeeping moved onto
+# bitsets over copy indices, kept to pin the new walk node for node: each
+# copy sits under its last edge as its rest mask, the exclude branch is a
+# second recursive call, and every freeness test is counted
+
+
+def rest_mask_shadow_step(ranker, ell):
+    """The codegree matrix shadow step: `add` records every pair of the
+    r-set, then searches each newly covered pair's common neighbourhood."""
+    n = ranker.n
+    edge_pairs = [list(itertools.combinations(t, 2)) for t in ranker.sets]
+    codeg = [[0] * (n + 1) for _ in range(n + 1)]
+    adj = [0] * (n + 1)
+
+    def add(idx):
+        new_pairs = []
+        for a, b in edge_pairs[idx]:
+            if not codeg[a][b]:
+                new_pairs.append((a, b))
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            codeg[a][b] += 1
+        return not any(hypergraph._has_clique(adj, adj[a] & adj[b], ell - 2) for a, b in new_pairs)
+
+    def remove(idx):
+        for a, b in edge_pairs[idx]:
+            codeg[a][b] -= 1
+            if not codeg[a][b]:
+                adj[a] ^= 1 << b
+                adj[b] ^= 1 << a
+
+    return add, remove
+
+
+def rest_mask_tables(spec, n, ranker):
+    """(rests, add, remove): the copies' rest masks by last edge and no
+    steps, or no rests and the core-pair shadow step."""
+    m = ranker.count
+    if isinstance(spec, CoreFamily):
+        return [()] * m, *rest_mask_shadow_step(ranker, spec.ell)
+    rests = [[] for _ in range(m)]
+    for cm in enumerate_forbidden_copies(spec, n).copies:
+        last = cm.bit_length() - 1
+        rests[last].append(cm ^ (1 << last))
+    return rests, None, None
+
+
+def rest_mask_ex(n, spec, tests):
+    """(value, witness) of the rest-mask `brute_force_ex`; each freeness
+    test appends its edge index to `tests`."""
+    ranker = EdgeRanker(n, spec.r)
+    m = ranker.count
+    rests, add, remove = rest_mask_tables(spec, n, ranker)
+    best_size, best_mask = -1, 0
+
+    def dfs(idx, chosen, size):
+        nonlocal best_size, best_mask
+        if size + (m - idx) <= best_size:
+            return
+        if idx == m:
+            best_size, best_mask = size, chosen
+            return
+        tests.append(idx)
+        if all(chosen & rest != rest for rest in rests[idx]) and (not add or add(idx)):
+            dfs(idx + 1, chosen | (1 << idx), size + 1)
+        if remove:
+            remove(idx)
+        dfs(idx + 1, chosen, size)
+
+    dfs(0, 0, 0)
+    return best_size, RGraph(n, spec.r, ranker.unmask(best_mask))
+
+
+def rest_mask_gen_ex(n, target_spec, forbid_spec, tests):
+    """(value, witness) of the rest-mask `brute_force_gen_ex`; each
+    freeness test appends its edge index to `tests`."""
+    ranker = EdgeRanker(n, forbid_spec.r)
+    m = ranker.count
+    forb_rests, add, remove = rest_mask_tables(forbid_spec, n, ranker)
+    forb = [rest | 1 << idx for idx, rests in enumerate(forb_rests) for rest in rests]
+    targ = [
+        t for t in enumerate_forbidden_copies(target_spec, n).copies
+        if not any(f & t == f for f in forb)
+    ]
+    targ_rests = [[] for _ in range(m)]
+    targ_by_edge = [[] for _ in range(m)]
+    for cm in targ:
+        last = cm.bit_length() - 1
+        targ_rests[last].append(cm ^ (1 << last))
+        for idx in range(m):
+            if cm >> idx & 1:
+                targ_by_edge[idx].append(cm)
+    best_count, best_mask = -1, 0
+
+    def dfs(idx, chosen, excluded, done, alive):
+        nonlocal best_count, best_mask
+        if alive <= best_count:
+            return
+        if idx == m:
+            best_count, best_mask = done, chosen
+            return
+        tests.append(idx)
+        if all(chosen & rest != rest for rest in forb_rests[idx]) and (not add or add(idx)):
+            gained = sum(chosen & rest == rest for rest in targ_rests[idx])
+            dfs(idx + 1, chosen | (1 << idx), excluded, done + gained, alive)
+        if remove:
+            remove(idx)
+        lost = sum(not cm & excluded for cm in targ_by_edge[idx])
+        dfs(idx + 1, chosen, excluded | (1 << idx), done, alive - lost)
+
+    dfs(0, 0, 0, 0, len(targ))
+    return best_count, RGraph(n, forbid_spec.r, ranker.unmask(best_mask))
+
+
+class CountedTable(list):
+    """A per-edge table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, idx):
+        self.lookups += 1
+        return super().__getitem__(idx)
+
+
+def _count_freeness_tests(monkeypatch, spec):
+    """A function giving the number of freeness tests of one oracle call
+    after the patch: the lookups of the first per-edge table it builds (its
+    forbidden `ending`) for an explicit pattern, or the calls of the shadow
+    step's `add` for the core-pair family."""
+    if isinstance(spec, CoreFamily):
+        calls = _count_shadow_adds(monkeypatch)
+        return lambda: len(calls)
+    tables = []
+    real = hypergraph._copy_bitsets
+
+    def counted(copies, m):
+        ending, avoiding = real(copies, m)
+        tables.append(CountedTable(ending))
+        return tables[-1], avoiding
+
+    monkeypatch.setattr(hypergraph, "_copy_bitsets", counted)
+    return lambda: tables[0].lookups
+
+
+def _bitset_walk_matches_rest_mask_walk(monkeypatch, spec, oracle, rest_mask):
+    tests = []
+    count = _count_freeness_tests(monkeypatch, spec)
+    assert oracle() == rest_mask(tests)
+    assert count() == len(tests)
+
+
+@pytest.mark.parametrize("n,name", list(_uncut_grid()))
+def test_ex_bitset_walk_is_the_rest_mask_walk(monkeypatch, n, name):
+    spec = UNCUT_SPECS[name]
+    _bitset_walk_matches_rest_mask_walk(
+        monkeypatch, spec, lambda: brute_force_ex(n, spec), lambda tests: rest_mask_ex(n, spec, tests)
+    )
+
+
+@pytest.mark.parametrize("n,t,f", GEN_EX_GRID)
+def test_gen_ex_bitset_walk_is_the_rest_mask_walk(monkeypatch, n, t, f):
+    args = n, builtin_spec(t), builtin_spec(f)
+    _bitset_walk_matches_rest_mask_walk(
+        monkeypatch, args[2], lambda: brute_force_gen_ex(*args), lambda tests: rest_mask_gen_ex(*args, tests)
+    )
+
+
+@pytest.mark.parametrize("n,ell,r", list(_core_family_grid()))
+def test_core_family_shadow_step_is_the_rest_mask_step(monkeypatch, n, ell, r):
+    spec = CoreFamily(ell, r)
+    _bitset_walk_matches_rest_mask_walk(
+        monkeypatch, spec, lambda: brute_force_ex(n, spec), lambda tests: rest_mask_ex(n, spec, tests)
+    )
+
+
+@pytest.mark.parametrize("n,ell,r", list(_core_family_grid()))
+def test_shadow_step_verdicts_follow_a_stack_of_r_sets(n, ell, r):
+    # seeded pushes and pops, as the walk makes them: a refused r-set is
+    # taken out at once, so the r-sets on the stack always form a free graph
+    # and each verdict is the freeness of that graph plus the new r-set
+    ranker = EdgeRanker(n, r)
+    add, remove = hypergraph._shadow_step(ranker, ell)
+    rng = random.Random(n * 100 + ell * 10 + r)
+    stack = []
+    for _ in range(300):
+        unused = [idx for idx in range(ranker.count) if idx not in stack]
+        if not (stack or unused):
+            break  # [n] has no r-sets
+        if stack and (not unused or rng.random() < 0.4):
+            remove(stack.pop())
+            continue
+        idx = rng.choice(unused)
+        free = add(idx)
+        assert free == core_family_free(RGraph(n, r, [ranker.sets[i] for i in stack + [idx]]), ell)
+        if free:
+            stack.append(idx)
+        else:
+            remove(idx)
 
 def test_scale_guard_on_edge_count():
     with pytest.raises(ScaleGuardError):
@@ -761,6 +960,17 @@ def test_oracles_refuse_before_listing_copies(monkeypatch):
         brute_force_gen_ex(60, K(3), K(4))
     with pytest.raises(ScaleGuardError):
         brute_force_ex(9, CoreFamily(4, 3))
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_oracles_refuse_n_below_one_before_listing_copies(monkeypatch, n):
+    monkeypatch.setattr(hypergraph, "enumerate_forbidden_copies", _no_copies)
+    message = f"need n >= 1, got n={n}"
+    for forbid in (K(3), CoreFamily(3, 2)):
+        with pytest.raises(InputError, match=message):
+            brute_force_ex(n, forbid)
+        with pytest.raises(InputError, match=message):
+            brute_force_gen_ex(n, K(2), forbid)
 
 
 # ---------------------------------------------------------------------------
