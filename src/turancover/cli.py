@@ -11,7 +11,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from itertools import chain, starmap
 from json.encoder import encode_basestring_ascii
 from math import comb
@@ -61,17 +61,18 @@ class RunReport:
     def to_json(self) -> str:
         # a shallow field dict: the writer walks the nested values itself,
         # so the deep copy `dataclasses.asdict` makes is not needed
-        return _indented_json({f.name: getattr(self, f.name) for f in fields(self)}, "\n")
+        return _indented_json(vars(self), "\n")
 
 
 def _indented_json(obj, newline: str) -> str:
     """`json.dumps(obj, indent=2)` for obj written after `newline`, a line
     break and obj's indentation.  A flat list of str, of int, or of int
     tuples all of one length is one join (json's own pure-Python encoder
-    writes an indented dump item by item); a scalar other than str or int,
-    and a dict with a key that is not a str, is json.dumps's.  Dumped text
-    holds a line break only between items, so re-indenting it is a plain
-    replace."""
+    writes an indented dump item by item); a dict with a key that is not a
+    str is json.dumps's indented dump, and any other scalar its one-line
+    text (the C encoder's, where `indent` would build a pure-Python one).
+    Dumped text holds a line break only between items, so re-indenting it
+    is a plain replace."""
     inner = newline + "  "
     if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
         if not obj:
@@ -103,7 +104,7 @@ def _indented_json(obj, newline: str) -> str:
     elif isinstance(obj, int) and not isinstance(obj, bool):
         return int.__repr__(obj)
     else:
-        return json.dumps(obj, indent=2).replace("\n", newline)
+        return json.dumps(obj, indent=2 if isinstance(obj, dict) else None).replace("\n", newline)
     opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
     return opening + inner + ("," + inner).join(items) + newline + closing
 

@@ -150,28 +150,29 @@ def _bits(mask: int) -> list[int]:
 # core types
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class RGraph:
-    """An r-uniform hypergraph on vertex set [n], identified with its edge set."""
+    """An r-uniform hypergraph on vertex set [n], identified with its edge set:
+    `edges`, given as any iterable of r-sets of [n], is kept as a frozenset
+    of frozensets.  Equality and hashing compare (n, r, edges)."""
 
-    __slots__ = ("n", "r", "edges")
+    n: int
+    r: int
+    edges: frozenset[Edge] = frozenset()
 
-    def __init__(self, n: int, r: int, edges: Iterable[Iterable[int]] = ()):
+    def __post_init__(self):
+        n, r = self.n, self.r
         if n < 1 or r < 1:
             raise InputError(f"need n, r >= 1, got n={n}, r={r}")
         es = set()
-        for e in edges:
+        for e in self.edges:
             fe = frozenset(e)
             if len(fe) != r:
                 raise InputError(f"edge {sorted(fe)} does not have {r} distinct vertices")
             if not all(1 <= v <= n for v in fe):
                 raise InputError(f"edge {sorted(fe)} has vertices outside [1, {n}]")
             es.add(fe)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "r", r)
         object.__setattr__(self, "edges", frozenset(es))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("RGraph is immutable")
 
     @classmethod
     def complete(cls, n: int, r: int) -> "RGraph":
@@ -179,14 +180,6 @@ class RGraph:
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RGraph):
-            return NotImplemented
-        return (self.n, self.r, self.edges) == (other.n, other.r, other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.r, self.edges))
 
     def __repr__(self) -> str:
         es = sorted(tuple(sorted(e)) for e in self.edges)

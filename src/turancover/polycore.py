@@ -12,25 +12,31 @@ polynomial equality.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from math import perm
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InputError
 
 Exponents = tuple[int, ...]
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Polynomial:
-    """Immutable sparse polynomial with int coefficients."""
+    """Immutable sparse polynomial with int coefficients: `terms`, given as
+    any mapping (None for zero), is kept as a dict of nonzero coefficients.
+    Equality compares (nvars, terms); the dict makes it unhashable."""
 
-    __slots__ = ("nvars", "terms")
+    nvars: int
+    terms: dict[Exponents, int] | None = None
 
-    def __init__(self, nvars: int, terms: Mapping[Exponents, int] | None = None):
+    def __post_init__(self):
+        nvars = self.nvars
         if nvars < 1:
             raise InputError(f"nvars must be positive, got {nvars}")
         clean: dict[Exponents, int] = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in (self.terms or {}).items():
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise InputError(f"exponent vector {exps} has length {len(exps)}, expected {nvars}")
@@ -39,23 +45,17 @@ class Polynomial:
             if type(coeff) is not int:
                 raise InputError(f"coefficient {coeff!r} of {exps} is not an int")
             clean[exps] = clean.get(exps, 0) + coeff
-        self._set(nvars, {e: c for e, c in clean.items() if c})
-
-    def _set(self, nvars: int, terms: dict[Exponents, int]) -> None:
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", {e: c for e, c in clean.items() if c})
 
     @classmethod
     def _from_terms(cls, nvars: int, terms: dict[Exponents, int]) -> "Polynomial":
         """Wrap `terms` that arithmetic built from valid polynomials: exponent
         vectors of length nvars, nonnegative, no zero coefficient.  None of
-        __init__'s checks are repeated."""
+        __post_init__'s checks are repeated."""
         p = object.__new__(cls)
-        p._set(nvars, terms)
+        object.__setattr__(p, "nvars", nvars)
+        object.__setattr__(p, "terms", terms)
         return p
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Polynomial is immutable")
 
     # -- constructors -------------------------------------------------
 
@@ -84,11 +84,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -27,7 +27,7 @@ Hilbert counts however many steps it takes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from math import comb
 from operator import or_
@@ -56,28 +56,19 @@ def elem_sym(values, r: int) -> int:
 
 
 def smoothing_step(values, r: int) -> tuple[tuple[int, ...], int]:
-    """One balancing step: replace a maximal entry a and a minimal entry b with
-    a >= b + 2 by (a-1, b+1).  Returns (new tuple, e_r gain); the gain equals
-    (a - b - 1) * e_{r-2}(other entries) and is always >= 0.
+    """One balancing step: replace the first maximal entry a and the first
+    minimal entry b, when a >= b + 2, by (a-1, b+1).  Returns (new tuple,
+    e_r gain); the gain equals (a - b - 1) * e_{r-2}(other entries) and is
+    always >= 0.
     """
     vals = list(values)
-    if not vals:
+    if not vals or max(vals) < min(vals) + 2:
         return tuple(vals), 0
-    a = max(vals)
-    b = min(vals)
-    if a < b + 2:
-        return tuple(vals), 0
-    ia = vals.index(a)
-    rest = vals[:ia] + vals[ia + 1 :]
-    ib = rest.index(b)
-    others = rest[:ib] + rest[ib + 1 :]
-    delta = (a - b - 1) * elem_sym(others, r - 2)
-    new_vals = list(vals)
-    new_vals[ia] = a - 1
-    # adjust the first minimal entry distinct from position ia
-    jb = next(i for i, v in enumerate(new_vals) if v == b and i != ia)
-    new_vals[jb] = b + 1
-    return tuple(new_vals), delta
+    ia, ib = vals.index(max(vals)), vals.index(min(vals))
+    a, b = vals[ia], vals[ib]
+    others = [v for i, v in enumerate(vals) if i != ia and i != ib]
+    vals[ia], vals[ib] = a - 1, b + 1
+    return tuple(vals), (a - b - 1) * elem_sym(others, r - 2)
 
 
 @dataclass(frozen=True)
@@ -98,6 +89,7 @@ def _bad_pair(p) -> InputError:
     return InputError(f"bad kill pair {sorted(entries) if len(distinct) == 2 else distinct}")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class SquareZeroQuotient:
     """n variables with a kill graph of vanishing quadratic products.
 
@@ -107,7 +99,9 @@ class SquareZeroQuotient:
     them (None before), so each quotient groups its variables at most once.
     """
 
-    __slots__ = ("n", "_adj", "_classes")
+    n: int
+    _adj: tuple[int, ...]
+    _classes: dict[int, int] | None = field(compare=False)
 
     def __init__(self, n: int, kill=()):
         if n < 1:
@@ -134,17 +128,6 @@ class SquareZeroQuotient:
         object.__setattr__(self, "_adj", tuple(adj))
         object.__setattr__(self, "_classes", None)
         return self
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("SquareZeroQuotient is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SquareZeroQuotient):
-            return NotImplemented
-        return (self.n, self._adj) == (other.n, other._adj)
-
-    def __hash__(self):
-        return hash((self.n, self._adj))
 
     def __repr__(self):
         return f"SquareZeroQuotient(n={self.n}, kill={self._pairs()})"

@@ -1057,3 +1057,28 @@ def test_rgraph_validation():
         RGraph(3, 2, [(1, 1)])
     with pytest.raises(InputError):
         RGraph(3, 2, [(1, 4)])
+
+
+def test_rgraph_is_a_frozen_value():
+    """An r-graph is its (n, r, edges), however it was built: equal ones
+    hash alike, and none can be changed after construction."""
+    listed = RGraph(3, 2, [(2, 1), (3, 1), (2, 3)])
+    built = (RGraph.complete(3, 2), brute_force_ex(3, K(4))[1], RGraph(3, 2, iter(listed.edges)))
+    for G in built:
+        assert G == listed and hash(G) == hash(listed)
+    assert RGraph(3, 2) == RGraph(3, 2, ()) != RGraph(4, 2)
+    assert RGraph(3, 2) != RGraph(3, 3)
+    for G in (listed, *built):
+        assert G != listed.edges and G != (3, 2, listed.edges) and G != None  # noqa: E711
+        for attr in ("n", "r", "edges"):
+            with pytest.raises(AttributeError):
+                setattr(G, attr, getattr(G, attr))
+            with pytest.raises(AttributeError):
+                delattr(G, attr)
+        # a name that is no field is refused too: CPython 3.11 raises
+        # TypeError there, as the `__setattr__` it makes for a slotted frozen
+        # dataclass names the class as it was before the slots were added
+        with pytest.raises((AttributeError, TypeError)):
+            G.label = "K3"
+        assert not hasattr(G, "label")
+    assert len({listed, *built}) == 1

@@ -190,3 +190,24 @@ def test_constructor_rejects_bad_terms():
     for coeff in (Fraction(1, 2), Fraction(2, 1), 0.5):
         with pytest.raises(InputError):
             Polynomial(2, {(1, 0): coeff})
+
+
+def test_polynomial_is_a_frozen_unhashable_value():
+    """A polynomial is its (nvars, terms), whether the checked constructor or
+    arithmetic (`_from_terms`) built it; it cannot be changed, and its dict
+    of terms keeps it out of sets and dict keys."""
+    square = Polynomial(3, {(2, 0, 0): 1, (1, 1, 0): -2, (0, 2, 0): 1, (0, 0, 1): 0})
+    for p in (d(1, 2) * d(1, 2), d(2, 1) * d(2, 1), product([d(1, 2), d(1, 2)], 3)):
+        assert p == square and p.terms == square.terms
+    assert d(1, 2) == Polynomial(3, {(1, 0, 0): 1, (0, 1, 0): -1}) != d(2, 1)
+    assert Polynomial(3) == Polynomial(3, {(1, 0, 0): 0}) == Polynomial.zero(3) != Polynomial(2)
+    for p in (square, d(1, 2) * d(1, 2), Polynomial.zero(3)):
+        assert p != p.terms and p != 0 and p != (p.nvars, p.terms) and p != None  # noqa: E711
+        with pytest.raises(TypeError):
+            hash(p)
+        for attr in ("nvars", "terms"):
+            with pytest.raises(AttributeError):
+                setattr(p, attr, getattr(p, attr))
+            with pytest.raises(AttributeError):
+                delattr(p, attr)
+    assert square.nvars == 3 and len(square) == 3

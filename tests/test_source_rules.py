@@ -7,7 +7,10 @@ import sys
 from pathlib import Path
 
 import turancover
+from turancover.hypergraph import RGraph
 from turancover.monomial import setup_search
+from turancover.polycore import Polynomial
+from turancover.squarezero import SquareZeroQuotient
 
 SOURCE = Path(turancover.__file__).parent
 
@@ -100,6 +103,35 @@ def test_only_hypergraph_ranks_edges():
         if _builds_colex_rank(node)
     ]
     assert found == []
+
+
+def _class_members(cls):
+    """Names that the body of class `cls` defines or assigns."""
+    for part in cls.body:
+        if isinstance(part, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield part.name
+        for target in getattr(part, "targets", [getattr(part, "target", None)]):
+            if isinstance(target, ast.Name):
+                yield target.id
+
+
+def test_value_types_are_frozen_dataclasses():
+    """Immutability, equality and hashing come from
+    `@dataclass(frozen=True)` alone: no library class writes its own
+    `__slots__`, `__setattr__`, `__delattr__`, `__eq__` or `__hash__`, and
+    the paper's three objects are slotted frozen dataclasses."""
+    by_hand = {"__slots__", "__setattr__", "__delattr__", "__eq__", "__hash__"}
+    found = [
+        f"{path.relative_to(SOURCE)}:{cls.name}.{name}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for name in _class_members(cls)
+        if name in by_hand
+    ]
+    assert found == []
+    for value_type in (RGraph, Polynomial, SquareZeroQuotient):
+        assert value_type.__dataclass_params__.frozen and "__slots__" in vars(value_type)
 
 
 def _definitions(names) -> list[tuple[str, str]]:

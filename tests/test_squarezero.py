@@ -192,6 +192,29 @@ def test_clone_requires_zero_products():
         A.clone((1,), (2,))
 
 
+def test_quotient_is_a_frozen_value_of_its_kill_graph():
+    """A quotient is its (n, kill graph): the checked constructor and the
+    trusted one (`clone`, `_from_adj`) make equal values that hash alike,
+    its parallel-class cache takes no part, and it cannot be changed."""
+    A = SquareZeroQuotient(4, [(1, 2), (3, 4), (1, 3)])
+    B = A.clone((1,), (3,))
+    fresh = SquareZeroQuotient(4, B.kill)
+    assert B._classes is None and B.parallel_classes() and B._classes is not None
+    assert fresh._classes is None
+    built = (fresh, SquareZeroQuotient._from_adj(4, B._adj), SquareZeroQuotient(4, reversed(B._pairs())))
+    for Q in built:
+        assert Q == B and B == Q and hash(Q) == hash(B)
+    assert A != B and SquareZeroQuotient(3) != SquareZeroQuotient(4)
+    assert len({B, *built}) == 1
+    for Q in (A, B, *built):
+        assert Q != Q.kill and Q != (Q.n, Q._adj) and Q != None  # noqa: E711
+        for attr in ("n", "_adj", "_classes"):
+            with pytest.raises(AttributeError):
+                setattr(Q, attr, getattr(Q, attr))
+            with pytest.raises(AttributeError):
+                delattr(Q, attr)
+
+
 def test_clone_dimension_ledger():
     rng = random.Random(55)
     checked = 0
