@@ -34,6 +34,7 @@ from .dictionary import ex_via_cover, gen_ex_via_cover
 from .errors import ClaimCheckError, InputError, ScaleGuardError, to_devnull
 from .hypergraph import (
     FamilySpec,
+    _bits,
     brute_force_ex,
     brute_force_gen_ex,
     builtin_spec,
@@ -219,7 +220,7 @@ def cmd_codegree_star(args) -> tuple[RunReport, int]:
     if args.alpha or not args.verify_collapse:
         alpha, witness = star_initial_degree(params)
         result["alpha"] = alpha
-        result["witness_support"] = [tuple(sorted(e)) for e in params.ranker.unmask(witness)]
+        result["witness_support"] = [params.ranker.sets[i] for i in _bits(witness)]
     if args.verify_collapse:
         result["collapse_ok"] = verify_collapse(params)
         code = EXIT_OK if result["collapse_ok"] else EXIT_CLAIM_FAILED

@@ -232,7 +232,7 @@ def alpha_target(inst: CoverInstance, ranker: EdgeRanker | None = None) -> tuple
     for m in range(k, n + 1) if k is not None else (n,):
         ntargets = inst.count(m)
         floor = 0 if previous is None else ntargets - previous * m // (m - k)
-        alpha, witness = search(comb(m, r), floor, ntargets)
+        alpha, witness, _ = search(comb(m, r), floor, ntargets)
         previous = ntargets - alpha
     return alpha, witness
 

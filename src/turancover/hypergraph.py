@@ -169,7 +169,7 @@ class RGraph:
             fe = frozenset(e)
             if len(fe) != r:
                 raise InputError(f"edge {sorted(fe)} does not have {r} distinct vertices")
-            if not all(1 <= v <= n for v in fe):
+            if not (1 <= min(fe) and max(fe) <= n):
                 raise InputError(f"edge {sorted(fe)} has vertices outside [1, {n}]")
             es.add(fe)
         object.__setattr__(self, "edges", frozenset(es))

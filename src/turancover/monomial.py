@@ -107,7 +107,8 @@ def setup_search(
     """Set the hitting-set search up once for the copy and target masks over
     nvars variables, and return `search(cut, floor, ntargets)`: the minimum
     number of targets below `1 << cut` meeting M, over supports M meeting
-    every copy below it, with a witness M.  Under colex ranks those are the
+    every copy below it, a witness M, and the number of nodes the search
+    expanded (0 with no copy below the cut).  Under colex ranks those are the
     families on [m] for cut = C(m, r), so one setup at n serves every
     m <= n.  `ntargets` is the number of targets below the cut, which the
     caller counts (`dictionary.CoverInstance.count`).
@@ -184,7 +185,7 @@ def setup_search(
     # variable is the smallest of those
     forb = sorted(copies, key=lambda c: (c.bit_count(), c))
     if not forb:
-        return lambda cut, floor, ntargets: (0, 0)
+        return lambda cut, floor, ntargets: (0, 0, 0)
     ntargets = nvars if targets is None else targets.count if stars else len(targets)
     guard_search_setup(ntargets, len(forb), nvars)
     if forb[0] == 0:
@@ -212,11 +213,11 @@ def setup_search(
         forced = -1  # every k-set holds a copy
     verts = None if r is None else _VertexMasks(r)
 
-    def search(cut: int, floor: int, ntargets: int) -> tuple[int, int]:
+    def search(cut: int, floor: int, ntargets: int) -> tuple[int, int, int]:
         below = 1 << cut
         uncovered = _mask_of([i for i, c in enumerate(forb) if c < below])
         if not uncovered:
-            return 0, 0
+            return 0, 0, 0
         alive = (1 << ntargets) - 1
         met = forced & alive  # met at the root, by every hitting set
         best, best_mask, nodes = ntargets + 1, 0, 0
@@ -300,7 +301,7 @@ def setup_search(
             raise ScaleGuardError("hitting-set search exceeds the recursion limit") from None
         if best > ntargets:
             raise ClaimCheckError("no hitting set found for a nonempty copy family")
-        return best, best_mask
+        return best, best_mask, nodes
 
     return search
 
@@ -315,7 +316,7 @@ def min_hitting_set(copies: Sequence[int], nvars: int) -> tuple[int, int]:
     Empty family -> (0, 0); an empty copy mask raises InputError.  A setup
     past `guard_search_setup`'s budget raises ScaleGuardError.
     """
-    return setup_search(copies, None, nvars)(nvars, 0, nvars)
+    return setup_search(copies, None, nvars)(nvars, 0, nvars)[:2]
 
 
 __all__ = [

@@ -163,10 +163,11 @@ class SquareZeroQuotient:
         """Number of standard degree-d monomials: d-subsets with no kill pair."""
         if d < 0:
             raise InputError("degree must be nonnegative")
-        return self._count((1 << (self.n + 1)) - 2, d)
+        return self._count((1 << (self.n + 1)) - 2, d)[0]
 
-    def _count(self, allowed: int, d: int) -> int:
-        """Number of d-subsets of the vertex mask `allowed` with no kill pair.
+    def _count(self, allowed: int, d: int) -> tuple[int, int]:
+        """Number of d-subsets of the vertex mask `allowed` with no kill pair,
+        and the steps taken to count them (below).
 
         Depth-first over an explicit stack of (allowed, d, multiplicity, p).
         An entry branches on its first vertex v in `order`, searched from
@@ -287,7 +288,7 @@ class SquareZeroQuotient:
                 size = leaf.bit_count()
                 if size >= 3:
                     total += mult * _independent_triples(adj, leaf, size, partnered, flip)
-        return total
+        return total, steps
 
     def top_vanishing(self, q: int) -> bool:
         """Whether the degree-(q+1) piece vanishes."""
@@ -354,7 +355,7 @@ class SquareZeroQuotient:
         if d < 0:
             raise InputError("degree must be nonnegative")
         allowed = ((1 << (self.n + 1)) - 2) & ~((1 << c) | self._adj[c])
-        return self._count(allowed, d)
+        return self._count(allowed, d)[0]
 
     # -- cloning -------------------------------------------------------
 

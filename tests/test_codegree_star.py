@@ -426,7 +426,7 @@ def test_floors_never_come_from_the_checked_value(monkeypatch, n, ell, r):
     alpha = comb(n, r) - true_count
     forbidden, targets = _clique_copies(n, ell), _clique_copies(n, r)
     search = setup_search(forbidden.copies, targets.copies, comb(n, 2))
-    stopped, _ = search(comb(n, 2), alpha + 1, len(targets))
+    stopped = search(comb(n, 2), alpha + 1, len(targets))[0]
     assert stopped == alpha + 1
     monkeypatch.setattr(codegree_star, "turan_count", lambda *args: true_count - 1)
     with pytest.raises(ClaimCheckError, match=f"gives {alpha},"):

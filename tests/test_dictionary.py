@@ -7,7 +7,6 @@ from math import comb
 import pytest
 
 from test_hypergraph import K4_MINUS_EDGE_3, below_cut, reference_core_copies
-from test_monomial import _with_search_nodes
 from turancover import dictionary, hypergraph, monomial
 from turancover.dictionary import (
     CoverInstance,
@@ -260,7 +259,7 @@ def test_chain_returns_the_single_search_witness():
         inst = make_instance(n, forbid, target)
         targets = target_list(inst)
         reference = setup_search(inst.forbidden.copies, targets, comb(n, 2))(comb(n, 2), 0, len(targets))
-        assert alpha_target(inst) == reference
+        assert alpha_target(inst) == reference[:2]
 
 
 def _no_setup(*args, **kwargs):
@@ -298,7 +297,7 @@ SHARED_SETUP_GRID = [
 
 def _record_links(monkeypatch) -> list:
     """Wrap `dictionary.setup_search` so that each link's search appends
-    (cut, floor, orbit-cut uniformity r, answer, search nodes) to the
+    (cut, floor, orbit-cut uniformity r, (minimum, witness, nodes)) to the
     returned list."""
     links, setup = [], dictionary.setup_search
 
@@ -306,9 +305,9 @@ def _record_links(monkeypatch) -> list:
         search = setup(copies, targets, nvars, r)
 
         def link(cut, floor, ntargets):
-            answer, nodes = _with_search_nodes(search, cut, floor, ntargets)
-            links.append((cut, floor, r, answer, nodes))
-            return answer
+            found = search(cut, floor, ntargets)
+            links.append((cut, floor, r, found))
+            return found
 
         return link
 
@@ -331,13 +330,12 @@ def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, tar
         links.clear()
         alpha_target(inst)
         assert links, n
-        for cut, floor, r, answer, nodes in links:
+        for cut, floor, r, found in links:
             assert r == (None if inst.span is None else inst.r)
             below = 1 << cut
             copies = [c for c in inst.forbidden.copies if c < below]
             targets = [t for t in target_list(inst) if t < below]
-            fresh = _with_search_nodes(setup_search(copies, targets, cut, r), cut, floor, len(targets))
-            assert fresh == (answer, nodes), (n, cut)
+            assert setup_search(copies, targets, cut, r)(cut, floor, len(targets)) == found, (n, cut)
 
 
 # ex on four patterns up to n = 8, and the r = 2 pair instances up to n = 9
@@ -359,9 +357,9 @@ def test_variables_as_targets_search_as_their_singleton_list(monkeypatch, forbid
         links.clear()
         alpha_target(inst)
         nvars = comb(n, inst.r)
-        for cut, floor, r, answer, nodes in links:
+        for cut, floor, r, found in links:
             listed = setup_search(inst.forbidden.copies, target_list(inst), nvars, r)
-            assert _with_search_nodes(listed, cut, floor, cut) == (answer, nodes), (n, cut)
+            assert listed(cut, floor, cut) == found, (n, cut)
 
 
 @pytest.mark.parametrize("r", range(3, 6))
@@ -384,9 +382,8 @@ def test_one_edge_pair_targets_search_as_their_listed_shadows(monkeypatch, ell, 
         assert rows == ([] if ell <= r or ell > n else [r]), n
         shadows = target_list(inst)
         listed = setup_search(inst.forbidden.copies, shadows, comb(n, 2), 2)
-        for cut, floor, _, answer, nodes in links:
-            ntargets = count_below(shadows, cut)
-            assert _with_search_nodes(listed, cut, floor, ntargets) == (answer, nodes), (n, cut)
+        for cut, floor, _, found in links:
+            assert listed(cut, floor, count_below(shadows, cut)) == found, (n, cut)
 
 
 def test_k_set_targets_refuse_a_misuse():
@@ -448,7 +445,7 @@ def _orbit_cut_mismatches(grid):
             inst = make_instance(n, builtin_spec(forbid), target and builtin_spec(target))
             nvars, targets = comb(n, inst.r), target_list(inst)
             uncut = setup_search(inst.forbidden.copies, targets, nvars)(nvars, 0, len(targets))
-            if alpha_target(inst) != uncut:
+            if alpha_target(inst) != uncut[:2]:
                 yield target, forbid, n
 
 
@@ -469,27 +466,27 @@ def test_orbit_cut_fires_on_the_last_link(monkeypatch):
     links = _record_links(monkeypatch)
     inst = make_instance(8, builtin_spec("K4"), builtin_spec("K3"))
     alpha_target(inst)
-    cut, floor, r, answer, nodes = links[-1]
-    assert (cut, floor, r, answer[0]) == (28, 37, 2, 38)
-    search = setup_search(inst.forbidden.copies, inst.target.copies, cut)
-    uncut = _with_search_nodes(search, cut, floor, len(inst.target))
-    assert uncut[0] == answer
-    assert 5 * nodes < uncut[1]
+    cut, floor, r, (alpha, witness, nodes) = links[-1]
+    assert (cut, floor, r, alpha) == (28, 37, 2, 38)
+    uncut = setup_search(inst.forbidden.copies, inst.target.copies, cut)(cut, floor, len(inst.target))
+    assert uncut[:2] == (alpha, witness)
+    assert 5 * nodes < uncut[2]
 
 
-def test_all_forced_instances_keep_the_recorded_answers_and_nodes():
+def test_all_forced_instances_keep_the_recorded_answers_and_nodes(monkeypatch):
     # every K4 target holds a K3 copy, and every r-clique of the pair
     # instances with r >= ell holds an ell-clique: all targets are forced,
     # met at the root, and each chain gives the answer and walks the nodes
     # (over all its links) recorded when they were counted apart
-    found = [
-        _with_search_nodes(alpha_target, inst)
-        for inst in [
-            make_instance(7, builtin_spec("K3"), builtin_spec("K4")),
-            make_instance(8, CoreFamily(3, 4)),
-            make_instance(7, CoreFamily(4, 4)),
-        ]
-    ]
+    links = _record_links(monkeypatch)
+    found = []
+    for inst in [
+        make_instance(7, builtin_spec("K3"), builtin_spec("K4")),
+        make_instance(8, CoreFamily(3, 4)),
+        make_instance(7, CoreFamily(4, 4)),
+    ]:
+        links.clear()
+        found.append((alpha_target(inst), sum(nodes for _, _, _, (_, _, nodes) in links)))
     assert found == [
         ((35, (1 << 15) - 1), 38),
         ((70, (1 << 21) - 1), 60),
@@ -515,9 +512,9 @@ def test_hand_built_instances_run_the_uncut_search(monkeypatch):
     targets = CopyFamily(7, 2, tuple(1 << i for i in range(21) if 1 << i & stars))
     links.clear()
     alpha_target(CoverInstance(7, 2, forbidden, targets))
-    answer, nodes = _with_search_nodes(setup_search(forbidden.copies, targets.copies, 21), 21, 0, len(targets))
-    assert answer[0] == 1
-    assert links == [(21, 0, None, answer, nodes)]
+    found = setup_search(forbidden.copies, targets.copies, 21)(21, 0, len(targets))
+    assert found[0] == 1
+    assert links == [(21, 0, None, found)]
 
 
 def test_hand_built_instances_take_no_averaging_floor():

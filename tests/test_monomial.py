@@ -1,5 +1,4 @@
 import random
-import sys
 import time
 from math import comb
 
@@ -125,18 +124,18 @@ def _singletons(nvars):
 
 def test_floor_at_or_below_the_minimum_keeps_value_and_witness():
     for copies, targets, nv in _random_instances(29, 40):
-        reference = setup_search(copies, targets, nv)(nv, 0, len(targets))
+        reference = setup_search(copies, targets, nv)(nv, 0, len(targets))[:2]
         for floor in range(-2, reference[0] + 1):
-            assert setup_search(copies, targets, nv)(nv, floor, len(targets)) == reference
+            assert setup_search(copies, targets, nv)(nv, floor, len(targets))[:2] == reference
         reference = min_hitting_set(copies, nv)
         for floor in range(-2, reference[0] + 1):
-            assert setup_search(copies, _singletons(nv), nv)(nv, floor, nv) == reference
+            assert setup_search(copies, _singletons(nv), nv)(nv, floor, nv)[:2] == reference
     # K3 at n = 7: alpha = 21 - 12 = 9
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 7)
     reference = min_hitting_set(fam.copies, 21)
     assert reference[0] == 9
     for floor in range(10):
-        assert setup_search(fam.copies, _singletons(21), 21)(21, floor, 21) == reference
+        assert setup_search(fam.copies, _singletons(21), 21)(21, floor, 21)[:2] == reference
 
 
 def test_variables_as_targets_search_as_their_singleton_list():
@@ -158,25 +157,7 @@ def test_variables_as_targets_search_as_their_singleton_list():
         for cut in range(1, nv + 1):
             minimum = listed(cut, 0, cut)[0]
             for floor in range(-2, minimum + 1):
-                expected = _with_search_nodes(listed, cut, floor, cut)
-                assert _with_search_nodes(unit, cut, floor, cut) == expected, (i, cut, floor)
-
-
-def _with_search_nodes(search, *args):
-    """`search(*args)`'s answer and the number of search nodes it expands."""
-    nodes = 0
-
-    def count(frame, event, arg):
-        nonlocal nodes
-        if event == "call" and frame.f_code.co_name == "dfs":
-            nodes += 1
-
-    sys.setprofile(count)
-    try:
-        answer = search(*args)
-    finally:
-        sys.setprofile(None)
-    return answer, nodes
+                assert unit(cut, floor, cut) == listed(cut, floor, cut), (i, cut, floor)
 
 
 def test_long_pivot_is_walked_in_the_peel_order():
@@ -194,9 +175,9 @@ def test_long_pivot_is_walked_in_the_peel_order():
         ]
         targets = [1 << v for v in range(nvars)]
         targets += [sum(1 << v for v in rng.sample(range(nvars), 2)) for _ in range(40)]
-        found.append(_with_search_nodes(setup_search(copies, targets, nvars), nvars, 0, len(targets)))
+        found.append(setup_search(copies, targets, nvars)(nvars, 0, len(targets)))
     assert found == [
-        ((size, sum(1 << v for v in witness)), nodes)
+        (size, sum(1 << v for v in witness), nodes)
         for size, witness, nodes in [
             (2, (40, 101), 111), (3, (0, 63, 101), 526), (2, (40, 100), 271), (2, (41, 100), 776),
             (2, (43, 103), 292), (2, (41, 101), 239), (3, (20, 80, 100), 340), (2, (40, 100), 921),
@@ -220,12 +201,12 @@ def test_floored_searches_expand_the_recorded_nodes():
     searches.append((setup_search(inst.forbidden.copies, inst.target.copies, 21, 2), 21, len(inst.target)))
     floors = [(8, 10, 12), (4, 6, 8), (5, 7, 9), (20, 23, 24)]
     found = [
-        _with_search_nodes(search, cut, floor, ntargets)
+        search(cut, floor, ntargets)
         for (search, cut, ntargets), row in zip(searches, floors)
         for floor in row
     ]
     assert found == [
-        ((size, sum(1 << v for v in witness)), nodes)
+        (size, sum(1 << v for v in witness), nodes)
         for size, witness, nodes in [
             (10, (0, 1, 5, 6, 9), 67), (10, (0, 1, 5, 6, 9), 64), (12, (1, 2, 3, 4, 5, 7, 12), 26),
             (6, (1, 3, 6, 14, 15), 22), (6, (1, 3, 6, 14, 15), 22), (8, (0, 5, 7, 11), 9),
@@ -258,12 +239,12 @@ def test_forced_targets_keep_the_recorded_answers_and_nodes():
     # the root, so every count, cut and stop is the one recorded when they
     # were counted apart from a search over the other targets
     found = [
-        _with_search_nodes(setup_search(copies, targets, nv), nv, floor, len(targets))
+        setup_search(copies, targets, nv)(nv, floor, len(targets))
         for copies, targets, nv in _planted_instances()
         for floor in (0, 2, 5)
     ]
     assert found == [
-        ((size, sum(1 << v for v in witness)), nodes)
+        (size, sum(1 << v for v in witness), nodes)
         for size, witness, nodes in [
             (5, (0, 6, 10, 11), 35), (5, (0, 6, 10, 11), 35), (5, (0, 6, 10, 11), 27),
             (7, (0, 1, 5, 6, 13, 15), 21), (7, (0, 1, 5, 6, 13, 15), 21), (7, (0, 1, 5, 6, 13, 15), 21),
@@ -286,9 +267,9 @@ def test_all_forced_search_stops_at_its_first_leaf():
     # exponential in n
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 8)
     start = time.perf_counter()
-    answer, nodes = _with_search_nodes(setup_search(fam.copies, fam.copies, 28), 28, 0, len(fam))
+    found = setup_search(fam.copies, fam.copies, 28)(28, 0, len(fam))
     assert time.perf_counter() - start < 0.1
-    assert (answer, nodes) == ((56, (1 << 21) - 1), 22)
+    assert found == (56, (1 << 21) - 1, 22)
 
 
 def test_long_pivot_bans_the_variables_before_each_branch():
@@ -302,16 +283,23 @@ def test_long_pivot_bans_the_variables_before_each_branch():
 
 def test_floor_at_the_minimum_stops_the_search(monkeypatch):
     # K3 at n = 8: 28 variables x 56 copies = 1,568 setup steps; the
-    # floor-free search needs 5,114 nodes, and with the floor at
-    # alpha = 28 - 16 = 12 it stops within 1,568 on the same witness
+    # floor-free search needs 5,114 nodes, as does one floored below
+    # alpha = 28 - 16 = 12, and with the floor at 12 it stops after 350
+    # on the same witness
     fam = enumerate_forbidden_copies(builtin_spec("K3"), 8)
     reference = min_hitting_set(fam.copies, 28)
     assert reference[0] == 12
-    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 1568)
     search = setup_search(fam.copies, _singletons(28), 28)
-    assert search(28, 12, 28) == reference
-    with pytest.raises(ScaleGuardError, match="nodes"):
+    assert search(28, 0, 28) == search(28, 11, 28) == (*reference, 5114)
+    # the cap is checked at the counted node: a budget of the 350 nodes
+    # answers, and one node less refuses
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 350)
+    assert search(28, 12, 28) == (*reference, 350)
+    with pytest.raises(ScaleGuardError, match="exceeds 350 nodes"):
         search(28, 11, 28)
+    monkeypatch.setattr(monomial, "ALPHA_CAP_NODES", 349)
+    with pytest.raises(ScaleGuardError, match="exceeds 349 nodes"):
+        search(28, 12, 28)
 
 
 def test_hitting_set_search_guards(monkeypatch):

@@ -333,6 +333,21 @@ def test_no_unused_imports():
     assert found == []
 
 
+def test_no_interpreter_hooks_measure_work():
+    """Work is read from the counters the kernels return (the search's
+    nodes, the Hilbert count's steps), not by hooking the interpreter: no
+    library or test module calls `sys.setprofile` or `sys.settrace`."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py")) + sorted(TESTS.rglob("*.py"))
+        # only a file that names a hook is parsed
+        if "setprofile" in (text := path.read_text()) or "settrace" in text
+        for node in ast.walk(ast.parse(text, filename=str(path)))
+        if isinstance(node, ast.Call) and _callee(node) in {"setprofile", "settrace"}
+    ]
+    assert found == []
+
+
 PERFBENCH = TESTS.parent / "perfbench"
 
 

@@ -857,27 +857,21 @@ def test_ordered_count_matches_the_recursive_count_from_d_4():
                 assert A.lambda_dim(c, e) == lam(c, e), (n, pairs, c, e)
 
 
-def count_steps(monkeypatch, call):
-    """The steps `call` takes: the least HILBERT_CAP_STEPS it passes under,
-    found by bisection."""
-    def passes(cap):
-        monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", cap)
-        try:
-            call()
-        except ScaleGuardError:
-            return False
-        return True
-
-    low, high = 0, 1
-    while not passes(high):
-        low, high = high, 2 * high
-    while high - low > 1:
-        mid = (low + high) // 2
-        if passes(mid):
-            high = mid
-        else:
-            low = mid
-    return high
+def count_and_steps(monkeypatch, A, d, c=None):
+    """`A._count`'s (value, steps) over the vertices that `A.hilbert(d)`
+    counts, or with c those that `A.lambda_dim(c, d)` counts, after checking
+    that the cap is read at the counted step: a budget of exactly those
+    steps answers, and one step less refuses."""
+    allowed = (2 << A.n) - 2
+    if c is not None:
+        allowed &= ~(1 << c | A._adj[c])
+    value, steps = A._count(allowed, d)
+    monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", steps)
+    assert A._count(allowed, d) == (value, steps)
+    monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", steps - 1)
+    with pytest.raises(ScaleGuardError, match=f"exceeds {steps - 1} steps"):
+        A._count(allowed, d)
+    return value, steps
 
 
 def seeded_quotient(seed, n, density):
@@ -900,7 +894,7 @@ ORDERED_STEPS = [
 def test_ordered_count_takes_the_pinned_steps(monkeypatch, seed, n, density, d, value, steps, label_steps):
     A = seeded_quotient(seed, n, density)
     assert A.hilbert(d) == value
-    assert count_steps(monkeypatch, lambda: A.hilbert(d)) == steps
+    assert count_and_steps(monkeypatch, A, d) == (value, steps)
     if d == 6:
         # the sparse strata are where the order pays
         assert steps < label_steps
@@ -909,7 +903,7 @@ def test_ordered_count_takes_the_pinned_steps(monkeypatch, seed, n, density, d, 
 def test_ordered_lambda_takes_the_pinned_steps(monkeypatch):
     A = seeded_quotient(7, 30, 0.3)
     assert A.lambda_dim(1, 5) == 28
-    assert count_steps(monkeypatch, lambda: A.lambda_dim(1, 5)) == 81 < 104
+    assert count_and_steps(monkeypatch, A, 5, 1) == (28, 81)  # 104 in the lowest-label order
 
 
 def coloured_quotient(seed, n, q, density):
@@ -925,18 +919,18 @@ def coloured_quotient(seed, n, q, density):
 
 
 # counts whose chains end in free blocks, in dead ends and in isolated
-# vertices: (quotient, count, value, steps)
+# vertices: (quotient, c of lambda_dim or None for hilbert, d, value, steps)
 CHAIN_STEPS = [
-    pytest.param(seeded_quotient(8, 60, 0.5), lambda A: A.hilbert(5), 6137, 1385, id="hilbert-60-0.5-d5"),
-    pytest.param(coloured_quotient(9, 40, 4, 0.3), lambda A: A.hilbert(5), 0, 664, id="coloured-40-q4-d5"),
-    pytest.param(seeded_quotient(10, 30, 0.05), lambda A: A.lambda_dim(1, 4), 10637, 20, id="lambda-30-0.05-d4"),
+    pytest.param(seeded_quotient(8, 60, 0.5), None, 5, 6137, 1385, id="hilbert-60-0.5-d5"),
+    pytest.param(coloured_quotient(9, 40, 4, 0.3), None, 5, 0, 664, id="coloured-40-q4-d5"),
+    pytest.param(seeded_quotient(10, 30, 0.05), 1, 4, 10637, 20, id="lambda-30-0.05-d4"),
 ]
 
 
-@pytest.mark.parametrize("A,count,value,steps", CHAIN_STEPS)
-def test_chain_walk_takes_the_pinned_steps(monkeypatch, A, count, value, steps):
-    assert count(A) == value
-    assert count_steps(monkeypatch, lambda: count(A)) == steps
+@pytest.mark.parametrize("A,c,d,value,steps", CHAIN_STEPS)
+def test_chain_walk_takes_the_pinned_steps(monkeypatch, A, c, d, value, steps):
+    assert (A.hilbert(d) if c is None else A.lambda_dim(c, d)) == value
+    assert count_and_steps(monkeypatch, A, d, c) == (value, steps)
 
 
 def test_leaving_out_unpartnered_vertices_keeps_the_order_of_the_rest():
