@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial, isqrt
-from operator import le
+from operator import getitem, le
 from typing import Collection, Iterable, Iterator
 
 from .errors import InputError, ScaleGuardError
@@ -173,6 +173,16 @@ class RGraph:
                 raise InputError(f"edge {sorted(fe)} has vertices outside [1, {n}]")
             es.add(fe)
         object.__setattr__(self, "edges", frozenset(es))
+
+    @classmethod
+    def _from_edges(cls, n: int, r: int, edges: Iterable[Edge]) -> "RGraph":
+        """Wrap edges that are r-sets of [n] as frozensets already, such as
+        an `EdgeRanker`'s: none of __post_init__'s checks are repeated."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "r", r)
+        object.__setattr__(g, "edges", frozenset(edges))
+        return g
 
     @classmethod
     def complete(cls, n: int, r: int) -> "RGraph":
@@ -394,18 +404,41 @@ def place_copies(shapes: tuple[int, Collection], n: int, r: int) -> CopyFamily:
     every k-subset of [n], as colex masks in nondecreasing order; no shape
     gives the empty family.
     ScaleGuardError refuses C(n, k) * (number of shapes) copies times the
-    edges of one shape above COPY_CAP, before any is placed."""
+    edges of one shape above COPY_CAP, before any is placed.
+
+    Rank tables.  On the 0-based k-set c (c[i] = v - 1) a shape's edge, a
+    sorted position tuple (p_1 < ... < p_r), sits at the colex rank
+    C(c[p_1], 1) + ... + C(c[p_r], r).  Tables of C(u, t) for u < n and
+    1 <= t <= r, O(n * r) entries, hold every term, so an edge costs one
+    lookup per position and a sum: no `comb` call, and no C(n, r) table.
+    A graph pattern (r = 2) of at most PEEL_BITS edges, K8 and smaller,
+    ORs in one bit per pair (i, j) of each copy, at C(c[j], 2) + c[i], with
+    no list per copy: every pattern of the `turan` and `star` benchmark
+    passes, which that loop runs about 10% faster (ops/s) than the sums."""
     k, found = shapes
     if not found:
         return CopyFamily(n, r, ())
-    guard_copy_listing(explicit_copy_count(shapes, n), len(next(iter(found))))
+    nedges = len(next(iter(found)))
+    guard_copy_listing(explicit_copy_count(shapes, n), nedges)
     # every position lies in an edge, so a copy's vertex set is the k-set it
     # was placed on: distinct shapes give distinct copies, and a shape listed
     # twice gives each of its copies twice.  A shape's edges are sorted
     # position tuples, so on the 0-based k-set c (c[i] = v - 1) `colex_rank`'s
     # sum needs no sort per copy
+    tables = [[comb(u, t) for u in range(n)] for t in range(1, r + 1)]
+    if r == 2 and nedges <= PEEL_BITS:
+        # past PEEL_BITS bits, OR-ing one at a time is quadratic in the mask
+        closing = tables[1]
+        copies = []
+        for c in itertools.combinations(range(n), k):
+            for shape in found:
+                m = 0
+                for i, j in shape:
+                    m |= 1 << (closing[c[j]] + c[i])
+                copies.append(m)
+        return CopyFamily(n, r, tuple(sorted(copies)))
     copies = [
-        _mask_of([sum(map(comb, map(c.__getitem__, e), itertools.count(1))) for e in shape])
+        _mask_of([sum(map(getitem, tables, map(c.__getitem__, e))) for e in shape])
         for c in itertools.combinations(range(n), k)
         for shape in found
     ]
@@ -513,7 +546,7 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
             room -= 1
 
     walk(0, 0, m, (1 << len(copies)) - 1)
-    return best_size, RGraph(n, spec.r, ranker.unmask(best_mask))
+    return best_size, RGraph._from_edges(n, spec.r, ranker.unmask(best_mask))
 
 
 def _copy_bitsets(copies: Collection[int], m: int) -> tuple[list[int], list[int]]:
@@ -669,7 +702,7 @@ def brute_force_gen_ex(
             idx += 1
 
     walk(0, 0, 0, len(targ), (1 << len(forb)) - 1, (1 << len(targ)) - 1)
-    return best_count, RGraph(n, r, ranker.unmask(best_mask))
+    return best_count, RGraph._from_edges(n, r, ranker.unmask(best_mask))
 
 
 # ---------------------------------------------------------------------------

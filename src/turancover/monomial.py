@@ -157,6 +157,25 @@ def setup_search(
     floor above it may stop on a set that is not optimal.  Uncovered copies
     and unmet targets are bitsets over their indices.
 
+    Packing bound.  With the variables as targets (None), a node first
+    packs the uncovered copies greedily, in sorted order: a copy is packed
+    when none of its allowed variables is met already or allowed in a copy
+    packed before it, and each packed copy drops the copies through its
+    allowed variables.  Every set below the node holds an allowed variable
+    of each packed copy, each unmet and no two the same, so it meets at
+    least the node's count plus the packed copies; a copy with a met allowed
+    variable may be hit for nothing, so it is not packed.  The node is cut
+    as soon as that bound reaches the incumbent, before its pivot is
+    chosen.  The scan stops early once the bound plus the unmet allowed
+    variables that no packed copy holds falls below the incumbent, since
+    each further packed copy with an allowed variable takes one of them:
+    on families of small overlapping copies, such as P3's, the bound
+    rarely cuts, and a full scan would cost more than the nodes it saves.
+    No set below a cut node beats the incumbent, and only a strictly
+    better set replaces it, so the bound keeps the value and witness of
+    the search without it, which walks a superset of its nodes.  Listed
+    and k-set targets build no bound.
+
     Orbit cut.  Given `r`, variable v is the r-set `colex_unrank(v, r)`,
     and the caller promises that the copies and the targets below each cut
     C(m, r) are, as multisets, invariant under every permutation of [m].
@@ -191,6 +210,9 @@ def setup_search(
     if forb[0] == 0:
         raise InputError("empty copy cannot be hit")
     copies_at = _index_sets(forb, nvars)
+    unit = targets is None
+    # each variable's complement row: the copies avoiding it, as a bitset
+    missing_at = [~row for row in copies_at] if unit else None
     # the forced targets, an index bitset: each holds every variable of
     # some copy, so every hitting set meets it
     forced = 0
@@ -240,6 +262,26 @@ def setup_search(
                 best, best_mask = killed, chosen
                 return
             allowed = ~banned
+            if unit:
+                # the packing bound: each packed copy needs its own unmet
+                # variable, so the node is cut once killed + packed >= best;
+                # room: the unmet allowed variables no packed copy holds
+                bound, free = killed, uncovered
+                room = (alive & allowed).bit_count()
+                while free and bound + room >= best:
+                    low = free & -free
+                    free ^= low
+                    avail = forb[low.bit_length() - 1] & allowed
+                    if avail & ~alive:  # a met variable hits it for nothing
+                        continue
+                    bound += 1
+                    if bound >= best:
+                        return
+                    room -= avail.bit_count()
+                    while avail:  # drop the copies through its variables
+                        bit = avail & -avail
+                        avail ^= bit
+                        free &= missing_at[bit.bit_length() - 1]
             whole = uncovered & ~banned_copies
             if whole:
                 pivot = (whole & -whole).bit_length() - 1

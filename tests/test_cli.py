@@ -796,6 +796,18 @@ def test_kill_pairs_convert_as_one_token_at_a_time(tokens):
     assert bulk_pairs(tokens) == per_token_pairs(tokens)
 
 
+# a kill pair's text: numbers 0..9, now and then with a leading zero
+KILL_NUMBER = st.builds(str.__add__, st.sampled_from([""] * 9 + ["0"]), st.integers(0, 9).map(str))
+KILL_PAIR = st.builds("{}{}{}".format, KILL_NUMBER, st.sampled_from(",-"), KILL_NUMBER)
+
+
+@settings(max_examples=300)
+@given(st.lists(KILL_PAIR, max_size=8), st.integers(min_value=-2, max_value=16))
+def test_kill_pairs_convert_through_the_table_of_0_to_n(tokens, n):
+    # the table of the texts of 0..n: hits, leading zeros, and numbers past it
+    assert cli._parse_pairs(tokens, n) == per_token_pairs(tokens)
+
+
 # tokens the bulk conversion rejects: the error is the first bad token's
 REJECTED_KILLS = [["1"], ["1,2,3"], ["x,1"], ["1-"], ["1,2\n3,4"], ["1", "2,3,4"], ["1,2;3,4"], ["1\0-2"]]
 

@@ -323,10 +323,12 @@ def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, tar
     # one setup at n serves every link: each link picks the pivots, expands
     # the nodes and returns the answer of a search set up on its own lists,
     # with the same orbit cut: none below the target's order, where no
-    # target is placed and the instance has no span
+    # target is placed and the instance has no span.  Variables as targets
+    # (None) are searched fresh as None, under the same packing bound
     links = _record_links(monkeypatch)
     for n in range(1, top + 1):
         inst = make_instance(n, builtin_spec(forbid), target and builtin_spec(target))
+        unit = inst.target is None and inst.span in (None, inst.r)
         links.clear()
         alpha_target(inst)
         assert links, n
@@ -334,8 +336,9 @@ def test_each_link_is_a_fresh_search_on_the_lists_below_its_cut(monkeypatch, tar
             assert r == (None if inst.span is None else inst.r)
             below = 1 << cut
             copies = [c for c in inst.forbidden.copies if c < below]
-            targets = [t for t in target_list(inst) if t < below]
-            assert setup_search(copies, targets, cut, r)(cut, floor, len(targets)) == found, (n, cut)
+            targets = None if unit else [t for t in target_list(inst) if t < below]
+            ntargets = cut if unit else len(targets)
+            assert setup_search(copies, targets, cut, r)(cut, floor, ntargets) == found, (n, cut)
 
 
 # ex on four patterns up to n = 8, and the r = 2 pair instances up to n = 9
@@ -347,9 +350,11 @@ UNIT_TARGET_GRID = [
 
 @pytest.mark.parametrize("forbid,top", UNIT_TARGET_GRID)
 def test_variables_as_targets_search_as_their_singleton_list(monkeypatch, forbid, top):
-    # a one-edge target is held as no list (target None); each link of its
-    # chain gives the answer and walks the nodes of the same search set up
-    # on the explicit list of single edges, which builds a target table
+    # a one-edge target is held as no list (target None), and its search
+    # cuts nodes by the packing bound; the same search set up on the
+    # explicit list of single edges builds a target table and no bound.
+    # Bound on and off, each link gives the same answer and witness, and
+    # the bound walks no node that the search without it skips
     links = _record_links(monkeypatch)
     for n in range(1, top + 1):
         inst = make_instance(n, builtin_spec(forbid))
@@ -358,8 +363,8 @@ def test_variables_as_targets_search_as_their_singleton_list(monkeypatch, forbid
         alpha_target(inst)
         nvars = comb(n, inst.r)
         for cut, floor, r, found in links:
-            listed = setup_search(inst.forbidden.copies, target_list(inst), nvars, r)
-            assert listed(cut, floor, cut) == found, (n, cut)
+            listed = setup_search(inst.forbidden.copies, target_list(inst), nvars, r)(cut, floor, cut)
+            assert listed[:2] == found[:2] and found[2] <= listed[2], (n, cut)
 
 
 @pytest.mark.parametrize("r", range(3, 6))
@@ -458,6 +463,18 @@ def test_orbit_cut_that_ignores_the_fixed_vertices_fails_the_grid(monkeypatch):
     # variables fall into one orbit and only its first branch runs
     monkeypatch.setattr(monomial, "_VertexMasks", lambda r: collections.defaultdict(int))
     assert next(_orbit_cut_mismatches(ORBIT_GRID), None) is not None
+
+
+def test_packing_bound_keeps_the_recorded_nodes(monkeypatch):
+    # ex(12, K4) and ex(13, K3): the nodes of each chain, summed over its
+    # links, as recorded with the packing bound; without it the last link
+    # of ex(12, K4) alone walks its tree for seconds
+    links = _record_links(monkeypatch)
+    found = []
+    for n, name in ((12, "K4"), (13, "K3")):
+        links.clear()
+        found.append((ex_via_cover(n, builtin_spec(name))[0], sum(nodes for *_, (_, _, nodes) in links)))
+    assert found == [(48, 5866), (42, 1084)]
 
 
 def test_orbit_cut_fires_on_the_last_link(monkeypatch):

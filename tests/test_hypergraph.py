@@ -329,6 +329,49 @@ def test_copies_match_permutation_enumerator(F):
         assert enumerate_forbidden_copies(F, n) == reference_copies(F, n), n
 
 
+def reference_placement(shapes, n):
+    """The copy masks of `place_copies` by the colex rank formula, edge by
+    edge: on each 0-based k-set c of [n], a shape's edge (p_1 < ... < p_r)
+    has rank C(c[p_1], 1) + ... + C(c[p_r], r)."""
+    k, found = shapes
+    return tuple(sorted(
+        sum(1 << sum(map(comb, map(c.__getitem__, e), itertools.count(1))) for e in shape)
+        for c in itertools.combinations(range(n), k)
+        for shape in found
+    ))
+
+
+# a 3-graph file: K4^(3) minus an edge, whose 4 shapes all have K4's pair
+# shadow, listed once per shape
+K4_MINUS_EDGE_3_FILE = "4 3\n1 2 3\n1 2 4\n1 3 4\n"
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [_shapes(builtin_spec(name)) for name in ("K2", "K3", "K4", "K5", "P3", "C4")]
+    + [(4, {shape}) for shape in _shapes(builtin_spec("C4"))[1]]
+    + [_shapes(parse_hypergraph(K4_MINUS_EDGE_3_FILE))]
+    + [hypergraph.pair_shadows(_shapes(parse_hypergraph(K4_MINUS_EDGE_3_FILE)))]
+    + [hypergraph.complete_shape(k, r) for r in range(2, 5) for k in range(r, 7)]
+    + [hypergraph.complete_shape(k, 2) for k in (9, 10)]
+    + [hypergraph.complete_shape(k, 1) for k in (1, 3)],
+    ids=[
+        "K2", "K3", "K4", "K5", "P3", "C4", "C4_shape_a", "C4_shape_b", "C4_shape_c",
+        "k4_minus_edge_3_file", "its_pair_shadows",
+        *(f"complete_{k}_{r}" for r in range(2, 5) for k in range(r, 7)),
+        "K9", "K10", "complete_1_1", "complete_3_1",
+    ],
+)
+def test_placed_copies_match_the_rank_formula(shapes):
+    # the rank tables against the formula, on complete and other shapes,
+    # one or several, shadows listed twice, for r = 1..4: graph patterns up
+    # to K8 take the loop over pairs, K9 and K10 (36 and 45 edges) and every
+    # r != 2 shape take the sums
+    r = len(next(iter(shapes[1]))[0])
+    for n in range(11):
+        assert hypergraph.place_copies(shapes, n, r).copies == reference_placement(shapes, n), n
+
+
 def test_copies_of_asymmetric_pattern_are_all_labellings():
     F = parse_hypergraph(ASYMMETRIC_3GRAPH)
     assert len(enumerate_forbidden_copies(F, 7)) == comb(7, 6) * factorial(6)

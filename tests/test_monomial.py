@@ -139,11 +139,12 @@ def test_floor_at_or_below_the_minimum_keeps_value_and_witness():
 
 
 def test_variables_as_targets_search_as_their_singleton_list():
-    # targets None, the variables themselves, against the same search on
-    # the explicit list of nvars singletons, which builds a target table:
-    # random families, half of them with one-variable copies (forced
-    # targets), give the same answer after the same nodes at every cut and
-    # every floor from -2 to the minimum
+    # targets None, the variables themselves, cut by the packing bound,
+    # against the same search on the explicit list of nvars singletons,
+    # which builds a target table and no bound: random families, half of
+    # them with one-variable copies (forced targets), give the same answer
+    # and witness, the bound walking no more nodes, at every cut and every
+    # floor from -2 to the minimum
     rng = random.Random(39)
     for i in range(60):
         nv = rng.randint(3, 12)
@@ -157,7 +158,8 @@ def test_variables_as_targets_search_as_their_singleton_list():
         for cut in range(1, nv + 1):
             minimum = listed(cut, 0, cut)[0]
             for floor in range(-2, minimum + 1):
-                assert unit(cut, floor, cut) == listed(cut, floor, cut), (i, cut, floor)
+                bound, plain = unit(cut, floor, cut), listed(cut, floor, cut)
+                assert bound[:2] == plain[:2] and bound[2] <= plain[2], (i, cut, floor)
 
 
 def test_long_pivot_is_walked_in_the_peel_order():

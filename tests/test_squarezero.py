@@ -3,6 +3,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -647,12 +648,27 @@ def test_clone_refuses_what_is_not_a_pair_of_parallel_classes():
         (frozenset({3}), "bad kill pair [3]"),
         # two distinct entries, but three in all: not a pair
         ((1, 2, 2), "bad kill pair [1, 2, 2]"),
+        # vertices far outside [n], refused before any shift builds them
+        ((1, 10**12), "bad kill pair [1, 1000000000000]"),
+        ((-(10**12), 2), "bad kill pair [-1000000000000, 2]"),
     ],
 )
 def test_constructor_rejects_bad_kill_pairs(pair, message):
     with pytest.raises(InputError) as excinfo:
         SquareZeroQuotient(4, [(1, 2), pair])
     assert str(excinfo.value) == message
+
+
+def test_far_vertex_is_refused_before_its_bit_is_built():
+    # 1 << 2**30 would take 128 MiB; the refusal allocates next to nothing
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="bad kill pair"):
+            SquareZeroQuotient(4, [(1, 2), (1, 2**30)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------
