@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -117,28 +116,9 @@ def _resolve_spec(token: str) -> FamilySpec:
     return builtin_spec(token)
 
 
-# one or more a,b pairs of ASCII integers joined by ";", which no token
-# that parses as a pair can hold
-_PAIR_TEXT = re.compile(r"[0-9]+,[0-9]+(?:;[0-9]+,[0-9]+)*")
-
-
-def _parse_pairs(tokens: list[str], n: int = 0) -> list[tuple[int, int]]:
-    """Kill pairs from tokens like 1,2 or 1-2.  Plain ASCII pairs are
-    converted in bulk: looked up in a table of the texts of 0..n, capped
-    at one entry per number given, or by `int` when one is not in it;
-    anything else takes the per-token loop, which raises on the first
-    token that is not a pair.  A table over the numbers given alone would
-    cost one `str` per number, as much as the `int` calls it saves."""
-    text = ";".join(tokens).replace("-", ",")
-    if text.count(";") == len(tokens) - 1 and _PAIR_TEXT.fullmatch(text):
-        parts = text.replace(";", ",").split(",")
-        table = {str(i): i for i in range(min(n, len(parts)) + 1)}
-        try:
-            numbers = list(map(table.__getitem__, parts))
-        except KeyError:  # a leading zero, or a number above the table
-            numbers = list(map(int, parts))
-        values = iter(numbers)
-        return list(zip(values, values))
+def _parse_pairs(tokens: list[str]) -> list[tuple[int, int]]:
+    """Kill pairs from tokens like 1,2 or 1-2, one token at a time; raises
+    on the first token that is not a pair."""
     pairs = []
     for tok in tokens:
         parts = tok.replace("-", ",").split(",")
@@ -146,6 +126,56 @@ def _parse_pairs(tokens: list[str], n: int = 0) -> list[tuple[int, int]]:
             raise InputError(f"kill pair {tok!r} is not of the form a,b")
         pairs.append((int(parts[0]), int(parts[1])))
     return pairs
+
+
+class _VertexTable(dict):
+    """The texts of 0..k mapped to their numbers, k capped at n.  A text
+    not in the table is read by `int`; one that is no vertex of [n] (an
+    empty text, or a number past n) reads as 0, before any bit is built.
+    A table over the numbers given alone would cost one `str` per number,
+    as much as the `int` calls it saves."""
+
+    n: int
+
+    def __missing__(self, text: str) -> int:
+        try:
+            v = int(text)
+        except ValueError:  # empty, or past int's digit limit
+            return 0
+        return v if v <= self.n else 0
+
+
+def _kill_masks(tokens: list[str], n: int) -> list[int] | None:
+    """The adjacency masks on [n] of a regular kill list, built in one pass:
+    numbers are read from a `_VertexTable`, and each pair sets its two
+    bits.  Regular means ASCII a,b tokens: with the digits taken out, the
+    joined text reads ",;,;...,", which one C-level `translate` tests.
+    None for any other list, and for a pair with a zero, a self pair or a
+    number that is no vertex."""
+    text = ";".join(tokens)
+    if not text.isascii() or text.encode().translate(None, b"0123456789") != b",;" * (len(tokens) - 1) + b",":
+        return None
+    parts = text.replace(";", ",").split(",")
+    table = _VertexTable({str(i): i for i in range(min(n, len(parts)) + 1)})
+    table.n = n
+    values = map(table.__getitem__, parts)
+    adj = [0] * (n + 1)
+    for a, b in zip(values, values):
+        if a == b or not a or not b:
+            return None
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _kill_quotient(tokens: list[str], n: int) -> SquareZeroQuotient:
+    """The quotient on [n] killing the pairs of `tokens`: straight from
+    `_kill_masks` when the list is regular, else through `_parse_pairs`
+    and the checked constructor, so every refusal keeps its message."""
+    adj = _kill_masks(tokens, n)
+    if adj is None:
+        return SquareZeroQuotient(n, _parse_pairs(tokens))
+    return SquareZeroQuotient._from_adj(n, adj)
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +226,14 @@ def cmd_gen_ex(args) -> tuple[RunReport, int]:
 
 
 def cmd_hilbert(args) -> tuple[RunReport, int]:
-    A = SquareZeroQuotient(args.n, _parse_pairs(args.kill, args.n))
+    A = _kill_quotient(args.kill, args.n)
     result = {"value": A.hilbert(args.d)}
     params = {"n": args.n, "d": args.d, "kill": args.kill}
     return RunReport("hilbert", params, result), EXIT_OK
 
 
 def cmd_symmetrize(args) -> tuple[RunReport, int]:
-    A = SquareZeroQuotient(args.n, _parse_pairs(args.kill, args.n))
+    A = _kill_quotient(args.kill, args.n)
     terminal, trace = symmetrize(A, args.q, args.r)
     sizes = terminal_class_sizes(terminal)
     if trace:

@@ -641,6 +641,22 @@ def _has_clique(adj: list[int], cand: int, k: int) -> bool:
     return False
 
 
+def _free_copies(forb: Collection[int], avoiding: list[int], k: int) -> int:
+    """The bitset of the k copies of an `avoiding` table from
+    `_copy_bitsets` that hold no edge mask of `forb`.  The copies through
+    every edge of a forbidden copy are the AND of their through-edge
+    bitsets over its edges."""
+    free = (1 << k) - 1
+    for f in forb:
+        through = free
+        while f and through:
+            low = f & -f
+            f ^= low
+            through &= ~avoiding[low.bit_length() - 1]
+        free ^= through
+    return free
+
+
 def check_target_spec(target_spec: FamilySpec, forbid_spec: FamilySpec) -> None:
     """InputError unless the target of ex(n, T, F) is an explicit pattern of
     F's uniformity with an edge.  A core-pair target family would count
@@ -668,19 +684,16 @@ def brute_force_gen_ex(
     kills the live ones through it.  A node is cut unless `alive`, the
     copies done plus those still live, beats the incumbent.  A target copy
     holding a forbidden copy of an explicit F is in no free graph, so it is
-    dropped before the walk."""
+    left out of the walk's live set from the start (`_free_copies`)."""
     check_target_spec(target_spec, forbid_spec)
     r = forbid_spec.r
     m = _oracle_edges(n, r)
     ranker = EdgeRanker(n, r)
     forb, add, remove = _freeness_test(forbid_spec, n, ranker)
-    targ = [
-        t
-        for t in enumerate_forbidden_copies(target_spec, n).copies
-        if not any(f & t == f for f in forb)
-    ]
+    targ = enumerate_forbidden_copies(target_spec, n).copies
     ending, avoiding = _copy_bitsets(forb, m)
     t_end, t_avoiding = _copy_bitsets(targ, m)
+    tfree = _free_copies(forb, t_avoiding, len(targ))
     best_count, best_mask = -1, 0
 
     def walk(idx: int, chosen: int, done: int, alive: int, live: int, tlive: int) -> None:
@@ -701,7 +714,7 @@ def brute_force_gen_ex(
             live &= avoiding[idx]
             idx += 1
 
-    walk(0, 0, 0, len(targ), (1 << len(forb)) - 1, (1 << len(targ)) - 1)
+    walk(0, 0, 0, tfree.bit_count(), (1 << len(forb)) - 1, tfree)
     return best_count, RGraph._from_edges(n, r, ranker.unmask(best_mask))
 
 

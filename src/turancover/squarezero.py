@@ -5,17 +5,20 @@ pairs whose product vanishes (all squares vanish implicitly).  The degree-d
 Hilbert value counts d-subsets of [n] containing no kill pair, so everything
 here is exact combinatorial counting on the kill graph.
 
-The kill graph is kept as one adjacency bitmask per variable, and every
-step works on those masks: the Hilbert count is an iterative branching over
-vertex masks, in smallest-last order of the non-kill graph (most kill
-partners first, only the vertices that have one), with closed forms for
-d <= 3 and binomial blocks of free vertices, under a step budget
-(HILBERT_CAP_STEPS); each chain of "avoid the next vertex" branches is
-walked in place, and its d = 3 children are counted where they are made,
-each in one pass over its vertices; parallel classes are
-grouped by closed-neighbourhood mask, once per quotient, and
-symmetrization picks its clone pair from the class representatives alone; a
-clone step rewrites only the masks it changes.
+The kill graph is kept as one adjacency bitmask per variable, and the
+Hilbert count works on those masks: an iterative branching over vertex
+masks, in smallest-last order of the non-kill graph (most kill partners
+first, only the vertices that have one), with closed forms for d <= 3 and
+binomial blocks of free vertices, under a step budget (HILBERT_CAP_STEPS);
+each chain of "avoid the next vertex" branches is walked in place, and its
+d = 3 children are counted where they are made, each in one pass over its
+vertices.  Parallel classes are grouped by closed-neighbourhood mask, once
+per quotient, into a class dictionary: closed kill-neighbourhood key ->
+class mask.  Symmetrization runs its steps on that dictionary alone,
+grouped once per call: the clone pair comes from the class
+representatives, lambda at degree <= 2 from class sizes and keys, and a
+clone rewrites the keys.  Vertex masks are built once, for the terminal
+quotient.
 
 Symmetrization counts the degree-r Hilbert value once before its first
 clone and carries it through the steps by the cloning ledger: cloning class
@@ -121,12 +124,13 @@ class SquareZeroQuotient:
         object.__setattr__(self, "_classes", None)
 
     @classmethod
-    def _from_adj(cls, n: int, adj) -> "SquareZeroQuotient":
-        """A quotient on [n] with the given (symmetric, loop-free) masks."""
+    def _from_adj(cls, n: int, adj, classes: dict[int, int] | None = None) -> "SquareZeroQuotient":
+        """A quotient on [n] with the given (symmetric, loop-free) masks, and
+        its class dictionary when the caller already has it."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(adj))
-        object.__setattr__(self, "_classes", None)
+        object.__setattr__(self, "_classes", classes)
         return self
 
     def __repr__(self):
@@ -324,29 +328,6 @@ class SquareZeroQuotient:
         }
         return ParallelPartition(classes, zero_between)
 
-    def first_zero_product_pair(self):
-        """The pair (C, D) of distinct parallel classes with all cross
-        products zero and the smallest (C[0], D[0]), or None when there is
-        none.  It is the least zero flag of `parallel_classes`, found from
-        the class representatives alone: the first representative u with a
-        kill partner among the later representatives, and the first such
-        partner."""
-        adj = self._adj
-        classes = self._class_masks()
-        reps = 0
-        for mask in classes.values():
-            reps |= mask & -mask
-        while reps:
-            low = reps & -reps
-            reps ^= low
-            u = low.bit_length() - 1
-            # reps now holds the representatives after u
-            hit = adj[u] & reps
-            if hit:
-                v = (hit & -hit).bit_length() - 1
-                return tuple(_bits(classes[adj[u] | low])), tuple(_bits(classes[adj[v] | (1 << v)]))
-        return None
-
     def lambda_dim(self, c: int, d: int) -> int:
         """dim of x_c * (degree-d piece): standard d-subsets avoiding c and
         all kill partners of c."""
@@ -365,8 +346,8 @@ class SquareZeroQuotient:
         Both must be distinct parallel classes with all cross products zero.
         Afterwards all pairs inside source+target are killed, target inherits
         source's external kill relations, and everything else is unchanged.
-        Only the masks of source, target and their external neighbours are
-        rewritten.
+        The class keys are rewritten by `_clone_classes`, symmetrize's
+        cloning rule, and the masks are built from the new keys.
         """
         S = tuple(sorted(source))
         T = tuple(sorted(target))
@@ -375,30 +356,20 @@ class SquareZeroQuotient:
         # a repeated vertex carries in the sum, so its popcount falls short
         s_mask = sum(1 << v for v in S)
         t_mask = sum(1 << v for v in T)
-        classes = self._class_masks().values()
+        classes = self._class_masks()
+        s_key = self._adj[S[0]] | 1 << S[0]
+        t_key = self._adj[T[0]] | 1 << T[0]
         if (
             s_mask.bit_count() != len(S)
             or t_mask.bit_count() != len(T)
-            or s_mask not in classes
-            or t_mask not in classes
+            or classes[s_key] != s_mask
+            or classes[t_key] != t_mask
             or s_mask == t_mask
         ):
             raise InputError("clone needs two distinct parallel classes")
-        if not self.killed(S[0], T[0]):
+        if not s_key & t_mask:
             raise InputError("clone needs zero products between the classes")
-        adj = list(self._adj)
-        inside = s_mask | t_mask
-        external = self._adj[S[0]] & ~inside
-        # target's old external neighbours lose it; source's gain it
-        scan = (self._adj[T[0]] & ~inside) | external
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            z = low.bit_length() - 1
-            adj[z] = adj[z] & ~t_mask | (t_mask if external & low else 0)
-        for v in S + T:
-            adj[v] = (inside ^ (1 << v)) | external
-        return SquareZeroQuotient._from_adj(self.n, adj)
+        return SquareZeroQuotient._from_adj(self.n, _key_adj(self.n, _clone_classes(classes, s_key, t_key)))
 
 
 def _group_classes(adj) -> dict[int, int]:
@@ -409,6 +380,70 @@ def _group_classes(adj) -> dict[int, int]:
         closed = adj[v] | (1 << v)
         classes[closed] = classes.get(closed, 0) | (1 << v)
     return classes
+
+
+def _key_adj(n: int, classes: dict[int, int]) -> list[int]:
+    """The adjacency masks (index 0 unused) of the quotient on [n] with the
+    class dictionary `classes`: each vertex's kill partners are its class
+    key without itself."""
+    adj = [0] * (n + 1)
+    for key, mask in classes.items():
+        for v in _bits(mask):
+            adj[v] = key ^ 1 << v
+    return adj
+
+
+def _first_killed_pair(classes: dict[int, int]) -> tuple[int, int] | None:
+    """The keys (of C, of D) of the distinct parallel classes with all cross
+    products zero and the smallest (C[0], D[0]), or None when there is none:
+    the first representative with a killed later representative, and the
+    first such one.  `classes` is in order of first variables."""
+    reps = {mask & -mask: key for key, mask in classes.items()}
+    later = sum(reps)
+    for low, key in reps.items():
+        later ^= low  # the representatives after this one
+        hit = key & later
+        if hit:
+            return key, reps[hit & -hit]
+    return None
+
+
+def _class_lambda(n: int, classes: dict[int, int], key: int, d: int) -> int:
+    """`lambda_dim(c, d)` for the variables c of the class with key `key`:
+    the standard d-subsets of allowed = [n] minus key.  allowed is a union
+    of classes, since parallel variables agree on c.  For d = 1 that is
+    popcount(allowed); for d = 2, C(m, 2) less the kill pairs inside
+    allowed, half the sum over the classes X in it of
+    |X| (|key(X) & allowed| - 1); for d >= 3, the count on masks built
+    from the keys."""
+    allowed = ((2 << n) - 2) & ~key
+    if d <= 1:
+        return allowed.bit_count() if d else 1
+    if d == 2:
+        twice_e = 0
+        for k, mask in classes.items():
+            if mask & allowed:
+                twice_e += mask.bit_count() * ((k & allowed).bit_count() - 1)
+        return comb(allowed.bit_count(), 2) - twice_e // 2
+    return SquareZeroQuotient._from_adj(n, _key_adj(n, classes))._count(allowed, d)[0]
+
+
+def _clone_classes(classes: dict[int, int], source_key: int, target_key: int) -> dict[int, int]:
+    """The class dictionary after cloning the class with key `target_key`
+    onto the one with key `source_key`, two classes killed together.  S + T
+    gets key(S); every other key k becomes k & ~T | (T if k & S else 0), as
+    T's old external partners lose it and S's gain it; and classes whose
+    keys then collide merge.  Each merged class takes the place of its
+    first member, so the order by first variable holds."""
+    s_mask, t_mask = classes[source_key], classes[target_key]
+    cloned: dict[int, int] = {}
+    for key, mask in classes.items():
+        if key == target_key:
+            key = source_key
+        else:
+            key = key & ~t_mask | (t_mask if key & s_mask else 0)
+        cloned[key] = cloned.get(key, 0) | mask
+    return cloned
 
 
 def _kill_order(adj, allowed: int) -> list[int]:
@@ -522,12 +557,15 @@ def symmetrize(
     kill graph is a disjoint union of class cliques.
 
     Requires r >= 1 and top_vanishing(A, q), else InputError, before any
-    count.  Each step takes the zero-product class
-    pair with the smallest (first vertex, first vertex), read by
-    `first_zero_product_pair`, and clones the class
-    with the larger lambda(r-1) onto the other (ties: the class with the
-    smaller first vertex is the source), so the degree-r Hilbert value never
-    decreases; the class count strictly drops, so at most n-1 steps occur.
+    count.  The steps run on A's class dictionary (closed kill-neighbourhood
+    key -> class mask), grouped once per call.  Each step takes the
+    zero-product class pair with the smallest (first vertex, first vertex)
+    (`_first_killed_pair`), and clones the class with the larger lambda(r-1)
+    (`_class_lambda`) onto the other (ties: the class with the smaller first
+    vertex is the source) by rewriting the keys (`_clone_classes`), so the
+    degree-r Hilbert value never decreases; the class count strictly drops,
+    so at most n-1 steps occur.  Vertex masks are built once, for the
+    terminal quotient, which carries its classes.
 
     Step values come from the cloning ledger: h_r is counted once, before
     the first clone, and each step's `hilbert_after` is its `hilbert_before`
@@ -542,41 +580,42 @@ def symmetrize(
         raise InputError(f"need r >= 1, got r={r}")
     if not A.top_vanishing(q):
         raise InputError("symmetrize requires a vanishing degree-(q+1) piece")
+    n = A.n
+    classes = A._class_masks()
     trace: list[dict] = []
-    current = A
     h = None
-    while True:
-        pair = current.first_zero_product_pair()
-        if pair is None:
-            break
-        U, V = pair
-        lu = current.lambda_dim(U[0], r - 1)
-        lv = current.lambda_dim(V[0], r - 1)
+    while pair := _first_killed_pair(classes):
+        ku, kv = pair
+        lu = _class_lambda(n, classes, ku, r - 1)
+        lv = _class_lambda(n, classes, kv, r - 1)
         # a tie keeps U, whose first vertex is the smaller, as the source
-        source, target = (V, U) if lv > lu else (U, V)
-        before = current.hilbert(r) if h is None else h
-        current = current.clone(source, target)
-        h = before + len(target) * abs(lu - lv)
+        source, target = (kv, ku) if lv > lu else (ku, kv)
+        before = A.hilbert(r) if h is None else h
+        h = before + classes[target].bit_count() * abs(lu - lv)
         trace.append(
             {
-                "source": list(source),
-                "target": list(target),
+                "source": _bits(classes[source]),
+                "target": _bits(classes[target]),
                 "lambda_source": max(lu, lv),
                 "lambda_target": min(lu, lv),
                 "hilbert_before": before,
                 "hilbert_after": h,
             }
         )
-    if trace:
-        counted = current.hilbert(r)
-        if counted != h:
-            raise ClaimCheckError(f"terminal h_{r} = {counted}, cloning ledger gives {h}")
-    return current, trace
+        classes = _clone_classes(classes, source, target)
+    if not trace:
+        return A, trace
+    terminal = SquareZeroQuotient._from_adj(n, _key_adj(n, classes), classes)
+    counted = terminal.hilbert(r)
+    if counted != h:
+        raise ClaimCheckError(f"terminal h_{r} = {counted}, cloning ledger gives {h}")
+    return terminal, trace
 
 
 def terminal_class_sizes(B: SquareZeroQuotient) -> list[int]:
     """Class sizes of a terminal quotient (kill graph = within-class pairs):
-    the popcounts of its parallel-class masks."""
+    the popcounts of its parallel-class masks, which a quotient from
+    `symmetrize` carries."""
     return sorted((mask.bit_count() for mask in B._class_masks().values()), reverse=True)
 
 

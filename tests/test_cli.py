@@ -9,13 +9,14 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import asdict
 from datetime import timedelta
 from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from turancover import cli, dictionary, hypergraph, squarezero
@@ -801,11 +802,27 @@ KILL_NUMBER = st.builds(str.__add__, st.sampled_from([""] * 9 + ["0"]), st.integ
 KILL_PAIR = st.builds("{}{}{}".format, KILL_NUMBER, st.sampled_from(",-"), KILL_NUMBER)
 
 
+def kill_outcome(build, tokens, n):
+    """The quotient `build` makes on [n] from the kill tokens, or the text
+    of its error."""
+    try:
+        return build(tokens, n)
+    except (InputError, ValueError) as exc:
+        return str(exc)
+
+
+def per_token_quotient(tokens, n):
+    pairs = per_token_pairs(tokens)
+    if isinstance(pairs, str):
+        raise InputError(pairs)
+    return squarezero.SquareZeroQuotient(n, pairs)
+
+
 @settings(max_examples=300)
 @given(st.lists(KILL_PAIR, max_size=8), st.integers(min_value=-2, max_value=16))
 def test_kill_pairs_convert_through_the_table_of_0_to_n(tokens, n):
     # the table of the texts of 0..n: hits, leading zeros, and numbers past it
-    assert cli._parse_pairs(tokens, n) == per_token_pairs(tokens)
+    assert kill_outcome(cli._kill_quotient, tokens, n) == kill_outcome(per_token_quotient, tokens, n)
 
 
 # tokens the bulk conversion rejects: the error is the first bad token's
@@ -820,6 +837,73 @@ def test_rejected_kill_tokens_match_the_full_parser(monkeypatch):
     for argv, got in zip(argvs, seen):
         assert got == cli_outcome(argv), argv
     assert {code for code, _, _ in seen} == {EXIT_BAD_INPUT}
+
+
+# kill tokens for the mask build: numbers 0..12, now and then with a leading
+# zero, joined by "," or "-"; self pairs and numbers past n come up often,
+# and now and then a token that is not a pair of ASCII numbers
+MASK_NUMBER = st.builds(str.__add__, st.sampled_from([""] * 5 + ["0"]), st.integers(0, 12).map(str))
+MASK_PAIR = st.builds("{}{}{}".format, MASK_NUMBER, st.sampled_from([","] * 4 + ["-"]), MASK_NUMBER)
+ODD_TOKEN = st.sampled_from([",2", "1,", "", "1", "1,2,3", "x,1", "1;2,3", "\uff11,2", " 1,2"])
+# half the lists are plain a,b tokens, which the masks are built from
+KILL_LISTS = st.one_of(
+    st.lists(st.builds("{},{}".format, st.integers(0, 12), st.integers(0, 12)), max_size=10),
+    st.lists(st.one_of(*[MASK_PAIR] * 9, ODD_TOKEN), max_size=10),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(KILL_LISTS, st.integers(min_value=-2, max_value=16))
+@example([], 5)
+@example(["1,2", "3,4"], 4)
+@example(["1,2", "2,2"], 4)
+@example(["0,1"], 3)
+@example(["1,2", "2,0"], 4)
+@example(["1,2", "2,07"], 7)
+@example(["1,16"], 16)
+@example([",2"], 3)
+@example(["3,4", "1,"], 4)
+def test_kill_tokens_give_the_per_token_quotient(tokens, n):
+    # main counts on the quotient that the checked constructor builds from
+    # the pairs read one token at a time, or refuses with its message
+    seen = []
+    hilbert = squarezero.SquareZeroQuotient.hilbert
+
+    def recorded(self, d):
+        seen.append(self)
+        return hilbert(self, d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(squarezero.SquareZeroQuotient, "hilbert", recorded)
+        code, out, err = cli_outcome(["hilbert", "--n", str(n), "--d", "1", "--kill", *tokens])
+    try:
+        want = per_token_quotient(tokens, n)
+    except InputError as exc:
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", json.dumps({"error": "bad input", "message": str(exc)}) + "\n")
+        assert seen == []
+    else:
+        assert code == EXIT_OK and err == ""
+        assert seen == [want]
+        masks = cli._kill_masks(tokens, n)
+        assert masks is None or tuple(masks) == want._adj
+    if tokens in (["1,2", "3,4"], ["1,16"], ["1,2", "2,07"]):
+        # plain lists are built as masks, with numbers past the table of
+        # 0..(number of parts) and leading zeros read by int
+        assert cli._kill_masks(tokens, n) is not None
+
+
+def test_far_kill_vertex_is_refused_by_main_before_its_bit_is_built():
+    # 1 << 2**30 would take 128 MiB; the refusal allocates next to nothing
+    argv = ["hilbert", "--n", "5", "--d", "2", "--kill", "1,1073741824"]
+    tracemalloc.start()
+    try:
+        code, out, err = cli_outcome(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert json.loads(err) == {"error": "bad input", "message": "bad kill pair [1, 1073741824]"}
+    assert peak < 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -770,19 +770,18 @@ def test_gen_ex_oracle_matches_target_scan(n, t, f):
 
 def test_gen_ex_oracle_walks_no_target_holding_a_forbidden_copy(monkeypatch):
     # a target copy holding a forbidden copy lies in no free graph, so it is
-    # dropped before the walk: every K3 holds a K3 and every K4 a C4, while
-    # no K3 holds a C4 and no C4 a K3.  The oracle builds its forbidden
-    # bitsets first and its target bitsets last
-    listed = []
-    bitsets = hypergraph._copy_bitsets
+    # left out of the walk's live copies: every K3 holds a K3 and every K4 a
+    # C4, while no K3 holds a C4 and no C4 a K3
+    live = []
+    free_copies = hypergraph._free_copies
     monkeypatch.setattr(
-        hypergraph, "_copy_bitsets", lambda copies, m: listed.append(len(copies)) or bitsets(copies, m)
+        hypergraph, "_free_copies", lambda *args: live.append(free_copies(*args).bit_count()) or free_copies(*args)
     )
     for t, f, walked, value in [
         ("K3", "K3", 0, 0), ("K4", "C4", 0, 0), ("K3", "C4", 20, 2), ("C4", "K3", 45, 9),
     ]:
         assert brute_force_gen_ex(6, builtin_spec(t), builtin_spec(f))[0] == value
-        assert listed[-1] == walked
+        assert live[-1] == walked
 
 
 # the rest-mask walk the oracles took before their bookkeeping moved onto

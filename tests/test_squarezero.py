@@ -746,11 +746,15 @@ def tied_grid_quotients():
 
 
 def test_first_zero_product_pair_is_the_least_zero_flag():
+    # symmetrize's pair rule, read from the class keys
     for n, pairs in itertools.chain(grid_quotients(), tied_grid_quotients()):
         A = SquareZeroQuotient(n, pairs)
         zero = [pair for pair, flag in A.parallel_classes().zero_between.items() if flag]
         want = min(zero, key=lambda pair: (pair[0][0], pair[1][0])) if zero else None
-        assert A.first_zero_product_pair() == want, (n, sorted(map(sorted, pairs)))
+        classes = A._class_masks()
+        keys = squarezero._first_killed_pair(classes)
+        got = keys and tuple(tuple(squarezero._bits(classes[key])) for key in keys)
+        assert got == want, (n, sorted(map(sorted, pairs)))
 
 
 def test_symmetrize_direct_pick_matches_the_pair_set_loop_with_ties():
@@ -767,6 +771,91 @@ def test_symmetrize_direct_pick_matches_the_pair_set_loop_with_ties():
         steps += len(trace)
         ties += sum(s["lambda_source"] == s["lambda_target"] for s in trace)
     assert steps > 50 and ties > 10
+
+
+# ---------------------------------------------------------------------------
+# symmetrize on class keys against the loop over vertex masks it replaced
+
+
+def clone_loop_symmetrize(A, q, r):
+    """The loop over vertex masks: each step regroups the quotient, takes
+    the least zero flag of `parallel_classes` as its pair, reads lambda by
+    `lambda_dim` and clones by `clone`.  (terminal quotient, trace)."""
+    assert A.top_vanishing(q)
+    trace, current, h = [], A, None
+    while True:
+        zero = [pair for pair, flag in current.parallel_classes().zero_between.items() if flag]
+        if not zero:
+            break
+        U, V = min(zero, key=lambda pair: (pair[0][0], pair[1][0]))
+        lu, lv = current.lambda_dim(U[0], r - 1), current.lambda_dim(V[0], r - 1)
+        source, target = (V, U) if lv > lu else (U, V)
+        before = current.hilbert(r) if h is None else h
+        current = current.clone(source, target)
+        h = before + len(target) * abs(lu - lv)
+        trace.append(
+            {
+                "source": list(source),
+                "target": list(target),
+                "lambda_source": max(lu, lv),
+                "lambda_target": min(lu, lv),
+                "hilbert_before": before,
+                "hilbert_after": h,
+            }
+        )
+    assert current.hilbert(r) == h or not trace
+    return current, trace
+
+
+# the benchmark's symmetrize strata: (n, q, cross-class kill density)
+SYMMETRIZE_SHAPES = [(20, 4, 0.3), (30, 5, 0.3), (40, 4, 0.3), (40, 8, 0.5)]
+
+
+def symmetrize_cases():
+    """(quotient, q): the grid, at its largest nonzero degree, and coloured
+    quotients of the benchmark's shapes, at their colour count."""
+    for n, pairs in grid_quotients():
+        A = SquareZeroQuotient(n, pairs)
+        yield A, max(d for d in range(n + 1) if A.hilbert(d) > 0)
+    for n, q, density in SYMMETRIZE_SHAPES:
+        for seed in range(3):
+            yield coloured_quotient(seed, n, q, density), q
+
+
+def test_symmetrize_on_class_keys_is_the_clone_loop():
+    steps = 0
+    for A, q in symmetrize_cases():
+        for r in range(1, 5):
+            want = clone_loop_symmetrize(A, q, r)
+            terminal, trace = symmetrize(A, q, r)
+            assert trace == want[1], (A, q, r)
+            assert terminal == want[0], (A, q, r)
+            # the carried classes are the terminal masks' own grouping
+            assert terminal._class_masks() == squarezero._group_classes(terminal._adj)
+            steps += len(trace)
+    assert steps > 1000
+
+
+def test_a_lambda_tie_keeps_the_first_class_as_the_source():
+    # the kill 4-cycle: classes (1) and (2) are killed together, and each
+    # has one variable outside its closed neighbourhood
+    A = SquareZeroQuotient(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+    terminal, trace = symmetrize(A, 2, 2)
+    assert trace[0]["source"] == [1] and trace[0]["target"] == [2]
+    assert trace[0]["lambda_source"] == trace[0]["lambda_target"] == 1
+    assert (terminal, trace) == clone_loop_symmetrize(A, 2, 2)
+
+
+def test_class_lambda_is_lambda_dim_on_every_representative():
+    checked = 0
+    for A, _ in symmetrize_cases():
+        classes = A._class_masks()
+        for key, mask in classes.items():
+            c = (mask & -mask).bit_length() - 1
+            for d in range(4):
+                assert squarezero._class_lambda(A.n, classes, key, d) == A.lambda_dim(c, d), (A, c, d)
+                checked += 1
+    assert checked > 5000
 
 
 # ---------------------------------------------------------------------------
@@ -799,8 +888,9 @@ def test_symmetrize_counts_hilbert_at_most_three_times_and_groups_each_quotient_
         terminal, trace = symmetrize(A, q, 2)
         terminal_class_sizes(terminal)
         assert len(counts) <= 3, (n, len(trace))
-        # one partition per quotient: the input and each step's clone
-        assert len(grouped) == len(trace) + 1 == len(set(grouped)), n
+        # one partition per call: the steps run on the input's classes,
+        # and the terminal quotient carries its own
+        assert grouped == [A._adj], n
         long_runs += len(trace) >= 3
     assert long_runs > 20
 
@@ -809,10 +899,12 @@ def test_a_wrong_ledger_step_fails_the_terminal_certificate(monkeypatch, capsys)
     n, pairs, q, r = LEDGER_CASE
     A = SquareZeroQuotient(n, pairs)
     assert len(symmetrize(A, q, r)[1]) == 3
-    lambda_dim = SquareZeroQuotient.lambda_dim
+    class_lambda = squarezero._class_lambda
     # class (3) reports a lambda one too high
     monkeypatch.setattr(
-        SquareZeroQuotient, "lambda_dim", lambda self, c, d: lambda_dim(self, c, d) + (c == 3)
+        squarezero,
+        "_class_lambda",
+        lambda n, classes, key, d: class_lambda(n, classes, key, d) + (classes[key] == 1 << 3),
     )
     with pytest.raises(ClaimCheckError):
         symmetrize(A, q, r)
