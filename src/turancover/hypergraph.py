@@ -24,9 +24,11 @@ has all its other edges chosen: adding the edge completes exactly the live
 copies ending there, and leaving it out kills the live copies through it.
 The core-pair family is never listed: an r-graph holds a member iff its
 shadow graph (the pairs of positive codegree) has an ell-clique.  Its
-oracles keep that shadow graph as one adjacency bitmask per vertex
-(`_shadow_step`), and `core_family_free` runs the same bitset clique search
-on a whole graph's shadow.
+oracles pass that shadow graph down the walk as one immutable int, row v
+of n + 1 bits holding v's neighbours, and `_shadow_step` gives the pure
+step that grows it by one r-set, so leaving an r-set out undoes nothing.
+`core_family_free` builds the same int for a whole graph and runs the
+same clique search (`_has_clique`) on it.
 
 The oracles import nothing from the cover-ideal search or the polynomial
 core: they are the independent check of both.
@@ -317,15 +319,19 @@ def core_family_free(G: RGraph, ell: int) -> bool:
 
     G contains a member iff its shadow graph (the pairs of positive
     codegree) has an ell-clique: picking one witnessing edge per pair yields
-    a member with <= C(ell, 2) edges.  The shadow graph is one adjacency
-    bitmask per vertex, searched by the oracle's `_has_clique`.
+    a member with <= C(ell, 2) edges.  The shadow graph is built once as a
+    shadow int in the oracles' layout, each vertex's row of neighbours
+    padded to whole bytes so that the rows are joined as bytes, and
+    searched by the oracles' `_has_clique`.
     """
-    adj = [0] * (G.n + 1)
+    nbytes = (G.n >> 3) + 1  # n + 1 bits per row
+    rows = [0] * (G.n + 1)
     for e in G.edges:
         for a, b in itertools.combinations(e, 2):
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
-    return not _has_clique(adj, (1 << (G.n + 1)) - 2, ell)
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    shadow = int.from_bytes(b"".join(row.to_bytes(nbytes, "little") for row in rows), "little")
+    return not _has_clique(shadow, 8 * nbytes, (1 << G.n + 1) - 2, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +525,10 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     open, beats the incumbent.  For an explicit pattern, `live` holds the
     copies with no edge left out (`_copy_bitsets`): edge idx may join iff
     no live copy ends there, and leaving it out keeps the live copies
-    avoiding it.  For the core-pair family, `_shadow_step` decides.
+    avoiding it.  For the core-pair family, `shadow` is the chosen edges'
+    shadow int, and edge idx may join iff `_shadow_step`'s `grow` gives a
+    grown shadow for the recursion; leaving it out passes the same shadow
+    on, so there is nothing to undo.
 
     The witness is the first optimum in the walk's order, edge 0 taken
     before edge 0 left out, then edge 1, and so on: the optimal free set
@@ -527,25 +536,24 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     """
     m = _oracle_edges(n, spec.r)
     ranker = EdgeRanker(n, spec.r)
-    copies, add, remove = _freeness_test(spec, n, ranker)
+    copies, grow = _freeness_test(spec, n, ranker)
     ending, avoiding = _copy_bitsets(copies, m)
     best_size, best_mask = -1, 0
 
-    def walk(idx: int, chosen: int, room: int, live: int) -> None:
+    def walk(idx: int, chosen: int, room: int, live: int, shadow: int) -> None:
         nonlocal best_size, best_mask
+        grown = 0  # an explicit pattern keeps no shadow
         while room > best_size:
             if idx == m:  # passed the cut: strictly larger
                 best_size, best_mask = room, chosen
                 return
-            if not ending[idx] & live and (not add or add(idx)):
-                walk(idx + 1, chosen | 1 << idx, room, live)
-            if remove:
-                remove(idx)
+            if not ending[idx] & live and (not grow or (grown := grow(idx, shadow)) >= 0):
+                walk(idx + 1, chosen | 1 << idx, room, live, grown)
             live &= avoiding[idx]
             idx += 1
             room -= 1
 
-    walk(0, 0, m, (1 << len(copies)) - 1)
+    walk(0, 0, m, (1 << len(copies)) - 1, 0)
     return best_size, RGraph._from_edges(n, spec.r, ranker.unmask(best_mask))
 
 
@@ -566,77 +574,75 @@ def _copy_bitsets(copies: Collection[int], m: int) -> tuple[list[int], list[int]
 
 
 def _freeness_test(spec: FamilySpec, n: int, ranker: EdgeRanker):
-    """(copies, add, remove): how the oracles keep a chosen edge set free of
+    """(copies, grow): how the oracles keep a chosen edge set free of
     `spec`.  For an explicit pattern, its copy masks, each listed once, and
-    no steps; for the core-pair family, no copies and `_shadow_step`'s
-    steps."""
+    no step; for the core-pair family, no copies and `_shadow_step`'s
+    `grow`."""
     if isinstance(spec, CoreFamily):
-        return ((), *_shadow_step(ranker, spec.ell))
-    return enumerate_forbidden_copies(spec, n).copies, None, None
+        return (), _shadow_step(ranker, spec.ell)
+    return enumerate_forbidden_copies(spec, n).copies, None
 
 
 def _shadow_step(ranker: EdgeRanker, ell: int):
-    """(add, remove), the core-pair freeness step of both oracles.
+    """grow, the core-pair freeness step of both oracles.
 
     A graph contains a member of the core-pair family (ell, r) iff its
-    shadow graph (the pairs of positive codegree) has an ell-clique.
-    `add(idx)` adds the r-set of rank idx and says whether the shadow is
-    still K_ell-free; `remove(idx)` takes an added r-set out again.  The
-    shadow is one adjacency bitmask per vertex beside a flat list of
-    codegrees indexed by pair, and each r-set's pairs are listed once
-    with their vertex bits.  `add` covers the r-set's pairs in order: a new
-    ell-clique holds a new pair, and the last such pair sees all of the
-    clique's other pairs, so the step searches the common neighbourhood of
-    each newly covered pair for an (ell - 2)-clique as it is covered, and
-    stops searching at the first hit.  It still records every pair before
-    it answers, so `remove` undoes it exactly.  For ell <= r every r-set
-    alone is a member, so `add` refuses each one and keeps no state.
+    shadow graph (the pairs of positive codegree) has an ell-clique.  The
+    shadow is one int: with w = n + 1, bits a * w + b and b * w + a are set
+    iff the pair {a, b} is covered, so row v, `shadow >> v * w`, holds v's
+    neighbours.  `grow(idx, shadow)` is pure: for a K_ell-free shadow it
+    returns the shadow grown by the pairs of the r-set of rank idx, or -1
+    when that shadow has an ell-clique.  Each r-set's pair mask is built
+    once, and an r-set that covers no new pair is accepted at once.  A new
+    ell-clique holds a new pair, whose common neighbourhood in the grown
+    shadow then holds an (ell - 2)-clique, so only the new pairs are
+    searched, and the first hit refuses.  For ell <= r every r-set alone
+    is a member, so `grow` refuses each one.
     """
     if ell <= ranker.r:  # one r-set alone covers an ell-clique
-        return (lambda idx: False), (lambda idx: None)
+        return lambda idx, shadow: -1
     n, k = ranker.n, ell - 2
     w = n + 1
-    # each pair {a < b} of each r-set as (its index a * w + b, a, b, bit of
-    # a, bit of b)
-    edge_pairs = [
-        [(a * w + b, a, b, 1 << a, 1 << b) for a, b in itertools.combinations(t, 2)]
+    row = (1 << w) - 1
+    # each pair {a < b} of each r-set as (a * w, b * w, its two bits)
+    pairs = [
+        [(a * w, b * w, 1 << a * w + b | 1 << b * w + a) for a, b in itertools.combinations(t, 2)]
         for t in ranker.sets
     ]
-    codeg = [0] * (w * w)
-    adj = [0] * (n + 1)  # bit u of adj[v] is set iff {u, v} is covered
+    masks = [sum(bits for _, _, bits in ps) for ps in pairs]  # distinct pairs: disjoint bits
 
-    def add(idx: int) -> bool:
-        free = True
-        for p, a, b, abit, bbit in edge_pairs[idx]:
-            if codeg[p]:
-                codeg[p] += 1
-                continue
-            codeg[p] = 1
-            adj[a] |= bbit
-            adj[b] |= abit
-            if free:
-                common = adj[a] & adj[b]
-                free = common.bit_count() < k or not _has_clique(adj, common, k)
-        return free
+    def grow(idx: int, shadow: int) -> int:
+        new = masks[idx] & ~shadow
+        if not new:
+            return shadow
+        shadow |= new
+        for aw, bw, bits in pairs[idx]:
+            if new & bits:
+                common = shadow >> aw & shadow >> bw & row
+                if common.bit_count() >= k and _has_clique(shadow, w, common, k):
+                    return -1
+        return shadow
 
-    def remove(idx: int) -> None:
-        for p, a, b, abit, bbit in edge_pairs[idx]:
-            codeg[p] -= 1
-            if not codeg[p]:
-                adj[a] ^= bbit
-                adj[b] ^= abit
-
-    return add, remove
+    return grow
 
 
-def _has_clique(adj: list[int], cand: int, k: int) -> bool:
-    """Whether the vertex bitmask `cand` holds a k-clique of the graph `adj`."""
+def _has_clique(shadow: int, w: int, cand: int, k: int) -> bool:
+    """Whether the vertex bitmask `cand` holds a k-clique of the shadow
+    graph whose row v, `shadow >> v * w`, holds v's neighbours.  k = 2 asks
+    for one edge inside `cand`, answered in place."""
     if k <= 1:
         return k == 0 or cand != 0
+    if k == 2:
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            if cand & shadow >> (low.bit_length() - 1) * w:
+                return True
+        return False
     while cand.bit_count() >= k:
         low = cand & -cand
         cand ^= low
-        if _has_clique(adj, cand & adj[low.bit_length() - 1], k - 1):
+        if _has_clique(shadow, w, cand & shadow >> (low.bit_length() - 1) * w, k - 1):
             return True
     return False
 
@@ -678,7 +684,8 @@ def brute_force_gen_ex(
     in a forbid-free graph, by branch-and-bound over subgraphs; refused on
     n < 1 or above ORACLE_CAP_EDGES potential edges before any copy is
     listed.  The target must pass `check_target_spec`.  The walk, its
-    freeness test and its witness are `brute_force_ex`'s, and the target
+    freeness test (the copies in `live`, or the no-undo shadow int passed
+    down beside them) and its witness are `brute_force_ex`'s, and the target
     copies are kept in the same bitsets over their own indices: taking edge
     idx completes the live target copies ending there, and leaving it out
     kills the live ones through it.  A node is cut unless `alive`, the
@@ -689,32 +696,33 @@ def brute_force_gen_ex(
     r = forbid_spec.r
     m = _oracle_edges(n, r)
     ranker = EdgeRanker(n, r)
-    forb, add, remove = _freeness_test(forbid_spec, n, ranker)
+    forb, grow = _freeness_test(forbid_spec, n, ranker)
     targ = enumerate_forbidden_copies(target_spec, n).copies
     ending, avoiding = _copy_bitsets(forb, m)
     t_end, t_avoiding = _copy_bitsets(targ, m)
     tfree = _free_copies(forb, t_avoiding, len(targ))
     best_count, best_mask = -1, 0
 
-    def walk(idx: int, chosen: int, done: int, alive: int, live: int, tlive: int) -> None:
+    def walk(
+        idx: int, chosen: int, done: int, alive: int, live: int, tlive: int, shadow: int
+    ) -> None:
         # done: target copies already fully inside chosen
         nonlocal best_count, best_mask
+        grown = 0  # an explicit pattern keeps no shadow
         while alive > best_count:
             if idx == m:  # passed the cut: every alive copy is done
                 best_count, best_mask = done, chosen
                 return
-            if not ending[idx] & live and (not add or add(idx)):
+            if not ending[idx] & live and (not grow or (grown := grow(idx, shadow)) >= 0):
                 gained = (t_end[idx] & tlive).bit_count()
-                walk(idx + 1, chosen | 1 << idx, done + gained, alive, live, tlive)
-            if remove:
-                remove(idx)
+                walk(idx + 1, chosen | 1 << idx, done + gained, alive, live, tlive, grown)
             kept = tlive & t_avoiding[idx]
             alive -= (tlive ^ kept).bit_count()
             tlive = kept
             live &= avoiding[idx]
             idx += 1
 
-    walk(0, 0, 0, tfree.bit_count(), (1 << len(forb)) - 1, tfree)
+    walk(0, 0, 0, tfree.bit_count(), (1 << len(forb)) - 1, tfree, 0)
     return best_count, RGraph._from_edges(n, r, ranker.unmask(best_mask))
 
 

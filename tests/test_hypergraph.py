@@ -561,19 +561,20 @@ def reference_ex(n, spec):
     every remaining edge cannot reach the incumbent's size, and a leaf
     replaces the incumbent only when strictly larger.  Freeness of an
     explicit pattern is tested on its own list of copies by last edge; the
-    core-pair family takes the oracle's `_shadow_step`."""
+    core-pair family takes the oracle's `_shadow_step`, threading its
+    shadow int down the search."""
     m = comb(n, spec.r)
     ranker = EdgeRanker(n, spec.r)
-    add = remove = None
+    grow = None
     by_last = [[] for _ in range(m)]
     if isinstance(spec, CoreFamily):
-        add, remove = hypergraph._shadow_step(ranker, spec.ell)
+        grow = hypergraph._shadow_step(ranker, spec.ell)
     else:
         for cm in enumerate_forbidden_copies(spec, n).copies:
             by_last[cm.bit_length() - 1].append(cm)
     best_size, best_mask = -1, 0
 
-    def dfs(idx, chosen, size):
+    def dfs(idx, chosen, size, shadow):
         nonlocal best_size, best_mask
         if size + (m - idx) < best_size:
             return
@@ -582,13 +583,15 @@ def reference_ex(n, spec):
                 best_size, best_mask = size, chosen
             return
         cand = chosen | (1 << idx)
-        if add(idx) if add else all((cm & cand) != cm for cm in by_last[idx]):
-            dfs(idx + 1, cand, size + 1)
-        if remove:
-            remove(idx)
-        dfs(idx + 1, chosen, size)
+        if grow:
+            grown = grow(idx, shadow)
+            if grown >= 0:
+                dfs(idx + 1, cand, size + 1, grown)
+        elif all((cm & cand) != cm for cm in by_last[idx]):
+            dfs(idx + 1, cand, size + 1, shadow)
+        dfs(idx + 1, chosen, size, shadow)
 
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, 0)
     return best_size, RGraph(n, spec.r, ranker.unmask(best_mask))
 
 
@@ -609,19 +612,19 @@ def test_ex_oracle_matches_the_uncut_search(n, name):
     assert brute_force_ex(n, UNCUT_SPECS[name]) == reference_ex(n, UNCUT_SPECS[name])
 
 
-def _count_shadow_adds(monkeypatch):
-    """Wrap the `add` step of every `_shadow_step` with a call counter."""
+def _count_shadow_grows(monkeypatch):
+    """Wrap the `grow` step of every `_shadow_step` with a call counter."""
     calls = []
     real = hypergraph._shadow_step
 
     def counted(ranker, ell):
-        add, remove = real(ranker, ell)
+        grow = real(ranker, ell)
 
-        def add_counted(idx):
+        def grow_counted(idx, shadow):
             calls.append(idx)
-            return add(idx)
+            return grow(idx, shadow)
 
-        return add_counted, remove
+        return grow_counted
 
     monkeypatch.setattr(hypergraph, "_shadow_step", counted)
     return calls
@@ -629,7 +632,7 @@ def _count_shadow_adds(monkeypatch):
 
 @pytest.mark.parametrize("n,ell", [(7, 4), (8, 6)])
 def test_strict_cut_skips_edges_the_uncut_search_adds(monkeypatch, n, ell):
-    calls = _count_shadow_adds(monkeypatch)
+    calls = _count_shadow_grows(monkeypatch)
     spec = CoreFamily(ell, 2)
     answer = brute_force_ex(n, spec)
     cut_adds = len(calls)
@@ -641,7 +644,7 @@ def test_strict_cut_skips_edges_the_uncut_search_adds(monkeypatch, n, ell):
 def test_gen_ex_strict_cut_skips_edges_the_uncut_search_tries(monkeypatch):
     # the oracle's shadow step runs once per edge it tries to include; the
     # reference lists its own copies, so its tries are counted directly
-    calls = _count_shadow_adds(monkeypatch)
+    calls = _count_shadow_grows(monkeypatch)
     args = 6, K(3), CoreFamily(4, 2)
     answer = brute_force_gen_ex(*args)
     tried = []
@@ -792,8 +795,10 @@ def test_gen_ex_oracle_walks_no_target_holding_a_forbidden_copy(monkeypatch):
 
 def rest_mask_shadow_step(ranker, ell):
     """The codegree matrix shadow step: `add` records every pair of the
-    r-set, then searches each newly covered pair's common neighbourhood."""
+    r-set, then searches each newly covered pair's common neighbourhood,
+    on the adjacency rows laid out as the oracle's shadow int."""
     n = ranker.n
+    w = n + 1
     edge_pairs = [list(itertools.combinations(t, 2)) for t in ranker.sets]
     codeg = [[0] * (n + 1) for _ in range(n + 1)]
     adj = [0] * (n + 1)
@@ -806,7 +811,8 @@ def rest_mask_shadow_step(ranker, ell):
                 adj[a] |= 1 << b
                 adj[b] |= 1 << a
             codeg[a][b] += 1
-        return not any(hypergraph._has_clique(adj, adj[a] & adj[b], ell - 2) for a, b in new_pairs)
+        shadow = sum(row << v * w for v, row in enumerate(adj))
+        return not any(hypergraph._has_clique(shadow, w, adj[a] & adj[b], ell - 2) for a, b in new_pairs)
 
     def remove(idx):
         for a, b in edge_pairs[idx]:
@@ -912,9 +918,9 @@ def _count_freeness_tests(monkeypatch, spec):
     """A function giving the number of freeness tests of one oracle call
     after the patch: the lookups of the first per-edge table it builds (its
     forbidden `ending`) for an explicit pattern, or the calls of the shadow
-    step's `add` for the core-pair family."""
+    step's `grow` for the core-pair family."""
     if isinstance(spec, CoreFamily):
-        calls = _count_shadow_adds(monkeypatch)
+        calls = _count_shadow_grows(monkeypatch)
         return lambda: len(calls)
     tables = []
     real = hypergraph._copy_bitsets
@@ -959,29 +965,51 @@ def test_core_family_shadow_step_is_the_rest_mask_step(monkeypatch, n, ell, r):
     )
 
 
+def shadow_of(n, edges):
+    """The oracles' shadow int of an edge list, built pair by pair: bits
+    a * (n + 1) + b and b * (n + 1) + a for each pair {a, b} inside an edge."""
+    w = n + 1
+    shadow = 0
+    for e in edges:
+        for a, b in itertools.combinations(e, 2):
+            shadow |= 1 << a * w + b | 1 << b * w + a
+    return shadow
+
+
 @pytest.mark.parametrize("n,ell,r", list(_core_family_grid()))
 def test_shadow_step_verdicts_follow_a_stack_of_r_sets(n, ell, r):
-    # seeded pushes and pops, as the walk makes them: a refused r-set is
-    # taken out at once, so the r-sets on the stack always form a free graph
-    # and each verdict is the freeness of that graph plus the new r-set
+    # seeded pushes and pops, as the walk makes them, on a stack of shadows:
+    # a refused r-set pushes nothing, so the r-sets on the stack always form
+    # a free graph, and each verdict is the freeness of that graph plus the
+    # new r-set.  The step is pure: the same (idx, shadow) always gives the
+    # same answer, and a refusal leaves the parent shadow as it was
     ranker = EdgeRanker(n, r)
-    add, remove = hypergraph._shadow_step(ranker, ell)
+    grow = hypergraph._shadow_step(ranker, ell)
     rng = random.Random(n * 100 + ell * 10 + r)
-    stack = []
+    stack, shadows = [], [0]
+    seen = {}
     for _ in range(300):
         unused = [idx for idx in range(ranker.count) if idx not in stack]
         if not (stack or unused):
             break  # [n] has no r-sets
         if stack and (not unused or rng.random() < 0.4):
-            remove(stack.pop())
+            stack.pop()
+            shadows.pop()
             continue
         idx = rng.choice(unused)
-        free = add(idx)
-        assert free == core_family_free(RGraph(n, r, [ranker.sets[i] for i in stack + [idx]]), ell)
-        if free:
+        parent = shadows[-1]
+        grown = grow(idx, parent)
+        assert grow(idx, parent) == seen.setdefault((idx, parent), grown) == grown
+        edges = [ranker.sets[i] for i in stack + [idx]]
+        assert (grown >= 0) == core_family_free(RGraph(n, r, edges), ell)
+        if grown >= 0:
+            assert grown == shadow_of(n, edges)
             stack.append(idx)
+            shadows.append(grown)
         else:
-            remove(idx)
+            assert grown == -1
+            assert parent == shadow_of(n, edges[:-1])
+
 
 def test_scale_guard_on_edge_count():
     with pytest.raises(ScaleGuardError):

@@ -4,6 +4,7 @@ import ast
 import importlib.util
 import inspect
 import sys
+import textwrap
 from pathlib import Path
 
 import turancover
@@ -399,3 +400,77 @@ def test_the_hilbert_step_cap_is_read_only_by_the_count():
         and any(isinstance(node, ast.Call) and _callee(node) == func.name for node in ast.walk(func))
     ]
     assert recursive == []
+
+
+MUTATING_METHODS = {
+    "append", "extend", "insert", "pop", "remove", "clear", "update", "setdefault", "add", "discard",
+    "sort", "reverse", "__setitem__", "__delitem__",
+}
+
+
+def _root_name(node) -> str | None:
+    """The name an item or attribute expression such as `a[i].b` starts from."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)):
+        node = node.value
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _closure_writes(source: str) -> list[str]:
+    """What the steps nested in the one function of `source` write outside
+    themselves: each `nonlocal` or `global` statement, and each item or
+    attribute store or delete, or mutating method call, on a name the step
+    does not bind itself."""
+    (outer,) = ast.parse(textwrap.dedent(source)).body
+    found = []
+    for step in ast.walk(outer):
+        if step is outer or not isinstance(step, (ast.FunctionDef, ast.Lambda)):
+            continue
+        args = step.args
+        own = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        own |= {node.id for node in ast.walk(step) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(step):
+            if isinstance(node, (ast.Nonlocal, ast.Global)):
+                found.append(f"{type(node).__name__.lower()} {', '.join(node.names)}")
+            targets = (
+                node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                else []
+            )
+            for target in targets:
+                if isinstance(target, (ast.Subscript, ast.Attribute)) and _root_name(target) not in own:
+                    found.append(f"writes into {_root_name(target)}")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MUTATING_METHODS
+                and _root_name(node.func.value) not in own
+            ):
+                found.append(f"{_root_name(node.func.value)}.{node.func.attr}")
+    return found
+
+
+UNDO_STEP = """
+    def step(ranker, ell):
+        codeg, log, depth = [0] * 9, [], 0
+
+        def add(idx):
+            nonlocal depth
+            codeg[idx] += 1
+            log.append(idx)
+            local = []
+            local.append(idx)
+            return True
+
+        return add
+"""
+
+
+def test_the_core_pair_step_keeps_no_undo_state():
+    """The core-pair freeness step that `_shadow_step` returns is pure: it
+    holds no `nonlocal` and mutates no list of its closure, so leaving an
+    r-set out of the oracles' walks undoes nothing and no undo bookkeeping
+    comes back unnoticed.  The rule itself flags a step with such state."""
+    from turancover import hypergraph
+
+    assert _closure_writes(UNDO_STEP) == ["nonlocal depth", "writes into codeg", "log.append"]
+    assert _closure_writes(inspect.getsource(hypergraph._shadow_step)) == []
