@@ -1,7 +1,9 @@
 """Command-line surface: JSON reports over the library's verifiers.
 
-Exit codes: 0 = verified/consistent, 2 = claim check failed, 3 = scale
-guard refused the computation, 4 = bad input.
+Each call prints its report to stdout as one JSON line (pipe it through
+`python -m json.tool` to indent it), or its error to stderr as one.  Exit
+codes: 0 = verified/consistent, 2 = claim check failed, 3 = scale guard
+refused the computation, 4 = bad input.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import chain, starmap
-from json.encoder import encode_basestring_ascii
 from math import comb
 from pathlib import Path
 
@@ -59,71 +59,8 @@ class RunReport:
     version: str = __version__
 
     def to_json(self) -> str:
-        # a shallow field dict: the writer walks the nested values itself,
-        # so the deep copy `dataclasses.asdict` makes is not needed
-        return _indented_json(vars(self), "\n")
-
-
-# the one-line text of a scalar that json writes the same at any indent
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _indented_json(obj, newline: str) -> str:
-    """`json.dumps(obj, indent=2)` for obj written after `newline`, a line
-    break and obj's indentation.  A str, int, bool or None, at the top or
-    as a dict value or list item, is written inline from `_SCALAR_TEXT`.
-    A flat list of str, of int, or of int tuples all of one length is one
-    join (json's own pure-Python encoder writes an indented dump item by
-    item), and a list of str whose joined text is printable ASCII with no
-    quote or backslash needs no escaping, so its items are joined as they
-    are.  A dict with a key that is not a str is json.dumps's indented
-    dump, and any other scalar its one-line text (the C encoder's, where
-    `indent` would build a pure-Python one).  Dumped text holds a line
-    break only between items, so re-indenting it is a plain replace."""
-    inner = newline + "  "
-    if isinstance(obj, dict) and all(isinstance(key, str) for key in obj):
-        if not obj:
-            return "{}"
-        items = [
-            encode_basestring_ascii(key) + ": "
-            + (text(value) if (text := _SCALAR_TEXT.get(type(value))) else _indented_json(value, inner))
-            for key, value in obj.items()
-        ]
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        if kinds == {str}:
-            joined = "".join(obj)
-            if joined.isascii() and joined.isprintable() and '"' not in joined and "\\" not in joined:
-                return f'[{inner}"' + f'",{inner}"'.join(obj) + f'"{newline}]'
-            items = map(encode_basestring_ascii, obj)
-        elif kinds == {int}:
-            items = map(int.__repr__, obj)
-        elif (
-            kinds <= {list, tuple}
-            and len(lengths := set(map(len, obj))) == 1
-            and set(map(type, chain.from_iterable(obj))) == {int}
-        ):
-            entry = inner + "  "
-            template = "[" + entry + f",{entry}".join(["{}"] * lengths.pop()) + inner + "]"
-            items = starmap(template.format, obj)
-        else:
-            items = (
-                text(item) if (text := _SCALAR_TEXT.get(type(item))) else _indented_json(item, inner)
-                for item in obj
-            )
-    elif text := _SCALAR_TEXT.get(type(obj)):
-        return text(obj)
-    else:
-        return json.dumps(obj, indent=2 if isinstance(obj, dict) else None).replace("\n", newline)
-    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
-    return opening + inner + ("," + inner).join(items) + newline + closing
+        # no indent: with one, json.dumps runs its pure-Python encoder
+        return json.dumps(vars(self))
 
 
 def _resolve_spec(token: str) -> FamilySpec:

@@ -330,13 +330,13 @@ class SquareZeroQuotient:
 
     def lambda_dim(self, c: int, d: int) -> int:
         """dim of x_c * (degree-d piece): standard d-subsets avoiding c and
-        all kill partners of c."""
+        all kill partners of c, counted by `_class_lambda` as `symmetrize`
+        counts its steps."""
         if not 1 <= c <= self.n:
             raise InputError(f"variable {c} out of range")
         if d < 0:
             raise InputError("degree must be nonnegative")
-        allowed = ((1 << (self.n + 1)) - 2) & ~((1 << c) | self._adj[c])
-        return self._count(allowed, d)[0]
+        return _class_lambda(self.n, self._class_masks(), self._adj[c] | 1 << c, d)
 
     # -- cloning -------------------------------------------------------
 
@@ -409,11 +409,11 @@ def _first_killed_pair(classes: dict[int, int]) -> tuple[int, int] | None:
 
 
 def _class_lambda(n: int, classes: dict[int, int], key: int, d: int) -> int:
-    """`lambda_dim(c, d)` for the variables c of the class with key `key`:
-    the standard d-subsets of allowed = [n] minus key.  allowed is a union
-    of classes, since parallel variables agree on c.  For d = 1 that is
-    popcount(allowed); for d = 2, C(m, 2) less the kill pairs inside
-    allowed, half the sum over the classes X in it of
+    """dim of x_c * (degree-d piece) for the variables c of the class with
+    key `key`: the standard d-subsets of allowed = [n] minus key.  allowed
+    is a union of classes, since parallel variables agree on c.  For d = 1
+    that is popcount(allowed); for d = 2, C(m, 2) less the kill pairs
+    inside allowed, half the sum over the classes X in it of
     |X| (|key(X) & allowed| - 1); for d >= 3, the count on masks built
     from the keys."""
     allowed = ((2 << n) - 2) & ~key

@@ -708,16 +708,19 @@ REPORT_ARGVS = [
 ]
 
 
-def test_report_json_is_the_deep_copy_json():
-    # one report of each subcommand
+def test_report_json_is_the_deep_copy_json(capsys):
+    # one report of each subcommand, printed by main as one line
     for argv in REPORT_ARGVS:
         args = build_parser().parse_args(argv)
         with contextlib.redirect_stderr(io.StringIO()):
             report, _ = args.func(args)
-        assert report.to_json() == json.dumps(asdict(report), indent=2), argv[0]
+        assert report.to_json() == json.dumps(asdict(report)), argv[0]
+        main(argv)
+        printed = capsys.readouterr().out
+        assert printed.count("\n") == 1 and printed.endswith("\n"), argv[0]
 
 
-def test_long_report_json_is_the_deep_copy_json():
+def test_long_report_json_is_the_deep_copy_json(capsys):
     # 3,000 echoed kill tokens, and a 761-pair terminal_kill
     tokens = [f"{a},{b}" for a, b in itertools.combinations(range(1, 80), 2)][:3000]
     colour = {v: v % 4 for v in range(1, 81)}
@@ -728,54 +731,21 @@ def test_long_report_json_is_the_deep_copy_json():
     ]:
         args = build_parser().parse_args(argv)
         report, _ = args.func(args)
-        assert report.to_json() == json.dumps(asdict(report), indent=2), argv[0]
-
-
-json_scalars = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
-int_pairs = st.one_of(
-    st.tuples(st.integers(), st.integers()),
-    st.lists(st.integers(), min_size=2, max_size=2),
-)
-int_tuples = st.one_of(
-    int_pairs,
-    st.tuples(st.integers(), st.integers(), st.integers()),
-    st.lists(st.integers(), min_size=3, max_size=3),
-    st.tuples(st.integers(), st.integers(), st.integers(), st.integers()),
-    st.lists(st.integers(), min_size=4, max_size=4),
-)
-json_trees = st.recursive(
-    json_scalars,
-    lambda children: st.one_of(
-        st.lists(children),
-        st.lists(children).map(tuple),
-        st.dictionaries(st.text(), children),
-        st.dictionaries(st.one_of(st.none(), st.booleans(), st.integers(), st.text()), children),
-        st.lists(st.text()),
-        st.lists(st.one_of(st.integers(), st.booleans())),
-        st.lists(int_pairs),
-        st.lists(st.one_of(int_pairs, st.tuples(st.integers(), st.booleans()))),
-        st.lists(st.tuples(st.integers(), st.integers(), st.integers())),
-        st.lists(st.lists(st.integers(), min_size=4, max_size=4)),
-        st.lists(int_tuples),  # mixed lengths
-        st.lists(st.one_of(int_tuples, st.tuples(st.integers(), st.integers(), st.booleans()))),
-    ),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=150, deadline=None)
-@given(json_trees)
-def test_report_writer_is_json_dumps_indent_2(tree):
-    assert cli._indented_json(tree, "\n") == json.dumps(tree, indent=2)
+        assert report.to_json() == json.dumps(asdict(report)), argv[0]
+        main(argv)
+        printed = capsys.readouterr().out
+        assert printed.count("\n") == 1 and printed.endswith("\n"), argv[0]
 
 
 @pytest.mark.parametrize("odd", ['1"2', "1\\2", "1\x7f2", "1\t2", "1\n2", "\x00", "1\u00e92", "\u0663,1", "\U0001f600"])
 def test_report_writer_escapes_a_str_list_with_one_odd_token(odd):
-    # plain tokens are joined as they are; one token that json escapes
-    # sends the whole list through the escaping encoder
+    # a str that json escapes, beside plain ones, still gives one line of
+    # ASCII that reads back as the report
     for tokens in (["1,2", odd, "3-4"], [odd], ["", odd]):
-        for tree in (tokens, {"kill": tokens}, [tokens, True, None]):
-            assert cli._indented_json(tree, "\n") == json.dumps(tree, indent=2)
+        report = cli.RunReport("hilbert", {"kill": tokens}, {"spec": odd, "items": [tokens, True, None]})
+        text = report.to_json()
+        assert "\n" not in text and text.isascii()
+        assert json.loads(text) == asdict(report)
 
 
 def per_token_pairs(tokens):
