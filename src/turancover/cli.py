@@ -40,7 +40,7 @@ from .hypergraph import (
     parse_hypergraph,
     turan_count,
 )
-from .squarezero import SquareZeroQuotient, symmetrize, terminal_class_sizes
+from .squarezero import SquareZeroQuotient, check_quotient_size, symmetrize, terminal_class_sizes
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 2
@@ -125,7 +125,9 @@ def _kill_masks(tokens: list[str], n: int) -> list[int] | None:
 def _kill_quotient(tokens: list[str], n: int) -> SquareZeroQuotient:
     """The quotient on [n] killing the pairs of `tokens`: straight from
     `_kill_masks` when the list is regular, else through `_parse_pairs`
-    and the checked constructor, so every refusal keeps its message."""
+    and the checked constructor, so every refusal keeps its message.  An n
+    past the quotient cap is refused before either builds a mask."""
+    check_quotient_size(n)
     adj = _kill_masks(tokens, n)
     if adj is None:
         return SquareZeroQuotient(n, _parse_pairs(tokens))

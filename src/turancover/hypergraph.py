@@ -322,7 +322,10 @@ def core_family_free(G: RGraph, ell: int) -> bool:
     a member with <= C(ell, 2) edges.  The shadow graph is built once as a
     shadow int in the oracles' layout, each vertex's row of neighbours
     padded to whole bytes so that the rows are joined as bytes, and
-    searched by the oracles' `_has_clique`.
+    searched by the oracles' `_has_clique`.  First the shadow graph is
+    coloured greedily in vertex order: a proper c-colouring leaves no
+    (c + 1)-clique, so fewer than ell colours answer "free" with no search.
+    On a balanced Turán graph T(n, q) that colouring uses exactly q colours.
     """
     nbytes = (G.n >> 3) + 1  # n + 1 bits per row
     rows = [0] * (G.n + 1)
@@ -330,6 +333,16 @@ def core_family_free(G: RGraph, ell: int) -> bool:
         for a, b in itertools.combinations(e, 2):
             rows[a] |= 1 << b
             rows[b] |= 1 << a
+    colours: list[int] = []  # the vertex mask of each colour
+    for v in range(1, G.n + 1):
+        for i, members in enumerate(colours):
+            if not rows[v] & members:
+                colours[i] |= 1 << v
+                break
+        else:
+            colours.append(1 << v)
+    if len(colours) < ell:
+        return True
     shadow = int.from_bytes(b"".join(row.to_bytes(nbytes, "little") for row in rows), "little")
     return not _has_clique(shadow, 8 * nbytes, (1 << G.n + 1) - 2, ell)
 

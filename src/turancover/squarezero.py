@@ -6,19 +6,19 @@ Hilbert value counts d-subsets of [n] containing no kill pair, so everything
 here is exact combinatorial counting on the kill graph.
 
 The kill graph is kept as one adjacency bitmask per variable, and the
-Hilbert count works on those masks: an iterative branching over vertex
-masks, in smallest-last order of the non-kill graph (most kill partners
-first, only the vertices that have one), with closed forms for d <= 3 and
-binomial blocks of free vertices, under a step budget (HILBERT_CAP_STEPS);
-each chain of "avoid the next vertex" branches is walked in place, and its
-d = 3 children are counted where they are made, each in one pass over its
-vertices.  Parallel classes are grouped by closed-neighbourhood mask, once
-per quotient, into a class dictionary: closed kill-neighbourhood key ->
-class mask.  Symmetrization runs its steps on that dictionary alone,
-grouped once per call: the clone pair comes from the class
-representatives, lambda at degree <= 2 from class sizes and keys, and a
-clone rewrites the keys.  Vertex masks are built once, for the terminal
-quotient.
+Hilbert count is a function of those masks (`_count`): an iterative
+branching over vertex masks, in smallest-last order of the non-kill graph
+(most kill partners first, only the vertices that have one), with closed
+forms for d <= 3 and binomial blocks of free vertices, under a step budget
+(HILBERT_CAP_STEPS); each chain of "avoid the next vertex" branches is
+walked in place, and each d = 3 entry is counted by one scan of its
+vertices, on the kill side or the complement's.  Parallel classes are
+grouped by closed-neighbourhood mask, once per quotient, into a class
+dictionary: closed kill-neighbourhood key -> class mask.  Symmetrization
+runs its steps on that dictionary alone, grouped once per call: the clone
+pair comes from the class representatives, lambda at degree <= 2 from class
+sizes and keys, and a clone rewrites the keys.  Vertex masks are built
+once, for the terminal quotient.
 
 Symmetrization counts the degree-r Hilbert value once before its first
 clone and carries it through the steps by the cloning ledger: cloning class
@@ -40,6 +40,16 @@ from .hypergraph import _bits, partition_pairs
 
 # stack entries one Hilbert count may pop before it is refused
 HILBERT_CAP_STEPS = 5_000_000
+# variables a quotient may have before it is refused, ahead of its masks
+QUOTIENT_CAP_VERTICES = 4_000_000
+
+
+def check_quotient_size(n: int) -> None:
+    """Refuse a quotient on more than QUOTIENT_CAP_VERTICES variables with
+    ScaleGuardError, before any of its n + 1 masks is built: their memory
+    grows linearly in n (about 260 MB at 16 million variables)."""
+    if n > QUOTIENT_CAP_VERTICES:
+        raise ScaleGuardError(f"n={n} exceeds quotient cap {QUOTIENT_CAP_VERTICES} variables")
 
 
 def elem_sym(values, r: int) -> int:
@@ -109,6 +119,7 @@ class SquareZeroQuotient:
     def __init__(self, n: int, kill=()):
         if n < 1:
             raise InputError("need n >= 1")
+        check_quotient_size(n)
         adj = [0] * (n + 1)
         for p in kill:
             try:
@@ -167,132 +178,7 @@ class SquareZeroQuotient:
         """Number of standard degree-d monomials: d-subsets with no kill pair."""
         if d < 0:
             raise InputError("degree must be nonnegative")
-        return self._count((1 << (self.n + 1)) - 2, d)[0]
-
-    def _count(self, allowed: int, d: int) -> tuple[int, int]:
-        """Number of d-subsets of the vertex mask `allowed` with no kill pair,
-        and the steps taken to count them (below).
-
-        Depth-first over an explicit stack of (allowed, d, multiplicity, p).
-        An entry branches on its first vertex v in `order`, searched from
-        position p on: subsets avoiding v, plus subsets through v with v's
-        kill partners barred.  Both children hold only vertices after v, so
-        they start at v's position + 1.  Each d-set is counted once, on the
-        branch path through its own vertices, so any order gives the same
-        count.  `order` is the smallest-last order of the non-kill graph on
-        the call's vertices that have a kill partner (`_kill_order`): each
-        vertex has the most kill partners among those after it, so the child
-        through v keeps only its later non-kill partners, at most the
-        degeneracy of the non-kill graph (Matula and Beck 1983; Chiba and
-        Nishizeki 1985).  The order is built only for d >= 4, since no entry
-        of a smaller d branches.  Four shortcuts end a branch or widen it:
-
-        * d <= 1: the count is 1 or popcount(allowed);
-        * d == 2: C(m, 2) minus the kill pairs inside `allowed`;
-        * d == 3: `_independent_triples`, in the form `_leaf_flip` fixes
-          once per count (below);
-        * v has no kill partner in `allowed`, or `allowed` holds no vertex
-          with a kill partner at all: every free vertex, f of them, is
-          pulled out as one block, and (rest, d - k, C(f, k)) is pushed for
-          each k, since the block's k-subsets combine freely with any
-          standard subset of the rest.
-
-        A vertex with no kill partner at all adds no kill pair and is free
-        in every entry, so it is never ordered, and the kill-pair scans and
-        the free-vertex scan visit only `partnered`, the vertices with one,
-        built once per count: a count with few kill pairs costs no peel of
-        an n-bit mask per vertex.
-
-        An entry of d >= 4 walks its chain of entries that avoid the next
-        vertex in place, and pushes only its children through v of d >= 4.
-        A child of d = 3 is counted where it is made, by the same
-        `_independent_triples` call as a popped entry of d = 3.  Its form
-        is fixed once per count by `_leaf_flip`: the triangles of the
-        complement when the kill graph on the call's vertices has density
-        above 0.6, where the two forms measured level; else the kill side's
-        closed form in one pass over the entry's vertices with a kill
-        partner, which sums the degrees, the kill pairs and the kill
-        triangles through each vertex u (those inside the later kill
-        partners of u) together.
-
-        Each entry is one step, whether popped or consumed in place by a
-        chain, and the steps are checked against HILBERT_CAP_STEPS where
-        they are taken: past it the count is refused with ScaleGuardError.
-        """
-        adj = self._adj
-        cap = HILBERT_CAP_STEPS
-        partnered = reduce(or_, adj)
-        if d >= 3:
-            flip = _leaf_flip(adj, allowed, partnered)
-        if d >= 4:
-            order = _kill_order(adj, allowed & partnered)
-        total = 0
-        steps = 0
-        stack = [(allowed, d, 1, 0)]
-        while stack:
-            allowed, d, mult, p = stack.pop()
-            steps += 1
-            if steps > cap:
-                raise ScaleGuardError(f"Hilbert count exceeds {cap} steps")
-            if d == 0:
-                total += mult
-                continue
-            m = allowed.bit_count()
-            if m < d:
-                continue
-            if d == 1:
-                total += mult * m
-                continue
-            if d == 2:
-                pairs = comb(m, 2)
-                later = allowed & partnered
-                while later:
-                    low = later & -later
-                    later ^= low
-                    pairs -= (adj[low.bit_length() - 1] & later).bit_count()
-                total += mult * pairs
-                continue
-            if d == 3:
-                total += mult * _independent_triples(adj, allowed, m, partnered, flip)
-                continue
-            # d >= 4: walk the chain of entries that avoid the next vertex
-            while m >= d:
-                kills = 0
-                if allowed & partnered:
-                    v = order[p]
-                    while not allowed >> v & 1:
-                        p += 1
-                        v = order[p]
-                    p += 1
-                    kills = adj[v] & allowed
-                if not kills:
-                    free = allowed & ~partnered
-                    scan = allowed & partnered
-                    while scan:
-                        low = scan & -scan
-                        scan ^= low
-                        if not adj[low.bit_length() - 1] & allowed:
-                            free |= low
-                    rest = allowed ^ free
-                    f = free.bit_count()
-                    for k in range(max(0, d - rest.bit_count()), min(f, d) + 1):
-                        stack.append((rest, d - k, mult * comb(f, k), p))
-                    break
-                allowed ^= 1 << v
-                m -= 1
-                leaf = allowed & ~kills
-                # a step for the next entry of the chain, and one for a
-                # d = 3 child, each consumed here
-                steps += 1 if d > 4 else 2
-                if steps > cap:
-                    raise ScaleGuardError(f"Hilbert count exceeds {cap} steps")
-                if d > 4:
-                    stack.append((leaf, d - 1, mult, p))
-                    continue
-                size = leaf.bit_count()
-                if size >= 3:
-                    total += mult * _independent_triples(adj, leaf, size, partnered, flip)
-        return total, steps
+        return _count(self._adj, (1 << (self.n + 1)) - 2, d)[0]
 
     def top_vanishing(self, q: int) -> bool:
         """Whether the degree-(q+1) piece vanishes."""
@@ -425,7 +311,7 @@ def _class_lambda(n: int, classes: dict[int, int], key: int, d: int) -> int:
             if mask & allowed:
                 twice_e += mask.bit_count() * ((k & allowed).bit_count() - 1)
         return comb(allowed.bit_count(), 2) - twice_e // 2
-    return SquareZeroQuotient._from_adj(n, _key_adj(n, classes))._count(allowed, d)[0]
+    return _count(_key_adj(n, classes), allowed, d)[0]
 
 
 def _clone_classes(classes: dict[int, int], source_key: int, target_key: int) -> dict[int, int]:
@@ -444,6 +330,120 @@ def _clone_classes(classes: dict[int, int], source_key: int, target_key: int) ->
             key = key & ~t_mask | (t_mask if key & s_mask else 0)
         cloned[key] = cloned.get(key, 0) | mask
     return cloned
+
+
+def _count(adj, allowed: int, d: int) -> tuple[int, int]:
+    """Number of d-subsets of the vertex mask `allowed` with no kill pair of
+    the adjacency masks `adj` (index 0 unused), and the steps taken to count
+    them (below).
+
+    Depth-first over an explicit stack of (allowed, d, multiplicity, p).
+    An entry branches on its first vertex v in `order`, searched from
+    position p on: subsets avoiding v, plus subsets through v with v's
+    kill partners barred.  Both children hold only vertices after v, so
+    they start at v's position + 1.  Each d-set is counted once, on the
+    branch path through its own vertices, so any order gives the same
+    count.  `order` is the smallest-last order of the non-kill graph on
+    the call's vertices that have a kill partner (`_kill_order`): each
+    vertex has the most kill partners among those after it, so the child
+    through v keeps only its later non-kill partners, at most the
+    degeneracy of the non-kill graph (Matula and Beck 1983; Chiba and
+    Nishizeki 1985).  The order is built only for d >= 4, since no entry
+    of a smaller d branches.  Four shortcuts end a branch or widen it:
+
+    * d <= 1: the count is 1 or popcount(allowed);
+    * d == 2: C(m, 2) minus the kill pairs inside `allowed` (`_kill_pairs`);
+    * d == 3: `_independent_triples`, in the count's `_leaf_flip` form;
+    * v has no kill partner in `allowed`, or `allowed` holds no vertex
+      with a kill partner at all: every free vertex, f of them, is
+      pulled out as one block, and (rest, d - k, C(f, k)) is pushed for
+      each k, since the block's k-subsets combine freely with any
+      standard subset of the rest.
+
+    A vertex with no kill partner at all adds no kill pair and is free
+    in every entry, so it is never ordered, and the kill-pair scans and
+    the free-vertex scan visit only `partnered`, the vertices with one,
+    built once per count: a count with few kill pairs costs no peel of
+    an n-bit mask per vertex.
+
+    An entry of d >= 4 walks its chain of entries that avoid the next
+    vertex in place, and pushes only its children through v of d >= 4; a
+    child of d = 3 is counted where it is made, as a popped entry of d = 3
+    is.  Of the two `_leaf_flip` forms, the complement scans all the
+    count's vertices over the kill masks complemented inside them, built
+    once per count, and the kill side the vertices of `partnered` over `adj`.
+
+    Each entry is one step, whether popped or consumed in place by a
+    chain, and the steps are checked against HILBERT_CAP_STEPS where
+    they are taken: past it the count is refused with ScaleGuardError.
+    """
+    cap = HILBERT_CAP_STEPS
+    partnered = reduce(or_, adj)
+    if d >= 3:
+        flip = _leaf_flip(adj, allowed, partnered)
+        rows, scope = ([allowed & ~a for a in adj], allowed) if flip else (adj, partnered)
+    if d >= 4:
+        order = _kill_order(adj, allowed & partnered)
+    total = 0
+    steps = 0
+    stack = [(allowed, d, 1, 0)]
+    while stack:
+        allowed, d, mult, p = stack.pop()
+        steps += 1
+        if steps > cap:
+            raise ScaleGuardError(f"Hilbert count exceeds {cap} steps")
+        if d == 0:
+            total += mult
+            continue
+        m = allowed.bit_count()
+        if m < d:
+            continue
+        if d == 1:
+            total += mult * m
+            continue
+        if d == 2:
+            total += mult * (comb(m, 2) - _kill_pairs(adj, allowed, partnered))
+            continue
+        if d == 3:
+            total += mult * _independent_triples(rows, allowed, m, scope, flip)
+            continue
+        # d >= 4: walk the chain of entries that avoid the next vertex
+        while m >= d:
+            kills = 0
+            if allowed & partnered:
+                v = order[p]
+                while not allowed >> v & 1:
+                    p += 1
+                    v = order[p]
+                p += 1
+                kills = adj[v] & allowed
+            if not kills:
+                free = allowed & ~partnered
+                scan = allowed & partnered
+                while scan:
+                    low = scan & -scan
+                    scan ^= low
+                    if not adj[low.bit_length() - 1] & allowed:
+                        free |= low
+                rest = allowed ^ free
+                f = free.bit_count()
+                for k in range(max(0, d - rest.bit_count()), min(f, d) + 1):
+                    stack.append((rest, d - k, mult * comb(f, k), p))
+                break
+            allowed ^= 1 << v
+            m -= 1
+            leaf = allowed & ~kills
+            # steps for the chain's next entry and a d = 3 child, consumed here
+            steps += 1 if d > 4 else 2
+            if steps > cap:
+                raise ScaleGuardError(f"Hilbert count exceeds {cap} steps")
+            if d > 4:
+                stack.append((leaf, d - 1, mult, p))
+                continue
+            size = leaf.bit_count()
+            if size >= 3:
+                total += mult * _independent_triples(rows, leaf, size, scope, flip)
+    return total, steps
 
 
 def _kill_order(adj, allowed: int) -> list[int]:
@@ -480,74 +480,65 @@ def _kill_order(adj, allowed: int) -> list[int]:
     return order
 
 
+def _kill_pairs(adj, allowed: int, partnered: int) -> int:
+    """Number of kill pairs inside the vertex mask `allowed`, each found at
+    its first vertex; only the vertices of `partnered` have one to find."""
+    pairs = 0
+    later = allowed & partnered
+    while later:
+        low = later & -later
+        later ^= low
+        pairs += (adj[low.bit_length() - 1] & later).bit_count()
+    return pairs
+
+
 def _leaf_flip(adj, allowed: int, partnered: int) -> int:
     """The form in which a count on `allowed` counts its d = 3 entries
     (`_independent_triples`): -1, the triangles of the complement, when the
-    kill graph on `allowed` has density above 0.6, else 0, the kill side's
-    closed form.  Only the vertices of `partnered` have a kill partner, so
-    only they are scanned.  The threshold is where the two forms cross on
-    seeded random kill graphs of 40-100 vertices at d = 4 and 5: at density
-    0.5 the kill side is 1.2-1.6x faster, at 0.6 they are level, and at
-    0.7-0.9 the complement is up to 1.2x faster."""
-    twice_e = 0
-    scan = allowed & partnered
-    while scan:
-        low = scan & -scan
-        scan ^= low
-        twice_e += (adj[low.bit_length() - 1] & allowed).bit_count()
+    kill graph on `allowed` has density above 0.6, i.e. 10 e > 3 m (m - 1)
+    for its e kill pairs and m vertices, else 0, the kill side's closed
+    form.  The threshold is where the two forms cross on seeded random kill
+    graphs of 40-100 vertices at d = 4 and 5: at density 0.5 the kill side
+    is 1.2-1.6x faster, at 0.6 they are level, and at 0.7-0.9 the
+    complement is up to 1.2x faster."""
     m = allowed.bit_count()
-    return -(5 * twice_e > 3 * m * (m - 1))
+    return -(10 * _kill_pairs(adj, allowed, partnered) > 3 * m * (m - 1))
 
 
-def _independent_triples(adj, allowed: int, m: int, partnered: int, flip: int) -> int:
+def _independent_triples(rows, allowed: int, m: int, scope: int, flip: int) -> int:
     """Number of 3-subsets of the m-vertex mask `allowed` with no kill pair,
-    in the form `flip` names (`_leaf_flip`).
+    in the form `flip` names (`_leaf_flip`), from one scan of the vertices
+    of `allowed & scope` that finds each triangle u < w < x of the masks
+    `rows` at u, as a partner x > w shared by u and w.
 
-    flip = -1 counts them directly, as the triangles of the complement.
-    flip = 0 takes the kill side: with e kill pairs inside `allowed` and
-    degrees deg(v) there, inclusion-exclusion over the kill pairs of a
-    triple gives C(m, 3) - e (m - 2) + sum_v C(deg v, 2) - (kill triangles).
-    One pass over the vertices of `partnered`, those with a kill partner,
-    sums the degrees and the kill triangles together: each triangle
-    u < w < x is found at u, with w and x among the later kill partners of
-    u (nb & scan).
+    flip = -1: `rows` are the kill masks complemented inside the count's
+    vertices, all in scope, so the triangles are the triples themselves.
+    flip = 0: `rows` are the kill masks, and `scope` the vertices with a
+    kill partner.  With e kill pairs inside `allowed` and degrees deg(v)
+    there, summed by the same scan, inclusion-exclusion over the kill
+    pairs of a triple gives C(m, 3) - e (m - 2) + sum_v C(deg v, 2) - t
+    for the t kill triangles.
     """
-    if flip:
-        return _complement_triangles(adj, allowed)
     twice_e = squares = triangles = 0
-    scan = allowed & partnered
+    scan = allowed & scope
     while scan:
         low = scan & -scan
         scan ^= low
-        nb = adj[low.bit_length() - 1]
-        deg = (nb & allowed).bit_count()
-        twice_e += deg
-        squares += deg * deg
+        nb = rows[low.bit_length() - 1]
+        if not flip:
+            deg = (nb & allowed).bit_count()
+            twice_e += deg
+            squares += deg * deg
+        # scan now holds the vertices after u, so no self bit is read
         later = nb & scan
         while later:
             low_w = later & -later
             later ^= low_w
-            triangles += (adj[low_w.bit_length() - 1] & later).bit_count()
+            triangles += (rows[low_w.bit_length() - 1] & later).bit_count()
+    if flip:
+        return triangles
     # sum_v C(deg v, 2) = (sum deg^2 - 2e) / 2
     return comb(m, 3) - twice_e // 2 * (m - 2) + (squares - twice_e) // 2 - triangles
-
-
-def _complement_triangles(adj, allowed: int) -> int:
-    """Triangles inside `allowed` of the complement of the kill graph.  Each
-    triangle u < w < x is found once, at u, as a non-kill partner x > w
-    shared by u and w."""
-    count = 0
-    scan = allowed
-    while scan:
-        low = scan & -scan
-        scan ^= low
-        # scan now holds the vertices after u, so no self bit is read
-        later = ~adj[low.bit_length() - 1] & scan
-        while later:
-            low_w = later & -later
-            later ^= low_w
-            count += (~adj[low_w.bit_length() - 1] & later).bit_count()
-    return count
 
 
 def symmetrize(

@@ -28,7 +28,7 @@ from turancover.cli import (
     build_parser,
     main,
 )
-from turancover.errors import InputError
+from turancover.errors import InputError, ScaleGuardError
 from turancover.hypergraph import (
     RGraph,
     builtin_spec,
@@ -305,6 +305,26 @@ def test_hilbert_step_budget_exit_code(capsys, monkeypatch):
     assert code == EXIT_SCALE_GUARD
     assert payload is None
     assert json.loads(err)["error"] == "scale guard"
+
+
+def test_hilbert_quotient_cap_refuses_before_any_mask_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(squarezero, "QUOTIENT_CAP_VERTICES", 10)
+    code, report, _ = run(capsys, "hilbert", "--n", "10", "--d", "2", "--kill", "1,2")
+    assert code == EXIT_OK and report["result"]["value"] == comb(10, 2) - 1
+
+    def built(*args):
+        raise AssertionError("masks were built")
+
+    monkeypatch.setattr(cli, "_kill_masks", built)
+    monkeypatch.setattr(squarezero.SquareZeroQuotient, "_from_adj", built)
+    # a regular kill list, and one that takes the fallback parser
+    for kill in (["1,2"], ["1-2"]):
+        code, payload, err = run(capsys, "hilbert", "--n", "11", "--d", "2", "--kill", *kill)
+        assert code == EXIT_SCALE_GUARD and payload is None, kill
+        assert json.loads(err) == {"error": "scale guard", "message": "n=11 exceeds quotient cap 10 variables"}
+    # the library constructor checks the same cap before its own list
+    with pytest.raises(ScaleGuardError, match="exceeds quotient cap 10"):
+        squarezero.SquareZeroQuotient(11, [(1, 2)])
 
 
 def test_scale_guard_exit_code(capsys):

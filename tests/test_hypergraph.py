@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from math import comb, factorial, prod
 
 import pytest
@@ -167,6 +168,30 @@ def test_core_family_freeness_predicate_matches_member_scan():
             for sub in itertools.combinations(chosen, k)
         )
         assert core_family_free(G, 3) == (not has_member)
+
+
+def test_a_colouring_answers_freeness_on_turan_graphs(monkeypatch):
+    # greedy colouring in vertex order uses q colours on T(n, q), so no
+    # (q + 1)-clique is searched for; the search once took 10.9 s on T(50, 10)
+    assert not core_family_free(turan_construct(60, 12, 2), 12)
+    rng = random.Random(17)
+    for _ in range(300):
+        n, ell = rng.randint(2, 9), rng.randint(2, 5)
+        G = RGraph(n, 2, [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.6])
+        clique = any(
+            all(frozenset(p) in G.edges for p in itertools.combinations(S, 2))
+            for S in itertools.combinations(range(1, n + 1), ell)
+        )
+        assert core_family_free(G, ell) == (not clique), (G, ell)
+
+    def searched(*args):
+        raise AssertionError("the clique search ran")
+
+    monkeypatch.setattr(hypergraph, "_has_clique", searched)
+    for n, q in ((50, 10), (60, 12)):
+        start = time.monotonic()
+        assert core_family_free(turan_construct(n, q, 2), q + 1)
+        assert time.monotonic() - start < 0.5, (n, q)
 
 
 # ---------------------------------------------------------------------------

@@ -380,7 +380,7 @@ def test_every_traced_name_is_defined_on_its_owner(monkeypatch):
 
 def test_the_hilbert_step_cap_is_read_only_by_the_count():
     """Every step of a Hilbert count is charged inside the one budgeted
-    loop: `HILBERT_CAP_STEPS` is read only in `SquareZeroQuotient._count`,
+    loop: `HILBERT_CAP_STEPS` is read only in `_count`,
     and no function of `squarezero` calls itself, so no leaf is counted by
     a recursion that the loop does not see."""
     path = SOURCE / "squarezero.py"
@@ -392,7 +392,7 @@ def test_the_hilbert_step_cap_is_read_only_by_the_count():
             for node in ast.walk(part)
         )
     }
-    assert readers == {"SquareZeroQuotient._count"}
+    assert readers == {"_count"}
     recursive = [
         func.name
         for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))

@@ -700,26 +700,27 @@ def test_triple_closed_form_matches_brute_force_on_both_sides(monkeypatch):
             want += [brute_force_count(A, d, partners) for d in (3, 4)]
             cases.append((A, c, want))
     leaf_flip = squarezero._leaf_flip
-    complement_triangles = squarezero._complement_triangles
+    independent_triples = squarezero._independent_triples
     for form in (None, 0, -1):
-        forms, complement = [], []
+        forms, leaves = [], []
 
         def flip(adj, allowed, partnered):
             forms.append(leaf_flip(adj, allowed, partnered) if form is None else form)
             return forms[-1]
 
-        def recorded(adj, allowed):
-            complement.append(allowed)
-            return complement_triangles(adj, allowed)
+        def recorded(rows, allowed, m, scope, flip):
+            leaves.append(flip)
+            return independent_triples(rows, allowed, m, scope, flip)
 
         monkeypatch.setattr(squarezero, "_leaf_flip", flip)
-        monkeypatch.setattr(squarezero, "_complement_triangles", recorded)
+        monkeypatch.setattr(squarezero, "_independent_triples", recorded)
         for A, c, want in cases:
             got = [A.hilbert(d) for d in range(3, 7)] + [A.lambda_dim(c, d) for d in (3, 4)]
             assert got == want, (A.n, c, form)
         assert set(forms) == ({0, -1} if form is None else {form})
         # the complement counts the d = 3 entries of exactly the counts
         # that chose it
+        complement = [leaf for leaf in leaves if leaf == -1]
         assert bool(complement) == (-1 in forms)
         if form == -1:
             assert len(complement) > 100
@@ -855,7 +856,7 @@ def test_class_lambda_is_lambda_dim_on_every_representative():
             # c's count on the quotient's own masks, the keys' shortcuts aside
             allowed = ((2 << A.n) - 2) & ~(1 << c | A._adj[c])
             for d in range(4):
-                assert squarezero._class_lambda(A.n, classes, key, d) == A._count(allowed, d)[0], (A, c, d)
+                assert squarezero._class_lambda(A.n, classes, key, d) == squarezero._count(A._adj, allowed, d)[0], (A, c, d)
                 checked += 1
     assert checked > 5000
 
@@ -968,19 +969,19 @@ def test_ordered_count_matches_the_recursive_count_from_d_4():
 
 
 def count_and_steps(monkeypatch, A, d, c=None):
-    """`A._count`'s (value, steps) over the vertices that `A.hilbert(d)`
+    """`squarezero._count`'s (value, steps) over the vertices that `A.hilbert(d)`
     counts, or with c those that `A.lambda_dim(c, d)` counts, after checking
     that the cap is read at the counted step: a budget of exactly those
     steps answers, and one step less refuses."""
     allowed = (2 << A.n) - 2
     if c is not None:
         allowed &= ~(1 << c | A._adj[c])
-    value, steps = A._count(allowed, d)
+    value, steps = squarezero._count(A._adj, allowed, d)
     monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", steps)
-    assert A._count(allowed, d) == (value, steps)
+    assert squarezero._count(A._adj, allowed, d) == (value, steps)
     monkeypatch.setattr(squarezero, "HILBERT_CAP_STEPS", steps - 1)
     with pytest.raises(ScaleGuardError, match=f"exceeds {steps - 1} steps"):
-        A._count(allowed, d)
+        squarezero._count(A._adj, allowed, d)
     return value, steps
 
 
