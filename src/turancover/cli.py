@@ -40,7 +40,7 @@ from .hypergraph import (
     parse_hypergraph,
     turan_count,
 )
-from .squarezero import SquareZeroQuotient, check_quotient_size, symmetrize, terminal_class_sizes
+from .squarezero import SquareZeroQuotient, symmetrize, terminal_class_sizes
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 2
@@ -83,55 +83,29 @@ def _parse_pairs(tokens: list[str]) -> list[tuple[int, int]]:
 
 
 class _VertexTable(dict):
-    """The texts of 0..k mapped to their numbers, k capped at n.  A text
-    not in the table is read by `int`; one that is no vertex of [n] (an
-    empty text, or a number past n) reads as 0, before any bit is built.
-    A table over the numbers given alone would cost one `str` per number,
-    as much as the `int` calls it saves."""
-
-    n: int
+    """The texts of 0..k mapped to their numbers; a text not in the table
+    is read by `int`.  A table over the numbers given alone would cost one
+    `str` per number, as much as the `int` calls it saves."""
 
     def __missing__(self, text: str) -> int:
-        try:
-            v = int(text)
-        except ValueError:  # empty, or past int's digit limit
-            return 0
-        return v if v <= self.n else 0
-
-
-def _kill_masks(tokens: list[str], n: int) -> list[int] | None:
-    """The adjacency masks on [n] of a regular kill list, built in one pass:
-    numbers are read from a `_VertexTable`, and each pair sets its two
-    bits.  Regular means ASCII a,b tokens: with the digits taken out, the
-    joined text reads ",;,;...,", which one C-level `translate` tests.
-    None for any other list, and for a pair with a zero, a self pair or a
-    number that is no vertex."""
-    text = ";".join(tokens)
-    if not text.isascii() or text.encode().translate(None, b"0123456789") != b",;" * (len(tokens) - 1) + b",":
-        return None
-    parts = text.replace(";", ",").split(",")
-    table = _VertexTable({str(i): i for i in range(min(n, len(parts)) + 1)})
-    table.n = n
-    values = map(table.__getitem__, parts)
-    adj = [0] * (n + 1)
-    for a, b in zip(values, values):
-        if a == b or not a or not b:
-            return None
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
+        return int(text)
 
 
 def _kill_quotient(tokens: list[str], n: int) -> SquareZeroQuotient:
-    """The quotient on [n] killing the pairs of `tokens`: straight from
-    `_kill_masks` when the list is regular, else through `_parse_pairs`
-    and the checked constructor, so every refusal keeps its message.  An n
-    past the quotient cap is refused before either builds a mask."""
-    check_quotient_size(n)
-    adj = _kill_masks(tokens, n)
-    if adj is None:
+    """The quotient on [n] killing the pairs of `tokens`, built by the
+    checked constructor, so every refusal is the library's own.  A regular
+    list (ASCII a,b tokens: with the digits taken out, the joined text reads
+    ",;,;...,", which one C-level `translate` tests) has its numbers read
+    from a `_VertexTable` of 0..min(n, number of parts); any other goes
+    through `_parse_pairs`.  Both read every number before the first pair
+    is checked, as the per-token reading does."""
+    text = ";".join(tokens)
+    if not text.isascii() or text.encode().translate(None, b"0123456789") != b",;" * (len(tokens) - 1) + b",":
         return SquareZeroQuotient(n, _parse_pairs(tokens))
-    return SquareZeroQuotient._from_adj(n, adj)
+    parts = text.replace(";", ",").split(",")
+    table = _VertexTable({str(i): i for i in range(min(n, len(parts)) + 1)})
+    values = iter(list(map(table.__getitem__, parts)))
+    return SquareZeroQuotient(n, zip(values, values))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +165,6 @@ def cmd_hilbert(args) -> tuple[RunReport, int]:
 def cmd_symmetrize(args) -> tuple[RunReport, int]:
     A = _kill_quotient(args.kill, args.n)
     terminal, trace = symmetrize(A, args.q, args.r)
-    sizes = terminal_class_sizes(terminal)
     if trace:
         initial, final = trace[0]["hilbert_before"], trace[-1]["hilbert_after"]
     else:
@@ -199,7 +172,7 @@ def cmd_symmetrize(args) -> tuple[RunReport, int]:
     result = {
         "steps": trace,
         "terminal_kill": terminal._pairs(),
-        "terminal_class_sizes": sizes,
+        "terminal_class_sizes": terminal_class_sizes(terminal),
         "hilbert_initial": initial,
         "hilbert_terminal": final,
     }

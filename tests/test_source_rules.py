@@ -1,6 +1,7 @@
 """Rules on the library's source that no single behaviour test can see."""
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import sys
@@ -400,6 +401,29 @@ def test_the_hilbert_step_cap_is_read_only_by_the_count():
         and any(isinstance(node, ast.Call) and _callee(node) == func.name for node in ast.walk(func))
     ]
     assert recursive == []
+
+
+def test_kill_pairs_are_checked_only_by_the_quotient_constructor():
+    """`SquareZeroQuotient.__init__` is the one check of kill pairs and of
+    the quotient cap: the unchecked `_from_adj` is called only by `clone`
+    and `symmetrize`, whose masks come from a checked quotient's class
+    keys, so every quotient built from kill pairs, the CLI's included,
+    goes through the constructor.  A quotient declares the fields `n` and
+    `_adj` alone, so it keeps no cache beside its masks."""
+    found = {
+        (path.name, where, callee)
+        for path in sorted(SOURCE.rglob("*.py"))
+        for where, part in _top_parts(path)
+        for node in ast.walk(part)
+        if isinstance(node, ast.Call) and (callee := _callee(node)) in {"_from_adj", "check_quotient_size"}
+    }
+    assert found == {
+        ("squarezero.py", "SquareZeroQuotient.__init__", "check_quotient_size"),
+        ("squarezero.py", "SquareZeroQuotient.clone", "_from_adj"),
+        ("squarezero.py", "symmetrize", "_from_adj"),
+    }
+    assert [field.name for field in dataclasses.fields(SquareZeroQuotient)] == ["n", "_adj"]
+    assert SquareZeroQuotient.__slots__ == ("n", "_adj")
 
 
 MUTATING_METHODS = {

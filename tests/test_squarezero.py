@@ -196,12 +196,10 @@ def test_clone_requires_zero_products():
 def test_quotient_is_a_frozen_value_of_its_kill_graph():
     """A quotient is its (n, kill graph): the checked constructor and the
     trusted one (`clone`, `_from_adj`) make equal values that hash alike,
-    its parallel-class cache takes no part, and it cannot be changed."""
+    and it cannot be changed."""
     A = SquareZeroQuotient(4, [(1, 2), (3, 4), (1, 3)])
     B = A.clone((1,), (3,))
     fresh = SquareZeroQuotient(4, B.kill)
-    assert B._classes is None and B.parallel_classes() and B._classes is not None
-    assert fresh._classes is None
     built = (fresh, SquareZeroQuotient._from_adj(4, B._adj), SquareZeroQuotient(4, reversed(B._pairs())))
     for Q in built:
         assert Q == B and B == Q and hash(Q) == hash(B)
@@ -209,7 +207,7 @@ def test_quotient_is_a_frozen_value_of_its_kill_graph():
     assert len({B, *built}) == 1
     for Q in (A, B, *built):
         assert Q != Q.kill and Q != (Q.n, Q._adj) and Q != None  # noqa: E711
-        for attr in ("n", "_adj", "_classes"):
+        for attr in ("n", "_adj"):
             with pytest.raises(AttributeError):
                 setattr(Q, attr, getattr(Q, attr))
             with pytest.raises(AttributeError):
@@ -438,6 +436,54 @@ def test_hilbert_past_the_old_recursion_limit():
     # inside the budget
     assert SquareZeroQuotient(4000).hilbert(4) == comb(4000, 4)
     assert time.monotonic() - start < 1.0
+
+
+def test_class_grouping_is_refused_past_its_key_bits(monkeypatch):
+    # the keys of 10 vertices hold at least 1 + 2 + ... + 10 = 55 bits
+    A = SquareZeroQuotient(10, [(1, 2), (2, 3)])
+    calls = {
+        "symmetrize": lambda: symmetrize(A, 9, 2),
+        "parallel_classes": A.parallel_classes,
+        "lambda_dim": lambda: A.lambda_dim(1, 2),
+        "clone": lambda: A.clone((1,), (2,)),
+        "terminal_class_sizes": lambda: terminal_class_sizes(A),
+    }
+    monkeypatch.setattr(squarezero, "GROUP_CAP_BITS", 55)
+    for name, call in calls.items():
+        assert call(), name
+    monkeypatch.setattr(squarezero, "GROUP_CAP_BITS", 54)
+    for name, call in calls.items():
+        with pytest.raises(ScaleGuardError, match="needs 55 key bits, cap 54"):
+            call()
+    # a count needs no classes
+    assert A.hilbert(2) == comb(10, 2) - 2
+
+
+def test_answer_digits_are_priced_exactly(monkeypatch):
+    # at a cap of 5 digits, C(m, d) < 10**5 is let through, by the bit
+    # length alone or by the product of binomials, and any larger refused
+    monkeypatch.setattr(squarezero, "HILBERT_CAP_DIGITS", 5)
+    for m in range(70):
+        for d in range(m + 3):
+            try:
+                squarezero._check_answer_digits(m, d)
+            except ScaleGuardError:
+                assert comb(m, d) >= 10**5, (m, d)
+            else:
+                assert comb(m, d) < 10**5, (m, d)
+
+
+def test_hilbert_answers_up_to_the_digit_limit_and_refuses_past_it():
+    # the least d with C(15000, d) past 4300 digits, found by bisection
+    low, high = 1, 7500
+    while low < high:
+        mid = (low + high) // 2
+        low, high = (mid + 1, high) if comb(15000, mid) < 10**4300 else (low, mid)
+    A = SquareZeroQuotient(15000)
+    assert A.hilbert(low - 1) == comb(15000, low - 1)
+    for count in (lambda: A.hilbert(low), lambda: SquareZeroQuotient(15001).lambda_dim(1, low)):
+        with pytest.raises(ScaleGuardError, match=f"C\\(15000, {low}\\) exceeds 4300 digits"):
+            count()
 
 
 def test_hilbert_step_budget_is_refused(monkeypatch):
@@ -752,7 +798,7 @@ def test_first_zero_product_pair_is_the_least_zero_flag():
         A = SquareZeroQuotient(n, pairs)
         zero = [pair for pair, flag in A.parallel_classes().zero_between.items() if flag]
         want = min(zero, key=lambda pair: (pair[0][0], pair[1][0])) if zero else None
-        classes = A._class_masks()
+        classes = squarezero._group_classes(A._adj)
         keys = squarezero._first_killed_pair(classes)
         got = keys and tuple(tuple(squarezero._bits(classes[key])) for key in keys)
         assert got == want, (n, sorted(map(sorted, pairs)))
@@ -831,8 +877,6 @@ def test_symmetrize_on_class_keys_is_the_clone_loop():
             terminal, trace = symmetrize(A, q, r)
             assert trace == want[1], (A, q, r)
             assert terminal == want[0], (A, q, r)
-            # the carried classes are the terminal masks' own grouping
-            assert terminal._class_masks() == squarezero._group_classes(terminal._adj)
             steps += len(trace)
     assert steps > 1000
 
@@ -850,7 +894,7 @@ def test_a_lambda_tie_keeps_the_first_class_as_the_source():
 def test_class_lambda_is_lambda_dim_on_every_representative():
     checked = 0
     for A, _ in symmetrize_cases():
-        classes = A._class_masks()
+        classes = squarezero._group_classes(A._adj)
         for key, mask in classes.items():
             c = (mask & -mask).bit_length() - 1
             # c's count on the quotient's own masks, the keys' shortcuts aside
@@ -891,9 +935,9 @@ def test_symmetrize_counts_hilbert_at_most_three_times_and_groups_each_quotient_
         terminal, trace = symmetrize(A, q, 2)
         terminal_class_sizes(terminal)
         assert len(counts) <= 3, (n, len(trace))
-        # one partition per call: the steps run on the input's classes,
-        # and the terminal quotient carries its own
-        assert grouped == [A._adj], n
+        # one grouping per quotient: the steps run on the input's classes,
+        # and the sizes are read from the terminal's
+        assert grouped == [A._adj, terminal._adj], n
         long_runs += len(trace) >= 3
     assert long_runs > 20
 
