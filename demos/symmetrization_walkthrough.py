@@ -16,7 +16,6 @@ from turancover.squarezero import (
     elem_sym,
     smoothing_step,
     symmetrize,
-    terminal_class_sizes,
 )
 from turancover.hypergraph import RGraph, brute_force_gen_ex, turan_count
 
@@ -27,13 +26,11 @@ A = SquareZeroQuotient(4, [(1, 2), (3, 4), (1, 3)])
 print("start:", A)
 print("  hilbert(2) =", A.hilbert(2), " degree-3 piece vanishes:", A.top_vanishing(2))
 
-terminal, trace = symmetrize(A, q=2, r=2)
+terminal, trace, sizes = symmetrize(A, q=2, r=2)
 for i, step in enumerate(trace, 1):
     print(f"  step {i}: clone {step['source']} onto {step['target']}"
           f"  (hilbert {step['hilbert_before']} -> {step['hilbert_after']})")
 print("terminal:", terminal)
-
-sizes = terminal_class_sizes(terminal)
 print("  class sizes:", sizes,
       " hilbert(2) =", terminal.hilbert(2), "= e_2(sizes) =", elem_sym(sizes, 2))
 assert terminal.hilbert(2) >= A.hilbert(2)

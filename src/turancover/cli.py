@@ -40,7 +40,7 @@ from .hypergraph import (
     parse_hypergraph,
     turan_count,
 )
-from .squarezero import SquareZeroQuotient, symmetrize, terminal_class_sizes
+from .squarezero import SquareZeroQuotient, symmetrize
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 2
@@ -164,7 +164,7 @@ def cmd_hilbert(args) -> tuple[RunReport, int]:
 
 def cmd_symmetrize(args) -> tuple[RunReport, int]:
     A = _kill_quotient(args.kill, args.n)
-    terminal, trace = symmetrize(A, args.q, args.r)
+    terminal, trace, sizes = symmetrize(A, args.q, args.r)
     if trace:
         initial, final = trace[0]["hilbert_before"], trace[-1]["hilbert_after"]
     else:
@@ -172,7 +172,7 @@ def cmd_symmetrize(args) -> tuple[RunReport, int]:
     result = {
         "steps": trace,
         "terminal_kill": terminal._pairs(),
-        "terminal_class_sizes": terminal_class_sizes(terminal),
+        "terminal_class_sizes": sizes,
         "hilbert_initial": initial,
         "hilbert_terminal": final,
     }

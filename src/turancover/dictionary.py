@@ -39,7 +39,6 @@ from .hypergraph import (
     enumerate_forbidden_copies,
     explicit_copy_count,
     explicit_shapes,
-    guard_copy_listing,
     pair_shadows,
     place_copies,
 )
@@ -113,11 +112,10 @@ def make_instance(
     every ell-clique, and the copies of T there are those whose shadow
     avoids M: the forbidden copies are the ell-cliques of K_n, and the
     targets the pair shadows of the copies of T (`pair_shadows`), a
-    multiset.  Before any shadow is built, ScaleGuardError refuses C(n,
-    ell) cliques placing more than COPY_CAP pairs, then a search setup past
-    `guard_search_setup`'s budget, which prices the C(n, k) targets whether
-    they are placed or not; the targets are placed, under `place_copies`'s
-    guard, before the cliques.
+    multiset.  Before anything is placed, ScaleGuardError refuses a search
+    setup past `guard_search_setup`'s budget, which prices the C(n, k)
+    targets whether they are placed or not; then the cliques are placed,
+    and then the targets, each under `place_copies`'s guard.
 
     Both families hold every copy placed on [n], so cut to the r-sets of
     [m] they are invariant under the permutations of [m]: the instance's
@@ -136,11 +134,10 @@ def make_instance(
     span = target_shapes[0] or None  # k = 0 iff no shape
     if isinstance(forbid_spec, CoreFamily):
         ell = forbid_spec.ell
-        guard_copy_listing(comb(n, ell), comb(ell, 2))
         guard_search_setup(ntargets, comb(n, ell), comb(n, 2))
+        cliques = place_copies(complete_shape(ell, 2) if ell <= n else (0, set()), n, 2)
         targets = None if span == r else place_copies(pair_shadows(target_shapes), n, 2)
-        cliques = complete_shape(ell, 2) if ell <= n else (0, set())
-        return CoverInstance(n, 2, place_copies(cliques, n, 2), targets, span)
+        return CoverInstance(n, 2, cliques, targets, span)
     forbid_shapes = explicit_shapes(forbid_spec, n)
     guard_search_setup(ntargets, explicit_copy_count(forbid_shapes, n), comb(n, r))
     forbidden = enumerate_forbidden_copies(forbid_spec, n, forbid_shapes)

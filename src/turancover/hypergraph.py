@@ -411,19 +411,13 @@ def explicit_copy_count(shapes: tuple[int, Collection], n: int) -> int:
     return comb(n, k) * len(found)
 
 
-def guard_copy_listing(copies: int, edges: int) -> None:
-    """Refuse to list `copies` copies of `edges` edges each: ScaleGuardError
-    when the edges placed exceed COPY_CAP."""
-    if copies * edges > COPY_CAP:
-        raise ScaleGuardError(f"copy count {copies} x {edges} edges exceeds cap {COPY_CAP}")
-
-
 def place_copies(shapes: tuple[int, Collection], n: int, r: int) -> CopyFamily:
     """Every shape of `shapes` = (k, shapes on positions 0..k-1) placed on
     every k-subset of [n], as colex masks in nondecreasing order; no shape
     gives the empty family.
     ScaleGuardError refuses C(n, k) * (number of shapes) copies times the
-    edges of one shape above COPY_CAP, before any is placed.
+    edges of one shape above COPY_CAP, before any is placed: the one guard
+    on a copy listing.
 
     Rank tables.  On the 0-based k-set c (c[i] = v - 1) a shape's edge, a
     sorted position tuple (p_1 < ... < p_r), sits at the colex rank
@@ -438,7 +432,9 @@ def place_copies(shapes: tuple[int, Collection], n: int, r: int) -> CopyFamily:
     if not found:
         return CopyFamily(n, r, ())
     nedges = len(next(iter(found)))
-    guard_copy_listing(explicit_copy_count(shapes, n), nedges)
+    count = explicit_copy_count(shapes, n)
+    if count * nedges > COPY_CAP:
+        raise ScaleGuardError(f"copy count {count} x {nedges} edges exceeds cap {COPY_CAP}")
     # every position lies in an edge, so a copy's vertex set is the k-set it
     # was placed on: distinct shapes give distinct copies, and a shape listed
     # twice gives each of its copies twice.  A shape's edges are sorted
@@ -805,7 +801,6 @@ __all__ = [
     "complete_shape",
     "explicit_copy_count",
     "explicit_shapes",
-    "guard_copy_listing",
     "pair_shadows",
     "place_copies",
     "enumerate_forbidden_copies",

@@ -125,7 +125,7 @@ def _check_cloning(point) -> None:
     gain = B.hilbert(r) - A.hilbert(r)
     _require(gain == ledger, f"cloning {U} onto {V} changes h_{r} by {gain}, ledger {ledger}")
     _require(B.top_vanishing(q), f"cloning {U} onto {V} revives degree {q + 1}")
-    term, trace = symmetrize(A, q, r2)
+    term, trace, _ = symmetrize(A, q, r2)
     _require(len(trace) < n, f"symmetrization took {len(trace)} steps")
     h = term.hilbert(r2)
     _require(h >= A.hilbert(r2), f"symmetrization lowers h_{r2} from {A.hilbert(r2)} to {h}")
@@ -190,7 +190,7 @@ def _cloning_samples(count: int) -> list:
         n = rng.randint(3, 8)
         kill = [p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4]
         A = SquareZeroQuotient(n, kill)
-        candidates = [p for p, zero in A.parallel_classes().zero_between.items() if zero]
+        candidates = [(C, D) for C, D in itertools.combinations(A.parallel_classes(), 2) if A.killed(C[0], D[0])]
         if not candidates:
             continue
         q = max(d for d in range(n + 1) if A.hilbert(d) > 0)

@@ -15,14 +15,17 @@ walked in place, and each d = 3 entry is counted by one scan of its
 vertices, on the kill side or the complement's.  A count whose answer
 could pass HILBERT_CAP_DIGITS decimal digits is refused before it starts.
 
-A quotient holds nothing but its masks.  Parallel classes are grouped by
-closed-neighbourhood mask (`_group_classes`), once per call that needs
-them, into a class dictionary: closed kill-neighbourhood key -> class mask;
-past GROUP_CAP_BITS bits of keys the grouping is refused before its first
-key.  Symmetrization runs its steps on that dictionary alone: the clone
-pair comes from the class representatives, lambda at degree <= 2 from
-class sizes and keys, and a clone rewrites the keys.  Vertex masks are
-built once, for the terminal quotient.
+A quotient holds nothing but its masks; a pair (a, b) gives a a mask of
+b + 1 bits, so masks that could pass MASK_CAP_BITS bits are priced first.
+Parallel classes are grouped by closed-neighbourhood mask
+(`_group_classes`), once per call that needs them, into a class
+dictionary, the one class structure: closed kill-neighbourhood key ->
+class mask; past GROUP_CAP_BITS bits of keys the grouping is refused
+before its first key.  Symmetrization runs its steps on that dictionary
+alone: the clone pair comes from the class representatives, lambda at
+degree <= 2 from class sizes and keys, a clone rewrites the keys, and
+the terminal class sizes are its popcounts.  Vertex masks are built
+once, for the terminal quotient.
 
 Symmetrization counts the degree-r Hilbert value once before its first
 clone and carries it through the steps by the cloning ledger: cloning class
@@ -33,7 +36,6 @@ Hilbert counts however many steps it takes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import reduce
 from math import comb
@@ -49,6 +51,9 @@ QUOTIENT_CAP_VERTICES = 4_000_000
 # decimal digits a Hilbert count's binomial bound may have: Python's
 # default limit on int -> str, past which no report could print the answer
 HILBERT_CAP_DIGITS = 4300
+# bits the kill masks of a quotient may hold in all, n (n + 1) at most on
+# [n], so every quotient on n <= 46,340 variables fits unpriced
+MASK_CAP_BITS = 1 << 31
 # bits of closed-neighbourhood keys a class grouping may build, at least
 # n (n + 1) / 2 on [n] whatever the kill graph: 2**28 admits n ~ 23,000
 GROUP_CAP_BITS = 1 << 28
@@ -94,15 +99,6 @@ def smoothing_step(values, r: int) -> tuple[tuple[int, ...], int]:
     return tuple(vals), (a - b - 1) * elem_sym(others, r - 2)
 
 
-@dataclass(frozen=True)
-class ParallelPartition:
-    """Maximal parallel classes of a quotient plus the uniform cross-product
-    flags (True = all products between the two classes vanish)."""
-
-    classes: tuple[tuple[int, ...], ...]
-    zero_between: dict
-
-
 def _bad_pair(p) -> InputError:
     """The refusal of a kill pair that is not two distinct variables of [n].
     It names the pair's distinct entries, or all of them when a repeat hides
@@ -112,6 +108,30 @@ def _bad_pair(p) -> InputError:
     return InputError(f"bad kill pair {sorted(entries) if len(distinct) == 2 else distinct}")
 
 
+def _priced_pairs(n: int, kill) -> list:
+    """The kill pairs as a list, checked as the constructor checks them,
+    and refused with ScaleGuardError when their masks would hold more than
+    MASK_CAP_BITS bits in all: a vertex's mask has one bit more than its
+    largest kill partner, so a pair (a, b) alone gives a a mask of b + 1
+    bits, however few pairs there are.  The constructor's loop keeps its
+    own inline check: a call per pair made it about 40% slower."""
+    pairs = list(kill)
+    top: dict[int, int] = {}
+    for p in pairs:
+        try:
+            a, b = p
+        except ValueError:
+            raise _bad_pair(p) from None
+        if a == b or not (0 < a <= n and 0 < b <= n):
+            raise _bad_pair(p)
+        top[a] = max(top.get(a, 0), b)
+        top[b] = max(top.get(b, 0), a)
+    bits = sum(top.values()) + len(top)
+    if bits > MASK_CAP_BITS:
+        raise ScaleGuardError(f"kill masks need {bits} bits, cap {MASK_CAP_BITS}")
+    return pairs
+
+
 @dataclass(frozen=True, slots=True, init=False, repr=False)
 class SquareZeroQuotient:
     """n variables with a kill graph of vanishing quadratic products.
@@ -119,7 +139,9 @@ class SquareZeroQuotient:
     The kill graph is stored only as adjacency masks: bit b of `_adj[a]` is
     set iff x_a x_b = 0 (a != b).  Equality and hashing compare (n, _adj).
     The constructor is the one check of kill pairs; every quotient built
-    from pairs goes through it.
+    from pairs goes through it.  When the masks could pass MASK_CAP_BITS
+    bits, n (n + 1) > MASK_CAP_BITS, it prices them exactly
+    (`_priced_pairs`) before the first is built.
     """
 
     n: int
@@ -129,6 +151,8 @@ class SquareZeroQuotient:
         if n < 1:
             raise InputError("need n >= 1")
         check_quotient_size(n)
+        if n * (n + 1) > MASK_CAP_BITS:
+            kill = _priced_pairs(n, kill)
         adj = [0] * (n + 1)
         for p in kill:
             try:
@@ -196,22 +220,18 @@ class SquareZeroQuotient:
 
     # -- parallel structure --------------------------------------------
 
-    def parallel_classes(self) -> ParallelPartition:
-        """Group variables by equal closed kill-neighborhoods; two variables
+    def parallel_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The parallel classes, in order of first variables: two variables
         are parallel iff they are killed together and their external kill
         sets agree, which is exactly closed-neighborhood equality.
 
-        Each cross flag is read from one pair of representatives.  It is
-        uniform over C x D: for u, u' in C and v in D (so v is neither),
-        N[u] = N[u'] gives v in N[u] iff v in N[u'], i.e. x_u x_v = 0 iff
-        x_u' x_v = 0; the same argument with N[v] = N[v'] moves v within D.
+        All cross products of classes C and D vanish iff killed(C[0], D[0]),
+        read from one pair of representatives, since it is uniform over
+        C x D: for u, u' in C and v in D (so v is neither), N[u] = N[u']
+        gives v in N[u] iff v in N[u'], i.e. x_u x_v = 0 iff x_u' x_v = 0;
+        the same argument with N[v] = N[v'] moves v within D.
         """
-        classes = tuple(tuple(_bits(mask)) for mask in _group_classes(self._adj).values())
-        zero_between = {
-            (C, D): self.killed(C[0], D[0])
-            for C, D in itertools.combinations(classes, 2)
-        }
-        return ParallelPartition(classes, zero_between)
+        return tuple(tuple(_bits(mask)) for mask in _group_classes(self._adj).values())
 
     def lambda_dim(self, c: int, d: int) -> int:
         """dim of x_c * (degree-d piece): standard d-subsets avoiding c and
@@ -570,7 +590,7 @@ def _independent_triples(rows, allowed: int, m: int, scope: int, flip: int) -> i
 
 def symmetrize(
     A: SquareZeroQuotient, q: int, r: int
-) -> tuple[SquareZeroQuotient, list[dict]]:
+) -> tuple[SquareZeroQuotient, list[dict], list[int]]:
     """Repeatedly clone between zero-product parallel class pairs until the
     kill graph is a disjoint union of class cliques.
 
@@ -592,7 +612,7 @@ def symmetrize(
     counted once and must equal the carried value, or ClaimCheckError is
     raised.  So a call makes at most three Hilbert counts: top_vanishing,
     the initial value and the terminal certificate.  Returns the terminal
-    quotient and the step trace.
+    quotient, the step trace and its class sizes, largest first.
     """
     if r < 1:
         raise InputError(f"need r >= 1, got r={r}")
@@ -621,13 +641,14 @@ def symmetrize(
             }
         )
         classes = _clone_classes(classes, source, target)
+    sizes = sorted((mask.bit_count() for mask in classes.values()), reverse=True)
     if not trace:
-        return A, trace
+        return A, trace, sizes
     terminal = SquareZeroQuotient._from_adj(n, _key_adj(n, classes))
     counted = terminal.hilbert(r)
     if counted != h:
         raise ClaimCheckError(f"terminal h_{r} = {counted}, cloning ledger gives {h}")
-    return terminal, trace
+    return terminal, trace, sizes
 
 
 def terminal_class_sizes(B: SquareZeroQuotient) -> list[int]:
@@ -638,7 +659,6 @@ def terminal_class_sizes(B: SquareZeroQuotient) -> list[int]:
 
 __all__ = [
     "SquareZeroQuotient",
-    "ParallelPartition",
     "elem_sym",
     "smoothing_step",
     "symmetrize",

@@ -321,6 +321,60 @@ def test_hilbert_quotient_cap_refuses_before_any_mask_is_built(capsys, monkeypat
         squarezero.SquareZeroQuotient(11, [(1, 2)])
 
 
+def test_far_kill_partners_are_priced_before_any_mask_is_built(capsys, monkeypatch):
+    # at a cap of 100 bits a quotient on 10 variables (110 bits when every
+    # pair is killed) is priced: 1,10 and 2,10 give masks of 11, 11 and 3 bits
+    monkeypatch.setattr(squarezero, "MASK_CAP_BITS", 25)
+    code, report, _ = run(capsys, "hilbert", "--n", "10", "--d", "2", "--kill", "1,10", "2,10")
+    assert code == EXIT_OK and report["result"]["value"] == comb(10, 2) - 2
+    monkeypatch.setattr(squarezero, "MASK_CAP_BITS", 24)
+    # a regular kill list, and one that takes the fallback parser
+    for kill in (["1,10", "2,10"], ["1-10", "2,10"]):
+        code, payload, err = run(capsys, "hilbert", "--n", "10", "--d", "2", "--kill", *kill)
+        assert code == EXIT_SCALE_GUARD and payload is None, kill
+        assert json.loads(err) == {"error": "scale guard", "message": "kill masks need 25 bits, cap 24"}
+
+
+def test_far_kill_partners_are_refused_at_the_vertex_cap():
+    # 20,000 pairs with partner 4,000,000 would build 10 GB of masks
+    n = squarezero.QUOTIENT_CAP_VERTICES
+    argv = ["hilbert", "--n", str(n), "--d", "2", "--kill", *(f"{a},{n}" for a in range(1, 20001))]
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == EXIT_SCALE_GUARD
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.monotonic() - start < 2.0
+    assert peak < 64 * 2**20
+    assert json.loads(err.getvalue())["message"] == "kill masks need 80000040001 bits, cap 2147483648"
+
+
+def test_a_quotient_at_the_vertex_cap_with_no_kill_pairs_still_answers(capsys):
+    n = squarezero.QUOTIENT_CAP_VERTICES
+    code, report, _ = run(capsys, "hilbert", "--n", str(n), "--d", "1")
+    assert code == EXIT_OK and report["result"]["value"] == n
+
+
+@pytest.mark.parametrize("kill", [["1,2", "3,4", "1,3"], ["1,2", "3,4"]], ids=["steps", "no-step"])
+def test_symmetrize_groups_classes_once_per_call(capsys, monkeypatch, kill):
+    group, grouped = squarezero._group_classes, []
+
+    def recorded(adj):
+        grouped.append(adj)
+        return group(adj)
+
+    monkeypatch.setattr(squarezero, "_group_classes", recorded)
+    code, report, _ = run(capsys, "symmetrize", "--n", "4", "--q", "2", "--r", "2", "--kill", *kill)
+    assert code == EXIT_OK and len(grouped) == 1
+    res = report["result"]
+    assert bool(res["steps"]) == (len(kill) == 3)
+    terminal = squarezero.SquareZeroQuotient(4, res["terminal_kill"])
+    assert res["terminal_class_sizes"] == squarezero.terminal_class_sizes(terminal)
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [

@@ -21,6 +21,12 @@ from turancover.squarezero import (
 )
 
 
+def zero_pairs(A):
+    """The pairs (C, D) of parallel classes of A, C before D, whose cross
+    products all vanish, read from their first variables."""
+    return [(C, D) for C, D in itertools.combinations(A.parallel_classes(), 2) if A.killed(C[0], D[0])]
+
+
 def random_quotient(rng, n):
     pairs = [
         p for p in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4
@@ -135,15 +141,15 @@ def test_top_vanishing_iff_no_large_standard_subset():
 
 
 def test_parallel_classes_examples():
-    assert SquareZeroQuotient(3, [(1, 2)]).parallel_classes().classes == ((1, 2), (3,))
-    assert SquareZeroQuotient(4, [(1, 2), (3, 4), (1, 3)]).parallel_classes().classes == (
+    assert SquareZeroQuotient(3, [(1, 2)]).parallel_classes() == ((1, 2), (3,))
+    assert SquareZeroQuotient(4, [(1, 2), (3, 4), (1, 3)]).parallel_classes() == (
         (1,),
         (2,),
         (3,),
         (4,),
     )
     full = SquareZeroQuotient(4, itertools.combinations(range(1, 5), 2))
-    assert full.parallel_classes().classes == ((1, 2, 3, 4),)
+    assert full.parallel_classes() == ((1, 2, 3, 4),)
 
 
 def test_lambda_examples():
@@ -161,7 +167,7 @@ def test_lambda_constant_on_classes():
     for _ in range(30):
         n = rng.randint(2, 7)
         A = random_quotient(rng, n)
-        for cls in A.parallel_classes().classes:
+        for cls in A.parallel_classes():
             for d in range(n):
                 vals = {A.lambda_dim(c, d) for c in cls}
                 assert len(vals) == 1
@@ -184,7 +190,7 @@ def test_clone_merges_classes():
     A = SquareZeroQuotient(4, [(1, 2), (3, 4), (1, 3)])
     B = A.clone((1,), (3,))
     # 2 was already killed with both 1 and 3, so it joins the merged class
-    assert (1, 2, 3) in B.parallel_classes().classes
+    assert (1, 2, 3) in B.parallel_classes()
 
 
 def test_clone_requires_zero_products():
@@ -220,8 +226,7 @@ def test_clone_dimension_ledger():
     while checked < 50:
         n = rng.randint(3, 8)
         A = random_quotient(rng, n)
-        part = A.parallel_classes()
-        candidates = [p for p, zero in part.zero_between.items() if zero]
+        candidates = zero_pairs(A)
         if not candidates:
             continue
         U, V = candidates[rng.randrange(len(candidates))]
@@ -239,8 +244,7 @@ def test_clone_preserves_top_vanishing():
     while checked < 30:
         n = rng.randint(3, 7)
         A = random_quotient(rng, n)
-        part = A.parallel_classes()
-        candidates = [p for p, zero in part.zero_between.items() if zero]
+        candidates = zero_pairs(A)
         if not candidates:
             continue
         # smallest q with vanishing top piece
@@ -257,15 +261,15 @@ def test_clone_preserves_top_vanishing():
 
 def test_symmetrize_already_partition_structured():
     A = SquareZeroQuotient.from_partition(6, 3)
-    term, trace = symmetrize(A, 3, 3)
-    assert term == A and trace == []
+    term, trace, sizes = symmetrize(A, 3, 3)
+    assert term == A and trace == [] and sizes == [2, 2, 2]
 
 
 def test_symmetrize_worked_example():
     A = SquareZeroQuotient(4, [(1, 2), (3, 4), (1, 3)])
-    term, trace = symmetrize(A, 2, 2)
+    term, trace, sizes = symmetrize(A, 2, 2)
     assert len(trace) <= 3
-    sizes = terminal_class_sizes(term)
+    assert sizes == terminal_class_sizes(term)
     assert len(sizes) <= 2
     assert term.hilbert(2) >= 3
     assert term.hilbert(2) == elem_sym(sizes, 2)
@@ -299,19 +303,18 @@ def test_symmetrize_properties_random():
         A = random_quotient(rng, n)
         q = max(d for d in range(n + 1) if A.hilbert(d) > 0)
         r = rng.randint(2, max(2, q))
-        term, trace = symmetrize(A, q, r)
+        term, trace, sizes = symmetrize(A, q, r)
         assert len(trace) < n
         assert term.top_vanishing(q)
         assert term.hilbert(r) >= A.hilbert(r)
-        sizes = terminal_class_sizes(term)
+        assert sizes == terminal_class_sizes(term)
         assert len(sizes) <= q
         assert term.hilbert(r) == elem_sym(sizes, r)
         assert term.hilbert(r) <= turan_count(n, q, r)
         # terminal kill graph is exactly the within-class pairs
-        part = term.parallel_classes()
         want = {
             frozenset(p)
-            for cls in part.classes
+            for cls in term.parallel_classes()
             for p in itertools.combinations(cls, 2)
         }
         assert term.kill == frozenset(want)
@@ -543,19 +546,21 @@ def reference_hilbert_lambda(n, pairs):
 
 
 def reference_parallel_classes(n, pairs):
-    """Classes by closed neighbourhood and every cross flag read over all of
-    C x D; a non-uniform flag set fails the test."""
+    """Classes by closed neighbourhood, and the class pairs (C, D), C before
+    D, with every cross flag over all of C x D zero; a non-uniform flag set
+    fails the test."""
     adj = reference_adj(n, pairs)
     groups = {}
     for v in range(1, n + 1):
         groups.setdefault(adj[v] | 1 << v, []).append(v)
     classes = tuple(sorted(tuple(g) for g in groups.values()))
-    zero_between = {}
+    zero = []
     for C, D in itertools.combinations(classes, 2):
         flags = {frozenset((u, v)) in pairs for u in C for v in D}
         assert len(flags) == 1, (C, D)
-        zero_between[C, D] = flags.pop()
-    return classes, zero_between
+        if flags.pop():
+            zero.append((C, D))
+    return classes, zero
 
 
 def reference_clone(n, pairs, S, T):
@@ -573,11 +578,7 @@ def reference_symmetrize(n, pairs, r):
     """The old symmetrization loop over pair sets: (terminal pairs, trace)."""
     trace = []
     while True:
-        _, zero_between = reference_parallel_classes(n, pairs)
-        candidates = sorted(
-            (pair for pair, zero in zero_between.items() if zero),
-            key=lambda pair: (pair[0][0], pair[1][0]),
-        )
+        candidates = sorted(reference_parallel_classes(n, pairs)[1], key=lambda pair: (pair[0][0], pair[1][0]))
         if not candidates:
             return pairs, trace
         U, V = candidates[0]
@@ -631,10 +632,11 @@ def test_parallel_class_cross_products_are_uniform():
     # the flag read from one representative pair holds for every u in C, v in D
     for n, pairs in grid_quotients():
         A = SquareZeroQuotient(n, pairs)
-        part = A.parallel_classes()
-        for (C, D), zero in part.zero_between.items():
+        classes = A.parallel_classes()
+        for C, D in itertools.combinations(classes, 2):
+            zero = A.killed(C[0], D[0])
             assert all(A.killed(u, v) == zero for u in C for v in D), (n, C, D)
-        assert (part.classes, part.zero_between) == reference_parallel_classes(n, pairs)
+        assert (classes, zero_pairs(A)) == reference_parallel_classes(n, pairs)
 
 
 def test_clone_matches_the_pair_set_clone_on_the_grid():
@@ -642,8 +644,8 @@ def test_clone_matches_the_pair_set_clone_on_the_grid():
     cloned = 0
     for n, pairs in grid_quotients():
         A = SquareZeroQuotient(n, pairs)
-        zero_pairs = [pair for pair, zero in A.parallel_classes().zero_between.items() if zero]
-        for C, D in rng.sample(zero_pairs, min(4, len(zero_pairs))):
+        zero = zero_pairs(A)
+        for C, D in rng.sample(zero, min(4, len(zero))):
             for S, T in ((C, D), (D, C)):
                 B = A.clone(S, T)
                 assert B.kill == reference_clone(n, pairs, S, T), (n, S, T)
@@ -659,10 +661,11 @@ def test_symmetrize_trace_matches_the_pair_set_loop_on_the_grid():
         A = SquareZeroQuotient(n, pairs)
         q = max(d for d in range(n + 1) if A.hilbert(d) > 0)
         r = rng.randint(1, min(q, 8))
-        terminal, trace = symmetrize(A, q, r)
+        terminal, trace, sizes = symmetrize(A, q, r)
         want_pairs, want_trace = reference_symmetrize(n, pairs, r)
         assert trace == want_trace, (n, r)
         assert terminal.kill == want_pairs
+        assert sizes == terminal_class_sizes(terminal), (n, r)
         steps += len(trace)
     assert steps > 100
 
@@ -674,7 +677,7 @@ def test_clone_refuses_what_is_not_a_pair_of_parallel_classes():
             A.clone(S, T)
     # classes (1, 2), (3), (4): a part of a class is no source or target
     B = SquareZeroQuotient(4, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
-    assert B.parallel_classes().classes == ((1, 2), (3,), (4,))
+    assert B.parallel_classes() == ((1, 2), (3,), (4,))
     for S, T in [((1,), (3,)), ((3,), (2,))]:
         with pytest.raises(InputError):
             B.clone(S, T)
@@ -715,6 +718,45 @@ def test_far_vertex_is_refused_before_its_bit_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_kill_masks_are_priced_exactly_when_they_could_pass_the_cap(monkeypatch):
+    # every grid quotient's masks fit a cap of their own bits and not one
+    # bit less, and the priced constructor builds the same quotient
+    for n, pairs in grid_quotients():
+        A = SquareZeroQuotient(n, pairs)
+        bits = sum(mask.bit_length() for mask in A._adj)
+        if not bits:
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(squarezero, "MASK_CAP_BITS", bits)
+            assert SquareZeroQuotient(n, iter(pairs)) == A
+            m.setattr(squarezero, "MASK_CAP_BITS", bits - 1)
+            with pytest.raises(ScaleGuardError, match=f"^kill masks need {bits} bits, cap {bits - 1}$"):
+                SquareZeroQuotient(n, pairs)
+
+
+def test_a_quotient_whose_complete_kill_graph_fits_the_cap_is_not_priced(monkeypatch):
+    def priced(n, kill):
+        raise AssertionError("priced")
+
+    monkeypatch.setattr(squarezero, "_priced_pairs", priced)
+    monkeypatch.setattr(squarezero, "MASK_CAP_BITS", 110)
+    assert SquareZeroQuotient(10, itertools.combinations(range(1, 11), 2)).hilbert(2) == 0
+    monkeypatch.setattr(squarezero, "MASK_CAP_BITS", 109)
+    with pytest.raises(AssertionError, match="priced"):
+        SquareZeroQuotient(10)
+
+
+@pytest.mark.parametrize("pair,message", [((5, 1), "bad kill pair [1, 5]"), ((1, 2, 2), "bad kill pair [1, 2, 2]"), ((3,), "bad kill pair [3]")])
+def test_a_priced_kill_list_refuses_a_bad_pair_before_its_price(monkeypatch, pair, message):
+    # the price would refuse (1, 4) alone; a bad pair after it is refused as unpriced
+    monkeypatch.setattr(squarezero, "MASK_CAP_BITS", 0)
+    with pytest.raises(InputError) as excinfo:
+        SquareZeroQuotient(4, [(1, 4), pair])
+    assert str(excinfo.value) == message
+    with pytest.raises(ScaleGuardError, match="^kill masks need 7 bits, cap 0$"):
+        SquareZeroQuotient(4, [(1, 4)])
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +838,7 @@ def test_first_zero_product_pair_is_the_least_zero_flag():
     # symmetrize's pair rule, read from the class keys
     for n, pairs in itertools.chain(grid_quotients(), tied_grid_quotients()):
         A = SquareZeroQuotient(n, pairs)
-        zero = [pair for pair, flag in A.parallel_classes().zero_between.items() if flag]
+        zero = zero_pairs(A)
         want = min(zero, key=lambda pair: (pair[0][0], pair[1][0])) if zero else None
         classes = squarezero._group_classes(A._adj)
         keys = squarezero._first_killed_pair(classes)
@@ -811,7 +853,7 @@ def test_symmetrize_direct_pick_matches_the_pair_set_loop_with_ties():
         A = SquareZeroQuotient(n, pairs)
         q = max(d for d in range(n + 1) if A.hilbert(d) > 0)
         r = rng.randint(1, q)
-        terminal, trace = symmetrize(A, q, r)
+        terminal, trace, _ = symmetrize(A, q, r)
         want_pairs, want_trace = reference_symmetrize(n, pairs, r)
         assert trace == want_trace, (n, r)
         assert terminal.kill == want_pairs
@@ -826,12 +868,12 @@ def test_symmetrize_direct_pick_matches_the_pair_set_loop_with_ties():
 
 def clone_loop_symmetrize(A, q, r):
     """The loop over vertex masks: each step regroups the quotient, takes
-    the least zero flag of `parallel_classes` as its pair, reads lambda by
+    the least pair of `zero_pairs` as its pair, reads lambda by
     `lambda_dim` and clones by `clone`.  (terminal quotient, trace)."""
     assert A.top_vanishing(q)
     trace, current, h = [], A, None
     while True:
-        zero = [pair for pair, flag in current.parallel_classes().zero_between.items() if flag]
+        zero = zero_pairs(current)
         if not zero:
             break
         U, V = min(zero, key=lambda pair: (pair[0][0], pair[1][0]))
@@ -874,9 +916,10 @@ def test_symmetrize_on_class_keys_is_the_clone_loop():
     for A, q in symmetrize_cases():
         for r in range(1, 5):
             want = clone_loop_symmetrize(A, q, r)
-            terminal, trace = symmetrize(A, q, r)
+            terminal, trace, sizes = symmetrize(A, q, r)
             assert trace == want[1], (A, q, r)
             assert terminal == want[0], (A, q, r)
+            assert sizes == terminal_class_sizes(terminal), (A, q, r)
             steps += len(trace)
     assert steps > 1000
 
@@ -885,7 +928,7 @@ def test_a_lambda_tie_keeps_the_first_class_as_the_source():
     # the kill 4-cycle: classes (1) and (2) are killed together, and each
     # has one variable outside its closed neighbourhood
     A = SquareZeroQuotient(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    terminal, trace = symmetrize(A, 2, 2)
+    terminal, trace, _ = symmetrize(A, 2, 2)
     assert trace[0]["source"] == [1] and trace[0]["target"] == [2]
     assert trace[0]["lambda_source"] == trace[0]["lambda_target"] == 1
     assert (terminal, trace) == clone_loop_symmetrize(A, 2, 2)
@@ -932,12 +975,11 @@ def test_symmetrize_counts_hilbert_at_most_three_times_and_groups_each_quotient_
         q = next(d for d in range(n + 1) if not hilbert(A, d + 1))
         counts.clear()
         grouped.clear()
-        terminal, trace = symmetrize(A, q, 2)
-        terminal_class_sizes(terminal)
+        terminal, trace, _ = symmetrize(A, q, 2)
         assert len(counts) <= 3, (n, len(trace))
-        # one grouping per quotient: the steps run on the input's classes,
-        # and the sizes are read from the terminal's
-        assert grouped == [A._adj, terminal._adj], n
+        # one grouping per call: the steps run on the input's classes,
+        # and the terminal class sizes are read from the classes they end on
+        assert grouped == [A._adj], n
         long_runs += len(trace) >= 3
     assert long_runs > 20
 
