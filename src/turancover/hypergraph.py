@@ -22,13 +22,17 @@ copies avoiding it.  A copy is live while none of its edges is left out.
 Every edge below the current one is decided, so a live copy ending there
 has all its other edges chosen: adding the edge completes exactly the live
 copies ending there, and leaving it out kills the live copies through it.
-The core-pair family is never listed: an r-graph holds a member iff its
-shadow graph (the pairs of positive codegree) has an ell-clique.  Its
-oracles pass that shadow graph down the walk as one immutable int, row v
-of n + 1 bits holding v's neighbours, and `_shadow_step` gives the pure
-step that grows it by one r-set, so leaving an r-set out undoes nothing.
-`core_family_free` builds the same int for a whole graph and runs the
-same clique search (`_has_clique`) on it.
+An r-graph holds a member of the core-pair family iff its shadow graph
+(the pairs of positive codegree) has an ell-clique.  At r = 2 the shadow
+is the graph itself and the family is the single graph K_ell, so the
+oracles list K_ell's copies and walk them as an explicit pattern's.  At
+r >= 3 the family is never listed: the oracles pass the shadow graph down
+the walk as one immutable int, row v of n + 1 bits holding v's
+neighbours, and `_shadow_step` gives the pure step that grows it by one
+r-set and tests every ell-set of [n] for full coverage in one
+word-parallel subtraction, so leaving an r-set out undoes nothing.
+`core_family_free` builds the same int for a whole graph and runs a
+clique search (`_has_clique`) on it.
 
 The oracles import nothing from the cover-ideal search or the polynomial
 core: they are the independent check of both.
@@ -322,7 +326,7 @@ def core_family_free(G: RGraph, ell: int) -> bool:
     a member with <= C(ell, 2) edges.  The shadow graph is built once as a
     shadow int in the oracles' layout, each vertex's row of neighbours
     padded to whole bytes so that the rows are joined as bytes, and
-    searched by the oracles' `_has_clique`.  First the shadow graph is
+    searched by `_has_clique`.  First the shadow graph is
     coloured greedily in vertex order: a proper c-colouring leaves no
     (c + 1)-clique, so fewer than ell colours answer "free" with no search.
     On a balanced Turán graph T(n, q) that colouring uses exactly q colours.
@@ -531,13 +535,15 @@ def brute_force_ex(n: int, spec: FamilySpec) -> tuple[int, RGraph]:
     edges before any copy is listed.  One loop decides edges 0, 1, ... in
     turn: taking edge idx recurses, and leaving it out is the next turn.
     A node is cut unless `room`, its size plus the m - idx edges still
-    open, beats the incumbent.  For an explicit pattern, `live` holds the
-    copies with no edge left out (`_copy_bitsets`): edge idx may join iff
-    no live copy ends there, and leaving it out keeps the live copies
-    avoiding it.  For the core-pair family, `shadow` is the chosen edges'
-    shadow int, and edge idx may join iff `_shadow_step`'s `grow` gives a
-    grown shadow for the recursion; leaving it out passes the same shadow
-    on, so there is nothing to undo.
+    open, beats the incumbent.  `_freeness_test` picks the test.  For an
+    explicit pattern, and for the core-pair family at r = 2 (K_ell's
+    copies), `live` holds the copies with no edge left out
+    (`_copy_bitsets`): edge idx may join iff no live copy ends there, and
+    leaving it out keeps the live copies avoiding it.  For the core-pair
+    family at r >= 3, `shadow` is the chosen edges' shadow int, and edge
+    idx may join iff `_shadow_step`'s `grow`, one word-parallel coverage
+    test over the ell-sets of [n], gives a grown shadow for the recursion;
+    leaving it out passes the same shadow on, so there is nothing to undo.
 
     The witness is the first optimum in the walk's order, edge 0 taken
     before edge 0 left out, then edge 1, and so on: the optimal free set
@@ -584,16 +590,23 @@ def _copy_bitsets(copies: Collection[int], m: int) -> tuple[list[int], list[int]
 
 def _freeness_test(spec: FamilySpec, n: int, ranker: EdgeRanker):
     """(copies, grow): how the oracles keep a chosen edge set free of
-    `spec`.  For an explicit pattern, its copy masks, each listed once, and
-    no step; for the core-pair family, no copies and `_shadow_step`'s
+    `spec`.  An explicit pattern gives its copy masks, each listed once, and
+    no step.  So does the core-pair family at r = 2, which is the single
+    graph K_ell: the copies of `RGraph.complete(ell, 2)`, none when ell > n.
+    At r >= 3 the core-pair family gives no copies and `_shadow_step`'s
     `grow`."""
     if isinstance(spec, CoreFamily):
-        return (), _shadow_step(ranker, spec.ell)
+        if spec.r > 2:
+            return (), _shadow_step(ranker, spec.ell)
+        if spec.ell > n:  # no K_ell in [n]; ell is not capped, so K_ell is not built
+            return (), None
+        spec = RGraph.complete(spec.ell, 2)
     return enumerate_forbidden_copies(spec, n).copies, None
 
 
 def _shadow_step(ranker: EdgeRanker, ell: int):
-    """grow, the core-pair freeness step of both oracles.
+    """grow, the core-pair freeness step of the r >= 3 oracles, correct for
+    any r.
 
     A graph contains a member of the core-pair family (ell, r) iff its
     shadow graph (the pairs of positive codegree) has an ell-clique.  The
@@ -602,43 +615,52 @@ def _shadow_step(ranker: EdgeRanker, ell: int):
     neighbours.  `grow(idx, shadow)` is pure: for a K_ell-free shadow it
     returns the shadow grown by the pairs of the r-set of rank idx, or -1
     when that shadow has an ell-clique.  Each r-set's pair mask is built
-    once, and an r-set that covers no new pair is accepted at once.  A new
-    ell-clique holds a new pair, whose common neighbourhood in the grown
-    shadow then holds an (ell - 2)-clique, so only the new pairs are
-    searched, and the first hit refuses.  For ell <= r every r-set alone
-    is a member, so `grow` refuses each one.
+    once, and an r-set that covers no new pair is accepted at once.
+
+    Otherwise one coverage test decides, word-parallel over the ell-sets of
+    [n] (Lamport's zero-field test).  `cover` holds one field of w * w + 1
+    bits per ell-set: its pair bits in the shadow layout, under a guard bit
+    on top.  `ones` has a 1 at the bottom of each field, so `grown * ones`
+    is the grown shadow copied into every field, and `left` keeps each
+    ell-set's uncovered pairs and its guard.  Subtracting `ones` clears a
+    guard iff its field held nothing else, that is iff all that ell-set's
+    pairs are covered; no borrow crosses a field, as each is at least its
+    guard.  ell > n gives no field and accepts every r-set.  Under the
+    oracles' cap of 30 edges with ell > r >= 3, [n] has more than one
+    ell-set only for n <= 8, and at most 15: 15 fields of 50 bits at
+    n = 6, ell = 4, r = 3.  Past n = 8 there is at most one field, so
+    `cover` stays under 1,000 bits (962 at n = ell = 30, r = 29).  For
+    ell <= r every r-set alone is a member, so `grow` refuses each one.
     """
     if ell <= ranker.r:  # one r-set alone covers an ell-clique
         return lambda idx, shadow: -1
-    n, k = ranker.n, ell - 2
-    w = n + 1
-    row = (1 << w) - 1
-    # each pair {a < b} of each r-set as (a * w, b * w, its two bits)
-    pairs = [
-        [(a * w, b * w, 1 << a * w + b | 1 << b * w + a) for a, b in itertools.combinations(t, 2)]
-        for t in ranker.sets
-    ]
-    masks = [sum(bits for _, _, bits in ps) for ps in pairs]  # distinct pairs: disjoint bits
+    w = ranker.n + 1
+
+    def pair_bits(vs) -> int:
+        return sum(1 << a * w + b | 1 << b * w + a for a, b in itertools.combinations(vs, 2))
+
+    width = w * w + 1
+    ell_sets = list(itertools.combinations(range(1, w), ell))
+    ones = sum(1 << j * width for j in range(len(ell_sets)))
+    guards = ones << w * w
+    cover = guards | sum(pair_bits(s) << j * width for j, s in enumerate(ell_sets))
+    masks = [pair_bits(t) for t in ranker.sets]
 
     def grow(idx: int, shadow: int) -> int:
-        new = masks[idx] & ~shadow
-        if not new:
+        grown = shadow | masks[idx]
+        if grown == shadow:
             return shadow
-        shadow |= new
-        for aw, bw, bits in pairs[idx]:
-            if new & bits:
-                common = shadow >> aw & shadow >> bw & row
-                if common.bit_count() >= k and _has_clique(shadow, w, common, k):
-                    return -1
-        return shadow
+        left = cover & ~(grown * ones)
+        return grown if (left - ones) & guards == guards else -1
 
     return grow
 
 
 def _has_clique(shadow: int, w: int, cand: int, k: int) -> bool:
     """Whether the vertex bitmask `cand` holds a k-clique of the shadow
-    graph whose row v, `shadow >> v * w`, holds v's neighbours.  k = 2 asks
-    for one edge inside `cand`, answered in place."""
+    graph whose row v, `shadow >> v * w`, holds v's neighbours: the search
+    of `core_family_free`, whose graphs are not bounded by the oracles'
+    cap.  k = 2 asks for one edge inside `cand`, answered in place."""
     if k <= 1:
         return k == 0 or cand != 0
     if k == 2:
@@ -693,14 +715,16 @@ def brute_force_gen_ex(
     in a forbid-free graph, by branch-and-bound over subgraphs; refused on
     n < 1 or above ORACLE_CAP_EDGES potential edges before any copy is
     listed.  The target must pass `check_target_spec`.  The walk, its
-    freeness test (the copies in `live`, or the no-undo shadow int passed
-    down beside them) and its witness are `brute_force_ex`'s, and the target
-    copies are kept in the same bitsets over their own indices: taking edge
-    idx completes the live target copies ending there, and leaving it out
-    kills the live ones through it.  A node is cut unless `alive`, the
-    copies done plus those still live, beats the incumbent.  A target copy
-    holding a forbidden copy of an explicit F is in no free graph, so it is
-    left out of the walk's live set from the start (`_free_copies`)."""
+    freeness test (the copies in `live` for an explicit F or the core-pair
+    family at r = 2, or at r >= 3 the no-undo shadow int passed down beside
+    them) and its witness are `brute_force_ex`'s, and the target copies are
+    kept in the same bitsets over their own indices: taking edge idx
+    completes the live target copies ending there, and leaving it out kills
+    the live ones through it.  A node is cut unless `alive`, the copies
+    done plus those still live, beats the incumbent.  A target copy holding
+    a listed forbidden copy (of an explicit F, or a K_ell at r = 2) is in no
+    free graph, so it is left out of the walk's live set from the start
+    (`_free_copies`)."""
     check_target_spec(target_spec, forbid_spec)
     r = forbid_spec.r
     m = _oracle_edges(n, r)

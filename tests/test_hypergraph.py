@@ -586,8 +586,8 @@ def reference_ex(n, spec):
     every remaining edge cannot reach the incumbent's size, and a leaf
     replaces the incumbent only when strictly larger.  Freeness of an
     explicit pattern is tested on its own list of copies by last edge; the
-    core-pair family takes the oracle's `_shadow_step`, threading its
-    shadow int down the search."""
+    core-pair family takes `_shadow_step`, the r >= 3 oracles' step, at
+    every r, threading its shadow int down the search."""
     m = comb(n, spec.r)
     ranker = EdgeRanker(n, spec.r)
     grow = None
@@ -657,24 +657,27 @@ def _count_shadow_grows(monkeypatch):
 
 @pytest.mark.parametrize("n,ell", [(7, 4), (8, 6)])
 def test_strict_cut_skips_edges_the_uncut_search_adds(monkeypatch, n, ell):
-    calls = _count_shadow_grows(monkeypatch)
+    # at r = 2 the oracle walks K_ell's copies, so its tries are its
+    # `ending` lookups; the reference still runs the shadow step
     spec = CoreFamily(ell, 2)
+    cut_adds = _count_freeness_tests(monkeypatch, spec)
+    calls = _count_shadow_grows(monkeypatch)
     answer = brute_force_ex(n, spec)
-    cut_adds = len(calls)
-    calls.clear()
+    assert not calls
     assert reference_ex(n, spec) == answer
-    assert 0 < cut_adds < len(calls)
+    assert 0 < cut_adds() < len(calls)
 
 
 def test_gen_ex_strict_cut_skips_edges_the_uncut_search_tries(monkeypatch):
-    # the oracle's shadow step runs once per edge it tries to include; the
-    # reference lists its own copies, so its tries are counted directly
-    calls = _count_shadow_grows(monkeypatch)
+    # the oracle looks up its forbidden `ending` once per edge it tries to
+    # include; the reference lists its own copies, so its tries are counted
+    # directly
     args = 6, K(3), CoreFamily(4, 2)
+    cut_tries = _count_freeness_tests(monkeypatch, args[2])
     answer = brute_force_gen_ex(*args)
     tried = []
     assert reference_gen_ex(*args, tried=tried) == answer
-    assert 0 < len(calls) < len(tried)
+    assert 0 < cut_tries() < len(tried)
 
 
 def reference_core_family_ex(n, ell, r):
@@ -721,10 +724,14 @@ def reference_core_family_ex(n, ell, r):
 
 
 def _core_family_grid():
-    for r in (2, 3, 4):
-        for n in range(1, 8):
-            if comb(n, r) <= 20:
-                for ell in range(2, n + 2):
+    # every n with C(n, r) <= 20 for r <= 4; r = 5 and 6 up to the oracles'
+    # cap of 30 edges.  (8, 8, 6), 182,115 freeness tests, takes the two
+    # reference walks about 3.5 s and is left to the coverage-step test;
+    # (7, 7, 5) and (7, 7, 6) test one field here
+    for r, top in ((2, 6), (3, 6), (4, 6), (5, 7), (6, 8)):
+        for n in range(1, top + 1):
+            for ell in range(2, n + 2):
+                if (n, ell, r) != (8, 8, 6):
                     yield n, ell, r
 
 
@@ -851,10 +858,13 @@ def rest_mask_shadow_step(ranker, ell):
 
 def rest_mask_tables(spec, n, ranker):
     """(rests, add, remove): the copies' rest masks by last edge and no
-    steps, or no rests and the core-pair shadow step."""
+    steps, or at r >= 3 no rests and the core-pair shadow step.  At r = 2
+    the core-pair family is K_ell and lists its copies' rests."""
     m = ranker.count
     if isinstance(spec, CoreFamily):
-        return [()] * m, *rest_mask_shadow_step(ranker, spec.ell)
+        if spec.r > 2:
+            return [()] * m, *rest_mask_shadow_step(ranker, spec.ell)
+        spec = K(spec.ell)
     rests = [[] for _ in range(m)]
     for cm in enumerate_forbidden_copies(spec, n).copies:
         last = cm.bit_length() - 1
@@ -942,9 +952,10 @@ class CountedTable(list):
 def _count_freeness_tests(monkeypatch, spec):
     """A function giving the number of freeness tests of one oracle call
     after the patch: the lookups of the first per-edge table it builds (its
-    forbidden `ending`) for an explicit pattern, or the calls of the shadow
-    step's `grow` for the core-pair family."""
-    if isinstance(spec, CoreFamily):
+    forbidden `ending`) for an explicit pattern or the r = 2 core-pair
+    family, or the calls of the shadow step's `grow` for the core-pair
+    family at r >= 3."""
+    if isinstance(spec, CoreFamily) and spec.r > 2:
         calls = _count_shadow_grows(monkeypatch)
         return lambda: len(calls)
     tables = []
@@ -1034,6 +1045,78 @@ def test_shadow_step_verdicts_follow_a_stack_of_r_sets(n, ell, r):
         else:
             assert grown == -1
             assert parent == shadow_of(n, edges[:-1])
+
+
+# the coverage test's field counts C(n, ell): none (ell > n), one (ell = n),
+# and every point where the oracles' cap admits more than one with
+# ell > r >= 3, up to 15 at (6, 4, 3)
+COVERAGE_POINTS = [
+    (4, 5, 3), (6, 7, 3), (7, 8, 5),
+    (4, 4, 3), (6, 6, 3), (6, 6, 4), (7, 7, 5), (8, 8, 6),
+    (5, 4, 3), (6, 5, 3), (6, 5, 4), (7, 6, 5), (8, 7, 6),
+    (6, 4, 3),
+]
+
+
+@pytest.mark.parametrize("n,ell,r", COVERAGE_POINTS)
+def test_coverage_step_verdicts_match_a_loop_over_the_ell_sets(n, ell, r):
+    # seeded pushes and pops as in the stack test above, each verdict
+    # checked against a plain scan of the ell-sets of [n] for one whose
+    # pairs all lie in the stacked r-sets plus the new one; both verdicts
+    # must occur wherever [n] has an ell-set
+    ranker = EdgeRanker(n, r)
+    grow = hypergraph._shadow_step(ranker, ell)
+    cores = [list(itertools.combinations(s, 2)) for s in itertools.combinations(range(1, n + 1), ell)]
+    rng = random.Random(n * 100 + ell * 10 + r)
+    stack, shadows = [], [0]
+    verdicts = set()
+    for _ in range(1000):
+        unused = [idx for idx in range(ranker.count) if idx not in stack]
+        if stack and (not unused or rng.random() < 0.4):
+            stack.pop()
+            shadows.pop()
+            continue
+        idx = rng.choice(unused)
+        edges = [ranker.sets[i] for i in stack + [idx]]
+        covered = {p for e in edges for p in itertools.combinations(e, 2)}
+        member = any(all(p in covered for p in core) for core in cores)
+        grown = grow(idx, shadows[-1])
+        assert (grown < 0) == member
+        verdicts.add(member)
+        if not member:
+            assert grown == shadow_of(n, edges)
+            stack.append(idx)
+            shadows.append(grown)
+    assert verdicts == ({False, True} if cores else {False})
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_the_r2_core_pair_family_is_k_ell_in_both_oracles(n):
+    # at r = 2 the oracles walk K_ell's copies; `reference_ex` still runs
+    # the general shadow step and `reference_gen_ex` the family's minimal
+    # copies, so on the r = 2 points of `_core_family_grid` (n <= 6) each
+    # checks that route against another
+    for ell in range(2, n + 2):
+        family, clique = CoreFamily(ell, 2), K(ell)
+        answers = {brute_force_ex(n, family), brute_force_ex(n, clique)}
+        if n <= 6:
+            answers.add(reference_ex(n, family))
+        assert len(answers) == 1, ell
+        for t in ("K2", "K3", "K4", "P3", "C4"):
+            target = builtin_spec(t)
+            answers = {brute_force_gen_ex(n, target, family), brute_force_gen_ex(n, target, clique)}
+            if n <= 6:
+                answers.add(reference_gen_ex(n, target, family))
+            assert len(answers) == 1, (ell, t)
+
+
+def test_an_r2_core_pair_family_past_n_builds_no_clique(monkeypatch):
+    # ell is not capped, so the oracles build no K_ell that [n] cannot hold
+    complete, triangle = K(7), K(3)
+    monkeypatch.setattr(RGraph, "complete", _no_copies)
+    family = CoreFamily(10**9, 2)
+    assert brute_force_ex(7, family) == (21, complete)
+    assert brute_force_gen_ex(7, triangle, family) == (35, complete)
 
 
 def test_scale_guard_on_edge_count():
